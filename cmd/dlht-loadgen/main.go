@@ -196,7 +196,7 @@ func load(addr string, conns, pipeline int, keys uint64) (bench.Measurement, uin
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
-			cl, err := server.Dial(addr)
+			cl, err := server.DialV2(addr, server.ClientOpts{})
 			if err != nil {
 				errs.Add(1)
 				return
@@ -268,7 +268,7 @@ func run(addr string, conns, pipeline int, totalOps, keys uint64, readPct int, d
 		wg.Add(1)
 		go func(c int, quota uint64) {
 			defer wg.Done()
-			cl, err := server.Dial(addr)
+			cl, err := server.DialV2(addr, server.ClientOpts{})
 			if err != nil {
 				errs.Add(quota)
 				return

@@ -1,13 +1,12 @@
 // Command dlht-server exposes DLHT tables over TCP using the pipelined
-// binary protocol of repro/internal/server. Each connection is one
-// goroutine holding one table handle; every request is fed, as it is
-// decoded, into a per-connection streaming pipeline (§3.3) whose
-// completions write the responses — replies stream out while a deep burst
-// is still being decoded.
+// binary protocol of repro/internal/server. Every request is fed, as it
+// is decoded, into a streaming pipeline (§3.3) whose completions write the
+// responses — replies stream out while a deep burst is still being
+// decoded.
 //
-// The process hosts one default table (served to protocol-v1 clients and
-// handshakes with no table selector) plus any number of named tables
-// declared with -tables; protocol-v2 clients pick one in the handshake.
+// The process hosts one default table (served to handshakes with no table
+// selector) plus any number of named tables declared with -tables; clients
+// pick one in the handshake.
 // Tables in kv mode (Allocator, VariableKV, Namespaces) serve the
 // variable-length KV frames.
 //
@@ -54,7 +53,6 @@ func main() {
 		addr       = flag.String("addr", ":4040", "listen address")
 		bins       = flag.Uint64("bins", 1<<20, "initial bin count per table (3 slots per bin)")
 		resizable  = flag.Bool("resizable", true, "enable non-blocking resize")
-		maxBatch   = flag.Int("max-batch", 0, "force a pipeline drain+flush every N requests per connection (0 = stream continuously)")
 		maxThreads = flag.Int("max-threads", 4096, "max concurrent connections per table (table handles)")
 		hashName   = flag.String("hash", "modulo", "bin hash: modulo|wy|xx|murmur3|fnv1a")
 		window     = flag.Int("window", 0, "prefetch window of the per-connection pipeline (0 or <0 = default 16; the full-batch baseline has no streaming analogue)")
@@ -72,9 +70,6 @@ func main() {
 	execMode, ok := server.ParseExecMode(*execName)
 	if !ok {
 		log.Fatalf("unknown -exec %q (want shared|partitioned|conn)", *execName)
-	}
-	if *maxBatch > 0 && execMode != server.ExecConn {
-		log.Printf("warning: -max-batch applies only to -exec=conn; ignored under -exec=%s (executor responses always stream)", execMode)
 	}
 	if *pprofAddr != "" {
 		go func() {
@@ -136,9 +131,10 @@ func main() {
 		respTableName = "resp"
 	}
 	s := server.New(tbl, server.Options{
-		MaxBatch: *maxBatch, IdleTimeout: *idle,
-		Exec: execMode, ExecShards: *execShards,
-		RESPTable: respTableName,
+		IdleTimeout: *idle,
+		Exec:        execMode,
+		ExecShards:  *execShards,
+		RESPTable:   respTableName,
 	})
 	if defaultDS != nil {
 		if err := s.AddDurable(server.DefaultTable, defaultDS); err != nil {
@@ -229,8 +225,8 @@ func main() {
 		os.Exit(1)
 	}()
 
-	log.Printf("dlht-server listening on %s (bins=%d resizable=%v exec=%s max-batch=%d window=%d idle-timeout=%v tables=%s)",
-		*addr, *bins, *resizable, execMode, *maxBatch, *window, *idle, strings.Join(names, ","))
+	log.Printf("dlht-server listening on %s (bins=%d resizable=%v exec=%s window=%d idle-timeout=%v tables=%s)",
+		*addr, *bins, *resizable, execMode, *window, *idle, strings.Join(names, ","))
 	if err := s.ListenAndServe(*addr); err != nil && !errors.Is(err, server.ErrServerClosed) {
 		log.Fatal(err)
 	}

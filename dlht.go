@@ -120,11 +120,10 @@
 // shard restarted from its WAL rejoins with no client restart. See the
 // README's "Fault tolerance" section for the semantics and knobs.
 //
-// The wire protocol is versioned: Dial and DialCluster speak v2 (a
-// handshake with a table selector and variable-length KV frames for
-// Allocator-mode tables); v1 clients — the fixed-frame protocol with no
-// handshake — are auto-detected by the server from their first frame and
-// served unchanged.
+// The wire protocol has one version, v2: every connection opens with a
+// handshake carrying a table selector and a feature set (variable-length
+// KV frames for Allocator-mode tables). A client of the retired
+// handshake-less v1 is refused with a bad-version reply.
 //
 // The implementation lives in repro/internal/core (table engine),
 // repro/internal/server (protocol + network client) and

@@ -3,16 +3,17 @@ package analyzers
 // ackgate: in durable-serving reply paths, no byte may reach the
 // socket before the group commit covering it — PRs 6 and 8 each
 // re-discovered by hand that bufio.Writer auto-flushes mid-Write when
-// the buffer fills, leaking unsynced acks. Functions that write
+// the buffer fills, leaking unsynced acks. Since PR 14 replies reach a
+// socket through one function, internal/ackbuf's Writer.Flush, and this
+// pass guards that site (and any future one): functions that write
 // response bytes opt in with a //dlht:ackgated doc comment; inside
 // them, every socket-bound sink (bufio.Writer Write/WriteString/
 // WriteByte/Flush, net.Conn Write) must be preceded by a covering
-// gate: a call to room(n), syncPending(), SyncWait(seq), Synced(), or
-// flush().
+// gate: a call to syncPending(), SyncWait(seq), Synced(), or flush().
 //
 // "Preceded" is positional within the function body (including its
 // nested literals) — a deliberate over-approximation that matches how
-// the real writers are shaped: the gate opens at the top, the sinks
+// a reply writer is shaped: the gate opens at the top, the sinks
 // follow. Restructuring a writer so a sink precedes every gate is
 // exactly the regression this pass exists to catch.
 
@@ -30,8 +31,7 @@ var AckGate = &Analyzer{
 }
 
 var ackGates = map[string]bool{
-	"room": true, "syncPending": true, "SyncWait": true,
-	"Synced": true, "flush": true,
+	"syncPending": true, "SyncWait": true, "Synced": true, "flush": true,
 }
 
 var bufioSinks = map[string]bool{
@@ -79,7 +79,7 @@ func checkAckGate(p *Pass, fd *ast.FuncDecl) {
 		}
 		if !gated {
 			p.Reportf(s.Pos(),
-				"%s: %s may push unsynced bytes to the socket with no covering gate (room/syncPending/SyncWait) before it in this //dlht:ackgated function",
+				"%s: %s may push unsynced bytes to the socket with no covering gate (syncPending/SyncWait) before it in this //dlht:ackgated function",
 				fd.Name.Name, calleeName(s))
 		}
 	}

@@ -13,14 +13,13 @@ type conn struct {
 	bw *bufio.Writer
 }
 
-func (cn *conn) room(n int)   {}
 func (cn *conn) syncPending() {}
 
 // writeGood gates before the sink.
 //
 //dlht:ackgated
 func (cn *conn) writeGood(msg string) {
-	cn.room(len(msg))
+	cn.syncPending()
 	cn.bw.WriteString(msg)
 }
 
@@ -30,7 +29,7 @@ func (cn *conn) writeGood(msg string) {
 //dlht:ackgated
 func (cn *conn) writeBad(msg string) {
 	cn.bw.WriteString(msg) // want `may push unsynced bytes`
-	cn.room(len(msg))
+	cn.syncPending()
 }
 
 //dlht:ackgated

@@ -235,12 +235,6 @@ func (cn *conn) upsertLocked(ns uint16, key, val []byte, hash uint64) error {
 	}
 }
 
-func (cn *conn) trackSeq(seq uint64) {
-	if seq > cn.needSeq {
-		cn.needSeq = seq
-	}
-}
-
 func (cn *conn) cmdSet(args [][]byte) {
 	cn.barrier()
 	if len(args) < 3 {
@@ -339,7 +333,7 @@ func (cn *conn) setLocked(key, val []byte, atMs int64, nx, xx, keep bool) (bool,
 		if err != nil {
 			return false, err
 		}
-		cn.trackSeq(seq)
+		cn.w.NeedSync(seq)
 	}
 	switch {
 	case atMs > 0:
@@ -349,7 +343,7 @@ func (cn *conn) setLocked(key, val []byte, atMs int64, nx, xx, keep bool) (bool,
 			if err != nil {
 				return false, err
 			}
-			cn.trackSeq(seq)
+			cn.w.NeedSync(seq)
 		}
 	case keep:
 		// The in-memory deadline survives untouched, but the insert
@@ -359,7 +353,7 @@ func (cn *conn) setLocked(key, val []byte, atMs int64, nx, xx, keep bool) (bool,
 			if err != nil {
 				return false, err
 			}
-			cn.trackSeq(seq)
+			cn.w.NeedSync(seq)
 		}
 	default:
 		cn.idx.Remove(cn.ns, key, hash)
@@ -437,7 +431,7 @@ func (cn *conn) cmdDel(args [][]byte) {
 					cn.writeKVErr(err)
 					return
 				}
-				cn.trackSeq(seq)
+				cn.w.NeedSync(seq)
 			}
 		}
 		mu.Unlock()
@@ -499,13 +493,13 @@ func (cn *conn) cmdIncr(args [][]byte, name string, sign int64, hasArg bool) {
 	if cn.log != nil {
 		seq, err := cn.log.LogKVInsert(cn.ns, key, val)
 		if err == nil {
-			cn.trackSeq(seq)
+			cn.w.NeedSync(seq)
 			// INCR preserves the TTL; the insert record clears it on
 			// replay, so a live deadline must be re-asserted in the log.
 			if at, ok := cn.idx.Deadline(cn.ns, key, hash); ok {
 				seq, err = cn.log.LogKVExpire(cn.ns, key, at)
 				if err == nil {
-					cn.trackSeq(seq)
+					cn.w.NeedSync(seq)
 				}
 			}
 		}
@@ -575,7 +569,7 @@ func (cn *conn) cmdExpire(args [][]byte, name string, unitMs int64) {
 		cn.writeKVErr(err)
 		return
 	}
-	cn.trackSeq(seq)
+	cn.w.NeedSync(seq)
 	cn.writeInt(1)
 }
 
@@ -644,7 +638,7 @@ func (cn *conn) cmdPersist(args [][]byte) {
 		cn.writeKVErr(err)
 		return
 	}
-	cn.trackSeq(seq)
+	cn.w.NeedSync(seq)
 	cn.writeInt(1)
 }
 

@@ -1,26 +1,26 @@
 package resp
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"strconv"
 	"time"
 
+	"repro/internal/ackbuf"
 	core "repro/internal/core"
 	"repro/internal/expiry"
 )
 
 // WAL is the group-commit surface a durable table's redo log exposes
 // (satisfied by *wal.Log; a local interface keeps this package free of a
-// wal dependency, like exec.WAL). Mutations append records and track the
-// highest sequence their buffered replies depend on; no reply byte
-// reaches the socket before SyncWait covers it.
+// wal dependency, like exec.WAL). Mutations append records and raise the
+// reply writer's sync bar to their sequence; the writer lets no reply byte
+// reach the socket before SyncWait covers it.
 type WAL interface {
 	LogKVInsert(ns uint16, key, val []byte) (uint64, error)
 	LogKVDelete(ns uint16, key []byte) (uint64, error)
 	LogKVExpire(ns uint16, key []byte, at int64) (uint64, error)
-	SyncWait(seq uint64) error
+	ackbuf.Syncer
 }
 
 // ServeOpts wires one RESP connection to its table.
@@ -44,7 +44,7 @@ type ServeOpts struct {
 
 // arenaRetain bounds the in-flight GET key arena a connection keeps
 // between bursts; kvEpochEvery is the epoch-refresh cadence (matches the
-// v2 serve loop).
+// binary serve loop).
 const (
 	arenaRetain  = 1 << 20
 	kvEpochEvery = 1 << 10
@@ -57,20 +57,17 @@ type conn struct {
 	c   net.Conn
 	o   ServeOpts
 	r   *Reader
-	bw  *bufio.Writer
+	w   *ackbuf.Writer
 	pl  *core.KVPipeline
 	tbl *core.Table
 	h   *core.Handle
 	idx *expiry.Index
 	log WAL
 
-	ns      uint16 // SELECTed namespace
-	closed  bool   // QUIT; packed beside ns, the struct's only sub-word fields
-	needSeq uint64 // highest log sequence buffered replies depend on
-	wErr    error
-	flushAt int
-	kvOps   int
-	arena   []byte // keys of in-flight GETs; reset when the pipeline drains
+	ns     uint16 // SELECTed namespace
+	closed bool   // QUIT; packed beside ns, the struct's only sub-word fields
+	kvOps  int
+	arena  []byte // keys of in-flight GETs; reset when the pipeline drains
 }
 
 // Serve runs the RESP2 command loop on c until the peer disconnects, a
@@ -85,12 +82,8 @@ func Serve(c net.Conn, o ServeOpts) {
 	}
 	cn := &conn{
 		c: c, o: o, tbl: o.Table, h: o.Handle, idx: o.Expiry, log: o.Log,
-		r:  NewReader(c, o.ReadBuffer),
-		bw: bufio.NewWriterSize(c, o.WriteBuffer),
-	}
-	cn.flushAt = o.WriteBuffer / 2
-	if cn.flushAt < 64 {
-		cn.flushAt = 64
+		r: NewReader(c, o.ReadBuffer),
+		w: ackbuf.New(c, o.Log, o.WriteBuffer, o.IdleTimeout),
 	}
 	if cn.idx == nil {
 		// TTL state must be shared by every connection serving the same
@@ -100,13 +93,10 @@ func Serve(c net.Conn, o ServeOpts) {
 	}
 	if cn.tbl.Mode() != core.Allocator {
 		cn.writeError("ERR table is not in kv (Allocator) mode; RESP requires a kv table")
-		cn.flush()
+		cn.w.Flush()
 		return
 	}
 	cn.pl = cn.h.KVPipeline(core.KVPipelineOpts{OnComplete: func(g *core.KVGet) {
-		if cn.wErr != nil {
-			return
-		}
 		if g.OK {
 			cn.writeBulk(g.Value)
 		} else {
@@ -119,11 +109,11 @@ func Serve(c net.Conn, o ServeOpts) {
 	// the covering group commit) — the peer may be waiting for them.
 	cn.r.OnFill = func() {
 		cn.barrier()
-		cn.flush()
+		cn.w.Flush()
 	}
 
 	var cmd Command
-	for !cn.closed && cn.wErr == nil {
+	for !cn.closed && cn.w.Err() == nil {
 		cn.armIdle()
 		if err := cn.r.ReadCommand(&cmd); err != nil {
 			if errors.Is(err, ErrProtocol) {
@@ -145,18 +135,12 @@ func Serve(c net.Conn, o ServeOpts) {
 		}
 	}
 	cn.barrier()
-	cn.flush()
+	cn.w.Flush()
 }
 
 func (cn *conn) armIdle() {
 	if cn.o.IdleTimeout > 0 {
 		cn.c.SetReadDeadline(time.Now().Add(cn.o.IdleTimeout))
-	}
-}
-
-func (cn *conn) armWrite() {
-	if cn.o.IdleTimeout > 0 {
-		cn.c.SetWriteDeadline(time.Now().Add(cn.o.IdleTimeout))
 	}
 }
 
@@ -186,129 +170,33 @@ func (cn *conn) retain(b []byte) []byte {
 	return cn.arena[off : off+len(b) : off+len(b)]
 }
 
-// syncPending waits out the group commit covering every buffered reply
-// (no-op for RAM tables). Called before any byte may reach the socket.
-func (cn *conn) syncPending() {
-	if cn.log == nil || cn.needSeq == 0 || cn.wErr != nil {
-		return
-	}
-	if err := cn.log.SyncWait(cn.needSeq); err != nil {
-		cn.wErr = err
-		return
-	}
-	cn.needSeq = 0
-}
-
-// flush pushes buffered replies to the wire under the write deadline,
-// after their covering group commit.
-//
-//dlht:ackgated
-func (cn *conn) flush() {
-	cn.syncPending()
-	if cn.wErr != nil {
-		return
-	}
-	cn.armWrite()
-	cn.wErr = cn.bw.Flush()
-}
-
-// room syncs before a write of n bytes that would overflow the buffer's
-// free space: bufio pushes older (possibly unsynced) bytes to the socket
-// mid-Write, and no acknowledgement may leak ahead of its fsync.
-func (cn *conn) room(n int) {
-	if cn.log != nil && cn.needSeq > 0 && cn.bw.Available() < n {
-		cn.syncPending()
-	}
-}
-
-func (cn *conn) maybeFlush() {
-	if cn.wErr == nil && cn.bw.Buffered() >= cn.flushAt {
-		cn.flush()
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Reply writers
+// Reply writers: each appends one RESP value to the ack-gated buffer
 // ---------------------------------------------------------------------------
 
-//dlht:ackgated
 func (cn *conn) writeSimple(s string) {
-	if cn.wErr != nil {
-		return
-	}
-	cn.room(len(s) + 3)
-	cn.bw.WriteByte('+')
-	cn.bw.WriteString(s)
-	_, cn.wErr = cn.bw.WriteString("\r\n")
-	cn.maybeFlush()
+	cn.w.Commit(append(append(append(cn.w.Buf(), '+'), s...), '\r', '\n'))
 }
 
-//dlht:ackgated
 func (cn *conn) writeError(msg string) {
-	if cn.wErr != nil {
-		return
-	}
-	cn.room(len(msg) + 3)
-	cn.bw.WriteByte('-')
-	cn.bw.WriteString(msg)
-	_, cn.wErr = cn.bw.WriteString("\r\n")
-	cn.maybeFlush()
+	cn.w.Commit(append(append(append(cn.w.Buf(), '-'), msg...), '\r', '\n'))
 }
 
-//dlht:ackgated
-func (cn *conn) writeInt(n int64) {
-	if cn.wErr != nil {
-		return
-	}
-	cn.room(32)
-	var a [24]byte
-	b := append(a[:0], ':')
-	b = strconv.AppendInt(b, n, 10)
-	b = append(b, '\r', '\n')
-	_, cn.wErr = cn.bw.Write(b)
-	cn.maybeFlush()
+// writeHeader appends a type byte, a decimal and CRLF: an integer reply, or
+// the length line of a bulk string or array.
+func (cn *conn) writeHeader(typ byte, n int64) {
+	b := strconv.AppendInt(append(cn.w.Buf(), typ), n, 10)
+	cn.w.Commit(append(b, '\r', '\n'))
 }
 
-//dlht:ackgated
+func (cn *conn) writeInt(n int64) { cn.writeHeader(':', n) }
+
+func (cn *conn) writeArrayHeader(n int) { cn.writeHeader('*', int64(n)) }
+
+func (cn *conn) writeNull() { cn.w.Commit(append(cn.w.Buf(), "$-1\r\n"...)) }
+
 func (cn *conn) writeBulk(v []byte) {
-	if cn.wErr != nil {
-		return
-	}
-	cn.room(len(v) + 32)
-	var a [24]byte
-	b := append(a[:0], '$')
-	b = strconv.AppendInt(b, int64(len(v)), 10)
-	b = append(b, '\r', '\n')
-	if _, cn.wErr = cn.bw.Write(b); cn.wErr != nil {
-		return
-	}
-	if _, cn.wErr = cn.bw.Write(v); cn.wErr != nil {
-		return
-	}
-	_, cn.wErr = cn.bw.WriteString("\r\n")
-	cn.maybeFlush()
-}
-
-//dlht:ackgated
-func (cn *conn) writeNull() {
-	if cn.wErr != nil {
-		return
-	}
-	cn.room(8)
-	_, cn.wErr = cn.bw.WriteString("$-1\r\n")
-	cn.maybeFlush()
-}
-
-//dlht:ackgated
-func (cn *conn) writeArrayHeader(n int) {
-	if cn.wErr != nil {
-		return
-	}
-	cn.room(32)
-	var a [24]byte
-	b := append(a[:0], '*')
-	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, '\r', '\n')
-	_, cn.wErr = cn.bw.Write(b)
-	cn.maybeFlush()
+	b := strconv.AppendInt(append(cn.w.Buf(), '$'), int64(len(v)), 10)
+	b = append(append(b, '\r', '\n'), v...)
+	cn.w.Commit(append(b, '\r', '\n'))
 }

@@ -112,7 +112,7 @@ func BenchmarkServerSyncConns(b *testing.B) {
 					// session placement for later runs.
 					clients := make([]*Client, conns)
 					for i := range clients {
-						cl, err := Dial(s.Addr().String())
+						cl, err := DialV2(s.Addr().String(), ClientOpts{})
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -16,10 +16,9 @@ import (
 // open one per goroutine (mirroring the one-handle-per-goroutine contract
 // on the server side).
 //
-// Dial speaks protocol v1 (no handshake, default table, fixed frames);
-// DialV2 performs the v2 handshake, which adds a table selector and the
-// variable-length KV surface (GetKV/InsertKV/DeleteKV) for Allocator-mode
-// tables.
+// DialV2 and NewClientV2 open every connection with the handshake, which
+// selects the table and negotiates features such as the variable-length KV
+// surface (GetKV/InsertKV/DeleteKV) for Allocator-mode tables.
 //
 // The pipelining surface is Send/Flush/Recv: queue any number of requests,
 // flush, then receive responses in request order. On top of it sit two
@@ -40,8 +39,7 @@ type Client struct {
 	bw       *bufio.Writer
 	inflight int
 
-	v2       bool
-	features uint16
+	features uint16 // granted by the handshake
 
 	// readTimeout/writeTimeout, when set, are armed as connection
 	// deadlines around blocking reads and flushes so a stalled server
@@ -57,7 +55,6 @@ type Client struct {
 	// one per operation.
 	addr        string
 	dialOpts    ClientOpts
-	dialV2      bool
 	retry       RetryPolicy
 	broken      error
 	rng         uint64
@@ -127,18 +124,7 @@ func DialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 	return c, nil
 }
 
-// Dial connects to a server at addr speaking protocol v1.
-func Dial(addr string) (*Client, error) {
-	c, err := DialTCP(addr, 0)
-	if err != nil {
-		return nil, err
-	}
-	cl := NewClient(c)
-	cl.addr = addr
-	return cl, nil
-}
-
-// DialV2 connects to a server at addr and performs the protocol v2
+// DialV2 connects to a server at addr and performs the protocol
 // handshake. With opts.Retry.Max > 0 the client remembers addr and opts
 // and transparently redials (re-running the handshake) after a transport
 // failure, with the policy's capped exponential backoff.
@@ -154,29 +140,24 @@ func DialV2(addr string, opts ClientOpts) (*Client, error) {
 	}
 	cl.addr = addr
 	cl.dialOpts = opts
-	cl.dialV2 = true
 	return cl, nil
 }
 
-// NewClient wraps an established connection as a v1 client.
-func NewClient(c net.Conn) *Client {
-	return &Client{
-		c:    c,
-		br:   bufio.NewReaderSize(c, 64<<10),
-		bw:   bufio.NewWriterSize(c, 64<<10),
-		pend: make([]pending, 16),
-	}
-}
-
-// NewClientV2 wraps an established connection and performs the v2
+// NewClientV2 wraps an established connection and performs the
 // handshake on it. On a non-OK handshake reply the returned error is the
 // status's sentinel (ErrUnknownTable, ErrBadVersion, ...) and the
 // connection is left to the caller to close.
 func NewClientV2(c net.Conn, opts ClientOpts) (*Client, error) {
-	cl := NewClient(c)
-	cl.readTimeout, cl.writeTimeout = opts.ReadTimeout, opts.WriteTimeout
-	cl.retry = opts.Retry
-	cl.rng = opts.Retry.Seed
+	cl := &Client{
+		c:            c,
+		br:           bufio.NewReaderSize(c, 64<<10),
+		bw:           bufio.NewWriterSize(c, 64<<10),
+		pend:         make([]pending, 16),
+		readTimeout:  opts.ReadTimeout,
+		writeTimeout: opts.WriteTimeout,
+		retry:        opts.Retry,
+		rng:          opts.Retry.Seed,
+	}
 	if cl.rng == 0 {
 		cl.rng = uint64(time.Now().UnixNano())
 	}
@@ -190,7 +171,7 @@ func NewClientV2(c net.Conn, opts ClientOpts) (*Client, error) {
 // ordinary client surface, without FeatureReshard (see ClientOpts).
 const clientDefaultFeatures = FeatureKV
 
-// handshake runs the v2 hello exchange on the current connection.
+// handshake runs the hello exchange on the current connection.
 func (cl *Client) handshake(opts ClientOpts) error {
 	features := opts.Features
 	if features == 0 {
@@ -219,7 +200,6 @@ func (cl *Client) handshake(opts ClientOpts) error {
 	if resp.Version != ProtocolV2 {
 		return fmt.Errorf("%w: server granted version %d", ErrBadVersion, resp.Version)
 	}
-	cl.v2 = true
 	cl.features = resp.Features
 	return nil
 }
@@ -260,18 +240,13 @@ func (cl *Client) ensureConn() error {
 	}
 	pol := cl.retry.norm()
 	c, err := DialTCP(cl.addr, pol.DialTimeout)
-	if err == nil && cl.dialV2 {
+	if err == nil {
 		cl.c = c
 		cl.br.Reset(c)
 		cl.bw.Reset(c)
-		if herr := cl.handshake(cl.dialOpts); herr != nil {
+		if err = cl.handshake(cl.dialOpts); err != nil {
 			c.Close()
-			err = herr
 		}
-	} else if err == nil {
-		cl.c = c
-		cl.br.Reset(c)
-		cl.bw.Reset(c)
 	}
 	if err != nil {
 		cl.redialFails++
@@ -296,8 +271,7 @@ func (cl *Client) Close() error {
 // Inflight returns the number of requests sent but not yet received.
 func (cl *Client) Inflight() int { return cl.inflight }
 
-// Features returns the feature set granted by the v2 handshake (0 on v1
-// connections).
+// Features returns the feature set granted by the handshake.
 func (cl *Client) Features() uint16 { return cl.features }
 
 // SetTimeouts sets the read/write deadlines applied around blocking reads
@@ -347,14 +321,14 @@ func (cl *Client) send(r Request, cb func(Response)) error {
 }
 
 // SendKV queues one variable-length KV request whose response will be
-// delivered to cb in request order, like SendAsync. Requires a v2
-// connection with FeatureKV granted.
+// delivered to cb in request order, like SendAsync. Requires FeatureKV
+// granted.
 func (cl *Client) SendKV(r KVRequest, cb func(KVResponse)) error {
 	if cb == nil {
 		return errors.New("server: SendKV: nil callback")
 	}
-	if !cl.v2 || cl.features&FeatureKV == 0 {
-		return fmt.Errorf("%w: KV frames (use DialV2)", ErrFeature)
+	if cl.features&FeatureKV == 0 {
+		return fmt.Errorf("%w: KV frames", ErrFeature)
 	}
 	if cl.broken != nil {
 		return cl.broken
@@ -828,7 +802,7 @@ func (cl *Client) InsertKV(ns uint16, key, val []byte) error {
 }
 
 // GetVer reads key together with its applied-mutation version (the
-// core.VersionReader surface) over an OpGetVer frame. Requires a v2
+// core.VersionReader surface) over an OpGetVer frame. Requires a
 // connection granted FeatureReshard and no other requests in flight —
 // the reshard frames are solo synchronous exchanges, not pipelined.
 // Retryable failures redial and reissue within the retry policy, like the
@@ -857,7 +831,7 @@ func (cl *Client) getVer1(key uint64) (uint64, bool, uint64, error) {
 	if err := cl.ensureConn(); err != nil {
 		return 0, false, 0, err
 	}
-	if !cl.v2 || cl.features&FeatureReshard == 0 {
+	if cl.features&FeatureReshard == 0 {
 		return 0, false, 0, fmt.Errorf("%w: reshard frames (request FeatureReshard)", ErrFeature)
 	}
 	var req [GetVerReqSize]byte
@@ -907,7 +881,7 @@ func (cl *Client) ScanStep(origBins, startBin uint64, maxEnts int) ([]core.Entry
 	if err := cl.ensureConn(); err != nil {
 		return nil, 0, 0, false, err
 	}
-	if !cl.v2 || cl.features&FeatureReshard == 0 {
+	if cl.features&FeatureReshard == 0 {
 		return nil, 0, 0, false, fmt.Errorf("%w: reshard frames (request FeatureReshard)", ErrFeature)
 	}
 	if maxEnts <= 0 || maxEnts > MaxScanBatch {

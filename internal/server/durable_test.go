@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 
+	"repro/internal/ackbuf"
 	core "repro/internal/core"
 	"repro/internal/wal"
 )
@@ -164,5 +167,84 @@ func TestDurableServerKV(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// countingSyncer counts the group-commit waits a reply writer makes.
+type countingSyncer struct {
+	ackbuf.Syncer
+	calls int
+}
+
+func (c *countingSyncer) SyncWait(seq uint64) error {
+	c.calls++
+	return c.Syncer.SyncWait(seq)
+}
+
+// countingConn counts socket writes.
+type countingConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
+// TestOwnedConnSyncsPerFlush: a connection that owns its handle (-exec=conn,
+// and every reshard connection) waits for the group commit once per flush,
+// not once per reply. 1000 pipelined durable InsertKVs whose replies fit
+// one buffer used to cost 1000 SyncWaits — each a round trip to the sync
+// goroutine with nothing to send yet.
+func TestOwnedConnSyncsPerFlush(t *testing.T) {
+	cfg := core.Config{Bins: 1 << 10, Resizable: true, Mode: core.Allocator, VariableKV: true, EpochGC: true}
+	ds, err := wal.Open(t.TempDir(), cfg, wal.Options{SnapshotBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	s := New(core.MustNew(core.Config{Bins: 64}), Options{Exec: ExecConn})
+	defer s.Close()
+	if err := s.AddDurable("dur", ds); err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 1000
+	var burst []byte
+	for i := 0; i < n; i++ {
+		burst, err = AppendKVRequest(burst, KVRequest{Op: OpInsertKV, Key: []byte(fmt.Sprintf("key-%04d", i)), Value: []byte("v")})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli, srvEnd := net.Pipe()
+	defer cli.Close()
+	srv := &countingConn{Conn: srvEnd}
+	sy := &countingSyncer{Syncer: ds.Log()}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		defer srv.Close()
+		w := ackbuf.New(srv, sy, s.opts.WriteBuffer, 0)
+		s.serveOwned(srv, bufio.NewReaderSize(srv, s.opts.ReadBuffer), w, ds.Table(), FeatureKV)
+	}()
+	go cli.Write(burst)
+	replies := make([]byte, n*KVRespHdrSize)
+	if _, err := io.ReadFull(cli, replies); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if st := Status(replies[i*KVRespHdrSize]); st != StatusOK {
+			t.Fatalf("InsertKV %d: %v", i, st)
+		}
+	}
+	if synced := ds.Log().Synced(); synced < n {
+		t.Fatalf("acked %d inserts but synced watermark is %d", n, synced)
+	}
+	cli.Close()
+	<-served
+	if sy.calls > srv.writes || sy.calls >= n/10 {
+		t.Fatalf("%d SyncWaits for %d replies in %d socket writes; want at most one per write", sy.calls, n, srv.writes)
 	}
 }

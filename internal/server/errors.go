@@ -29,7 +29,7 @@ var (
 	// violations (oversized keys/values, value on a value-less opcode).
 	ErrBadFrame = errors.New("server: malformed frame")
 	// ErrFeature: the operation needs a negotiated feature the connection
-	// does not have (e.g. KV frames on a v1 connection).
+	// does not have (e.g. KV frames without FeatureKV granted).
 	ErrFeature = errors.New("server: feature not negotiated on this connection")
 )
 

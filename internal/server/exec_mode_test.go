@@ -33,7 +33,7 @@ func TestResponseOrderAcrossModes(t *testing.T) {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
-					cl, err := Dial(s.Addr().String())
+					cl, err := DialV2(s.Addr().String(), ClientOpts{})
 					if err != nil {
 						t.Error(err)
 						return
@@ -149,6 +149,13 @@ func TestWriterErrorTearsDownConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	hello, err := AppendHello(nil, Hello{Version: ProtocolV2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(hello); err != nil {
+		t.Fatal(err)
+	}
 	frame := AppendRequest(nil, Request{Op: OpGet, Key: 1})
 	burst := make([]byte, 0, 64*len(frame))
 	for i := 0; i < 64; i++ {
@@ -186,7 +193,7 @@ func TestCloseUnderLoad(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := Dial(ln.Addr().String())
+			cl, err := DialV2(ln.Addr().String(), ClientOpts{})
 			if err != nil {
 				return // raced the close; fine
 			}

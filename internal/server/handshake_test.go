@@ -23,8 +23,8 @@ func dialV2T(t testing.TB, s *Server, opts ClientOpts) *Client {
 	return cl
 }
 
-// TestV2RoundTripAllOps: the v1 fixed-frame op set works identically on a
-// handshaken v2 connection.
+// TestV2RoundTripAllOps: the fixed-frame op set on a handshaken connection
+// that was granted FeatureKV.
 func TestV2RoundTripAllOps(t *testing.T) {
 	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true}, Options{})
 	cl := dialV2T(t, s, ClientOpts{})
@@ -45,24 +45,52 @@ func TestV2RoundTripAllOps(t *testing.T) {
 	}
 }
 
-// TestV1AgainstV2Server: a raw v1 client (no handshake) against the
-// default table of a server that also hosts named tables — the first-frame
-// detection serves it unchanged.
-func TestV1AgainstV2Server(t *testing.T) {
-	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true}, Options{})
-	if err := s.AddTable("other", core.MustNew(core.Config{Bins: 1 << 8, Resizable: true})); err != nil {
-		t.Fatal(err)
-	}
-	cl := dialT(t, s) // v1 Dial
-	if _, inserted, err := cl.Insert(1, 11); err != nil || !inserted {
-		t.Fatalf("v1 insert: %v", err)
-	}
-	if v, ok, err := cl.Get(1); err != nil || !ok || v != 11 {
-		t.Fatalf("v1 get = (%d,%v,%v)", v, ok, err)
-	}
-	// The write landed on the default table, not "other".
-	if _, ok := s.Table("other").MustHandle().Get(1); ok {
-		t.Fatal("v1 write visible on a named table")
+// TestHandshakelessClientRefused: a connection that opens with a request
+// frame of the retired handshake-less protocol instead of a hello gets
+// exactly one handshake reply carrying StatusBadVersion, then EOF — the
+// same refusal a wrong-version hello gets — and costs the server no table
+// handle and no executor, in every exec mode.
+func TestHandshakelessClientRefused(t *testing.T) {
+	for _, mode := range []ExecMode{ExecShared, ExecPartitioned, ExecConn} {
+		t.Run(mode.String(), func(t *testing.T) {
+			const maxThreads = 4
+			s := startServer(t, core.Config{Bins: 1 << 8, MaxThreads: maxThreads}, Options{Exec: mode})
+			c, err := net.Dial("tcp", s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Write(AppendRequest(nil, Request{Op: OpGet, Key: 1})); err != nil {
+				t.Fatal(err)
+			}
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, err := io.ReadAll(c)
+			if err != nil {
+				t.Fatalf("read until EOF: %v", err)
+			}
+			if len(got) != HelloRespSize {
+				t.Fatalf("server sent %d bytes (%x), want one %d-byte handshake reply", len(got), got, HelloRespSize)
+			}
+			resp, err := DecodeHelloResp(got)
+			if err != nil || resp.Status != StatusBadVersion || resp.Version != ProtocolV2 {
+				t.Fatalf("reply = %+v, %v; want BAD_VERSION naming v2", resp, err)
+			}
+			// EOF means the connection goroutine is done: nothing it could
+			// have taken is still held.
+			s.mu.Lock()
+			execs := len(s.execs)
+			s.mu.Unlock()
+			if execs != 0 {
+				t.Fatalf("%d executors created for a refused connection", execs)
+			}
+			for i := 0; i < maxThreads; i++ {
+				h, err := s.Table(DefaultTable).Handle()
+				if err != nil {
+					t.Fatalf("table handle %d of %d still held: %v", i+1, maxThreads, err)
+				}
+				defer h.Close()
+			}
+		})
 	}
 }
 

@@ -2,51 +2,62 @@
 // protocol, turning the paper's batching design (§3.3) into a network
 // request pipeline.
 //
-// Clients pipeline fixed-size request frames; the server feeds each frame,
-// as it is decoded, straight into a dlht.Pipeline whose sliding-window
-// software prefetch overlaps the DRAM latency of the network burst however
-// deep it runs. By default the pipelines belong to the shared sharded
-// executor (internal/exec, Options.Exec): requests from every connection
-// aggregate into per-core shard pipelines, so batching depth comes from
-// connection count as well as per-connection pipeline depth; with
-// Options.Exec = ExecConn each connection owns its pipeline as before.
-// Completions append response frames to the write buffer as they fire, so
-// a deep burst's first replies stream out while its tail is still being
-// decoded, and the window stays primed across bursts. Responses are
-// written in request order — order preservation is DLHT's pipelining
-// contract, and here it doubles as the wire protocol's matching rule: the
-// i-th response on a connection answers the i-th request.
+// Clients pipeline request frames; one read loop per connection
+// (readRequests) decodes them and hands them, as they are decoded, to one
+// of two execution targets. By default that is a session on the shared
+// sharded executor (internal/exec, Options.Exec): requests from every
+// connection aggregate into per-core shard pipelines whose sliding-window
+// software prefetch overlaps the DRAM latency of the burst, so batching
+// depth comes from connection count as well as per-connection pipeline
+// depth. With Options.Exec = ExecConn, and for reshard connections, the
+// target is a table handle and pipeline the connection owns. Either way
+// completions append response frames to the connection's reply writer as
+// they fire, so a deep burst's first replies stream out while its tail is
+// still being decoded. Responses are written in request order — order
+// preservation is DLHT's pipelining contract, and here it doubles as the
+// wire protocol's matching rule: the i-th response on a connection
+// answers the i-th request.
+//
+// Reply bytes reach the socket in exactly one place, the Flush method of
+// internal/ackbuf's Writer, which first waits for the group commit
+// covering every buffered reply: on a durable table no acknowledgement
+// leaves before its redo-log record is fsynced, and no serving path can
+// get that wrong because none of them holds the connection.
 //
 // # Wire format
 //
-// The protocol has two versions. All integers are little-endian.
+// There is one protocol version (ProtocolV2). All integers are
+// little-endian.
 //
-// Version 1 has no handshake: the connection's first byte is already an
-// opcode. A v1 request is 17 bytes:
+// A connection opens with a handshake (see protocol_v2.go) whose first
+// byte is HelloMagic; it negotiates the protocol version, a feature set,
+// and the named table the connection operates on. A connection that opens
+// with anything else — such as a request frame of the retired
+// handshake-less version 1 — is answered like a handshake asking for an
+// unsupported version: one reply with StatusBadVersion, then close.
+//
+// After the handshake the connection carries fixed-size frames for Inlined
+// operations. A request is 17 bytes:
 //
 //	offset 0   1 byte   opcode (OpGet, OpPut, OpInsert, OpDelete)
 //	offset 1   8 bytes  key
 //	offset 9   8 bytes  value (ignored by Get and Delete)
 //
-// A v1 response is 9 bytes:
+// and its response 9 bytes:
 //
 //	offset 0   1 byte   status
 //	offset 1   8 bytes  result (read value, previous value, or existing
 //	                    value on StatusExists; 0 otherwise)
 //
-// Version 2 opens with a handshake (see protocol_v2.go): the client's
-// first byte is HelloMagic, which can never be a valid v1 opcode — that is
-// how the server tells the two apart and keeps serving v1 clients
-// unchanged. The handshake negotiates the protocol version, a feature set,
-// and the named table the connection operates on; after it, v2 connections
-// interleave the fixed 17-byte frames above with variable-length KV frames
+// interleaved, when FeatureKV was granted, with variable-length KV frames
 // (AppendKVRequest) that make Allocator-mode tables — byte-slice keys and
-// values, namespaces — servable.
+// values, namespaces — servable, and, when FeatureReshard was granted,
+// with the versioned-read and scan frames resharding uses.
 //
-// In both versions a malformed frame elicits a single StatusBadRequest
-// response after which the server closes the connection, since byte
-// alignment can no longer be trusted. A server out of connection handles
-// answers the connection's first request with StatusBusy and closes.
+// A malformed frame elicits a single StatusBadRequest response after which
+// the server closes the connection, since byte alignment can no longer be
+// trusted. A server out of connection handles answers the connection's
+// first request with StatusBusy and closes.
 package server
 
 import (
@@ -108,10 +119,10 @@ const (
 	// StatusWrongMode: the operation is not available in the table's mode.
 	StatusWrongMode
 	// StatusValueSize: a KV insert's value size differs from the table's
-	// fixed ValueSize (VariableKV disabled). Protocol v2 only.
+	// fixed ValueSize (VariableKV disabled). KV frames only.
 	StatusValueSize
 	// StatusNamespace: a KV namespace id out of range or used on a table
-	// without Namespaces enabled. Protocol v2 only.
+	// without Namespaces enabled. KV frames only.
 	StatusNamespace
 
 	// StatusBadVersion: the handshake requested a protocol version the

@@ -5,22 +5,18 @@ import (
 	"fmt"
 )
 
-// Protocol v2 (see the package comment for the version story): a handshake
-// exchanged once per connection, plus variable-length KV frames that make
-// Allocator-mode tables servable. Fixed 17-byte v1 frames remain the wire
-// form of Inlined operations on v2 connections; the two frame families are
-// distinguished by the opcode byte.
+// The handshake exchanged once per connection, and the variable-length KV
+// and reshard frames that follow it beside the fixed 17-byte frames of
+// protocol.go; the frame families are distinguished by the opcode byte.
 
-// Protocol versions.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-)
+// ProtocolV2 is the one protocol version the server speaks. Version 1 had
+// no handshake — the connection's first byte was already an opcode — and
+// is refused with StatusBadVersion.
+const ProtocolV2 = 2
 
-// HelloMagic is the first byte of a v2 handshake. It is deliberately
-// outside the v1 opcode space (0..3): the first byte of a connection is
-// either a v1 opcode or this magic, which is how the server auto-detects
-// v1 clients and serves them unchanged.
+// HelloMagic is the first byte of a handshake, and so of every connection
+// the server accepts. It is outside the opcode space, so a request frame
+// sent without a handshake cannot be mistaken for one.
 const HelloMagic = 0xD7
 
 // Feature bits negotiated by the handshake. The client requests a set; the
@@ -31,8 +27,8 @@ const (
 	FeatureKV uint16 = 1 << 0
 
 	// FeatureReshard enables the resharding/anti-entropy frames (OpGetVer,
-	// OpScan) on the connection. Granting it pins the connection to the
-	// conn-owned serving loop — executor sessions cannot hold a scan
+	// OpScan) on the connection. Granting it pins the connection to a
+	// handle of its own — executor sessions cannot hold a scan
 	// cursor — so ordinary clients should not request it (see
 	// clientDefaultFeatures); the cluster coordinator and scrubber open
 	// dedicated connections that do.
@@ -138,9 +134,9 @@ func DecodeHelloResp(b []byte) (HelloResp, error) {
 // KV frames
 // ---------------------------------------------------------------------------
 
-// KV opcodes, valid on v2 connections with FeatureKV granted. Values are
-// wire format — do not reorder. They continue the v1 opcode space so one
-// byte dispatches both frame families.
+// KV opcodes, valid on connections with FeatureKV granted. Values are wire
+// format — do not reorder. They continue the fixed-frame opcode space so
+// one byte dispatches both frame families.
 const (
 	// OpGetKV reads a byte key under a namespace.
 	OpGetKV OpCode = opCodeEnd + iota
@@ -148,7 +144,7 @@ const (
 	OpInsertKV
 	// OpDeleteKV removes a byte key under a namespace.
 	OpDeleteKV
-	kvOpCodeEnd // first invalid v2 opcode
+	kvOpCodeEnd // first opcode past the KV frames
 )
 
 // KV frame geometry.
@@ -174,14 +170,14 @@ const (
 	MaxKVValue = 16 << 20
 )
 
-// isKVOp reports whether op is a v2 KV opcode.
+// isKVOp reports whether op is a KV opcode.
 func isKVOp(op OpCode) bool { return op >= OpGetKV && op < kvOpCodeEnd }
 
 // ---------------------------------------------------------------------------
 // Reshard frames
 // ---------------------------------------------------------------------------
 
-// Reshard opcodes, valid on v2 connections with FeatureReshard granted.
+// Reshard opcodes, valid on connections with FeatureReshard granted.
 // Values are wire format — do not reorder.
 const (
 	// OpGetVer reads a key together with its applied-mutation version
@@ -234,7 +230,7 @@ const (
 	MaxScanBatch = 4096
 )
 
-// isReshardOp reports whether op is a v2 reshard opcode.
+// isReshardOp reports whether op is a reshard opcode.
 func isReshardOp(op OpCode) bool { return op >= OpGetVer && op < reshardOpCodeEnd }
 
 // KVRequest is one decoded variable-length request frame. Key and Value

@@ -3,13 +3,14 @@ package server
 import (
 	"net"
 
+	"repro/internal/ackbuf"
 	core "repro/internal/core"
 	"repro/internal/expiry"
 	"repro/internal/resp"
 )
 
 // RESP front-end: a second listener speaking RESP2 (the Redis protocol)
-// beside the v1/v2 binary listener, serving one Allocator-mode table so
+// beside the binary listener, serving one Allocator-mode table so
 // redis-cli, redis-benchmark and Redis client libraries work unmodified.
 //
 // RESP connections always run connection-owned — each holds its own table
@@ -28,36 +29,7 @@ import (
 // always returns a non-nil error; after Close the error is
 // ErrServerClosed. The served table is Options.RESPTable.
 func (s *Server) ServeRESP(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return ErrServerClosed
-	}
-	s.respLns = append(s.respLns, ln)
-	s.mu.Unlock()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return ErrServerClosed
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			c.Close()
-			return ErrServerClosed
-		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveRESPConn(c)
-	}
+	return s.acceptLoop(ln, func() { s.respLns = append(s.respLns, ln) }, s.serveRESPConn)
 }
 
 // ListenAndServeRESP listens on addr and calls ServeRESP.
@@ -70,10 +42,6 @@ func (s *Server) ListenAndServeRESP(addr string) error {
 }
 
 func (s *Server) serveRESPConn(c net.Conn) {
-	defer s.wg.Done()
-	defer s.removeConn(c)
-	defer c.Close()
-
 	tbl := s.Table(s.opts.RESPTable)
 	if tbl == nil {
 		respRefuse(c, "ERR no table registered under the RESP table name")
@@ -113,7 +81,9 @@ func (s *Server) serveRESPConn(c net.Conn) {
 // respRefuse answers a connection the server cannot serve with one RESP
 // error line and gives up on it.
 func respRefuse(c net.Conn, msg string) {
-	c.Write(append(append([]byte("-"), msg...), '\r', '\n'))
+	w := ackbuf.New(c, nil, len(msg)+3, 0)
+	w.Commit(append(append(append(w.Buf(), '-'), msg...), '\r', '\n'))
+	w.Flush()
 }
 
 // expiryFor returns tbl's shared TTL index, creating it (with a sweeper

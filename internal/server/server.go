@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ackbuf"
 	core "repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/expiry"
@@ -71,21 +72,12 @@ func ParseExecMode(name string) (ExecMode, bool) {
 
 // Options tunes a Server. The zero value is usable.
 type Options struct {
-	// MaxBatch bounds how many requests are enqueued into a connection's
-	// pipeline before the server forces the in-flight tail to complete and
-	// flushes the accumulated responses to the wire. 0 (the default) means
-	// no bound: completions stream continuously as requests fall a prefetch
-	// window behind the decode cursor, and the writer is flushed when the
-	// connection runs out of buffered input or the response buffer crosses
-	// its flush threshold. Set a positive value to force a full
-	// drain-and-flush cycle every MaxBatch requests instead.
-	MaxBatch int
-	// ReadBuffer and WriteBuffer size the per-connection bufio buffers
-	// (default 64 KiB each). The read buffer bounds how much of a pipeline
-	// burst a single syscall can pick up; the write buffer sets the
-	// streaming-flush threshold — accumulated responses are pushed to the
-	// wire once they exceed half of it, so a deep burst's first responses
-	// reach the client while its tail is still being decoded.
+	// ReadBuffer and WriteBuffer size the per-connection buffers (default
+	// 64 KiB each). The read buffer bounds how much of a pipeline burst a
+	// single syscall can pick up; the write buffer sets the streaming-flush
+	// threshold — accumulated responses are pushed to the wire once they
+	// exceed half of it, so a deep burst's first responses reach the client
+	// while its tail is still being decoded.
 	ReadBuffer, WriteBuffer int
 	// IdleTimeout bounds how long a connection may sit without completing
 	// a read or write before the server closes it, so a stalled or
@@ -95,9 +87,7 @@ type Options struct {
 	// 0 (the default) disables it.
 	IdleTimeout time.Duration
 	// Exec selects the execution model: ExecShared (default),
-	// ExecPartitioned, or the goroutine-per-connection ExecConn. In the
-	// executor modes MaxBatch does not apply (responses always stream as
-	// completions fire).
+	// ExecPartitioned, or the goroutine-per-connection ExecConn.
 	Exec ExecMode
 	// ExecShards is the number of executor shards per served table in the
 	// executor modes (0 = GOMAXPROCS).
@@ -109,9 +99,6 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.MaxBatch < 0 {
-		o.MaxBatch = 0
-	}
 	if o.ReadBuffer <= 0 {
 		o.ReadBuffer = 64 << 10
 	}
@@ -124,15 +111,15 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// DefaultTable is the name v1 connections (which cannot select a table)
-// and handshakes with an empty table selector resolve to.
+// DefaultTable is the name a handshake with an empty table selector
+// resolves to.
 const DefaultTable = ""
 
-// Server serves one or more named DLHT tables over TCP. Each accepted
-// connection is owned by one goroutine holding one handle on its selected
-// table (the paper's one-handle-per-thread contract); the handle is
-// recycled when the connection closes. v1 connections operate on the
-// default table; v2 connections pick a table in the handshake.
+// Server serves one or more named DLHT tables over TCP. Each connection
+// picks its table in the handshake and is read by one goroutine, which
+// hands decoded requests either to an executor session or — with ExecConn,
+// and for reshard connections — to a table handle the connection owns (the
+// paper's one-handle-per-thread contract), recycled when it closes.
 type Server struct {
 	opts Options
 
@@ -188,7 +175,7 @@ func New(tbl *core.Table, opts Options) *Server {
 	}
 }
 
-// AddTable registers tbl under name, making it selectable by a v2
+// AddTable registers tbl under name, making it selectable by a
 // handshake. Registering DefaultTable replaces the table New installed.
 func (s *Server) AddTable(name string, tbl *core.Table) error {
 	if len(name) > MaxTableName {
@@ -251,13 +238,21 @@ func (s *Server) ListenAndServe(addr string) error {
 // Serve accepts connections on ln until Close. It always returns a non-nil
 // error; after Close the error is ErrServerClosed.
 func (s *Server) Serve(ln net.Listener) error {
+	return s.acceptLoop(ln, func() { s.ln = ln }, s.serveConn)
+}
+
+// acceptLoop is the accept loop behind Serve and ServeRESP: it records the
+// listener through register (called under mu), then runs serve on its own
+// goroutine for every accepted connection, tracked so Close can close the
+// connection and wait for the goroutine.
+func (s *Server) acceptLoop(ln net.Listener, register func(), serve func(net.Conn)) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		ln.Close()
 		return ErrServerClosed
 	}
-	s.ln = ln
+	register()
 	s.mu.Unlock()
 	for {
 		c, err := ln.Accept()
@@ -279,7 +274,12 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.serveConn(c)
+		go func() {
+			defer s.wg.Done()
+			defer s.removeConn(c)
+			defer c.Close()
+			serve(c)
+		}()
 	}
 }
 
@@ -413,115 +413,97 @@ func (s *Server) removeConn(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// kvScratchRetain bounds the KV staging buffer a connection keeps between
-// requests; kvEpochEvery (a power of two) is how many KV requests a
-// connection serves between epoch refreshes on EpochGC tables.
+// kvScratchRetain bounds the KV staging buffer a connection's reader keeps
+// between requests; kvEpochEvery (a power of two) is how many KV requests
+// a connection-owned handle serves between epoch refreshes on EpochGC
+// tables.
 const (
 	kvScratchRetain = 1 << 20
 	kvEpochEvery    = 1 << 10
 )
 
-// testFrameDecoded, when non-nil, is invoked after each request frame is
-// decoded and enqueued. Test-only: the streaming test blocks a burst's
-// last frame here to prove earlier responses already reached the wire.
-var testFrameDecoded func(Request)
+// testFrameDecoded, when non-nil, is invoked by the reader for every fixed
+// op once its run has been handed to the execution target. Test-only: the
+// streaming test blocks a burst's last frame here to prove earlier
+// responses already reached the wire.
+var testFrameDecoded func(core.Op)
 
 // armIdle arms the connection's read deadline so a peer that stops sending
 // mid-frame (or never sends) cannot pin the goroutine. No-op without
-// Options.IdleTimeout.
+// Options.IdleTimeout; the write-side mirror is the reply writer's
+// deadline.
 func (s *Server) armIdle(c net.Conn) {
 	if s.opts.IdleTimeout > 0 {
 		c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
 }
 
-// armWrite arms the write deadline before a response flush, the mirror
-// guard for a peer that stops reading.
-func (s *Server) armWrite(c net.Conn) {
-	if s.opts.IdleTimeout > 0 {
-		c.SetWriteDeadline(time.Now().Add(s.opts.IdleTimeout))
+// syncerFor returns what replies on tbl must wait for before reaching the
+// socket: the table's redo log, or nil for a RAM table.
+func (s *Server) syncerFor(tbl *core.Table) ackbuf.Syncer {
+	if l := s.walFor(tbl); l != nil {
+		return l // only when non-nil: a typed-nil Syncer would pass != nil checks
 	}
+	return nil
 }
 
-// serveConn classifies the connection by its first byte — HelloMagic opens
-// a v2 handshake, anything else is a v1 client's first opcode — selects
-// the table, acquires its handle, and hands off to the per-version request
-// loop.
+// serveConn runs the handshake — version check, table selection, feature
+// grant — and hands the connection to the execution target its mode calls
+// for. A connection that does not open with HelloMagic (a client of the
+// retired handshake-less protocol, or garbage) is refused the way an
+// unsupported version is: one StatusBadVersion handshake reply, then close.
 func (s *Server) serveConn(c net.Conn) {
-	defer s.wg.Done()
-	defer s.removeConn(c)
-	defer c.Close()
-
 	br := bufio.NewReaderSize(c, s.opts.ReadBuffer)
 	s.armIdle(c)
 	first, err := br.Peek(1)
 	if err != nil {
 		return
 	}
-	tbl := s.Table(DefaultTable)
-	v2 := false
-	var features uint16
+	resp := HelloResp{Version: ProtocolV2, Status: StatusBadVersion}
+	var tbl *core.Table
 	if first[0] == HelloMagic {
 		hello, err := readHello(br)
 		if err != nil {
 			return // truncated or unreadable handshake: nothing sane to answer
 		}
-		resp := HelloResp{Version: ProtocolV2, Status: StatusOK}
-		if hello.Version != ProtocolV2 {
-			resp.Status = StatusBadVersion
-		} else if tbl = s.Table(hello.Table); tbl == nil {
-			resp.Status = StatusUnknownTable
-		} else {
-			resp.Features = hello.Features & supportedFeatures
+		if hello.Version == ProtocolV2 {
+			if tbl = s.Table(hello.Table); tbl == nil {
+				resp.Status = StatusUnknownTable
+			} else {
+				resp.Status, resp.Features = StatusOK, hello.Features&supportedFeatures
+			}
 		}
-		s.armWrite(c)
-		var buf [HelloRespSize]byte
-		if _, err := c.Write(AppendHelloResp(buf[:0], resp)); err != nil || resp.Status != StatusOK {
-			return
-		}
-		v2 = true
-		features = resp.Features
 	}
-
-	// Reshard-feature connections always get the conn-owned loop: a scan
-	// cursor and the versioned reads around it are connection state an
-	// executor session has nowhere to keep.
-	if s.opts.Exec != ExecConn && features&FeatureReshard == 0 {
-		s.serveExec(c, br, tbl, v2, features)
+	w := ackbuf.New(c, s.syncerFor(tbl), s.opts.WriteBuffer, s.opts.IdleTimeout)
+	w.Commit(AppendHelloResp(w.Buf(), resp))
+	if w.Flush() != nil || resp.Status != StatusOK {
 		return
 	}
-
-	h, err := s.acquireHandle(tbl)
-	if err != nil {
-		s.refuseBusy(c, br, v2)
-		return
-	}
-	defer s.releaseHandle(h)
-
-	wlog := s.walFor(tbl)
-	if v2 {
-		s.serveV2(c, br, tbl, h, features, wlog)
+	// Reshard-feature connections always own their handle: a scan cursor
+	// and the versioned reads around it are connection state an executor
+	// session has nowhere to keep.
+	if s.opts.Exec == ExecConn || resp.Features&FeatureReshard != 0 {
+		s.serveOwned(c, br, w, tbl, resp.Features)
 	} else {
-		s.serveV1(c, br, h, wlog)
+		s.serveSession(c, br, w, tbl, resp.Features)
 	}
 }
 
-// refuseBusy consumes the connection's first request so the refusal obeys
+// refuseBusy waits for the connection's first request so the refusal obeys
 // the i-th-response-answers-i-th-request rule, then answers it with
 // StatusBusy — in the shape the request asked for — and gives up on the
 // connection.
-func (s *Server) refuseBusy(c net.Conn, br *bufio.Reader, v2 bool) {
+func refuseBusy(br *bufio.Reader, w *ackbuf.Writer) {
 	op, err := br.Peek(1)
 	if err != nil {
 		return
 	}
-	s.armWrite(c)
-	var buf [KVRespHdrSize]byte
-	if v2 && isKVOp(OpCode(op[0])) {
-		c.Write(AppendKVResponse(buf[:0], KVResponse{Status: StatusBusy}))
+	if isKVOp(OpCode(op[0])) {
+		w.Commit(AppendKVResponse(w.Buf(), KVResponse{Status: StatusBusy}))
 	} else {
-		c.Write(AppendResponse(buf[:0], Response{Status: StatusBusy}))
+		w.Commit(AppendResponse(w.Buf(), Response{Status: StatusBusy}))
 	}
+	w.Flush()
 }
 
 // readHello reads the variable-length client handshake off the buffered
@@ -539,446 +521,37 @@ func readHello(br *bufio.Reader) (Hello, error) {
 	return h, err
 }
 
-// connState carries the per-connection streaming machinery shared by the
-// v1 and v2 loops: the response writer, the pipeline whose completions
-// append response frames, and the sticky write error.
-type connState struct {
-	s       *Server
-	c       net.Conn
-	bw      *bufio.Writer
-	p       *core.Pipeline
-	log     *wal.Log // durable table's redo log; nil for RAM tables
-	needSeq uint64   // highest log sequence buffered responses depend on
-	wErr    error
-	flushAt int
-	// sinceDrain counts enqueues toward Options.MaxBatch.
-	sinceDrain int
-}
+// ---------------------------------------------------------------------------
+// The read loop and its two execution targets
+// ---------------------------------------------------------------------------
 
-// newConnState builds the writer and pipeline for a connection. The
-// pipeline's completion callback appends the matching response frame
-// straight into the write buffer, so replies for a deep burst go out while
-// its tail is still being decoded; responses are pushed to the wire once
-// they fill half the write buffer, bounding how long a completed request's
-// reply can sit behind a still-decoding burst. On a durable table each
-// effective mutation is appended to the redo log at completion and flush
-// waits out the covering group commit first, so no acknowledgement reaches
-// the socket before its record is fsynced.
-func (s *Server) newConnState(c net.Conn, h *core.Handle, log *wal.Log) *connState {
-	cs := &connState{s: s, c: c, bw: bufio.NewWriterSize(c, s.opts.WriteBuffer), log: log}
-	cs.flushAt = s.opts.WriteBuffer / 2
-	if cs.flushAt < RespSize {
-		cs.flushAt = RespSize
-	}
-	cs.p = h.Pipeline(core.PipelineOpts{OnComplete: func(op *core.Op) {
-		if cs.wErr != nil {
-			return
-		}
-		if cs.log != nil {
-			seq, err := cs.log.LogOp(op)
-			if err != nil {
-				cs.wErr = err
-				return
-			}
-			if seq > cs.needSeq {
-				cs.needSeq = seq
-			}
-		}
-		if _, err := cs.bw.Write(AppendResponse(cs.bw.AvailableBuffer(), opToResp(op))); err != nil {
-			cs.wErr = err
-			return
-		}
-		if cs.bw.Buffered() >= cs.flushAt {
-			cs.flush()
-		}
-	}})
-	return cs
-}
-
-// syncPending waits out the group commit covering every buffered response
-// (no-op for RAM tables). Called before any byte may reach the socket.
-func (cs *connState) syncPending() {
-	if cs.log == nil || cs.wErr != nil {
-		return
-	}
-	if err := cs.log.SyncWait(cs.needSeq); err != nil {
-		cs.wErr = err
-		return
-	}
-	cs.needSeq = 0
-}
-
-// flush pushes buffered responses to the wire under the write deadline,
-// after their covering group commit.
-//
-//dlht:ackgated
-func (cs *connState) flush() {
-	cs.syncPending()
-	if cs.wErr != nil {
-		return
-	}
-	cs.s.armWrite(cs.c)
-	cs.wErr = cs.bw.Flush()
-}
-
-// enqueue admits one decoded request into the pipeline, honoring the
-// Options.MaxBatch drain bound.
-func (cs *connState) enqueue(req Request) {
-	cs.p.Enqueue(reqToOp(req))
-	if testFrameDecoded != nil {
-		testFrameDecoded(req)
-	}
-	if mb := cs.s.opts.MaxBatch; mb > 0 {
-		if cs.sinceDrain++; cs.sinceDrain >= mb {
-			cs.sinceDrain = 0
-			cs.p.Flush()
-			cs.flush()
-		}
-	}
-}
-
-// drainIfIdle completes the in-flight tail and flushes when the read
-// buffer holds no complete further frame — i.e. when the loop is about to
-// block. Responses for back-to-back bursts share a syscall and the window
-// stays primed while input keeps arriving.
-func (cs *connState) drainIfIdle(br *bufio.Reader, need int) {
-	if br.Buffered() < need {
-		cs.p.Flush()
-		cs.flush()
-	}
-}
-
-// badRequest answers the decodable prefix, then the error frame, and gives
-// up on the connection: byte alignment is no longer trusted.
-func (cs *connState) badRequest() {
-	cs.p.Flush()
-	cs.bw.Write(AppendResponse(cs.bw.AvailableBuffer(), Response{Status: StatusBadRequest}))
-	cs.flush()
-}
-
-// serveV1 streams a v1 connection through its pipeline: fixed 17-byte
-// frames only, decoded zero-copy out of the bufio window a whole buffered
-// burst at a time. Each decoded frame is enqueued immediately — no
-// burst-assembly buffer — and the pipeline's completion callback appends
-// the matching response frame straight into the write buffer, so replies
-// for a deep burst go out while its tail is still being decoded. The
-// pipeline is flushed only when the connection runs out of buffered input
-// (or every Options.MaxBatch requests); between back-to-back bursts it
-// stays primed, so the prefetch window carries over what used to be batch
-// boundaries. The loop blocks only on the first frame of a burst; every
-// further frame already buffered is decoded zero-copy out of the bufio
-// window.
-func (s *Server) serveV1(c net.Conn, br *bufio.Reader, h *core.Handle, wlog *wal.Log) {
-	cs := s.newConnState(c, h, wlog)
-	defer cs.p.Close()
-
-	for {
-		// Block for the head of the next burst. Everything decoded so far
-		// has been completed and flushed (see drainIfIdle), so waiting here
-		// never holds responses hostage.
-		s.armIdle(c)
-		if _, err := br.Peek(ReqSize); err != nil {
-			return
-		}
-		// Decode the whole buffered burst zero-copy from one Peek window;
-		// Discard advances past exactly the frames consumed.
-		nframes := br.Buffered() / ReqSize
-		burst, err := br.Peek(nframes * ReqSize)
-		if err != nil {
-			return // cannot fail: fully buffered
-		}
-		for off := 0; off < len(burst); off += ReqSize {
-			req, err := DecodeRequest(burst[off : off+ReqSize])
-			if err != nil {
-				br.Discard(off)
-				cs.badRequest()
-				return
-			}
-			cs.enqueue(req)
-		}
-		br.Discard(nframes * ReqSize)
-		cs.drainIfIdle(br, ReqSize)
-		if cs.wErr != nil {
-			return
-		}
-	}
-}
-
-// serveV2 streams a v2 connection: runs of fixed frames take the same
-// zero-copy burst path as v1 and flow through the pipeline; KV frames
-// first flush the pipeline — responses must stay in request order, and KV
-// requests execute synchronously — then execute against the handle's KV
-// surface and append their variable-length response.
-//
-//dlht:ackgated
-func (s *Server) serveV2(c net.Conn, br *bufio.Reader, tbl *core.Table, h *core.Handle, features uint16, wlog *wal.Log) {
-	cs := s.newConnState(c, h, wlog)
-	defer cs.p.Close()
-
-	var scratch []byte // KV payload staging, reused across requests
-	var kvOps int      // served KV requests, for the epoch-advance cadence
-	for {
-		s.armIdle(c)
-		head, err := br.Peek(1)
-		if err != nil {
-			return
-		}
-		switch op := OpCode(head[0]); {
-		case op < opCodeEnd:
-			// A run of fixed frames: decode as much of the buffered burst
-			// as stays fixed-framed, stopping at the first KV opcode.
-			// Before blocking for a partially buffered frame, complete and
-			// flush what's pending — the peer may be waiting for those
-			// responses before it sends the rest.
-			cs.drainIfIdle(br, ReqSize)
-			if cs.wErr != nil {
-				return
-			}
-			if _, err := br.Peek(ReqSize); err != nil {
-				return
-			}
-			nframes := br.Buffered() / ReqSize
-			if nframes == 0 {
-				nframes = 1
-			}
-			burst, err := br.Peek(nframes * ReqSize)
-			if err != nil {
-				return
-			}
-			consumed := 0
-			for off := 0; off+ReqSize <= len(burst); off += ReqSize {
-				if b0 := OpCode(burst[off]); b0 >= opCodeEnd {
-					break // KV or garbage: outer loop re-dispatches
-				}
-				req, _ := DecodeRequest(burst[off : off+ReqSize])
-				cs.enqueue(req)
-				consumed = off + ReqSize
-			}
-			br.Discard(consumed)
-		case isKVOp(op) && features&FeatureKV != 0:
-			// Order barrier: all pipelined fixed-frame responses precede
-			// this KV response on the wire. Completing them now also means
-			// any blocking read below never holds finished replies hostage.
-			cs.p.Flush()
-			if br.Buffered() < KVReqHdrSize {
-				cs.flush()
-				if cs.wErr != nil {
-					return
-				}
-			}
-			ns, klen, vlen, err := readKVHeader(br)
-			if errors.Is(err, errMalformedKVHeader) {
-				cs.badRequest()
-				return
-			}
-			if err != nil {
-				return
-			}
-			need := klen + vlen
-			if cap(scratch) < need {
-				scratch = make([]byte, need)
-			}
-			if br.Buffered() < need {
-				cs.flush()
-				if cs.wErr != nil {
-					return
-				}
-			}
-			if _, err := io.ReadFull(br, scratch[:need]); err != nil {
-				return
-			}
-			req := KVRequest{Op: op, NS: ns, Key: scratch[:klen]}
-			if vlen > 0 {
-				req.Value = scratch[klen : klen+vlen]
-			}
-			if cs.wErr == nil {
-				resp := execKV(tbl, h, req)
-				if cs.log != nil {
-					// Log the effective mutation and raise the sync bar;
-					// then sync everything buffered BEFORE writing, because
-					// a response larger than the write buffer's free space
-					// makes bufio push older (possibly unsynced) bytes to
-					// the socket mid-Write.
-					if resp.Status == StatusOK && op != OpGetKV {
-						var seq uint64
-						var lerr error
-						if op == OpInsertKV {
-							seq, lerr = cs.log.LogKVInsert(req.NS, req.Key, req.Value)
-						} else {
-							seq, lerr = cs.log.LogKVDelete(req.NS, req.Key)
-						}
-						if lerr != nil {
-							cs.wErr = lerr
-							return
-						}
-						if seq > cs.needSeq {
-							cs.needSeq = seq
-						}
-					}
-					cs.syncPending()
-					if cs.wErr != nil {
-						return
-					}
-				}
-				if _, err := cs.bw.Write(AppendKVResponse(cs.bw.AvailableBuffer(), resp)); err != nil {
-					cs.wErr = err
-				} else if cs.bw.Buffered() >= cs.flushAt {
-					cs.flush()
-				}
-			}
-			// Don't let one outsized payload pin a connection-lifetime
-			// buffer; anything above the retain bound is per-request.
-			if cap(scratch) > kvScratchRetain {
-				scratch = nil
-			}
-			// Periodically refresh this handle's epoch (no-op without
-			// EpochGC) so blocks deleted by other connections reclaim.
-			// Safe here: the response bytes — including any GetKV value
-			// view — were copied into the write buffer above, and advancing
-			// is what keeps a view returned *before* the copy from being
-			// freed mid-copy by a concurrent DeleteKV (served kv tables
-			// enable EpochGC for exactly this reason).
-			if kvOps++; kvOps&(kvEpochEvery-1) == 0 {
-				h.AdvanceEpoch()
-			}
-		case isReshardOp(op) && features&FeatureReshard != 0:
-			// Same order barrier as the KV path: pipelined fixed-frame
-			// responses precede this reply, and nothing finished waits
-			// behind the blocking reads below.
-			cs.p.Flush()
-			if cs.wErr == nil {
-				s.execReshard(cs, br, tbl, h, op)
-			}
-			if cs.wErr != nil {
-				return
-			}
-		default:
-			cs.badRequest()
-			return
-		}
-		cs.drainIfIdle(br, 1)
-		if cs.wErr != nil {
-			return
-		}
-	}
-}
-
-// execReshard reads, executes and answers one reshard frame (OpGetVer or
-// OpScan). Both are read-only — nothing is logged — but older pipelined
-// mutations may still sit unsynced in the write buffer, so the covering
-// group commit is awaited before any byte of this reply can push them to
-// the socket.
-//
-//dlht:ackgated
-func (s *Server) execReshard(cs *connState, br *bufio.Reader, tbl *core.Table, h *core.Handle, op OpCode) {
-	need := GetVerReqSize
-	if op == OpScan {
-		need = ScanReqSize
-	}
-	if br.Buffered() < need {
-		cs.flush()
-		if cs.wErr != nil {
-			return
-		}
-	}
-	var hdr [ScanReqSize]byte
-	if _, err := io.ReadFull(br, hdr[:need]); err != nil {
-		cs.wErr = err
-		return
-	}
-	switch op {
-	case OpGetVer:
-		key := binary.LittleEndian.Uint64(hdr[1:9])
-		// Version-bracketed read (the localStore.GetVer contract): equal
-		// brackets mean the value is the one the version counts.
-		ver := h.VersionOf(key)
-		var v uint64
-		var ok bool
-		for i := 0; i < 4; i++ {
-			v, ok = h.Get(key)
-			after := h.VersionOf(key)
-			if after == ver {
-				break
-			}
-			ver = after
-		}
-		st := StatusOK
-		if !ok {
-			st, v = StatusNotFound, 0
-		}
-		var buf [GetVerRespSize]byte
-		buf[0] = byte(st)
-		binary.LittleEndian.PutUint64(buf[1:9], v)
-		binary.LittleEndian.PutUint64(buf[9:17], ver)
-		cs.syncPending()
-		if cs.wErr != nil {
-			return
-		}
-		if _, err := cs.bw.Write(buf[:]); err != nil {
-			cs.wErr = err
-			return
-		}
-	case OpScan:
-		origBins := binary.LittleEndian.Uint64(hdr[1:9])
-		startBin := binary.LittleEndian.Uint64(hdr[9:17])
-		maxEnts := int(binary.LittleEndian.Uint32(hdr[17:21]))
-		if maxEnts <= 0 || maxEnts > MaxScanBatch {
-			maxEnts = MaxScanBatch
-		}
-		if tbl.Mode() == core.Allocator {
-			// Value words are block refs; not scannable over this frame.
-			var buf [ScanRespHdrSize]byte
-			buf[0] = byte(StatusWrongMode)
-			cs.syncPending()
-			if cs.wErr != nil {
-				return
-			}
-			if _, err := cs.bw.Write(buf[:]); err != nil {
-				cs.wErr = err
-			}
-			break
-		}
-		// The cap clamps the request; the reply may overshoot it by the
-		// last bin group (ScanStep consumes whole old bins — truncating
-		// here would lose the overflow, the cursor is already past it).
-		ents, newOrig, next, done := h.ScanStep(origBins, startBin, maxEnts)
-		out := cs.bw.AvailableBuffer()
-		out = append(out, byte(StatusOK))
-		out = binary.LittleEndian.AppendUint64(out, newOrig)
-		out = binary.LittleEndian.AppendUint64(out, next)
-		d := byte(0)
-		if done {
-			d = 1
-		}
-		out = append(out, d)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(ents)))
-		for _, e := range ents {
-			out = binary.LittleEndian.AppendUint64(out, e.Key)
-			out = binary.LittleEndian.AppendUint64(out, e.Value)
-		}
-		cs.syncPending()
-		if cs.wErr != nil {
-			return
-		}
-		if _, err := cs.bw.Write(out); err != nil {
-			cs.wErr = err
-			return
-		}
-	}
-	if cs.bw.Buffered() >= cs.flushAt {
-		cs.flush()
-	}
+// target is where readRequests sends what it decodes. A non-nil error from
+// any method ends the connection.
+type target interface {
+	// fixed executes a run of fixed-frame ops. The slice is the reader's
+	// staging and is reused after the call.
+	fixed(ops []core.Op) error
+	// kv executes one KV request. Key and Value alias the reader's staging
+	// and are valid only during the call.
+	kv(req KVRequest) error
+	// reshard executes one reshard frame (OpGetVer or OpScan).
+	reshard(op OpCode, frame []byte) error
+	// bad answers, behind everything accepted so far, with one
+	// StatusBadRequest; the reader then gives up on the connection.
+	bad()
+	// idle is called when the reader is about to block for input: every
+	// finished reply must be on its way first, since the peer may be
+	// waiting for it before it sends more.
+	idle() error
 }
 
 // errMalformedKVHeader is readKVHeader's it-will-never-parse verdict, as
-// opposed to an I/O error; the caller answers StatusBadRequest and gives
+// opposed to an I/O error; the reader answers StatusBadRequest and gives
 // up on the connection's byte alignment.
 var errMalformedKVHeader = errors.New("server: malformed KV request header")
 
 // readKVHeader reads and validates one KV request header off the buffered
-// reader, returning its fields with the header bytes consumed. It is the
-// single place the KV header layout is decoded on the serve side, shared
-// by the connection-owned and executor-mode loops.
+// reader, returning its fields with the header bytes consumed.
 func readKVHeader(br *bufio.Reader) (ns uint16, klen, vlen int, err error) {
 	hdr, err := br.Peek(KVReqHdrSize)
 	if err != nil {
@@ -996,9 +569,274 @@ func readKVHeader(br *bufio.Reader) (ns uint16, klen, vlen int, err error) {
 	return ns, klen, vlen, nil
 }
 
+// readRequests is the server's one binary decode loop. Runs of fixed
+// 17-byte frames are decoded zero-copy out of one Peek window — as much of
+// the buffered burst as stays fixed-framed — and handed over as a batch;
+// KV and reshard frames are staged and handed over one at a time. A
+// malformed frame gets the decodable prefix answered, then one
+// StatusBadRequest, and the connection is given up: byte alignment is no
+// longer trusted. Before every read that may block the target gets its
+// idle call and the read deadline is re-armed.
+func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t target) {
+	var ops []core.Op  // decoded fixed-frame run, reused
+	var scratch []byte // KV payload staging, reused up to kvScratchRetain
+	mayBlock := func(n int) error {
+		if br.Buffered() >= n {
+			return nil
+		}
+		err := t.idle()
+		s.armIdle(c)
+		return err
+	}
+	for {
+		if mayBlock(1) != nil {
+			return
+		}
+		head, err := br.Peek(1)
+		if err != nil {
+			return
+		}
+		switch op := OpCode(head[0]); {
+		case op < opCodeEnd:
+			if mayBlock(ReqSize) != nil {
+				return
+			}
+			if _, err := br.Peek(ReqSize); err != nil {
+				return
+			}
+			burst, _ := br.Peek(br.Buffered() / ReqSize * ReqSize) // cannot fail: fully buffered
+			ops = ops[:0]
+			// A KV, reshard or garbage opcode ends the run; the outer loop
+			// re-dispatches it.
+			for off := 0; off < len(burst) && OpCode(burst[off]) < opCodeEnd; off += ReqSize {
+				req, _ := DecodeRequest(burst[off : off+ReqSize]) // cannot fail: whole frame, opcode checked
+				ops = append(ops, reqToOp(req))
+			}
+			br.Discard(len(ops) * ReqSize)
+			if t.fixed(ops) != nil {
+				return
+			}
+			if testFrameDecoded != nil {
+				for _, op := range ops {
+					testFrameDecoded(op)
+				}
+			}
+		case isKVOp(op) && features&FeatureKV != 0:
+			if mayBlock(KVReqHdrSize) != nil {
+				return
+			}
+			ns, klen, vlen, err := readKVHeader(br)
+			if errors.Is(err, errMalformedKVHeader) {
+				t.bad()
+				return
+			}
+			if err != nil {
+				return
+			}
+			if cap(scratch) < klen+vlen {
+				scratch = make([]byte, klen+vlen)
+			}
+			payload := scratch[:klen+vlen]
+			if mayBlock(len(payload)) != nil {
+				return
+			}
+			if _, err := io.ReadFull(br, payload); err != nil {
+				return
+			}
+			if t.kv(KVRequest{Op: op, NS: ns, Key: payload[:klen], Value: payload[klen:]}) != nil {
+				return
+			}
+			// Don't let one outsized payload pin a connection-lifetime
+			// buffer; anything above the retain bound is per-request.
+			if cap(scratch) > kvScratchRetain {
+				scratch = nil
+			}
+		case isReshardOp(op) && features&FeatureReshard != 0:
+			var buf [ScanReqSize]byte
+			frame := buf[:GetVerReqSize]
+			if op == OpScan {
+				frame = buf[:ScanReqSize]
+			}
+			if mayBlock(len(frame)) != nil {
+				return
+			}
+			if _, err := io.ReadFull(br, frame); err != nil {
+				return
+			}
+			if t.reshard(op, frame) != nil {
+				return
+			}
+		default:
+			t.bad()
+			return
+		}
+	}
+}
+
+// ownedTarget executes a connection's requests on a table handle the
+// connection owns. Fixed ops flow through the handle's pipeline, whose
+// completion callback appends the matching response frame straight into
+// the reply writer, so replies for a deep burst go out while its tail is
+// still being decoded and the prefetch window stays primed across bursts;
+// KV and reshard requests execute synchronously behind a pipeline flush,
+// which keeps responses in request order. On a durable table every
+// effective mutation is appended to the redo log as it completes and the
+// writer's sync bar is raised to its sequence.
+type ownedTarget struct {
+	tbl   *core.Table
+	h     *core.Handle
+	p     *core.Pipeline
+	log   *wal.Log // durable table's redo log; nil for RAM tables
+	w     *ackbuf.Writer
+	kvOps int // served KV requests, for the epoch-advance cadence
+}
+
+// serveOwned serves a connection from its own table handle.
+func (s *Server) serveOwned(c net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl *core.Table, features uint16) {
+	h, err := s.acquireHandle(tbl)
+	if err != nil {
+		refuseBusy(br, w)
+		return
+	}
+	defer s.releaseHandle(h)
+	t := &ownedTarget{tbl: tbl, h: h, log: s.walFor(tbl), w: w}
+	t.p = h.Pipeline(core.PipelineOpts{OnComplete: func(op *core.Op) {
+		if w.Err() != nil {
+			return
+		}
+		if t.log != nil {
+			seq, err := t.log.LogOp(op)
+			if err != nil {
+				w.Fail(err)
+				return
+			}
+			w.NeedSync(seq)
+		}
+		w.Commit(AppendResponse(w.Buf(), opToResp(op)))
+	}})
+	defer t.p.Close()
+	s.readRequests(c, br, features, t)
+}
+
+func (t *ownedTarget) fixed(ops []core.Op) error {
+	for i := range ops {
+		t.p.Enqueue(ops[i])
+	}
+	return t.w.Err()
+}
+
+func (t *ownedTarget) idle() error {
+	t.p.Flush()
+	return t.w.Flush()
+}
+
+func (t *ownedTarget) bad() {
+	t.p.Flush()
+	t.w.Commit(AppendResponse(t.w.Buf(), Response{Status: StatusBadRequest}))
+	t.w.Flush()
+}
+
+func (t *ownedTarget) kv(req KVRequest) error {
+	// Order barrier: all pipelined fixed-frame responses precede this one.
+	t.p.Flush()
+	if err := t.w.Err(); err != nil {
+		return err
+	}
+	resp := execKV(t.tbl, t.h, req)
+	if t.log != nil && resp.Status == StatusOK && req.Op != OpGetKV {
+		var seq uint64
+		var err error
+		if req.Op == OpInsertKV {
+			seq, err = t.log.LogKVInsert(req.NS, req.Key, req.Value)
+		} else {
+			seq, err = t.log.LogKVDelete(req.NS, req.Key)
+		}
+		if err != nil {
+			t.w.Fail(err)
+			return err
+		}
+		t.w.NeedSync(seq)
+	}
+	t.w.Commit(AppendKVResponse(t.w.Buf(), resp))
+	// Periodically refresh this handle's epoch (no-op without EpochGC) so
+	// blocks deleted by other connections reclaim. Safe here: the response
+	// bytes — including any GetKV value view — were copied into the reply
+	// buffer above, and advancing is what keeps a view returned *before*
+	// the copy from being freed mid-copy by a concurrent DeleteKV (served
+	// kv tables enable EpochGC for exactly this reason).
+	if t.kvOps++; t.kvOps&(kvEpochEvery-1) == 0 {
+		t.h.AdvanceEpoch()
+	}
+	return t.w.Err()
+}
+
+// reshard answers one OpGetVer or OpScan. Both are read-only — nothing is
+// logged — and sit behind the same order barrier as KV requests.
+func (t *ownedTarget) reshard(op OpCode, frame []byte) error {
+	t.p.Flush()
+	if err := t.w.Err(); err != nil {
+		return err
+	}
+	out := t.w.Buf()
+	if op == OpGetVer {
+		key := binary.LittleEndian.Uint64(frame[1:9])
+		// Version-bracketed read (the localStore.GetVer contract): equal
+		// brackets mean the value is the one the version counts.
+		ver := t.h.VersionOf(key)
+		var v uint64
+		var ok bool
+		for i := 0; i < 4; i++ {
+			v, ok = t.h.Get(key)
+			after := t.h.VersionOf(key)
+			if after == ver {
+				break
+			}
+			ver = after
+		}
+		st := StatusOK
+		if !ok {
+			st, v = StatusNotFound, 0
+		}
+		out = append(out, byte(st))
+		out = binary.LittleEndian.AppendUint64(out, v)
+		out = binary.LittleEndian.AppendUint64(out, ver)
+	} else if t.tbl.Mode() == core.Allocator {
+		// Value words are block refs; not scannable over this frame.
+		var hdr [ScanRespHdrSize]byte
+		hdr[0] = byte(StatusWrongMode)
+		out = append(out, hdr[:]...)
+	} else {
+		origBins := binary.LittleEndian.Uint64(frame[1:9])
+		startBin := binary.LittleEndian.Uint64(frame[9:17])
+		maxEnts := int(binary.LittleEndian.Uint32(frame[17:21]))
+		if maxEnts <= 0 || maxEnts > MaxScanBatch {
+			maxEnts = MaxScanBatch
+		}
+		// The cap clamps the request; the reply may overshoot it by the
+		// last bin group (ScanStep consumes whole old bins — truncating
+		// here would lose the overflow, the cursor is already past it).
+		ents, newOrig, next, done := t.h.ScanStep(origBins, startBin, maxEnts)
+		out = append(out, byte(StatusOK))
+		out = binary.LittleEndian.AppendUint64(out, newOrig)
+		out = binary.LittleEndian.AppendUint64(out, next)
+		d := byte(0)
+		if done {
+			d = 1
+		}
+		out = append(out, d)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(ents)))
+		for _, e := range ents {
+			out = binary.LittleEndian.AppendUint64(out, e.Key)
+			out = binary.LittleEndian.AppendUint64(out, e.Value)
+		}
+	}
+	t.w.Commit(out)
+	return t.w.Err()
+}
+
 // execKV runs one KV request against the connection's handle. Values
 // returned by GetKV are views into the table; they are appended into the
-// write buffer before the next request can invalidate them, and the
+// reply buffer before the next request can invalidate them, and the
 // connection handle's epoch pin keeps a concurrent DeleteKV from another
 // connection from freeing the block mid-copy — which is why Allocator
 // tables served over the network should enable Config.EpochGC (dlht-server
@@ -1028,89 +866,79 @@ func execKV(tbl *core.Table, h *core.Handle, req KVRequest) KVResponse {
 	return KVResponse{Status: StatusBadRequest}
 }
 
-// ---------------------------------------------------------------------------
-// Executor-mode serving
-// ---------------------------------------------------------------------------
+// sessionTarget submits a connection's requests to the shared sharded
+// executor. Execution overlaps across connections inside the shard
+// pipelines — which is where the many-small-clients batching win comes
+// from — and needs no barrier between fixed and KV requests: the
+// session's reorder ring restores response order for connWriter.
+type sessionTarget struct{ sess *exec.Session }
 
-// serveExec runs a connection over the shared sharded executor: this
-// goroutine becomes the connection reader (decode frames, submit them into
-// executor shards) and a second goroutine drains the session's in-order
-// completions into the socket. Responses still hit the wire in request
-// order — the session's reorder ring restores it — but execution overlaps
-// across connections inside the shard pipelines, which is where the
-// many-small-clients batching win comes from.
-func (s *Server) serveExec(c net.Conn, br *bufio.Reader, tbl *core.Table, v2 bool, features uint16) {
+// serveSession serves a connection through an executor session: this
+// goroutine reads and submits, a second one drains the session's in-order
+// completions into the socket.
+func (s *Server) serveSession(c net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl *core.Table, features uint16) {
 	ex, err := s.executorFor(tbl)
 	if err != nil {
-		s.refuseBusy(c, br, v2)
+		refuseBusy(br, w)
 		return
 	}
 	sess, err := ex.NewSession()
 	if err != nil {
-		s.refuseBusy(c, br, v2)
+		refuseBusy(br, w)
 		return
 	}
 	done := make(chan struct{})
-	wlog := s.walFor(tbl)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer close(done)
-		s.connWriter(c, sess, wlog)
+		connWriter(c, sess, w)
 	}()
-	if v2 {
-		s.execReadV2(c, br, sess, features)
-	} else {
-		s.execReadV1(c, br, sess)
-	}
+	s.readRequests(c, br, features, sessionTarget{sess})
 	sess.FinishSubmit()
 	// Wait for the writer to deliver every submitted request's response
-	// (or its write error) before serveConn closes the connection.
+	// (or its write error) before the connection is closed.
 	<-done
 }
 
-// connWriter drains a session's in-order completions into the connection.
-// Responses accumulate in the write buffer and are pushed out when they
-// cross the streaming-flush threshold or when no further completion is
-// immediately ready (the drain-before-blocking discipline of the
-// per-connection pipeline loop). The first write error closes the
-// connection — so the reader stops feeding a peer that will never see
-// another response, matching the conn-mode loops' exit-on-write-error —
-// after which the writer keeps consuming completions without writing
-// (the reader may be blocked on the session's in-flight bound) until the
-// session drains.
-//
-// On a durable table (wlog non-nil) each completion carries the redo-log
-// sequence its record got from the executor shard; the writer tracks the
-// highest buffered one and waits out the covering group commit before any
-// flush, so acknowledgements never reach the socket ahead of their fsync.
-//
-//dlht:ackgated
-func (s *Server) connWriter(c net.Conn, sess *exec.Session, wlog *wal.Log) {
-	bw := bufio.NewWriterSize(c, s.opts.WriteBuffer)
-	flushAt := s.opts.WriteBuffer / 2
-	if flushAt < RespSize {
-		flushAt = RespSize
-	}
-	var wErr error
-	var needSeq uint64
-	fail := func(err error) {
-		wErr = err
-		c.Close() // unblocks and errors the reader
-	}
+func (t sessionTarget) fixed(ops []core.Op) error { return t.sess.SubmitBatch(ops) }
+
+// kv copies the request out of the reader's staging: the executor holds
+// key and value until the op completes, so each in-flight KV op owns its
+// bytes.
+func (t sessionTarget) kv(req KVRequest) error {
+	payload := append(append(make([]byte, 0, len(req.Key)+len(req.Value)), req.Key...), req.Value...)
+	return t.sess.SubmitKV(&exec.KVOp{
+		Kind: kvKindOf(req.Op), NS: req.NS,
+		Key: payload[:len(req.Key)], Value: payload[len(req.Key):],
+	})
+}
+
+// reshard is never granted to a session connection (see serveConn), so the
+// reader cannot get here; refuse rather than trust that.
+func (t sessionTarget) reshard(OpCode, []byte) error {
+	t.bad()
+	return ErrBadRequest
+}
+
+func (t sessionTarget) bad() { t.sess.Fail(ErrBadRequest) }
+
+// idle has nothing to do: connWriter flushes on its own whenever the
+// session has no further completion ready.
+func (t sessionTarget) idle() error { return nil }
+
+// connWriter drains a session's in-order completions into the reply
+// writer, raising its sync bar to each completion's redo-log sequence, and
+// flushes when no further completion is immediately ready (the
+// drain-before-blocking rule of the owned target). The first failure
+// closes the connection — so the reader stops feeding a peer that will
+// never see another response — after which the writer keeps consuming
+// completions without writing (the reader may be blocked on the session's
+// in-flight bound) until the session drains.
+func connWriter(c net.Conn, sess *exec.Session, w *ackbuf.Writer) {
 	flush := func() {
-		if wErr == nil && bw.Buffered() > 0 {
-			if wlog != nil {
-				if err := wlog.SyncWait(needSeq); err != nil {
-					fail(err)
-					return
-				}
-				needSeq = 0
-			}
-			s.armWrite(c)
-			if err := bw.Flush(); err != nil {
-				fail(err)
-			}
+		if w.Flush() != nil {
+			c.Close() // unblocks and errors the reader
 		}
 	}
 	buf := make([]exec.Done, 0, 256)
@@ -1121,159 +949,19 @@ func (s *Server) connWriter(c net.Conn, sess *exec.Session, wlog *wal.Log) {
 		}
 		buf = run[:0]
 		for i := range run {
-			if wErr != nil {
-				continue
-			}
 			d := &run[i]
-			if wlog != nil {
-				if d.WALSeq > needSeq {
-					needSeq = d.WALSeq
-				}
-				// A response larger than the buffer's free space makes
-				// bufio push older bytes to the socket mid-Write; sync
-				// first so nothing unsynced can leak that way.
-				if d.KV != nil && bw.Available() < KVRespHdrSize+len(d.KV.Out) {
-					flush()
-					if wErr != nil {
-						continue
-					}
-				}
-			}
-			var err error
+			w.NeedSync(d.WALSeq)
 			if d.KV != nil {
-				_, err = bw.Write(AppendKVResponse(bw.AvailableBuffer(), kvDoneToResp(d.KV)))
+				w.Commit(AppendKVResponse(w.Buf(), kvDoneToResp(d.KV)))
 			} else {
-				_, err = bw.Write(AppendResponse(bw.AvailableBuffer(), opToResp(&d.Op)))
+				w.Commit(AppendResponse(w.Buf(), opToResp(&d.Op)))
 			}
-			if err != nil {
-				fail(err)
-			} else if bw.Buffered() >= flushAt {
-				flush()
-			}
+		}
+		if w.Err() != nil {
+			c.Close()
 		}
 	}
 	flush()
-}
-
-// execReadV1 is the executor-mode v1 reader: the same zero-copy burst
-// decode as serveV1, but whole decoded bursts are submitted to the
-// executor (one batched hand-off, not a lock per frame) instead of a
-// connection-owned pipeline. Blocking for input never delays responses —
-// the writer goroutine flushes independently.
-func (s *Server) execReadV1(c net.Conn, br *bufio.Reader, sess *exec.Session) {
-	var ops []core.Op // decoded burst staging, reused across bursts
-	for {
-		s.armIdle(c)
-		if _, err := br.Peek(ReqSize); err != nil {
-			return
-		}
-		nframes := br.Buffered() / ReqSize
-		burst, err := br.Peek(nframes * ReqSize)
-		if err != nil {
-			return
-		}
-		ops = ops[:0]
-		bad := false
-		decoded := 0
-		for off := 0; off < len(burst); off += ReqSize {
-			req, err := DecodeRequest(burst[off : off+ReqSize])
-			if err != nil {
-				bad = true
-				break
-			}
-			ops = append(ops, reqToOp(req))
-			decoded = off + ReqSize
-		}
-		if err := sess.SubmitBatch(ops); err != nil {
-			return
-		}
-		if testFrameDecoded != nil {
-			for _, op := range ops {
-				testFrameDecoded(opToReq(op))
-			}
-		}
-		if bad {
-			br.Discard(decoded)
-			sess.Fail(ErrBadRequest)
-			return
-		}
-		br.Discard(nframes * ReqSize)
-	}
-}
-
-// execReadV2 is the executor-mode v2 reader: fixed-frame runs take the v1
-// burst path; KV frames are copied out of the read buffer (the executor
-// owns the bytes until completion) and submitted alongside. Unlike the
-// connection-owned loop, a KV request needs no pipeline barrier — the
-// session's reorder ring restores response order, so KV and fixed ops
-// overlap freely.
-func (s *Server) execReadV2(c net.Conn, br *bufio.Reader, sess *exec.Session, features uint16) {
-	var ops []core.Op // decoded fixed-frame run staging, reused
-	for {
-		s.armIdle(c)
-		head, err := br.Peek(1)
-		if err != nil {
-			return
-		}
-		switch op := OpCode(head[0]); {
-		case op < opCodeEnd:
-			if _, err := br.Peek(ReqSize); err != nil {
-				return
-			}
-			nframes := br.Buffered() / ReqSize
-			if nframes == 0 {
-				nframes = 1
-			}
-			burst, err := br.Peek(nframes * ReqSize)
-			if err != nil {
-				return
-			}
-			consumed := 0
-			ops = ops[:0]
-			for off := 0; off+ReqSize <= len(burst); off += ReqSize {
-				if b0 := OpCode(burst[off]); b0 >= opCodeEnd {
-					break // KV or garbage: outer loop re-dispatches
-				}
-				req, _ := DecodeRequest(burst[off : off+ReqSize])
-				ops = append(ops, reqToOp(req))
-				consumed = off + ReqSize
-			}
-			if err := sess.SubmitBatch(ops); err != nil {
-				return
-			}
-			if testFrameDecoded != nil {
-				for _, op := range ops {
-					testFrameDecoded(opToReq(op))
-				}
-			}
-			br.Discard(consumed)
-		case isKVOp(op) && features&FeatureKV != 0:
-			ns, klen, vlen, err := readKVHeader(br)
-			if errors.Is(err, errMalformedKVHeader) {
-				sess.Fail(ErrBadRequest)
-				return
-			}
-			if err != nil {
-				return
-			}
-			// The executor holds the key/value bytes until the op
-			// completes, so each in-flight KV op owns its buffer.
-			payload := make([]byte, klen+vlen)
-			if _, err := io.ReadFull(br, payload); err != nil {
-				return
-			}
-			kv := &exec.KVOp{Kind: kvKindOf(op), NS: ns, Key: payload[:klen]}
-			if vlen > 0 {
-				kv.Value = payload[klen:]
-			}
-			if err := sess.SubmitKV(kv); err != nil {
-				return
-			}
-		default:
-			sess.Fail(ErrBadRequest)
-			return
-		}
-	}
 }
 
 // kvKindOf maps a KV opcode onto the executor's op kind.
@@ -1297,23 +985,6 @@ func kvDoneToResp(kv *exec.KVOp) KVResponse {
 		return KVResponse{Status: StatusNotFound}
 	}
 	return KVResponse{Status: StatusOK, Value: kv.Out}
-}
-
-// opToReq maps a batch op back onto its wire request; used to feed the
-// test-only decode hook from the batched submit path.
-func opToReq(op core.Op) Request {
-	var o OpCode
-	switch op.Kind {
-	case core.OpGet:
-		o = OpGet
-	case core.OpPut:
-		o = OpPut
-	case core.OpInsert:
-		o = OpInsert
-	case core.OpDelete:
-		o = OpDelete
-	}
-	return Request{Op: o, Key: op.Key, Value: op.Value}
 }
 
 // reqToOp maps a wire request onto a batch op.

@@ -26,11 +26,17 @@ func startServer(t testing.TB, cfg core.Config, opts Options) *Server {
 
 func dialT(t testing.TB, s *Server) *Client {
 	t.Helper()
-	cl, err := Dial(s.Addr().String())
+	return dialV2T(t, s, ClientOpts{})
+}
+
+// rawClientT runs the handshake on a raw connection the test will write
+// hand-built frames to, returning a client to receive the replies with.
+func rawClientT(t testing.TB, c net.Conn) *Client {
+	t.Helper()
+	cl, err := NewClientV2(c, ClientOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { cl.Close() })
 	return cl
 }
 
@@ -79,10 +85,10 @@ func TestRoundTripAllOps(t *testing.T) {
 // TestPipelinedBatch pushes a deep pipeline in one flush and checks every
 // in-order response, exercising the server's burst batching path.
 func TestPipelinedBatch(t *testing.T) {
-	s := startServer(t, core.Config{Bins: 1 << 12, Resizable: true}, Options{MaxBatch: 16})
+	s := startServer(t, core.Config{Bins: 1 << 12, Resizable: true}, Options{})
 	cl := dialT(t, s)
 
-	const n = 256 // 16x the server batch cap: forces multiple Exec batches
+	const n = 256
 	reqs := make([]Request, 0, 3*n)
 	for i := uint64(0); i < n; i++ {
 		reqs = append(reqs, Request{Op: OpInsert, Key: i, Value: i * 10})
@@ -122,7 +128,7 @@ func TestConcurrentConnections(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := Dial(s.Addr().String())
+			cl, err := DialV2(s.Addr().String(), ClientOpts{})
 			if err != nil {
 				errs <- err
 				return
@@ -177,10 +183,10 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 	bad := AppendRequest(nil, Request{Op: OpGet, Key: 3})
 	bad[0] = 0xee
 	buf = append(buf, bad...)
+	cl := rawClientT(t, c)
 	if _, err := c.Write(buf); err != nil {
 		t.Fatal(err)
 	}
-	cl := NewClient(c)
 	cl.inflight = 2
 	if r, err := cl.Recv(); err != nil || r.Status != StatusOK {
 		t.Fatalf("prefix response = %+v, %v; want OK", r, err)
@@ -205,7 +211,7 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 func TestHandleRecycling(t *testing.T) {
 	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true, MaxThreads: 4}, Options{Exec: ExecConn})
 	for i := 0; i < 64; i++ {
-		cl, err := Dial(s.Addr().String())
+		cl, err := DialV2(s.Addr().String(), ClientOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +312,7 @@ func TestServerClose(t *testing.T) {
 	s := New(core.MustNew(core.Config{Bins: 1 << 8}), Options{})
 	done := make(chan error, 1)
 	go func() { done <- s.Serve(ln) }()
-	cl, err := Dial(ln.Addr().String())
+	cl, err := DialV2(ln.Addr().String(), ClientOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ func TestStreamingRepliesBeforeTailDecode(t *testing.T) {
 	)
 	firstResp := make(chan struct{})
 	var hookTimedOut atomic.Bool
-	testFrameDecoded = func(r Request) {
-		if r.Op == OpGet && r.Key == lastKey {
+	testFrameDecoded = func(op core.Op) {
+		if op.Kind == core.OpGet && op.Key == lastKey {
 			select {
 			case <-firstResp:
 			case <-time.After(30 * time.Second):
@@ -53,11 +53,11 @@ func TestStreamingRepliesBeforeTailDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := rawClientT(t, c)
 	// Receive concurrently with the send, signalling the first response.
 	got := make(chan []Response, 1)
 	recvErr := make(chan error, 1)
 	go func() {
-		cl := NewClient(c)
 		out := make([]Response, 0, n)
 		for i := 0; i < n; i++ {
 			cl.inflight = 1 // raw-conn receive; requests are written below
@@ -253,34 +253,5 @@ func TestClientFutures(t *testing.T) {
 	}
 	if r, err := f.Wait(); err != nil || r.Status != StatusNotFound {
 		t.Fatalf("future after Recv = %+v, %v", r, err)
-	}
-}
-
-// TestMaxBatchForcesPeriodicDrain: with MaxBatch set, a long burst is
-// drained and flushed every MaxBatch requests — the configured bound on
-// response latency — and still answers everything in order. MaxBatch only
-// applies to the goroutine-per-connection model, so this pins ExecConn.
-func TestMaxBatchForcesPeriodicDrain(t *testing.T) {
-	s := startServer(t, core.Config{Bins: 1 << 12, Resizable: true}, Options{MaxBatch: 16, Exec: ExecConn})
-	cl := dialT(t, s)
-	const n = 1000
-	reqs := make([]Request, 0, 2*n)
-	for i := uint64(0); i < n; i++ {
-		reqs = append(reqs, Request{Op: OpInsert, Key: i, Value: i + 1})
-	}
-	for i := uint64(0); i < n; i++ {
-		reqs = append(reqs, Request{Op: OpGet, Key: i})
-	}
-	resps := make([]Response, len(reqs))
-	if err := cl.Do(reqs, resps); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < n; i++ {
-		if resps[i].Status != StatusOK {
-			t.Fatalf("insert %d: %v", i, resps[i].Status)
-		}
-		if r := resps[n+i]; r.Status != StatusOK || r.Result != i+1 {
-			t.Fatalf("get %d = %+v", i, r)
-		}
 	}
 }

@@ -32,7 +32,7 @@ type (
 	// truncated.
 	RecoverStats = wal.RecoverStats
 
-	// Status is a wire response status (protocol v1 and v2); surfaced by
+	// Status is a wire response status; surfaced by
 	// Client's raw protocol methods. StatusErr maps one onto the error
 	// sentinels above.
 	Status = server.Status
