@@ -99,17 +99,15 @@ func BenchmarkAblations(b *testing.B)              { runExperiment(b, "ablations
 
 // BenchmarkExec measures the sliding-window batch pipeline on an
 // out-of-LLC table (1M keys over a 64 MiB bin array): batch sizes from
-// well-inside to far-beyond the window, crossed with window sizes including
-// "full" (the unbounded whole-batch prefetch pass that was the previous
-// behavior), for both the Inlined Exec engine and the Allocator-mode
-// GetKVBatch two-level pipeline. ns/op is per request, not per batch.
+// well-inside to far-beyond the window, crossed with window sizes, for both
+// the Inlined Exec engine and the Allocator-mode GetKVBatch two-level
+// pipeline. ns/op is per request, not per batch.
 func BenchmarkExec(b *testing.B) {
 	const keys = 1 << 20
 	windows := []struct {
 		name string
 		w    int
 	}{
-		{"full", -1}, // prefetch the whole batch up front (old behavior)
 		{"8", 8},
 		{"16", 16}, // PrefetchWindow=0 default
 		{"32", 32},

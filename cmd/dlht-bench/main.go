@@ -30,7 +30,7 @@ func main() {
 		dur      = flag.Duration("dur", 400*time.Millisecond, "measurement window per data point")
 		threads  = flag.String("threads", "", "comma-separated thread sweep (default 1,2,4,..,NumCPU)")
 		batch    = flag.Int("batch", 16, "batch size for DLHT's prefetched path")
-		window   = flag.Int("window", 0, "prefetch window for DLHT batches (0 = default, <0 = full batch)")
+		window   = flag.Int("window", 0, "prefetch window for DLHT batches (<=0 = default 16)")
 		pipeline = flag.Bool("pipeline", false, "drive DLHT batch paths through the streaming Pipeline API instead of Exec")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	)

@@ -80,7 +80,7 @@ func main() {
 		skipLoad = flag.Bool("skip-load", false, "skip the INSERT prepopulation phase")
 		async    = flag.Bool("async", false, "drive the mixed phase through the async client API (GetAsync/PutAsync callbacks) instead of Send/Recv")
 		embedded = flag.Bool("embedded", false, "start an in-process server on a loopback port (ignores -addr)")
-		window   = flag.Int("window", 0, "embedded server's prefetch window (0 or <0 = default 16; the server streams, so the full-batch baseline does not apply)")
+		window   = flag.Int("window", 0, "embedded server's prefetch window (<=0 = default 16)")
 		bins     = flag.Uint64("bins", 1<<18, "embedded server's initial bin count")
 		execName = flag.String("exec", "shared", "embedded server's execution model: shared|partitioned|conn")
 

@@ -55,7 +55,7 @@ func main() {
 		resizable  = flag.Bool("resizable", true, "enable non-blocking resize")
 		maxThreads = flag.Int("max-threads", 4096, "max concurrent connections per table (table handles)")
 		hashName   = flag.String("hash", "modulo", "bin hash: modulo|wy|xx|murmur3|fnv1a")
-		window     = flag.Int("window", 0, "prefetch window of the per-connection pipeline (0 or <0 = default 16; the full-batch baseline has no streaming analogue)")
+		window     = flag.Int("window", 0, "prefetch window of the per-connection pipeline (<=0 = default 16)")
 		tables     = flag.String("tables", "", "extra named tables, comma-separated name[:mode][:durable=dir] entries with mode inlined (default) or kv (Allocator, variable KV, namespaces); durable=dir backs the table with a group-commit WAL in dir")
 		durableDir = flag.String("durable", "", "back the default table with a group-commit WAL in this directory (empty = RAM only)")
 		idle       = flag.Duration("idle-timeout", 0, "close connections idle (unreadable or unwritable) for this long; 0 disables")

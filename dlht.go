@@ -199,7 +199,7 @@ type (
 	ScrubOpts = cluster.ScrubOpts
 	// Client is the pipelined network client returned by Dial; beyond the
 	// Store surface it exposes the raw protocol (Send/Flush/Recv), async
-	// callbacks, futures, and the KV surface for Allocator-mode tables.
+	// callbacks, and the KV surface for Allocator-mode tables.
 	Client = server.Client
 	// ClientOpts configures DialTable.
 	ClientOpts = server.ClientOpts

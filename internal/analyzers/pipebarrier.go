@@ -10,10 +10,12 @@ package analyzers
 // directly.
 //
 // The pass finds struct types with a KVPipeline-typed field, then
-// checks each of their methods: a direct KV call (GetKV, GetKVCopy,
-// InsertKV*, UpdateKV, DeleteKV*) not on the pipeline itself must be
-// positionally preceded by a drain call. *Locked helpers are exempt
-// (their callers hold the barrier).
+// checks each of their methods: a direct KV call — a handle operation
+// (GetKV, GetKVCopy, InsertKV*, UpsertKV*, UpdateKV, DeleteKV*) not on
+// the pipeline itself, or any method of the TTL'd-KV state machine
+// (expiry.KV), which runs handle operations on the owner's handle —
+// must be positionally preceded by a drain call. *Locked helpers are
+// exempt (their callers hold the barrier).
 
 import (
 	"go/ast"
@@ -34,7 +36,7 @@ var pipeDrains = map[string]bool{
 
 var directKVOps = map[string]bool{
 	"GetKV": true, "GetKVCopy": true, "UpdateKV": true,
-	"InsertKV": true, "InsertKVHashed": true,
+	"InsertKV": true, "InsertKVHashed": true, "UpsertKVHashed": true,
 	"DeleteKV": true, "DeleteKVHashed": true,
 }
 
@@ -100,7 +102,7 @@ func checkPipeBarrier(p *Pass, fd *ast.FuncDecl) {
 			drains = append(drains, call.Pos())
 			return true
 		}
-		if directKVOps[name] && !onPipeline(p, call) {
+		if (directKVOps[name] && !onType(p, call, "KVPipeline")) || onType(p, call, "KV") {
 			direct = append(direct, call)
 		}
 		return true
@@ -121,14 +123,14 @@ func checkPipeBarrier(p *Pass, fd *ast.FuncDecl) {
 	}
 }
 
-// onPipeline reports whether the call's receiver is itself the
-// pipeline (pipeline-surface enqueues are the streaming path, not a
-// bypass).
-func onPipeline(p *Pass, call *ast.CallExpr) bool {
+// onType reports whether the call's receiver is a value of the named
+// type: calls on the KVPipeline are the streaming path, not a bypass;
+// calls on a KV are direct operations whatever their name.
+func onType(p *Pass, call *ast.CallExpr, name string) bool {
 	rt := recvType(p.Info, call)
 	if rt == nil {
 		return false
 	}
 	n := namedOf(rt)
-	return n != nil && n.Obj().Name() == "KVPipeline"
+	return n != nil && n.Obj().Name() == name
 }

@@ -8,12 +8,16 @@ package analyzers
 //
 // The pass fires per function scope (literals are scopes of their
 // own): when a scope both consults the deadline index (Deadline /
-// Expired / Remove) and deletes KV pairs (DeleteKV / DeleteKVHashed),
-// every delete must sit inside the stripe-lock span — after a
-// zero-argument .Lock() that follows the stripe acquisition
-// Lock(hash), and before the final .Unlock() (a deferred Unlock
-// covers the whole tail). Helpers named *Locked are exempt: their
-// contract is "caller holds the stripe".
+// Expired / Remove) and deletes or replaces KV pairs (DeleteKV /
+// DeleteKVHashed / UpsertKVHashed), every such call must sit inside the
+// stripe-lock span — after a zero-argument .Lock() that follows the
+// stripe acquisition Lock(hash), and before the final .Unlock() (a
+// deferred Unlock covers the whole tail). Helpers named *Locked are
+// exempt: their contract is "caller holds the stripe". Since every
+// such compound now lives in the TTL'd-KV state machine (expiry.KV),
+// the pass also holds the module to that contract: a call to one of its
+// stripe-held helpers is a check and a delete in one, and must sit in
+// the span too.
 
 import (
 	"go/ast"
@@ -33,7 +37,13 @@ var expiryChecks = map[string]bool{
 }
 
 var kvDeletes = map[string]bool{
-	"DeleteKV": true, "DeleteKVHashed": true,
+	"DeleteKV": true, "DeleteKVHashed": true, "UpsertKVHashed": true,
+}
+
+// stripeHeld are expiry.KV's helpers whose contract is "stripe lock
+// held": each checks a deadline and deletes or replaces in one call.
+var stripeHeld = map[string]bool{
+	"expiredLocked": true, "storeLocked": true, "deleteLocked": true,
 }
 
 func runStripeLock(p *Pass) {
@@ -69,6 +79,9 @@ func checkStripeLock(p *Pass, s funcScope) {
 		}
 		name := calleeName(call)
 		switch {
+		case stripeHeld[name]:
+			hasCheck = true
+			deletes = append(deletes, call)
 		case expiryChecks[name]:
 			hasCheck = true
 		case kvDeletes[name]:

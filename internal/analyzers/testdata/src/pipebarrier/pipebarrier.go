@@ -14,9 +14,17 @@ type handle struct{}
 func (h *handle) GetKV(key []byte) ([]byte, bool)             { return nil, false }
 func (h *handle) DeleteKVHashed(key []byte, hash uint64) bool { return true }
 
+// KV stands in for the TTL'd-KV state machine bound to the owner's
+// handle: every method of it operates on the table directly.
+type KV struct{}
+
+func (kv KV) Set(key, val []byte, hash uint64) bool { return true }
+func (kv KV) TTL(key []byte, hash uint64) int64     { return -1 }
+
 type conn struct {
 	pl *KVPipeline
 	h  *handle
+	kv KV
 }
 
 func (cn *conn) barrier() { cn.pl.Flush() }
@@ -41,6 +49,18 @@ func (cn *conn) cmdBad(key []byte) {
 // deleteBad mutates behind in-flight lookups.
 func (cn *conn) deleteBad(key []byte, hash uint64) {
 	cn.h.DeleteKVHashed(key, hash) // want `no barrier/Flush before it`
+}
+
+// cmdSetGood drains, then makes its one call into the state machine.
+func (cn *conn) cmdSetGood(key, val []byte, hash uint64) {
+	cn.barrier()
+	cn.kv.Set(key, val, hash)
+}
+
+// cmdTTLBad: a state-machine call is a direct operation whatever it is
+// called, reads included.
+func (cn *conn) cmdTTLBad(key []byte, hash uint64) {
+	cn.kv.TTL(key, hash) // want `no barrier/Flush before it`
 }
 
 // setLocked: *Locked helpers run behind the caller's barrier.

@@ -13,7 +13,8 @@ func (ix *index) Remove(key []byte, hash uint64) bool            { return false 
 
 type handle struct{}
 
-func (h *handle) DeleteKVHashed(key []byte, hash uint64) bool { return true }
+func (h *handle) DeleteKVHashed(key []byte, hash uint64) bool  { return true }
+func (h *handle) UpsertKVHashed(key []byte, hash uint64) error { return nil }
 
 type store struct {
 	exp *index
@@ -73,4 +74,29 @@ func (s *store) expireLocked(key []byte, hash uint64) {
 // deleteOnly: deletes with no deadline consultation are not expiry.
 func (s *store) deleteOnly(key []byte, hash uint64) {
 	s.h.DeleteKVHashed(key, hash)
+}
+
+// The TTL'd-KV state machine's stripe-held helper: a deadline check and
+// a delete in one call.
+func (s *store) expiredLocked(key []byte, hash uint64) bool { return false }
+
+// deleteGood: the public operation takes the stripe, then calls down.
+func (s *store) deleteGood(key []byte, hash uint64) bool {
+	mu := s.exp.Lock(hash)
+	mu.Lock()
+	defer mu.Unlock()
+	return !s.expiredLocked(key, hash) && s.h.DeleteKVHashed(key, hash)
+}
+
+// deleteBadHelper calls the stripe-held helper with no stripe held.
+func (s *store) deleteBadHelper(key []byte, hash uint64) bool {
+	return s.expiredLocked(key, hash) // want `without acquiring its expiry stripe lock`
+}
+
+// upsertBad: a replace is a delete; on a consulted deadline it needs the
+// stripe like one.
+func (s *store) upsertBad(key []byte, hash uint64) {
+	if _, ok := s.exp.Deadline(key, hash); ok {
+		s.h.UpsertKVHashed(key, hash) // want `without acquiring its expiry stripe lock`
+	}
 }

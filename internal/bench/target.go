@@ -139,8 +139,7 @@ func DLHTTarget(t *core.Table, name string, batched bool) Target {
 
 // prefetchWindow is the Config.PrefetchWindow applied to every DLHT table
 // the harness constructs; the cmd tools set it once at startup from their
-// -window flag (0 keeps the core default, negative selects the full-batch
-// prefetch pass).
+// -window flag (zero or less keeps the core default).
 var prefetchWindow int
 
 // SetPrefetchWindow fixes the prefetch window of all subsequently

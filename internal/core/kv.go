@@ -443,6 +443,24 @@ func (t *Table) deleteKVIn(h *Handle, ix *index, ns uint16, key []byte, hash uin
 	}
 }
 
+// UpsertKVHashed sets key→val whether or not key is present; hash is the
+// key's Table.HashOfKV. Allocator mode has Insert and Delete only, so a
+// replace is delete-then-insert, retried if a concurrent inserter wins the
+// race: the final state is this call's value or a later writer's, never a
+// lost update that leaves the key absent. A concurrent reader can observe
+// the key absent between the two steps. Every replace in the tree — the
+// pipeline's Put, the TTL'd-KV state machine's SET, WAL replay — is this
+// function.
+func (h *Handle) UpsertKVHashed(ns uint16, key, val []byte, hash uint64) error {
+	for {
+		err := h.InsertKVHashed(ns, key, val, hash)
+		if err == nil || !errors.Is(err, ErrExists) {
+			return err
+		}
+		h.DeleteKVHashed(ns, key, hash)
+	}
+}
+
 func putU32(b []byte, v uint32) {
 	_ = b[3]
 	b[0] = byte(v)

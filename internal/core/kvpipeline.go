@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"unsafe"
 
 	"repro/internal/cpuops"
@@ -151,9 +150,8 @@ func kvLead(w int) int { return (w + 1) / 2 }
 // KVPipelineOpts configures a KVPipeline.
 type KVPipelineOpts struct {
 	// Window bounds how many lookups are in flight between enqueue and
-	// completion. 0 selects the table's resolved prefetch window
-	// (Config.PrefetchWindow, default 16); other values are clamped to at
-	// least 1.
+	// completion. 0 selects the table's Config.PrefetchWindow; other
+	// values are clamped to at least 1.
 	Window int
 	// OnComplete is invoked for every lookup, in enqueue order, as it
 	// completes. The *KVGet (and its Value view) follows the same lifetime
@@ -189,9 +187,7 @@ func (h *Handle) KVPipeline(opts KVPipelineOpts) *KVPipeline {
 	}
 	w := opts.Window
 	if w == 0 {
-		if w = h.t.cfg.PrefetchWindow; w <= 0 {
-			w = defaultPrefetchWindow
-		}
+		w = h.t.cfg.PrefetchWindow
 	}
 	if w < 1 {
 		w = 1
@@ -312,23 +308,14 @@ func (pl *KVPipeline) Put(ns uint16, key, val []byte) error {
 	return pl.PutHashed(ns, key, val, pl.h.t.HashOfKV(ns, key))
 }
 
-// PutHashed is Put with the key's hash precomputed. Replace is
-// delete-then-insert, retried if a concurrent inserter wins the race, so
-// the final state is always this call's value or a later writer's — never
-// a lost update that leaves the key absent.
+// PutHashed is Put with the key's hash precomputed; see
+// Handle.UpsertKVHashed for the replace semantics.
 func (pl *KVPipeline) PutHashed(ns uint16, key, val []byte, hash uint64) error {
 	if pl.closed {
 		panic("dlht: KVPipeline used after Close")
 	}
 	pl.drainTo(0)
-	h := pl.h
-	for {
-		err := h.InsertKVHashed(ns, key, val, hash)
-		if err == nil || !errors.Is(err, ErrExists) {
-			return err
-		}
-		h.DeleteKVHashed(ns, key, hash)
-	}
+	return pl.h.UpsertKVHashed(ns, key, val, hash)
 }
 
 // Close flushes the pipeline and rejects further enqueues. The Handle

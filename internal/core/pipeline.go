@@ -111,8 +111,8 @@ func (h *Handle) execPipe(w int) *pipe {
 type PipelineOpts struct {
 	// Window bounds how many requests are in flight between enqueue and
 	// completion — the streaming equivalent of Config.PrefetchWindow. 0
-	// selects the table's resolved prefetch window (Config.PrefetchWindow,
-	// default 16); other values are clamped to at least 1.
+	// selects the table's Config.PrefetchWindow; other values are clamped
+	// to at least 1.
 	Window int
 	// OnComplete is invoked for every request, in enqueue order, as it
 	// completes. The *Op is valid only for the duration of the call; copy
@@ -157,12 +157,7 @@ type Pipeline struct {
 func (h *Handle) Pipeline(opts PipelineOpts) *Pipeline {
 	w := opts.Window
 	if w == 0 {
-		// Inherit the table's window. The full-batch setting (negative
-		// PrefetchWindow) has no streaming analogue — a pipeline's window is
-		// its completion latency — so it resolves to the default.
-		if w = h.t.cfg.PrefetchWindow; w <= 0 {
-			w = defaultPrefetchWindow
-		}
+		w = h.t.cfg.PrefetchWindow
 	}
 	if w < 1 {
 		w = 1

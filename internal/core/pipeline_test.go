@@ -60,15 +60,13 @@ func TestPipelineWindowSemantics(t *testing.T) {
 }
 
 // TestPipelineWindowResolution pins the PipelineOpts.Window contract: 0
-// inherits the table's window, the table's full-batch setting falls back
-// to the default, and explicit values win.
+// inherits the table's window and explicit values win.
 func TestPipelineWindowResolution(t *testing.T) {
 	cases := []struct {
 		cfgW, optW, want int
 	}{
 		{0, 0, defaultPrefetchWindow},
 		{8, 0, 8},
-		{-1, 0, defaultPrefetchWindow}, // full-batch has no streaming analogue
 		{8, 32, 32},
 		{0, -5, 1},
 	}

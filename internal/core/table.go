@@ -102,11 +102,8 @@ type Config struct {
 	// engine's software prefetches run (§3.3). Exec, GetKVBatch and
 	// pipelines created with Window 0 keep at most this many bins in
 	// flight, so a prefetched cache line is touched while it is still
-	// resident instead of being evicted by the tail of a huge batch. 0
-	// selects the default (16); a negative value disables the bound for
-	// the batch adapters and prefetches the whole batch up front (the
-	// DRAMHiT-style full-batch pass, useful as a baseline; streaming
-	// pipelines resolve it to the default).
+	// resident instead of being evicted by the tail of a huge batch.
+	// Zero or less selects the default (16).
 	PrefetchWindow int
 	// MaxThreads bounds the number of Handles (default 2×GOMAXPROCS).
 	MaxThreads int
@@ -151,6 +148,9 @@ func (c *Config) setDefaults() {
 	}
 	if c.ChunkBins == 0 {
 		c.ChunkBins = 16384
+	}
+	if c.PrefetchWindow <= 0 {
+		c.PrefetchWindow = defaultPrefetchWindow
 	}
 	if c.Mode == Allocator {
 		if c.Alloc == nil {
@@ -370,23 +370,19 @@ type Handle struct {
 	kvp *kvPipe
 }
 
-// defaultPrefetchWindow is the Config.PrefetchWindow=0 distance. Sixteen
-// in-flight lines stay comfortably inside L1 while still overlapping more
-// DRAM latency than out-of-order execution covers on its own.
+// defaultPrefetchWindow is the distance Config.PrefetchWindow defaults to.
+// Sixteen in-flight lines stay comfortably inside L1 while still
+// overlapping more DRAM latency than out-of-order execution covers on its
+// own.
 const defaultPrefetchWindow = 16
 
-// prefetchWindow resolves the configured window against a batch of n
-// requests: 0 means the default, negative means full-batch, and the result
-// never exceeds n.
+// prefetchWindow is the configured window, clamped to a batch of n
+// requests.
 func (t *Table) prefetchWindow(n int) int {
-	w := t.cfg.PrefetchWindow
-	if w == 0 {
-		w = defaultPrefetchWindow
+	if w := t.cfg.PrefetchWindow; w < n {
+		return w
 	}
-	if w < 0 || w > n {
-		w = n
-	}
-	return w
+	return n
 }
 
 // Handle allocates the next free per-thread handle, preferring ids

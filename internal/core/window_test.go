@@ -11,7 +11,7 @@ import (
 )
 
 // TestPrefetchWindowResolution pins the Config.PrefetchWindow contract:
-// 0 = default, negative = full batch, always clamped to the batch length.
+// zero or less = default, always clamped to the batch length.
 func TestPrefetchWindowResolution(t *testing.T) {
 	cases := []struct {
 		cfg, n, want int
@@ -20,7 +20,7 @@ func TestPrefetchWindowResolution(t *testing.T) {
 		{0, 4, 4},
 		{8, 4096, 8},
 		{8, 3, 3},
-		{-1, 4096, 4096},
+		{-1, 4096, defaultPrefetchWindow},
 		{1, 100, 1},
 		{0, 0, 0},
 	}
@@ -158,7 +158,7 @@ func oracleExec(h *Handle, ops []Op, stopOnFail bool) int {
 func TestExecWindowedMatchesOracle(t *testing.T) {
 	kinds := []OpKind{OpGet, OpPut, OpInsert, OpInsertShadow, OpDelete, OpCommitShadow}
 	for _, st := range []bool{false, true} {
-		for _, w := range []int{1, 3, 16, -1} {
+		for _, w := range []int{1, 3, 16, 1 << 20} {
 			name := fmt.Sprintf("window=%d,singlethread=%v", w, st)
 			rng := rand.New(rand.NewSource(int64(w)*7 + 1))
 			// Tiny resizable tables so batches regularly cross migrations.
@@ -205,10 +205,10 @@ func TestExecWindowedMatchesOracle(t *testing.T) {
 }
 
 // TestGetKVBatchWindowSizes runs the two-level KV pipeline across window
-// sizes (including degenerate w=1 and full-batch) with hits and misses
+// sizes (including degenerate w=1 and one wider than the batch) with hits and misses
 // interleaved, checking values against per-request GetKV.
 func TestGetKVBatchWindowSizes(t *testing.T) {
-	for _, w := range []int{1, 5, 16, -1} {
+	for _, w := range []int{1, 5, 16, 1 << 20} {
 		tb := MustNew(Config{Mode: Allocator, Bins: 64, Resizable: true, ChunkBins: 16,
 			PrefetchWindow: w, VariableKV: true})
 		h := tb.MustHandle()

@@ -6,11 +6,12 @@
 // memcached/Redis style.
 //
 // The index is deliberately dumb about the table: it stores deadlines and
-// nothing else. The owner (the RESP front-end, the wal.Store) performs
-// the actual table deletions, holding the per-key stripe lock the index
-// hands out so a compound operation — check the deadline, delete the
-// pair, drop the entry — is atomic against a concurrent SET or PERSIST
-// racing on the same key.
+// nothing else. The KV state machine in this package (kv.go) is the one
+// owner of everything that touches the table and the index together —
+// SET, DEL, EXPIRE, PERSIST, lazy expiry, the sweeper's deletions — and
+// holds the per-key stripe lock the index hands out so a compound
+// operation — check the deadline, delete the pair, drop the entry — is
+// atomic against a concurrent SET or PERSIST racing on the same key.
 //
 // TTL-free workloads pay one atomic load per read: every method that
 // could miss consults an entry counter first and returns without locking
@@ -67,8 +68,8 @@ func New(now func() int64) *Index {
 // Now returns the index's current time in Unix milliseconds.
 func (ix *Index) Now() int64 { return ix.now() }
 
-// Lock returns the stripe lock for a key hash (Table.HashOfKV). Owners
-// hold it across compound check-then-mutate sequences that touch both the
+// Lock returns the stripe lock for a key hash (Table.HashOfKV). KV holds
+// it across compound check-then-mutate sequences that touch both the
 // table and the index, so a lazy-expire delete cannot race a concurrent
 // SET into deleting the new value, and a sweeper deletion cannot race a
 // PERSIST. Index methods never take stripe locks themselves; the order is

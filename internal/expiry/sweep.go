@@ -2,57 +2,38 @@ package expiry
 
 import "time"
 
-// SweepOpts configures a background sweeper.
-type SweepOpts struct {
-	// Interval between sweep rounds (default 100ms).
-	Interval time.Duration
-	// Sample bounds how many entries one round examines per shard before
-	// moving on (default 20). Go's randomized map iteration order makes
-	// each round a fresh sample, Redis's activeExpireCycle in miniature.
-	Sample int
-	// OnExpired is called, outside all index locks, for each sampled
-	// entry whose deadline has passed. The owner re-checks the deadline
-	// under the key's stripe lock, deletes the pair from the table and
-	// Removes the entry — the callback finding the entry already gone
-	// (a racing SET or lazy expire won) is normal.
-	OnExpired func(ns uint16, key []byte, at int64)
-	// OnRound, if set, runs after each full sweep round — the owner's
-	// hook for periodic handle maintenance (epoch advance).
-	OnRound func()
-}
-
 // Sweeper is a running background sweep goroutine; Stop joins it.
 type Sweeper struct {
 	stop chan struct{}
 	done chan struct{}
 }
 
-// StartSweeper launches the sampling expiry sweep over ix. Like Redis's
-// active expiry: each round samples every shard, fires OnExpired for the
-// expired entries found, and re-samples a shard while more than a quarter
-// of its sample was expired (bounded, so one huge expired cohort cannot
-// monopolize the goroutine).
-func (ix *Index) StartSweeper(o SweepOpts) *Sweeper {
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
+// StartSweeper launches the sampling expiry sweep over kv's index on kv's
+// handle, which must be dedicated to it. Like Redis's active expiry: every
+// interval (default 100ms) one SweepOnce round examines up to sample
+// entries per shard (default 20; Go's randomized map iteration order makes
+// each round a fresh sample) and deletes the expired ones through
+// OnExpired. A round ends by advancing the handle's epoch, so blocks
+// deleted by other handles can reclaim past it.
+func (kv KV) StartSweeper(interval time.Duration, sample int) *Sweeper {
+	if interval <= 0 {
+		interval = 100 * time.Millisecond
 	}
-	if o.Sample <= 0 {
-		o.Sample = 20
+	if sample <= 0 {
+		sample = 20
 	}
 	sw := &Sweeper{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(sw.done)
-		t := time.NewTicker(o.Interval)
+		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
 			case <-sw.stop:
 				return
 			case <-t.C:
-				ix.SweepOnce(o.Sample, o.OnExpired)
-				if o.OnRound != nil {
-					o.OnRound()
-				}
+				kv.idx.SweepOnce(sample, kv.OnExpired)
+				kv.h.AdvanceEpoch()
 			}
 		}
 	}()
@@ -71,8 +52,9 @@ const maxResample = 4
 // SweepOnce runs one sweep round: sample up to n entries per shard, fire
 // onExpired for the expired ones, re-sample while over 25% of a shard's
 // sample was expired. Returns how many expired entries were reported.
-// Exported for deterministic tests; the background sweeper calls it on a
-// ticker.
+// onExpired runs outside all index locks; finding the entry already gone
+// (a racing SET or lazy expire won) is normal. Exported for deterministic
+// tests; the background sweeper calls it on a ticker with KV.OnExpired.
 func (ix *Index) SweepOnce(n int, onExpired func(ns uint16, key []byte, at int64)) int {
 	if ix.count.Load() == 0 {
 		return 0

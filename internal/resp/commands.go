@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	core "repro/internal/core"
+	"repro/internal/expiry"
 )
 
 // Command dispatch. GET and MGET are the streamed path: their keys are
@@ -111,34 +112,35 @@ func (cn *conn) writeKVErr(err error) {
 	cn.writeError("ERR " + err.Error())
 }
 
-// lazyExpireLocked is the lazy-expire step, stripe lock held: a key past
-// its deadline is deleted (unlogged — replay re-derives the deadline and
-// the open-time purge converges) and reported expired.
-func (cn *conn) lazyExpireLocked(ns uint16, key []byte, hash uint64) bool {
-	if at, ok := cn.idx.Deadline(ns, key, hash); ok && at <= cn.idx.Now() {
-		cn.h.DeleteKVHashed(ns, key, hash)
-		cn.idx.Remove(ns, key, hash)
-		return true
+// writeFlag answers a command whose reply is :1 or :0.
+func (cn *conn) writeFlag(ok bool, err error) {
+	switch {
+	case err != nil:
+		cn.writeKVErr(err)
+	case ok:
+		cn.writeInt(1)
+	default:
+		cn.writeInt(0)
 	}
-	return false
 }
 
-// lazyExpire checks key's deadline from the fast path and, if passed,
-// barriers the pipeline (a mutation may not run under in-flight views of
-// this handle) and deletes under the stripe lock. Reports whether the key
-// is expired-and-now-gone; a lost race against a concurrent writer
-// reports false and the caller proceeds with a live read.
-func (cn *conn) lazyExpire(ns uint16, key []byte, hash uint64) bool {
-	at, ok := cn.idx.Deadline(ns, key, hash)
-	if !ok || at > cn.idx.Now() {
+// INCR's refusals, worded as Redis words them behind "ERR ".
+var (
+	errNotInt   = errors.New("value is not an integer or out of range")
+	errOverflow = errors.New("increment or decrement would overflow")
+)
+
+// lazyExpire is the read path's expiry step. The unlocked deadline check
+// keeps a live key's GET in the pipeline; only a key that looks expired
+// pays the barrier (a delete may not run under in-flight views of this
+// handle) and the locked check-and-delete. A lost race against a
+// concurrent writer reports false and the caller proceeds with a live read.
+func (cn *conn) lazyExpire(key []byte, hash uint64) bool {
+	if !cn.idx.Expired(cn.ns, key, hash) {
 		return false
 	}
 	cn.barrier()
-	mu := cn.idx.Lock(hash)
-	mu.Lock()
-	expired := cn.lazyExpireLocked(ns, key, hash)
-	mu.Unlock()
-	return expired
+	return cn.kv.Expired(cn.ns, key, hash)
 }
 
 // ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ func (cn *conn) cmdGet(args [][]byte) {
 		return
 	}
 	hash := cn.tbl.HashOfKV(cn.ns, key)
-	if cn.lazyExpire(cn.ns, key, hash) {
+	if cn.lazyExpire(key, hash) {
 		cn.writeNull()
 		return
 	}
@@ -184,7 +186,7 @@ func (cn *conn) cmdMGet(args [][]byte) {
 			continue
 		}
 		hash := cn.tbl.HashOfKV(cn.ns, key)
-		if cn.lazyExpire(cn.ns, key, hash) {
+		if cn.lazyExpire(key, hash) {
 			cn.writeNull()
 			continue
 		}
@@ -203,15 +205,9 @@ func (cn *conn) cmdExists(args [][]byte) {
 		if cn.tbl.CheckKV(cn.ns, key, nil, false) != nil {
 			continue
 		}
-		hash := cn.tbl.HashOfKV(cn.ns, key)
-		mu := cn.idx.Lock(hash)
-		mu.Lock()
-		if !cn.lazyExpireLocked(cn.ns, key, hash) {
-			if _, ok := cn.h.GetKV(cn.ns, key); ok {
-				n++
-			}
+		if _, _, exists := cn.kv.TTL(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key)); exists {
+			n++
 		}
-		mu.Unlock()
 	}
 	cn.writeInt(n)
 }
@@ -219,21 +215,6 @@ func (cn *conn) cmdExists(args [][]byte) {
 // ---------------------------------------------------------------------------
 // Writes
 // ---------------------------------------------------------------------------
-
-// upsertLocked is the replace-or-insert core, stripe lock held, pipeline
-// drained.
-func (cn *conn) upsertLocked(ns uint16, key, val []byte, hash uint64) error {
-	for {
-		err := cn.h.InsertKVHashed(ns, key, val, hash)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, core.ErrExists) {
-			return err
-		}
-		cn.h.DeleteKVHashed(ns, key, hash)
-	}
-}
 
 func (cn *conn) cmdSet(args [][]byte) {
 	cn.barrier()
@@ -243,16 +224,16 @@ func (cn *conn) cmdSet(args [][]byte) {
 	}
 	key, val := args[1], args[2]
 	var atMs int64
-	var nx, xx, keep bool
+	var flags expiry.SetFlags
 	for i := 3; i < len(args); i++ {
 		var obuf [8]byte
 		switch string(upperTo(obuf[:0], args[i])) {
 		case "NX":
-			nx = true
+			flags |= expiry.NX
 		case "XX":
-			xx = true
+			flags |= expiry.XX
 		case "KEEPTTL":
-			keep = true
+			flags |= expiry.KeepTTL
 		case "EX", "PX", "EXAT", "PXAT":
 			if i+1 >= len(args) {
 				cn.writeError("ERR syntax error")
@@ -260,7 +241,7 @@ func (cn *conn) cmdSet(args [][]byte) {
 			}
 			n, ok := parseInt(args[i+1])
 			if !ok {
-				cn.writeError("ERR value is not an integer or out of range")
+				cn.writeKVErr(errNotInt)
 				return
 			}
 			var obuf2 [8]byte
@@ -288,7 +269,7 @@ func (cn *conn) cmdSet(args [][]byte) {
 			return
 		}
 	}
-	if nx && xx {
+	if flags&expiry.NX != 0 && flags&expiry.XX != 0 {
 		cn.writeError("ERR syntax error")
 		return
 	}
@@ -296,7 +277,8 @@ func (cn *conn) cmdSet(args [][]byte) {
 		cn.writeKVErr(err)
 		return
 	}
-	set, err := cn.setLocked(key, val, atMs, nx, xx, keep)
+	set, seq, err := cn.kv.Set(cn.ns, key, val, cn.tbl.HashOfKV(cn.ns, key), atMs, flags)
+	cn.w.NeedSync(seq)
 	if err != nil {
 		cn.writeKVErr(err)
 		return
@@ -306,59 +288,6 @@ func (cn *conn) cmdSet(args [][]byte) {
 		return
 	}
 	cn.writeSimple("OK")
-}
-
-// setLocked applies a SET under the key's stripe lock: the NX/XX
-// existence gate, the upsert, one insert record (replay upserts too, and
-// clears the key's TTL — Redis SET semantics for free), and the deadline:
-// set with its own expire record, kept alive across replay by re-logging
-// (KEEPTTL), or cleared.
-func (cn *conn) setLocked(key, val []byte, atMs int64, nx, xx, keep bool) (bool, error) {
-	hash := cn.tbl.HashOfKV(cn.ns, key)
-	mu := cn.idx.Lock(hash)
-	mu.Lock()
-	defer mu.Unlock()
-	cn.lazyExpireLocked(cn.ns, key, hash)
-	if nx || xx {
-		_, exists := cn.h.GetKV(cn.ns, key)
-		if (nx && exists) || (xx && !exists) {
-			return false, nil
-		}
-	}
-	if err := cn.upsertLocked(cn.ns, key, val, hash); err != nil {
-		return false, err
-	}
-	if cn.log != nil {
-		seq, err := cn.log.LogKVInsert(cn.ns, key, val)
-		if err != nil {
-			return false, err
-		}
-		cn.w.NeedSync(seq)
-	}
-	switch {
-	case atMs > 0:
-		cn.idx.ExpireAt(cn.ns, key, hash, atMs)
-		if cn.log != nil {
-			seq, err := cn.log.LogKVExpire(cn.ns, key, atMs)
-			if err != nil {
-				return false, err
-			}
-			cn.w.NeedSync(seq)
-		}
-	case keep:
-		// The in-memory deadline survives untouched, but the insert
-		// record clears it on replay — re-log it.
-		if at, ok := cn.idx.Deadline(cn.ns, key, hash); ok && cn.log != nil {
-			seq, err := cn.log.LogKVExpire(cn.ns, key, at)
-			if err != nil {
-				return false, err
-			}
-			cn.w.NeedSync(seq)
-		}
-	default:
-		cn.idx.Remove(cn.ns, key, hash)
-	}
-	return true, nil
 }
 
 func (cn *conn) cmdSetNX(args [][]byte) {
@@ -372,16 +301,9 @@ func (cn *conn) cmdSetNX(args [][]byte) {
 		cn.writeKVErr(err)
 		return
 	}
-	set, err := cn.setLocked(key, val, 0, true, false, false)
-	if err != nil {
-		cn.writeKVErr(err)
-		return
-	}
-	if set {
-		cn.writeInt(1)
-	} else {
-		cn.writeInt(0)
-	}
+	set, seq, err := cn.kv.Set(cn.ns, key, val, cn.tbl.HashOfKV(cn.ns, key), 0, expiry.NX)
+	cn.w.NeedSync(seq)
+	cn.writeFlag(set, err)
 }
 
 func (cn *conn) cmdMSet(args [][]byte) {
@@ -399,7 +321,9 @@ func (cn *conn) cmdMSet(args [][]byte) {
 		}
 	}
 	for i := 1; i < len(args); i += 2 {
-		if _, err := cn.setLocked(args[i], args[i+1], 0, false, false, false); err != nil {
+		_, seq, err := cn.kv.Set(cn.ns, args[i], args[i+1], cn.tbl.HashOfKV(cn.ns, args[i]), 0, 0)
+		cn.w.NeedSync(seq)
+		if err != nil {
 			cn.writeKVErr(err)
 			return
 		}
@@ -418,23 +342,15 @@ func (cn *conn) cmdDel(args [][]byte) {
 		if cn.tbl.CheckKV(cn.ns, key, nil, false) != nil {
 			continue
 		}
-		hash := cn.tbl.HashOfKV(cn.ns, key)
-		mu := cn.idx.Lock(hash)
-		mu.Lock()
-		if !cn.lazyExpireLocked(cn.ns, key, hash) && cn.h.DeleteKVHashed(cn.ns, key, hash) {
-			n++
-			cn.idx.Remove(cn.ns, key, hash)
-			if cn.log != nil {
-				seq, err := cn.log.LogKVDelete(cn.ns, key)
-				if err != nil {
-					mu.Unlock()
-					cn.writeKVErr(err)
-					return
-				}
-				cn.w.NeedSync(seq)
-			}
+		deleted, seq, err := cn.kv.Delete(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
+		cn.w.NeedSync(seq)
+		if err != nil {
+			cn.writeKVErr(err)
+			return
 		}
-		mu.Unlock()
+		if deleted {
+			n++
+		}
 	}
 	cn.writeInt(n)
 }
@@ -453,7 +369,7 @@ func (cn *conn) cmdIncr(args [][]byte, name string, sign int64, hasArg bool) {
 	if hasArg {
 		n, ok := parseInt(args[2])
 		if !ok {
-			cn.writeError("ERR value is not an integer or out of range")
+			cn.writeKVErr(errNotInt)
 			return
 		}
 		delta = sign * n
@@ -463,53 +379,26 @@ func (cn *conn) cmdIncr(args [][]byte, name string, sign int64, hasArg bool) {
 		cn.writeKVErr(err)
 		return
 	}
-	hash := cn.tbl.HashOfKV(cn.ns, key)
-	mu := cn.idx.Lock(hash)
-	mu.Lock()
-	cn.lazyExpireLocked(cn.ns, key, hash)
-	var cur int64
-	if v, ok := cn.h.GetKV(cn.ns, key); ok {
-		c, ok2 := parseInt(v)
-		if !ok2 {
-			mu.Unlock()
-			cn.writeError("ERR value is not an integer or out of range")
-			return
-		}
-		cur = c
-	}
-	n := cur + delta
-	if (delta > 0 && n < cur) || (delta < 0 && n > cur) {
-		mu.Unlock()
-		cn.writeError("ERR increment or decrement would overflow")
-		return
-	}
+	var n int64
 	var vbuf [24]byte
-	val := strconv.AppendInt(vbuf[:0], n, 10)
-	if err := cn.upsertLocked(cn.ns, key, val, hash); err != nil {
-		mu.Unlock()
+	seq, err := cn.kv.Update(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key), func(cur []byte, ok bool) ([]byte, error) {
+		var c int64
+		if ok {
+			if c, ok = parseInt(cur); !ok {
+				return nil, errNotInt
+			}
+		}
+		n = c + delta
+		if (delta > 0 && n < c) || (delta < 0 && n > c) {
+			return nil, errOverflow
+		}
+		return strconv.AppendInt(vbuf[:0], n, 10), nil
+	})
+	cn.w.NeedSync(seq)
+	if err != nil {
 		cn.writeKVErr(err)
 		return
 	}
-	if cn.log != nil {
-		seq, err := cn.log.LogKVInsert(cn.ns, key, val)
-		if err == nil {
-			cn.w.NeedSync(seq)
-			// INCR preserves the TTL; the insert record clears it on
-			// replay, so a live deadline must be re-asserted in the log.
-			if at, ok := cn.idx.Deadline(cn.ns, key, hash); ok {
-				seq, err = cn.log.LogKVExpire(cn.ns, key, at)
-				if err == nil {
-					cn.w.NeedSync(seq)
-				}
-			}
-		}
-		if err != nil {
-			mu.Unlock()
-			cn.writeKVErr(err)
-			return
-		}
-	}
-	mu.Unlock()
 	cn.writeInt(n)
 }
 
@@ -525,7 +414,7 @@ func (cn *conn) cmdExpire(args [][]byte, name string, unitMs int64) {
 	}
 	n, ok := parseInt(args[2])
 	if !ok {
-		cn.writeError("ERR value is not an integer or out of range")
+		cn.writeKVErr(errNotInt)
 		return
 	}
 	key := args[1]
@@ -533,44 +422,9 @@ func (cn *conn) cmdExpire(args [][]byte, name string, unitMs int64) {
 		cn.writeInt(0)
 		return
 	}
-	hash := cn.tbl.HashOfKV(cn.ns, key)
-	mu := cn.idx.Lock(hash)
-	mu.Lock()
-	if cn.lazyExpireLocked(cn.ns, key, hash) {
-		mu.Unlock()
-		cn.writeInt(0)
-		return
-	}
-	if _, ok := cn.h.GetKV(cn.ns, key); !ok {
-		mu.Unlock()
-		cn.writeInt(0)
-		return
-	}
-	now := cn.idx.Now()
-	at := now + n*unitMs
-	var seq uint64
-	var err error
-	if at <= now {
-		// A deadline in the past deletes immediately, like Redis; the
-		// deletion is durable (a real delete record), not a lazy one.
-		cn.h.DeleteKVHashed(cn.ns, key, hash)
-		cn.idx.Remove(cn.ns, key, hash)
-		if cn.log != nil {
-			seq, err = cn.log.LogKVDelete(cn.ns, key)
-		}
-	} else {
-		cn.idx.ExpireAt(cn.ns, key, hash, at)
-		if cn.log != nil {
-			seq, err = cn.log.LogKVExpire(cn.ns, key, at)
-		}
-	}
-	mu.Unlock()
-	if err != nil {
-		cn.writeKVErr(err)
-		return
-	}
+	found, seq, err := cn.kv.ExpireAt(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key), cn.idx.Now()+n*unitMs)
 	cn.w.NeedSync(seq)
-	cn.writeInt(1)
+	cn.writeFlag(found, err)
 }
 
 func (cn *conn) cmdTTL(args [][]byte, name string, inMs bool) {
@@ -584,27 +438,15 @@ func (cn *conn) cmdTTL(args [][]byte, name string, inMs bool) {
 		cn.writeInt(-2)
 		return
 	}
-	hash := cn.tbl.HashOfKV(cn.ns, key)
-	mu := cn.idx.Lock(hash)
-	mu.Lock()
-	defer mu.Unlock()
-	if cn.lazyExpireLocked(cn.ns, key, hash) {
+	rem, hasTTL, exists := cn.kv.TTL(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
+	switch {
+	case !exists:
 		cn.writeInt(-2)
-		return
-	}
-	if _, ok := cn.h.GetKV(cn.ns, key); !ok {
-		cn.writeInt(-2)
-		return
-	}
-	at, ok := cn.idx.Deadline(cn.ns, key, hash)
-	if !ok {
+	case !hasTTL:
 		cn.writeInt(-1)
-		return
-	}
-	rem := at - cn.idx.Now()
-	if inMs {
+	case inMs:
 		cn.writeInt(rem)
-	} else {
+	default:
 		cn.writeInt((rem + 999) / 1000)
 	}
 }
@@ -620,26 +462,9 @@ func (cn *conn) cmdPersist(args [][]byte) {
 		cn.writeInt(0)
 		return
 	}
-	hash := cn.tbl.HashOfKV(cn.ns, key)
-	mu := cn.idx.Lock(hash)
-	mu.Lock()
-	if cn.lazyExpireLocked(cn.ns, key, hash) || !cn.idx.Remove(cn.ns, key, hash) {
-		mu.Unlock()
-		cn.writeInt(0)
-		return
-	}
-	var seq uint64
-	var err error
-	if cn.log != nil {
-		seq, err = cn.log.LogKVExpire(cn.ns, key, 0)
-	}
-	mu.Unlock()
-	if err != nil {
-		cn.writeKVErr(err)
-		return
-	}
+	removed, seq, err := cn.kv.Persist(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
 	cn.w.NeedSync(seq)
-	cn.writeInt(1)
+	cn.writeFlag(removed, err)
 }
 
 // ---------------------------------------------------------------------------
@@ -691,7 +516,7 @@ func (cn *conn) cmdConfig(args [][]byte) {
 func (cn *conn) cmdInfo(args [][]byte) {
 	cn.barrier()
 	durable := "0"
-	if cn.log != nil {
+	if cn.o.Log != nil {
 		durable = "1"
 	}
 	info := "# Server\r\nredis_version:7.0.0\r\ndlht:1\r\n" +

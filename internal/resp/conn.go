@@ -11,15 +11,13 @@ import (
 	"repro/internal/expiry"
 )
 
-// WAL is the group-commit surface a durable table's redo log exposes
-// (satisfied by *wal.Log; a local interface keeps this package free of a
-// wal dependency, like exec.WAL). Mutations append records and raise the
-// reply writer's sync bar to their sequence; the writer lets no reply byte
-// reach the socket before SyncWait covers it.
+// WAL is what a durable table's redo log gives a connection (satisfied by
+// *wal.Log; a local interface keeps this package free of a wal
+// dependency, like exec.WAL): the records the KV state machine appends,
+// and the sync the reply writer waits on before a reply byte reaches the
+// socket.
 type WAL interface {
-	LogKVInsert(ns uint16, key, val []byte) (uint64, error)
-	LogKVDelete(ns uint16, key []byte) (uint64, error)
-	LogKVExpire(ns uint16, key []byte, at int64) (uint64, error)
+	expiry.RedoLog
 	ackbuf.Syncer
 }
 
@@ -31,8 +29,8 @@ type ServeOpts struct {
 	Table  *core.Table
 	Handle *core.Handle
 	// Expiry is the table's TTL sidecar, shared with the background
-	// sweeper (and, for durable tables, with snapshot/replay). Nil
-	// disables TTL commands.
+	// sweeper (and, for durable tables, with snapshot/replay). Nil gives
+	// the connection a private one: single-connection embedding only.
 	Expiry *expiry.Index
 	// Log is the durable table's redo log; nil for RAM tables.
 	Log WAL
@@ -62,7 +60,7 @@ type conn struct {
 	tbl *core.Table
 	h   *core.Handle
 	idx *expiry.Index
-	log WAL
+	kv  expiry.KV // every command that is not a pipelined GET goes through it
 
 	ns     uint16 // SELECTed namespace
 	closed bool   // QUIT; packed beside ns, the struct's only sub-word fields
@@ -81,16 +79,14 @@ func Serve(c net.Conn, o ServeOpts) {
 		o.WriteBuffer = 64 << 10
 	}
 	cn := &conn{
-		c: c, o: o, tbl: o.Table, h: o.Handle, idx: o.Expiry, log: o.Log,
+		c: c, o: o, tbl: o.Table, h: o.Handle, idx: o.Expiry,
 		r: NewReader(c, o.ReadBuffer),
 		w: ackbuf.New(c, o.Log, o.WriteBuffer, o.IdleTimeout),
 	}
 	if cn.idx == nil {
-		// TTL state must be shared by every connection serving the same
-		// table (the server passes one index per table); a private index
-		// is only for single-connection embedding and tests.
 		cn.idx = expiry.New(nil)
 	}
+	cn.kv = expiry.Bind(cn.h, cn.idx, o.Log)
 	if cn.tbl.Mode() != core.Allocator {
 		cn.writeError("ERR table is not in kv (Allocator) mode; RESP requires a kv table")
 		cn.w.Flush()

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,11 +128,8 @@ func TestCommandMatrix(t *testing.T) {
 	wantText(t, cl, "OK", "SET", "k1", "v2")
 	wantText(t, cl, "v2", "GET", "k1")
 
-	// NX/XX.
-	wantNull(t, cl, "SET", "k1", "v3", "NX")
-	wantText(t, cl, "v2", "GET", "k1")
-	wantText(t, cl, "OK", "SET", "k1", "v3", "XX")
-	wantNull(t, cl, "SET", "nope", "v", "XX")
+	// SETNX. (SET's NX, XX, KEEPTTL and the TTL semantics are pinned by
+	// wal.TestKVConformance, against every front of the state machine.)
 	wantText(t, cl, "1", "SETNX", "fresh", "x")
 	wantText(t, cl, "0", "SETNX", "fresh", "y")
 	wantText(t, cl, "x", "GET", "fresh")
@@ -164,10 +162,9 @@ func TestCommandMatrix(t *testing.T) {
 	wantText(t, cl, "OK", "SET", "big", strconv.FormatInt(1<<63-1, 10))
 	wantErrContains(t, cl, "overflow", "INCR", "big")
 
-	// TTL bookkeeping without expiry.
+	// TTL answers in seconds, PTTL in milliseconds.
 	wantText(t, cl, "-1", "TTL", "ctr")
 	wantText(t, cl, "-2", "TTL", "missing")
-	wantText(t, cl, "0", "EXPIRE", "missing", "10")
 	wantText(t, cl, "1", "EXPIRE", "ctr", "100")
 	rr := mustDo(t, cl, "TTL", "ctr")
 	if rr.Int <= 0 || rr.Int > 100 {
@@ -178,24 +175,6 @@ func TestCommandMatrix(t *testing.T) {
 		t.Fatalf("PTTL = %d", rr.Int)
 	}
 	wantText(t, cl, "1", "PERSIST", "ctr")
-	wantText(t, cl, "0", "PERSIST", "ctr")
-	wantText(t, cl, "-1", "TTL", "ctr")
-
-	// EXPIRE in the past deletes.
-	wantText(t, cl, "1", "EXPIRE", "ctr", "-1")
-	wantNull(t, cl, "GET", "ctr")
-	wantText(t, cl, "-2", "TTL", "ctr")
-
-	// A plain SET clears the TTL.
-	wantText(t, cl, "OK", "SET", "t1", "v", "EX", "100")
-	wantText(t, cl, "OK", "SET", "t1", "v2")
-	wantText(t, cl, "-1", "TTL", "t1")
-	// KEEPTTL preserves it.
-	wantText(t, cl, "OK", "SET", "t2", "v", "EX", "100")
-	wantText(t, cl, "OK", "SET", "t2", "v2", "KEEPTTL")
-	if rr := mustDo(t, cl, "TTL", "t2"); rr.Int <= 0 {
-		t.Fatalf("KEEPTTL lost the deadline: TTL=%d", rr.Int)
-	}
 
 	// SELECT maps onto namespaces.
 	wantText(t, cl, "OK", "SET", "nskey", "zero")
@@ -235,13 +214,15 @@ func TestCommandMatrix(t *testing.T) {
 // deadline — lazily on the read path, no sweeper involved.
 func TestTTLExpiresLive(t *testing.T) {
 	tbl := core.MustNew(kvConfig())
-	s := startRESP(t, tbl, expiry.New(nil), nil)
+	var now atomic.Int64
+	now.Store(1000)
+	s := startRESP(t, tbl, expiry.New(now.Load), nil)
 	cl := s.dial(t)
 
 	wantText(t, cl, "OK", "SET", "k", "v", "PX", "40")
 	wantText(t, cl, "v", "GET", "k")
 	wantText(t, cl, "1", "EXISTS", "k")
-	time.Sleep(80 * time.Millisecond)
+	now.Add(40)
 	wantNull(t, cl, "GET", "k")
 	wantText(t, cl, "-2", "TTL", "k")
 	wantText(t, cl, "0", "EXISTS", "k")
@@ -257,20 +238,7 @@ func TestSweeperReclaims(t *testing.T) {
 	tbl := core.MustNew(kvConfig())
 	ix := expiry.New(nil)
 	h := tbl.MustHandle()
-	sw := ix.StartSweeper(expiry.SweepOpts{
-		Interval: 10 * time.Millisecond,
-		OnExpired: func(ns uint16, key []byte, _ int64) {
-			hash := tbl.HashOfKV(ns, key)
-			mu := ix.Lock(hash)
-			mu.Lock()
-			if d, ok := ix.Deadline(ns, key, hash); ok && d <= ix.Now() {
-				h.DeleteKVHashed(ns, key, hash)
-				ix.Remove(ns, key, hash)
-			}
-			mu.Unlock()
-		},
-		OnRound: func() { h.AdvanceEpoch() },
-	})
+	sw := expiry.Bind(h, ix, nil).StartSweeper(10*time.Millisecond, 0)
 	defer func() {
 		sw.Stop()
 		h.Close()

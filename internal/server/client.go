@@ -21,11 +21,10 @@ import (
 // surface (GetKV/InsertKV/DeleteKV) for Allocator-mode tables.
 //
 // The pipelining surface is Send/Flush/Recv: queue any number of requests,
-// flush, then receive responses in request order. On top of it sit two
-// completion-driven shapes mirroring the server's Pipeline API: callbacks
-// (SendAsync/GetAsync/... + Drain) and futures (DoFuture/GetFuture/... +
-// Future.Wait). The Get/Put/Insert/Delete helpers are one-request pipelines
-// for convenience and tests. Client also implements the backend-independent
+// flush, then receive responses in request order. On top of it sits the
+// completion-driven shape mirroring the server's Pipeline API: callbacks
+// (SendAsync/GetAsync/... + Drain). The Get/Put/Insert/Delete helpers are
+// one-request pipelines for convenience and tests. Client also implements the backend-independent
 // dlht Store surface (sync helpers + Pipe), so code written against Store
 // drives a remote table unchanged.
 //
@@ -299,8 +298,8 @@ func (cl *Client) armWrite() {
 func (cl *Client) Send(r Request) error { return cl.send(r, nil) }
 
 // SendAsync queues one request whose response will be delivered to cb by a
-// later Recv, Drain or Future.Wait on this client, in request order. cb
-// must be non-nil.
+// later Recv or Drain on this client, in request order. cb must be
+// non-nil.
 func (cl *Client) SendAsync(r Request, cb func(Response)) error {
 	if cb == nil {
 		return errors.New("server: SendAsync: nil callback")
@@ -525,66 +524,6 @@ func (cl *Client) InsertAsync(key, val uint64, cb func(Response)) error {
 // DeleteAsync queues a DELETE whose response is delivered to cb.
 func (cl *Client) DeleteAsync(key uint64, cb func(Response)) error {
 	return cl.SendAsync(Request{Op: OpDelete, Key: key}, cb)
-}
-
-// Future is the handle to one in-flight request's eventual response.
-type Future struct {
-	cl   *Client
-	resp Response
-	done bool
-}
-
-// DoFuture queues r and returns a Future for its response. The request is
-// not flushed; Wait flushes if needed.
-func (cl *Client) DoFuture(r Request) (*Future, error) {
-	f := &Future{cl: cl}
-	if err := cl.SendAsync(r, func(r Response) { f.resp, f.done = r, true }); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// GetFuture queues a GET and returns its Future.
-func (cl *Client) GetFuture(key uint64) (*Future, error) {
-	return cl.DoFuture(Request{Op: OpGet, Key: key})
-}
-
-// PutFuture queues a PUT and returns its Future.
-func (cl *Client) PutFuture(key, val uint64) (*Future, error) {
-	return cl.DoFuture(Request{Op: OpPut, Key: key, Value: val})
-}
-
-// InsertFuture queues an INSERT and returns its Future.
-func (cl *Client) InsertFuture(key, val uint64) (*Future, error) {
-	return cl.DoFuture(Request{Op: OpInsert, Key: key, Value: val})
-}
-
-// DeleteFuture queues a DELETE and returns its Future.
-func (cl *Client) DeleteFuture(key uint64) (*Future, error) {
-	return cl.DoFuture(Request{Op: OpDelete, Key: key})
-}
-
-// Wait blocks until the future's response has been received, receiving and
-// dispatching earlier responses (async callbacks included) along the way.
-// It fails on a plain Send response encountered first — interleave Recv
-// calls in request order when mixing the two styles.
-func (f *Future) Wait() (Response, error) {
-	if f.done {
-		return f.resp, nil
-	}
-	cl := f.cl
-	if err := cl.Flush(); err != nil {
-		return Response{}, err
-	}
-	for !f.done {
-		if cl.headIsPlain() {
-			return Response{}, errors.New("server: Future.Wait: a plain Send response is queued ahead; Recv it before waiting")
-		}
-		if _, _, err := cl.recvStep(); err != nil {
-			return Response{}, err
-		}
-	}
-	return f.resp, nil
 }
 
 // doWindow bounds Do's in-flight requests. Unbounded pipelining deadlocks

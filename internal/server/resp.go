@@ -21,9 +21,10 @@ import (
 //
 // TTL state lives in one expiry.Index per table, shared by every RESP
 // connection, the background sweeper, and (for durable tables) snapshot
-// and replay. Durable tables bring their own index (wal.Store owns it);
-// for RAM tables the server creates one lazily, along with a sweeper
-// running on a dedicated handle.
+// and replay; each of them acts on it through its own expiry.KV binding.
+// Durable tables bring their own index (wal.Store owns it); for RAM
+// tables the server creates one lazily, along with a sweeper running on
+// a dedicated handle.
 
 // ServeRESP accepts RESP2 connections on ln until Close. Like Serve it
 // always returns a non-nil error; after Close the error is
@@ -104,21 +105,7 @@ func (s *Server) expiryFor(tbl *core.Table) (*expiry.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := ix.StartSweeper(expiry.SweepOpts{
-		OnExpired: func(ns uint16, key []byte, _ int64) {
-			hash := tbl.HashOfKV(ns, key)
-			mu := ix.Lock(hash)
-			mu.Lock()
-			// Re-check under the stripe lock: a racing SET may have
-			// revived the key since the sample.
-			if d, ok := ix.Deadline(ns, key, hash); ok && d <= ix.Now() {
-				h.DeleteKVHashed(ns, key, hash)
-				ix.Remove(ns, key, hash)
-			}
-			mu.Unlock()
-		},
-		OnRound: func() { h.AdvanceEpoch() },
-	})
+	sw := expiry.Bind(h, ix, nil).StartSweeper(0, 0)
 	s.expiries[tbl] = ix
 	s.sweepers = append(s.sweepers, respSweeper{sw: sw, h: h})
 	return ix, nil

@@ -195,63 +195,3 @@ func TestClientAsyncCallbacks(t *testing.T) {
 		t.Fatal("Get(2) found a key DeleteAsync removed")
 	}
 }
-
-// TestClientFutures pins the future helpers: pipelined futures resolve in
-// any Wait order, Wait flushes lazily, and results match the table.
-func TestClientFutures(t *testing.T) {
-	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true}, Options{})
-	cl := dialT(t, s)
-
-	fi, err := cl.InsertFuture(7, 70)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fg, err := cl.GetFuture(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := cl.PutFuture(7, 71)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fd, err := cl.DeleteFuture(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait on the last first: earlier responses dispatch on the way.
-	if r, err := fd.Wait(); err != nil || r.Status != StatusOK || r.Result != 71 {
-		t.Fatalf("delete future = %+v, %v", r, err)
-	}
-	// The earlier futures resolved as a side effect; Wait returns cached.
-	if r, err := fi.Wait(); err != nil || r.Status != StatusOK {
-		t.Fatalf("insert future = %+v, %v", r, err)
-	}
-	if r, err := fg.Wait(); err != nil || r.Status != StatusOK || r.Result != 70 {
-		t.Fatalf("get future = %+v, %v", r, err)
-	}
-	if r, err := fp.Wait(); err != nil || r.Status != StatusOK || r.Result != 70 {
-		t.Fatalf("put future = %+v, %v", r, err)
-	}
-	if cl.Inflight() != 0 {
-		t.Fatalf("%d inflight after all futures resolved", cl.Inflight())
-	}
-
-	// A plain Send response ahead of a future is an error for Wait (Recv
-	// owns it), and Recv then unblocks the future.
-	if err := cl.Send(Request{Op: OpGet, Key: 999}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := cl.GetFuture(999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Wait(); err == nil {
-		t.Fatal("Wait did not refuse to consume a plain Send response")
-	}
-	if r, err := cl.Recv(); err != nil || r.Status != StatusNotFound {
-		t.Fatalf("plain Recv = %+v, %v", r, err)
-	}
-	if r, err := f.Wait(); err != nil || r.Status != StatusNotFound {
-		t.Fatalf("future after Recv = %+v, %v", r, err)
-	}
-}

@@ -210,15 +210,14 @@ func loadSnapshot(path string, h *core.Handle, cfg *core.Config, idx *expiry.Ind
 // the snapshot scan is weakly consistent and may include effects whose
 // records live in replayed segments — so benign conflicts (duplicate
 // insert, missing delete target) are tolerated; the final state of a key
-// is always its last logged state. For KV inserts that means upsert: an
-// insert record landing on an existing pair replaces it, so upsert-style
-// writers (the RESP SET path) log one insert record instead of a
-// delete/insert pair. Insert and delete records clear the key's TTL
-// entry — a plain SET clears the TTL, Redis semantics — and expire
-// records re-assert or clear it; writers that preserve a TTL across an
-// overwrite (INCR) log an expire record after the insert. Mode mismatches
-// mean the directory was written under a different Config and fail
-// recovery.
+// is always its last logged state. KV records are applied by the state
+// machine that logged them (expiry.KV): an insert record is an
+// unconditional Set — an upsert that clears the key's TTL entry, which
+// is why a replace logs no delete record and a plain SET no TTL record —
+// a delete record is a Delete, and expire records re-assert or clear the
+// deadline; writers that preserve a TTL across an overwrite (KEEPTTL,
+// INCR) log an expire record after the insert. Mode mismatches mean the
+// directory was written under a different Config and fail recovery.
 func applyRecord(h *core.Handle, cfg *core.Config, idx *expiry.Index, r *Record) error {
 	kvKind := r.Kind == recInsertKV || r.Kind == recDeleteKV || r.Kind == recExpireKV
 	if kvKind != (cfg.Mode == core.Allocator) {
@@ -251,39 +250,25 @@ func applyRecord(h *core.Handle, cfg *core.Config, idx *expiry.Index, r *Record)
 		if err := h.Table().CheckKV(r.NS, r.K, r.V, true); err != nil {
 			return err
 		}
-		for {
-			err := h.InsertKV(r.NS, r.K, r.V)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, core.ErrExists) {
-				return err
-			}
-			// dlht:ok:stripelock — replay is single-goroutine, pre-serving.
-			h.DeleteKV(r.NS, r.K)
-		}
-		if idx != nil {
-			idx.Remove(r.NS, r.K, h.Table().HashOfKV(r.NS, r.K))
+		if _, _, err := expiry.Bind(h, idx, nil).Set(r.NS, r.K, r.V, h.Table().HashOfKV(r.NS, r.K), 0, 0); err != nil {
+			return err
 		}
 	case recDeleteKV:
 		if err := h.Table().CheckKV(r.NS, r.K, nil, false); err != nil {
 			return err
 		}
-		h.DeleteKV(r.NS, r.K) // dlht:ok:stripelock — single-goroutine replay
-		if idx != nil {
-			idx.Remove(r.NS, r.K, h.Table().HashOfKV(r.NS, r.K))
-		}
+		expiry.Bind(h, idx, nil).Delete(r.NS, r.K, h.Table().HashOfKV(r.NS, r.K))
 	case recExpireKV:
+		// The deadline is applied clock-free: whether it has passed is
+		// decided once, by the purge after the last record.
 		if err := h.Table().CheckKV(r.NS, r.K, nil, false); err != nil {
 			return err
 		}
-		if idx != nil {
-			hash := h.Table().HashOfKV(r.NS, r.K)
-			if r.At > 0 {
-				idx.ExpireAt(r.NS, r.K, hash, r.At)
-			} else {
-				idx.Remove(r.NS, r.K, hash)
-			}
+		hash := h.Table().HashOfKV(r.NS, r.K)
+		if r.At > 0 {
+			idx.ExpireAt(r.NS, r.K, hash, r.At)
+		} else {
+			idx.Remove(r.NS, r.K, hash)
 		}
 	default:
 		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, r.Kind)

@@ -56,9 +56,11 @@ type Store struct {
 	stats RecoverStats
 
 	// Allocator-mode TTL sidecar: the expiry index recovered alongside the
-	// table, its background sweeper, and the sweeper's own handle. Nil/zero
-	// outside Allocator mode.
+	// table, the KV state machine on the foreground handle, and the
+	// background sweeper with its own handle. Nil/zero outside Allocator
+	// mode.
 	exp     *expiry.Index
+	kv      expiry.KV
 	sweepH  *core.Handle
 	sweeper *expiry.Sweeper
 
@@ -113,12 +115,9 @@ func Open(dir string, cfg core.Config, opts Options) (*Store, error) {
 		return nil, err
 	}
 	// Keys whose replayed deadline already passed are dead on arrival:
-	// purge them before serving so they cannot answer a read. The
-	// deletions are not logged — the records that re-create them replay
-	// again on the next open and purge again, until a snapshot captures
-	// the post-purge state.
+	// purge them before serving so they cannot answer a read.
 	if exp != nil {
-		purgeExpired(h, exp)
+		expiry.Bind(h, exp, nil).PurgeExpired()
 	}
 	// Views materialized during replay are done with; let replay-retired
 	// blocks reclaim.
@@ -136,6 +135,9 @@ func Open(dir string, cfg core.Config, opts Options) (*Store, error) {
 		dir: dir, cfg: cfg, opts: opts, tbl: tbl, log: log,
 		h: h, snapH: snapH, exp: exp, stats: stats, stop: make(chan struct{}),
 	}
+	if exp != nil {
+		s.kv = expiry.Bind(h, exp, log)
+	}
 	if opts.SnapshotBytes >= 0 {
 		s.wg.Add(1)
 		go s.snapshotLoop()
@@ -147,50 +149,9 @@ func Open(dir string, cfg core.Config, opts Options) (*Store, error) {
 			return nil, err
 		}
 		s.sweepH = sweepH
-		s.sweeper = exp.StartSweeper(expiry.SweepOpts{
-			Interval: opts.SweepInterval,
-			Sample:   opts.SweepSample,
-			OnExpired: func(ns uint16, key []byte, at int64) {
-				hash := tbl.HashOfKV(ns, key)
-				mu := exp.Lock(hash)
-				mu.Lock()
-				// Re-check under the stripe lock: a SET or PERSIST may have
-				// replaced the deadline since the sweep sampled it.
-				if d, ok := exp.Deadline(ns, key, hash); ok && d <= exp.Now() {
-					sweepH.DeleteKVHashed(ns, key, hash)
-					exp.Remove(ns, key, hash)
-				}
-				mu.Unlock()
-			},
-			// Advance the sweeper handle's epoch each round so blocks
-			// deleted by other handles can reclaim past it.
-			OnRound: func() { sweepH.AdvanceEpoch() },
-		})
+		s.sweeper = expiry.Bind(sweepH, exp, nil).StartSweeper(opts.SweepInterval, opts.SweepSample)
 	}
 	return s, nil
-}
-
-// purgeExpired deletes every key whose recovered deadline has passed.
-// Runs before the store serves, single-goroutine.
-func purgeExpired(h *core.Handle, exp *expiry.Index) {
-	type dead struct {
-		ns  uint16
-		key []byte
-	}
-	now := exp.Now()
-	var victims []dead
-	exp.Range(func(ns uint16, key []byte, at int64) bool {
-		if at <= now {
-			victims = append(victims, dead{ns, key})
-		}
-		return true
-	})
-	for _, v := range victims {
-		hash := h.Table().HashOfKV(v.ns, v.key)
-		// dlht:ok:stripelock — open-time purge, single-goroutine, pre-serving.
-		h.DeleteKVHashed(v.ns, v.key, hash)
-		exp.Remove(v.ns, v.key, hash)
-	}
 }
 
 // Table returns the in-memory table behind the store, for callers that

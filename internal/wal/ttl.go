@@ -1,25 +1,33 @@
 package wal
 
 import (
-	"errors"
 	"time"
 
 	core "repro/internal/core"
 )
 
-// Allocator-mode KV surface with TTLs. These are the Store-level entry
-// points behind the RESP front-end's semantics: PutKV/PutTTL upsert (a
-// plain put clears any TTL, Redis SET semantics), ExpireAt/Persist manage
-// the deadline of a live key, TTL and GetKV check it lazily — an expired
-// key answers as a miss and is deleted on the spot. All of them follow
-// the Store's synchronous contract: effective mutations return after
-// their record's covering group commit.
+// Allocator-mode KV surface with TTLs: the synchronous face of the
+// expiry.KV state machine the RESP front-end also drives. PutKV/PutTTL
+// upsert (a plain put clears any TTL, Redis SET semantics),
+// ExpireAt/Persist manage the deadline of a live key, TTL and GetKV check
+// it lazily — an expired key answers as a miss and is deleted on the
+// spot. All of them follow the Store's synchronous contract: effective
+// mutations return after their record's covering group commit.
 //
 // Like the rest of the synchronous surface they run on the Store's
 // foreground handle — per-goroutine, one caller at a time. Servers with
 // many connections serve the table through their own handles and this
 // store's Expiry()/Log() pair instead (the RESP listener does exactly
 // that).
+
+// synced is the synchronous contract's tail: wait out the group commit
+// covering what a mutation appended.
+func (s *Store) synced(seq uint64, err error) error {
+	if err != nil {
+		return err
+	}
+	return s.log.SyncWait(seq)
+}
 
 // PutKV upserts key to val with no TTL, clearing any existing deadline.
 func (s *Store) PutKV(ns uint16, key, val []byte) error {
@@ -39,10 +47,6 @@ func (s *Store) PutTTL(ns uint16, key, val []byte, ttl time.Duration) error {
 	return s.putKV(ns, key, val, at)
 }
 
-// putKV is the upsert core: replace-or-insert the pair, log one insert
-// record (replay upserts, so no delete record is needed), and set or
-// clear the deadline — with its own expire record when set; the insert
-// record alone clears it on replay.
 func (s *Store) putKV(ns uint16, key, val []byte, at int64) error {
 	if s.exp == nil {
 		return core.ErrWrongMode
@@ -50,33 +54,8 @@ func (s *Store) putKV(ns uint16, key, val []byte, at int64) error {
 	if err := s.tbl.CheckKV(ns, key, val, true); err != nil {
 		return err
 	}
-	hash := s.tbl.HashOfKV(ns, key)
-	mu := s.exp.Lock(hash)
-	mu.Lock()
-	var err error
-	for {
-		err = s.h.InsertKVHashed(ns, key, val, hash)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, core.ErrExists) {
-			mu.Unlock()
-			return err
-		}
-		s.h.DeleteKVHashed(ns, key, hash)
-	}
-	seq, err := s.log.LogKVInsert(ns, key, val)
-	if err == nil && at > 0 {
-		s.exp.ExpireAt(ns, key, hash, at)
-		seq, err = s.log.LogKVExpire(ns, key, at)
-	} else {
-		s.exp.Remove(ns, key, hash)
-	}
-	mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.log.SyncWait(seq)
+	_, seq, err := s.kv.Set(ns, key, val, s.tbl.HashOfKV(ns, key), at, 0)
+	return s.synced(seq, err)
 }
 
 // ExpireAt sets key's absolute deadline, reporting whether the key
@@ -89,33 +68,8 @@ func (s *Store) ExpireAt(ns uint16, key []byte, at time.Time) (bool, error) {
 	if err := s.tbl.CheckKV(ns, key, nil, false); err != nil {
 		return false, err
 	}
-	atMs := at.UnixMilli()
-	hash := s.tbl.HashOfKV(ns, key)
-	mu := s.exp.Lock(hash)
-	mu.Lock()
-	if s.expiredLocked(ns, key, hash) {
-		mu.Unlock()
-		return false, nil
-	}
-	if _, ok := s.h.GetKV(ns, key); !ok {
-		mu.Unlock()
-		return false, nil
-	}
-	var seq uint64
-	var err error
-	if atMs <= s.exp.Now() {
-		s.h.DeleteKVHashed(ns, key, hash)
-		s.exp.Remove(ns, key, hash)
-		seq, err = s.log.LogKVDelete(ns, key)
-	} else {
-		s.exp.ExpireAt(ns, key, hash, atMs)
-		seq, err = s.log.LogKVExpire(ns, key, atMs)
-	}
-	mu.Unlock()
-	if err != nil {
-		return true, err
-	}
-	return true, s.log.SyncWait(seq)
+	found, seq, err := s.kv.ExpireAt(ns, key, s.tbl.HashOfKV(ns, key), at.UnixMilli())
+	return found, s.synced(seq, err)
 }
 
 // Expire sets a relative TTL on a live key; sugar over ExpireAt.
@@ -131,23 +85,8 @@ func (s *Store) Persist(ns uint16, key []byte) (bool, error) {
 	if s.exp == nil {
 		return false, core.ErrWrongMode
 	}
-	hash := s.tbl.HashOfKV(ns, key)
-	mu := s.exp.Lock(hash)
-	mu.Lock()
-	if s.expiredLocked(ns, key, hash) {
-		mu.Unlock()
-		return false, nil
-	}
-	if !s.exp.Remove(ns, key, hash) {
-		mu.Unlock()
-		return false, nil
-	}
-	seq, err := s.log.LogKVExpire(ns, key, 0)
-	mu.Unlock()
-	if err != nil {
-		return true, err
-	}
-	return true, s.log.SyncWait(seq)
+	removed, seq, err := s.kv.Persist(ns, key, s.tbl.HashOfKV(ns, key))
+	return removed, s.synced(seq, err)
 }
 
 // TTL reports key's remaining TTL: (ttl, true, true) with a deadline,
@@ -157,34 +96,14 @@ func (s *Store) TTL(ns uint16, key []byte) (ttl time.Duration, hasTTL, exists bo
 	if s.exp == nil {
 		return 0, false, false
 	}
-	hash := s.tbl.HashOfKV(ns, key)
-	mu := s.exp.Lock(hash)
-	mu.Lock()
-	defer mu.Unlock()
-	if s.expiredLocked(ns, key, hash) {
-		return 0, false, false
-	}
-	if _, ok := s.h.GetKV(ns, key); !ok {
-		return 0, false, false
-	}
-	if at, ok := s.exp.Deadline(ns, key, hash); ok {
-		return time.Duration(at-s.exp.Now()) * time.Millisecond, true, true
-	}
-	return 0, false, true
+	rem, hasTTL, exists := s.kv.TTL(ns, key, s.tbl.HashOfKV(ns, key))
+	return time.Duration(rem) * time.Millisecond, hasTTL, exists
 }
 
 // GetKV reads key with lazy expiry: an expired key is deleted and
 // answers as a miss. The value is a copy, valid indefinitely.
 func (s *Store) GetKV(ns uint16, key []byte) ([]byte, bool) {
-	if s.exp == nil {
-		return nil, false
-	}
-	hash := s.tbl.HashOfKV(ns, key)
-	if at, ok := s.exp.Deadline(ns, key, hash); ok && at <= s.exp.Now() {
-		mu := s.exp.Lock(hash)
-		mu.Lock()
-		s.expiredLocked(ns, key, hash)
-		mu.Unlock()
+	if s.exp == nil || s.kv.Expired(ns, key, s.tbl.HashOfKV(ns, key)) {
 		return nil, false
 	}
 	return s.h.GetKVCopy(ns, key)
@@ -196,35 +115,6 @@ func (s *Store) DeleteKV(ns uint16, key []byte) (bool, error) {
 	if s.exp == nil {
 		return false, core.ErrWrongMode
 	}
-	hash := s.tbl.HashOfKV(ns, key)
-	mu := s.exp.Lock(hash)
-	mu.Lock()
-	if s.expiredLocked(ns, key, hash) {
-		mu.Unlock()
-		return false, nil
-	}
-	if !s.h.DeleteKVHashed(ns, key, hash) {
-		mu.Unlock()
-		return false, nil
-	}
-	s.exp.Remove(ns, key, hash)
-	seq, err := s.log.LogKVDelete(ns, key)
-	mu.Unlock()
-	if err != nil {
-		return true, err
-	}
-	return true, s.log.SyncWait(seq)
-}
-
-// expiredLocked is the lazy-expire step, called with the stripe lock
-// held: if key's deadline has passed, delete the pair and drop the entry.
-// The deletion is not logged — replay re-derives the deadline and the
-// open-time purge re-deletes, converging to the same state.
-func (s *Store) expiredLocked(ns uint16, key []byte, hash uint64) bool {
-	if at, ok := s.exp.Deadline(ns, key, hash); ok && at <= s.exp.Now() {
-		s.h.DeleteKVHashed(ns, key, hash)
-		s.exp.Remove(ns, key, hash)
-		return true
-	}
-	return false
+	deleted, seq, err := s.kv.Delete(ns, key, s.tbl.HashOfKV(ns, key))
+	return deleted, s.synced(seq, err)
 }

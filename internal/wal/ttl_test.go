@@ -50,79 +50,6 @@ func wantMiss(t *testing.T, s *Store, ns uint16, key string) {
 	}
 }
 
-// TestStoreTTLBasics: the Store-level TTL surface — PutTTL sets a
-// deadline, lazy reads honour it, Expire/Persist/plain-put manage it.
-func TestStoreTTLBasics(t *testing.T) {
-	var now atomic.Int64
-	now.Store(1000)
-	s := openKV(t, t.TempDir(), &now)
-	defer s.Close()
-
-	if err := s.PutKV(1, []byte("plain"), []byte("v")); err != nil {
-		t.Fatalf("PutKV: %v", err)
-	}
-	if ttl, has, ok := s.TTL(1, []byte("plain")); has || !ok || ttl != 0 {
-		t.Fatalf("TTL(plain) = %v,%v,%v; want 0,false,true", ttl, has, ok)
-	}
-	if err := s.PutTTL(1, []byte("tmp"), []byte("v"), 500*time.Millisecond); err != nil {
-		t.Fatalf("PutTTL: %v", err)
-	}
-	if ttl, has, ok := s.TTL(1, []byte("tmp")); !has || !ok || ttl != 500*time.Millisecond {
-		t.Fatalf("TTL(tmp) = %v,%v,%v; want 500ms,true,true", ttl, has, ok)
-	}
-	wantKV(t, s, 1, "tmp", "v")
-
-	// Not expired one tick before the deadline, gone at it.
-	now.Store(1499)
-	wantKV(t, s, 1, "tmp", "v")
-	now.Store(1500)
-	wantMiss(t, s, 1, "tmp")
-	if _, _, ok := s.TTL(1, []byte("tmp")); ok {
-		t.Fatal("TTL on an expired key reported exists")
-	}
-	if ok, err := s.Expire(1, []byte("tmp"), time.Second); ok || err != nil {
-		t.Fatalf("Expire(expired) = %v,%v; want false,nil", ok, err)
-	}
-	if ok, err := s.DeleteKV(1, []byte("tmp")); ok || err != nil {
-		t.Fatalf("DeleteKV(expired) = %v,%v; want false,nil", ok, err)
-	}
-
-	// Expire on a live key, then Persist it back to immortal.
-	if ok, err := s.Expire(1, []byte("plain"), 300*time.Millisecond); !ok || err != nil {
-		t.Fatalf("Expire(plain) = %v,%v", ok, err)
-	}
-	if ok, err := s.Persist(1, []byte("plain")); !ok || err != nil {
-		t.Fatalf("Persist(plain) = %v,%v", ok, err)
-	}
-	if ok, err := s.Persist(1, []byte("plain")); ok || err != nil {
-		t.Fatalf("second Persist = %v,%v; want false,nil", ok, err)
-	}
-	now.Store(5000)
-	wantKV(t, s, 1, "plain", "v")
-
-	// A deadline in the past deletes immediately and still reports true.
-	if err := s.PutKV(1, []byte("past"), []byte("v")); err != nil {
-		t.Fatalf("PutKV(past): %v", err)
-	}
-	if ok, err := s.ExpireAt(1, []byte("past"), time.UnixMilli(now.Load())); !ok || err != nil {
-		t.Fatalf("ExpireAt(past) = %v,%v", ok, err)
-	}
-	wantMiss(t, s, 1, "past")
-
-	// A plain put over a TTL'd key clears the deadline.
-	if err := s.PutTTL(1, []byte("reset"), []byte("v1"), 100*time.Millisecond); err != nil {
-		t.Fatalf("PutTTL(reset): %v", err)
-	}
-	if err := s.PutKV(1, []byte("reset"), []byte("v2")); err != nil {
-		t.Fatalf("PutKV(reset): %v", err)
-	}
-	now.Store(50_000)
-	wantKV(t, s, 1, "reset", "v2")
-	if ttl, has, ok := s.TTL(1, []byte("reset")); has || !ok || ttl != 0 {
-		t.Fatalf("TTL(reset) = %v,%v,%v; want 0,false,true", ttl, has, ok)
-	}
-}
-
 // TestStoreTTLReopen: deadlines are durable. Keys that expired while the
 // store was closed are purged at open; future deadlines, persisted keys
 // and cleared TTLs all come back exactly as written.

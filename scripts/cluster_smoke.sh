@@ -5,10 +5,9 @@
 # them with `dlht-loadgen -addrs` (the consistent-hashed Cluster Store) in
 # the synchronous shape at two connection counts — 4, and the
 # many-small-clients regime at 64 — plus the pipelined (-async) shape, and
-# appends one JSON line per invocation to BENCH_ci.json:
+# prints one summary line:
 #
-#	{"commit":"...","date":"...","go":"...","cluster_smoke":
-#	  {"shards":3,"sync_mreqs":0.05,"sync64_mreqs":0.11,"async_mreqs":0.22}}
+#	cluster smoke (sync=0.05 M/s sync64=0.11 M/s async=0.22 M/s)
 #
 # Any loadgen error (transport failure, unexpected status, missing key)
 # fails the script, so this doubles as an end-to-end correctness gate for
@@ -19,20 +18,13 @@
 # (R=2, W=1) loadgen run, kill -9 of one shard mid-run, restart from the
 # same WAL directory — the loadgen must ride through the outage (error
 # rate under -max-error-rate, every loaded key readable afterwards, no
-# client restart) and a second JSON line records the availability:
+# client restart) and a second summary line records the availability:
 #
-#	{"commit":"...","date":"...","go":"...","failover_smoke":
-#	  {"shards":3,"replicas":2,"write_quorum":1,"availability_pct":99.98,
-#	   "retryable_errs":12,"mreqs":0.18}}
+#	failover smoke (availability=99.98% retryable=12 mreqs=0.18)
 #
-# Usage: scripts/cluster_smoke.sh [output-file]
+# Usage: scripts/cluster_smoke.sh
 set -eu
 cd "$(dirname "$0")/.."
-
-out="${1:-BENCH_ci.json}"
-commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-gover=$(go env GOVERSION)
 
 bindir=$(mktemp -d)
 synclog="$bindir/sync.log"
@@ -65,7 +57,7 @@ addrs=127.0.0.1:14141,127.0.0.1:14142,127.0.0.1:14143
 	-ops 200000 -keys 100000 -read-pct 50 >"$synclog" 2>&1 || {
 	status=$?
 	cat "$synclog"
-	echo "sync cluster run failed (exit $status); not appending to $out" >&2
+	echo "sync cluster run failed (exit $status)" >&2
 	exit "$status"
 }
 cat "$synclog"
@@ -76,7 +68,7 @@ cat "$synclog"
 	-ops 200000 -keys 100000 -read-pct 50 -skip-load >"$sync64log" 2>&1 || {
 	status=$?
 	cat "$sync64log"
-	echo "sync conns=64 cluster run failed (exit $status); not appending to $out" >&2
+	echo "sync conns=64 cluster run failed (exit $status)" >&2
 	exit "$status"
 }
 cat "$sync64log"
@@ -84,7 +76,7 @@ cat "$sync64log"
 	-ops 200000 -keys 100000 -read-pct 50 -skip-load -async >"$asynclog" 2>&1 || {
 	status=$?
 	cat "$asynclog"
-	echo "async cluster run failed (exit $status); not appending to $out" >&2
+	echo "async cluster run failed (exit $status)" >&2
 	exit "$status"
 }
 cat "$asynclog"
@@ -94,13 +86,11 @@ sync_m=$(awk '/^throughput:/ {print $2}' "$synclog")
 sync64_m=$(awk '/^throughput:/ {print $2}' "$sync64log")
 async_m=$(awk '/^throughput:/ {print $2}' "$asynclog")
 [ -n "$sync_m" ] && [ -n "$sync64_m" ] && [ -n "$async_m" ] || {
-	echo "could not parse throughput; not appending to $out" >&2
+	echo "could not parse throughput" >&2
 	exit 1
 }
 
-printf '{"commit":"%s","date":"%s","go":"%s","cluster_smoke":{"shards":3,"sync_mreqs":%s,"sync64_mreqs":%s,"async_mreqs":%s}}\n' \
-	"$commit" "$stamp" "$gover" "$sync_m" "$sync64_m" "$async_m" >>"$out"
-echo "appended cluster smoke (sync=$sync_m M/s sync64=$sync64_m M/s async=$async_m M/s) to $out"
+echo "cluster smoke (sync=$sync_m M/s sync64=$sync64_m M/s async=$async_m M/s)"
 
 # ---- failover case: kill -9 one replicated durable shard mid-run ----
 #
@@ -143,7 +133,7 @@ PIDS="$PIDS $!"
 wait "$LG" || {
 	status=$?
 	cat "$faillog"
-	echo "failover run failed (exit $status); not appending to $out" >&2
+	echo "failover run failed (exit $status)" >&2
 	exit "$status"
 }
 cat "$faillog"
@@ -159,10 +149,8 @@ avail=$(awk '/^availability:/ {sub(/%/, "", $2); print $2}' "$faillog")
 retryable=$(awk '/^errors:/ {sub(/,/, "", $4); print $4}' "$faillog")
 fail_m=$(awk '/^throughput:/ {print $2}' "$faillog")
 [ -n "$avail" ] && [ -n "$retryable" ] && [ -n "$fail_m" ] || {
-	echo "could not parse failover metrics; not appending to $out" >&2
+	echo "could not parse failover metrics" >&2
 	exit 1
 }
 
-printf '{"commit":"%s","date":"%s","go":"%s","failover_smoke":{"shards":3,"replicas":2,"write_quorum":1,"availability_pct":%s,"retryable_errs":%s,"mreqs":%s}}\n' \
-	"$commit" "$stamp" "$gover" "$avail" "$retryable" "$fail_m" >>"$out"
-echo "appended failover smoke (availability=$avail% retryable=$retryable mreqs=$fail_m) to $out"
+echo "failover smoke (availability=$avail% retryable=$retryable mreqs=$fail_m)"

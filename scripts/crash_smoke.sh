@@ -8,20 +8,14 @@
 #
 #	acked ≤ recovered ≤ issued   (per key)
 #
-# — no acknowledged write lost, no phantom writes. Appends one JSON line
-# to BENCH_ci.json:
+# — no acknowledged write lost, no phantom writes. The last line of output
+# is the summary:
 #
-#	{"commit":"...","date":"...","go":"...","crash_smoke":
-#	  {"keys":512,"acked_rounds":1234,"recovered_rounds":1250}}
+#	crash smoke (keys=512 acked=1234 recovered=1250)
 #
-# Usage: scripts/crash_smoke.sh [output-file]
+# Usage: scripts/crash_smoke.sh
 set -eu
 cd "$(dirname "$0")/.."
-
-out="${1:-BENCH_ci.json}"
-commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-gover=$(go env GOVERSION)
 
 bindir=$(mktemp -d)
 waldir="$bindir/wal"
@@ -76,7 +70,7 @@ grep 'recovered' "$bindir/s2.log" || true
 	status=$?
 	cat "$verifylog"
 	cat "$bindir/s2.log"
-	echo "crash verify failed (exit $status); not appending to $out" >&2
+	echo "crash verify failed (exit $status)" >&2
 	exit "$status"
 }
 cat "$verifylog"
@@ -86,10 +80,8 @@ keys=$(awk -F'[ ,]+' '/^.*verify OK:/ {for (i=1;i<NF;i++) if ($(i+1)=="keys") pr
 acked=$(awk '/verify OK:/ {for (i=1;i<NF;i++) if ($i=="acked" && $(i+1)=="rounds") {gsub(",","",$(i+2)); print $(i+2)}}' "$verifylog")
 recovered=$(awk '/verify OK:/ {for (i=1;i<NF;i++) if ($i=="recovered" && $(i+1)=="rounds") {gsub(",","",$(i+2)); print $(i+2)}}' "$verifylog")
 [ -n "$keys" ] && [ -n "$acked" ] && [ -n "$recovered" ] || {
-	echo "could not parse verify summary; not appending to $out" >&2
+	echo "could not parse verify summary" >&2
 	exit 1
 }
 
-printf '{"commit":"%s","date":"%s","go":"%s","crash_smoke":{"keys":%s,"acked_rounds":%s,"recovered_rounds":%s}}\n' \
-	"$commit" "$stamp" "$gover" "$keys" "$acked" "$recovered" >>"$out"
-echo "appended crash smoke (keys=$keys acked=$acked recovered=$recovered) to $out"
+echo "crash smoke (keys=$keys acked=$acked recovered=$recovered)"

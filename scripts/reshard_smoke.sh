@@ -14,20 +14,13 @@
 # availability line must clear -max-error-rate 0.1 (>= 99.9% of ops
 # acked straight through two ring flips and a shard crash), -verify must
 # find every acked insert readable on the final ring, and the reshard
-# must actually have moved keys. One JSON line goes to BENCH_ci.json:
+# must actually have moved keys. The last line of output is the summary:
 #
-#	{"commit":"...","date":"...","go":"...","reshard_smoke":
-#	  {"shards":3,"replicas":2,"write_quorum":1,"churn":1,
-#	   "availability_pct":99.99,"moved_keys":40813,"mreqs":0.18}}
+#	reshard smoke (availability=99.99% moved=40813 mreqs=0.18 M/s)
 #
-# Usage: scripts/reshard_smoke.sh [output-file]
+# Usage: scripts/reshard_smoke.sh
 set -eu
 cd "$(dirname "$0")/.."
-
-out="${1:-BENCH_ci.json}"
-commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-gover=$(go env GOVERSION)
 
 bindir=$(mktemp -d)
 runlog="$bindir/reshard.log"
@@ -80,7 +73,7 @@ PIDS="$PIDS $!"
 wait "$LG" || {
 	status=$?
 	cat "$runlog"
-	echo "reshard run failed (exit $status); not appending to $out" >&2
+	echo "reshard run failed (exit $status)" >&2
 	exit "$status"
 }
 cat "$runlog"
@@ -100,7 +93,7 @@ avail=$(awk '/^availability:/ {sub(/%/, "", $2); print $2}' "$runlog")
 moved=$(awk '/^reshard: moved/ {print $3}' "$runlog")
 mreqs=$(awk '/^throughput:/ {print $2}' "$runlog")
 [ -n "$avail" ] && [ -n "$moved" ] && [ -n "$mreqs" ] || {
-	echo "could not parse reshard metrics; not appending to $out" >&2
+	echo "could not parse reshard metrics" >&2
 	exit 1
 }
 [ "$moved" -gt 0 ] || {
@@ -108,6 +101,4 @@ mreqs=$(awk '/^throughput:/ {print $2}' "$runlog")
 	exit 1
 }
 
-printf '{"commit":"%s","date":"%s","go":"%s","reshard_smoke":{"shards":3,"replicas":2,"write_quorum":1,"churn":1,"availability_pct":%s,"moved_keys":%s,"mreqs":%s}}\n' \
-	"$commit" "$stamp" "$gover" "$avail" "$moved" "$mreqs" >>"$out"
-echo "appended reshard smoke (availability=$avail% moved=$moved mreqs=$mreqs M/s) to $out"
+echo "reshard smoke (availability=$avail% moved=$moved mreqs=$mreqs M/s)"

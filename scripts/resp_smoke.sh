@@ -7,19 +7,14 @@
 # (redis-cli sanity incl. TTL expiry, then redis-benchmark -t set,get
 # -P 16); otherwise it falls back to the internal RESP client
 # (dlht-loadgen -resp), which runs the same sanity and phases, and notes
-# the skip. Appends one JSON line to BENCH_ci.json:
+# the skip. It is a pass/fail gate; the last line of output is the
+# summary:
 #
-#	{"commit":"...","date":"...","go":"...","resp_smoke":
-#	  {"tool":"redis-benchmark","set_mreqs":0.42,"get_mreqs":0.61}}
+#	resp smoke (tool=redis-benchmark set=0.42 get=0.61 Mreq/s)
 #
-# Usage: scripts/resp_smoke.sh [output-file]
+# Usage: scripts/resp_smoke.sh
 set -eu
 cd "$(dirname "$0")/.."
-
-out="${1:-BENCH_ci.json}"
-commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-gover=$(go env GOVERSION)
 
 bindir=$(mktemp -d)
 benchlog="$bindir/bench.log"
@@ -56,7 +51,7 @@ if command -v redis-benchmark >/dev/null 2>&1 && command -v redis-cli >/dev/null
 	redis-benchmark -h "$host" -p "$port" -t set,get -n 200000 -P 16 --csv >"$benchlog" 2>&1 || {
 		status=$?
 		cat "$benchlog"
-		echo "redis-benchmark failed (exit $status); not appending to $out" >&2
+		echo "redis-benchmark failed (exit $status)" >&2
 		exit "$status"
 	}
 	cat "$benchlog"
@@ -70,7 +65,7 @@ else
 		status=$?
 		cat "$benchlog"
 		cat "$bindir/server.log"
-		echo "dlht-loadgen -resp failed (exit $status); not appending to $out" >&2
+		echo "dlht-loadgen -resp failed (exit $status)" >&2
 		exit "$status"
 	}
 	cat "$benchlog"
@@ -80,10 +75,8 @@ else
 fi
 
 [ -n "$set_mreqs" ] && [ -n "$get_mreqs" ] || {
-	echo "could not parse throughput from $benchlog; not appending to $out" >&2
+	echo "could not parse throughput from $benchlog" >&2
 	exit 1
 }
 
-printf '{"commit":"%s","date":"%s","go":"%s","resp_smoke":{"tool":"%s","set_mreqs":%s,"get_mreqs":%s}}\n' \
-	"$commit" "$stamp" "$gover" "$tool" "$set_mreqs" "$get_mreqs" >>"$out"
-echo "appended resp smoke (tool=$tool set=$set_mreqs get=$get_mreqs Mreq/s) to $out"
+echo "resp smoke (tool=$tool set=$set_mreqs get=$get_mreqs Mreq/s)"
