@@ -82,7 +82,7 @@ func main() {
 		embedded = flag.Bool("embedded", false, "start an in-process server on a loopback port (ignores -addr)")
 		window   = flag.Int("window", 0, "embedded server's prefetch window (<=0 = default 16)")
 		bins     = flag.Uint64("bins", 1<<18, "embedded server's initial bin count")
-		execName = flag.String("exec", "shared", "embedded server's execution model: shared|partitioned|conn")
+		execName = flag.String("exec", "shared", "embedded server's execution model: shared|conn")
 
 		replicas    = flag.Int("replicas", 0, "cluster mode: copies per key (0/1 = no replication)")
 		writeQuorum = flag.Int("write-quorum", 0, "cluster mode: acks required per write (0 = replicas)")
@@ -136,7 +136,7 @@ func main() {
 	if *embedded {
 		execMode, ok := server.ParseExecMode(*execName)
 		if !ok {
-			log.Fatalf("unknown -exec %q (want shared|partitioned|conn)", *execName)
+			log.Fatalf("unknown -exec %q (want shared|conn)", *execName)
 		}
 		tbl, err := dlht.New(dlht.Config{Bins: *bins, Resizable: true, MaxThreads: 4096, PrefetchWindow: *window})
 		if err != nil {
@@ -403,6 +403,19 @@ func (cfg clusterConfig) clusterOpts() dlht.ClusterOpts {
 	return dlht.ClusterOpts{Replicas: cfg.replicas, WriteQuorum: cfg.writeQuorum}
 }
 
+// client opens one per-goroutine cluster instance: over the shared
+// topology when there is one (churn), else a cluster of its own.
+func (cfg clusterConfig) client(topo *dlht.Topology) (*dlht.Cluster, error) {
+	if topo != nil {
+		return topo.NewClient()
+	}
+	s, err := dlht.Open("cluster:"+strings.Join(cfg.shards, ","), dlht.WithClusterOpts(cfg.clusterOpts()))
+	if err != nil {
+		return nil, err
+	}
+	return s.(*dlht.Cluster), nil
+}
+
 // errCounts classifies per-op failures. Retryable errors are transport
 // blips the retry/failover machinery could not absorb in time, terminal
 // errors are semantic refusals (protocol or table level), and misses are
@@ -516,13 +529,7 @@ func runCluster(cfg clusterConfig) {
 // inserts that survived neither any replica nor its WAL. Under churn the
 // check rides the shared topology: the final ring may include spares.
 func clusterVerify(cfg clusterConfig, topo *dlht.Topology) uint64 {
-	var clu *dlht.Cluster
-	var err error
-	if topo != nil {
-		clu, err = topo.NewClient()
-	} else {
-		clu, err = dlht.DialCluster(cfg.shards, cfg.clusterOpts())
-	}
+	clu, err := cfg.client(topo)
 	if err != nil {
 		log.Fatalf("verify: dial: %v", err)
 	}
@@ -593,7 +600,7 @@ func clusterLoad(cfg clusterConfig) (bench.Measurement, *errCounts) {
 		wg.Add(1)
 		go func(lo, hi uint64) {
 			defer wg.Done()
-			clu, err := dlht.DialCluster(cfg.shards, cfg.clusterOpts())
+			clu, err := cfg.client(nil)
 			if err != nil {
 				errs.note(err, false)
 				return
@@ -666,13 +673,7 @@ func clusterRun(cfg clusterConfig, topo *dlht.Topology) (bench.Measurement, benc
 		wg.Add(1)
 		go func(c int, quota uint64) {
 			defer wg.Done()
-			var clu *dlht.Cluster
-			var err error
-			if topo != nil {
-				clu, err = topo.NewClient()
-			} else {
-				clu, err = dlht.DialCluster(cfg.shards, cfg.clusterOpts())
-			}
+			clu, err := cfg.client(topo)
 			if err != nil {
 				for i := uint64(0); i < quota; i++ {
 					errs.note(err, false)

@@ -20,10 +20,8 @@
 // shared): connection readers enqueue decoded frames into per-core
 // executor shards, each owning one table handle and a long-lived pipeline,
 // so the paper's batching win applies across a fleet of synchronous
-// clients, not just within one deeply-pipelined connection. -exec
-// partitioned routes by key hash instead (per-key serialization, disjoint
-// bins per shard), and -exec conn restores the goroutine-per-connection
-// model for A/B comparison.
+// clients, not just within one deeply-pipelined connection. -exec conn
+// restores the goroutine-per-connection model for A/B comparison.
 //
 // Usage:
 //
@@ -46,6 +44,7 @@ import (
 
 	dlht "repro"
 	"repro/internal/server"
+	"repro/internal/wal"
 )
 
 func main() {
@@ -60,7 +59,7 @@ func main() {
 		durableDir = flag.String("durable", "", "back the default table with a group-commit WAL in this directory (empty = RAM only)")
 		idle       = flag.Duration("idle-timeout", 0, "close connections idle (unreadable or unwritable) for this long; 0 disables")
 		trackVers  = flag.Bool("track-versions", false, "maintain a per-key write-version index (serves OpGetVer; cluster resharding and anti-entropy use it for exact last-write-wins ordering)")
-		execName   = flag.String("exec", "shared", "execution model: shared (sharded executor), partitioned (executor with key-hash routing), conn (goroutine per connection)")
+		execName   = flag.String("exec", "shared", "execution model: shared (sharded executor), conn (goroutine per connection)")
 		execShards = flag.Int("exec-shards", 0, "executor shards per table (0 = GOMAXPROCS; ignored with -exec=conn)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 		respAddr   = flag.String("resp", "", "serve RESP2 (the Redis protocol) on this address (e.g. :6379); empty disables")
@@ -69,7 +68,7 @@ func main() {
 	flag.Parse()
 	execMode, ok := server.ParseExecMode(*execName)
 	if !ok {
-		log.Fatalf("unknown -exec %q (want shared|partitioned|conn)", *execName)
+		log.Fatalf("unknown -exec %q (want shared|conn)", *execName)
 	}
 	if *pprofAddr != "" {
 		go func() {
@@ -102,7 +101,7 @@ func main() {
 	// last responses on the log); they are closed, in order, on the way out.
 	var durables []*dlht.DurableStore
 	openDurable := func(what, dir string, tcfg dlht.Config) *dlht.DurableStore {
-		ds, err := dlht.OpenDurable(dir, tcfg, dlht.WALOptions{})
+		ds, err := wal.Open(dir, tcfg, wal.Options{})
 		if err != nil {
 			log.Fatalf("%s: open durable dir %s: %v", what, dir, err)
 		}

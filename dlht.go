@@ -93,9 +93,11 @@
 // therefore per-key program order everywhere). Remote errors map back onto
 // the same sentinels local tables return, so errors.Is-based handling is
 // backend-independent; Open's own failures wrap ErrBadSpec or the
-// backend's dial error. The concrete constructors (Table.Store, Dial,
-// DialTable, NewCluster, DialCluster, OpenDurable) remain for callers that
-// want a wider concrete surface than the Store interface.
+// backend's dial error. Open is the one constructor beside New and
+// Table.Store: a caller that wants a backend's wider surface type-asserts
+// the result (*Client for tcp://, *Cluster for cluster:, *DurableStore for
+// wal:), and DialTopology shares one cluster membership between many
+// per-goroutine instances.
 //
 // The wal: backend executes every mutation in memory first and appends a
 // CRC-framed redo record; the synchronous ops return — and pipelined
@@ -109,13 +111,19 @@
 // The cluster: backend can replicate: with ClusterOpts.Replicas = R every
 // key lives on R successor shards of the consistent-hash ring, writes
 // complete after WriteQuorum acks (default write-all), and reads fail
-// over replica by replica on retryable errors. Each shard connection
-// transparently redials with capped exponential backoff (ClusterOpts.
-// Retry / ClientOpts.Retry), a failure detector sidelines shards after
-// consecutive retryable failures and re-admits them via background
-// probes, and a dead transport fails every pending pipelined completion
-// with its error instead of hanging. IsRetryable is the shared
-// classification: transport conditions retry, table refusals do not.
+// over replica by replica on retryable errors. There is one
+// implementation of a replicated operation, the cluster's Pipe; its
+// synchronous Get/Put/Insert/Delete are a pipe of one (enqueue, flush,
+// return the completion). Each shard connection transparently redials
+// with capped exponential backoff (ClusterOpts.Retry / ClientOpts.Retry),
+// a failure detector sidelines shards after consecutive retryable
+// failures and re-admits them via background probes, and a dead transport
+// fails every pending pipelined completion with its error instead of
+// hanging. The retry budget (RetryPolicy.Max) applies per synchronous op:
+// a pipelined op fails once and the pipe heals on its next enqueue, a
+// synchronous one is re-enqueued under the policy's backoff. IsRetryable
+// is the shared classification: transport conditions retry, table
+// refusals do not.
 // With W = R an acked write survives any single-shard loss — a kill -9'd
 // shard restarted from its WAL rejoins with no client restart. See the
 // README's "Fault tolerance" section for the semantics and knobs.
@@ -173,8 +181,8 @@ type (
 	Stats = core.Stats
 
 	// Store is the backend-independent op surface implemented by local
-	// tables ((*Table).Store), network clients (Dial) and sharded clusters
-	// (DialCluster). One Store per goroutine.
+	// tables ((*Table).Store), network clients, sharded clusters and
+	// durable stores (Open). One Store per goroutine.
 	Store = core.Store
 	// Pipe is a Store's completion-driven pipelined surface.
 	Pipe = core.Pipe
@@ -183,10 +191,10 @@ type (
 	// Completion is the result of one pipelined Store request.
 	Completion = core.Completion
 	// Cluster consistent-hashes keys across N Stores (one pipelined
-	// protocol-v2 connection per shard when built with DialCluster) and is
-	// itself a Store.
+	// protocol-v2 connection per shard) and is itself a Store: the
+	// concrete type behind cluster: specs and Topology.NewClient.
 	Cluster = cluster.Cluster
-	// ClusterOpts configures NewCluster/DialCluster.
+	// ClusterOpts configures a cluster (WithClusterOpts, DialTopology).
 	ClusterOpts = cluster.Opts
 	// Topology is a cluster's shared membership state: online membership
 	// changes (AddShard/RemoveShard/ReplaceShard), consistent Members
@@ -197,11 +205,11 @@ type (
 	// ScrubOpts tunes Topology.StartScrub, the background anti-entropy
 	// pass that converges diverged replicas without client reads.
 	ScrubOpts = cluster.ScrubOpts
-	// Client is the pipelined network client returned by Dial; beyond the
-	// Store surface it exposes the raw protocol (Send/Flush/Recv), async
-	// callbacks, and the KV surface for Allocator-mode tables.
+	// Client is the pipelined network client behind tcp:// specs; beyond
+	// the Store surface it exposes the raw protocol (Send/Flush/Recv),
+	// async callbacks, and the KV surface for Allocator-mode tables.
 	Client = server.Client
-	// ClientOpts configures DialTable.
+	// ClientOpts configures a Client (WithClientOpts).
 	ClientOpts = server.ClientOpts
 	// RetryPolicy bounds a connection's transparent redial-and-retry
 	// behavior on retryable failures: attempt budget plus capped
@@ -295,42 +303,6 @@ func NewArena() alloc.Allocator { return alloc.NewArena() }
 // NewNaiveAllocator returns the mutex-guarded baseline allocator (the
 // "No mimalloc" configuration of the paper's Fig 14 ablation).
 func NewNaiveAllocator() alloc.Allocator { return alloc.NewNaive() }
-
-// Dial connects to a dlht-server at addr (protocol v2, default table) and
-// returns it as a Store — an alias of Open("tcp://"+addr). The concrete
-// type is *Client; use DialTable for a named table, timeouts, or direct
-// access to the client's wider surface.
-func Dial(addr string) (Store, error) {
-	cl, err := server.DialV2(addr, server.ClientOpts{})
-	if err != nil {
-		// Return a bare nil interface, not a typed-nil *Client.
-		return nil, err
-	}
-	return cl, nil
-}
-
-// DialTable connects to a dlht-server with explicit client options —
-// table selector, feature set, read/write deadlines. It is the
-// concrete-typed form of Open("tcp://host:port/table",
-// WithClientOpts(opts)).
-func DialTable(addr string, opts ClientOpts) (*Client, error) {
-	return server.DialV2(addr, opts)
-}
-
-// NewCluster builds a sharded Store over pre-opened member stores; names
-// give the shards their consistent-hash ring identities. Close closes the
-// members.
-func NewCluster(names []string, stores []Store, opts ClusterOpts) (*Cluster, error) {
-	return cluster.New(names, stores, opts)
-}
-
-// DialCluster opens one pipelined protocol-v2 connection per address and
-// consistent-hashes keys across them; the address list is the ring
-// identity, so routing is stable across reconnects. It is the
-// concrete-typed form of Open("cluster:a,b,c", WithClusterOpts(opts)).
-func DialCluster(addrs []string, opts ClusterOpts) (*Cluster, error) {
-	return cluster.Dial(addrs, opts)
-}
 
 // DialTopology builds a shared cluster membership over addrs without
 // opening data connections: each worker goroutine takes its own Store

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"strings"
 
 	dlht "repro"
 	"repro/internal/server"
@@ -101,7 +102,7 @@ func main() {
 	demo("local", local)
 	local.Close()
 
-	remote, err := dlht.Dial(serve())
+	remote, err := dlht.Open("tcp://" + serve())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,11 +110,12 @@ func main() {
 	remote.Close()
 
 	shards := []string{serve(), serve(), serve()}
-	clu, err := dlht.DialCluster(shards, dlht.ClusterOpts{})
+	sharded, err := dlht.Open("cluster:" + strings.Join(shards, ","))
 	if err != nil {
 		log.Fatal(err)
 	}
-	demo("cluster", clu)
+	demo("cluster", sharded)
+	clu := sharded.(*dlht.Cluster) // the concrete type, for the membership view
 	for i := 0; i < clu.NumShards(); i++ {
 		fmt.Printf("cluster: shard %d is %s\n", i, clu.Names()[i])
 	}

@@ -23,6 +23,16 @@
 // ordering contract that makes DLHT's batch API safe for lock managers
 // (§3.3) survives sharding, weakened only from total order to per-shard
 // order.
+//
+// There is one implementation of a replicated operation, repPipe
+// (reppipe.go): replica walk, write quorum, detector feedback, read repair
+// and the reshard handoff (journal, double-write, sealed-range wait) live
+// there and nowhere else. The synchronous Get/Put/Insert/Delete are a pipe
+// of one — enqueue, flush, return the completion (Cluster.sync) — so a
+// sync write at R > 1 is enqueued on every replica before any is awaited.
+// The one thing sync ops add is the per-op retry budget: a pipe fails an op
+// once and heals on its next enqueue, so sync re-enqueues a retryable
+// failure up to Opts.Retry.Max times with that policy's backoff.
 package cluster
 
 import (
@@ -78,10 +88,11 @@ type Opts struct {
 	// optimistically re-admitted after one interval and the next real
 	// operation is its probe.
 	Probe func(name string) error
-	// Retry is each shard connection's transparent redial-and-retry
-	// policy (Dial only). The zero value selects server.DefaultRetry —
-	// replication is pointless over connections that stay broken after a
-	// blip — set Max < 0 to disable retries entirely.
+	// Retry is each shard connection's transparent redial policy and the
+	// sync ops' per-op retry budget (Dial only; see Cluster.sync). The
+	// zero value selects server.DefaultRetry — replication is pointless
+	// over connections that stay broken after a blip — set Max < 0 to
+	// disable retries entirely.
 	Retry server.RetryPolicy
 
 	// OpenShard opens a Store for a shard name, enabling online
@@ -117,14 +128,16 @@ type Cluster struct {
 
 	// inflight/seenGen implement the reshard quiesce fence (see
 	// Topology.quiesce): inflight counts operations admitted but not yet
-	// completed (sync ops for their duration; pipelined ops from enqueue
-	// to delivery), seenGen is the latest ring generation this instance
-	// has fully adopted.
+	// delivered, seenGen is the latest ring generation this instance has
+	// fully adopted. Both are maintained by repPipe.
 	inflight atomic.Int64
 	seenGen  atomic.Uint64
 
-	scratch  []int // replica-set buffer for the sync ops
-	scratch2 []int // target-ring replica-set buffer (handoff window)
+	// one is the sync ops' pipe (see sync), opened on first use; done is
+	// its last completion, rng the backoff jitter state.
+	one  *repPipe
+	done core.Completion
+	rng  uint64
 }
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle
@@ -186,10 +199,11 @@ func withDialDefaults(opts Opts) Opts {
 	return opts
 }
 
-// wireDial installs the Dial-mode open callbacks: ordinary data
-// connections for instances, reshard-featured connections (OpGetVer/
-// OpScan granted) for the coordinator and scrubber.
+// wireDial installs the Dial-mode retry budget and open callbacks:
+// ordinary data connections for instances, reshard-featured connections
+// (OpGetVer/OpScan granted) for the coordinator and scrubber.
 func (t *Topology) wireDial(opts Opts) {
+	t.retry = opts.Retry
 	t.openShard = func(addr string) (core.Store, error) {
 		return server.DialV2(addr, server.ClientOpts{
 			Table:        opts.Table,
@@ -315,207 +329,41 @@ func (c *Cluster) Shard(i int) core.Store {
 	return s
 }
 
-// opEnter admits one operation under the quiesce fence: inflight is
-// raised BEFORE the tab load (the ordering quiesce relies on), and the
-// loaded generation becomes this instance's seenGen — correct for sync
-// ops because a Cluster is single-goroutine, so every earlier op has
-// fully completed.
-func (c *Cluster) opEnter() *ringTab {
-	c.inflight.Add(1)
-	tab := c.topo.tab.Load()
-	c.seenGen.Store(tab.gen)
-	return tab
-}
+func (c *Cluster) Get(key uint64) (uint64, bool, error) { return c.sync(core.OpGet, key, 0) }
 
-func (c *Cluster) opExit() { c.inflight.Add(-1) }
-
-func (c *Cluster) Get(key uint64) (uint64, bool, error) {
-	tab := c.opEnter()
-	defer c.opExit()
-	return c.read(tab, key)
-}
-
-func (c *Cluster) Put(key, val uint64) (uint64, bool, error) {
-	tab := c.opEnter()
-	defer c.opExit()
-	return c.write(tab, core.OpPut, key, val)
-}
+func (c *Cluster) Put(key, val uint64) (uint64, bool, error) { return c.sync(core.OpPut, key, val) }
 
 func (c *Cluster) Insert(key, val uint64) (uint64, bool, error) {
-	tab := c.opEnter()
-	defer c.opExit()
-	return c.write(tab, core.OpInsert, key, val)
+	return c.sync(core.OpInsert, key, val)
 }
 
-func (c *Cluster) Delete(key uint64) (uint64, bool, error) {
-	tab := c.opEnter()
-	defer c.opExit()
-	return c.write(tab, core.OpDelete, key, 0)
-}
+func (c *Cluster) Delete(key uint64) (uint64, bool, error) { return c.sync(core.OpDelete, key, 0) }
 
-// apply runs one sync op against a slot's store, treating an unopenable
-// store as a retryable shard failure.
-func (c *Cluster) apply(slot int, kind core.OpKind, key, val uint64) (uint64, bool, error) {
-	s, err := c.store(slot)
-	if err != nil {
-		return 0, false, fmt.Errorf("%w: %w", server.ErrRetryable, err)
+// sync runs one operation as a pipe of one (see the package comment):
+// enqueue on the instance's window-1 repPipe, flush, re-enqueue a retryable
+// failure within the retry budget (zero for New-mode clusters), and map
+// the completion onto the Store contract. A retried write is at-least-once:
+// a retried Insert whose first attempt applied reports the key as present.
+func (c *Cluster) sync(kind core.OpKind, key, val uint64) (uint64, bool, error) {
+	if c.one == nil {
+		c.one = c.newRepPipe(1, func(cc core.Completion) { c.done = cc })
 	}
-	switch kind {
-	case core.OpGet:
-		return s.Get(key)
-	case core.OpPut:
-		return s.Put(key, val)
-	case core.OpInsert:
-		return s.Insert(key, val)
-	default:
-		return s.Delete(key)
-	}
-}
-
-// read tries the key's replicas in rank order — primary first — failing
-// over to the next on retryable errors. A terminal (table-level) answer
-// from any replica returns immediately: it IS the answer. Down shards
-// are deferred to a last-resort second pass in case the detector is
-// stale. A read served by a non-primary replica may be stale under
-// W < R, so it nudges the scrubber to repair the key in the background.
-func (c *Cluster) read(tab *ringTab, key uint64) (uint64, bool, error) {
-	cands := replicasOn(tab.ring, c.topo.keyh(key), c.topo.replicas, c.scratch)
-	c.scratch = cands
-	var lastErr error
-	var tried uint64
-	for pass := 0; pass < 2; pass++ {
-		for ci, s := range cands {
-			if pass == 0 && c.topo.det.isDown(s) {
-				continue
-			}
-			if tried&(1<<ci) != 0 {
-				continue
-			}
-			tried |= 1 << ci
-			v, ok, err := c.apply(s, core.OpGet, key, 0)
-			if err == nil {
-				c.topo.det.ok(s)
-				if ci > 0 {
-					// Served by a lower-rank replica: the copies may have
-					// diverged. Read repair runs out of band.
-					c.topo.noteDivergence(key)
-				}
-				return v, ok, nil
-			}
-			if !server.IsRetryable(err) {
-				return v, ok, err
-			}
-			c.topo.det.fail(s)
-			lastErr = err
+	pol := c.topo.retry
+	for attempt := 0; ; attempt++ {
+		if err := c.one.enq(kind, key, val); err != nil {
+			return 0, false, err
 		}
-	}
-	return 0, false, fmt.Errorf("cluster: all %d replicas of key failed: %w", len(cands), lastErr)
-}
-
-// waitMovable holds a write to a key in a sealed moving range until the
-// ring flips (or the reshard aborts): the sealed window is what makes the
-// final journal copy authoritative. seenGen advances with each reload so
-// the coordinator's quiesce never waits on a spinning writer.
-func (c *Cluster) waitMovable(tab *ringTab, key uint64) *ringTab {
-	for tab.phase == phaseSealed && c.topo.keyMoving(tab, key) {
-		time.Sleep(200 * time.Microsecond)
-		tab = c.topo.tab.Load()
-		c.seenGen.Store(tab.gen)
-	}
-	return tab
-}
-
-// write fans kind out to every replica of key, in rank order, and
-// succeeds once WriteQuorum replicas have acked. The result reported is
-// the primary-most ack (rank order is attempt order). A terminal refusal
-// from any replica returns immediately. Down shards are skipped unless
-// the up ones cannot reach quorum, in which case they get a second
-// chance.
-//
-// During a handoff window the write additionally journals its key (if
-// its range is moving) and double-writes, best-effort, to the incoming
-// owners — the warm-up that keeps the sealed-phase journal copy small.
-func (c *Cluster) write(tab *ringTab, kind core.OpKind, key, val uint64) (uint64, bool, error) {
-	tab = c.waitMovable(tab, key)
-	h := c.topo.keyh(key)
-	cands := replicasOn(tab.ring, h, c.topo.replicas, c.scratch)
-	c.scratch = cands
-	var extras []int
-	if tab.phase == phaseHandoff {
-		newSet := replicasOn(tab.next, h, c.topo.replicas, c.scratch2)
-		c.scratch2 = newSet
-		extras = newSet[:0] // filter in place: members of newSet not in cands
-		for _, s := range newSet {
-			in := false
-			for _, o := range cands {
-				if o == s {
-					in = true
-					break
-				}
-			}
-			if !in {
-				extras = append(extras, s)
-			}
+		c.one.Flush() // errors surface through the op's own completion
+		if c.done.Err == nil || attempt >= pol.Max || !server.IsRetryable(c.done.Err) {
+			break
 		}
-		if len(extras) > 0 {
-			// Journal BEFORE issuing anything: once this write is acked,
-			// the sealed-phase copy re-reads the key authoritatively.
-			c.topo.journalAdd(key)
-		}
+		time.Sleep(pol.Backoff(attempt, &c.rng))
 	}
-	acks := 0
-	var rval uint64
-	var okv, haveRes bool
-	var lastErr error
-	var tried uint64
-	for pass := 0; pass < 2; pass++ {
-		if pass == 1 && acks >= c.topo.wq {
-			break // quorum reached; don't resurrect down shards needlessly
-		}
-		for ci, s := range cands {
-			if pass == 0 && c.topo.det.isDown(s) {
-				continue
-			}
-			if tried&(1<<ci) != 0 {
-				continue
-			}
-			tried |= 1 << ci
-			v, o, err := c.apply(s, kind, key, val)
-			if err == nil {
-				c.topo.det.ok(s)
-				acks++
-				if !haveRes {
-					rval, okv, haveRes = v, o, true
-				}
-			} else if !server.IsRetryable(err) {
-				return v, o, err
-			} else {
-				c.topo.det.fail(s)
-				lastErr = err
-			}
-		}
+	d := c.done
+	if kind == core.OpInsert && errors.Is(d.Err, core.ErrExists) {
+		return d.Value, false, nil
 	}
-	// Double-write warm-up to incoming owners: best-effort, not counted
-	// toward quorum (the journal is the correctness mechanism).
-	for _, s := range extras {
-		if c.topo.det.isDown(s) {
-			continue
-		}
-		if _, _, err := c.apply(s, kind, key, val); err != nil {
-			if server.IsRetryable(err) {
-				c.topo.det.fail(s)
-			}
-		} else {
-			c.topo.det.ok(s)
-		}
-	}
-	if acks >= c.topo.wq {
-		return rval, okv, nil
-	}
-	if lastErr == nil {
-		lastErr = errors.New("replicas unreachable")
-	}
-	return 0, false, fmt.Errorf("cluster: write quorum %d/%d: %w", acks, c.topo.wq, lastErr)
+	return d.Value, d.OK, d.Err
 }
 
 // Pipe opens the replicated pipelined surface: each enqueue routes to its
@@ -533,7 +381,7 @@ func (c *Cluster) Pipe(opts core.PipeOpts) (core.Pipe, error) {
 	if w == 0 {
 		w = c.window
 	}
-	return c.newRepPipe(w, opts.OnComplete)
+	return c.newRepPipe(w, opts.OnComplete), nil
 }
 
 func (c *Cluster) closeStores() error {
@@ -554,6 +402,9 @@ func (c *Cluster) closeStores() error {
 // coordinator connections).
 func (c *Cluster) Close() error {
 	c.topo.unregister(c)
+	if c.one != nil {
+		c.one.Close()
+	}
 	first := c.closeStores()
 	if c.owned {
 		if err := c.topo.Close(); err != nil && first == nil {

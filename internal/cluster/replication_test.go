@@ -13,42 +13,16 @@ import (
 // transportErr is a retryable, transport-shaped failure for fakes.
 var transportErr = &net.OpError{Op: "read", Err: syscall.ECONNRESET}
 
-// flaky wraps an in-process Store and injects failures on demand: sync
-// ops error while failSync is set; pipes either reject enqueues (mode
-// enqErr) or accept them and complete with the transport error (mode
-// compErr) while failPipe is set.
+// flaky wraps an in-process Store and injects failures on demand. Every
+// cluster operation — sync or pipelined — reaches a shard through its Pipe,
+// so that is the one injection point: while fail is set the shard's pipes
+// either reject enqueues (mode enqErr) or accept them and complete with the
+// transport error (mode compErr). hits counts the faults actually injected,
+// so a test can tell a failover it exercised from one it never reached.
 type flaky struct {
 	core.Store
-	failSync bool
-	failPipe string // "", "enqErr", "compErr"
-}
-
-func (f *flaky) Get(key uint64) (uint64, bool, error) {
-	if f.failSync {
-		return 0, false, transportErr
-	}
-	return f.Store.Get(key)
-}
-
-func (f *flaky) Put(key, val uint64) (uint64, bool, error) {
-	if f.failSync {
-		return 0, false, transportErr
-	}
-	return f.Store.Put(key, val)
-}
-
-func (f *flaky) Insert(key, val uint64) (uint64, bool, error) {
-	if f.failSync {
-		return 0, false, transportErr
-	}
-	return f.Store.Insert(key, val)
-}
-
-func (f *flaky) Delete(key uint64) (uint64, bool, error) {
-	if f.failSync {
-		return 0, false, transportErr
-	}
-	return f.Store.Delete(key)
+	fail string // "", "enqErr", "compErr"
+	hits int
 }
 
 func (f *flaky) Pipe(opts core.PipeOpts) (core.Pipe, error) {
@@ -66,10 +40,12 @@ type flakyPipe struct {
 }
 
 func (p *flakyPipe) enq(kind core.OpKind, key uint64, fwd func() error) error {
-	switch p.f.failPipe {
+	switch p.f.fail {
 	case "enqErr":
+		p.f.hits++
 		return transportErr
 	case "compErr":
+		p.f.hits++
 		// Accept the frame, then fail it inline — the repPipe must cope
 		// with completions arriving during the enqueue call itself.
 		if p.onc != nil {
@@ -100,16 +76,21 @@ func (p *flakyPipe) Flush() error { return p.inner.Flush() }
 func (p *flakyPipe) Close() error { return p.inner.Close() }
 
 // repFixture builds an n-shard in-process cluster with flaky wrappers.
+// The scrubber's own connections (Opts.OpenShard) open the same tables
+// without the wrapper: faults hit the data path only.
 func repFixture(t *testing.T, n int, opts Opts) (*Cluster, []*flaky) {
 	t.Helper()
 	names := make([]string, n)
 	stores := make([]core.Store, n)
 	fl := make([]*flaky, n)
+	tables := make(map[string]*core.Table, n)
 	for i := range stores {
 		names[i] = fmt.Sprintf("shard-%d", i)
-		fl[i] = &flaky{Store: core.MustNew(core.Config{Bins: 1 << 10, Resizable: true}).MustStore()}
+		tables[names[i]] = core.MustNew(core.Config{Bins: 1 << 10, Resizable: true})
+		fl[i] = &flaky{Store: tables[names[i]].MustStore()}
 		stores[i] = fl[i]
 	}
+	opts.OpenShard = func(name string) (core.Store, error) { return tables[name].Store() }
 	c, err := New(names, stores, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +143,16 @@ func TestSyncWriteFansToAllReplicas(t *testing.T) {
 	}
 	// Any single shard failing leaves every key readable.
 	for kill := range fl {
-		fl[kill].failSync = true
+		fl[kill].fail = "compErr"
 		for key := uint64(0); key < 500; key++ {
 			if v, ok, err := c.Get(key); err != nil || !ok || v != key*10 {
 				t.Fatalf("shard %d down: Get(%d) = (%d,%v,%v)", kill, key, v, ok, err)
 			}
 		}
-		fl[kill].failSync = false
+		if fl[kill].hits == 0 {
+			t.Fatalf("shard %d: no fault was injected; the failover was never exercised", kill)
+		}
+		fl[kill].fail = ""
 		c.topo.det.ok(kill) // manual re-admit; prober timing is not this test's subject
 	}
 }
@@ -178,15 +162,18 @@ func TestSyncWriteFansToAllReplicas(t *testing.T) {
 // retryable (transport-shaped, not a table refusal).
 func TestSyncWriteQuorum(t *testing.T) {
 	c1, fl1 := repFixture(t, 2, Opts{Replicas: 2, WriteQuorum: 1})
-	fl1[1].failSync = true
+	fl1[1].fail = "compErr"
 	if _, ins, err := c1.Insert(42, 1); err != nil || !ins {
 		t.Fatalf("W=1 Insert with one replica down: (%v,%v)", ins, err)
 	}
 
 	c2, fl2 := repFixture(t, 2, Opts{Replicas: 2, WriteQuorum: 2})
-	fl2[1].failSync = true
+	fl2[1].fail = "compErr"
 	if _, _, err := c2.Insert(42, 1); err == nil {
 		t.Fatal("W=2 Insert with one replica down succeeded")
+	}
+	if fl1[1].hits == 0 || fl2[1].hits == 0 {
+		t.Fatalf("no fault was injected (hits %d, %d)", fl1[1].hits, fl2[1].hits)
 	}
 }
 
@@ -204,16 +191,19 @@ func TestDetectorMarksAndRevives(t *testing.T) {
 	if _, ins, err := c.Insert(key, 7); err != nil || !ins {
 		t.Fatalf("Insert: (%v,%v)", ins, err)
 	}
-	fl[0].failSync = true
+	fl[0].fail = "compErr"
 	for i := 0; i < 3; i++ {
 		if _, ok, err := c.Get(key); err != nil || !ok {
 			t.Fatalf("failover Get %d: (%v,%v)", i, ok, err)
 		}
 	}
+	if fl[0].hits != 3 {
+		t.Fatalf("%d faults injected on shard 0, want one per Get (3)", fl[0].hits)
+	}
 	if !c.topo.det.isDown(0) {
 		t.Fatal("shard 0 not marked down after 3 consecutive failures")
 	}
-	fl[0].failSync = false
+	fl[0].fail = ""
 	c.topo.det.ok(0)
 	if c.topo.det.isDown(0) {
 		t.Fatal("shard 0 still down after success")
@@ -298,7 +288,7 @@ func TestRepPipeReadFailover(t *testing.T) {
 				t.Fatalf("Insert(%d): (%v,%v)", k, ins, err)
 			}
 		}
-		fl[0].failPipe = mode
+		fl[0].fail = mode
 
 		okc := 0
 		p, err := c.Pipe(core.PipeOpts{Window: 8, OnComplete: func(cc core.Completion) {
@@ -325,12 +315,62 @@ func TestRepPipeReadFailover(t *testing.T) {
 	}
 }
 
+// TestRepPipeReadRepair: a pipelined Get whose primary fails and whose
+// rank-1 replica answers hands the key to the running scrubber, exactly as
+// a sync Get does. The key was written at W=1 past the failing primary, so
+// the primary lacks it; the periodic pass is an hour away and no shard is
+// ever marked down (no re-admission kick), so only the read-repair note
+// can put it there.
+func TestRepPipeReadRepair(t *testing.T) {
+	c, fl := repFixture(t, 2, Opts{Replicas: 2, WriteQuorum: 1, DownAfter: 1000})
+	var key uint64
+	for c.ShardFor(key) != 0 {
+		key++
+	}
+	fl[0].fail = "compErr"
+	if _, ins, err := c.Insert(key, 9); err != nil || !ins {
+		t.Fatalf("W=1 Insert past the failing primary: (%v,%v)", ins, err)
+	}
+	if _, ok, _ := fl[0].Store.Get(key); ok {
+		t.Fatal("the failing primary received the write")
+	}
+	if err := c.topo.StartScrub(ScrubOpts{Interval: time.Hour}); err != nil {
+		t.Fatalf("StartScrub: %v", err)
+	}
+	hits := fl[0].hits
+	p, err := c.Pipe(core.PipeOpts{Window: 8, OnComplete: func(cc core.Completion) {
+		if cc.Err != nil || !cc.OK || cc.Value != 9 {
+			t.Errorf("Get(%d) completion = (%d,%v,%v), want (9,true,nil)", cc.Key, cc.Value, cc.OK, cc.Err)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Get(key); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fl[0].hits == hits {
+		t.Fatal("the read never reached the failing primary")
+	}
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, ok, _ := fl[0].Store.Get(key); ok && v == 9 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("primary never repaired: the pipelined failover read did not reach the scrubber's repair queue")
+		}
+	}
+}
+
 // TestRepPipeWriteQuorumFailure: with W=2 and a replica rejecting
 // frames, writes whose replica set includes the dead shard complete with
 // a retryable quorum error — exactly once, never hanging.
 func TestRepPipeWriteQuorumFailure(t *testing.T) {
 	c, fl := repFixture(t, 2, Opts{Replicas: 2, WriteQuorum: 2, DownAfter: 1000})
-	fl[1].failPipe = "compErr"
+	fl[1].fail = "compErr"
 	okc, errc := 0, 0
 	p, err := c.Pipe(core.PipeOpts{Window: 8, OnComplete: func(cc core.Completion) {
 		if cc.Err != nil {
@@ -356,7 +396,7 @@ func TestRepPipeWriteQuorumFailure(t *testing.T) {
 	}
 	// W=1 over the same failure keeps every write available.
 	c2, fl2 := repFixture(t, 2, Opts{Replicas: 2, WriteQuorum: 1, DownAfter: 1000})
-	fl2[1].failPipe = "compErr"
+	fl2[1].fail = "compErr"
 	okc = 0
 	p2, err := c2.Pipe(core.PipeOpts{Window: 8, OnComplete: func(cc core.Completion) {
 		if cc.Err == nil {

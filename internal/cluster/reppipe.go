@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/server"
@@ -35,8 +36,10 @@ import (
 // handoff window writes additionally journal moving keys and double-write
 // to the incoming owners (best-effort, outside the quorum).
 //
-// Like every Pipe, repPipe is single-goroutine; the only concurrency is
-// the detector's prober, which is internally locked.
+// repPipe is the only implementation of a replicated operation: the
+// Cluster's synchronous methods run on a window-1 instance of it
+// (Cluster.sync). Like every Pipe it is single-goroutine; the only
+// concurrency is the detector's prober, which is internally locked.
 type repPipe struct {
 	c      *Cluster
 	tab    *ringTab // adopted ring view; refreshed at enqueue boundaries
@@ -118,7 +121,7 @@ func (q *opQueue) removeLast(op *repOp) {
 	}
 }
 
-func (c *Cluster) newRepPipe(w int, onc func(core.Completion)) (core.Pipe, error) {
+func (c *Cluster) newRepPipe(w int, onc func(core.Completion)) *repPipe {
 	tab := c.topo.tab.Load()
 	n := len(tab.names)
 	p := &repPipe{
@@ -131,7 +134,7 @@ func (c *Cluster) newRepPipe(w int, onc func(core.Completion)) (core.Pipe, error
 		aq:     make([]opQueue, n),
 	}
 	c.seenGen.Store(tab.gen)
-	return p, nil
+	return p
 }
 
 // pipe returns the per-shard pipe for slot s, opening the store and its
@@ -240,14 +243,7 @@ func (p *repPipe) enq(kind core.OpKind, key, val uint64) error {
 		p.scratch = newSet
 		extras = newSet[:0] // filter in place: incoming owners not already replicas
 		for _, s := range newSet {
-			in := false
-			for _, o := range op.cands {
-				if o == s {
-					in = true
-					break
-				}
-			}
-			if !in {
+			if !slices.Contains(op.cands, s) {
 				extras = append(extras, s)
 			}
 		}
@@ -305,6 +301,19 @@ func (p *repPipe) enq(kind core.OpKind, key, val uint64) error {
 	return nil
 }
 
+// sendOn issues op's request on one shard pipe.
+func (op *repOp) sendOn(sp core.Pipe) error {
+	switch op.kind {
+	case core.OpGet:
+		return sp.Get(op.key)
+	case core.OpPut:
+		return sp.Put(op.key, op.val)
+	case core.OpInsert:
+		return sp.Insert(op.key, op.val)
+	}
+	return sp.Delete(op.key)
+}
+
 // enqShard enqueues op on shard s's pipe, tracking the outstanding
 // completion in s's arrival queue. Reports whether a completion is now
 // owed (the pipe accepted the frame — or already completed it inline).
@@ -322,18 +331,7 @@ func (p *repPipe) enqShard(s int, op *repOp) bool {
 	// was accepted before the failure.
 	p.aq[s].push(op)
 	op.remaining++
-	var err error
-	switch op.kind {
-	case core.OpGet:
-		err = sp.Get(op.key)
-	case core.OpPut:
-		err = sp.Put(op.key, op.val)
-	case core.OpInsert:
-		err = sp.Insert(op.key, op.val)
-	case core.OpDelete:
-		err = sp.Delete(op.key)
-	}
-	if err != nil {
+	if err := op.sendOn(sp); err != nil {
 		// Frame never sent; no completion will come. Undo the push (by
 		// identity — inline completions may have reshaped the queue).
 		p.aq[s].removeLast(op)
@@ -356,16 +354,7 @@ func (p *repPipe) enqExtra(s int, op *repOp) {
 	}
 	p.aq[s].push(op)
 	op.extraRem++
-	var err error
-	switch op.kind {
-	case core.OpPut:
-		err = sp.Put(op.key, op.val)
-	case core.OpInsert:
-		err = sp.Insert(op.key, op.val)
-	case core.OpDelete:
-		err = sp.Delete(op.key)
-	}
-	if err != nil {
+	if err := op.sendOn(sp); err != nil {
 		p.aq[s].removeLast(op)
 		op.extraRem--
 		p.c.topo.det.fail(s)
@@ -403,14 +392,8 @@ func (p *repPipe) tryNextReplica(op *repOp) bool {
 // and delivers whatever the op's primary queue now has ready.
 func (p *repPipe) onShard(s int, sc core.Completion) {
 	op := p.aq[s].pop()
-	extra := true
-	for _, o := range op.cands {
-		if o == s {
-			extra = false
-			break
-		}
-	}
-	if extra {
+	rank := slices.Index(op.cands, s)
+	if rank < 0 {
 		// Handoff double-write completion: detector feedback only — it is
 		// outside the quorum and cannot change the op's outcome.
 		op.extraRem--
@@ -438,6 +421,11 @@ func (p *repPipe) onShard(s int, sc core.Completion) {
 		// plainly succeeded.
 		p.c.topo.det.ok(s)
 		op.acks++
+		if op.kind == core.OpGet && rank > 0 && sc.Err == nil {
+			// Served by a lower-rank replica: the copies may have diverged
+			// under W < R. Read repair runs out of band.
+			p.c.topo.noteDivergence(op.key)
+		}
 		// A resolved op's outcome is frozen: once settle declared quorum
 		// failure, a straggler ack (reachable-but-late replica) must not
 		// flip the reported result to success — the write is already

@@ -150,7 +150,60 @@ func TestReshardLiveMigration(t *testing.T) {
 	// goroutine must keep pumping: adopting published generations is what
 	// lets the coordinator's quiesce fence pass).
 	reshardDone := make(chan error, 1)
+	// hold parks the coordinator in the handoff quiesce — one undelivered
+	// pipelined op under the old generation — so the sync ops below
+	// provably run inside the handoff window, before the bulk copy or any
+	// journal swap could account for what they leave behind.
+	hold, _ := clu.topo.NewClient()
+	defer hold.Close()
+	hp, err := hold.Pipe(core.PipeOpts{Window: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hp.Get(0); err != nil {
+		t.Fatal(err)
+	}
 	go func() { reshardDone <- clu.AddShard(addrs[3]) }()
+
+	// A sync op is a pipe of one, so a sync write to a moving key during
+	// the handoff is journaled and double-written like a pipelined one. mk
+	// is outside the oracle's key range and gains the new shard (slot 3) as
+	// an owner.
+	for deadline := time.Now().Add(10 * time.Second); clu.topo.tab.Load().phase != phaseHandoff; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("handoff window never opened")
+		}
+	}
+	ht := clu.topo.tab.Load()
+	mk := uint64(nkeys)
+	for incoming := false; !incoming; {
+		mk++
+		for _, s := range replicasOn(ht.next, clu.topo.keyh(mk), 2, nil) {
+			incoming = incoming || s == 3
+		}
+	}
+	sc, _ := clu.topo.NewClient()
+	defer sc.Close()
+	if _, ins, err := sc.Insert(mk, 1); err != nil || !ins {
+		t.Fatalf("handoff sync Insert(%d): (%v,%v)", mk, ins, err)
+	}
+	if prev, ok, err := sc.Put(mk, 2); err != nil || !ok || prev != 1 {
+		t.Fatalf("handoff sync Put(%d) = (%d,%v,%v), want (1,true,nil)", mk, prev, ok, err)
+	}
+	if !clu.topo.journaled(mk) {
+		t.Fatalf("sync Put on moving key %d during handoff was not journaled", mk)
+	}
+	incomingOwner, err := server.DialV2(addrs[3], server.ClientOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer incomingOwner.Close()
+	if v, ok, err := incomingOwner.Get(mk); err != nil || !ok || v != 2 {
+		t.Fatalf("incoming owner holds (%d,%v,%v) for key %d, want 2: sync write was not double-written", v, ok, err, mk)
+	}
+	if err := hp.Close(); err != nil { // release the coordinator
+		t.Fatal(err)
+	}
 
 	// Pump through the handoff; once the double-write window is open,
 	// kill one source shard and restart it from its WAL on the same
@@ -272,6 +325,17 @@ func TestReshardLiveMigration(t *testing.T) {
 				t.Fatalf("key %d on replica %s: (%d,%v,%v), want %d — migration lost it",
 					k, tab.names[slot], v, ok, err, ks[k].acked)
 			}
+		}
+	}
+	for _, slot := range clu.replicasFor(mk, nil) {
+		d, err := server.DialV2(tab.names[slot], server.ClientOpts{})
+		if err != nil {
+			t.Fatalf("direct dial %s: %v", tab.names[slot], err)
+		}
+		v, ok, err := d.Get(mk)
+		d.Close()
+		if err != nil || !ok || v != 2 {
+			t.Fatalf("handoff-written key %d on replica %s: (%d,%v,%v), want 2", mk, tab.names[slot], v, ok, err)
 		}
 	}
 	if moved := clu.topo.MovedKeys(); moved == 0 {

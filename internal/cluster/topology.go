@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/hashfn"
+	"repro/internal/server"
 
 	core "repro/internal/core"
 )
@@ -35,6 +36,8 @@ type Topology struct {
 	wq       int
 
 	quiesceTimeout time.Duration
+
+	retry server.RetryPolicy // Cluster.sync's budget: Opts.Retry (Dial), zero (New)
 
 	// openShard opens an ordinary per-instance Store for a shard name;
 	// openAdmin opens a coordinator/scrubber connection (reshard-featured

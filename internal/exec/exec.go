@@ -14,24 +14,11 @@
 // internal/baselines/mica), so sixty-four one-op-deep clients fill a
 // shard's prefetch window just as well as one sixty-four-deep client.
 //
-// Two routing modes:
-//
-//   - Shared: each Session (connection) is bound to one shard at creation,
-//     least-loaded first. Every request of a connection executes on one
-//     shard in submission order, so per-connection program order is
-//     preserved exactly as in the goroutine-per-connection model; the
-//     shards' handles operate concurrently on the whole table (CREW).
-//   - Partitioned: each request routes by key hash, so all operations on a
-//     key — from every connection — serialize through one shard. The shard
-//     count is clamped to a power of two in this mode, so with the default
-//     power-of-two bin counts (bins a multiple of shards) two keys in the
-//     same bin always route to the same shard and each shard touches a
-//     disjoint bin subset (EREW, the MICA partitioning analogue); with a
-//     bin count not divisible by the shard count, routing is still
-//     correct, just no longer bin-disjoint. Per-key program order is
-//     preserved (the same contract the sharded Cluster documents);
-//     cross-key requests from one connection may execute out of order, but
-//     responses are still delivered in request order.
+// Each Session (connection) is bound to one shard at creation, least-loaded
+// first. Every request of a connection executes on one shard in submission
+// order, so per-connection program order is preserved exactly as in the
+// goroutine-per-connection model; the shards' handles operate concurrently
+// on the whole table (CREW).
 //
 // Completions carry a (session, seq) tag. Because a shard's pipeline
 // completes in enqueue order, tags ride a plain FIFO alongside the
@@ -40,11 +27,9 @@
 // responses strictly in submission order. Lock traffic is batched at both
 // ends: SubmitBatch moves a whole decoded burst into a shard ring under
 // one lock, and shards deliver completions to sessions in contiguous
-// per-session runs. The routing hash of a fixed op is computed once, at
-// submission, and handed to the shard's pipeline via
-// Pipeline.EnqueueHashed (KVPipeline.GetHashed / InsertHashed /
-// DeleteHashed for partitioned KV ops), so routing and bin mapping share
-// one hash.
+// per-session runs. The hash of a fixed op is computed at submission, on
+// the connection's goroutine, and handed to the shard's pipeline via
+// Pipeline.EnqueueHashed.
 package exec
 
 import (
@@ -53,32 +38,10 @@ import (
 	"sync"
 
 	core "repro/internal/core"
+	"repro/internal/expiry"
 )
 
-// Mode selects how requests are routed to executor shards.
-//
 //dlht:hotpath
-type Mode uint8
-
-const (
-	// Shared binds each session to one shard (least-loaded at session
-	// creation); shard handles stay concurrent on the whole table.
-	Shared Mode = iota
-	// Partitioned routes each request by key hash, serializing all
-	// operations on one key through one shard.
-	Partitioned
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case Shared:
-		return "shared"
-	case Partitioned:
-		return "partitioned"
-	}
-	return "unknown"
-}
 
 // ErrClosed is reported for sessions and submissions on a closed Executor.
 var ErrClosed = errors.New("exec: executor closed")
@@ -87,37 +50,45 @@ var ErrClosed = errors.New("exec: executor closed")
 type Options struct {
 	// Shards is the number of executor shards (goroutine + Handle +
 	// pipeline each). 0 selects GOMAXPROCS. Clamped to the table handles
-	// actually available, to 1 on single-thread tables, and — in
-	// Partitioned mode — down to a power of two so that with power-of-two
-	// bin counts shards own disjoint bin subsets.
+	// actually available and to 1 on single-thread tables.
 	Shards int
-	// Mode selects Shared (default) or Partitioned routing.
-	Mode Mode
-	// Window is each shard pipeline's completion window; 0 inherits the
-	// table's prefetch window (default 16).
-	Window int
-	// Ring is the per-shard request ring capacity (rounded up to a power
-	// of two, default 1024). Submissions block while a ring is full.
-	Ring int
-	// SessionWindow bounds each session's in-flight requests (the reorder
-	// ring capacity, rounded up to a power of two, default 4096).
-	// Submissions block while a session is at its bound.
-	SessionWindow int
-	// SessionKVInflight and SessionKVBytes bound a session's in-flight
-	// variable-length ops by count (default 32) and by payload bytes
-	// (request key+value at submission, plus read values as they
-	// materialize; default 8 MiB). Fixed ops are 32 bytes each and ride
-	// on SessionWindow alone; KV payloads are owned per in-flight op, so
-	// without these bounds one connection pipelining protocol-max values
-	// could pin SessionWindow × 16 MiB. A single op larger than the byte
-	// budget is admitted when it is the only one in flight.
-	SessionKVInflight int
-	SessionKVBytes    int
 	// WAL, when non-nil, makes shards append every effective mutation to
 	// the durable table's redo log and stamp the sequence into the op's
 	// Done, so consumers can gate acknowledgements on group commits.
 	WAL WAL
+	// Expiry is an Allocator-mode table's deadline index, shared with
+	// whatever else serves the table (RESP connections, the sweeper, WAL
+	// replay): variable-length ops run through an expiry.KV bound to it,
+	// so an insert or delete here can never leave a stale deadline behind.
+	// Nil gives the executor a private index: sole-owner embedding only.
+	Expiry *expiry.Index
+
+	// The bounds below are fixed in production (zero selects the named
+	// default); only the in-package tests shrink them to force blocking.
+	//
+	// window is each shard pipeline's completion window; 0 inherits the
+	// table's prefetch window. ring is the per-shard request ring capacity
+	// and sessionWindow each session's in-flight bound (the reorder ring
+	// capacity); both round up to a power of two, and submissions block
+	// at either. sessionKVInflight and sessionKVBytes bound a session's
+	// in-flight variable-length ops by count and by payload bytes (request
+	// key+value at submission, plus read values as they materialize):
+	// fixed ops are 32 bytes each and ride on sessionWindow alone, but KV
+	// payloads are owned per in-flight op, so without these one connection
+	// pipelining protocol-max values could pin sessionWindow × 16 MiB. A
+	// single op larger than the byte budget is admitted when it is the
+	// only one in flight.
+	window, ring, sessionWindow       int
+	sessionKVInflight, sessionKVBytes int
 }
+
+// The per-connection bounds of an executor (see Options).
+const (
+	defaultRing              = 1024
+	defaultSessionWindow     = 4096
+	defaultSessionKVInflight = 32
+	defaultSessionKVBytes    = 8 << 20
+)
 
 // WAL is the executor's hook into a durable table's redo log (*wal.Log
 // implements it; an interface here keeps exec free of the wal package).
@@ -131,9 +102,8 @@ type WAL interface {
 	// returning its sequence; returns 0 for ops that need no record
 	// (reads, misses, failed inserts).
 	LogOp(op *core.Op) (uint64, error)
-	// LogKVInsert and LogKVDelete append Allocator-mode records.
-	LogKVInsert(ns uint16, key, val []byte) (uint64, error)
-	LogKVDelete(ns uint16, key []byte) (uint64, error)
+	// The Allocator-mode records, appended by the shards' expiry.KV.
+	expiry.RedoLog
 	// SyncWait blocks until a group commit covers seq (0 is an error
 	// check: it returns immediately with the log's sticky failure if any).
 	SyncWait(seq uint64) error
@@ -149,14 +119,14 @@ const kvEpochEvery = 1 << 10
 // completion fires afterwards.
 type Executor struct {
 	tbl     *core.Table
-	mode    Mode
 	wal     WAL
+	idx     *expiry.Index
 	shards  []*shard
 	sessW   int
 	kvOps   int // per-session in-flight KV op bound
 	kvBytes int // per-session in-flight KV payload bound
 
-	mu     sync.Mutex // guards closed and shared-mode session placement
+	mu     sync.Mutex // guards closed and session placement
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -172,23 +142,20 @@ func New(tbl *core.Table, opts Options) (*Executor, error) {
 	if tbl.SingleThread() {
 		n = 1
 	}
-	if opts.Mode == Partitioned {
-		// Power-of-two shard counts keep hash%shards consistent with
-		// bin%shards on power-of-two bin counts: same bin → same shard
-		// (the EREW property).
-		n = floorPow2(n)
-	}
-	ring := ceilPow2(opts.Ring, 1024)
-	sessW := ceilPow2(opts.SessionWindow, 4096)
-	kvOps := opts.SessionKVInflight
+	ring := ceilPow2(opts.ring, defaultRing)
+	sessW := ceilPow2(opts.sessionWindow, defaultSessionWindow)
+	kvOps := opts.sessionKVInflight
 	if kvOps <= 0 {
-		kvOps = 32
+		kvOps = defaultSessionKVInflight
 	}
-	kvBytes := opts.SessionKVBytes
+	kvBytes := opts.sessionKVBytes
 	if kvBytes <= 0 {
-		kvBytes = 8 << 20
+		kvBytes = defaultSessionKVBytes
 	}
-	e := &Executor{tbl: tbl, mode: opts.Mode, wal: opts.WAL, sessW: sessW, kvOps: kvOps, kvBytes: kvBytes}
+	e := &Executor{tbl: tbl, wal: opts.WAL, idx: opts.Expiry, sessW: sessW, kvOps: kvOps, kvBytes: kvBytes}
+	if e.idx == nil && tbl.Mode() == core.Allocator {
+		e.idx = expiry.New(nil)
+	}
 	handles := make([]*core.Handle, 0, n)
 	for i := 0; i < n; i++ {
 		h, err := tbl.Handle()
@@ -200,17 +167,8 @@ func New(tbl *core.Table, opts Options) (*Executor, error) {
 		}
 		handles = append(handles, h)
 	}
-	if opts.Mode == Partitioned {
-		// Handle exhaustion may have narrowed us below the requested
-		// count; re-clamp so the shard count stays a power of two (the
-		// EREW routing property) and return the surplus handles.
-		for keep := floorPow2(len(handles)); len(handles) > keep; {
-			handles[len(handles)-1].Close()
-			handles = handles[:len(handles)-1]
-		}
-	}
 	for i, h := range handles {
-		e.shards = append(e.shards, newShard(e, i, h, opts.Window, ring))
+		e.shards = append(e.shards, newShard(e, i, h, opts.window, ring))
 	}
 	e.wg.Add(len(e.shards))
 	for _, sh := range e.shards {
@@ -231,20 +189,8 @@ func ceilPow2(v, def int) int {
 	return c
 }
 
-// floorPow2 rounds v down to a power of two (minimum 1).
-func floorPow2(v int) int {
-	c := 1
-	for c*2 <= v {
-		c <<= 1
-	}
-	return c
-}
-
 // NumShards returns the number of live executor shards.
 func (e *Executor) NumShards() int { return len(e.shards) }
-
-// Mode returns the executor's routing mode.
-func (e *Executor) Mode() Mode { return e.mode }
 
 // Close stops the shards and joins them. Every request already accepted by
 // a shard ring is executed and its completion delivered first; submissions
@@ -265,8 +211,8 @@ func (e *Executor) Close() {
 	e.wg.Wait()
 }
 
-// NewSession registers a request producer (one per connection). In Shared
-// mode the session is bound to the shard with the fewest live sessions.
+// NewSession registers a request producer (one per connection), bound to
+// the shard with the fewest live sessions.
 func (e *Executor) NewSession() (*Session, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -277,24 +223,18 @@ func (e *Executor) NewSession() (*Session, error) {
 	s.cond.L = &s.mu
 	s.prod.L = &s.mu
 	s.ring = make([]doneSlot, 64)
-	if e.mode == Shared {
-		min := e.shards[0]
-		for _, sh := range e.shards[1:] {
-			if sh.sessions < min.sessions {
-				min = sh
-			}
+	s.shard = e.shards[0]
+	for _, sh := range e.shards[1:] {
+		if sh.sessions < s.shard.sessions {
+			s.shard = sh
 		}
-		min.sessions++
-		s.shard = min
 	}
+	s.shard.sessions++
 	return s, nil
 }
 
-// detachSession undoes shared-mode placement accounting.
+// detachSession undoes the session's placement accounting.
 func (e *Executor) detachSession(s *Session) {
-	if s.shard == nil {
-		return
-	}
 	e.mu.Lock()
 	s.shard.sessions--
 	e.mu.Unlock()
@@ -305,7 +245,7 @@ func (e *Executor) detachSession(s *Session) {
 // ---------------------------------------------------------------------------
 
 // item is one routed request in a shard ring: the fixed op (or KV op) plus
-// its session/seq completion tag and the memoized routing hash. Fixed-op
+// its session/seq completion tag and the memoized key hash. Fixed-op
 // items are pure values — the multi-producer enqueue path allocates
 // nothing.
 type item struct {
@@ -337,10 +277,11 @@ type shard struct {
 	mask       uint64
 	head, tail uint64 // absolute produce/consume cursors
 	closed     bool
-	sessions   int // shared-mode placement count (under e.mu)
+	sessions   int // placement count (under e.mu)
 
 	// Consumer-side state, touched only by the shard goroutine.
 	pl      *core.Pipeline
+	kv      expiry.KV        // the handle's mutation surface for KV ops
 	kvp     *core.KVPipeline // lazily, Allocator tables only
 	kvpW    int
 	scratch []item
@@ -366,7 +307,7 @@ type doneEntry struct {
 }
 
 func newShard(e *Executor, id int, h *core.Handle, window, ring int) *shard {
-	sh := &shard{e: e, id: id, h: h}
+	sh := &shard{e: e, id: id, h: h, kv: expiry.Bind(h, e.idx, e.wal)}
 	sh.notEmpty.L = &sh.mu
 	sh.notFull.L = &sh.mu
 	sh.ring = make([]item, ring)
@@ -570,89 +511,60 @@ func (sh *shard) ensureKVP() *core.KVPipeline {
 }
 
 // execKV runs one variable-length op. Reads stream through the shard's
-// KVPipeline (two-level bin+block prefetch); mutations go through the
-// pipeline's mutation surface, which barriers in-flight reads so per-key
-// read-then-write order holds. In Partitioned mode the routing hash
-// SubmitKV computed doubles as the bin-mapping hash — reads and mutations
-// both take the Hashed path, so a partitioned KV op hashes exactly once.
-// Effective mutations of a durable table are appended to the redo log and
-// their Done carries the sequence.
+// KVPipeline (two-level bin+block prefetch). Mutations — and a read that
+// finds its key past its deadline, which deletes it — run on the shard's
+// expiry.KV behind a flush of the in-flight reads, so per-key
+// read-then-write order holds and no view outlives its block. The KV keeps
+// the deadline index in step and appends a durable table's redo records;
+// the op's Done carries the sequence.
 func (sh *shard) execKV(it *item) {
 	kv := it.kv
 	t := sh.e.tbl
-	if err := t.CheckKV(kv.NS, kv.Key, kv.Value, kv.Kind == KVInsert); err != nil {
-		kv.Err = err
-		sh.pending = append(sh.pending, doneEntry{sess: it.sess, seq: it.seq, kv: kv})
+	done := doneEntry{sess: it.sess, seq: it.seq, kv: kv}
+	if kv.Err = t.CheckKV(kv.NS, kv.Key, kv.Value, kv.Kind == KVInsert); kv.Err != nil {
+		sh.pending = append(sh.pending, done)
 		return
 	}
-	var wseq uint64
-	switch kv.Kind {
-	case KVGet:
-		kvp := sh.ensureKVP()
+	hash := t.HashOfKV(kv.NS, kv.Key)
+	kvp := sh.ensureKVP()
+	if kv.Kind == KVGet && !sh.e.idx.Expired(kv.NS, kv.Key, hash) {
 		sh.kvTags.push(tag{sess: it.sess, seq: it.seq, kv: kv})
-		if sh.e.mode == Partitioned {
-			kvp.GetHashed(kv.NS, kv.Key, it.hash)
-		} else {
-			kvp.Get(kv.NS, kv.Key)
+		kvp.GetHashed(kv.NS, kv.Key, hash)
+	} else {
+		kvp.Flush()
+		switch kv.Kind {
+		case KVGet:
+			// Expired: the miss below, unless a writer revived the key
+			// between the two checks — then read it in place.
+			if !sh.kv.Expired(kv.NS, kv.Key, hash) {
+				var v []byte
+				if v, kv.OK = sh.h.GetKV(kv.NS, kv.Key); kv.OK {
+					kv.Out = append(kv.Out[:0], v...)
+				}
+			}
+		case KVInsert:
+			// NX keeps InsertKV's contract: a live key refuses with ErrExists.
+			if kv.OK, done.walSeq, kv.Err = sh.kv.Set(kv.NS, kv.Key, kv.Value, hash, 0, expiry.NX); kv.Err == nil && !kv.OK {
+				kv.Err = core.ErrExists
+			}
+		case KVDelete:
+			// An append failure withdraws the success: applied in memory,
+			// not durable.
+			kv.OK, done.walSeq, kv.Err = sh.kv.Delete(kv.NS, kv.Key, hash)
+			kv.OK = kv.OK && kv.Err == nil
+		default:
+			kv.Err = ErrClosed
 		}
-	case KVInsert:
-		kvp := sh.ensureKVP()
-		if sh.e.mode == Partitioned {
-			kv.Err = kvp.InsertHashed(kv.NS, kv.Key, kv.Value, it.hash)
-		} else {
-			kv.Err = kvp.Insert(kv.NS, kv.Key, kv.Value)
-		}
-		kv.OK = kv.Err == nil
-		if kv.OK {
-			wseq = sh.logKV(kv)
-		}
-		sh.pending = append(sh.pending, doneEntry{sess: it.sess, seq: it.seq, walSeq: wseq, kv: kv})
-	case KVDelete:
-		kvp := sh.ensureKVP()
-		if sh.e.mode == Partitioned {
-			kv.OK = kvp.DeleteHashed(kv.NS, kv.Key, it.hash)
-		} else {
-			kv.OK = kvp.Delete(kv.NS, kv.Key)
-		}
-		if kv.OK {
-			wseq = sh.logKV(kv)
-		}
-		sh.pending = append(sh.pending, doneEntry{sess: it.sess, seq: it.seq, walSeq: wseq, kv: kv})
-	default:
-		kv.Err = ErrClosed
-		sh.pending = append(sh.pending, doneEntry{sess: it.sess, seq: it.seq, kv: kv})
+		sh.pending = append(sh.pending, done)
 	}
 	// Periodic epoch refresh keeps deleted blocks reclaiming under
 	// sustained load; flush reads first so no in-flight view spans the
 	// advance.
 	if sh.kvOps++; sh.kvOps >= kvEpochEvery {
-		if sh.kvp != nil && sh.kvp.InFlight() > 0 {
-			sh.kvp.Flush()
-		}
+		kvp.Flush()
 		sh.h.AdvanceEpoch()
 		sh.kvOps = 0
 	}
-}
-
-// logKV appends the redo record of an effective KV mutation; on failure
-// the op's success is withdrawn (applied in memory, not durable).
-func (sh *shard) logKV(kv *KVOp) uint64 {
-	w := sh.e.wal
-	if w == nil {
-		return 0
-	}
-	var seq uint64
-	var err error
-	if kv.Kind == KVInsert {
-		seq, err = w.LogKVInsert(kv.NS, kv.Key, kv.Value)
-	} else {
-		seq, err = w.LogKVDelete(kv.NS, kv.Key)
-	}
-	if err != nil {
-		kv.OK, kv.Err = false, err
-		return 0
-	}
-	return seq
 }
 
 // completeKV is the KV read pipeline's completion callback. The value view

@@ -54,193 +54,188 @@ func drain(sess *Session) []Done {
 // mixed-op scripts over disjoint key ranges concurrently — across a table
 // small enough that the inserts force several resizes mid-run — and every
 // session's completion stream must equal a single-handle oracle executing
-// the same script alone. Run in both routing modes: Shared pins whole
-// sessions to shards, Partitioned serializes per key; either way a
-// session's ops on one key must observe program order.
+// the same script alone: a session is pinned to one shard, so its ops on
+// one key must observe program order.
 func TestExecutorVsOracle(t *testing.T) {
-	for _, mode := range []Mode{Shared, Partitioned} {
-		t.Run(mode.String(), func(t *testing.T) {
-			const (
-				sessions = 6
-				opsPer   = 5000
-				keys     = 300
-			)
-			tbl := core.MustNew(core.Config{Bins: 64, Resizable: true, MaxThreads: 64})
-			ex, err := New(tbl, Options{Shards: 4, Mode: mode, Ring: 64, SessionWindow: 128})
+	t.Run("shared", func(t *testing.T) {
+		const (
+			sessions = 6
+			opsPer   = 5000
+			keys     = 300
+		)
+		tbl := core.MustNew(core.Config{Bins: 64, Resizable: true, MaxThreads: 64})
+		ex, err := New(tbl, Options{Shards: 4, ring: 64, sessionWindow: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ex.Close()
+
+		scripts := make([][]core.Op, sessions)
+		results := make([][]Done, sessions)
+		var wg sync.WaitGroup
+		for si := 0; si < sessions; si++ {
+			r := rand.New(rand.NewSource(int64(si)*7919 + 1))
+			scripts[si] = buildScript(r, uint64(si)*1_000_000, keys, opsPer)
+			sess, err := ex.NewSession()
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ex.Close()
-
-			scripts := make([][]core.Op, sessions)
-			results := make([][]Done, sessions)
-			var wg sync.WaitGroup
-			for si := 0; si < sessions; si++ {
-				r := rand.New(rand.NewSource(int64(si)*7919 + 1))
-				scripts[si] = buildScript(r, uint64(si)*1_000_000, keys, opsPer)
-				sess, err := ex.NewSession()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(2)
-				go func(si int, sess *Session) {
-					defer wg.Done()
-					for _, op := range scripts[si] {
-						if err := sess.Submit(op); err != nil {
-							t.Error(err)
-							break
-						}
-					}
-					sess.FinishSubmit()
-				}(si, sess)
-				go func(si int, sess *Session) {
-					defer wg.Done()
-					results[si] = drain(sess)
-				}(si, sess)
-			}
-			wg.Wait()
-
-			for si := range scripts {
-				oracle := make([]core.Op, len(scripts[si]))
-				copy(oracle, scripts[si])
-				oh := core.MustNew(core.Config{Bins: 64, Resizable: true}).MustHandle()
-				oh.Exec(oracle, false)
-				res := results[si]
-				if len(res) != len(oracle) {
-					t.Fatalf("session %d: %d completions, want %d", si, len(res), len(oracle))
-				}
-				for i := range oracle {
-					got, want := res[i].Op, oracle[i]
-					if got.Result != want.Result || got.OK != want.OK || got.Err != want.Err {
-						t.Fatalf("session %d op %d (%v key %d): got (%d,%v,%v), oracle (%d,%v,%v)",
-							si, i, want.Kind, want.Key,
-							got.Result, got.OK, got.Err,
-							want.Result, want.OK, want.Err)
+			wg.Add(2)
+			go func(si int, sess *Session) {
+				defer wg.Done()
+				for _, op := range scripts[si] {
+					if err := sess.Submit(op); err != nil {
+						t.Error(err)
+						break
 					}
 				}
+				sess.FinishSubmit()
+			}(si, sess)
+			go func(si int, sess *Session) {
+				defer wg.Done()
+				results[si] = drain(sess)
+			}(si, sess)
+		}
+		wg.Wait()
+
+		for si := range scripts {
+			oracle := make([]core.Op, len(scripts[si]))
+			copy(oracle, scripts[si])
+			oh := core.MustNew(core.Config{Bins: 64, Resizable: true}).MustHandle()
+			oh.Exec(oracle, false)
+			res := results[si]
+			if len(res) != len(oracle) {
+				t.Fatalf("session %d: %d completions, want %d", si, len(res), len(oracle))
 			}
-			if tbl.NumBins() == 64 {
-				t.Fatal("table never resized; the test lost its concurrent-resize coverage")
+			for i := range oracle {
+				got, want := res[i].Op, oracle[i]
+				if got.Result != want.Result || got.OK != want.OK || got.Err != want.Err {
+					t.Fatalf("session %d op %d (%v key %d): got (%d,%v,%v), oracle (%d,%v,%v)",
+						si, i, want.Kind, want.Key,
+						got.Result, got.OK, got.Err,
+						want.Result, want.OK, want.Err)
+				}
 			}
-		})
-	}
+		}
+		if tbl.NumBins() == 64 {
+			t.Fatal("table never resized; the test lost its concurrent-resize coverage")
+		}
+	})
 }
 
 // TestExecutorKVVsModel drives the variable-length surface: sessions mix
 // KVInsert/KVGet/KVDelete over per-session key prefixes and the in-order
 // completion stream must match a sequential map model.
 func TestExecutorKVVsModel(t *testing.T) {
-	for _, mode := range []Mode{Shared, Partitioned} {
-		t.Run(mode.String(), func(t *testing.T) {
-			const (
-				sessions = 4
-				opsPer   = 3000
-				keys     = 60
-			)
-			tbl := core.MustNew(core.Config{
-				Mode: core.Allocator, Bins: 64, Resizable: true,
-				VariableKV: true, Namespaces: true, EpochGC: true, MaxThreads: 32,
-			})
-			ex, err := New(tbl, Options{Shards: 3, Mode: mode, Ring: 32, SessionWindow: 64})
+	t.Run("shared", func(t *testing.T) {
+		const (
+			sessions = 4
+			opsPer   = 3000
+			keys     = 60
+		)
+		tbl := core.MustNew(core.Config{
+			Mode: core.Allocator, Bins: 64, Resizable: true,
+			VariableKV: true, Namespaces: true, EpochGC: true, MaxThreads: 32,
+		})
+		ex, err := New(tbl, Options{Shards: 3, ring: 32, sessionWindow: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ex.Close()
+
+		type kvScript struct {
+			kinds []KVKind
+			keys  [][]byte
+			vals  [][]byte
+		}
+		scripts := make([]kvScript, sessions)
+		results := make([][]Done, sessions)
+		var wg sync.WaitGroup
+		for si := 0; si < sessions; si++ {
+			r := rand.New(rand.NewSource(int64(si)*104729 + 5))
+			sc := kvScript{}
+			for i := 0; i < opsPer; i++ {
+				k := fmt.Appendf(nil, "s%d-key-%d", si, r.Intn(keys))
+				if r.Intn(8) == 0 { // some big keys exercise out-of-line compares
+					k = append(k, bytes.Repeat([]byte("x"), 40)...)
+				}
+				switch r.Intn(4) {
+				case 0, 1:
+					sc.kinds = append(sc.kinds, KVGet)
+					sc.vals = append(sc.vals, nil)
+				case 2:
+					sc.kinds = append(sc.kinds, KVInsert)
+					sc.vals = append(sc.vals, fmt.Appendf(nil, "v-%d-%d", si, r.Int()))
+				case 3:
+					sc.kinds = append(sc.kinds, KVDelete)
+					sc.vals = append(sc.vals, nil)
+				}
+				sc.keys = append(sc.keys, k)
+			}
+			scripts[si] = sc
+			sess, err := ex.NewSession()
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer ex.Close()
+			wg.Add(2)
+			go func(sc kvScript, sess *Session) {
+				defer wg.Done()
+				for i := range sc.kinds {
+					kv := &KVOp{Kind: sc.kinds[i], NS: 0, Key: sc.keys[i], Value: sc.vals[i]}
+					if err := sess.SubmitKV(kv); err != nil {
+						t.Error(err)
+						break
+					}
+				}
+				sess.FinishSubmit()
+			}(sc, sess)
+			go func(si int, sess *Session) {
+				defer wg.Done()
+				results[si] = drain(sess)
+			}(si, sess)
+		}
+		wg.Wait()
 
-			type kvScript struct {
-				kinds []KVKind
-				keys  [][]byte
-				vals  [][]byte
+		for si := range scripts {
+			sc, res := scripts[si], results[si]
+			if len(res) != len(sc.kinds) {
+				t.Fatalf("session %d: %d completions, want %d", si, len(res), len(sc.kinds))
 			}
-			scripts := make([]kvScript, sessions)
-			results := make([][]Done, sessions)
-			var wg sync.WaitGroup
-			for si := 0; si < sessions; si++ {
-				r := rand.New(rand.NewSource(int64(si)*104729 + 5))
-				sc := kvScript{}
-				for i := 0; i < opsPer; i++ {
-					k := fmt.Appendf(nil, "s%d-key-%d", si, r.Intn(keys))
-					if r.Intn(8) == 0 { // some big keys exercise out-of-line compares
-						k = append(k, bytes.Repeat([]byte("x"), 40)...)
-					}
-					switch r.Intn(4) {
-					case 0, 1:
-						sc.kinds = append(sc.kinds, KVGet)
-						sc.vals = append(sc.vals, nil)
-					case 2:
-						sc.kinds = append(sc.kinds, KVInsert)
-						sc.vals = append(sc.vals, fmt.Appendf(nil, "v-%d-%d", si, r.Int()))
-					case 3:
-						sc.kinds = append(sc.kinds, KVDelete)
-						sc.vals = append(sc.vals, nil)
-					}
-					sc.keys = append(sc.keys, k)
+			model := map[string][]byte{}
+			for i, d := range res {
+				kv := d.KV
+				if kv == nil {
+					t.Fatalf("session %d op %d: fixed-op completion for a KV submit", si, i)
 				}
-				scripts[si] = sc
-				sess, err := ex.NewSession()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(2)
-				go func(sc kvScript, sess *Session) {
-					defer wg.Done()
-					for i := range sc.kinds {
-						kv := &KVOp{Kind: sc.kinds[i], NS: 0, Key: sc.keys[i], Value: sc.vals[i]}
-						if err := sess.SubmitKV(kv); err != nil {
-							t.Error(err)
-							break
-						}
+				key := string(sc.keys[i])
+				switch sc.kinds[i] {
+				case KVGet:
+					want, exists := model[key]
+					if kv.OK != exists || (exists && !bytes.Equal(kv.Out, want)) {
+						t.Fatalf("session %d op %d: GetKV(%q) = (%q,%v), model (%q,%v)",
+							si, i, key, kv.Out, kv.OK, want, exists)
 					}
-					sess.FinishSubmit()
-				}(sc, sess)
-				go func(si int, sess *Session) {
-					defer wg.Done()
-					results[si] = drain(sess)
-				}(si, sess)
-			}
-			wg.Wait()
-
-			for si := range scripts {
-				sc, res := scripts[si], results[si]
-				if len(res) != len(sc.kinds) {
-					t.Fatalf("session %d: %d completions, want %d", si, len(res), len(sc.kinds))
-				}
-				model := map[string][]byte{}
-				for i, d := range res {
-					kv := d.KV
-					if kv == nil {
-						t.Fatalf("session %d op %d: fixed-op completion for a KV submit", si, i)
+				case KVInsert:
+					if _, exists := model[key]; exists {
+						if !errors.Is(kv.Err, core.ErrExists) {
+							t.Fatalf("session %d op %d: dup InsertKV err = %v, want ErrExists", si, i, kv.Err)
+						}
+					} else {
+						if kv.Err != nil || !kv.OK {
+							t.Fatalf("session %d op %d: InsertKV = (%v,%v)", si, i, kv.OK, kv.Err)
+						}
+						model[key] = sc.vals[i]
 					}
-					key := string(sc.keys[i])
-					switch sc.kinds[i] {
-					case KVGet:
-						want, exists := model[key]
-						if kv.OK != exists || (exists && !bytes.Equal(kv.Out, want)) {
-							t.Fatalf("session %d op %d: GetKV(%q) = (%q,%v), model (%q,%v)",
-								si, i, key, kv.Out, kv.OK, want, exists)
-						}
-					case KVInsert:
-						if _, exists := model[key]; exists {
-							if !errors.Is(kv.Err, core.ErrExists) {
-								t.Fatalf("session %d op %d: dup InsertKV err = %v, want ErrExists", si, i, kv.Err)
-							}
-						} else {
-							if kv.Err != nil || !kv.OK {
-								t.Fatalf("session %d op %d: InsertKV = (%v,%v)", si, i, kv.OK, kv.Err)
-							}
-							model[key] = sc.vals[i]
-						}
-					case KVDelete:
-						_, exists := model[key]
-						if kv.OK != exists {
-							t.Fatalf("session %d op %d: DeleteKV(%q) ok=%v, model %v", si, i, key, kv.OK, exists)
-						}
-						delete(model, key)
+				case KVDelete:
+					_, exists := model[key]
+					if kv.OK != exists {
+						t.Fatalf("session %d op %d: DeleteKV(%q) ok=%v, model %v", si, i, key, kv.OK, exists)
 					}
+					delete(model, key)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestExecutorCloseDrains: Close under live producers must execute or
@@ -249,7 +244,7 @@ func TestExecutorKVVsModel(t *testing.T) {
 func TestExecutorCloseDrains(t *testing.T) {
 	const maxThreads = 8
 	tbl := core.MustNew(core.Config{Bins: 1 << 10, Resizable: true, MaxThreads: maxThreads})
-	ex, err := New(tbl, Options{Shards: 4, Ring: 64, SessionWindow: 64})
+	ex, err := New(tbl, Options{Shards: 4, ring: 64, sessionWindow: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +306,7 @@ func TestSessionKVBounds(t *testing.T) {
 		Mode: core.Allocator, Bins: 1 << 8, Resizable: true,
 		VariableKV: true, EpochGC: true, MaxThreads: 8,
 	})
-	ex, err := New(tbl, Options{Shards: 2, SessionKVInflight: 4, SessionKVBytes: 1 << 18})
+	ex, err := New(tbl, Options{Shards: 2, sessionKVInflight: 4, sessionKVBytes: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}

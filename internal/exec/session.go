@@ -62,11 +62,11 @@ type doneSlot struct {
 // single — possibly different — goroutine) that yields completions
 // strictly in submission order, whatever order the shards finished them
 // in. The seq-indexed reorder ring between the two grows on demand up to
-// Options.SessionWindow, which is the session's in-flight bound: Submit
+// defaultSessionWindow, which is the session's in-flight bound: Submit
 // blocks while the consumer is a full window behind.
 type Session struct {
 	e     *Executor
-	shard *shard // Shared-mode binding; nil in Partitioned mode
+	shard *shard // every request of the session executes here
 
 	mu        sync.Mutex
 	cond      sync.Cond // consumer waits for the next in-order completion
@@ -82,7 +82,7 @@ type Session struct {
 	kvBytes    int
 
 	// scratch stages SubmitBatch items so a whole decoded burst moves into
-	// a shard ring with one gate and (in Shared mode) one ring lock.
+	// the shard ring with one gate and one ring lock.
 	scratch []item
 }
 
@@ -92,9 +92,7 @@ type Session struct {
 // sequence accounting stays intact — when the executor has been closed.
 func (s *Session) Submit(op core.Op) error {
 	seq := s.gate()
-	hash := s.e.tbl.HashOf(op.Key)
-	sh := s.route(hash)
-	if !sh.enqueue(item{sess: s, seq: seq, hash: hash, op: op}) {
+	if !s.shard.enqueue(item{sess: s, seq: seq, hash: s.e.tbl.HashOf(op.Key), op: op}) {
 		op.OK, op.Err = false, ErrClosed
 		s.complete(seq, op, nil)
 		return ErrClosed
@@ -103,9 +101,9 @@ func (s *Session) Submit(op core.Op) error {
 }
 
 // SubmitBatch routes a run of fixed ops into the executor: one gate for
-// the whole run and — in Shared mode — one ring lock per chunk, so a
-// deeply pipelined connection pays amortized rather than per-op
-// synchronization. Semantics match a Submit per op.
+// the whole run and one ring lock per chunk, so a deeply pipelined
+// connection pays amortized rather than per-op synchronization. Semantics
+// match a Submit per op.
 func (s *Session) SubmitBatch(ops []core.Op) error {
 	t := s.e.tbl
 	if s.scratch == nil {
@@ -121,19 +119,9 @@ func (s *Session) SubmitBatch(ops []core.Op) error {
 			op := ops[i]
 			s.scratch[i] = item{sess: s, seq: seq0 + uint64(i), hash: t.HashOf(op.Key), op: op}
 		}
-		if s.shard != nil {
-			if acc := s.shard.enqueueBatch(s.scratch[:n]); acc < n {
-				s.failClosed(s.scratch[acc:n])
-				return ErrClosed
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				it := s.scratch[i]
-				if !s.route(it.hash).enqueue(it) {
-					s.failClosed(s.scratch[i:n])
-					return ErrClosed
-				}
-			}
+		if acc := s.shard.enqueueBatch(s.scratch[:n]); acc < n {
+			s.failClosed(s.scratch[acc:n])
+			return ErrClosed
 		}
 		ops = ops[n:]
 	}
@@ -153,10 +141,7 @@ func (s *Session) failClosed(items []item) {
 // SubmitKV routes one variable-length op into the executor; see KVOp for
 // the buffer-ownership contract. Blocking and close behavior match
 // Submit, with two further gates — the per-session KV op and payload-byte
-// bounds — because each in-flight KV op owns its buffers. The routing
-// hash is only computed in Partitioned mode (Shared routing doesn't need
-// it); partitioned KV reads hand it to the shard's KVPipeline so routing
-// and bin mapping share one hash.
+// bounds — because each in-flight KV op owns its buffers.
 func (s *Session) SubmitKV(kv *KVOp) error {
 	need := len(kv.Key) + len(kv.Value)
 	s.mu.Lock()
@@ -183,12 +168,7 @@ func (s *Session) SubmitKV(kv *KVOp) error {
 	kv.charged = need
 	s.mu.Unlock()
 
-	sh, hash := s.shard, uint64(0)
-	if sh == nil {
-		hash = s.e.tbl.HashOfKV(kv.NS, kv.Key)
-		sh = s.route(hash)
-	}
-	if !sh.enqueue(item{sess: s, seq: seq, hash: hash, kv: kv}) {
+	if !s.shard.enqueue(item{sess: s, seq: seq, kv: kv}) {
 		kv.Err = ErrClosed
 		s.complete(seq, core.Op{}, kv)
 		return ErrClosed
@@ -217,14 +197,6 @@ func (s *Session) FinishSubmit() {
 	s.cond.Signal()
 	s.mu.Unlock()
 	s.e.detachSession(s)
-}
-
-// route picks the shard for a request with routing hash h.
-func (s *Session) route(h uint64) *shard {
-	if s.shard != nil {
-		return s.shard
-	}
-	return s.e.shards[h%uint64(len(s.e.shards))]
 }
 
 // gate assigns the next sequence number, blocking while the reorder ring

@@ -11,7 +11,7 @@ import (
 
 // benchServer starts a prepopulated server for the pipeline benchmarks.
 // The execution model defaults to the server default (shared executor);
-// set DLHT_BENCH_EXEC=conn|partitioned|shared to A/B the pipeline
+// set DLHT_BENCH_EXEC=conn|shared to A/B the pipeline
 // benchmarks across models without editing code.
 func benchServer(b *testing.B, keys uint64) *Server {
 	opts := Options{}
@@ -101,7 +101,7 @@ func BenchmarkPipelinedMixed(b *testing.B) {
 // latency the executor amortizes is actually present.
 func BenchmarkServerSyncConns(b *testing.B) {
 	const keys = 1 << 19
-	for _, mode := range []ExecMode{ExecConn, ExecShared, ExecPartitioned} {
+	for _, mode := range []ExecMode{ExecConn, ExecShared} {
 		b.Run("exec="+mode.String(), func(b *testing.B) {
 			s := benchServerOpts(b, keys, Options{Exec: mode})
 			for _, conns := range []int{1, 8, 64} {

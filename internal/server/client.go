@@ -249,7 +249,7 @@ func (cl *Client) ensureConn() error {
 	}
 	if err != nil {
 		cl.redialFails++
-		cl.nextRedial = time.Now().Add(pol.backoff(cl.redialFails, &cl.rng))
+		cl.nextRedial = time.Now().Add(pol.Backoff(cl.redialFails, &cl.rng))
 		return err
 	}
 	cl.broken = nil
@@ -578,7 +578,7 @@ func (cl *Client) do(r Request) (Response, error) {
 	}
 	pol := cl.retry.norm()
 	for attempt := 0; attempt < pol.Max && IsRetryable(err); attempt++ {
-		time.Sleep(pol.backoff(attempt, &cl.rng))
+		time.Sleep(pol.Backoff(attempt, &cl.rng))
 		resp, err = cl.do1(r)
 		if err == nil {
 			return resp, nil
@@ -677,7 +677,7 @@ func (cl *Client) doKV(r KVRequest) (KVResponse, error) {
 	}
 	pol := cl.retry.norm()
 	for attempt := 0; attempt < pol.Max && IsRetryable(err); attempt++ {
-		time.Sleep(pol.backoff(attempt, &cl.rng))
+		time.Sleep(pol.Backoff(attempt, &cl.rng))
 		resp, err = cl.doKV1(r)
 		if err == nil {
 			return resp, nil
@@ -756,7 +756,7 @@ func (cl *Client) GetVer(key uint64) (val uint64, ok bool, ver uint64, err error
 	}
 	pol := cl.retry.norm()
 	for attempt := 0; attempt < pol.Max && IsRetryable(err); attempt++ {
-		time.Sleep(pol.backoff(attempt, &cl.rng))
+		time.Sleep(pol.Backoff(attempt, &cl.rng))
 		val, ok, ver, err = cl.getVer1(key)
 		if err == nil {
 			return val, ok, ver, nil

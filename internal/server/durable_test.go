@@ -34,7 +34,7 @@ func startDurableServer(t *testing.T, ds *wal.Store, opts Options) *Server {
 // in every exec mode, asserts acknowledgements implied a covering group
 // commit, and verifies the directory recovers the exact final state.
 func TestDurableServerFixedOps(t *testing.T) {
-	for _, mode := range []ExecMode{ExecShared, ExecPartitioned, ExecConn} {
+	for _, mode := range []ExecMode{ExecShared, ExecConn} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := core.Config{Bins: 1 << 10, Resizable: true}
@@ -109,7 +109,7 @@ func TestDurableServerFixedOps(t *testing.T) {
 // TestDurableServerKV drives Allocator-mode KV mutations through the
 // durable path in executor and conn modes and verifies recovery.
 func TestDurableServerKV(t *testing.T) {
-	for _, mode := range []ExecMode{ExecShared, ExecPartitioned, ExecConn} {
+	for _, mode := range []ExecMode{ExecShared, ExecConn} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := core.Config{

@@ -17,10 +17,10 @@ import (
 // connection pipelines a mixed script with heavy key reuse (the
 // order-sensitive case: an Insert/Put/Delete/Get chain on one key answers
 // differently under any reordering) and checks every response against a
-// sequential model. Covers both routing modes; the CI race job runs it
+// sequential model. The CI race job runs it
 // under -race.
 func TestResponseOrderAcrossModes(t *testing.T) {
-	for _, mode := range []ExecMode{ExecShared, ExecPartitioned} {
+	for _, mode := range []ExecMode{ExecShared, ExecConn} {
 		t.Run(mode.String(), func(t *testing.T) {
 			s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true, MaxThreads: 32},
 				Options{Exec: mode, ExecShards: 4})

@@ -51,7 +51,7 @@ func TestV2RoundTripAllOps(t *testing.T) {
 // same refusal a wrong-version hello gets — and costs the server no table
 // handle and no executor, in every exec mode.
 func TestHandshakelessClientRefused(t *testing.T) {
-	for _, mode := range []ExecMode{ExecShared, ExecPartitioned, ExecConn} {
+	for _, mode := range []ExecMode{ExecShared, ExecConn} {
 		t.Run(mode.String(), func(t *testing.T) {
 			const maxThreads = 4
 			s := startServer(t, core.Config{Bins: 1 << 8, MaxThreads: maxThreads}, Options{Exec: mode})
@@ -502,8 +502,9 @@ func TestSentinelErrorsAcrossBackends(t *testing.T) {
 // first request is a KV frame receives a KV-shaped BUSY response, keeping
 // the response-matching rule intact.
 func TestBusyKVShaped(t *testing.T) {
-	s := startServer(t, core.Config{Mode: core.Allocator, Bins: 1 << 8, VariableKV: true, MaxThreads: 1}, Options{Exec: ExecConn})
-	// Pin the only handle.
+	s := startServer(t, core.Config{Mode: core.Allocator, Bins: 1 << 8, VariableKV: true, MaxThreads: 2}, Options{Exec: ExecConn})
+	// Pin the only connection handle (a served kv table's TTL sweeper holds
+	// the other).
 	pin := dialV2T(t, s, ClientOpts{})
 	if err := pin.InsertKV(0, []byte("pin"), []byte("v")); err != nil {
 		t.Fatal(err)

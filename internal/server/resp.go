@@ -90,8 +90,15 @@ func respRefuse(c net.Conn, msg string) {
 // expiryFor returns tbl's shared TTL index, creating it (with a sweeper
 // on a dedicated handle) on first use for RAM tables. Durable tables
 // register their store-owned index in AddDurable — that one is also
-// wired into WAL replay and snapshots.
+// wired into WAL replay and snapshots. Every path that can run a KV op on
+// the table — RESP connections, connection-owned binary handles, executor
+// shards — asks here before it starts, so the index exists before the
+// first of them does and none can mutate around it. Tables that are not
+// in Allocator mode take no KV ops and have none (nil).
 func (s *Server) expiryFor(tbl *core.Table) (*expiry.Index, error) {
+	if tbl.Mode() != core.Allocator {
+		return nil, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

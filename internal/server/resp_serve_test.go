@@ -52,7 +52,7 @@ func respDo(t *testing.T, cl *resp.Client, args ...string) resp.Reply {
 // listener serve the same table concurrently in every exec mode — writes
 // from one protocol are reads on the other.
 func TestRESPBesideBinaryAcrossModes(t *testing.T) {
-	for _, mode := range []ExecMode{ExecShared, ExecPartitioned, ExecConn} {
+	for _, mode := range []ExecMode{ExecShared, ExecConn} {
 		t.Run(mode.String(), func(t *testing.T) {
 			tbl := core.MustNew(core.Config{
 				Mode: core.Allocator, Bins: 1 << 10, Resizable: true,

@@ -118,9 +118,11 @@ func (p RetryPolicy) norm() RetryPolicy {
 	return p
 }
 
-// backoff returns the jittered delay for retry attempt n (0-based),
-// advancing the caller's xorshift state.
-func (p RetryPolicy) backoff(n int, rng *uint64) time.Duration {
+// Backoff returns the jittered delay for retry attempt n (0-based),
+// advancing the caller's xorshift state. Defaulted fields are filled in,
+// and a zero state starts from Seed, so `var rng uint64` is a valid one.
+func (p RetryPolicy) Backoff(n int, rng *uint64) time.Duration {
+	p = p.norm()
 	d := p.BaseDelay
 	for i := 0; i < n && d < p.MaxDelay; i++ {
 		d *= 2
@@ -129,6 +131,9 @@ func (p RetryPolicy) backoff(n int, rng *uint64) time.Duration {
 		d = p.MaxDelay
 	}
 	x := *rng
+	if x == 0 {
+		x = p.Seed | 1
+	}
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17

@@ -48,7 +48,7 @@ func TestBackoffCappedAndJittered(t *testing.T) {
 	rng := uint64(7)
 	want := []time.Duration{2, 4, 8, 16, 16, 16} // ms, pre-jitter
 	for i, w := range want {
-		d := p.backoff(i, &rng)
+		d := p.Backoff(i, &rng)
 		hi := w * time.Millisecond
 		if d < hi/2 || d > hi {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", i, d, hi/2, hi)
@@ -57,7 +57,7 @@ func TestBackoffCappedAndJittered(t *testing.T) {
 	// Same seed, same schedule.
 	r1, r2 := uint64(42), uint64(42)
 	for i := 0; i < 10; i++ {
-		if a, b := p.backoff(i, &r1), p.backoff(i, &r2); a != b {
+		if a, b := p.Backoff(i, &r1), p.Backoff(i, &r2); a != b {
 			t.Fatalf("attempt %d: jitter not deterministic (%v vs %v)", i, a, b)
 		}
 	}

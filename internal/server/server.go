@@ -29,13 +29,6 @@ const (
 	// deeply any single connection pipelines. Each connection is bound to
 	// one shard, preserving per-connection execution order.
 	ExecShared ExecMode = iota
-	// ExecPartitioned is the executor with key-hash routing: every
-	// operation on a key serializes through one shard (per-key program
-	// order, the sharded-Cluster contract), and with power-of-two bin
-	// counts shards touch disjoint bins (EREW). Cross-key requests from
-	// one connection may execute out of order; responses are still
-	// delivered in request order.
-	ExecPartitioned
 	// ExecConn is the goroutine-per-connection escape hatch: each
 	// connection owns a table handle and executes its own requests, as
 	// before the executor existed. Batching then only comes from
@@ -48,8 +41,6 @@ func (m ExecMode) String() string {
 	switch m {
 	case ExecShared:
 		return "shared"
-	case ExecPartitioned:
-		return "partitioned"
 	case ExecConn:
 		return "conn"
 	}
@@ -57,13 +48,11 @@ func (m ExecMode) String() string {
 }
 
 // ParseExecMode maps a mode name (the -exec flag vocabulary: "shared",
-// "partitioned", "conn") onto its ExecMode.
+// "conn") onto its ExecMode.
 func ParseExecMode(name string) (ExecMode, bool) {
 	switch name {
 	case "shared":
 		return ExecShared, true
-	case "partitioned":
-		return ExecPartitioned, true
 	case "conn":
 		return ExecConn, true
 	}
@@ -86,8 +75,8 @@ type Options struct {
 	// the next frame and as a write deadline around response flushes.
 	// 0 (the default) disables it.
 	IdleTimeout time.Duration
-	// Exec selects the execution model: ExecShared (default),
-	// ExecPartitioned, or the goroutine-per-connection ExecConn.
+	// Exec selects the execution model: ExecShared (default) or the
+	// goroutine-per-connection ExecConn.
 	Exec ExecMode
 	// ExecShards is the number of executor shards per served table in the
 	// executor modes (0 = GOMAXPROCS).
@@ -338,11 +327,12 @@ func (s *Server) Close() error {
 }
 
 // executorFor returns (creating on first use) the shared executor serving
-// tbl.
+// tbl. The table's TTL index comes first, so no shard ever runs KV ops
+// around it.
 func (s *Server) executorFor(tbl *core.Table) (*exec.Executor, error) {
-	mode := exec.Shared
-	if s.opts.Exec == ExecPartitioned {
-		mode = exec.Partitioned
+	ix, err := s.expiryFor(tbl)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -356,7 +346,7 @@ func (s *Server) executorFor(tbl *core.Table) (*exec.Executor, error) {
 	if l := s.walLogs[tbl]; l != nil {
 		w = l // assign only when non-nil: a typed-nil WAL would pass != nil checks
 	}
-	ex, err := exec.New(tbl, exec.Options{Shards: s.opts.ExecShards, Mode: mode, WAL: w})
+	ex, err := exec.New(tbl, exec.Options{Shards: s.opts.ExecShards, WAL: w, Expiry: ix})
 	if err != nil {
 		return nil, err
 	}
@@ -679,13 +669,15 @@ func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t t
 // the reply writer, so replies for a deep burst go out while its tail is
 // still being decoded and the prefetch window stays primed across bursts;
 // KV and reshard requests execute synchronously behind a pipeline flush,
-// which keeps responses in request order. On a durable table every
-// effective mutation is appended to the redo log as it completes and the
-// writer's sync bar is raised to its sequence.
+// which keeps responses in request order; KV requests run on the handle's
+// expiry.KV, which keeps the table's deadline index in step. On a durable
+// table every effective mutation is appended to the redo log as it
+// completes and the writer's sync bar is raised to its sequence.
 type ownedTarget struct {
 	tbl   *core.Table
 	h     *core.Handle
 	p     *core.Pipeline
+	kvs   expiry.KV
 	log   *wal.Log // durable table's redo log; nil for RAM tables
 	w     *ackbuf.Writer
 	kvOps int // served KV requests, for the epoch-advance cadence
@@ -693,13 +685,21 @@ type ownedTarget struct {
 
 // serveOwned serves a connection from its own table handle.
 func (s *Server) serveOwned(c net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl *core.Table, features uint16) {
+	ix, err := s.expiryFor(tbl) // before the handle: the index may need one for its sweeper
+	if err != nil {
+		refuseBusy(br, w)
+		return
+	}
 	h, err := s.acquireHandle(tbl)
 	if err != nil {
 		refuseBusy(br, w)
 		return
 	}
 	defer s.releaseHandle(h)
-	t := &ownedTarget{tbl: tbl, h: h, log: s.walFor(tbl), w: w}
+	t := &ownedTarget{tbl: tbl, h: h, kvs: expiry.Bind(h, ix, nil), log: s.walFor(tbl), w: w}
+	if t.log != nil {
+		t.kvs = expiry.Bind(h, ix, t.log) // only when non-nil: a typed-nil RedoLog would pass Bind's check
+	}
 	t.p = h.Pipeline(core.PipelineOpts{OnComplete: func(op *core.Op) {
 		if w.Err() != nil {
 			return
@@ -742,21 +742,8 @@ func (t *ownedTarget) kv(req KVRequest) error {
 	if err := t.w.Err(); err != nil {
 		return err
 	}
-	resp := execKV(t.tbl, t.h, req)
-	if t.log != nil && resp.Status == StatusOK && req.Op != OpGetKV {
-		var seq uint64
-		var err error
-		if req.Op == OpInsertKV {
-			seq, err = t.log.LogKVInsert(req.NS, req.Key, req.Value)
-		} else {
-			seq, err = t.log.LogKVDelete(req.NS, req.Key)
-		}
-		if err != nil {
-			t.w.Fail(err)
-			return err
-		}
-		t.w.NeedSync(seq)
-	}
+	resp, seq := execKV(t.tbl, t.h, t.kvs, req)
+	t.w.NeedSync(seq)
 	t.w.Commit(AppendKVResponse(t.w.Buf(), resp))
 	// Periodically refresh this handle's epoch (no-op without EpochGC) so
 	// blocks deleted by other connections reclaim. Safe here: the response
@@ -834,36 +821,48 @@ func (t *ownedTarget) reshard(op OpCode, frame []byte) error {
 	return t.w.Err()
 }
 
-// execKV runs one KV request against the connection's handle. Values
-// returned by GetKV are views into the table; they are appended into the
-// reply buffer before the next request can invalidate them, and the
-// connection handle's epoch pin keeps a concurrent DeleteKV from another
-// connection from freeing the block mid-copy — which is why Allocator
-// tables served over the network should enable Config.EpochGC (dlht-server
-// kv tables do). Without it the core contract applies: a view is only
-// stable until the key is deleted. CheckKV gates every request first: the
-// local KV surface panics on mode and namespace misuse (API-misuse
-// contract), but over the wire those are just statuses.
-func execKV(tbl *core.Table, h *core.Handle, req KVRequest) KVResponse {
+// execKV runs one KV request against the connection's handle: reads on the
+// handle behind the lazy-expiry check, mutations through its expiry.KV
+// (insert as SET NX, which keeps InsertKV's ErrExists contract), returning
+// the reply and the redo sequence it must wait for. A failed log append
+// becomes the op's status; the log's failure is sticky, so the writer's
+// next flush ends the connection. Values returned by GetKV are views into
+// the table; they are appended into the reply buffer before the next
+// request can invalidate them, and the connection handle's epoch pin keeps
+// a concurrent DeleteKV from another connection from freeing the block
+// mid-copy — which is why Allocator tables served over the network should
+// enable Config.EpochGC (dlht-server kv tables do). Without it the core
+// contract applies: a view is only stable until the key is deleted.
+// CheckKV gates every request first: the local KV surface panics on mode
+// and namespace misuse (API-misuse contract), but over the wire those are
+// just statuses.
+func execKV(tbl *core.Table, h *core.Handle, kv expiry.KV, req KVRequest) (KVResponse, uint64) {
 	if err := tbl.CheckKV(req.NS, req.Key, req.Value, req.Op == OpInsertKV); err != nil {
-		return KVResponse{Status: errToStatus(err)}
+		return KVResponse{Status: errToStatus(err)}, 0
 	}
+	hash := tbl.HashOfKV(req.NS, req.Key)
 	switch req.Op {
 	case OpGetKV:
-		v, ok := h.GetKV(req.NS, req.Key)
-		if !ok {
-			return KVResponse{Status: StatusNotFound}
+		if !kv.Expired(req.NS, req.Key, hash) {
+			if v, ok := h.GetKV(req.NS, req.Key); ok {
+				return KVResponse{Status: StatusOK, Value: v}, 0
+			}
 		}
-		return KVResponse{Status: StatusOK, Value: v}
+		return KVResponse{Status: StatusNotFound}, 0
 	case OpInsertKV:
-		return KVResponse{Status: errToStatus(h.InsertKV(req.NS, req.Key, req.Value))}
-	case OpDeleteKV:
-		if !h.DeleteKV(req.NS, req.Key) {
-			return KVResponse{Status: StatusNotFound}
+		set, seq, err := kv.Set(req.NS, req.Key, req.Value, hash, 0, expiry.NX)
+		if err == nil && !set {
+			err = core.ErrExists
 		}
-		return KVResponse{Status: StatusOK}
+		return KVResponse{Status: errToStatus(err)}, seq
+	case OpDeleteKV:
+		ok, seq, err := kv.Delete(req.NS, req.Key, hash)
+		if err == nil && !ok {
+			return KVResponse{Status: StatusNotFound}, 0
+		}
+		return KVResponse{Status: errToStatus(err)}, seq
 	}
-	return KVResponse{Status: StatusBadRequest}
+	return KVResponse{Status: StatusBadRequest}, 0
 }
 
 // sessionTarget submits a connection's requests to the shared sharded

@@ -57,7 +57,8 @@ func New(records uint64, maxThreads int) (*Driver, error) {
 
 // NewOver builds a driver over any Store backend. open returns a fresh
 // Store per worker goroutine — (*Table).Store for in-process tables, a
-// Dial wrapper for a server, a DialCluster wrapper for a sharded cluster.
+// dlht.Open("tcp://...") for a server, dlht.Open("cluster:...") for a
+// sharded cluster.
 // The record space [0, records) is prepopulated through one pipelined
 // store before NewOver returns.
 func NewOver(open func() (core.Store, error), records uint64) (*Driver, error) {

@@ -22,7 +22,7 @@ type (
 	// table whose effective mutations are group-committed to a redo log in
 	// a directory, recovered on Open. Beyond the Store surface it exposes
 	// Table, Log, Snapshot and RecoverStats; reach them by type-asserting
-	// an Open result or by calling OpenDurable directly.
+	// an Open result.
 	DurableStore = wal.Store
 	// WALOptions tunes a DurableStore (segment rotation and automatic
 	// snapshot thresholds); pass via WithWALOptions.
@@ -108,7 +108,8 @@ func WithClusterOpts(o ClusterOpts) Option {
 // after w replica acks; w = 0 means write-all. With w = r an acked write
 // survives any single-shard loss and reads never miss it after
 // failover; w < r keeps writes available through r-w shard failures at
-// the cost of replica divergence (there is no read repair). Shorthand
+// the cost of replica divergence until read repair or the scrubber
+// (Topology.StartScrub) converges the laggards. Shorthand
 // for the Replicas/WriteQuorum fields of WithClusterOpts.
 func WithReplicas(r, w int) Option {
 	return func(oc *openConfig) {
@@ -118,9 +119,10 @@ func WithReplicas(r, w int) Option {
 }
 
 // WithRetry sets the transparent redial-and-retry policy for the tcp://
-// backend's synchronous helpers and for every shard connection of the
-// cluster: backend (where the zero policy already means DefaultRetry;
-// pass Max < 0 to disable). Retried writes are at-least-once: a retried
+// backend's synchronous helpers, and for the cluster: backend both every
+// shard connection's redial and the retry budget of its synchronous ops
+// (there the zero policy already means DefaultRetry; pass Max < 0 to
+// disable). Retried writes are at-least-once: a retried
 // Insert whose first attempt applied but whose ack was lost reports the
 // key as already present.
 func WithRetry(p RetryPolicy) Option {
@@ -150,8 +152,9 @@ func WithWALOptions(o WALOptions) Option {
 // errors.Is sees through to the underlying sentinel (ErrUnknownTable,
 // net.Error, ...). Like every Store, the result is a per-goroutine object.
 //
-// Dial, DialTable, NewCluster and DialCluster remain as documented aliases
-// for callers that want a concrete client type or pre-opened members.
+// Open is the only constructor: a caller that needs a backend's concrete
+// type asserts it (tcp:// yields a *Client, cluster: a *Cluster, wal: a
+// *DurableStore).
 func Open(spec string, opts ...Option) (Store, error) {
 	var oc openConfig
 	for _, o := range opts {
@@ -203,12 +206,4 @@ func Open(spec string, opts ...Option) (Store, error) {
 		return ds, nil
 	}
 	return nil, fmt.Errorf("%w: %q (schemes: mem:, tcp://, cluster:, wal:)", ErrBadSpec, spec)
-}
-
-// OpenDurable opens (creating or recovering) a durable table in dir and
-// returns the concrete DurableStore — Open("wal:"+dir) with access to the
-// wider surface (Table, Log, Snapshot, RecoverStats) without a type
-// assertion.
-func OpenDurable(dir string, cfg Config, opts WALOptions) (*DurableStore, error) {
-	return wal.Open(dir, cfg, opts)
 }

@@ -168,11 +168,12 @@ func TestOpenWAL(t *testing.T) {
 	}
 
 	// Reopen recovers everything acknowledged before Close.
-	r, err := dlht.OpenDurable(dir, cfg, dlht.WALOptions{})
+	rs, err := dlht.Open("wal:"+dir, dlht.WithConfig(cfg))
 	if err != nil {
-		t.Fatalf("OpenDurable reopen: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
-	defer r.Close()
+	defer rs.Close()
+	r := rs.(*dlht.DurableStore)
 	if n := r.RecoverStats().Records; n != 32 {
 		t.Fatalf("recovered %d records, want 32", n)
 	}

@@ -3,6 +3,7 @@ package dlht_test
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 
 	dlht "repro"
@@ -98,7 +99,7 @@ func TestStoreFacade(t *testing.T) {
 	})
 	t.Run("remote", func(t *testing.T) {
 		addrs := startServers(t, 1)
-		s, err := dlht.Dial(addrs[0])
+		s, err := dlht.Open("tcp://" + addrs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,14 +108,14 @@ func TestStoreFacade(t *testing.T) {
 	})
 	t.Run("cluster", func(t *testing.T) {
 		addrs := startServers(t, 3)
-		c, err := dlht.DialCluster(addrs, dlht.ClusterOpts{})
+		s, err := dlht.Open("cluster:" + strings.Join(addrs, ","))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		if c.NumShards() != 3 {
-			t.Fatalf("NumShards = %d", c.NumShards())
+		defer s.Close()
+		if n := s.(*dlht.Cluster).NumShards(); n != 3 {
+			t.Fatalf("NumShards = %d", n)
 		}
-		driveStore(t, c)
+		driveStore(t, s)
 	})
 }
