@@ -1,38 +1,37 @@
-// Command dlht-loadgen drives a dlht-server with pipelined traffic and
-// reports throughput and latency percentiles. It first prepopulates the
-// keyspace with INSERTs, then runs a mixed GET/PUT phase in which every
-// connection keeps -pipeline requests in flight — the client-side mirror
-// of the server's batch execution.
+// Command dlht-loadgen drives DLHT servers with pipelined traffic and
+// reports throughput, latency percentiles and availability. It first
+// prepopulates the keyspace with INSERTs, then runs a mixed GET/PUT phase.
+// Every backend is opened with dlht.Open and driven through the
+// backend-independent Store surface: each connection worker enqueues into
+// one Store.Pipe whose window is -pipeline and counts every op exactly once
+// by its completion — the client-side mirror of the server's batch
+// execution. -pipeline 1 is the request-at-a-time regime.
 //
 // Usage:
 //
 //	dlht-loadgen -addr localhost:4040 -conns 8 -pipeline 16 \
 //	    -ops 1000000 -keys 100000 -read-pct 50 -dist uniform
 //
-// With -embedded the loadgen starts an in-process dlht-server on a loopback
-// port and drives that, making a single binary sufficient for end-to-end
-// experiments — in particular sweeping -window (the table's prefetch
-// window) against -pipeline (the client-side burst depth it feeds). With
-// -async each connection drives the client's callback API (GetAsync/
-// PutAsync + RecvOneAsync) instead of explicit Send/Recv pairs.
+// -addr host:port drives one dlht-server (a tcp:// Store per worker). With
+// -embedded the loadgen starts an in-process dlht-server on a loopback
+// port and drives that instead, making a single binary sufficient for
+// end-to-end experiments — in particular sweeping -window (the table's
+// prefetch window) against -pipeline (the client-side burst depth it
+// feeds).
 //
 // With -addrs host:p1,host:p2,... the loadgen shards the keyspace across
-// several dlht-server processes instead: each worker dials a
-// consistent-hashed Cluster (one pipelined protocol-v2 connection per
-// shard) and drives it through the backend-independent Store surface —
-// synchronous ops by default, the completion-driven Pipe under -async
-// with -pipeline requests in flight per shard.
+// several dlht-server processes: each worker opens a consistent-hashed
+// cluster: Store (one pipelined protocol-v2 connection per shard).
+// -replicas R fans every write to R ring-successor shards, -write-quorum W
+// acks once W have applied, and shard connections transparently redial
+// with backoff.
 //
-// Cluster mode understands replication: -replicas R fans every write to
-// R ring-successor shards, -write-quorum W acks once W have applied, and
-// shard connections transparently redial with backoff. Errors no longer
-// abort a worker — each op's outcome is counted and classified
-// (retryable transport failures vs terminal refusals vs misses) and the
-// run reports an availability line; -max-error-rate sets the tolerated
-// percentage (default 0: any error still fails the run, as before).
-// -verify re-reads the whole keyspace afterwards and fails on any
-// missing key — the zero-lost-acked-writes check the failover smoke
-// leans on.
+// Errors never abort a worker — each op's outcome is counted and
+// classified (retryable transport failures vs terminal refusals vs misses)
+// and the run reports an availability line; -max-error-rate sets the
+// tolerated percentage (default 0: any error fails the run). -verify
+// re-reads the whole keyspace afterwards and fails on any missing key —
+// the zero-lost-acked-writes check the failover smoke leans on.
 //
 // -churn N performs N online membership changes during the measured run,
 // alternating AddShard/RemoveShard of the -spares addresses on a shared
@@ -43,9 +42,6 @@
 // listener (see dlht-server -resp) through the internal RESP client:
 // pipelined SET then GET phases, redis-benchmark-shaped, reported as
 // stable `resp set:`/`resp get:` lines the smoke script parses.
-//
-// In single-server mode any transport error or unexpected response
-// status counts as an error; the process exits non-zero if any occurred.
 package main
 
 import (
@@ -72,13 +68,12 @@ func main() {
 		addrs    = flag.String("addrs", "", "comma-separated shard addresses; enables sharded-cluster mode (overrides -addr/-embedded)")
 		respAddr = flag.String("resp", "", "RESP2 mode: address of a dlht-server -resp listener; runs pipelined SET then GET phases through the internal RESP client (overrides other modes)")
 		conns    = flag.Int("conns", 8, "concurrent connections")
-		pipeline = flag.Int("pipeline", 16, "requests kept in flight per connection")
+		pipeline = flag.Int("pipeline", 16, "Store pipe window per connection: a request completes once this many newer ones are queued behind it (1 = request-at-a-time)")
 		totalOps = flag.Uint64("ops", 1_000_000, "total measured operations across all connections")
 		keys     = flag.Uint64("keys", 100_000, "prepopulated keyspace size")
 		readPct  = flag.Int("read-pct", 50, "percentage of GETs (rest are PUTs)")
 		dist     = flag.String("dist", "uniform", "key distribution: uniform|zipf|hot")
 		skipLoad = flag.Bool("skip-load", false, "skip the INSERT prepopulation phase")
-		async    = flag.Bool("async", false, "drive the mixed phase through the async client API (GetAsync/PutAsync callbacks) instead of Send/Recv")
 		embedded = flag.Bool("embedded", false, "start an in-process server on a loopback port (ignores -addr)")
 		window   = flag.Int("window", 0, "embedded server's prefetch window (<=0 = default 16)")
 		bins     = flag.Uint64("bins", 1<<18, "embedded server's initial bin count")
@@ -86,8 +81,8 @@ func main() {
 
 		replicas    = flag.Int("replicas", 0, "cluster mode: copies per key (0/1 = no replication)")
 		writeQuorum = flag.Int("write-quorum", 0, "cluster mode: acks required per write (0 = replicas)")
-		maxErrRate  = flag.Float64("max-error-rate", 0, "cluster mode: tolerated error percentage before exiting non-zero (0 = strict)")
-		verify      = flag.Bool("verify", false, "cluster mode: after the run, read back every loaded key and fail on any missing")
+		maxErrRate  = flag.Float64("max-error-rate", 0, "tolerated error percentage before exiting non-zero (0 = strict)")
+		verify      = flag.Bool("verify", false, "after the run, read back every loaded key and fail on any missing")
 		churn       = flag.Int("churn", 0, "cluster mode: online membership changes during the measured run, alternating AddShard/RemoveShard of the -spares addresses (workers observe every ring flip live)")
 		spares      = flag.String("spares", "", "cluster mode: comma-separated spare shard addresses -churn cycles in and out of the ring")
 	)
@@ -112,28 +107,26 @@ func main() {
 		return
 	}
 
-	if *addrs != "" {
-		runCluster(clusterConfig{
-			shards:      strings.Split(*addrs, ","),
-			conns:       *conns,
-			pipeline:    *pipeline,
-			totalOps:    *totalOps,
-			keys:        *keys,
-			readPct:     *readPct,
-			dist:        *dist,
-			async:       *async,
-			skipLoad:    *skipLoad,
-			replicas:    *replicas,
-			writeQuorum: *writeQuorum,
-			maxErrRate:  *maxErrRate,
-			verify:      *verify,
-			churn:       *churn,
-			spares:      splitNonEmpty(*spares),
-		})
-		return
+	cfg := config{
+		conns:       *conns,
+		pipeline:    *pipeline,
+		totalOps:    *totalOps,
+		keys:        *keys,
+		readPct:     *readPct,
+		dist:        *dist,
+		skipLoad:    *skipLoad,
+		replicas:    *replicas,
+		writeQuorum: *writeQuorum,
+		maxErrRate:  *maxErrRate,
+		verify:      *verify,
+		churn:       *churn,
+		spares:      splitNonEmpty(*spares),
 	}
-
-	if *embedded {
+	switch {
+	case *addrs != "":
+		cfg.shards = strings.Split(*addrs, ",")
+		cfg.spec = "cluster:" + *addrs
+	case *embedded:
 		execMode, ok := server.ParseExecMode(*execName)
 		if !ok {
 			log.Fatalf("unknown -exec %q (want shared|conn)", *execName)
@@ -149,86 +142,14 @@ func main() {
 		}
 		go srv.Serve(ln)
 		defer srv.Close()
-		*addr = ln.Addr().String()
-		fmt.Printf("embedded server on %s (bins=%d window=%d exec=%s)\n", *addr, *bins, *window, execMode)
+		cfg.spec = "tcp://" + ln.Addr().String()
+		fmt.Printf("embedded server on %s (bins=%d window=%d exec=%s)\n", ln.Addr(), *bins, *window, execMode)
+	default:
+		cfg.spec = "tcp://" + *addr
 	}
-
-	if !*skipLoad {
-		m, errs := load(*addr, *conns, *pipeline, *keys)
-		if errs > 0 {
-			log.Fatalf("load phase: %d errors", errs)
-		}
-		fmt.Printf("loaded %d keys in %v (%.2f M inserts/s)\n",
-			m.Ops, m.Elapsed.Round(time.Millisecond), m.MReqs())
-	}
-
-	api := "send/recv"
-	if *async {
-		api = "async"
-	}
-	fmt.Printf("run: %d ops over %d conns × pipeline %d (%d%% GET / %d%% PUT, %s keys, %s API)\n",
-		*totalOps, *conns, *pipeline, *readPct, 100-*readPct, *dist, api)
-	m, lat, errs := run(*addr, *conns, *pipeline, *totalOps, *keys, *readPct, *dist, *async)
-	fmt.Printf("throughput: %.2f M reqs/s (%d ops in %v)\n",
-		m.MReqs(), m.Ops, m.Elapsed.Round(time.Millisecond))
-	fmt.Println(lat)
-	fmt.Printf("errors: %d\n", errs)
-	if errs > 0 {
+	if !run(cfg) {
 		os.Exit(1)
 	}
-}
-
-// load prepopulates [0, keys) with INSERTs, striped across connections.
-func load(addr string, conns, pipeline int, keys uint64) (bench.Measurement, uint64) {
-	var errs atomic.Uint64
-	var wg sync.WaitGroup
-	begin := time.Now()
-	per := (keys + uint64(conns) - 1) / uint64(conns)
-	for c := 0; c < conns; c++ {
-		lo := uint64(c) * per
-		hi := lo + per
-		if hi > keys {
-			hi = keys
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi uint64) {
-			defer wg.Done()
-			cl, err := server.DialV2(addr, server.ClientOpts{})
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			defer cl.Close()
-			sent, recvd := lo, lo
-			for recvd < hi {
-				for sent < hi && sent-recvd < uint64(pipeline) {
-					if err := cl.Send(server.Request{Op: server.OpInsert, Key: sent, Value: sent ^ 0xdead}); err != nil {
-						errs.Add(1)
-						return
-					}
-					sent++
-				}
-				if err := cl.Flush(); err != nil {
-					errs.Add(1)
-					return
-				}
-				r, err := cl.Recv()
-				if err != nil {
-					errs.Add(1)
-					return
-				}
-				if r.Status != server.StatusOK && r.Status != server.StatusExists {
-					errs.Add(1)
-				}
-				recvd++
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return bench.Measurement{Ops: keys, Elapsed: time.Since(begin)}, errs.Load()
 }
 
 // keyStream abstracts the three supported distributions.
@@ -248,142 +169,17 @@ func newStream(dist string, seed, keys uint64) keyStream {
 	return nil
 }
 
-// run executes the measured mixed phase and aggregates throughput, latency
-// and error counts across connections. With async=true each connection
-// drives the callback API (GetAsync/PutAsync + RecvOneAsync) instead of
-// explicit Send/Recv pairs — the client-side mirror of the server's
-// completion-driven pipeline; both keep -pipeline requests in flight.
-func run(addr string, conns, pipeline int, totalOps, keys uint64, readPct int, dist string, async bool) (bench.Measurement, bench.LatencySummary, uint64) {
-	var total, errs atomic.Uint64
-	agg := bench.NewSampler(1 << 20)
-	var aggMu sync.Mutex
-	var wg sync.WaitGroup
-	per := totalOps / uint64(conns)
-	begin := time.Now()
-	for c := 0; c < conns; c++ {
-		quota := per
-		if c == 0 {
-			quota += totalOps % uint64(conns) // remainder rides on conn 0
-		}
-		wg.Add(1)
-		go func(c int, quota uint64) {
-			defer wg.Done()
-			cl, err := server.DialV2(addr, server.ClientOpts{})
-			if err != nil {
-				errs.Add(quota)
-				return
-			}
-			defer cl.Close()
-			stream := newStream(dist, uint64(c)*2654435761+7, keys)
-			rng := workload.NewRNG(uint64(c)*7919 + 3)
-			sampler := bench.NewSampler(1 << 17)
-			times := make([]time.Time, pipeline)
-			var sent, recvd uint64
-			if async {
-				// One callback closure serves every request: responses
-				// arrive in request order, so recvd indexes the send-time
-				// ring exactly as the Send/Recv loop below does.
-				ok := true
-				cb := func(r server.Response) {
-					sampler.Add(time.Since(times[recvd%uint64(pipeline)]).Nanoseconds())
-					if r.Status != server.StatusOK {
-						errs.Add(1)
-					}
-					recvd++
-				}
-				for recvd < quota {
-					topped := false
-					for sent < quota && sent-recvd < uint64(pipeline) {
-						k := stream.Key()
-						var err error
-						if int(rng.Uint64n(100)) >= readPct {
-							err = cl.PutAsync(k, rng.Next(), cb)
-						} else {
-							err = cl.GetAsync(k, cb)
-						}
-						if err != nil {
-							errs.Add(quota - recvd)
-							ok = false
-							break
-						}
-						times[sent%uint64(pipeline)] = time.Now()
-						sent++
-						topped = true
-					}
-					if !ok {
-						break
-					}
-					if topped {
-						if err := cl.Flush(); err != nil {
-							errs.Add(quota - recvd)
-							break
-						}
-					}
-					if err := cl.RecvOneAsync(); err != nil {
-						errs.Add(quota - recvd)
-						break
-					}
-				}
-				total.Add(recvd)
-				aggMu.Lock()
-				agg.Merge(sampler)
-				aggMu.Unlock()
-				return
-			}
-			for recvd < quota {
-				topped := false
-				for sent < quota && sent-recvd < uint64(pipeline) {
-					k := stream.Key()
-					req := server.Request{Op: server.OpGet, Key: k}
-					if int(rng.Uint64n(100)) >= readPct {
-						req = server.Request{Op: server.OpPut, Key: k, Value: rng.Next()}
-					}
-					if err := cl.Send(req); err != nil {
-						errs.Add(quota - recvd)
-						return
-					}
-					times[sent%uint64(pipeline)] = time.Now()
-					sent++
-					topped = true
-				}
-				if topped {
-					if err := cl.Flush(); err != nil {
-						errs.Add(quota - recvd)
-						return
-					}
-				}
-				r, err := cl.Recv()
-				if err != nil {
-					errs.Add(quota - recvd)
-					return
-				}
-				sampler.Add(time.Since(times[recvd%uint64(pipeline)]).Nanoseconds())
-				// Every key is prepopulated and never deleted, so both GET
-				// and PUT must answer StatusOK.
-				if r.Status != server.StatusOK {
-					errs.Add(1)
-				}
-				recvd++
-			}
-			total.Add(recvd)
-			aggMu.Lock()
-			agg.Merge(sampler)
-			aggMu.Unlock()
-		}(c, quota)
-	}
-	wg.Wait()
-	m := bench.Measurement{Ops: total.Load(), Elapsed: time.Since(begin)}
-	return m, agg.Summary(), errs.Load()
-}
-
-// clusterConfig bundles the -addrs mode's knobs.
-type clusterConfig struct {
+// config bundles a run's knobs. spec is the dlht.Open spec every worker
+// opens (tcp://host:port or cluster:a,b,c); shards is the cluster's
+// initial membership, nil for a single server.
+type config struct {
+	spec                  string
 	shards                []string
 	conns, pipeline       int
 	totalOps, keys        uint64
 	readPct               int
 	dist                  string
-	async, skipLoad       bool
+	skipLoad              bool
 	replicas, writeQuorum int
 	maxErrRate            float64
 	verify                bool
@@ -399,21 +195,17 @@ func splitNonEmpty(s string) []string {
 	return strings.Split(s, ",")
 }
 
-func (cfg clusterConfig) clusterOpts() dlht.ClusterOpts {
+func (cfg config) clusterOpts() dlht.ClusterOpts {
 	return dlht.ClusterOpts{Replicas: cfg.replicas, WriteQuorum: cfg.writeQuorum}
 }
 
-// client opens one per-goroutine cluster instance: over the shared
-// topology when there is one (churn), else a cluster of its own.
-func (cfg clusterConfig) client(topo *dlht.Topology) (*dlht.Cluster, error) {
+// open opens one per-goroutine Store: an instance of the shared topology
+// when there is one (churn), else the spec's backend.
+func (cfg config) open(topo *dlht.Topology) (dlht.Store, error) {
 	if topo != nil {
 		return topo.NewClient()
 	}
-	s, err := dlht.Open("cluster:"+strings.Join(cfg.shards, ","), dlht.WithClusterOpts(cfg.clusterOpts()))
-	if err != nil {
-		return nil, err
-	}
-	return s.(*dlht.Cluster), nil
+	return dlht.Open(cfg.spec, dlht.WithClusterOpts(cfg.clusterOpts()))
 }
 
 // errCounts classifies per-op failures. Retryable errors are transport
@@ -425,15 +217,13 @@ type errCounts struct {
 	retryable, terminal, miss atomic.Uint64
 }
 
-// note classifies one op outcome and reports whether it was an error.
-// ErrExists is success: a retried Insert finding its key (at-least-once
-// delivery after an indeterminate failure) means the data is there.
-func (e *errCounts) note(err error, ok bool) bool {
+// note classifies one op outcome. ErrExists is success: a retried Insert
+// finding its key (at-least-once delivery after an indeterminate failure)
+// means the data is there.
+func (e *errCounts) note(err error, ok bool) {
 	switch {
 	case err == nil && ok:
-		return false
 	case errors.Is(err, dlht.ErrExists):
-		return false
 	case err == nil:
 		e.miss.Add(1)
 	case server.IsRetryable(err):
@@ -441,28 +231,29 @@ func (e *errCounts) note(err error, ok bool) bool {
 	default:
 		e.terminal.Add(1)
 	}
-	return true
 }
 
 func (e *errCounts) total() uint64 {
 	return e.retryable.Load() + e.terminal.Load() + e.miss.Load()
 }
 
-// runCluster is the -addrs mode: the measured phases drive a
-// consistent-hashed (optionally replicated) Cluster per worker through
-// the Store surface, so the identical workload logic scales from one
-// shard to N by changing the address list. Transient errors are counted,
-// not fatal: the run reports error-rate and availability lines and exits
-// non-zero only when the error rate exceeds -max-error-rate (or, with
-// -verify, when a loaded key went missing).
-func runCluster(cfg clusterConfig) {
+func (e *errCounts) String() string {
+	return fmt.Sprintf("%d (retryable %d, terminal %d, missing %d)",
+		e.total(), e.retryable.Load(), e.terminal.Load(), e.miss.Load())
+}
+
+// run loads, measures and (optionally) verifies, printing the report. It
+// returns false when a gate failed: the error rate exceeded
+// -max-error-rate, a membership change failed, or -verify found a loaded
+// key missing. Transient errors are counted, not fatal.
+func run(cfg config) bool {
 	// With -churn the workers must share one membership view — ring flips
 	// published by the churn goroutine reach every worker's next op — so
 	// the run uses a shared Topology with one lazy instance per worker.
 	var topo *dlht.Topology
 	if cfg.churn > 0 {
-		if len(cfg.spares) == 0 {
-			log.Fatal("-churn needs -spares addresses to cycle in and out")
+		if len(cfg.shards) == 0 || len(cfg.spares) == 0 {
+			log.Fatal("-churn needs -addrs shards and -spares addresses to cycle in and out")
 		}
 		var err error
 		topo, err = dlht.DialTopology(cfg.shards, cfg.clusterOpts())
@@ -472,26 +263,61 @@ func runCluster(cfg clusterConfig) {
 		defer topo.Close()
 	}
 	if !cfg.skipLoad {
-		m, errs := clusterLoad(cfg)
-		if n := errs.total(); n > 0 {
+		// Prepopulate [0, keys), striped across workers. Insert completions
+		// are the acks the -verify pass holds the backend to.
+		per := (cfg.keys + uint64(cfg.conns) - 1) / uint64(cfg.conns)
+		m, _, errs := drive(cfg, nil, func(c int) worker {
+			lo := min(uint64(c)*per, cfg.keys)
+			return worker{n: min(lo+per, cfg.keys) - lo, next: func(i uint64) dlht.Op {
+				return dlht.Op{Kind: dlht.OpInsert, Key: lo + i, Value: (lo + i) ^ 0xdead}
+			}}
+		})
+		if errs.total() > 0 {
 			// The load phase seeds the verify oracle; it stays strict.
-			log.Fatalf("load phase: %d errors (retryable %d, terminal %d, missing %d)",
-				n, errs.retryable.Load(), errs.terminal.Load(), errs.miss.Load())
+			log.Fatalf("load phase: errors: %v", errs)
 		}
-		fmt.Printf("loaded %d keys across %d shards in %v (%.2f M inserts/s)\n",
-			m.Ops, len(cfg.shards), m.Elapsed.Round(time.Millisecond), m.MReqs())
-	}
-	api := "sync store"
-	if cfg.async {
-		api = "async pipe"
+		fmt.Printf("loaded %d keys in %v (%.2f M inserts/s)\n", m.Ops, m.Elapsed.Round(time.Millisecond), m.MReqs())
 	}
 	rep := ""
 	if cfg.replicas > 1 {
 		rep = fmt.Sprintf(", R=%d W=%d", cfg.replicas, cfg.writeQuorum)
 	}
-	fmt.Printf("run: %d ops over %d conns × %d shards (%d%% GET / %d%% PUT, %s keys, %s API, window %d%s)\n",
-		cfg.totalOps, cfg.conns, len(cfg.shards), cfg.readPct, 100-cfg.readPct, cfg.dist, api, cfg.pipeline, rep)
-	m, lat, errs, churnErr := clusterRun(cfg, topo)
+	fmt.Printf("run: %d ops over %d conns on %s (%d%% GET / %d%% PUT, %s keys, window %d%s)\n",
+		cfg.totalOps, cfg.conns, cfg.spec, cfg.readPct, 100-cfg.readPct, cfg.dist, cfg.pipeline, rep)
+
+	var churnErr error
+	churnN := 0
+	churnDone := make(chan struct{})
+	runDone := make(chan struct{})
+	go func() {
+		defer close(churnDone)
+		if topo != nil {
+			churnN, churnErr = churnLoop(topo, cfg.spares, cfg.churn, runDone)
+		}
+	}()
+	// Every key is prepopulated and never deleted, so GET and PUT must both
+	// hit; a miss is a replica that has not converged yet.
+	m, lat, errs := drive(cfg, topo, func(c int) worker {
+		n := cfg.totalOps / uint64(cfg.conns)
+		if c == 0 {
+			n += cfg.totalOps % uint64(cfg.conns) // remainder rides on conn 0
+		}
+		stream := newStream(cfg.dist, uint64(c)*2654435761+7, cfg.keys)
+		rng := workload.NewRNG(uint64(c)*7919 + 3)
+		return worker{n: n, next: func(uint64) dlht.Op {
+			k := stream.Key()
+			if int(rng.Uint64n(100)) >= cfg.readPct {
+				return dlht.Op{Kind: dlht.OpPut, Key: k, Value: rng.Next()}
+			}
+			return dlht.Op{Kind: dlht.OpGet, Key: k}
+		}}
+	})
+	close(runDone)
+	<-churnDone
+	if churnN > 0 {
+		fmt.Printf("churn: %d membership changes completed during run\n", churnN)
+	}
+
 	fmt.Printf("throughput: %.2f M reqs/s (%d ops in %v)\n",
 		m.MReqs(), m.Ops, m.Elapsed.Round(time.Millisecond))
 	fmt.Println(lat)
@@ -500,43 +326,40 @@ func runCluster(cfg clusterConfig) {
 	if cfg.totalOps > 0 {
 		rate = float64(nerr) / float64(cfg.totalOps) * 100
 	}
-	fmt.Printf("errors: %d (retryable %d, terminal %d, missing %d)\n",
-		nerr, errs.retryable.Load(), errs.terminal.Load(), errs.miss.Load())
+	fmt.Printf("errors: %v\n", errs)
 	fmt.Printf("availability: %.4f%% (%d/%d ops acked)\n", 100-rate, cfg.totalOps-nerr, cfg.totalOps)
 
-	failed := rate > cfg.maxErrRate || (nerr > 0 && cfg.maxErrRate == 0)
+	ok := rate <= cfg.maxErrRate && (nerr == 0 || cfg.maxErrRate > 0)
 	if topo != nil {
 		fmt.Printf("reshard: moved %d keys (epoch %d)\n", topo.MovedKeys(), topo.Epoch())
 		if churnErr != nil {
 			fmt.Printf("reshard: FAILED: %v\n", churnErr)
-			failed = true
+			ok = false
 		}
 	}
 	if cfg.verify {
-		missing := clusterVerify(cfg, topo)
+		missing := verifyKeys(cfg, topo)
 		fmt.Printf("verify: %d/%d loaded keys present, %d missing\n", cfg.keys-missing, cfg.keys, missing)
 		if missing > 0 {
-			failed = true
+			ok = false
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return ok
 }
 
-// clusterVerify reads back every loaded key through one (replicated,
-// retrying) cluster connection and returns how many are missing — acked
-// inserts that survived neither any replica nor its WAL. Under churn the
-// check rides the shared topology: the final ring may include spares.
-func clusterVerify(cfg clusterConfig, topo *dlht.Topology) uint64 {
-	clu, err := cfg.client(topo)
+// verifyKeys reads back every loaded key through one Store and returns how
+// many are missing — acked inserts that survived neither any replica nor
+// its WAL. Under churn the check rides the shared topology: the final ring
+// may include spares.
+func verifyKeys(cfg config, topo *dlht.Topology) uint64 {
+	s, err := cfg.open(topo)
 	if err != nil {
 		log.Fatalf("verify: dial: %v", err)
 	}
-	defer clu.Close()
+	defer s.Close()
 	var missing uint64
 	for k := uint64(0); k < cfg.keys; k++ {
-		if _, ok, err := clu.Get(k); err != nil || !ok {
+		if _, ok, err := s.Get(k); err != nil || !ok {
 			missing++
 		}
 	}
@@ -579,205 +402,82 @@ func churnLoop(topo *dlht.Topology, spares []string, n int, done <-chan struct{}
 	return n, nil
 }
 
-// clusterLoad prepopulates [0, keys) through per-worker cluster pipes,
-// striped across workers; routing sends each insert to its replica set.
-// Insert completions are the acks the -verify pass holds the cluster to.
-func clusterLoad(cfg clusterConfig) (bench.Measurement, *errCounts) {
-	errs := &errCounts{}
-	var wg sync.WaitGroup
-	begin := time.Now()
-	conns := cfg.conns
-	per := (cfg.keys + uint64(conns) - 1) / uint64(conns)
-	for c := 0; c < conns; c++ {
-		lo := uint64(c) * per
-		hi := lo + per
-		if hi > cfg.keys {
-			hi = cfg.keys
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi uint64) {
-			defer wg.Done()
-			clu, err := cfg.client(nil)
-			if err != nil {
-				errs.note(err, false)
-				return
-			}
-			defer clu.Close()
-			p, err := clu.Pipe(dlht.PipeOpts{Window: cfg.pipeline, OnComplete: func(cp dlht.Completion) {
-				errs.note(cp.Err, cp.OK)
-			}})
-			if err != nil {
-				errs.note(err, false)
-				return
-			}
-			for k := lo; k < hi; k++ {
-				if err := p.Insert(k, k^0xdead); err != nil {
-					errs.note(err, false)
-					return
-				}
-			}
-			if err := p.Close(); err != nil {
-				errs.note(err, false)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return bench.Measurement{Ops: cfg.keys, Elapsed: time.Since(begin)}, errs
+// worker is one connection's share of a phase: n ops, the i-th given by
+// next (Kind, Key and Value).
+type worker struct {
+	n    uint64
+	next func(i uint64) dlht.Op
 }
 
-// clusterRun executes the measured mixed phase against per-worker
-// Clusters. The sync path measures one Store round trip per op; the async
-// path keeps a window of requests in flight per shard and tracks per-op
-// latency through per-shard FIFO timestamp rings — sound because cluster
-// completions arrive in per-primary enqueue order (the Pipe contract,
-// replicated or not). Errors never abort a worker: each op counts once,
-// classified, so a mid-run shard kill shows up as an availability dip
-// (and failover latency in the tail percentiles) instead of a dead run.
+// drive runs one phase: each of -conns workers opens its own Store and
+// enqueues its ops into one Pipe with -pipeline as the window. Every op
+// counts exactly once, classified — by its completion, or by the enqueue
+// error when the pipe never accepted it — so a mid-run shard kill shows up
+// as an availability dip (and failover latency in the tail percentiles)
+// instead of a dead run.
 //
-// With a shared topo (the -churn path) every worker is an instance of the
-// same Topology, a churn goroutine reshapes the ring mid-run, and async
-// latency tracking switches to per-KEY timestamp FIFOs: per-shard rings
-// assume a fixed key→shard mapping, per-key program order is the
-// invariant that survives a ring flip.
-func clusterRun(cfg clusterConfig, topo *dlht.Topology) (bench.Measurement, bench.LatencySummary, *errCounts, error) {
+// Per-op latency is tracked through per-KEY FIFOs of enqueue times: every
+// backend completes one key's ops in program order — a single connection
+// answers in request order, a cluster pipe in per-primary order, and under
+// churn per-key order is the invariant that survives a ring flip.
+func drive(cfg config, topo *dlht.Topology, mk func(c int) worker) (bench.Measurement, bench.LatencySummary, *errCounts) {
 	var total atomic.Uint64
 	errs := &errCounts{}
 	agg := bench.NewSampler(1 << 20)
 	var aggMu sync.Mutex
 	var wg sync.WaitGroup
-	conns := cfg.conns
-	per := cfg.totalOps / uint64(conns)
 	begin := time.Now()
-
-	var churnErr error
-	churnN := 0
-	churnDone := make(chan struct{})
-	runDone := make(chan struct{})
-	if topo != nil && cfg.churn > 0 {
-		go func() {
-			defer close(churnDone)
-			churnN, churnErr = churnLoop(topo, cfg.spares, cfg.churn, runDone)
-		}()
-	} else {
-		close(churnDone)
-	}
-
-	for c := 0; c < conns; c++ {
-		quota := per
-		if c == 0 {
-			quota += cfg.totalOps % uint64(conns) // remainder rides on conn 0
-		}
+	for c := 0; c < cfg.conns; c++ {
 		wg.Add(1)
-		go func(c int, quota uint64) {
+		go func(w worker) {
 			defer wg.Done()
-			clu, err := cfg.client(topo)
-			if err != nil {
-				for i := uint64(0); i < quota; i++ {
+			// failAll counts the worker's whole share against err.
+			failAll := func(err error) {
+				for i := uint64(0); i < w.n; i++ {
 					errs.note(err, false)
 				}
+			}
+			s, err := cfg.open(topo)
+			if err != nil {
+				failAll(err)
 				return
 			}
-			defer clu.Close()
-			stream := newStream(cfg.dist, uint64(c)*2654435761+7, cfg.keys)
-			rng := workload.NewRNG(uint64(c)*7919 + 3)
+			defer s.Close()
 			sampler := bench.NewSampler(1 << 17)
-
-			if !cfg.async {
-				for done := uint64(0); done < quota; done++ {
-					k := stream.Key()
-					t0 := time.Now()
-					var ok bool
-					var err error
-					if int(rng.Uint64n(100)) >= cfg.readPct {
-						_, ok, err = clu.Put(k, rng.Next())
-					} else {
-						_, ok, err = clu.Get(k)
-					}
-					sampler.Add(time.Since(t0).Nanoseconds())
-					// Every key is prepopulated and never deleted; a miss
-					// is a replica that has not converged yet.
-					errs.note(err, ok)
-				}
-				total.Add(quota)
-				aggMu.Lock()
-				agg.Merge(sampler)
-				aggMu.Unlock()
-				return
-			}
-
-			// Async: FIFO queues of send timestamps, matched to completions
-			// by FIFO order. With a fixed ring the queue is per shard (the
-			// pipe holds at most window+1 requests in flight per shard, so a
-			// small ring suffices); under churn the key→shard mapping moves
-			// mid-run, so the queue is per KEY — per-key completion order is
-			// the guarantee that survives a ring flip.
-			var stamp func(k uint64) // record send time for k
-			var unstamp func(k uint64)
-			var took func(k uint64) time.Time
-			if topo != nil {
-				perKey := make(map[uint64][]time.Time)
-				stamp = func(k uint64) { perKey[k] = append(perKey[k], time.Now()) }
-				unstamp = func(k uint64) { perKey[k] = perKey[k][:len(perKey[k])-1] }
-				took = func(k uint64) time.Time {
-					q := perKey[k]
-					t0 := q[0]
-					if len(q) == 1 {
-						delete(perKey, k)
-					} else {
-						perKey[k] = q[1:]
-					}
-					return t0
-				}
-			} else {
-				nsh := clu.NumShards()
-				ring := make([][]time.Time, nsh)
-				head := make([]int, nsh)
-				tail := make([]int, nsh)
-				cap := cfg.pipeline + 2
-				for i := range ring {
-					ring[i] = make([]time.Time, cap)
-				}
-				stamp = func(k uint64) {
-					sh := clu.ShardFor(k)
-					ring[sh][tail[sh]%cap] = time.Now()
-					tail[sh]++
-				}
-				unstamp = func(k uint64) { tail[clu.ShardFor(k)]-- }
-				took = func(k uint64) time.Time {
-					sh := clu.ShardFor(k)
-					t0 := ring[sh][head[sh]%cap]
-					head[sh]++
-					return t0
-				}
-			}
+			sent := make(map[uint64][]time.Time)
 			var recvd uint64
-			p, err := clu.Pipe(dlht.PipeOpts{Window: cfg.pipeline, OnComplete: func(cp dlht.Completion) {
-				sampler.Add(time.Since(took(cp.Key)).Nanoseconds())
+			p, err := s.Pipe(dlht.PipeOpts{Window: cfg.pipeline, OnComplete: func(cp dlht.Completion) {
+				q := sent[cp.Key]
+				sampler.Add(time.Since(q[0]).Nanoseconds())
+				if len(q) == 1 {
+					delete(sent, cp.Key)
+				} else {
+					sent[cp.Key] = q[1:]
+				}
 				errs.note(cp.Err, cp.OK)
 				recvd++
 			}})
 			if err != nil {
-				for i := uint64(0); i < quota; i++ {
-					errs.note(err, false)
-				}
+				failAll(err)
 				return
 			}
-			for sent := uint64(0); sent < quota; sent++ {
-				k := stream.Key()
-				stamp(k)
-				if int(rng.Uint64n(100)) >= cfg.readPct {
-					err = p.Put(k, rng.Next())
-				} else {
-					err = p.Get(k)
+			for i := uint64(0); i < w.n; i++ {
+				op := w.next(i)
+				// Stamp before the enqueue: the completion may fire inside it.
+				sent[op.Key] = append(sent[op.Key], time.Now())
+				switch op.Kind {
+				case dlht.OpGet:
+					err = p.Get(op.Key)
+				case dlht.OpPut:
+					err = p.Put(op.Key, op.Value)
+				default:
+					err = p.Insert(op.Key, op.Value)
 				}
 				if err != nil {
-					// The frame was never accepted: no completion will
+					// The request was never accepted: no completion will
 					// come. Count the op once and keep going — the pipe
 					// heals on redial.
-					unstamp(k)
+					sent[op.Key] = sent[op.Key][:len(sent[op.Key])-1]
 					errs.note(err, false)
 				}
 			}
@@ -788,14 +488,8 @@ func clusterRun(cfg clusterConfig, topo *dlht.Topology) (bench.Measurement, benc
 			aggMu.Lock()
 			agg.Merge(sampler)
 			aggMu.Unlock()
-		}(c, quota)
+		}(mk(c))
 	}
 	wg.Wait()
-	close(runDone)
-	<-churnDone
-	if churnN > 0 {
-		fmt.Printf("churn: %d membership changes completed during run\n", churnN)
-	}
-	m := bench.Measurement{Ops: total.Load(), Elapsed: time.Since(begin)}
-	return m, agg.Summary(), errs, churnErr
+	return bench.Measurement{Ops: total.Load(), Elapsed: time.Since(begin)}, agg.Summary(), errs
 }

@@ -206,8 +206,8 @@ type (
 	// pass that converges diverged replicas without client reads.
 	ScrubOpts = cluster.ScrubOpts
 	// Client is the pipelined network client behind tcp:// specs; beyond
-	// the Store surface it exposes the raw protocol (Send/Flush/Recv),
-	// async callbacks, and the KV surface for Allocator-mode tables.
+	// the Store surface it exposes the KV surface for Allocator-mode
+	// tables and the reshard frames (GetVer, ScanStep).
 	Client = server.Client
 	// ClientOpts configures a Client (WithClientOpts).
 	ClientOpts = server.ClientOpts

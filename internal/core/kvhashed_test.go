@@ -47,11 +47,11 @@ func TestKVHashedVariants(t *testing.T) {
 	}
 }
 
-// TestKVPipelineMutations: pipeline mutations barrier the in-flight reads
-// (completions fire before the mutation applies) and land through the
-// hashed path.
+// TestKVPipelineMutations: the pipeline's Put barriers the in-flight reads
+// (completions fire before the mutation applies), replaces an existing
+// pair and inserts an absent one.
 func TestKVPipelineMutations(t *testing.T) {
-	tb, h := newKV(t, Config{Bins: 64, VariableKV: true, Resizable: true})
+	_, h := newKV(t, Config{Bins: 64, VariableKV: true, Resizable: true})
 	defer h.Close()
 	var completed []string
 	pl := h.KVPipeline(KVPipelineOpts{Window: 8, OnComplete: func(g *KVGet) {
@@ -59,23 +59,22 @@ func TestKVPipelineMutations(t *testing.T) {
 	}})
 	defer pl.Close()
 
-	if err := pl.Insert(0, []byte("a"), []byte("1")); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	if err := pl.InsertHashed(0, []byte("b"), []byte("2"), tb.HashOfKV(0, []byte("b"))); err != nil {
-		t.Fatalf("InsertHashed: %v", err)
+	for k, v := range map[string]string{"a": "1", "b": "2"} {
+		if err := h.InsertKV(0, []byte(k), []byte(v)); err != nil {
+			t.Fatalf("InsertKV(%s): %v", k, err)
+		}
 	}
 	// Enqueue reads, then mutate: the mutation must flush them first.
 	pl.Get(0, []byte("a"))
 	pl.Get(0, []byte("b"))
-	if err := pl.PutHashed(0, []byte("a"), []byte("one"), tb.HashOfKV(0, []byte("a"))); err != nil {
-		t.Fatalf("PutHashed: %v", err)
+	if err := pl.Put(0, []byte("a"), []byte("one")); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
 	if len(completed) != 2 || completed[0] != "a=1,true" || completed[1] != "b=2,true" {
 		t.Fatalf("reads did not complete before the mutation: %q", completed)
 	}
 	if v, ok := h.GetKV(0, []byte("a")); !ok || string(v) != "one" {
-		t.Fatalf("after PutHashed: %q,%v", v, ok)
+		t.Fatalf("after Put: %q,%v", v, ok)
 	}
 	// Put on an absent key inserts.
 	if err := pl.Put(0, []byte("c"), []byte("3")); err != nil {
@@ -83,14 +82,5 @@ func TestKVPipelineMutations(t *testing.T) {
 	}
 	if v, ok := h.GetKV(0, []byte("c")); !ok || string(v) != "3" {
 		t.Fatalf("Put-inserted: %q,%v", v, ok)
-	}
-	if !pl.DeleteHashed(0, []byte("b"), tb.HashOfKV(0, []byte("b"))) {
-		t.Fatal("DeleteHashed missed")
-	}
-	if pl.Delete(0, []byte("b")) {
-		t.Fatal("second Delete succeeded")
-	}
-	if err := pl.Insert(0, []byte("a"), []byte("dup")); !errors.Is(err, ErrExists) {
-		t.Fatalf("duplicate pipeline Insert: %v", err)
 	}
 }

@@ -265,57 +265,16 @@ func (pl *KVPipeline) drainTo(limit int) {
 // Flush completes every in-flight lookup, firing OnComplete for each.
 func (pl *KVPipeline) Flush() { pl.drainTo(0) }
 
-// Mutations on the pipeline: each flushes the in-flight lookups first —
-// a mutation is a barrier, ordered after every enqueued read — and then
-// applies the corresponding Handle KV operation. The Hashed forms take the
-// key's Table.HashOfKV, so a router that hashed the key once for shard
-// selection reuses it for the bin mapping instead of rehashing (the
-// partitioned executor's KV write path). Mutations must not be called from
-// inside OnComplete.
-
-// Insert enqueue-barriers the pipeline and inserts key→val; see
-// Handle.InsertKV for semantics.
-func (pl *KVPipeline) Insert(ns uint16, key, val []byte) error {
-	return pl.InsertHashed(ns, key, val, pl.h.t.HashOfKV(ns, key))
-}
-
-// InsertHashed is Insert with the key's hash precomputed.
-func (pl *KVPipeline) InsertHashed(ns uint16, key, val []byte, hash uint64) error {
-	if pl.closed {
-		panic("dlht: KVPipeline used after Close")
-	}
-	pl.drainTo(0)
-	return pl.h.InsertKVHashed(ns, key, val, hash)
-}
-
-// Delete enqueue-barriers the pipeline and deletes key; see
-// Handle.DeleteKV for semantics.
-func (pl *KVPipeline) Delete(ns uint16, key []byte) bool {
-	return pl.DeleteHashed(ns, key, pl.h.t.HashOfKV(ns, key))
-}
-
-// DeleteHashed is Delete with the key's hash precomputed.
-func (pl *KVPipeline) DeleteHashed(ns uint16, key []byte, hash uint64) bool {
-	if pl.closed {
-		panic("dlht: KVPipeline used after Close")
-	}
-	pl.drainTo(0)
-	return pl.h.DeleteKVHashed(ns, key, hash)
-}
-
-// Put upserts: an existing pair is replaced, an absent key inserted.
+// Put upserts — an existing pair is replaced, an absent key inserted (see
+// Handle.UpsertKVHashed) — behind a barrier: the in-flight lookups are
+// flushed first, so the mutation is ordered after every enqueued read. Must
+// not be called from inside OnComplete.
 func (pl *KVPipeline) Put(ns uint16, key, val []byte) error {
-	return pl.PutHashed(ns, key, val, pl.h.t.HashOfKV(ns, key))
-}
-
-// PutHashed is Put with the key's hash precomputed; see
-// Handle.UpsertKVHashed for the replace semantics.
-func (pl *KVPipeline) PutHashed(ns uint16, key, val []byte, hash uint64) error {
 	if pl.closed {
 		panic("dlht: KVPipeline used after Close")
 	}
 	pl.drainTo(0)
-	return pl.h.UpsertKVHashed(ns, key, val, hash)
+	return pl.h.UpsertKVHashed(ns, key, val, pl.h.t.HashOfKV(ns, key))
 }
 
 // Close flushes the pipeline and rejects further enqueues. The Handle

@@ -20,23 +20,22 @@ import (
 // selects the table and negotiates features such as the variable-length KV
 // surface (GetKV/InsertKV/DeleteKV) for Allocator-mode tables.
 //
-// The pipelining surface is Send/Flush/Recv: queue any number of requests,
-// flush, then receive responses in request order. On top of it sits the
-// completion-driven shape mirroring the server's Pipeline API: callbacks
-// (SendAsync/GetAsync/... + Drain). The Get/Put/Insert/Delete helpers are
-// one-request pipelines for convenience and tests. Client also implements the backend-independent
-// dlht Store surface (sync helpers + Pipe), so code written against Store
-// drives a remote table unchanged.
-//
-// The shapes may be mixed on one connection: every request's completion
-// slot is tracked in order, Recv dispatches any async completions queued
-// ahead of the next plain response, and Drain stops at the first plain
-// response so Recv can claim it.
+// Every request the client accepts is one pending record: the response
+// frame to expect, the request's identity, and where its outcome goes.
+// Responses arrive in request order, so recvOne always completes the oldest
+// record, and a transport failure completes every record still pending with
+// the error, in order, before the call that hit it returns — each accepted
+// request gets exactly one completion. The synchronous methods (Get, Put,
+// GetKV, GetVer, ...) and the Pipe (storepipe.go) are both thin layers over
+// that one path: a pipe enqueues and receives once its window is full, a
+// synchronous method enqueues one record and receives until it completes —
+// completing whatever a still-open Pipe has in flight ahead of it on the
+// way. Together they implement the backend-independent dlht Store surface,
+// so code written against Store drives a remote table unchanged.
 type Client struct {
-	c        net.Conn
-	br       *bufio.Reader
-	bw       *bufio.Writer
-	inflight int
+	c  net.Conn
+	br *bufio.Reader
+	bw *bufio.Writer
 
 	features uint16 // granted by the handshake
 
@@ -54,26 +53,49 @@ type Client struct {
 	// one per operation.
 	addr        string
 	dialOpts    ClientOpts
-	retry       RetryPolicy
+	policy      RetryPolicy
 	broken      error
 	rng         uint64
 	redialFails int
 	nextRedial  time.Time
 
-	// pend tracks one completion slot per in-flight request, in request
-	// order: a zero slot for a plain Send (consumed by Recv), cb for an
-	// async fixed-frame send, kvcb for a KV send. A power-of-two ring
-	// addressed by absolute head/tail counters.
-	pend           []pending
-	cbHead, cbTail int
+	// pend holds the in-flight requests in request order: a power-of-two
+	// ring addressed by the absolute counters tail (oldest pending) and
+	// head (next to be accepted). flushed is the head as of the last
+	// flush: records below it are on the wire, so receiving the oldest
+	// flushes only when its frame is still in the write buffer — one
+	// flush, and so one write syscall, per window rather than per request.
+	pend                []pending
+	head, tail, flushed int
+
+	// frame is the staging buffer fixed-size request frames are encoded
+	// into on their way to the write buffer.
+	frame [32]byte
 }
 
-// pending is one in-flight request's completion slot. At most one of the
-// callbacks is non-nil; it also encodes the response frame shape (kvcb
-// non-nil means the next response is variable-length).
+// pending is one in-flight request: op fixes the response frame to read,
+// op and key identify the request in its completion, and exactly one of
+// the sinks takes the outcome.
 type pending struct {
-	cb   func(Response)
-	kvcb func(KVResponse)
+	op   OpCode
+	key  uint64
+	pipe *clientPipe // a Pipe's request: completes through its OnComplete
+	out  *reply      // a synchronous request: the caller's reply
+}
+
+// reply is one decoded response of any frame shape — every response leads
+// with a status; what follows depends on the request's opcode — or, in err,
+// the transport failure that completed the request instead.
+type reply struct {
+	Response        // status, and the fixed and GetVer frames' value word
+	ver      uint64 // GetVer
+	value    []byte // KV frames
+	err      error
+
+	// Scan frames: the batch and the cursor to thread into the next step.
+	ents       []core.Entry
+	orig, next uint64
+	done       bool
 }
 
 // ClientOpts configures DialV2/NewClientV2.
@@ -154,7 +176,7 @@ func NewClientV2(c net.Conn, opts ClientOpts) (*Client, error) {
 		pend:         make([]pending, 16),
 		readTimeout:  opts.ReadTimeout,
 		writeTimeout: opts.WriteTimeout,
-		retry:        opts.Retry,
+		policy:       opts.Retry,
 		rng:          opts.Retry.Seed,
 	}
 	if cl.rng == 0 {
@@ -207,19 +229,32 @@ func (cl *Client) handshake(opts ClientOpts) error {
 // while it is healthy. A broken redialable client heals on its next use.
 func (cl *Client) Err() error { return cl.broken }
 
+// Features returns the feature set granted by the handshake.
+func (cl *Client) Features() uint16 { return cl.features }
+
+// Close closes the underlying connection and disables redial. Requests
+// still in flight complete with net.ErrClosed before Close returns; nothing
+// completes after it.
+func (cl *Client) Close() error {
+	cl.addr = ""
+	err := cl.c.Close()
+	cl.abort(net.ErrClosed)
+	return err
+}
+
 // abort marks the connection dead with a sticky error, closes it, and
-// drops every in-flight completion slot — after a transport failure no
-// further response can be matched, so the slots are unrecoverable.
-// Pipelined users (clientPipe) deliver failure completions for their
-// outstanding requests themselves before calling abort.
+// completes every pending request with err, oldest first — after a
+// transport failure no further response can be matched to its request.
+// A completion callback may already be reusing the client (a redial, new
+// requests), so only the records pending on entry are failed.
 func (cl *Client) abort(err error) {
 	if cl.broken == nil {
 		cl.broken = err
 	}
 	cl.c.Close()
-	cl.cbHead, cl.cbTail, cl.inflight = 0, 0, 0
-	for i := range cl.pend {
-		cl.pend[i] = pending{}
+	failed := reply{err: err}
+	for end := cl.head; cl.tail < end; {
+		cl.complete(cl.pop(), &failed)
 	}
 }
 
@@ -231,13 +266,13 @@ func (cl *Client) ensureConn() error {
 	if cl.broken == nil {
 		return nil
 	}
-	if cl.addr == "" || cl.retry.Max == 0 {
+	if cl.addr == "" || cl.policy.Max == 0 {
 		return cl.broken
 	}
 	if !cl.nextRedial.IsZero() && time.Now().Before(cl.nextRedial) {
 		return cl.broken
 	}
-	pol := cl.retry.norm()
+	pol := cl.policy.norm()
 	c, err := DialTCP(cl.addr, pol.DialTimeout)
 	if err == nil {
 		cl.c = c
@@ -258,27 +293,6 @@ func (cl *Client) ensureConn() error {
 	return nil
 }
 
-// Close closes the underlying connection and disables redial.
-func (cl *Client) Close() error {
-	cl.addr = ""
-	if cl.broken == nil {
-		cl.broken = net.ErrClosed
-	}
-	return cl.c.Close()
-}
-
-// Inflight returns the number of requests sent but not yet received.
-func (cl *Client) Inflight() int { return cl.inflight }
-
-// Features returns the feature set granted by the handshake.
-func (cl *Client) Features() uint16 { return cl.features }
-
-// SetTimeouts sets the read/write deadlines applied around blocking reads
-// and flushes (0 disables). DialV2 callers usually set them via ClientOpts.
-func (cl *Client) SetTimeouts(read, write time.Duration) {
-	cl.readTimeout, cl.writeTimeout = read, write
-}
-
 // armRead arms the connection read deadline from ReadTimeout.
 func (cl *Client) armRead() {
 	if cl.readTimeout > 0 {
@@ -293,514 +307,114 @@ func (cl *Client) armWrite() {
 	}
 }
 
-// Send queues one request into the write buffer. The frame is appended
-// directly into the bufio writer's spare capacity (no staging copy).
-func (cl *Client) Send(r Request) error { return cl.send(r, nil) }
-
-// SendAsync queues one request whose response will be delivered to cb by a
-// later Recv or Drain on this client, in request order. cb must be
-// non-nil.
-func (cl *Client) SendAsync(r Request, cb func(Response)) error {
-	if cb == nil {
-		return errors.New("server: SendAsync: nil callback")
-	}
-	return cl.send(r, cb)
-}
-
-func (cl *Client) send(r Request, cb func(Response)) error {
-	if cl.broken != nil {
-		return cl.broken
-	}
-	if _, err := cl.bw.Write(AppendRequest(cl.bw.AvailableBuffer(), r)); err != nil {
-		cl.abort(err)
+// enqueue accepts one request: it redials a broken connection if the
+// policy allows, checks that the handshake granted the frame family, and
+// queues the encoded frame behind the record that will take its response.
+// An error means the request was not accepted and no completion will come.
+func (cl *Client) enqueue(p pending, frame []byte) error {
+	if err := cl.ensureConn(); err != nil {
 		return err
 	}
-	cl.push(pending{cb: cb})
-	return nil
-}
-
-// SendKV queues one variable-length KV request whose response will be
-// delivered to cb in request order, like SendAsync. Requires FeatureKV
-// granted.
-func (cl *Client) SendKV(r KVRequest, cb func(KVResponse)) error {
-	if cb == nil {
-		return errors.New("server: SendKV: nil callback")
-	}
-	if cl.features&FeatureKV == 0 {
+	switch {
+	case isKVOp(p.op) && cl.features&FeatureKV == 0:
 		return fmt.Errorf("%w: KV frames", ErrFeature)
-	}
-	if cl.broken != nil {
-		return cl.broken
-	}
-	frame, err := AppendKVRequest(cl.bw.AvailableBuffer(), r)
-	if err != nil {
-		return err
+	case isReshardOp(p.op) && cl.features&FeatureReshard == 0:
+		return fmt.Errorf("%w: reshard frames (request FeatureReshard)", ErrFeature)
 	}
 	if _, err := cl.bw.Write(frame); err != nil {
 		cl.abort(err)
 		return err
 	}
-	cl.push(pending{kvcb: cb})
+	cl.push(p)
 	return nil
 }
 
-// push appends one completion slot to the pending ring.
+// push appends one record to the pending ring, doubling it when full.
 func (cl *Client) push(p pending) {
-	if cl.cbHead-cl.cbTail == len(cl.pend) {
-		cl.growPend()
+	if cl.head-cl.tail == len(cl.pend) {
+		next := make([]pending, len(cl.pend)*2)
+		for i := cl.tail; i < cl.head; i++ {
+			next[i&(len(next)-1)] = cl.pend[i&(len(cl.pend)-1)]
+		}
+		cl.pend = next
 	}
-	cl.pend[cl.cbHead&(len(cl.pend)-1)] = p
-	cl.cbHead++
-	cl.inflight++
+	cl.pend[cl.head&(len(cl.pend)-1)] = p
+	cl.head++
 }
 
-func (cl *Client) growPend() {
-	next := make([]pending, len(cl.pend)*2)
-	for i := cl.cbTail; i < cl.cbHead; i++ {
-		next[i&(len(next)-1)] = cl.pend[i&(len(cl.pend)-1)]
-	}
-	cl.pend = next
+// pop removes and returns the oldest pending record.
+func (cl *Client) pop() pending {
+	slot := &cl.pend[cl.tail&(len(cl.pend)-1)]
+	p := *slot
+	*slot = pending{}
+	cl.tail++
+	return p
 }
 
-// Flush pushes all queued requests to the wire.
-func (cl *Client) Flush() error {
+// complete delivers one request's outcome to its sink: the decoded
+// response, or (r.err) the transport error that took its place.
+func (cl *Client) complete(p pending, r *reply) {
+	if p.pipe != nil {
+		p.pipe.complete(p, r)
+	} else {
+		*p.out = *r
+	}
+}
+
+// flush pushes all queued requests to the wire.
+func (cl *Client) flush() error {
+	cl.armWrite()
+	if err := cl.bw.Flush(); err != nil {
+		cl.abort(err)
+		return err
+	}
+	cl.flushed = cl.head
+	return nil
+}
+
+// recvOne completes the oldest pending request: it flushes first if that
+// request's frame has not reached the wire, reads the response frame the
+// request's opcode calls for, and hands it to the request's sink. On a
+// transport or framing failure the stream is unrecoverable — no later
+// response could be matched — so every pending request completes with the
+// error before it is returned.
+func (cl *Client) recvOne() error {
 	if cl.broken != nil {
 		return cl.broken
 	}
-	cl.armWrite()
-	if err := cl.bw.Flush(); err != nil {
+	if cl.tail == cl.head {
+		return errors.New("server: receive with no request pending")
+	}
+	if cl.tail >= cl.flushed {
+		if err := cl.flush(); err != nil {
+			return err
+		}
+	}
+	var r reply
+	if err := cl.readReply(cl.pend[cl.tail&(len(cl.pend)-1)].op, &r); err != nil {
 		cl.abort(err)
 		return err
 	}
+	cl.complete(cl.pop(), &r)
 	return nil
 }
 
-// headPending returns the oldest in-flight request's completion slot (the
-// zero slot when raw callers Recv more than they Send).
-func (cl *Client) headPending() pending {
-	if cl.cbTail < cl.cbHead {
-		return cl.pend[cl.cbTail&(len(cl.pend)-1)]
-	}
-	return pending{}
-}
-
-// headIsPlain reports whether the next response belongs to a plain Send.
-func (cl *Client) headIsPlain() bool {
-	p := cl.headPending()
-	return p.cb == nil && p.kvcb == nil
-}
-
-// popPending consumes the oldest completion slot.
-func (cl *Client) popPending() {
-	if cl.cbTail < cl.cbHead {
-		cl.pend[cl.cbTail&(len(cl.pend)-1)] = pending{}
-		cl.cbTail++
-	}
-	cl.inflight--
-}
-
-// recvStep receives exactly one response frame — fixed or variable-length,
-// per the oldest slot's shape — and dispatches it if it belongs to an
-// async send. plain is true when the response belongs to a plain Send and
-// is returned to the caller instead.
-func (cl *Client) recvStep() (r Response, plain bool, err error) {
-	if cl.broken != nil {
-		return Response{}, false, cl.broken
-	}
-	head := cl.headPending()
-	if head.kvcb != nil {
-		kr, err := cl.readKVResponse()
-		if err != nil {
-			cl.abort(err)
-			return Response{}, false, err
-		}
-		cl.popPending()
-		head.kvcb(kr)
-		return Response{}, false, nil
-	}
-	var b [RespSize]byte
-	cl.armRead()
-	if _, err := io.ReadFull(cl.br, b[:]); err != nil {
-		// The stream is unrecoverable mid-frame: no later response can be
-		// matched to its request, so the connection is dead.
-		cl.abort(err)
-		return Response{}, false, err
-	}
-	cl.popPending()
-	r, err = DecodeResponse(b[:])
-	if err != nil {
-		cl.abort(err)
-		return r, false, err
-	}
-	if head.cb != nil {
-		head.cb(r)
-		return Response{}, false, nil
-	}
-	return r, true, nil
-}
-
-// readKVResponse reads one variable-length response frame.
-func (cl *Client) readKVResponse() (KVResponse, error) {
-	var hdr [KVRespHdrSize]byte
-	cl.armRead()
-	if _, err := io.ReadFull(cl.br, hdr[:]); err != nil {
-		return KVResponse{}, err
-	}
-	vlen := int(binary.LittleEndian.Uint32(hdr[1:5]))
-	if vlen > MaxKVValue {
-		return KVResponse{}, fmt.Errorf("%w: value length %d exceeds %d", ErrBadFrame, vlen, MaxKVValue)
-	}
-	r := KVResponse{Status: Status(hdr[0])}
-	if vlen > 0 {
-		r.Value = make([]byte, vlen)
-		cl.armRead()
-		if _, err := io.ReadFull(cl.br, r.Value); err != nil {
-			return KVResponse{}, err
-		}
-	}
-	return r, nil
-}
-
-// Recv returns the next plain (Send) response. Responses arrive in request
-// order; async responses queued ahead of the next plain one are dispatched
-// to their callbacks on the way.
-func (cl *Client) Recv() (Response, error) {
-	for {
-		r, plain, err := cl.recvStep()
-		if err != nil || plain {
-			return r, err
-		}
-	}
-}
-
-// Drain flushes queued requests and receives async responses — invoking
-// their callbacks in request order — until none are outstanding. It stops
-// early at a plain Send response, leaving it for Recv.
-func (cl *Client) Drain() error {
-	if err := cl.Flush(); err != nil {
-		return err
-	}
-	for cl.cbTail < cl.cbHead {
-		if cl.headIsPlain() {
-			return nil // plain response next; Recv owns it
-		}
-		if _, _, err := cl.recvStep(); err != nil {
+// recvThrough receives until the record accepted as number seq completed.
+func (cl *Client) recvThrough(seq int) error {
+	for cl.tail <= seq {
+		if err := cl.recvOne(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// RecvOneAsync receives exactly one response — which must belong to an
-// async send — and dispatches its callback. It is the sliding-window
-// primitive for callers bounding in-flight async traffic themselves (Drain
-// collapses the window to zero; this slides it by one).
-func (cl *Client) RecvOneAsync() error {
-	if cl.cbTail == cl.cbHead {
-		return errors.New("server: RecvOneAsync: no async request outstanding")
-	}
-	if cl.headIsPlain() {
-		return errors.New("server: RecvOneAsync: a plain Send response is queued ahead; Recv it first")
-	}
-	_, _, err := cl.recvStep()
-	return err
-}
-
-// GetAsync queues a GET whose response is delivered to cb.
-func (cl *Client) GetAsync(key uint64, cb func(Response)) error {
-	return cl.SendAsync(Request{Op: OpGet, Key: key}, cb)
-}
-
-// PutAsync queues a PUT whose response is delivered to cb.
-func (cl *Client) PutAsync(key, val uint64, cb func(Response)) error {
-	return cl.SendAsync(Request{Op: OpPut, Key: key, Value: val}, cb)
-}
-
-// InsertAsync queues an INSERT whose response is delivered to cb.
-func (cl *Client) InsertAsync(key, val uint64, cb func(Response)) error {
-	return cl.SendAsync(Request{Op: OpInsert, Key: key, Value: val}, cb)
-}
-
-// DeleteAsync queues a DELETE whose response is delivered to cb.
-func (cl *Client) DeleteAsync(key uint64, cb func(Response)) error {
-	return cl.SendAsync(Request{Op: OpDelete, Key: key}, cb)
-}
-
-// doWindow bounds Do's in-flight requests. Unbounded pipelining deadlocks
-// once in-flight response bytes overrun the kernel socket buffers: the
-// server blocks writing responses the client is not yet reading, stops
-// reading, and the client's Flush blocks in turn. 4096 responses are
-// 36 KiB — comfortably inside default TCP buffers.
-const doWindow = 4096
-
-// Do pipelines all reqs and fills resps (which must have the same length)
-// with the in-order responses. Requests are flushed in windows of doWindow
-// so arbitrarily large batches cannot deadlock on socket buffers; callers
-// driving Send/Flush/Recv directly must bound in-flight requests
-// themselves.
-func (cl *Client) Do(reqs []Request, resps []Response) error {
-	if len(reqs) != len(resps) {
-		return fmt.Errorf("server: Do: %d requests but %d response slots", len(reqs), len(resps))
-	}
-	for lo := 0; lo < len(reqs); lo += doWindow {
-		hi := lo + doWindow
-		if hi > len(reqs) {
-			hi = len(reqs)
-		}
-		for _, r := range reqs[lo:hi] {
-			if err := cl.Send(r); err != nil {
-				return err
-			}
-		}
-		if err := cl.Flush(); err != nil {
-			return err
-		}
-		for i := lo; i < hi; i++ {
-			r, err := cl.Recv()
-			if err != nil {
-				return err
-			}
-			resps[i] = r
-		}
-	}
-	return nil
-}
-
-// do runs a one-request pipeline. With a retry policy set and no other
-// requests in flight, retryable failures redial and reissue the request
-// within the policy budget — at-least-once semantics for writes whose ack
-// was lost.
-func (cl *Client) do(r Request) (Response, error) {
-	solo := cl.inflight == 0
-	resp, err := cl.do1(r)
-	if err == nil || cl.retry.Max == 0 || !solo {
-		return resp, err
-	}
-	pol := cl.retry.norm()
-	for attempt := 0; attempt < pol.Max && IsRetryable(err); attempt++ {
-		time.Sleep(pol.Backoff(attempt, &cl.rng))
-		resp, err = cl.do1(r)
-		if err == nil {
-			return resp, nil
-		}
-	}
-	return resp, err
-}
-
-// do1 is one attempt of a one-request pipeline, redialing first if the
-// connection is broken.
-func (cl *Client) do1(r Request) (Response, error) {
-	if err := cl.ensureConn(); err != nil {
-		return Response{}, err
-	}
-	if err := cl.Send(r); err != nil {
-		return Response{}, err
-	}
-	if err := cl.Flush(); err != nil {
-		return Response{}, err
-	}
-	return cl.Recv()
-}
-
-// Get reads key; ok reports whether it was present. Statuses other than OK
-// and NOT_FOUND surface as their sentinel errors (ErrBusy, core.ErrWrongMode,
-// ...), so error handling matches the local Store surface.
-func (cl *Client) Get(key uint64) (val uint64, ok bool, err error) {
-	r, err := cl.do(Request{Op: OpGet, Key: key})
-	if err != nil {
-		return 0, false, err
-	}
-	switch r.Status {
-	case StatusOK:
-		return r.Result, true, nil
-	case StatusNotFound:
-		return 0, false, nil
-	}
-	return 0, false, r.Status.Err()
-}
-
-// Put overwrites an existing key and returns its previous value; ok is
-// false when the key was absent.
-func (cl *Client) Put(key, val uint64) (prev uint64, ok bool, err error) {
-	r, err := cl.do(Request{Op: OpPut, Key: key, Value: val})
-	if err != nil {
-		return 0, false, err
-	}
-	switch r.Status {
-	case StatusOK:
-		return r.Result, true, nil
-	case StatusNotFound:
-		return 0, false, nil
-	}
-	return 0, false, r.Status.Err()
-}
-
-// Insert adds a new key. A StatusExists reply surfaces as (existing, false,
-// nil); other non-OK statuses map to their sentinel errors.
-func (cl *Client) Insert(key, val uint64) (existing uint64, inserted bool, err error) {
-	r, err := cl.do(Request{Op: OpInsert, Key: key, Value: val})
-	if err != nil {
-		return 0, false, err
-	}
-	switch r.Status {
-	case StatusOK:
-		return 0, true, nil
-	case StatusExists:
-		return r.Result, false, nil
-	}
-	return 0, false, fmt.Errorf("server: insert: %w", r.Status.Err())
-}
-
-// Delete removes key and returns its previous value; ok is false when the
-// key was absent.
-func (cl *Client) Delete(key uint64) (prev uint64, ok bool, err error) {
-	r, err := cl.do(Request{Op: OpDelete, Key: key})
-	if err != nil {
-		return 0, false, err
-	}
-	switch r.Status {
-	case StatusOK:
-		return r.Result, true, nil
-	case StatusNotFound:
-		return 0, false, nil
-	}
-	return 0, false, r.Status.Err()
-}
-
-// doKV runs a one-request KV pipeline, draining any async completions
-// queued ahead of it. Retry semantics match do.
-func (cl *Client) doKV(r KVRequest) (KVResponse, error) {
-	solo := cl.inflight == 0
-	resp, err := cl.doKV1(r)
-	if err == nil || cl.retry.Max == 0 || !solo {
-		return resp, err
-	}
-	pol := cl.retry.norm()
-	for attempt := 0; attempt < pol.Max && IsRetryable(err); attempt++ {
-		time.Sleep(pol.Backoff(attempt, &cl.rng))
-		resp, err = cl.doKV1(r)
-		if err == nil {
-			return resp, nil
-		}
-	}
-	return resp, err
-}
-
-// doKV1 is one attempt of a one-request KV pipeline.
-func (cl *Client) doKV1(r KVRequest) (KVResponse, error) {
-	if err := cl.ensureConn(); err != nil {
-		return KVResponse{}, err
-	}
-	var resp KVResponse
-	done := false
-	if err := cl.SendKV(r, func(kr KVResponse) { resp, done = kr, true }); err != nil {
-		return KVResponse{}, err
-	}
-	if err := cl.Flush(); err != nil {
-		return KVResponse{}, err
-	}
-	for !done {
-		if cl.headIsPlain() {
-			return KVResponse{}, errors.New("server: KV request: a plain Send response is queued ahead; Recv it first")
-		}
-		if _, _, err := cl.recvStep(); err != nil {
-			return KVResponse{}, err
-		}
-	}
-	return resp, nil
-}
-
-// GetKV reads the byte key under namespace ns; ok reports whether it was
-// present. The returned slice is freshly allocated and owned by the caller.
-func (cl *Client) GetKV(ns uint16, key []byte) (val []byte, ok bool, err error) {
-	r, err := cl.doKV(KVRequest{Op: OpGetKV, NS: ns, Key: key})
-	if err != nil {
-		return nil, false, err
-	}
-	switch r.Status {
-	case StatusOK:
-		return r.Value, true, nil
-	case StatusNotFound:
-		return nil, false, nil
-	}
-	return nil, false, r.Status.Err()
-}
-
-// InsertKV adds a byte key/value pair under namespace ns; failures map to
-// the same sentinels the local KV surface returns (core.ErrExists,
-// core.ErrValueSize, ...).
-func (cl *Client) InsertKV(ns uint16, key, val []byte) error {
-	r, err := cl.doKV(KVRequest{Op: OpInsertKV, NS: ns, Key: key, Value: val})
-	if err != nil {
-		return err
-	}
-	if r.Status == StatusOK {
-		return nil
-	}
-	return r.Status.Err()
-}
-
-// GetVer reads key together with its applied-mutation version (the
-// core.VersionReader surface) over an OpGetVer frame. Requires a
-// connection granted FeatureReshard and no other requests in flight —
-// the reshard frames are solo synchronous exchanges, not pipelined.
-// Retryable failures redial and reissue within the retry policy, like the
-// other sync helpers (the read is idempotent).
-func (cl *Client) GetVer(key uint64) (val uint64, ok bool, ver uint64, err error) {
-	if cl.inflight != 0 {
-		return 0, false, 0, errors.New("server: GetVer: requests in flight")
-	}
-	val, ok, ver, err = cl.getVer1(key)
-	if err == nil || cl.retry.Max == 0 {
-		return val, ok, ver, err
-	}
-	pol := cl.retry.norm()
-	for attempt := 0; attempt < pol.Max && IsRetryable(err); attempt++ {
-		time.Sleep(pol.Backoff(attempt, &cl.rng))
-		val, ok, ver, err = cl.getVer1(key)
-		if err == nil {
-			return val, ok, ver, nil
-		}
-	}
-	return val, ok, ver, err
-}
-
-// getVer1 is one solo OpGetVer exchange.
-func (cl *Client) getVer1(key uint64) (uint64, bool, uint64, error) {
-	if err := cl.ensureConn(); err != nil {
-		return 0, false, 0, err
-	}
-	if cl.features&FeatureReshard == 0 {
-		return 0, false, 0, fmt.Errorf("%w: reshard frames (request FeatureReshard)", ErrFeature)
-	}
-	var req [GetVerReqSize]byte
-	req[0] = byte(OpGetVer)
-	binary.LittleEndian.PutUint64(req[1:9], key)
-	if _, err := cl.bw.Write(req[:]); err != nil {
-		cl.abort(err)
-		return 0, false, 0, err
-	}
-	cl.armWrite()
-	if err := cl.bw.Flush(); err != nil {
-		cl.abort(err)
-		return 0, false, 0, err
-	}
-	var resp [GetVerRespSize]byte
+// peek arms the read deadline and returns the next n response bytes
+// without consuming them. Decoding from the reader's own buffer keeps the
+// steady-state receive path free of allocations.
+func (cl *Client) peek(n int) ([]byte, error) {
 	cl.armRead()
-	if _, err := io.ReadFull(cl.br, resp[:]); err != nil {
-		cl.abort(err)
-		return 0, false, 0, err
-	}
-	v := binary.LittleEndian.Uint64(resp[1:9])
-	ver := binary.LittleEndian.Uint64(resp[9:17])
-	switch Status(resp[0]) {
-	case StatusOK:
-		return v, true, ver, nil
-	case StatusNotFound:
-		// The version is meaningful on a miss too: a tombstone has one.
-		return 0, false, ver, nil
-	}
-	return 0, false, 0, Status(resp[0]).Err()
+	return cl.br.Peek(n)
 }
 
 // maxScanRespEnts bounds the entry count a scan reply may announce before
@@ -808,85 +422,221 @@ func (cl *Client) getVer1(key uint64) (uint64, bool, uint64, error) {
 // overshoots MaxScanBatch only by the final bin group.
 const maxScanRespEnts = 1 << 22
 
+// readReply reads the one response frame that answers a request with
+// opcode op.
+func (cl *Client) readReply(op OpCode, r *reply) error {
+	switch {
+	case isKVOp(op):
+		hdr, err := cl.peek(KVRespHdrSize)
+		if err != nil {
+			return err
+		}
+		r.Status = Status(hdr[0])
+		vlen := int(binary.LittleEndian.Uint32(hdr[1:5]))
+		if vlen > MaxKVValue {
+			return fmt.Errorf("%w: value length %d exceeds %d", ErrBadFrame, vlen, MaxKVValue)
+		}
+		cl.br.Discard(KVRespHdrSize)
+		if vlen > 0 {
+			r.value = make([]byte, vlen)
+			cl.armRead()
+			_, err = io.ReadFull(cl.br, r.value)
+		}
+		return err
+
+	case op == OpGetVer:
+		b, err := cl.peek(GetVerRespSize)
+		if err != nil {
+			return err
+		}
+		r.Response, _ = DecodeResponse(b)
+		r.ver = binary.LittleEndian.Uint64(b[9:17])
+		cl.br.Discard(GetVerRespSize)
+		return nil
+
+	case op == OpScan:
+		hdr, err := cl.peek(ScanRespHdrSize)
+		if err != nil {
+			return err
+		}
+		r.Status = Status(hdr[0])
+		r.orig = binary.LittleEndian.Uint64(hdr[1:9])
+		r.next = binary.LittleEndian.Uint64(hdr[9:17])
+		r.done = hdr[17] != 0
+		count := int(binary.LittleEndian.Uint32(hdr[18:22]))
+		if count > maxScanRespEnts {
+			return fmt.Errorf("%w: scan reply announces %d entries", ErrBadFrame, count)
+		}
+		cl.br.Discard(ScanRespHdrSize)
+		if count > 0 {
+			r.ents = make([]core.Entry, count)
+			cl.armRead()
+			for i := range r.ents {
+				b, err := cl.br.Peek(16)
+				if err != nil {
+					return err
+				}
+				r.ents[i].Key = binary.LittleEndian.Uint64(b)
+				r.ents[i].Value = binary.LittleEndian.Uint64(b[8:])
+				cl.br.Discard(16)
+			}
+		}
+		return nil
+	}
+	b, err := cl.peek(RespSize)
+	if err != nil {
+		return err
+	}
+	r.Response, _ = DecodeResponse(b)
+	cl.br.Discard(RespSize)
+	return nil
+}
+
+// roundTrip is the one synchronous exchange: accept the request, then
+// receive — completing whatever is pending ahead of it, in order — until
+// its own reply is in. A transport failure reaches the request the way it
+// reaches every other pending one, through its completion.
+func (cl *Client) roundTrip(p pending, frame []byte) error {
+	if err := cl.enqueue(p, frame); err != nil {
+		return err
+	}
+	cl.recvThrough(cl.head - 1)
+	return p.out.err
+}
+
+// retry runs roundTrip and, with a retry policy set and nothing else in
+// flight, reissues the request after each retryable failure — redialing
+// first — within the policy's budget and backoff. Retried writes are
+// at-least-once: the first attempt may have applied with its ack lost.
+func (cl *Client) retry(p pending, frame []byte) error {
+	solo := cl.head == cl.tail
+	err := cl.roundTrip(p, frame)
+	for attempt := 0; solo && attempt < cl.policy.Max && IsRetryable(err); attempt++ {
+		time.Sleep(cl.policy.Backoff(attempt, &cl.rng))
+		err = cl.roundTrip(p, frame)
+	}
+	return err
+}
+
+// fixed runs one fixed-frame op synchronously and reports it the way a
+// Pipe would have: statuses other than OK and NOT_FOUND surface as their
+// sentinel errors (ErrBusy, core.ErrWrongMode, ...), so error handling
+// matches the local Store surface.
+func (cl *Client) fixed(op OpCode, key, val uint64) core.Completion {
+	var out reply
+	frame := AppendRequest(cl.frame[:0], Request{Op: op, Key: key, Value: val})
+	if err := cl.retry(pending{op: op, key: key, out: &out}, frame); err != nil {
+		return core.Completion{Err: err}
+	}
+	return completionOf(op, key, out.Response)
+}
+
+// Get reads key; ok reports whether it was present.
+func (cl *Client) Get(key uint64) (val uint64, ok bool, err error) {
+	c := cl.fixed(OpGet, key, 0)
+	return c.Value, c.OK, c.Err
+}
+
+// Put overwrites an existing key and returns its previous value; ok is
+// false when the key was absent.
+func (cl *Client) Put(key, val uint64) (prev uint64, ok bool, err error) {
+	c := cl.fixed(OpPut, key, val)
+	return c.Value, c.OK, c.Err
+}
+
+// Insert adds a new key. A StatusExists reply surfaces as (existing, false,
+// nil); other failures map to their sentinel errors.
+func (cl *Client) Insert(key, val uint64) (existing uint64, inserted bool, err error) {
+	c := cl.fixed(OpInsert, key, val)
+	switch {
+	case errors.Is(c.Err, core.ErrExists):
+		return c.Value, false, nil
+	case c.Err != nil:
+		return 0, false, fmt.Errorf("server: insert: %w", c.Err)
+	}
+	return 0, c.OK, nil
+}
+
+// Delete removes key and returns its previous value; ok is false when the
+// key was absent.
+func (cl *Client) Delete(key uint64) (prev uint64, ok bool, err error) {
+	c := cl.fixed(OpDelete, key, 0)
+	return c.Value, c.OK, c.Err
+}
+
+// kv runs one variable-length KV op synchronously. Requires FeatureKV.
+func (cl *Client) kv(op OpCode, ns uint16, key, val []byte) (value []byte, ok bool, err error) {
+	frame, err := AppendKVRequest(nil, KVRequest{Op: op, NS: ns, Key: key, Value: val})
+	if err != nil {
+		return nil, false, err
+	}
+	var out reply
+	if err := cl.retry(pending{op: op, out: &out}, frame); err != nil {
+		return nil, false, err
+	}
+	return out.value, out.Status == StatusOK, out.Status.Err()
+}
+
+// GetKV reads the byte key under namespace ns; ok reports whether it was
+// present. The returned slice is freshly allocated and owned by the caller.
+func (cl *Client) GetKV(ns uint16, key []byte) (val []byte, ok bool, err error) {
+	return cl.kv(OpGetKV, ns, key, nil)
+}
+
+// InsertKV adds a byte key/value pair under namespace ns; failures map to
+// the same sentinels the local KV surface returns (core.ErrExists,
+// core.ErrValueSize, ...).
+func (cl *Client) InsertKV(ns uint16, key, val []byte) error {
+	_, _, err := cl.kv(OpInsertKV, ns, key, val)
+	return err
+}
+
+// DeleteKV removes the byte key under namespace ns; ok reports whether it
+// was present.
+func (cl *Client) DeleteKV(ns uint16, key []byte) (ok bool, err error) {
+	_, ok, err = cl.kv(OpDeleteKV, ns, key, nil)
+	return ok, err
+}
+
+// GetVer reads key together with its applied-mutation version (the
+// core.VersionReader surface) over an OpGetVer frame. Requires a
+// connection granted FeatureReshard. Retried like the other synchronous
+// helpers (the read is idempotent).
+func (cl *Client) GetVer(key uint64) (val uint64, ok bool, ver uint64, err error) {
+	var out reply
+	frame := binary.LittleEndian.AppendUint64(append(cl.frame[:0], byte(OpGetVer)), key)
+	if err := cl.retry(pending{op: OpGetVer, key: key, out: &out}, frame); err != nil {
+		return 0, false, 0, err
+	}
+	switch out.Status {
+	case StatusOK:
+		return out.Result, true, out.ver, nil
+	case StatusNotFound:
+		// The version is meaningful on a miss too: a tombstone has one.
+		return 0, false, out.ver, nil
+	}
+	return 0, false, 0, out.Status.Err()
+}
+
 // ScanStep advances the server-side migration cursor one batch (the
 // core.Scanner surface) over an OpScan frame. Same connection
 // requirements as GetVer. Not retried: the cursor's consumer (the reshard
 // coordinator) handles failover by restarting the pass, so a transport
 // error surfaces immediately.
 func (cl *Client) ScanStep(origBins, startBin uint64, maxEnts int) ([]core.Entry, uint64, uint64, bool, error) {
-	if cl.inflight != 0 {
-		return nil, 0, 0, false, errors.New("server: ScanStep: requests in flight")
-	}
-	if err := cl.ensureConn(); err != nil {
-		return nil, 0, 0, false, err
-	}
-	if cl.features&FeatureReshard == 0 {
-		return nil, 0, 0, false, fmt.Errorf("%w: reshard frames (request FeatureReshard)", ErrFeature)
-	}
 	if maxEnts <= 0 || maxEnts > MaxScanBatch {
 		maxEnts = MaxScanBatch
 	}
-	var req [ScanReqSize]byte
-	req[0] = byte(OpScan)
-	binary.LittleEndian.PutUint64(req[1:9], origBins)
-	binary.LittleEndian.PutUint64(req[9:17], startBin)
-	binary.LittleEndian.PutUint32(req[17:21], uint32(maxEnts))
-	if _, err := cl.bw.Write(req[:]); err != nil {
-		cl.abort(err)
+	frame := append(cl.frame[:0], byte(OpScan))
+	frame = binary.LittleEndian.AppendUint64(frame, origBins)
+	frame = binary.LittleEndian.AppendUint64(frame, startBin)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(maxEnts))
+	var out reply
+	if err := cl.roundTrip(pending{op: OpScan, out: &out}, frame); err != nil {
 		return nil, 0, 0, false, err
 	}
-	cl.armWrite()
-	if err := cl.bw.Flush(); err != nil {
-		cl.abort(err)
-		return nil, 0, 0, false, err
+	if out.Status != StatusOK {
+		return nil, 0, 0, false, out.Status.Err()
 	}
-	var hdr [ScanRespHdrSize]byte
-	cl.armRead()
-	if _, err := io.ReadFull(cl.br, hdr[:]); err != nil {
-		cl.abort(err)
-		return nil, 0, 0, false, err
-	}
-	if st := Status(hdr[0]); st != StatusOK {
-		return nil, 0, 0, false, st.Err()
-	}
-	newOrig := binary.LittleEndian.Uint64(hdr[1:9])
-	next := binary.LittleEndian.Uint64(hdr[9:17])
-	done := hdr[17] != 0
-	count := int(binary.LittleEndian.Uint32(hdr[18:22]))
-	if count > maxScanRespEnts {
-		err := fmt.Errorf("%w: scan reply announces %d entries", ErrBadFrame, count)
-		cl.abort(err)
-		return nil, 0, 0, false, err
-	}
-	var ents []core.Entry
-	if count > 0 {
-		ents = make([]core.Entry, count)
-		buf := make([]byte, count*16)
-		cl.armRead()
-		if _, err := io.ReadFull(cl.br, buf); err != nil {
-			cl.abort(err)
-			return nil, 0, 0, false, err
-		}
-		for i := range ents {
-			ents[i].Key = binary.LittleEndian.Uint64(buf[i*16:])
-			ents[i].Value = binary.LittleEndian.Uint64(buf[i*16+8:])
-		}
-	}
-	return ents, newOrig, next, done, nil
-}
-
-// DeleteKV removes the byte key under namespace ns; ok reports whether it
-// was present.
-func (cl *Client) DeleteKV(ns uint16, key []byte) (ok bool, err error) {
-	r, err := cl.doKV(KVRequest{Op: OpDeleteKV, NS: ns, Key: key})
-	if err != nil {
-		return false, err
-	}
-	switch r.Status {
-	case StatusOK:
-		return true, nil
-	case StatusNotFound:
-		return false, nil
-	}
-	return false, r.Status.Err()
+	return out.ents, out.orig, out.next, out.done, nil
 }

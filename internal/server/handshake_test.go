@@ -314,24 +314,34 @@ func TestKVInterleavedWithFixedFrames(t *testing.T) {
 
 	// Pipeline: KV insert, fixed Get (refused with WrongMode on an
 	// allocator table — it must still answer in order), KV get.
-	order := make([]string, 0, 3)
-	if err := cl.SendKV(KVRequest{Op: OpInsertKV, Key: []byte("a"), Value: []byte("AAAAAAAA")},
-		func(r KVResponse) { order = append(order, "ins:"+r.Status.String()) }); err != nil {
+	ins, err := AppendKVRequest(nil, KVRequest{Op: OpInsertKV, Key: []byte("a"), Value: []byte("AAAAAAAA")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.GetAsync(1, func(r Response) { order = append(order, "get:"+r.Status.String()) }); err != nil {
+	kvget, err := AppendKVRequest(nil, KVRequest{Op: OpGetKV, Key: []byte("a")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.SendKV(KVRequest{Op: OpGetKV, Key: []byte("a")},
-		func(r KVResponse) { order = append(order, "kvget:"+string(r.Value)) }); err != nil {
+	var outs [3]reply
+	for i, q := range []struct {
+		op    OpCode
+		frame []byte
+	}{
+		{OpInsertKV, ins},
+		{OpGet, AppendRequest(nil, Request{Op: OpGet, Key: 1})},
+		{OpGetKV, kvget},
+	} {
+		if err := cl.enqueue(pending{op: q.op, out: &outs[i]}, q.frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.recvThrough(cl.head - 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"ins:OK", "get:WRONG_MODE", "kvget:AAAAAAAA"}
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Fatalf("order = %v, want %v", order, want)
+	if outs[0].Status != StatusOK || outs[1].Status != StatusWrongMode ||
+		outs[2].Status != StatusOK || string(outs[2].value) != "AAAAAAAA" {
+		t.Fatalf("replies = %v / %v / %v %q, want OK / WRONG_MODE / OK AAAAAAAA",
+			outs[0].Status, outs[1].Status, outs[2].Status, outs[2].value)
 	}
 }
 

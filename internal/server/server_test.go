@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -38,6 +39,63 @@ func rawClientT(t testing.TB, c net.Conn) *Client {
 		t.Fatal(err)
 	}
 	return cl
+}
+
+// doWindow bounds Do's in-flight requests. Unbounded pipelining deadlocks
+// once in-flight response bytes overrun the kernel socket buffers: the
+// server blocks writing responses the client is not yet reading, stops
+// reading, and the client's flush blocks in turn. 4096 responses are
+// 36 KiB — comfortably inside default TCP buffers.
+const doWindow = 4096
+
+// Do is the suites' raw-opcode batch driver over the client's one
+// enqueue/receive path: it pipelines all reqs, a doWindow at a time, and
+// fills resps (same length) with the in-order responses.
+func (cl *Client) Do(reqs []Request, resps []Response) error {
+	if len(reqs) != len(resps) {
+		return fmt.Errorf("server: Do: %d requests but %d response slots", len(reqs), len(resps))
+	}
+	outs := make([]reply, min(len(reqs), doWindow))
+	for lo := 0; lo < len(reqs); lo += doWindow {
+		n := min(len(reqs)-lo, doWindow)
+		for i, r := range reqs[lo : lo+n] {
+			if err := cl.enqueue(pending{op: r.Op, key: r.Key, out: &outs[i]}, AppendRequest(cl.frame[:0], r)); err != nil {
+				return err
+			}
+		}
+		if err := cl.recvThrough(cl.head - 1); err != nil {
+			return err
+		}
+		for i := range outs[:n] {
+			resps[lo+i] = outs[i].Response
+		}
+	}
+	return nil
+}
+
+// enqueueT queues fixed-frame requests on the client's pending ring and
+// returns the replies their completions will fill in.
+func enqueueT(t testing.TB, cl *Client, reqs ...Request) []reply {
+	t.Helper()
+	outs := make([]reply, len(reqs))
+	for i, r := range reqs {
+		if err := cl.enqueue(pending{op: r.Op, key: r.Key, out: &outs[i]}, AppendRequest(cl.frame[:0], r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return outs
+}
+
+// expect registers n fixed-frame responses the client did not send the
+// requests for — the test writes those to the raw connection itself, or
+// expects the stream to end instead — and returns the replies recvOne
+// completes.
+func (cl *Client) expect(n int) []reply {
+	outs := make([]reply, n)
+	for i := range outs {
+		cl.push(pending{out: &outs[i]})
+	}
+	return outs
 }
 
 // TestRoundTripAllOps drives all four op kinds end to end over TCP — the
@@ -187,15 +245,15 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 	if _, err := c.Write(buf); err != nil {
 		t.Fatal(err)
 	}
-	cl.inflight = 2
-	if r, err := cl.Recv(); err != nil || r.Status != StatusOK {
-		t.Fatalf("prefix response = %+v, %v; want OK", r, err)
+	outs := cl.expect(3)
+	if err := cl.recvOne(); err != nil || outs[0].Status != StatusOK {
+		t.Fatalf("prefix response = %+v, %v; want OK", outs[0].Response, err)
 	}
-	if r, err := cl.Recv(); err != nil || r.Status != StatusBadRequest {
-		t.Fatalf("bad-frame response = %+v, %v; want BAD_REQUEST", r, err)
+	if err := cl.recvOne(); err != nil || outs[1].Status != StatusBadRequest {
+		t.Fatalf("bad-frame response = %+v, %v; want BAD_REQUEST", outs[1].Response, err)
 	}
-	if _, err := cl.Recv(); err == nil {
-		t.Fatal("connection still open after malformed frame")
+	if err := cl.recvOne(); err == nil || outs[2].err != err {
+		t.Fatalf("connection still open after malformed frame (recvOne %v, completion %v)", err, outs[2].err)
 	}
 	// The decodable prefix took effect.
 	cl2 := dialT(t, s)
@@ -236,17 +294,13 @@ func TestBusyWhenHandlesExhausted(t *testing.T) {
 		}
 	}
 	cl := dialT(t, s)
-	if err := cl.Send(Request{Op: OpGet, Key: 0}); err != nil {
-		t.Fatal(err)
+	out := enqueueT(t, cl, Request{Op: OpGet, Key: 0})
+	eof := cl.expect(1)
+	if err := cl.recvOne(); err != nil || out[0].Status != StatusBusy {
+		t.Fatalf("resp = %+v, %v; want BUSY", out[0].Response, err)
 	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if r, err := cl.Recv(); err != nil || r.Status != StatusBusy {
-		t.Fatalf("resp = %+v, %v; want BUSY", r, err)
-	}
-	if _, err := cl.Recv(); err == nil {
-		t.Fatal("connection still open after BUSY")
+	if err := cl.recvOne(); err == nil || eof[0].err != err {
+		t.Fatalf("connection still open after BUSY (recvOne %v, completion %v)", err, eof[0].err)
 	}
 }
 
@@ -263,16 +317,14 @@ func TestAcquireHandleWaitsForRelease(t *testing.T) {
 	// The second connection's serveConn blocks in acquireHandle; its request
 	// sits buffered until the handle frees.
 	cl2 := dialT(t, s)
-	if err := cl2.Send(Request{Op: OpGet, Key: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl2.Flush(); err != nil {
+	out := enqueueT(t, cl2, Request{Op: OpGet, Key: 1})
+	if err := cl2.flush(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // let cl2's goroutine reach the wait
 	cl1.Close()
-	if r, err := cl2.Recv(); err != nil || r.Status != StatusOK || r.Result != 42 {
-		t.Fatalf("resp after release = %+v, %v; want OK 42", r, err)
+	if err := cl2.recvOne(); err != nil || out[0].Status != StatusOK || out[0].Result != 42 {
+		t.Fatalf("resp after release = %+v, %v; want OK 42", out[0].Response, err)
 	}
 }
 

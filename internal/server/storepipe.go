@@ -8,8 +8,8 @@ import (
 
 // Client as a dlht Store: the sync helpers (Get/Put/Insert/Delete/Close)
 // already match the Store surface; Pipe supplies the completion-driven
-// pipelined half over the client's async callback API. Together they make
-// a remote table indistinguishable, API-wise, from a local Handle.
+// pipelined half over the same pending-record path. Together they make a
+// remote table indistinguishable, API-wise, from a local Handle.
 
 var _ core.Store = (*Client)(nil)
 
@@ -20,12 +20,12 @@ const clientDefaultWindow = 16
 
 // Pipe opens the completion-driven pipelined surface over this client.
 // Each enqueue appends a wire frame; once more than the window is in
-// flight, the oldest response is received (flushing first), so the window
-// also bounds the kernel-socket-buffer footprint — a Pipe can absorb
-// arbitrarily deep enqueue runs without the deadlock risk of raw
-// Send/Flush pipelining. While the Pipe is open the client's synchronous
-// methods must not be called (their plain responses would interleave with
-// the pipe's async ones).
+// flight, the oldest response is received (flushing first if its request
+// has not left the write buffer), so the window also bounds the
+// kernel-socket-buffer footprint — a Pipe can absorb arbitrarily deep
+// enqueue runs without deadlocking on socket buffers. The client's
+// synchronous methods stay usable while a Pipe is open: they complete the
+// pipe's in-flight requests, in order, on the way to their own answer.
 func (cl *Client) Pipe(opts core.PipeOpts) (core.Pipe, error) {
 	w := opts.Window
 	if w <= 0 {
@@ -34,154 +34,77 @@ func (cl *Client) Pipe(opts core.PipeOpts) (core.Pipe, error) {
 	return &clientPipe{cl: cl, w: w, onc: opts.OnComplete}, nil
 }
 
-// clientPipe implements core.Pipe over the client's SendAsync/RecvOneAsync
-// machinery. Completions are delivered in enqueue order — the wire
-// protocol's matching rule is the same order-preservation contract the
-// local pipeline engine provides.
+// clientPipe implements core.Pipe: its requests are pending records on the
+// client whose sink is this pipe. Completions are delivered in enqueue
+// order — the wire protocol's matching rule is the same order-preservation
+// contract the local pipeline engine provides.
 //
-// Failure contract: when the connection dies with requests in flight, the
-// transport error is delivered to EVERY pending completion (in enqueue
-// order, Err set, OK false) before the failing call returns — a
-// completion-counting caller can never hang on responses that will never
-// arrive. After a failure the pipe is immediately usable again if the
-// client can redial (ClientOpts.Retry); otherwise every subsequent
-// enqueue returns the sticky transport error.
+// Failure contract (the client's, seen through the pipe): when the
+// connection dies with requests in flight, the transport error is
+// delivered to EVERY pending completion (in enqueue order, Err set, OK
+// false) before the failing call returns — a completion-counting caller
+// can never hang on responses that will never arrive. After a failure the
+// pipe is immediately usable again if the client can redial
+// (ClientOpts.Retry); otherwise every subsequent enqueue returns the
+// sticky transport error.
 type clientPipe struct {
-	cl      *Client
-	w       int
-	onc     func(core.Completion)
-	enqd    int // requests enqueued (absolute)
-	out     int // enqueued but not yet completed
-	flushed int // requests known to be on the wire (absolute watermark)
-	closed  bool
-
-	// oq mirrors, for this pipe's own requests, the client's pending ring:
-	// kind+key in enqueue order. On a transport failure it is what lets
-	// the pipe synthesize an error completion for every in-flight request.
-	oq             []pipeOp
-	oqHead, oqTail int
+	cl     *Client
+	w      int
+	onc    func(core.Completion)
+	out    int // accepted but not yet completed
+	closed bool
 }
 
-// pipeOp is one in-flight pipelined request's identity.
-type pipeOp struct {
-	kind core.OpKind
-	key  uint64
-}
-
-// pushOp appends one in-flight op to the mirror ring.
-func (p *clientPipe) pushOp(kind core.OpKind, key uint64) {
-	if p.oq == nil {
-		p.oq = make([]pipeOp, 16)
+// complete is the client delivering one of this pipe's requests: the
+// response, or (r.err) the transport error that took its place.
+func (p *clientPipe) complete(rec pending, r *reply) {
+	p.out--
+	switch {
+	case p.onc == nil:
+	case r.err != nil:
+		p.onc(core.Completion{Kind: kindOf[rec.op], Key: rec.key, Err: r.err})
+	default:
+		p.onc(completionOf(rec.op, rec.key, r.Response))
 	}
-	if p.oqHead-p.oqTail == len(p.oq) {
-		next := make([]pipeOp, len(p.oq)*2)
-		for i := p.oqTail; i < p.oqHead; i++ {
-			next[i&(len(next)-1)] = p.oq[i&(len(p.oq)-1)]
-		}
-		p.oq = next
-	}
-	p.oq[p.oqHead&(len(p.oq)-1)] = pipeOp{kind, key}
-	p.oqHead++
 }
 
-// fail delivers err to every pending completion, in enqueue order, and
-// resets the pipe's in-flight accounting. The client's own pending slots
-// are dropped via abort first so no stale callback can ever fire.
-func (p *clientPipe) fail(err error) {
-	p.cl.abort(err)
-	for p.oqTail < p.oqHead {
-		op := p.oq[p.oqTail&(len(p.oq)-1)]
-		p.oq[p.oqTail&(len(p.oq)-1)] = pipeOp{}
-		p.oqTail++
-		if p.onc != nil {
-			p.onc(core.Completion{Kind: op.kind, Key: op.key, Err: err})
-		}
-	}
-	p.out = 0
-	p.flushed = p.enqd
-}
-
-func (p *clientPipe) enq(kind core.OpKind, r Request) error {
+func (p *clientPipe) enq(op OpCode, key, val uint64) error {
 	if p.closed {
 		return errors.New("server: Pipe used after Close")
 	}
-	if err := p.cl.ensureConn(); err != nil {
+	cl := p.cl
+	frame := AppendRequest(cl.frame[:0], Request{Op: op, Key: key, Value: val})
+	if err := cl.enqueue(pending{op: op, key: key, pipe: p}, frame); err != nil {
 		return err
 	}
-	key := r.Key
-	err := p.cl.SendAsync(r, func(resp Response) {
-		p.oqTail++ // this op's mirror entry is consumed by its response
-		p.out--
-		if p.onc != nil {
-			p.onc(completionOf(kind, key, resp))
-		}
-	})
-	if err != nil {
-		if p.cl.broken != nil {
-			p.fail(err)
-		}
-		return err
-	}
-	p.pushOp(kind, key)
-	p.enqd++
 	p.out++
-	if p.out > p.w {
-		// Slide the window: receive the oldest in-flight response before
-		// admitting more. Flush only when that response's request is still
-		// sitting in the write buffer — the watermark turns per-enqueue
-		// flushes into one flush (and so one syscall) per window. bufio's
-		// own flush-on-full may put frames on the wire ahead of the
-		// watermark; that only makes the occasional Flush here a no-op.
-		//
-		// A transport failure here fails every in-flight request — the
-		// current one included, since its frame was already accepted — so
-		// the enqueue itself reports success: the op's outcome arrives
-		// through its (error) completion, exactly once, like every other.
-		if oldest := p.enqd - p.out; p.flushed <= oldest {
-			if err := p.cl.Flush(); err != nil {
-				p.fail(err)
-				return nil
-			}
-			p.flushed = p.enqd
-		}
-		if err := p.cl.RecvOneAsync(); err != nil {
-			p.fail(err)
-			return nil
+	// Slide the window: receive the oldest in-flight responses before
+	// admitting more. A transport failure here fails every in-flight
+	// request — the current one included, since its frame was already
+	// accepted — so the enqueue itself reports success: the op's outcome
+	// arrives through its (error) completion, exactly once, like every
+	// other.
+	for p.out > p.w {
+		if cl.recvOne() != nil {
+			break
 		}
 	}
 	return nil
 }
 
-func (p *clientPipe) Get(key uint64) error { return p.enq(core.OpGet, Request{Op: OpGet, Key: key}) }
-
-func (p *clientPipe) Put(key, val uint64) error {
-	return p.enq(core.OpPut, Request{Op: OpPut, Key: key, Value: val})
-}
-
-func (p *clientPipe) Insert(key, val uint64) error {
-	return p.enq(core.OpInsert, Request{Op: OpInsert, Key: key, Value: val})
-}
-
-func (p *clientPipe) Delete(key uint64) error {
-	return p.enq(core.OpDelete, Request{Op: OpDelete, Key: key})
-}
+func (p *clientPipe) Get(key uint64) error         { return p.enq(OpGet, key, 0) }
+func (p *clientPipe) Put(key, val uint64) error    { return p.enq(OpPut, key, val) }
+func (p *clientPipe) Insert(key, val uint64) error { return p.enq(OpInsert, key, val) }
+func (p *clientPipe) Delete(key uint64) error      { return p.enq(OpDelete, key, 0) }
 
 // Flush completes every in-flight request, firing OnComplete for each —
 // with the transport error as the completion error for all of them if the
 // connection dies mid-drain.
 func (p *clientPipe) Flush() error {
-	if p.out == 0 {
-		return nil
-	}
-	if err := p.cl.Drain(); err != nil {
-		p.fail(err)
-		return err
-	}
-	p.flushed = p.enqd
-	if p.out != 0 {
-		// A plain Send response is interleaved with the pipe's traffic;
-		// the exclusivity contract was violated.
-		return errors.New("server: Pipe.Flush: plain responses interleaved with pipe traffic")
+	for p.out > 0 {
+		if err := p.cl.recvOne(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -197,14 +120,19 @@ func (p *clientPipe) Close() error {
 	return err
 }
 
-// completionOf maps a wire response onto the backend-independent
+// kindOf maps the fixed-frame wire opcodes onto the Store surface's kinds.
+var kindOf = [opCodeEnd]core.OpKind{
+	OpGet: core.OpGet, OpPut: core.OpPut, OpInsert: core.OpInsert, OpDelete: core.OpDelete,
+}
+
+// completionOf maps a fixed-frame response onto the backend-independent
 // Completion, with the same OK/Err split the local engine produces: a miss
 // (or duplicate-insert NOT inserted) keeps Err nil/sentinel exactly as
 // core does — StatusExists becomes core.ErrExists with the existing value,
 // StatusNotFound a plain miss, and transport-only statuses their server
 // sentinels.
-func completionOf(kind core.OpKind, key uint64, r Response) core.Completion {
-	c := core.Completion{Kind: kind, Key: key, Value: r.Result}
+func completionOf(op OpCode, key uint64, r Response) core.Completion {
+	c := core.Completion{Kind: kindOf[op], Key: key, Value: r.Result}
 	switch r.Status {
 	case StatusOK:
 		c.OK = true

@@ -55,21 +55,18 @@ func TestStreamingRepliesBeforeTailDecode(t *testing.T) {
 	defer c.Close()
 	cl := rawClientT(t, c)
 	// Receive concurrently with the send, signalling the first response.
-	got := make(chan []Response, 1)
+	got := make(chan []reply, 1)
 	recvErr := make(chan error, 1)
+	out := cl.expect(n) // raw-conn receive; the requests are written below
 	go func() {
-		out := make([]Response, 0, n)
 		for i := 0; i < n; i++ {
-			cl.inflight = 1 // raw-conn receive; requests are written below
-			r, err := cl.Recv()
-			if err != nil {
+			if err := cl.recvOne(); err != nil {
 				recvErr <- err
 				return
 			}
 			if i == 0 {
 				close(firstResp)
 			}
-			out = append(out, r)
 		}
 		got <- out
 	}()
@@ -99,99 +96,80 @@ func TestStreamingRepliesBeforeTailDecode(t *testing.T) {
 	}
 }
 
-// TestClientAsyncCallbacks drives the callback surface end to end: async
-// sends complete in request order through Drain, and mixing plain Send
-// in between leaves its response for Recv.
+// TestClientAsyncCallbacks drives the completion surface end to end: a
+// pipe's requests complete in request order, and a synchronous op issued
+// while the pipe has requests in flight completes those ahead of it, in
+// order, and returns its own answer.
 func TestClientAsyncCallbacks(t *testing.T) {
 	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true}, Options{})
 	cl := dialT(t, s)
 
-	var order []uint64
+	var got []core.Completion
+	p, err := cl.Pipe(core.PipeOpts{Window: 128, OnComplete: func(c core.Completion) { got = append(got, c) }})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 64
 	for i := uint64(0); i < n; i++ {
-		i := i
-		if err := cl.InsertAsync(i, i*3, func(r Response) {
-			if r.Status != StatusOK {
-				t.Errorf("insert %d: %v", i, r.Status)
-			}
-			order = append(order, i)
-		}); err != nil {
+		if err := p.Insert(i, i*3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.Drain(); err != nil {
+	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != n {
-		t.Fatalf("drained %d callbacks, want %d", len(order), n)
+	if len(got) != n {
+		t.Fatalf("flushed %d completions, want %d", len(got), n)
 	}
-	for i, k := range order {
-		if k != uint64(i) {
-			t.Fatalf("callback order %v not request order", order)
+	for i, c := range got {
+		if c.Kind != core.OpInsert || c.Key != uint64(i) || !c.OK || c.Err != nil {
+			t.Fatalf("completion %d = %+v, want an OK insert of key %d", i, c, i)
 		}
 	}
 
-	// Async GET + plain Send interleaved: Recv dispatches the async head
-	// then returns the plain response; Drain stops at a plain head.
-	gets := 0
-	if err := cl.GetAsync(1, func(r Response) {
-		if r.Status != StatusOK || r.Result != 3 {
-			t.Errorf("async Get(1) = %+v", r)
-		}
-		gets++
-	}); err != nil {
+	// Pipe GET, sync GET, pipe GET: the sync op delivers Get(1)'s completion
+	// on the way to its own answer and leaves Get(3) in flight.
+	got = got[:0]
+	if err := p.Get(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Send(Request{Op: OpGet, Key: 2}); err != nil {
+	if v, ok, err := cl.Get(2); err != nil || !ok || v != 6 {
+		t.Fatalf("sync Get(2) with a pipe open = (%d,%v,%v), want (6,true,nil)", v, ok, err)
+	}
+	if len(got) != 1 || got[0].Key != 1 || got[0].Value != 3 {
+		t.Fatalf("after the sync op: completions %+v, want Get(1)=3 only", got)
+	}
+	if err := p.Get(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.GetAsync(3, func(r Response) {
-		if r.Status != StatusOK || r.Result != 9 {
-			t.Errorf("async Get(3) = %+v", r)
-		}
-		gets++
-	}); err != nil {
-		t.Fatal(err)
+	if val, ok, err := cl.GetKV(0, []byte("k")); err == nil || ok || val != nil {
+		t.Fatalf("sync GetKV on an inlined table = (%q,%v,%v), want a WrongMode error", val, ok, err)
 	}
-	if err := cl.Flush(); err != nil {
-		t.Fatal(err)
+	if len(got) != 2 || got[1].Key != 3 || got[1].Value != 9 {
+		t.Fatalf("after the sync KV op: completions %+v, want Get(3)=9 second", got)
 	}
-	r, err := cl.Recv() // dispatches Get(1)'s callback first
-	if err != nil || r.Status != StatusOK || r.Result != 6 {
-		t.Fatalf("plain Recv = %+v, %v; want OK 6", r, err)
-	}
-	if gets != 1 {
-		t.Fatalf("after Recv: %d async callbacks fired, want 1", gets)
-	}
-	if err := cl.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if gets != 2 || cl.Inflight() != 0 {
-		t.Fatalf("after Drain: %d callbacks, %d inflight", gets, cl.Inflight())
+	if cl.head != cl.tail {
+		t.Fatalf("%d requests still pending", cl.head-cl.tail)
 	}
 
-	// PutAsync and DeleteAsync round out the helpers.
-	if err := cl.PutAsync(1, 100, func(r Response) {
-		if r.Status != StatusOK || r.Result != 3 {
-			t.Errorf("PutAsync(1) = %+v", r)
-		}
-	}); err != nil {
+	// Put and Delete round out the pipe's kinds.
+	got = got[:0]
+	if err := p.Put(1, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.DeleteAsync(2, func(r Response) {
-		if r.Status != StatusOK || r.Result != 6 {
-			t.Errorf("DeleteAsync(2) = %+v", r)
-		}
-	}); err != nil {
+	if err := p.Delete(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Drain(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 2 || !got[0].OK || got[0].Value != 3 || !got[1].OK || got[1].Value != 6 {
+		t.Fatalf("Put/Delete completions = %+v, want previous values 3 and 6", got)
 	}
 	if v, ok, _ := cl.Get(1); !ok || v != 100 {
-		t.Fatalf("Get(1) after PutAsync = (%d,%v)", v, ok)
+		t.Fatalf("Get(1) after Put = (%d,%v)", v, ok)
 	}
 	if _, ok, _ := cl.Get(2); ok {
-		t.Fatal("Get(2) found a key DeleteAsync removed")
+		t.Fatal("Get(2) found a key Delete removed")
 	}
 }

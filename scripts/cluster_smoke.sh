@@ -2,9 +2,9 @@
 # cluster_smoke.sh — 3-shard sharded-cluster smoke for CI and local runs.
 #
 # Launches three dlht-server processes (shared-executor default), drives
-# them with `dlht-loadgen -addrs` (the consistent-hashed Cluster Store) in
-# the synchronous shape at two connection counts — 4, and the
-# many-small-clients regime at 64 — plus the pipelined (-async) shape, and
+# them with `dlht-loadgen -addrs` (the consistent-hashed Cluster Store)
+# request-at-a-time (-pipeline 1) at two connection counts — 4, and the
+# many-small-clients regime at 64 — plus pipelined (-pipeline 64), and
 # prints one summary line:
 #
 #	cluster smoke (sync=0.05 M/s sync64=0.11 M/s async=0.22 M/s)
@@ -53,7 +53,7 @@ addrs=127.0.0.1:14141,127.0.0.1:14142,127.0.0.1:14143
 # Output goes to a file first, then cat — a pipe into tee would replace
 # the loadgen's exit status with tee's under POSIX sh (no pipefail), and
 # the loadgen's non-zero exit on any error is this gate's whole point.
-"$bindir/dlht-loadgen" -addrs "$addrs" -conns 4 -pipeline 64 \
+"$bindir/dlht-loadgen" -addrs "$addrs" -conns 4 -pipeline 1 \
 	-ops 200000 -keys 100000 -read-pct 50 >"$synclog" 2>&1 || {
 	status=$?
 	cat "$synclog"
@@ -61,9 +61,9 @@ addrs=127.0.0.1:14141,127.0.0.1:14142,127.0.0.1:14143
 	exit "$status"
 }
 cat "$synclog"
-# The many-small-clients case: 64 synchronous connections, one request in
-# flight each — the regime the shared executor serves by aggregating the
-# fleet into per-shard pipelines.
+# The many-small-clients case: 64 connections with a pipe window of one
+# each — the regime the shared executor serves by aggregating the fleet
+# into per-shard pipelines.
 "$bindir/dlht-loadgen" -addrs "$addrs" -conns 64 -pipeline 1 \
 	-ops 200000 -keys 100000 -read-pct 50 -skip-load >"$sync64log" 2>&1 || {
 	status=$?
@@ -73,10 +73,10 @@ cat "$synclog"
 }
 cat "$sync64log"
 "$bindir/dlht-loadgen" -addrs "$addrs" -conns 4 -pipeline 64 \
-	-ops 200000 -keys 100000 -read-pct 50 -skip-load -async >"$asynclog" 2>&1 || {
+	-ops 200000 -keys 100000 -read-pct 50 -skip-load >"$asynclog" 2>&1 || {
 	status=$?
 	cat "$asynclog"
-	echo "async cluster run failed (exit $status)" >&2
+	echo "pipelined cluster run failed (exit $status)" >&2
 	exit "$status"
 }
 cat "$asynclog"
@@ -94,7 +94,7 @@ echo "cluster smoke (sync=$sync_m M/s sync64=$sync64_m M/s async=$async_m M/s)"
 
 # ---- failover case: kill -9 one replicated durable shard mid-run ----
 #
-# Three fresh WAL-backed shards; the replicated async loadgen (R=2 per
+# Three fresh WAL-backed shards; the replicated pipelined loadgen (R=2 per
 # key, one ack to proceed) runs against them while the middle shard is
 # kill -9'd and then restarted from its WAL directory on the same port.
 # The loadgen must finish without a client restart: retryable errors are
@@ -114,7 +114,7 @@ PIDS="$PIDS $!"
 sleep 1
 
 "$bindir/dlht-loadgen" -addrs "$faddrs" -conns 4 -pipeline 64 \
-	-ops 1500000 -keys 100000 -read-pct 50 -async \
+	-ops 1500000 -keys 100000 -read-pct 50 \
 	-replicas 2 -write-quorum 1 -max-error-rate 10 -verify >"$faillog" 2>&1 &
 LG=$!
 

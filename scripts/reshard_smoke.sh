@@ -3,7 +3,7 @@
 #
 # Launches three WAL-backed dlht-server shards (with the per-key version
 # index the migration's last-write-wins arbitration uses) plus one spare,
-# then drives them with a replicated async loadgen whose -churn flag adds
+# then drives them with a replicated pipelined loadgen whose -churn flag adds
 # the spare to the ring MID-RUN and cycles it back out — two full online
 # reshards under live traffic. While the handoff window is open, one of
 # the SOURCE shards is kill -9'd and restarted from its WAL directory on
@@ -50,7 +50,7 @@ addrs=127.0.0.1:14151,127.0.0.1:14152,127.0.0.1:14153
 spare=127.0.0.1:14154
 
 "$bindir/dlht-loadgen" -addrs "$addrs" -conns 4 -pipeline 64 \
-	-ops 1500000 -keys 60000 -read-pct 50 -async \
+	-ops 1500000 -keys 60000 -read-pct 50 \
 	-replicas 2 -write-quorum 1 \
 	-churn 1 -spares "$spare" \
 	-max-error-rate 0.1 -verify >"$runlog" 2>&1 &
