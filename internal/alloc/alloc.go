@@ -12,8 +12,10 @@ package alloc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Ref is a 48-bit reference to an allocated block: the high 16 of the low
@@ -73,10 +75,18 @@ type Stats struct {
 // Size classes
 // ---------------------------------------------------------------------------
 
-// Block layout: an 8-byte header holding the size-class index precedes the
-// user data; the Ref points at the user data. Free-list links are written
-// into the first 8 bytes of the user area while a block is free.
-const blockHeader = 8
+// Block layout: an 8-byte header precedes the user data; the Ref points at
+// the user data. The header is one aligned word, read and written
+// atomically: the size-class index in its low 8 bits and, while the block
+// is free, the next free block's Ref in the 48 bits above. The link never
+// touches user bytes, so a reader holding a stale Ref sees only what the
+// block's owners wrote there, and a popper losing the race for a block
+// reads a word nobody writes non-atomically.
+const (
+	blockHeader = 8
+	classBits   = 8
+	classMask   = 1<<classBits - 1
+)
 
 // sizeClasses are the user-visible block capacities. Chosen like mimalloc's
 // small/medium bins: fine granularity at the small end (DLHT values start
@@ -86,19 +96,54 @@ var sizeClasses = []int{
 	1536, 2048, 3072, 4096, 6144, 8192, 12288, 16384, 24576, 32768, 65536,
 }
 
+// MaxBlock is the largest allocation the Arena serves.
+const MaxBlock = 65536
+
+// smallMax is the largest request classFor answers from its table; from
+// class1024 on the classes alternate 3·2^k and 2^(k+2), which bits.Len
+// resolves.
+const (
+	smallMax  = 1024
+	class1024 = 13
+)
+
+// smallClass maps (n+7)/8 to the class index for n <= smallMax. Every
+// class up to smallMax is a multiple of 8, so all n sharing an entry share
+// a class.
+var smallClass = func() (t [smallMax/8 + 1]uint8) {
+	cls := 0
+	for i := range t {
+		for sizeClasses[cls] < i*8 {
+			cls++
+		}
+		t[i] = uint8(cls)
+	}
+	return t
+}()
+
 // classFor returns the smallest class index whose capacity fits n, or -1
 // when n exceeds the largest class.
 func classFor(n int) int {
-	for i, c := range sizeClasses {
-		if n <= c {
-			return i
+	if n <= smallMax {
+		if n < 0 {
+			n = 0
 		}
+		return int(smallClass[(n+7)/8])
 	}
-	return -1
+	if n > MaxBlock {
+		return -1
+	}
+	k := bits.Len(uint(n - 1)) // 2^(k-1) < n <= 2^k, k >= 11
+	cls := class1024 + 2*(k-10)
+	if n <= 3<<(k-2) {
+		cls--
+	}
+	if cls >= len(sizeClasses) {
+		// The last step is 32768 -> 65536: there is no 49152 class.
+		cls = len(sizeClasses) - 1
+	}
+	return cls
 }
-
-// MaxBlock is the largest allocation the Arena serves.
-const MaxBlock = 65536
 
 // ---------------------------------------------------------------------------
 // Arena
@@ -184,9 +229,8 @@ func (a *Arena) Alloc(n int) (Ref, []byte) {
 		if ref.IsNil() {
 			break
 		}
-		b := a.block(ref, 8)
-		next := leUint64(b)
-		if h.CompareAndSwap(old, packHead(tag+1, Ref(next))) {
+		next := Ref(atomic.LoadUint64(a.header(ref)) >> classBits)
+		if h.CompareAndSwap(old, packHead(tag+1, next)) {
 			user := a.block(ref, n)
 			clear(user)
 			return ref, user
@@ -222,9 +266,15 @@ func (a *Arena) bumpAlloc(cls, n int) (Ref, []byte) {
 	a.mu.Unlock()
 
 	ref := makeRef(region, off+blockHeader)
-	hdr := regions[region][off : off+blockHeader]
-	putLeUint64(hdr, uint64(cls))
+	atomic.StoreUint64((*uint64)(unsafe.Pointer(&regions[region][off])), uint64(cls))
 	return ref, a.block(ref, n)
+}
+
+// header returns the address of r's header word. Regions are word-aligned
+// and every block starts on a 16-byte boundary, so the word is aligned.
+func (a *Arena) header(r Ref) *uint64 {
+	region := (*a.regions.Load())[r.region()]
+	return (*uint64)(unsafe.Pointer(&region[r.offset()-blockHeader]))
 }
 
 // Bytes implements Allocator.
@@ -245,19 +295,18 @@ func (a *Arena) Free(r Ref) {
 	if r.IsNil() {
 		return
 	}
-	hdr := a.block(Ref(uint64(r)-blockHeader), blockHeader)
-	cls := int(leUint64(hdr))
-	if cls < 0 || cls >= len(sizeClasses) {
+	hdr := a.header(r)
+	cls := int(atomic.LoadUint64(hdr) & classMask)
+	if cls >= len(sizeClasses) {
 		panic(fmt.Sprintf("alloc: corrupt block header (class %d)", cls))
 	}
 	a.frees.Add(1)
 	a.heapUsed.Add(^uint64(sizeClasses[cls] - 1)) // subtract
-	b := a.block(r, 8)
 	h := &a.freeHeads[cls].head
 	for {
 		old := h.Load()
 		tag, head := unpackHead(old)
-		putLeUint64(b, uint64(head))
+		atomic.StoreUint64(hdr, uint64(cls)|uint64(head)<<classBits)
 		if h.CompareAndSwap(old, packHead(tag+1, r)) {
 			return
 		}
@@ -276,24 +325,6 @@ func (a *Arena) Stats() Stats {
 		HeapUsed: a.heapUsed.Load(),
 		Regions:  regions,
 	}
-}
-
-func leUint64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLeUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }
 
 // ---------------------------------------------------------------------------

@@ -164,6 +164,25 @@ func TestClassForProperty(t *testing.T) {
 	}
 }
 
+// TestClassForMatchesScan checks the O(1) classFor against the definition —
+// the first class that fits — for every request the Arena can serve, and
+// one past it.
+func TestClassForMatchesScan(t *testing.T) {
+	scan := func(n int) int {
+		for i, c := range sizeClasses {
+			if n <= c {
+				return i
+			}
+		}
+		return -1
+	}
+	for n := 0; n <= MaxBlock+1; n++ {
+		if got, want := classFor(n), scan(n); got != want {
+			t.Fatalf("classFor(%d) = %d, the scan says %d", n, got, want)
+		}
+	}
+}
+
 func TestRefPacking(t *testing.T) {
 	f := func(region uint16, off uint32) bool {
 		r := makeRef(region, off)

@@ -11,7 +11,8 @@ package analyzers
 //
 // The pass finds struct types with a KVPipeline-typed field, then
 // checks each of their methods: a direct KV call — a handle operation
-// (GetKV, GetKVCopy, InsertKV*, UpsertKV*, UpdateKV, DeleteKV*) not on
+// (GetKV, GetKVMeta, SetKVMeta, InsertKV*, UpsertKV*,
+// UpdateKV, DeleteKV*) not on
 // the pipeline itself, or any method of the TTL'd-KV state machine
 // (expiry.KV), which runs handle operations on the owner's handle —
 // must be positionally preceded by a drain call. *Locked helpers are
@@ -35,7 +36,7 @@ var pipeDrains = map[string]bool{
 }
 
 var directKVOps = map[string]bool{
-	"GetKV": true, "GetKVCopy": true, "UpdateKV": true,
+	"GetKV": true, "GetKVMeta": true, "SetKVMeta": true, "UpdateKV": true,
 	"InsertKV": true, "InsertKVHashed": true, "UpsertKVHashed": true,
 	"DeleteKV": true, "DeleteKVHashed": true,
 }

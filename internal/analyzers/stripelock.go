@@ -6,14 +6,22 @@ package analyzers
 // concurrent PUT between them resurrects the key and the delete kills
 // live data (the race the RESP TTL layer fixed during PR 8 review).
 //
+// A pair's deadline is the metadata word of its block, and a reader
+// gets it for free with the value, so the read path checks it with no
+// lock held (expiry.Dead on a completion's Meta). That is the cheap
+// pre-check and it is fine on its own: it may answer a miss. It may
+// not delete. The delete it justifies goes through a locked operation
+// of the state machine (KV.Expired), which reads the word again under
+// the stripe.
+//
 // The pass fires per function scope (literals are scopes of their
-// own): when a scope both consults the deadline index (Deadline /
-// Expired / Remove) and deletes or replaces KV pairs (DeleteKV /
-// DeleteKVHashed / UpsertKVHashed), every such call must sit inside the
-// stripe-lock span — after a zero-argument .Lock() that follows the
-// stripe acquisition Lock(hash), and before the final .Unlock() (a
-// deferred Unlock covers the whole tail). Helpers named *Locked are
-// exempt: their contract is "caller holds the stripe". Since every
+// own): when a scope both consults a deadline (Dead / GetKVMeta /
+// Expired) and deletes or replaces KV pairs (DeleteKV / DeleteKVHashed
+// / UpsertKVHashed), every delete must sit inside the stripe-lock span
+// — after a zero-argument .Lock() that follows the stripe acquisition
+// Lock(hash), and before the final .Unlock() (a deferred Unlock covers
+// the whole tail); the consultations may sit anywhere. Helpers named
+// *Locked are exempt: their contract is "caller holds the stripe". Since every
 // such compound now lives in the TTL'd-KV state machine (expiry.KV),
 // the pass also holds the module to that contract: a call to one of its
 // stripe-held helpers is a check and a delete in one, and must sit in
@@ -33,7 +41,7 @@ var StripeLock = &Analyzer{
 }
 
 var expiryChecks = map[string]bool{
-	"Deadline": true, "Expired": true, "Remove": true,
+	"Dead": true, "GetKVMeta": true, "Expired": true,
 }
 
 var kvDeletes = map[string]bool{
@@ -43,7 +51,7 @@ var kvDeletes = map[string]bool{
 // stripeHeld are expiry.KV's helpers whose contract is "stripe lock
 // held": each checks a deadline and deletes or replaces in one call.
 var stripeHeld = map[string]bool{
-	"expiredLocked": true, "storeLocked": true, "deleteLocked": true,
+	"readLocked": true, "storeLocked": true, "deleteLocked": true,
 }
 
 func runStripeLock(p *Pass) {

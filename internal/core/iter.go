@@ -85,48 +85,96 @@ func (t *Table) collectBin(ix *index, b uint64, out []Entry, depth int) []Entry 
 	}
 }
 
-// KVEntry is one namespace/key/value triple produced by RangeKV. The byte
-// slices are private copies owned by the callback.
+// KVEntry is one pair produced by RangeKV: namespace, key, value and the
+// pair's metadata word. The byte slices are copies in a buffer the
+// traversal reuses: valid during the callback only.
 type KVEntry struct {
 	NS    uint16
 	Key   []byte
 	Value []byte
+	Meta  uint64
 }
 
-// RangeKV is Range for Allocator-mode tables: it iterates over all live
-// out-of-line pairs, calling fn with the namespace and private copies of
-// the key and value bytes until fn returns false. The same weak
-// consistency as Range applies, and each bin's entries are copied inside
-// its seqlock window, so a pair deleted (and its block reclaimed)
-// mid-read is discarded and retried rather than observed torn. Returns
-// ErrWrongMode outside Allocator mode.
-func (h *Handle) RangeKV(fn func(ns uint16, key, val []byte) bool) error {
-	t := h.t
-	if t.cfg.Mode != Allocator {
+// KVCursor is the position of a RangeKVStep traversal. The zero value
+// starts a pass. Like ScanStep's cursor it is expressed in the geometry of
+// the step that started the pass, so it stays valid across resizes.
+type KVCursor struct{ bins, next uint64 }
+
+// RangeKV is Range for Allocator-mode tables: one full RangeKVStep pass
+// over all live out-of-line pairs, calling fn for each until it returns
+// false. Returns ErrWrongMode outside Allocator mode.
+func (h *Handle) RangeKV(fn func(e *KVEntry) bool) error {
+	if h.t.cfg.Mode != Allocator {
 		return ErrWrongMode
 	}
-	ix := h.enter()
-	defer h.leave()
-	var buf []KVEntry
-	for b := uint64(0); b < ix.numBins; b++ {
-		buf = t.collectBinKV(ix, b, buf[:0], 0)
-		for i := range buf {
-			if !fn(buf[i].NS, buf[i].Key, buf[i].Value) {
-				return nil
-			}
-		}
+	more := true
+	var cur KVCursor
+	for done := false; more && !done; {
+		cur, done = h.RangeKVStep(cur, 1<<12, true, func(e *KVEntry) {
+			more = more && fn(e)
+		})
 	}
 	return nil
 }
 
-// collectBinKV gathers bin b's live KV pairs with seqlock validation,
-// copying key and value bytes before the final header check so a
-// concurrent delete-and-reuse of a block forces a retry instead of a torn
+// RangeKVStep is the resumable traversal under RangeKV, and the expiry
+// crawler's unit of work: from cur it visits whole bins, calling fn for
+// each live pair, until the bins visited plus the pairs yielded reach
+// budget — at least one bin per call, so a pass always ends — and returns
+// the cursor to resume from; done reports that the pass is complete, and
+// the cursor returned with it starts the next one. vals false leaves
+// KVEntry.Value nil and the value bytes unread.
+//
+// The same weak consistency as Range applies, and each bin's pairs are
+// copied inside its seqlock window, so a pair deleted (and its block
+// reclaimed) mid-read is discarded and retried rather than observed torn.
+// fn runs between bins with the handle inside a table operation: it must
+// not call back into the handle. The table must be in Allocator mode.
+func (h *Handle) RangeKVStep(cur KVCursor, budget int, vals bool, fn func(e *KVEntry)) (next KVCursor, done bool) {
+	t := h.t
+	if t.cfg.Mode != Allocator {
+		panic(ErrWrongMode)
+	}
+	ix := h.enter()
+	defer h.leave()
+	if cur.bins == 0 {
+		cur = KVCursor{bins: ix.numBins}
+	}
+	// Growth is multiplicative, so the cursor's geometry divides the
+	// current one and old bin b is current bins {b + j·cur.bins}.
+	factor := ix.numBins / cur.bins
+	sc := &h.kvScan
+	for spent := 0; cur.next < cur.bins && spent < budget; cur.next++ {
+		sc.ents, sc.buf = sc.ents[:0], sc.buf[:0]
+		for j := uint64(0); j < factor; j++ {
+			t.collectBinKV(ix, cur.next+j*cur.bins, sc, vals, 0)
+		}
+		spent += int(factor) + len(sc.ents)
+		for i := range sc.ents {
+			fn(&sc.ents[i])
+		}
+	}
+	if cur.next >= cur.bins {
+		return KVCursor{}, true
+	}
+	return cur, false
+}
+
+// kvScan is RangeKVStep's reusable scratch: one bin group's entries and
+// the bytes they point into.
+type kvScan struct {
+	ents []KVEntry
+	buf  []byte
+}
+
+// collectBinKV gathers bin b's live KV pairs into sc with seqlock
+// validation, copying key and value bytes before the final header check so
+// a concurrent delete-and-reuse of a block forces a retry instead of a torn
 // copy. Block reads racing a free are safe — the arena keeps the memory
 // mapped (see scanBinKV) — but their contents are untrusted until the
 // header validates, so block-derived lengths are bounds-checked before
 // use.
-func (t *Table) collectBinKV(ix *index, b uint64, out []KVEntry, depth int) []KVEntry {
+func (t *Table) collectBinKV(ix *index, b uint64, sc *kvScan, vals bool, depth int) {
 	maxBlock := t.cfg.Alloc.MaxAlloc()
 	if maxBlock <= 0 {
 		maxBlock = 64 << 20
@@ -140,7 +188,7 @@ func (t *Table) collectBinKV(ix *index, b uint64, out []KVEntry, depth int) []KV
 			continue
 		case binDoneTransfer:
 			if depth > 8 {
-				return out
+				return
 			}
 			nx := ix.nextIndex()
 			factor := nx.numBins / ix.numBins
@@ -148,13 +196,13 @@ func (t *Table) collectBinKV(ix *index, b uint64, out []KVEntry, depth int) []KV
 				factor = 1
 			}
 			for j := uint64(0); j < factor; j++ {
-				out = t.collectBinKV(nx, b+j*ix.numBins, out, depth+1)
+				t.collectBinKV(nx, b+j*ix.numBins, sc, vals, depth+1)
 			}
-			return out
+			return
 		}
 		meta := atomic.LoadUint64(ix.linkMetaAddr(b))
 		limit := slotLimit(meta)
-		start := len(out)
+		startEnts, startBuf := len(sc.ents), len(sc.buf)
 		sane := true
 		for i := 0; i < limit && sane; i++ {
 			if slotState(hdr, i) != slotValid {
@@ -163,44 +211,47 @@ func (t *Table) collectBinKV(ix *index, b uint64, out []KVEntry, depth int) []KV
 			kw, vw := ix.loadSlot(b, meta, i)
 			code := keyCodeOf(vw)
 			ref := refOf(vw)
-			var key, val []byte
+			e := KVEntry{NS: nsOf(vw)}
+			keyOff := len(sc.buf)
 			if code != bigKeyCode {
 				if code == 0 {
 					sane = false // torn slot pair; header check will retry
 					break
 				}
-				key = make([]byte, code)
-				for j := range key {
-					key[j] = byte(kw >> (8 * uint(j)))
+				for j := 0; j < code; j++ {
+					sc.buf = append(sc.buf, byte(kw>>(8*uint(j))))
 				}
 			}
-			hasHdr := t.cfg.VariableKV || code == bigKeyCode
-			if !hasHdr {
-				val = append([]byte(nil), t.cfg.Alloc.Bytes(ref, t.cfg.ValueSize)...)
-			} else {
+			valOff, vlen := 0, t.cfg.ValueSize
+			if t.hasBlockHeader(code) {
 				bh := t.cfg.Alloc.Bytes(ref, kvBlockHeader)
 				klen := int(getU32(bh[0:]))
-				vlen := int(getU32(bh[4:]))
+				vlen = int(getU32(bh[4:]))
 				if klen <= 0 || vlen < 0 || klen+vlen+kvBlockHeader > maxBlock {
 					sane = false
 					break
 				}
-				valOff := kvBlockHeader
-				if klen > 8 {
+				e.Meta = atomic.LoadUint64(metaWord(bh))
+				valOff = kvBlockHeader
+				if code == bigKeyCode {
+					sc.buf = append(sc.buf, t.cfg.Alloc.Bytes(ref, valOff+klen)[valOff:]...)
 					valOff += klen
 				}
-				blk := t.cfg.Alloc.Bytes(ref, valOff+vlen)
-				if code == bigKeyCode {
-					key = append([]byte(nil), blk[kvBlockHeader:kvBlockHeader+klen]...)
-				}
-				val = append([]byte(nil), blk[valOff:]...)
 			}
-			out = append(out, KVEntry{NS: nsOf(vw), Key: key, Value: val})
+			// Slice after the appends: they may have moved the buffer. An
+			// entry sliced before a later growth keeps the old array, whose
+			// bytes were already final.
+			e.Key = sc.buf[keyOff:len(sc.buf):len(sc.buf)]
+			if vals {
+				sc.buf = append(sc.buf, t.cfg.Alloc.Bytes(ref, valOff+vlen)[valOff:]...)
+				e.Value = sc.buf[keyOff+len(e.Key) : len(sc.buf) : len(sc.buf)]
+			}
+			sc.ents = append(sc.ents, e)
 		}
 		if sane && atomic.LoadUint64(hdrAddr) == hdr {
-			return out
+			return
 		}
-		out = out[:start]
+		sc.ents, sc.buf = sc.ents[:startEnts], sc.buf[:startBuf]
 		if attempt > 32 {
 			runtime.Gosched()
 		}

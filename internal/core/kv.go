@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/alloc"
 )
@@ -29,9 +31,19 @@ const (
 // MaxNamespace is the largest namespace id (12 bits, §3.4.2).
 const MaxNamespace = nsMask
 
-// kvBlockHeader is the [klen u32][vlen u32] prefix stored when either
-// VariableKV is enabled or the key does not fit the slot.
-const kvBlockHeader = 8
+// kvBlockHeader is the [klen u32][vlen u32][meta u64] prefix stored when
+// either VariableKV is enabled or the key does not fit the slot. meta is
+// one aligned word the caller owns: the table stores it with the pair,
+// hands it back beside the value (KVGet.Meta, GetKVMeta, RangeKV) and
+// replaces it in place (SetKVMeta), always with 64-bit atomics, and never
+// interprets it. It shares the block's first cache line with the lengths
+// and the head of a big key, so whatever a reader keeps there — the RESP
+// layer keeps the pair's expiry deadline — costs no memory access beyond
+// the one that fetches the value.
+const (
+	kvBlockHeader = 16
+	kvMetaOff     = 8
+)
 
 // Errors specific to Allocator mode.
 var (
@@ -45,6 +57,10 @@ var (
 	ErrNamespace = errors.New("dlht: namespace out of range or not enabled")
 	// ErrEmptyKey flags zero-length keys.
 	ErrEmptyKey = errors.New("dlht: empty key")
+	// ErrNoMeta flags a non-zero metadata word for a pair whose block has
+	// no header to hold it: a key of at most 8 bytes on a table without
+	// VariableKV.
+	ErrNoMeta = errors.New("dlht: pair has no metadata word (enable VariableKV)")
 )
 
 func encodeSlotVal(ref alloc.Ref, keyCode int, ns uint16) uint64 {
@@ -108,6 +124,19 @@ func (t *Table) checkKV(ns uint16, key []byte, val []byte, isInsert bool) error 
 	return nil
 }
 
+// hasBlockHeader reports whether pairs with this key-size code carry the
+// length-and-metadata header.
+func (t *Table) hasBlockHeader(code int) bool {
+	return t.cfg.VariableKV || code == bigKeyCode
+}
+
+// metaWord returns the address of the metadata word in a header-carrying
+// block, given (at least) its header bytes. Blocks are 8-byte aligned (the
+// Arena's are 16), and so is the word.
+func metaWord(blk []byte) *uint64 {
+	return (*uint64)(unsafe.Pointer(&blk[kvMetaOff]))
+}
+
 // blockGeometry computes the block size and the value offset for a pair.
 func (t *Table) blockGeometry(klen, vlen int) (size, valOff int) {
 	hasHdr := t.cfg.VariableKV || klen > 8
@@ -121,12 +150,13 @@ func (t *Table) blockGeometry(klen, vlen int) (size, valOff int) {
 }
 
 // writeBlock fills a freshly allocated block.
-func (t *Table) writeBlock(b []byte, key, val []byte) {
+func (t *Table) writeBlock(b []byte, key, val []byte, meta uint64) {
 	hasHdr := t.cfg.VariableKV || len(key) > 8
 	off := 0
 	if hasHdr {
 		putU32(b[0:], uint32(len(key)))
 		putU32(b[4:], uint32(len(val)))
+		atomic.StoreUint64(metaWord(b), meta)
 		off = kvBlockHeader
 		if len(key) > 8 {
 			copy(b[off:], key)
@@ -136,47 +166,50 @@ func (t *Table) writeBlock(b []byte, key, val []byte) {
 	copy(b[off:], val)
 }
 
-// valueView resolves the value bytes of a slot's value word. vlenHint is
-// used when the block has no header (fixed-size values, inlined key).
-func (t *Table) valueView(val uint64) []byte {
+// valueView resolves a slot's value word into the value bytes and the
+// pair's metadata word (0 when the block has no header: fixed-size values
+// under an inlined key).
+func (t *Table) valueView(val uint64) ([]byte, uint64) {
 	ref := refOf(val)
-	hasHdr := t.cfg.VariableKV || keyCodeOf(val) == bigKeyCode
-	if !hasHdr {
-		return t.cfg.Alloc.Bytes(ref, t.cfg.ValueSize)
+	if !t.hasBlockHeader(keyCodeOf(val)) {
+		return t.cfg.Alloc.Bytes(ref, t.cfg.ValueSize), 0
 	}
 	hdr := t.cfg.Alloc.Bytes(ref, kvBlockHeader)
 	klen := int(getU32(hdr[0:]))
 	vlen := int(getU32(hdr[4:]))
+	meta := atomic.LoadUint64(metaWord(hdr))
 	valOff := kvBlockHeader
 	if klen > 8 {
 		valOff += klen
 	}
-	return t.cfg.Alloc.Bytes(ref, valOff+vlen)[valOff:]
+	return t.cfg.Alloc.Bytes(ref, valOff+vlen)[valOff:], meta
+}
+
+// bigKeyIs reports whether the block behind ref stores key: the one place
+// a stored big key is compared with a lookup key. The answer stands only
+// if the bin header the slot was read under validates afterwards — the
+// caller's job: inside scanBinKV's window on the synchronous path, one
+// window later (kvStep) for a pipelined lookup, whose block prefetch has
+// landed by then. Until it validates the block may have been freed and
+// reused, so the stored length is compared before it is trusted as one.
+func (t *Table) bigKeyIs(ref alloc.Ref, key []byte) bool {
+	hdr := t.cfg.Alloc.Bytes(ref, kvBlockHeader)
+	if int(getU32(hdr[0:])) != len(key) {
+		return false
+	}
+	return bytes.Equal(t.cfg.Alloc.Bytes(ref, kvBlockHeader+len(key))[kvBlockHeader:], key)
 }
 
 // matchKV reports whether a slot's (keyWord, valWord) matches the lookup
-// key. Cheap filters first (key word, size code, namespace), then the full
-// out-of-line comparison for big keys.
+// key: the slot-word filters (key word, size code, namespace) and, for a
+// big key, the out-of-line comparison. A nil key stops at the filters —
+// the pipelined lookup's candidate pick, which leaves the block untouched
+// until its prefetch has landed.
 func (t *Table) matchKV(kw, vw uint64, wantKW uint64, wantCode int, ns uint16, key []byte) bool {
 	if kw != wantKW || keyCodeOf(vw) != wantCode || nsOf(vw) != ns {
 		return false
 	}
-	if wantCode != bigKeyCode {
-		return true
-	}
-	ref := refOf(vw)
-	hdr := t.cfg.Alloc.Bytes(ref, kvBlockHeader)
-	klen := int(getU32(hdr[0:]))
-	if klen != len(key) {
-		return false
-	}
-	stored := t.cfg.Alloc.Bytes(ref, kvBlockHeader+klen)[kvBlockHeader:]
-	for i := range key {
-		if stored[i] != key[i] {
-			return false
-		}
-	}
-	return true
+	return wantCode != bigKeyCode || key == nil || t.bigKeyIs(refOf(vw), key)
 }
 
 // scanBinKV is scanBin with the Allocator-mode match predicate. Big-key
@@ -216,20 +249,50 @@ func (t *Table) scanBinKV(ix *index, b uint64, hdr uint64, wantKW uint64, wantCo
 // view stays valid until this handle's next AdvanceEpoch call; without it,
 // until the key is deleted.
 func (h *Handle) GetKV(ns uint16, key []byte) ([]byte, bool) {
+	v, _, ok := h.GetKVMeta(ns, key, h.t.HashOfKV(ns, key))
+	return v, ok
+}
+
+// GetKVMeta is GetKV with the key's hash — Table.HashOfKV — precomputed,
+// returning the pair's metadata word beside the value view.
+func (h *Handle) GetKVMeta(ns uint16, key []byte, hash uint64) (val []byte, meta uint64, ok bool) {
+	vw, ok := h.findKV(ns, key, hash)
+	if !ok {
+		return nil, 0, false
+	}
+	if debugAsserts {
+		h.assertViewPinned()
+	}
+	val, meta = h.t.valueView(vw)
+	return val, meta, true
+}
+
+// findKV is the synchronous lookup: the value word of key's slot. The block
+// behind it outlives the index announcement (an epoch, or the no-reclaim
+// contract, pins it), so callers resolve it after return.
+func (h *Handle) findKV(ns uint16, key []byte, hash uint64) (uint64, bool) {
 	t := h.t
 	if err := t.checkKV(ns, key, nil, false); err != nil {
 		panic(err)
 	}
 	ix := h.enter()
-	defer h.leave()
-	vw, ok := t.lookupKVSlot(ix, ns, key)
-	if !ok {
-		return nil, false
+	vw, _, _, ok := t.lookupKVSlotAt(ix, ns, key, inlineKeyWord(key), keyCodeFor(key), hash%ix.numBins, true)
+	h.leave()
+	return vw, ok
+}
+
+// SetKVMeta replaces the metadata word of key's pair in place — no block
+// is allocated or freed — and reports whether the pair was there to take
+// it (false too for a pair whose block has no header). Like UpdateKV it is
+// a write through the pointer API: the caller serializes it against
+// deleters and replacers of the same key.
+func (h *Handle) SetKVMeta(ns uint16, key []byte, hash uint64, meta uint64) bool {
+	vw, ok := h.findKV(ns, key, hash)
+	if !ok || !h.t.hasBlockHeader(keyCodeOf(vw)) {
+		return false
 	}
-	if debugAsserts {
-		h.assertViewPinned()
-	}
-	return t.valueView(vw), true
+	atomic.StoreUint64(metaWord(h.t.cfg.Alloc.Bytes(refOf(vw), kvBlockHeader)), meta)
+	return true
 }
 
 // CheckKV validates a KV request against the table's mode and
@@ -241,18 +304,6 @@ func (h *Handle) GetKV(ns uint16, key []byte) ([]byte, bool) {
 // failures into wire statuses.
 func (t *Table) CheckKV(ns uint16, key, val []byte, isInsert bool) error {
 	return t.checkKV(ns, key, val, isInsert)
-}
-
-// GetKVCopy is GetKV but returns a private copy of the value, for callers
-// that must hold it across epoch advances.
-func (h *Handle) GetKVCopy(ns uint16, key []byte) ([]byte, bool) {
-	v, ok := h.GetKV(ns, key)
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true
 }
 
 // UpdateKV applies fn to the live value of key in place — the pointer-API
@@ -280,19 +331,27 @@ func (h *Handle) InsertKV(ns uint16, key, val []byte) error {
 // hashed the key to pick a shard pass the hash down instead of paying it
 // again; the hash stays valid across resizes (only the modulus changes).
 func (h *Handle) InsertKVHashed(ns uint16, key, val []byte, hash uint64) error {
+	return h.insertKV(ns, key, val, hash, 0)
+}
+
+// insertKV is InsertKVHashed storing meta as the pair's metadata word.
+func (h *Handle) insertKV(ns uint16, key, val []byte, hash, meta uint64) error {
 	t := h.t
 	if err := t.checkKV(ns, key, val, true); err != nil {
 		return err
 	}
+	if meta != 0 && !t.hasBlockHeader(keyCodeFor(key)) {
+		return ErrNoMeta
+	}
 	t.beginUpdate()
 	ix := h.enter()
-	err := t.insertKVIn(h, ix, ns, key, val, hash)
+	err := t.insertKVIn(h, ix, ns, key, val, hash, meta)
 	h.leave()
 	t.endUpdate()
 	return err
 }
 
-func (t *Table) insertKVIn(h *Handle, ix *index, ns uint16, key, val []byte, hash uint64) error {
+func (t *Table) insertKVIn(h *Handle, ix *index, ns uint16, key, val []byte, hash, kvMeta uint64) error {
 	wantKW := inlineKeyWord(key)
 	wantCode := keyCodeFor(key)
 	// The block is allocated once and reused across retries; freed on any
@@ -354,7 +413,7 @@ indexLoop:
 				size, _ := t.blockGeometry(len(key), len(val))
 				var blk []byte
 				ref, blk = t.cfg.Alloc.Alloc(size)
-				t.writeBlock(blk, key, val)
+				t.writeBlock(blk, key, val, kvMeta)
 			}
 			ix.storeSlot(b, meta, i, wantKW, encodeSlotVal(ref, wantCode, ns))
 			err, done := t.finalizeInsertKV(ix, b, i, wantKW, wantCode, ns, key)
@@ -443,17 +502,19 @@ func (t *Table) deleteKVIn(h *Handle, ix *index, ns uint16, key []byte, hash uin
 	}
 }
 
-// UpsertKVHashed sets key→val whether or not key is present; hash is the
-// key's Table.HashOfKV. Allocator mode has Insert and Delete only, so a
+// UpsertKVHashed sets key→val, with meta as the pair's metadata word,
+// whether or not key is present; hash is the key's Table.HashOfKV. A
+// non-zero meta needs a block header (ErrNoMeta without one). Allocator
+// mode has Insert and Delete only, so a
 // replace is delete-then-insert, retried if a concurrent inserter wins the
 // race: the final state is this call's value or a later writer's, never a
 // lost update that leaves the key absent. A concurrent reader can observe
 // the key absent between the two steps. Every replace in the tree — the
 // pipeline's Put, the TTL'd-KV state machine's SET, WAL replay — is this
 // function.
-func (h *Handle) UpsertKVHashed(ns uint16, key, val []byte, hash uint64) error {
+func (h *Handle) UpsertKVHashed(ns uint16, key, val []byte, hash, meta uint64) error {
 	for {
-		err := h.InsertKVHashed(ns, key, val, hash)
+		err := h.insertKV(ns, key, val, hash, meta)
 		if err == nil || !errors.Is(err, ErrExists) {
 			return err
 		}

@@ -5,12 +5,13 @@ import (
 )
 
 // Allocator-mode batching (§3.3): GetKVBatch is the batch-at-once adapter
-// over the two-stage kvPipe engine in kvpipeline.go — the same machinery
-// that backs the streaming KVPipeline. The bin-header prefetch runs a full
-// window ahead of completion, the slot lookup (which prefetches the hit's
-// out-of-line block) runs half a window ahead, and the value views
-// materialize last, once their block headers are cached. Request order is
-// preserved in the results.
+// over the kvPipe engine in kvpipeline.go — the same machinery that backs
+// the streaming KVPipeline, with the same three touches per lookup: the
+// bin prefetch a full window ahead of completion, the candidate pick from
+// the slot words (which prefetches the candidate's out-of-line block) half
+// a window ahead, and at completion the one visit to the block — verify
+// the key, read the metadata word, form the value view — once it is
+// cached. Request order is preserved in the results.
 
 // KVGet is one request of a GetKVBatch (or a streaming KVPipeline).
 type KVGet struct {
@@ -18,8 +19,10 @@ type KVGet struct {
 	Key []byte
 
 	// Value is the pointer-API view of the value (nil when not found).
-	// The same lifetime rules as GetKV apply.
+	// The same lifetime rules as GetKV apply. Meta is the pair's metadata
+	// word (see SetKVMeta), read with the view.
 	Value []byte
+	Meta  uint64
 	OK    bool
 }
 
@@ -55,30 +58,32 @@ func (h *Handle) GetKVBatch(reqs []KVGet) {
 	p.head, p.s2, p.tail = 0, 0, 0
 }
 
-// lookupKVSlot runs the Get algorithm and returns the slot's value word.
-func (t *Table) lookupKVSlot(ix *index, ns uint16, key []byte) (uint64, bool) {
-	return t.lookupKVSlotAt(ix, ns, key, inlineKeyWord(key), keyCodeFor(key), t.binForKV(ix, key, ns))
-}
-
-// lookupKVSlotAt is lookupKVSlot with the key word, key code and bin
-// precomputed (memoized by the pipeline engine's prefetch stage). A resize
-// redirect invalidates the bin, which is recomputed against the successor
-// index; the key word and code are index-independent and stay valid.
-func (t *Table) lookupKVSlotAt(ix *index, ns uint16, key []byte, wantKW uint64, wantCode int, b uint64) (uint64, bool) {
+// lookupKVSlotAt runs the Get algorithm from bin b of ix with the key word
+// and key code precomputed (memoized by the pipeline engine's prefetch
+// stage) and returns the slot's value word together with the bin header it
+// was read under: its address and the validated value. A resize redirect
+// invalidates the bin, which is recomputed against the successor index; the
+// key word and code are index-independent and stay valid. With verify
+// false a big key matches on its slot words alone: the result is a
+// candidate whose block the caller compares — and whose header it
+// re-validates — later (kvStep).
+func (t *Table) lookupKVSlotAt(ix *index, ns uint16, key []byte, wantKW uint64, wantCode int, b uint64, verify bool) (vw uint64, at *uint64, hdr uint64, ok bool) {
+	match := key
+	if !verify {
+		match = nil
+	}
 	for {
-		hdr := atomic.LoadUint64(ix.headerAddr(b))
+		at = ix.headerAddr(b)
+		hdr = atomic.LoadUint64(at)
 		if nx := ix.redirect(b, hdr); nx != nil {
 			ix = nx
 			b = t.binForKV(ix, key, ns)
 			continue
 		}
-		slot, vw := t.scanBinKV(ix, b, hdr, wantKW, wantCode, ns, key)
+		slot, vw := t.scanBinKV(ix, b, hdr, wantKW, wantCode, ns, match)
 		if slot == scanRetry {
 			continue
 		}
-		if slot == scanMiss {
-			return 0, false
-		}
-		return vw, true
+		return vw, at, hdr, slot != scanMiss
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/cpuops"
@@ -10,18 +11,37 @@ import (
 // Allocator-mode pipelining: the two-level prefetch engine behind
 // GetKVBatch and the streaming KVPipeline. "Unlike MICA, our pointer-based
 // API also allows us to prefetch the externally stored values in Allocator
-// mode" (§3.3): the bin-header prefetch runs a full window ahead of
-// completion, the slot lookup — which prefetches the hit's out-of-line
-// block — runs half a window ahead, and the value views materialize last,
-// once their block headers are cached. Request order is preserved.
+// mode" (§3.3). A lookup touches memory three times, each after the
+// prefetch that covers it has had half a window or more to land:
+//
+//  1. issue, a full window ahead of completion: hash the key, prefetch its
+//     bin.
+//  2. locate, half a window ahead: scan the (cached) bin and pick the slot
+//     from the slot words alone — key word, size code, namespace. For a key
+//     of at most 8 bytes that is the answer. For a bigger key it is a
+//     candidate: its first 8 bytes match; the rest lives in the block,
+//     which this stage does not read but prefetches, recording the bin
+//     header the pick was validated against.
+//  3. complete: the one visit to the (cached) block — compare the full key,
+//     read the metadata word, form the value view — then re-validate the
+//     recorded bin header. A mismatch (another key sharing the 8-byte
+//     prefix) or a header that moved on (the slot may have been deleted and
+//     its block reused since stage 2) falls back to the synchronous lookup.
+//     It is scanBinKV's optimistic protocol with the window stretched from
+//     one scan to half a pipeline window.
+//
+// Request order is preserved.
 
 // kvPipeEntry is one in-flight request of the KV engine: the hash
 // coordinates memoized at issue time (kw, code, bin, and the index they
-// were computed against) plus the located slot's value word from the
-// lookup stage.
+// were computed against) plus what the locate stage found: the picked
+// slot's value word and the bin header (address, validated value) it was
+// picked under.
 type kvPipeEntry struct {
 	req  *KVGet
 	ix   *index
+	at   *uint64
+	hdr  uint64
 	bin  uint64
 	kw   uint64
 	vw   uint64
@@ -29,10 +49,10 @@ type kvPipeEntry struct {
 	ok   bool
 }
 
-// kvPipe is the two-stage sliding-window engine shared by GetKVBatch and
+// kvPipe is the sliding-window engine shared by GetKVBatch and
 // KVPipeline. Three absolute cursors chase each other through a
-// power-of-two ring: head (issue = hash + bin prefetch), s2 (lookup = slot
-// scan + block prefetch) and tail (completion = value view).
+// power-of-two ring: head (issue = hash + bin prefetch), s2 (locate = slot
+// pick + block prefetch) and tail (completion = verify + value view).
 type kvPipe struct {
 	ring []kvPipeEntry
 	mask int
@@ -89,10 +109,10 @@ func (p *kvPipe) issueHashed(t *Table, ix *index, req *KVGet, hash uint64) {
 	cpuops.PrefetchUint64(ix.headerAddr(e.bin))
 }
 
-// locate is stage 2: scan the (now cached) bin for the slot and prefetch
-// the hit's out-of-line block.
+// locate is stage 2: pick the slot from the (now cached) bin's slot words
+// and prefetch its out-of-line block.
 func (t *Table) locate(e *kvPipeEntry) {
-	e.vw, e.ok = t.lookupKVSlotAt(e.ix, e.req.NS, e.req.Key, e.kw, e.code, e.bin)
+	e.vw, e.at, e.hdr, e.ok = t.lookupKVSlotAt(e.ix, e.req.NS, e.req.Key, e.kw, e.code, e.bin, false)
 	if e.ok {
 		blk := t.cfg.Alloc.Bytes(refOf(e.vw), 1)
 		cpuops.Prefetch(unsafe.Pointer(&blk[0]))
@@ -109,8 +129,10 @@ func (p *kvPipe) advance(t *Table, w, lead int) {
 	}
 }
 
-// kvStep completes the oldest in-flight request: materialize the value
-// view (block header now cached) into the caller's KVGet and return it.
+// kvStep completes the oldest in-flight request, stage 3: verify a big
+// key's candidate against its (now cached) block and the bin header it was
+// picked under, then materialize the value view and metadata word into the
+// caller's KVGet and return it.
 func (h *Handle) kvStep(p *kvPipe) *KVGet {
 	t := h.t
 	if p.s2 == p.tail {
@@ -119,16 +141,20 @@ func (h *Handle) kvStep(p *kvPipe) *KVGet {
 	}
 	e := p.ring[p.tail&p.mask]
 	p.tail++
-	e.req.OK = e.ok
+	req := e.req
+	if e.ok && e.code == bigKeyCode && !(t.bigKeyIs(refOf(e.vw), req.Key) && atomic.LoadUint64(e.at) == e.hdr) {
+		e.vw, _, _, e.ok = t.lookupKVSlotAt(e.ix, req.NS, req.Key, e.kw, e.code, e.bin, true)
+	}
+	req.OK = e.ok
 	if e.ok {
 		if debugAsserts {
 			h.assertViewPinned()
 		}
-		e.req.Value = t.valueView(e.vw)
+		req.Value, req.Meta = t.valueView(e.vw)
 	} else {
-		e.req.Value = nil
+		req.Value, req.Meta = nil, 0
 	}
-	return e.req
+	return req
 }
 
 // kvExecPipe returns the handle's GetKVBatch engine state sized for w.
@@ -163,9 +189,10 @@ type KVPipelineOpts struct {
 
 // KVPipeline is the Allocator-mode streaming form of GetKVBatch: lookups
 // enter one at a time through Get, each issuing its bin prefetch
-// immediately, and complete — firing OnComplete with the value view — once
-// a full window of newer lookups is behind them, with the out-of-line
-// block prefetch running at half-window distance in between. Completions
+// immediately, and complete — firing OnComplete with the value view and
+// metadata word — once a full window of newer lookups is behind them, with
+// the slot pick and out-of-line block prefetch running at half-window
+// distance in between. Completions
 // preserve enqueue order. Like Pipeline, it borrows its Handle and
 // inherits its single-goroutine contract.
 type KVPipeline struct {
@@ -265,8 +292,8 @@ func (pl *KVPipeline) drainTo(limit int) {
 // Flush completes every in-flight lookup, firing OnComplete for each.
 func (pl *KVPipeline) Flush() { pl.drainTo(0) }
 
-// Put upserts — an existing pair is replaced, an absent key inserted (see
-// Handle.UpsertKVHashed) — behind a barrier: the in-flight lookups are
+// Put upserts — an existing pair is replaced, an absent key inserted, the
+// metadata word zero (see Handle.UpsertKVHashed) — behind a barrier: the in-flight lookups are
 // flushed first, so the mutation is ordered after every enqueued read. Must
 // not be called from inside OnComplete.
 func (pl *KVPipeline) Put(ns uint16, key, val []byte) error {
@@ -274,7 +301,7 @@ func (pl *KVPipeline) Put(ns uint16, key, val []byte) error {
 		panic("dlht: KVPipeline used after Close")
 	}
 	pl.drainTo(0)
-	return pl.h.UpsertKVHashed(ns, key, val, pl.h.t.HashOfKV(ns, key))
+	return pl.h.UpsertKVHashed(ns, key, val, pl.h.t.HashOfKV(ns, key), 0)
 }
 
 // Close flushes the pipeline and rejects further enqueues. The Handle

@@ -416,8 +416,7 @@ func (t *Table) afterDelete(h *Handle, val uint64) {
 		return
 	}
 	if h != nil && h.eh != nil {
-		a := t.cfg.Alloc
-		h.eh.Retire(func() { a.Free(ref) })
+		h.eh.Retire(uint64(ref))
 		return
 	}
 	t.cfg.Alloc.Free(ref)

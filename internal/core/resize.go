@@ -237,8 +237,7 @@ func (t *Table) binForMigratedKV(ix *index, keyWord, valWord uint64) uint64 {
 		return t.binForKV(ix, buf[:code], ns)
 	}
 	ref := refOf(valWord)
-	hdr := t.cfg.Alloc.Bytes(ref, kvBlockHeader)
-	klen := int(getU32(hdr[0:]))
+	klen := int(getU32(t.cfg.Alloc.Bytes(ref, kvBlockHeader)))
 	key := t.cfg.Alloc.Bytes(ref, kvBlockHeader+klen)[kvBlockHeader:]
 	return t.binForKV(ix, key, ns)
 }

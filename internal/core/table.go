@@ -246,7 +246,8 @@ func New(cfg Config) (*Table, error) {
 		announces: make([]announceSlot, cfg.MaxThreads),
 	}
 	if cfg.Mode == Allocator && cfg.EpochGC {
-		t.gc = epoch.NewCollector(cfg.MaxThreads)
+		a := cfg.Alloc
+		t.gc = epoch.NewCollector(cfg.MaxThreads, func(ref uint64) { a.Free(alloc.Ref(ref)) })
 	}
 	if cfg.TrackVersions {
 		t.vers = newVerIndex()
@@ -368,6 +369,10 @@ type Handle struct {
 	// (Streaming Pipelines/KVPipelines carry their own engine state.)
 	xp  *pipe
 	kvp *kvPipe
+
+	// kvScan is RangeKVStep's scratch, kept so a crawler stepping on a
+	// ticker allocates nothing per step.
+	kvScan kvScan
 }
 
 // defaultPrefetchWindow is the distance Config.PrefetchWindow defaults to.

@@ -12,9 +12,12 @@ import "sync/atomic"
 // Collector coordinates a fixed set of participant threads. Thread i
 // interacts through its Handle. The zero epoch is never collected, and a
 // retired item is freed two epoch advances after retirement — the classic
-// three-bucket scheme.
+// three-bucket scheme. An item is a word the owner can free from (DLHT
+// retires block references): retiring one allocates nothing, so a
+// delete-heavy workload leaves no garbage behind for the Go collector.
 type Collector struct {
 	global  atomic.Uint64
+	free    func(item uint64)
 	records []record
 }
 
@@ -30,15 +33,16 @@ type record struct {
 
 	// retired items per epoch bucket (index = epoch % 3). Only the owning
 	// thread touches its buckets, except during Drain.
-	buckets [3][]func()
+	buckets [3][]uint64
 }
 
-// NewCollector creates a collector for up to maxThreads participants.
-func NewCollector(maxThreads int) *Collector {
+// NewCollector creates a collector for up to maxThreads participants that
+// frees retired items by calling free.
+func NewCollector(maxThreads int, free func(item uint64)) *Collector {
 	if maxThreads <= 0 {
 		maxThreads = 1
 	}
-	c := &Collector{records: make([]record, maxThreads)}
+	c := &Collector{free: free, records: make([]record, maxThreads)}
 	c.global.Store(1)
 	for i := range c.records {
 		c.records[i].epoch.Store(1)
@@ -76,13 +80,13 @@ func (h *Handle) Leave() {
 	h.c.records[h.id].active.Store(0)
 }
 
-// Retire schedules free to run once two epoch advances have occurred, i.e.
-// when no participant can still hold a reference obtained before the
+// Retire schedules item to be freed once two epoch advances have occurred,
+// i.e. when no participant can still hold a reference obtained before the
 // retirement epoch.
-func (h *Handle) Retire(free func()) {
+func (h *Handle) Retire(item uint64) {
 	r := &h.c.records[h.id]
 	e := h.c.global.Load()
-	r.buckets[e%3] = append(r.buckets[e%3], free)
+	r.buckets[e%3] = append(r.buckets[e%3], item)
 }
 
 // Advance is the periodic client call from the paper. It attempts to move
@@ -123,9 +127,9 @@ func (h *Handle) Advance() int {
 	if len(items) == 0 {
 		return 0
 	}
-	r.buckets[freedBucket] = nil
-	for _, f := range items {
-		f()
+	r.buckets[freedBucket] = items[:0]
+	for _, it := range items {
+		c.free(it)
 	}
 	return len(items)
 }
@@ -137,8 +141,8 @@ func (c *Collector) Drain() int {
 	for i := range c.records {
 		r := &c.records[i]
 		for b := range r.buckets {
-			for _, f := range r.buckets[b] {
-				f()
+			for _, it := range r.buckets[b] {
+				c.free(it)
 				n++
 			}
 			r.buckets[b] = nil

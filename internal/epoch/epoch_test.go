@@ -7,10 +7,10 @@ import (
 )
 
 func TestRetireNotFreedImmediately(t *testing.T) {
-	c := NewCollector(1)
-	h := c.Handle(0)
 	freed := false
-	h.Retire(func() { freed = true })
+	c := NewCollector(1, func(uint64) { freed = true })
+	h := c.Handle(0)
+	h.Retire(1)
 	if freed {
 		t.Fatal("freed before any advance")
 	}
@@ -21,10 +21,10 @@ func TestRetireNotFreedImmediately(t *testing.T) {
 }
 
 func TestRetireFreedAfterTwoAdvances(t *testing.T) {
-	c := NewCollector(1)
-	h := c.Handle(0)
 	freed := false
-	h.Retire(func() { freed = true })
+	c := NewCollector(1, func(uint64) { freed = true })
+	h := c.Handle(0)
+	h.Retire(1)
 	for i := 0; i < 4 && !freed; i++ {
 		h.Advance()
 	}
@@ -34,7 +34,7 @@ func TestRetireFreedAfterTwoAdvances(t *testing.T) {
 }
 
 func TestAdvanceBlockedByLaggingActiveThread(t *testing.T) {
-	c := NewCollector(2)
+	c := NewCollector(2, func(uint64) {})
 	h0, h1 := c.Handle(0), c.Handle(1)
 	h0.Enter()
 	h1.Enter()
@@ -59,24 +59,24 @@ func TestAdvanceBlockedByLaggingActiveThread(t *testing.T) {
 }
 
 func TestDrainFreesEverything(t *testing.T) {
-	c := NewCollector(3)
-	var n atomic.Int64
+	var n, sum atomic.Int64
+	c := NewCollector(3, func(it uint64) { n.Add(1); sum.Add(int64(it)) })
 	for i := 0; i < 3; i++ {
 		h := c.Handle(i)
 		for j := 0; j < 5; j++ {
-			h.Retire(func() { n.Add(1) })
+			h.Retire(uint64(i*5 + j))
 		}
 	}
 	if freed := c.Drain(); freed != 15 {
 		t.Fatalf("Drain freed %d, want 15", freed)
 	}
-	if n.Load() != 15 {
-		t.Fatalf("callbacks run %d, want 15", n.Load())
+	if n.Load() != 15 || sum.Load() != 14*15/2 {
+		t.Fatalf("free ran %d times over items summing to %d, want 15 and %d", n.Load(), sum.Load(), 14*15/2)
 	}
 }
 
 func TestHandleOutOfRangePanics(t *testing.T) {
-	c := NewCollector(1)
+	c := NewCollector(1, func(uint64) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -89,15 +89,14 @@ func TestHandleOutOfRangePanics(t *testing.T) {
 // before it was retired must never observe the free callback running while
 // it is still inside the critical region.
 func TestEpochSafetyUnderConcurrency(t *testing.T) {
-	const readers = 4
-	c := NewCollector(readers + 1)
+	const readers, rounds = 4, 3000
+	// Items are indexes into objs; freeing one marks it dead.
+	objs := make([]struct{ alive atomic.Bool }, rounds+1)
+	c := NewCollector(readers+1, func(i uint64) { objs[i].alive.Store(false) })
 	writer := c.Handle(readers)
 
-	type obj struct{ alive atomic.Bool }
-	var current atomic.Pointer[obj]
-	o := &obj{}
-	o.alive.Store(true)
-	current.Store(o)
+	var current atomic.Uint64
+	objs[0].alive.Store(true)
 
 	var stop atomic.Bool
 	var violations atomic.Int64
@@ -109,7 +108,7 @@ func TestEpochSafetyUnderConcurrency(t *testing.T) {
 			h := c.Handle(id)
 			for !stop.Load() {
 				h.Enter()
-				p := current.Load()
+				p := &objs[current.Load()]
 				// Simulate some work inside the critical region.
 				for k := 0; k < 10; k++ {
 					if !p.alive.Load() {
@@ -122,12 +121,10 @@ func TestEpochSafetyUnderConcurrency(t *testing.T) {
 			}
 		}(i)
 	}
-	for round := 0; round < 3000; round++ {
-		old := current.Load()
-		next := &obj{}
-		next.alive.Store(true)
-		current.Store(next)
-		writer.Retire(func() { old.alive.Store(false) })
+	for round := uint64(1); round <= rounds; round++ {
+		objs[round].alive.Store(true)
+		current.Store(round)
+		writer.Retire(round - 1)
 		writer.Advance()
 	}
 	stop.Store(true)

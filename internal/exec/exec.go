@@ -56,11 +56,11 @@ type Options struct {
 	// the durable table's redo log and stamp the sequence into the op's
 	// Done, so consumers can gate acknowledgements on group commits.
 	WAL WAL
-	// Expiry is an Allocator-mode table's deadline index, shared with
-	// whatever else serves the table (RESP connections, the sweeper, WAL
-	// replay): variable-length ops run through an expiry.KV bound to it,
-	// so an insert or delete here can never leave a stale deadline behind.
-	// Nil gives the executor a private index: sole-owner embedding only.
+	// Expiry is an Allocator-mode table's expiry clock and stripe locks,
+	// shared with whatever else serves the table (RESP connections, the
+	// crawler): variable-length ops run through an expiry.KV bound to it,
+	// so a lazy-expiry delete here is atomic against a SET anywhere.
+	// Nil gives the executor a private one: sole-owner embedding only.
 	Expiry *expiry.Index
 
 	// The bounds below are fixed in production (zero selects the named
@@ -285,10 +285,12 @@ type shard struct {
 	kvp     *core.KVPipeline // lazily, Allocator tables only
 	kvpW    int
 	scratch []item
-	tags    tagRing     // fixed-op pipeline completion tags, FIFO
-	kvTags  tagRing     // KV read pipeline completion tags, FIFO
-	pending []doneEntry // completions staged between deliveries
-	kvOps   int         // KV ops since the last epoch advance
+	tags    tagRing      // fixed-op pipeline completion tags, FIFO
+	kvTags  tagRing      // KV read pipeline completion tags, FIFO
+	pending []doneEntry  // completions staged between deliveries
+	dead    []*KVOp      // reads that found their pair expired; deleted at the next delivery
+	clk     expiry.Clock // sampled once per ring batch
+	kvOps   int          // KV ops since the last epoch advance
 	// dlht:ok:fieldalignment — dirty could pack beside closed (saving a
 	// word) but closed is producer-side state and dirty is written by the
 	// shard goroutine every loop; sharing their word invites false sharing.
@@ -307,7 +309,7 @@ type doneEntry struct {
 }
 
 func newShard(e *Executor, id int, h *core.Handle, window, ring int) *shard {
-	sh := &shard{e: e, id: id, h: h, kv: expiry.Bind(h, e.idx, e.wal)}
+	sh := &shard{e: e, id: id, h: h, kv: expiry.Bind(h, e.idx, e.wal), clk: e.idx.Clock()}
 	sh.notEmpty.L = &sh.mu
 	sh.notFull.L = &sh.mu
 	sh.ring = make([]item, ring)
@@ -423,6 +425,7 @@ func (sh *shard) run() {
 			sh.notFull.Broadcast()
 		}
 		sh.mu.Unlock()
+		sh.clk.Reset()
 		for i := range sh.scratch[:n] {
 			sh.exec(&sh.scratch[i])
 			sh.scratch[i] = item{}
@@ -456,9 +459,26 @@ func (sh *shard) flushIdle() {
 	sh.dirty = false
 }
 
+// reap deletes the pairs that reads since the last delivery found expired
+// and answered as misses: the locked check-and-delete, behind a flush of
+// the in-flight reads. It runs before their completions are delivered,
+// while the ops still own their key bytes.
+func (sh *shard) reap() {
+	if len(sh.dead) == 0 {
+		return
+	}
+	sh.kvp.Flush() // may find more
+	for i, kv := range sh.dead {
+		sh.kv.Expired(kv.NS, kv.Key, sh.e.tbl.HashOfKV(kv.NS, kv.Key))
+		sh.dead[i] = nil
+	}
+	sh.dead = sh.dead[:0]
+}
+
 // deliver posts the staged completions to their sessions, one lock per
 // contiguous same-session run.
 func (sh *shard) deliver() {
+	sh.reap()
 	pend := sh.pending
 	for i := 0; i < len(pend); {
 		j := i + 1
@@ -511,12 +531,12 @@ func (sh *shard) ensureKVP() *core.KVPipeline {
 }
 
 // execKV runs one variable-length op. Reads stream through the shard's
-// KVPipeline (two-level bin+block prefetch). Mutations — and a read that
-// finds its key past its deadline, which deletes it — run on the shard's
-// expiry.KV behind a flush of the in-flight reads, so per-key
-// read-then-write order holds and no view outlives its block. The KV keeps
-// the deadline index in step and appends a durable table's redo records;
-// the op's Done carries the sequence.
+// KVPipeline (two-level bin+block prefetch); a completion carries its
+// pair's deadline, and completeKV turns a passed one into a miss.
+// Mutations run on the shard's expiry.KV behind a flush of the in-flight
+// reads, so per-key read-then-write order holds and no view outlives its
+// block. The KV appends a durable table's redo records; the op's Done
+// carries the sequence.
 func (sh *shard) execKV(it *item) {
 	kv := it.kv
 	t := sh.e.tbl
@@ -527,21 +547,12 @@ func (sh *shard) execKV(it *item) {
 	}
 	hash := t.HashOfKV(kv.NS, kv.Key)
 	kvp := sh.ensureKVP()
-	if kv.Kind == KVGet && !sh.e.idx.Expired(kv.NS, kv.Key, hash) {
+	if kv.Kind == KVGet {
 		sh.kvTags.push(tag{sess: it.sess, seq: it.seq, kv: kv})
 		kvp.GetHashed(kv.NS, kv.Key, hash)
 	} else {
 		kvp.Flush()
 		switch kv.Kind {
-		case KVGet:
-			// Expired: the miss below, unless a writer revived the key
-			// between the two checks — then read it in place.
-			if !sh.kv.Expired(kv.NS, kv.Key, hash) {
-				var v []byte
-				if v, kv.OK = sh.h.GetKV(kv.NS, kv.Key); kv.OK {
-					kv.Out = append(kv.Out[:0], v...)
-				}
-			}
 		case KVInsert:
 			// NX keeps InsertKV's contract: a live key refuses with ErrExists.
 			if kv.OK, done.walSeq, kv.Err = sh.kv.Set(kv.NS, kv.Key, kv.Value, hash, 0, expiry.NX); kv.Err == nil && !kv.OK {
@@ -569,13 +580,16 @@ func (sh *shard) execKV(it *item) {
 
 // completeKV is the KV read pipeline's completion callback. The value view
 // is copied immediately — while the shard handle's epoch pin still covers
-// it — into a buffer the KVOp owns.
+// it — into a buffer the KVOp owns. A pair past its deadline is a miss,
+// and is queued for reap.
 func (sh *shard) completeKV(g *core.KVGet) {
 	t := sh.kvTags.pop()
 	kv := t.kv
-	kv.OK = g.OK
-	if g.OK {
+	kv.OK = g.OK && !expiry.Dead(g.Meta, sh.clk.Now())
+	if kv.OK {
 		kv.Out = append(kv.Out[:0], g.Value...)
+	} else if g.OK {
+		sh.dead = append(sh.dead, kv)
 	}
 	sh.pending = append(sh.pending, doneEntry{sess: t.sess, seq: t.seq, kv: kv})
 }

@@ -1,181 +1,88 @@
-// Package expiry tracks per-key time-to-live deadlines beside an
-// Allocator-mode DLHT table. The table itself stays TTL-free — expiry is
-// a sidecar index from (namespace, key) to an absolute Unix-millisecond
-// deadline, consulted lazily on reads (an expired key answers as a miss
-// and is deleted) and swept in the background by a sampling goroutine,
-// memcached/Redis style.
+// Package expiry gives the pairs of an Allocator-mode DLHT table a
+// time-to-live. A pair's absolute Unix-millisecond deadline lives in the
+// metadata word of its out-of-line block (core.KVGet.Meta; 0 means none),
+// so a read learns it from the cache line that already holds the value:
+// an expired key answers as a miss and is deleted, and a background
+// crawler walks the table's bins deleting what no read came back for,
+// memcached style. The table itself stays TTL-free — the word is opaque
+// to it — and nothing about a deadline lives on the Go heap.
 //
-// The index is deliberately dumb about the table: it stores deadlines and
-// nothing else. The KV state machine in this package (kv.go) is the one
-// owner of everything that touches the table and the index together —
-// SET, DEL, EXPIRE, PERSIST, lazy expiry, the sweeper's deletions — and
-// holds the per-key stripe lock the index hands out so a compound
-// operation — check the deadline, delete the pair, drop the entry — is
-// atomic against a concurrent SET or PERSIST racing on the same key.
-//
-// TTL-free workloads pay one atomic load per read: every method that
-// could miss consults an entry counter first and returns without locking
-// when the index is empty.
+// The KV state machine in this package (kv.go) is the one owner of what a
+// deadline means — SET, DEL, EXPIRE, PERSIST, lazy expiry, the crawler's
+// deletions — and holds the per-key stripe lock the Index hands out so a
+// compound operation — read the deadline, decide, delete or replace the
+// pair — is atomic against a concurrent SET or PERSIST on the same key.
 package expiry
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // NowMs is the production clock: Unix milliseconds.
 func NowMs() int64 { return time.Now().UnixMilli() }
 
-// shardCount sharding of the deadline map bounds lock contention between
-// connections setting TTLs; stripeCount is the compound-operation lock
-// pool (see Lock). Both are powers of two.
-const (
-	shardCount  = 64
-	stripeCount = 128
-)
+// Dead reports whether a pair whose metadata word is meta has expired at
+// now: the read path's cheap pre-check, made on the completion a lookup
+// already produced, against a clock the caller samples once per burst. A
+// dead pair answers as a miss; deleting it is KV.Expired's job, under the
+// stripe lock.
+func Dead(meta uint64, now int64) bool { return meta != 0 && int64(meta) <= now }
 
-type shard struct {
-	mu sync.Mutex
-	m  map[string]int64
+// Clock is a reader's once-per-burst sample of an Index's clock: Now reads
+// the clock on the burst's first use and repeats that reading until Reset,
+// which the reader calls when the burst is over — its connection is about
+// to block, its ring batch is done. A clock read costs about as much as a
+// lookup; a burst of a hundred GETs pays for one. One goroutine's.
+type Clock struct {
+	ix    *Index
+	now   int64
+	fresh bool
 }
 
-// Index maps (namespace, key) to an absolute expiry deadline in Unix
-// milliseconds. All methods are safe for concurrent use; the per-key
-// compound locks are handed out by Lock. The zero Index is not usable —
-// construct with New.
+// Clock returns a burst clock over ix.
+func (ix *Index) Clock() Clock { return Clock{ix: ix} }
+
+// Now returns the burst's sample, taking it if this is the first use.
+func (c *Clock) Now() int64 {
+	if !c.fresh {
+		c.now, c.fresh = c.ix.Now(), true
+	}
+	return c.now
+}
+
+// Reset ends the burst: the next Now reads the clock again.
+func (c *Clock) Reset() { c.fresh = false }
+
+// stripeCount is the compound-operation lock pool (see Lock), a power of
+// two.
+const stripeCount = 128
+
+// Index is what every KV on one table shares: the clock and the per-key
+// stripe locks. All methods are safe for concurrent use. The zero Index is
+// not usable — construct with New.
 type Index struct {
-	now    func() int64
-	count  atomic.Int64
-	shards [shardCount]shard
-	locks  [stripeCount]sync.Mutex
+	now   func() int64
+	locks [stripeCount]sync.Mutex
 }
 
 // New creates an Index reading time from now (Unix milliseconds); nil
 // selects the real clock. Tests inject a fake clock here to make
-// lazy-vs-sweep properties deterministic.
+// lazy-vs-crawler properties deterministic.
 func New(now func() int64) *Index {
 	if now == nil {
 		now = NowMs
 	}
-	ix := &Index{now: now}
-	for i := range ix.shards {
-		ix.shards[i].m = make(map[string]int64)
-	}
-	return ix
+	return &Index{now: now}
 }
 
 // Now returns the index's current time in Unix milliseconds.
 func (ix *Index) Now() int64 { return ix.now() }
 
 // Lock returns the stripe lock for a key hash (Table.HashOfKV). KV holds
-// it across compound check-then-mutate sequences that touch both the
-// table and the index, so a lazy-expire delete cannot race a concurrent
-// SET into deleting the new value, and a sweeper deletion cannot race a
-// PERSIST. Index methods never take stripe locks themselves; the order is
-// always stripe lock, then shard lock.
+// it across compound check-then-mutate sequences, so a lazy-expire delete
+// cannot race a concurrent SET into deleting the new value, and a crawler
+// deletion cannot race a PERSIST.
 func (ix *Index) Lock(hash uint64) *sync.Mutex {
 	return &ix.locks[hash&(stripeCount-1)]
-}
-
-// Len returns the number of keys with a deadline.
-func (ix *Index) Len() int { return int(ix.count.Load()) }
-
-// mapKey encodes the shard-map key: 2 namespace bytes, then the key.
-func mapKey(dst []byte, ns uint16, key []byte) []byte {
-	dst = append(dst, byte(ns>>8), byte(ns))
-	return append(dst, key...)
-}
-
-// splitKey is mapKey's inverse.
-func splitKey(mk string) (ns uint16, key []byte) {
-	return uint16(mk[0])<<8 | uint16(mk[1]), []byte(mk[2:])
-}
-
-func (ix *Index) shardFor(hash uint64) *shard {
-	return &ix.shards[hash&(shardCount-1)]
-}
-
-// ExpireAt sets key's deadline to at (Unix ms), replacing any previous
-// one. hash is the key's Table.HashOfKV, reused for shard selection so
-// the sidecar never rehashes.
-func (ix *Index) ExpireAt(ns uint16, key []byte, hash uint64, at int64) {
-	var a [80]byte
-	mk := mapKey(a[:0], ns, key)
-	s := ix.shardFor(hash)
-	s.mu.Lock()
-	if _, ok := s.m[string(mk)]; !ok {
-		ix.count.Add(1)
-	}
-	s.m[string(mk)] = at
-	s.mu.Unlock()
-}
-
-// Remove drops key's deadline, reporting whether one existed. Called on
-// PERSIST, on deletion, and on overwrite without TTL (a plain SET clears
-// the TTL, Redis semantics).
-func (ix *Index) Remove(ns uint16, key []byte, hash uint64) bool {
-	if ix.count.Load() == 0 {
-		return false
-	}
-	var a [80]byte
-	mk := mapKey(a[:0], ns, key)
-	s := ix.shardFor(hash)
-	s.mu.Lock()
-	_, ok := s.m[string(mk)]
-	if ok {
-		delete(s.m, string(mk))
-		ix.count.Add(-1)
-	}
-	s.mu.Unlock()
-	return ok
-}
-
-// Deadline returns key's deadline and whether one is set. The empty-index
-// fast path is one atomic load, so TTL-free read traffic never locks.
-func (ix *Index) Deadline(ns uint16, key []byte, hash uint64) (int64, bool) {
-	if ix.count.Load() == 0 {
-		return 0, false
-	}
-	var a [80]byte
-	mk := mapKey(a[:0], ns, key)
-	s := ix.shardFor(hash)
-	s.mu.Lock()
-	at, ok := s.m[string(mk)]
-	s.mu.Unlock()
-	return at, ok
-}
-
-// Expired reports whether key has a deadline at or before the index's
-// current time — the lazy check on the read path.
-func (ix *Index) Expired(ns uint16, key []byte, hash uint64) bool {
-	at, ok := ix.Deadline(ns, key, hash)
-	return ok && at <= ix.now()
-}
-
-// Range calls fn for every entry until fn returns false. It walks shard
-// by shard under the shard lock against a copied view, so fn may call
-// back into the index. Weakly consistent, like the table's iterators;
-// the snapshotter is the intended caller.
-func (ix *Index) Range(fn func(ns uint16, key []byte, at int64) bool) {
-	type ent struct {
-		mk string
-		at int64
-	}
-	var batch []ent
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		batch = batch[:0]
-		s.mu.Lock()
-		for mk, at := range s.m {
-			batch = append(batch, ent{mk, at})
-		}
-		s.mu.Unlock()
-		for _, e := range batch {
-			ns, key := splitKey(e.mk)
-			if !fn(ns, key, e.at) {
-				return
-			}
-		}
-	}
 }

@@ -20,18 +20,20 @@ func (noLog) LogKVExpire(uint16, []byte, int64) (uint64, error)  { return 0, nil
 
 // KV is the TTL'd key-value state machine: the one place that says what
 // SET, DEL, EXPIRE, PERSIST, TTL, INCR and lazy expiry mean on an
-// Allocator-mode table with a deadline Index beside it and, for a
-// durable table, a redo log behind it. The RESP front-end, the
-// wal.Store KV surface, the background sweeper, the open-time purge and
-// WAL replay are all callers; none of them touches the table and the
-// index together on its own.
+// Allocator-mode table whose pairs carry their deadline in their block's
+// metadata word and, for a durable table, a redo log behind it. The RESP
+// front-end, the binary KV ops, the wal.Store KV surface, the background
+// crawler, the open-time purge and WAL replay are all callers; none of
+// them deletes or replaces a pair on a deadline's say-so on its own.
 //
 // A KV borrows one table handle and inherits its single-goroutine
 // contract. Callers pass the key's Table.HashOfKV and a key (and value)
 // that Table.CheckKV accepts; an owner of a KVPipeline on the same
 // handle drains it first. Every operation runs under the key's stripe
-// lock, so the deadline check, the table mutation and the index update
-// of one operation are atomic against every other KV on the same Index.
+// lock, so the deadline read, the decision and the table mutation of one
+// operation are atomic against every other KV on the same Index. Readers
+// take no lock: they see the deadline — one atomic word — beside the value
+// they came for (Dead), and come back through Expired to delete.
 //
 // Mutations return the highest redo sequence they appended (0 on a RAM
 // table or when nothing was logged) and leave the wait to the caller:
@@ -40,11 +42,11 @@ func (noLog) LogKVExpire(uint16, []byte, int64) (uint64, error)  { return 0, nil
 // appended under the stripe lock.
 //
 // What replay makes of the records fixes what is logged. An insert
-// record upserts and clears the key's deadline, so a replace needs no
-// delete record and a plain SET no record for the TTL it clears; a write
-// that keeps a deadline logs an expire record after its insert record.
-// Lazy and swept expiries are not logged: replay re-derives the deadline
-// and PurgeExpired deletes again.
+// record upserts with no deadline, so a replace needs no delete record
+// and a plain SET no record for the TTL it clears; a write that keeps a
+// deadline logs an expire record after its insert record. Lazy and
+// crawled expiries are not logged: replay re-derives the deadline and
+// PurgeExpired deletes again.
 type KV struct {
 	h   *core.Handle
 	idx *Index
@@ -52,7 +54,8 @@ type KV struct {
 }
 
 // Bind ties the state machine to a handle of an Allocator-mode table,
-// the table's deadline index and its redo log (nil for a RAM table).
+// the table's clock-and-locks Index and its redo log (nil for a RAM
+// table).
 func Bind(h *core.Handle, idx *Index, log RedoLog) KV {
 	if log == nil {
 		log = noLog{}
@@ -71,32 +74,32 @@ const (
 	KeepTTL
 )
 
-// expiredLocked is the lazy-expiry step: a key past its deadline is
-// deleted, unlogged, and reported expired.
-func (kv KV) expiredLocked(ns uint16, key []byte, hash uint64) bool {
-	if !kv.idx.Expired(ns, key, hash) {
-		return false
+// readLocked is every operation's first step: key's live pair — a view of
+// its value and its deadline (Unix ms, 0 for none) — after the
+// lazy-expiry step, which deletes, unlogged, a pair past its deadline and
+// reports it dead.
+func (kv KV) readLocked(ns uint16, key []byte, hash uint64) (val []byte, at int64, ok, dead bool) {
+	val, meta, ok := kv.h.GetKVMeta(ns, key, hash)
+	if ok && Dead(meta, kv.idx.Now()) {
+		kv.h.DeleteKVHashed(ns, key, hash)
+		return nil, 0, false, true
 	}
-	kv.h.DeleteKVHashed(ns, key, hash)
-	kv.idx.Remove(ns, key, hash)
-	return true
+	return val, int64(meta), ok, false
 }
 
-// storeLocked upserts the pair and sets (at > 0) or clears its deadline:
-// one insert record, then the expire record that re-asserts a deadline.
+// storeLocked upserts the pair with deadline at (at <= 0: none): one
+// insert record, then the expire record that re-asserts a deadline.
 func (kv KV) storeLocked(ns uint16, key, val []byte, hash uint64, at int64) (uint64, error) {
-	if err := kv.h.UpsertKVHashed(ns, key, val, hash); err != nil {
+	if at < 0 {
+		at = 0
+	}
+	if err := kv.h.UpsertKVHashed(ns, key, val, hash, uint64(at)); err != nil {
 		return 0, err
 	}
 	seq, err := kv.log.LogKVInsert(ns, key, val)
-	if err != nil {
-		return 0, err
+	if err != nil || at == 0 {
+		return seq, err
 	}
-	if at <= 0 {
-		kv.idx.Remove(ns, key, hash)
-		return seq, nil
-	}
-	kv.idx.ExpireAt(ns, key, hash, at)
 	eseq, err := kv.log.LogKVExpire(ns, key, at)
 	if err != nil {
 		return seq, err
@@ -104,13 +107,12 @@ func (kv KV) storeLocked(ns uint16, key, val []byte, hash uint64, at int64) (uin
 	return eseq, nil
 }
 
-// deleteLocked removes the pair and its deadline and logs the delete;
-// an absent key is log-free.
+// deleteLocked removes the pair — its deadline goes with its block — and
+// logs the delete; an absent key is log-free.
 func (kv KV) deleteLocked(ns uint16, key []byte, hash uint64) (bool, uint64, error) {
 	if !kv.h.DeleteKVHashed(ns, key, hash) {
 		return false, 0, nil
 	}
-	kv.idx.Remove(ns, key, hash)
 	seq, err := kv.log.LogKVDelete(ns, key)
 	return true, seq, err
 }
@@ -124,14 +126,12 @@ func (kv KV) Set(ns uint16, key, val []byte, hash uint64, at int64, f SetFlags) 
 	mu := kv.idx.Lock(hash)
 	mu.Lock()
 	defer mu.Unlock()
-	kv.expiredLocked(ns, key, hash)
-	if f&(NX|XX) != 0 {
-		if _, exists := kv.h.GetKV(ns, key); (f&NX != 0 && exists) || (f&XX != 0 && !exists) {
-			return false, 0, nil
-		}
+	_, cur, exists, _ := kv.readLocked(ns, key, hash)
+	if (f&NX != 0 && exists) || (f&XX != 0 && !exists) {
+		return false, 0, nil
 	}
 	if at <= 0 && f&KeepTTL != 0 {
-		at, _ = kv.idx.Deadline(ns, key, hash)
+		at = cur
 	}
 	seq, err := kv.storeLocked(ns, key, val, hash, at)
 	return err == nil, seq, err
@@ -140,18 +140,18 @@ func (kv KV) Set(ns uint16, key, val []byte, hash uint64, at int64, f SetFlags) 
 // Update is the read-modify-write behind INCR. fn sees key's live value
 // (ok is false when it is absent or expired; cur is a table view, valid
 // only inside fn) and returns the replacement, or an error that abandons
-// the update. The key keeps its deadline. fn runs under the stripe lock
-// and must not call back into a KV.
+// the update. The key keeps its deadline: the new block is written with
+// the old one's. fn runs under the stripe lock and must not call back
+// into a KV.
 func (kv KV) Update(ns uint16, key []byte, hash uint64, fn func(cur []byte, ok bool) ([]byte, error)) (uint64, error) {
 	mu := kv.idx.Lock(hash)
 	mu.Lock()
 	defer mu.Unlock()
-	kv.expiredLocked(ns, key, hash)
-	val, err := fn(kv.h.GetKV(ns, key))
+	cur, at, ok, _ := kv.readLocked(ns, key, hash)
+	val, err := fn(cur, ok)
 	if err != nil {
 		return 0, err
 	}
-	at, _ := kv.idx.Deadline(ns, key, hash)
 	return kv.storeLocked(ns, key, val, hash, at)
 }
 
@@ -162,41 +162,43 @@ func (kv KV) Delete(ns uint16, key []byte, hash uint64) (bool, uint64, error) {
 	mu := kv.idx.Lock(hash)
 	mu.Lock()
 	defer mu.Unlock()
-	if kv.expiredLocked(ns, key, hash) {
+	if _, _, ok, _ := kv.readLocked(ns, key, hash); !ok {
 		return false, 0, nil
 	}
 	return kv.deleteLocked(ns, key, hash)
 }
 
-// ExpireAt sets a live key's deadline to at (Unix ms), reporting whether
-// the key was there. A deadline at or before now deletes the key at once
-// with a real delete record, not a lazy expiry, and still reports true.
+// ExpireAt sets a live key's deadline to at (Unix ms) in place, reporting
+// whether the key was there. A deadline at or before now deletes the key
+// at once with a real delete record, not a lazy expiry, and still reports
+// true.
 func (kv KV) ExpireAt(ns uint16, key []byte, hash uint64, at int64) (bool, uint64, error) {
 	mu := kv.idx.Lock(hash)
 	mu.Lock()
 	defer mu.Unlock()
-	if kv.expiredLocked(ns, key, hash) {
+	if _, _, ok, _ := kv.readLocked(ns, key, hash); !ok {
 		return false, 0, nil
 	}
 	if at <= kv.idx.Now() {
 		return kv.deleteLocked(ns, key, hash)
 	}
-	if _, ok := kv.h.GetKV(ns, key); !ok {
-		return false, 0, nil
+	if !kv.h.SetKVMeta(ns, key, hash, uint64(at)) {
+		return false, 0, core.ErrNoMeta
 	}
-	kv.idx.ExpireAt(ns, key, hash, at)
 	seq, err := kv.log.LogKVExpire(ns, key, at)
 	return true, seq, err
 }
 
-// Persist removes a live key's deadline, reporting whether it had one.
+// Persist removes a live key's deadline in place, reporting whether it
+// had one.
 func (kv KV) Persist(ns uint16, key []byte, hash uint64) (bool, uint64, error) {
 	mu := kv.idx.Lock(hash)
 	mu.Lock()
 	defer mu.Unlock()
-	if kv.expiredLocked(ns, key, hash) || !kv.idx.Remove(ns, key, hash) {
+	if _, at, ok, _ := kv.readLocked(ns, key, hash); !ok || at == 0 {
 		return false, 0, nil
 	}
+	kv.h.SetKVMeta(ns, key, hash, 0)
 	seq, err := kv.log.LogKVExpire(ns, key, 0)
 	return true, seq, err
 }
@@ -208,52 +210,63 @@ func (kv KV) TTL(ns uint16, key []byte, hash uint64) (rem int64, hasTTL, exists 
 	mu := kv.idx.Lock(hash)
 	mu.Lock()
 	defer mu.Unlock()
-	if kv.expiredLocked(ns, key, hash) {
-		return 0, false, false
-	}
-	if _, ok := kv.h.GetKV(ns, key); !ok {
-		return 0, false, false
-	}
-	at, ok := kv.idx.Deadline(ns, key, hash)
-	if !ok {
-		return 0, false, true
+	_, at, ok, _ := kv.readLocked(ns, key, hash)
+	if !ok || at == 0 {
+		return 0, false, ok
 	}
 	return at - kv.idx.Now(), true, true
 }
 
-// Expired is the lazy-expiry check of a read: a key past its deadline is
-// deleted and reported expired, and the caller answers a miss. A key
-// with no deadline costs one Index.Deadline lookup (one atomic load on a
-// TTL-free table) and no lock. False after a lost race against a writer
-// means the key is live again and the caller reads it.
+// Expired is the locked half of lazy expiry: a reader (or the crawler)
+// that found a pair Dead comes here to have it re-checked under the
+// stripe and deleted. False after a lost race against a writer means the
+// key is live again.
 func (kv KV) Expired(ns uint16, key []byte, hash uint64) bool {
-	if !kv.idx.Expired(ns, key, hash) {
-		return false
-	}
 	mu := kv.idx.Lock(hash)
 	mu.Lock()
 	defer mu.Unlock()
-	return kv.expiredLocked(ns, key, hash)
+	_, _, _, dead := kv.readLocked(ns, key, hash)
+	return dead
 }
 
-// OnExpired is the sweeper's SweepOnce callback: re-check the sampled
-// key under its stripe lock — a SET or PERSIST may have replaced the
-// deadline since the sample — and delete it if it is still expired.
-func (kv KV) OnExpired(ns uint16, key []byte, _ int64) {
-	kv.Expired(ns, key, kv.h.Table().HashOfKV(ns, key))
-}
-
-// PurgeExpired deletes every key whose deadline has passed. A durable
-// store runs it after replay and before serving, so a key that died
-// while the store was down cannot answer a read. The deletions are not
-// logged: the records that re-create the keys replay again on the next
-// open and purge again, until a snapshot captures the purged state.
-func (kv KV) PurgeExpired() {
-	now := kv.idx.Now()
-	kv.idx.Range(func(ns uint16, key []byte, at int64) bool {
-		if at <= now {
-			kv.OnExpired(ns, key, at)
+// Get is the synchronous read with lazy expiry, for callers with no
+// pipeline completion to check: key's value view, or a miss when the key
+// is absent or Dead at now — the caller's once-per-burst clock sample.
+func (kv KV) Get(ns uint16, key []byte, hash uint64, now int64) ([]byte, bool) {
+	val, meta, ok := kv.h.GetKVMeta(ns, key, hash)
+	if ok && Dead(meta, now) {
+		if kv.Expired(ns, key, hash) {
+			return nil, false
 		}
-		return true
-	})
+		// A writer revived the key between the two checks: read it again.
+		val, _, ok = kv.h.GetKVMeta(ns, key, hash)
+	}
+	return val, ok
+}
+
+// SetDeadline is how WAL replay applies an expire record: the deadline
+// (0 clears it) stored in place, clock-free — whether it has passed is
+// decided once, by PurgeExpired after the last record. A record for a key
+// the table no longer holds is a no-op: the deadline went with the pair.
+func (kv KV) SetDeadline(ns uint16, key []byte, hash uint64, at int64) {
+	mu := kv.idx.Lock(hash)
+	mu.Lock()
+	defer mu.Unlock()
+	if at < 0 {
+		at = 0
+	}
+	kv.h.SetKVMeta(ns, key, hash, uint64(at))
+}
+
+// PurgeExpired deletes every pair whose deadline has passed: one full
+// crawl. A durable store runs it after replay and before serving, so a
+// key that died while the store was down cannot answer a read. The
+// deletions are not logged: the records that re-create the keys replay
+// again on the next open and purge again, until a snapshot captures the
+// purged state.
+func (kv KV) PurgeExpired() {
+	c := kv.Crawler()
+	for done := false; !done; {
+		_, _, done = c.step(1 << 12)
+	}
 }

@@ -6,32 +6,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/alloc"
-	core "repro/internal/core"
 )
 
-// TestKVHammer runs two handles and a sweeper against eight keys under a
+// TestKVHammer runs two handles and a crawler against eight keys under a
 // fake clock, for the race detector and for one invariant: a pair written
 // without a TTL is never deleted by expiry. Each key has one writer, which
 // alternates short-TTL SETs, plain SETs, EXPIREs and DELs on it and, after
 // every plain SET, keeps checking that the pair is still there with the
 // value it wrote. Meanwhile the other worker's reads lazily expire the
-// same keys and the sweeper samples them, both acting on deadlines that
+// same keys and the crawler walks them, both acting on deadlines that
 // the writer keeps replacing. A check-then-delete that was not atomic
 // against SET would delete a fresh plain pair on a stale deadline.
 func TestKVHammer(t *testing.T) {
 	const keys = 8
 	var now atomic.Int64
 	now.Store(1)
-	// The mutex allocator keeps the race detector on this package's code:
-	// the default arena's free list reads its link out of payload bytes, a
-	// known report (ROADMAP item 2) any two handles that insert and delete
-	// concurrently reproduce.
-	tbl := core.MustNew(core.Config{
-		Bins: 64, Resizable: true, Mode: core.Allocator, Alloc: alloc.NewNaive(),
-		VariableKV: true, Namespaces: true, EpochGC: true,
-	})
+	tbl := kvTable(64, true)
 	ix := New(now.Load)
 	key := func(i int) []byte { return []byte("key-" + strconv.Itoa(i)) }
 
@@ -42,14 +32,14 @@ func TestKVHammer(t *testing.T) {
 		defer sweeper.Done()
 		h := tbl.MustHandle()
 		defer h.Close()
-		kv := Bind(h, ix, nil)
+		c := Bind(h, ix, nil).Crawler()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			ix.SweepOnce(20, kv.OnExpired)
+			c.Round(20)
 			h.AdvanceEpoch()
 		}
 	}()

@@ -1,6 +1,10 @@
 package expiry
 
-import "time"
+import (
+	"time"
+
+	core "repro/internal/core"
+)
 
 // Sweeper is a running background sweep goroutine; Stop joins it.
 type Sweeper struct {
@@ -8,31 +12,28 @@ type Sweeper struct {
 	done chan struct{}
 }
 
-// StartSweeper launches the sampling expiry sweep over kv's index on kv's
-// handle, which must be dedicated to it. Like Redis's active expiry: every
-// interval (default 100ms) one SweepOnce round examines up to sample
-// entries per shard (default 20; Go's randomized map iteration order makes
-// each round a fresh sample) and deletes the expired ones through
-// OnExpired. A round ends by advancing the handle's epoch, so blocks
-// deleted by other handles can reclaim past it.
+// StartSweeper launches the background expiry crawl on kv's handle, which
+// must be dedicated to it. Like memcached's LRU crawler: every interval
+// (default 100ms) one Crawler.Round spends sample (default 1024) on the
+// next stretch of the table and deletes the expired pairs it finds
+// through Expired. A round ends by advancing the handle's epoch, so
+// blocks deleted by other handles can reclaim past it.
 func (kv KV) StartSweeper(interval time.Duration, sample int) *Sweeper {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
-	}
-	if sample <= 0 {
-		sample = 20
 	}
 	sw := &Sweeper{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(sw.done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
+		c := kv.Crawler()
 		for {
 			select {
 			case <-sw.stop:
 				return
 			case <-t.C:
-				kv.idx.SweepOnce(sample, kv.OnExpired)
+				c.Round(sample)
 				kv.h.AdvanceEpoch()
 			}
 		}
@@ -46,53 +47,74 @@ func (sw *Sweeper) Stop() {
 	<-sw.done
 }
 
-// maxResample bounds how many times one round revisits a single shard.
-const maxResample = 4
+// defaultSample is a round's default budget; maxResample bounds how many
+// steps one round takes while it keeps finding the table hot.
+const (
+	defaultSample = 1024
+	maxResample   = 4
+)
 
-// SweepOnce runs one sweep round: sample up to n entries per shard, fire
-// onExpired for the expired ones, re-sample while over 25% of a shard's
-// sample was expired. Returns how many expired entries were reported.
-// onExpired runs outside all index locks; finding the entry already gone
-// (a racing SET or lazy expire won) is normal. Exported for deterministic
-// tests; the background sweeper calls it on a ticker with KV.OnExpired.
-func (ix *Index) SweepOnce(n int, onExpired func(ns uint16, key []byte, at int64)) int {
-	if ix.count.Load() == 0 {
-		return 0
+// Crawler is the sweep's position in its table: a bin cursor that wraps,
+// and the scratch one step fills. One goroutine's, like the KV it came
+// from.
+type Crawler struct {
+	kv   KV
+	cur  core.KVCursor
+	dead []deadKey // the step's expired pairs: key bytes live in keys
+	keys []byte
+}
+
+type deadKey struct {
+	ns       uint16
+	off, end int
+}
+
+// Crawler returns a crawler at the start of kv's table.
+func (kv KV) Crawler() *Crawler { return &Crawler{kv: kv} }
+
+// step crawls on from the cursor until the bins visited plus the pairs
+// examined reach budget, then sends the pairs it found past their deadline
+// through Expired — which re-checks each under its stripe lock: a SET or
+// PERSIST may have replaced the deadline since the crawler read it. It
+// reports the pairs examined, the pairs deleted, and whether the crawl
+// reached the end of the table (the next step starts over).
+func (c *Crawler) step(budget int) (seen, deleted int, wrapped bool) {
+	now := c.kv.idx.Now()
+	c.dead, c.keys = c.dead[:0], c.keys[:0]
+	c.cur, wrapped = c.kv.h.RangeKVStep(c.cur, budget, false, func(e *core.KVEntry) {
+		seen++
+		if Dead(e.Meta, now) {
+			off := len(c.keys)
+			c.keys = append(c.keys, e.Key...)
+			c.dead = append(c.dead, deadKey{e.NS, off, len(c.keys)})
+		}
+	})
+	tbl := c.kv.h.Table()
+	for _, d := range c.dead {
+		key := c.keys[d.off:d.end]
+		if c.kv.Expired(d.ns, key, tbl.HashOfKV(d.ns, key)) {
+			deleted++
+		}
 	}
-	type ent struct {
-		mk string
-		at int64
+	return seen, deleted, wrapped
+}
+
+// Round runs one sweep round: a step of sample (bins visited + pairs
+// examined; <= 0 selects the default), repeated up to maxResample times
+// while over 25% of the pairs a step examined were expired. It returns
+// how many pairs it deleted. Exported for deterministic tests; the
+// background sweeper calls it on a ticker.
+func (c *Crawler) Round(sample int) int {
+	if sample <= 0 {
+		sample = defaultSample
 	}
-	now := ix.now()
 	total := 0
-	var hits []ent
-	for i := range ix.shards {
-		s := &ix.shards[i]
-		for round := 0; round < maxResample; round++ {
-			hits = hits[:0]
-			scanned := 0
-			s.mu.Lock()
-			for mk, at := range s.m {
-				if scanned >= n {
-					break
-				}
-				scanned++
-				if at <= now {
-					hits = append(hits, ent{mk, at})
-				}
-			}
-			s.mu.Unlock()
-			for _, e := range hits {
-				ns, key := splitKey(e.mk)
-				if onExpired != nil {
-					onExpired(ns, key, e.at)
-				}
-			}
-			total += len(hits)
-			// Keep digging only while the sample ran hot (>25% expired).
-			if scanned == 0 || len(hits)*4 <= scanned {
-				break
-			}
+	for i := 0; i < maxResample; i++ {
+		seen, deleted, _ := c.step(sample)
+		total += deleted
+		// Keep digging only while the stretch ran hot (>25% expired).
+		if len(c.dead)*4 <= seen {
+			break
 		}
 	}
 	return total

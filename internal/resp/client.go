@@ -3,6 +3,7 @@ package resp
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 )
@@ -11,12 +12,17 @@ import (
 // Flush pushes them, Recv decodes one reply. It exists so the load
 // generator, the smoke script's fallback path, tests and the example can
 // drive the RESP listener without an external Redis client library. Not
-// safe for concurrent use; run one Client per goroutine.
+// safe for concurrent use; run one Client per goroutine. A pipelined
+// GET/SET stream allocates nothing: commands are staged in, and bulk
+// replies decoded into, buffers the client owns.
 type Client struct {
 	c       net.Conn
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	Pending int // replies queued but not yet received
+
+	out  []byte // Send's staging: one whole command
+	bulk []byte // backs the last reply's Bulk
 }
 
 // Dial connects a Client to a RESP listener.
@@ -40,46 +46,47 @@ func NewClient(c net.Conn) *Client {
 // Close closes the underlying connection.
 func (cl *Client) Close() error { return cl.c.Close() }
 
-// Send queues one command as a multibulk array without flushing.
+// appendLen appends a type byte, a decimal and CRLF: an array or bulk
+// length line.
+func appendLen(b []byte, typ byte, n int) []byte {
+	return append(strconv.AppendInt(append(b, typ), int64(n), 10), '\r', '\n')
+}
+
+// Send queues one command as a multibulk array without flushing. It is
+// assembled in the client's staging buffer, so the arguments never escape
+// (through a type parameter shared with SendStr they would).
 func (cl *Client) Send(args ...[]byte) error {
-	var hdr [32]byte
-	b := append(hdr[:0], '*')
-	b = strconv.AppendInt(b, int64(len(args)), 10)
-	b = append(b, '\r', '\n')
-	if _, err := cl.bw.Write(b); err != nil {
-		return err
-	}
+	b := appendLen(cl.out[:0], '*', len(args))
 	for _, a := range args {
-		b = append(hdr[:0], '$')
-		b = strconv.AppendInt(b, int64(len(a)), 10)
-		b = append(b, '\r', '\n')
-		if _, err := cl.bw.Write(b); err != nil {
-			return err
-		}
-		if _, err := cl.bw.Write(a); err != nil {
-			return err
-		}
-		if _, err := cl.bw.WriteString("\r\n"); err != nil {
-			return err
-		}
+		b = append(append(appendLen(b, '$', len(a)), a...), '\r', '\n')
+	}
+	return cl.queue(b)
+}
+
+// SendStr is Send over string arguments.
+func (cl *Client) SendStr(args ...string) error {
+	b := appendLen(cl.out[:0], '*', len(args))
+	for _, a := range args {
+		b = append(append(appendLen(b, '$', len(a)), a...), '\r', '\n')
+	}
+	return cl.queue(b)
+}
+
+func (cl *Client) queue(cmd []byte) error {
+	cl.out = cmd
+	if _, err := cl.bw.Write(cmd); err != nil {
+		return err
 	}
 	cl.Pending++
 	return nil
 }
 
-// SendStr is Send over string arguments.
-func (cl *Client) SendStr(args ...string) error {
-	bs := make([][]byte, len(args))
-	for i, a := range args {
-		bs[i] = []byte(a)
-	}
-	return cl.Send(bs...)
-}
-
 // Flush pushes every queued command to the server.
 func (cl *Client) Flush() error { return cl.bw.Flush() }
 
-// Reply is one decoded server reply.
+// Reply is one decoded server reply. A top-level Bulk aliases a buffer
+// the Client reuses: consume or copy it before the next Recv (or Do) on
+// that client. Bulks inside an Array are the reply's own.
 type Reply struct {
 	Kind  byte    // '+', '-', ':', '$', '*'
 	Str   string  // simple string or error text
@@ -104,7 +111,8 @@ func (r *Reply) Text() string {
 	}
 }
 
-// Recv decodes the next reply; it must be matched 1:1 with Sends.
+// Recv decodes the next reply, invalidating the previous one's Bulk; it
+// must be matched 1:1 with Sends.
 func (cl *Client) Recv() (Reply, error) {
 	if cl.Pending > 0 {
 		cl.Pending--
@@ -149,7 +157,15 @@ func (cl *Client) readReply(depth int) (Reply, error) {
 	body := line[1:]
 	switch r.Kind {
 	case '+', '-':
-		r.Str = string(body)
+		// The two status lines a pipelined stream is made of cost nothing.
+		switch string(body) {
+		case "OK":
+			r.Str = "OK"
+		case "PONG":
+			r.Str = "PONG"
+		default:
+			r.Str = string(body)
+		}
 		return r, nil
 	case ':':
 		n, ok := parseInt(body)
@@ -167,8 +183,15 @@ func (cl *Client) readReply(depth int) (Reply, error) {
 			r.Null = true
 			return r, nil
 		}
-		r.Bulk = make([]byte, n)
-		if _, err := ioReadFull(cl.br, r.Bulk); err != nil {
+		if depth > 0 {
+			r.Bulk = make([]byte, n) // one of several in an array
+		} else {
+			if cl.bulk == nil || int64(cap(cl.bulk)) < n {
+				cl.bulk = make([]byte, n, max(n, 64))
+			}
+			r.Bulk = cl.bulk[:n]
+		}
+		if _, err := io.ReadFull(cl.br, r.Bulk); err != nil {
 			return Reply{}, err
 		}
 		if _, err := cl.readLine(); err != nil {
@@ -196,16 +219,4 @@ func (cl *Client) readReply(depth int) (Reply, error) {
 	default:
 		return Reply{}, fmt.Errorf("resp: unknown reply type %q", r.Kind)
 	}
-}
-
-func ioReadFull(br *bufio.Reader, dst []byte) (int, error) {
-	n := 0
-	for n < len(dst) {
-		m, err := br.Read(dst[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }

@@ -130,19 +130,6 @@ var (
 	errOverflow = errors.New("increment or decrement would overflow")
 )
 
-// lazyExpire is the read path's expiry step. The unlocked deadline check
-// keeps a live key's GET in the pipeline; only a key that looks expired
-// pays the barrier (a delete may not run under in-flight views of this
-// handle) and the locked check-and-delete. A lost race against a
-// concurrent writer reports false and the caller proceeds with a live read.
-func (cn *conn) lazyExpire(key []byte, hash uint64) bool {
-	if !cn.idx.Expired(cn.ns, key, hash) {
-		return false
-	}
-	cn.barrier()
-	return cn.kv.Expired(cn.ns, key, hash)
-}
-
 // ---------------------------------------------------------------------------
 // Reads
 // ---------------------------------------------------------------------------
@@ -159,12 +146,7 @@ func (cn *conn) cmdGet(args [][]byte) {
 		cn.writeKVErr(err)
 		return
 	}
-	hash := cn.tbl.HashOfKV(cn.ns, key)
-	if cn.lazyExpire(key, hash) {
-		cn.writeNull()
-		return
-	}
-	cn.pl.GetHashed(cn.ns, cn.retain(key), hash)
+	cn.pl.GetHashed(cn.ns, cn.retain(key), cn.tbl.HashOfKV(cn.ns, key))
 }
 
 func (cn *conn) cmdMGet(args [][]byte) {
@@ -185,12 +167,7 @@ func (cn *conn) cmdMGet(args [][]byte) {
 			cn.writeNull()
 			continue
 		}
-		hash := cn.tbl.HashOfKV(cn.ns, key)
-		if cn.lazyExpire(key, hash) {
-			cn.writeNull()
-			continue
-		}
-		cn.pl.GetHashed(cn.ns, cn.retain(key), hash)
+		cn.pl.GetHashed(cn.ns, cn.retain(key), cn.tbl.HashOfKV(cn.ns, key))
 	}
 }
 
@@ -251,13 +228,13 @@ func (cn *conn) cmdSet(args [][]byte) {
 					cn.writeError("ERR invalid expire time in 'set' command")
 					return
 				}
-				atMs = cn.idx.Now() + n*1000
+				atMs = cn.clk.Now() + n*1000
 			case "PX":
 				if n <= 0 {
 					cn.writeError("ERR invalid expire time in 'set' command")
 					return
 				}
-				atMs = cn.idx.Now() + n
+				atMs = cn.clk.Now() + n
 			case "EXAT":
 				atMs = n * 1000
 			case "PXAT":
@@ -422,7 +399,7 @@ func (cn *conn) cmdExpire(args [][]byte, name string, unitMs int64) {
 		cn.writeInt(0)
 		return
 	}
-	found, seq, err := cn.kv.ExpireAt(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key), cn.idx.Now()+n*unitMs)
+	found, seq, err := cn.kv.ExpireAt(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key), cn.clk.Now()+n*unitMs)
 	cn.w.NeedSync(seq)
 	cn.writeFlag(found, err)
 }

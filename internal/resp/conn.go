@@ -28,9 +28,9 @@ type ServeOpts struct {
 	// acquires and releases it).
 	Table  *core.Table
 	Handle *core.Handle
-	// Expiry is the table's TTL sidecar, shared with the background
-	// sweeper (and, for durable tables, with snapshot/replay). Nil gives
-	// the connection a private one: single-connection embedding only.
+	// Expiry is the table's expiry clock and stripe locks, shared with
+	// every other connection and the background crawler. Nil gives the
+	// connection a private one: single-connection embedding only.
 	Expiry *expiry.Index
 	// Log is the durable table's redo log; nil for RAM tables.
 	Log WAL
@@ -59,13 +59,19 @@ type conn struct {
 	pl  *core.KVPipeline
 	tbl *core.Table
 	h   *core.Handle
-	idx *expiry.Index
 	kv  expiry.KV // every command that is not a pipelined GET goes through it
 
 	ns     uint16 // SELECTed namespace
 	closed bool   // QUIT; packed beside ns, the struct's only sub-word fields
 	kvOps  int
 	arena  []byte // keys of in-flight GETs; reset when the pipeline drains
+
+	// clk is the expiry clock, sampled once per read burst: GET
+	// completions compare their pair's deadline with it. dead holds the
+	// keys (arena slices) of the GETs that found theirs passed and answered
+	// nil; the next barrier has them deleted.
+	clk  expiry.Clock
+	dead [][]byte
 }
 
 // Serve runs the RESP2 command loop on c until the peer disconnects, a
@@ -78,34 +84,43 @@ func Serve(c net.Conn, o ServeOpts) {
 	if o.WriteBuffer <= 0 {
 		o.WriteBuffer = 64 << 10
 	}
+	if o.Expiry == nil {
+		o.Expiry = expiry.New(nil)
+	}
 	cn := &conn{
-		c: c, o: o, tbl: o.Table, h: o.Handle, idx: o.Expiry,
-		r: NewReader(c, o.ReadBuffer),
-		w: ackbuf.New(c, o.Log, o.WriteBuffer, o.IdleTimeout),
+		c: c, o: o, tbl: o.Table, h: o.Handle,
+		r:   NewReader(c, o.ReadBuffer),
+		w:   ackbuf.New(c, o.Log, o.WriteBuffer, o.IdleTimeout),
+		kv:  expiry.Bind(o.Handle, o.Expiry, o.Log),
+		clk: o.Expiry.Clock(),
 	}
-	if cn.idx == nil {
-		cn.idx = expiry.New(nil)
-	}
-	cn.kv = expiry.Bind(cn.h, cn.idx, o.Log)
 	if cn.tbl.Mode() != core.Allocator {
 		cn.writeError("ERR table is not in kv (Allocator) mode; RESP requires a kv table")
 		cn.w.Flush()
 		return
 	}
 	cn.pl = cn.h.KVPipeline(core.KVPipelineOpts{OnComplete: func(g *core.KVGet) {
-		if g.OK {
-			cn.writeBulk(g.Value)
-		} else {
+		switch {
+		case !g.OK:
 			cn.writeNull()
+		case expiry.Dead(g.Meta, cn.clk.Now()):
+			// The deadline came with the value; the delete needs the stripe
+			// lock and an empty pipeline, so it waits for the barrier.
+			cn.dead = append(cn.dead, g.Key)
+			cn.writeNull()
+		default:
+			cn.writeBulk(g.Value)
 		}
 	}})
 	defer cn.pl.Close()
 	// Drain-before-blocking: whenever the reader is about to wait on the
 	// peer, complete the in-flight lookups and push their replies (after
-	// the covering group commit) — the peer may be waiting for them.
+	// the covering group commit) — the peer may be waiting for them. What
+	// it reads next is a new burst, with a new clock sample.
 	cn.r.OnFill = func() {
 		cn.barrier()
 		cn.w.Flush()
+		cn.clk.Reset()
 	}
 
 	var cmd Command
@@ -141,13 +156,19 @@ func (cn *conn) armIdle() {
 }
 
 // barrier completes every in-flight lookup (their replies are written by
-// OnComplete, preserving order) and recycles the key arena. Every command
-// that writes a reply inline — anything but GET/MGET enqueues — runs
-// behind it.
+// OnComplete, preserving order), deletes the pairs those lookups found
+// expired — the locked check-and-delete, KV.Expired — and recycles the key
+// arena. Every command that writes a reply inline — anything but GET/MGET
+// enqueues — runs behind it, so it sees a table without the pairs an
+// earlier GET of the same batch already answered nil for.
 func (cn *conn) barrier() {
 	if cn.pl.InFlight() > 0 {
 		cn.pl.Flush()
 	}
+	for _, key := range cn.dead {
+		cn.kv.Expired(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
+	}
+	cn.dead = cn.dead[:0]
 	if len(cn.arena) > 0 && cn.pl.InFlight() == 0 {
 		if cap(cn.arena) > arenaRetain {
 			cn.arena = nil

@@ -19,12 +19,12 @@ import (
 // both paths mutate the same table, and on durable tables both append to
 // the same redo log with the same no-ack-before-fsync discipline.
 //
-// TTL state lives in one expiry.Index per table, shared by every RESP
-// connection, the background sweeper, and (for durable tables) snapshot
-// and replay; each of them acts on it through its own expiry.KV binding.
-// Durable tables bring their own index (wal.Store owns it); for RAM
-// tables the server creates one lazily, along with a sweeper running on
-// a dedicated handle.
+// A pair's deadline lives in its block (see package expiry); what a table
+// has one of is the expiry.Index — the clock and the stripe locks — shared
+// by every RESP connection, binary KV path and the background crawler,
+// each acting through its own expiry.KV binding. Durable tables bring
+// their own (wal.Store owns it); for RAM tables the server creates one
+// lazily, along with a crawler running on a dedicated handle.
 
 // ServeRESP accepts RESP2 connections on ln until Close. Like Serve it
 // always returns a non-nil error; after Close the error is
@@ -87,10 +87,10 @@ func respRefuse(c net.Conn, msg string) {
 	w.Flush()
 }
 
-// expiryFor returns tbl's shared TTL index, creating it (with a sweeper
+// expiryFor returns tbl's shared expiry.Index, creating it (with a crawler
 // on a dedicated handle) on first use for RAM tables. Durable tables
-// register their store-owned index in AddDurable — that one is also
-// wired into WAL replay and snapshots. Every path that can run a KV op on
+// register their store-owned one in AddDurable — the store's own KV and
+// crawler lock through it. Every path that can run a KV op on
 // the table — RESP connections, connection-owned binary handles, executor
 // shards — asks here before it starts, so the index exists before the
 // first of them does and none can mutate around it. Tables that are not

@@ -131,9 +131,10 @@ type Server struct {
 	// by Close after the connection goroutines exit. Guarded by mu.
 	execs map[*core.Table]*exec.Executor
 
-	// RESP front-end state (resp.go): extra listeners, the per-table TTL
-	// indexes shared by RESP connections, and the sweepers the server owns
-	// for RAM tables (durable tables' sweepers belong to their wal.Store).
+	// RESP front-end state (resp.go): extra listeners, the per-table
+	// expiry clock-and-locks shared by everything that runs KV ops, and the
+	// crawlers the server owns for RAM tables (durable tables' belong to
+	// their wal.Store).
 	// Guarded by mu.
 	respLns  []net.Listener
 	expiries map[*core.Table]*expiry.Index
@@ -190,9 +191,8 @@ func (s *Server) AddDurable(name string, ds *wal.Store) error {
 	defer s.mu.Unlock()
 	s.walLogs[ds.Table()] = ds.Log()
 	if ix := ds.Expiry(); ix != nil {
-		// The store-owned TTL index is the one wired into WAL replay and
-		// snapshots; RESP connections must share it, not a server-created
-		// sibling.
+		// The store's own KV and crawler lock through this Index; the
+		// server's connections must share it, not a server-created sibling.
 		s.expiries[ds.Table()] = ix
 	}
 	return nil
@@ -327,8 +327,8 @@ func (s *Server) Close() error {
 }
 
 // executorFor returns (creating on first use) the shared executor serving
-// tbl. The table's TTL index comes first, so no shard ever runs KV ops
-// around it.
+// tbl. The table's expiry.Index comes first, so no shard ever runs KV ops
+// around its locks.
 func (s *Server) executorFor(tbl *core.Table) (*exec.Executor, error) {
 	ix, err := s.expiryFor(tbl)
 	if err != nil {
@@ -670,7 +670,7 @@ func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t t
 // still being decoded and the prefetch window stays primed across bursts;
 // KV and reshard requests execute synchronously behind a pipeline flush,
 // which keeps responses in request order; KV requests run on the handle's
-// expiry.KV, which keeps the table's deadline index in step. On a durable
+// expiry.KV, which owns what a pair's deadline means. On a durable
 // table every effective mutation is appended to the redo log as it
 // completes and the writer's sync bar is raised to its sequence.
 type ownedTarget struct {
@@ -678,7 +678,8 @@ type ownedTarget struct {
 	h     *core.Handle
 	p     *core.Pipeline
 	kvs   expiry.KV
-	log   *wal.Log // durable table's redo log; nil for RAM tables
+	clk   expiry.Clock // kvs's clock, sampled once per read burst: idle resets it
+	log   *wal.Log     // durable table's redo log; nil for RAM tables
 	w     *ackbuf.Writer
 	kvOps int // served KV requests, for the epoch-advance cadence
 }
@@ -696,7 +697,7 @@ func (s *Server) serveOwned(c net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl 
 		return
 	}
 	defer s.releaseHandle(h)
-	t := &ownedTarget{tbl: tbl, h: h, kvs: expiry.Bind(h, ix, nil), log: s.walFor(tbl), w: w}
+	t := &ownedTarget{tbl: tbl, h: h, kvs: expiry.Bind(h, ix, nil), clk: ix.Clock(), log: s.walFor(tbl), w: w}
 	if t.log != nil {
 		t.kvs = expiry.Bind(h, ix, t.log) // only when non-nil: a typed-nil RedoLog would pass Bind's check
 	}
@@ -727,6 +728,7 @@ func (t *ownedTarget) fixed(ops []core.Op) error {
 
 func (t *ownedTarget) idle() error {
 	t.p.Flush()
+	t.clk.Reset()
 	return t.w.Flush()
 }
 
@@ -742,7 +744,7 @@ func (t *ownedTarget) kv(req KVRequest) error {
 	if err := t.w.Err(); err != nil {
 		return err
 	}
-	resp, seq := execKV(t.tbl, t.h, t.kvs, req)
+	resp, seq := execKV(t.tbl, t.kvs, req, &t.clk)
 	t.w.NeedSync(seq)
 	t.w.Commit(AppendKVResponse(t.w.Buf(), resp))
 	// Periodically refresh this handle's epoch (no-op without EpochGC) so
@@ -821,9 +823,9 @@ func (t *ownedTarget) reshard(op OpCode, frame []byte) error {
 	return t.w.Err()
 }
 
-// execKV runs one KV request against the connection's handle: reads on the
-// handle behind the lazy-expiry check, mutations through its expiry.KV
-// (insert as SET NX, which keeps InsertKV's ErrExists contract), returning
+// execKV runs one KV request on the connection's expiry.KV: a read with
+// lazy expiry against clk, mutations as they are (insert as SET NX, which
+// keeps InsertKV's ErrExists contract), returning
 // the reply and the redo sequence it must wait for. A failed log append
 // becomes the op's status; the log's failure is sticky, so the writer's
 // next flush ends the connection. Values returned by GetKV are views into
@@ -836,17 +838,15 @@ func (t *ownedTarget) reshard(op OpCode, frame []byte) error {
 // CheckKV gates every request first: the local KV surface panics on mode
 // and namespace misuse (API-misuse contract), but over the wire those are
 // just statuses.
-func execKV(tbl *core.Table, h *core.Handle, kv expiry.KV, req KVRequest) (KVResponse, uint64) {
+func execKV(tbl *core.Table, kv expiry.KV, req KVRequest, clk *expiry.Clock) (KVResponse, uint64) {
 	if err := tbl.CheckKV(req.NS, req.Key, req.Value, req.Op == OpInsertKV); err != nil {
 		return KVResponse{Status: errToStatus(err)}, 0
 	}
 	hash := tbl.HashOfKV(req.NS, req.Key)
 	switch req.Op {
 	case OpGetKV:
-		if !kv.Expired(req.NS, req.Key, hash) {
-			if v, ok := h.GetKV(req.NS, req.Key); ok {
-				return KVResponse{Status: StatusOK, Value: v}, 0
-			}
+		if v, ok := kv.Get(req.NS, req.Key, hash, clk.Now()); ok {
+			return KVResponse{Status: StatusOK, Value: v}, 0
 		}
 		return KVResponse{Status: StatusNotFound}, 0
 	case OpInsertKV:

@@ -423,7 +423,7 @@ func TestKVConformance(t *testing.T) {
 					now.Add(st.n)
 				case "sweep":
 					h := tbl.MustHandle()
-					ix.SweepOnce(1000, expiry.Bind(h, ix, nil).OnExpired)
+					expiry.Bind(h, ix, nil).PurgeExpired()
 					h.Close()
 				case "len":
 					h := tbl.MustHandle()

@@ -364,9 +364,9 @@ func (l *Log) LogKVDelete(ns uint16, key []byte) (uint64, error) {
 }
 
 // LogKVExpire appends a KV TTL record: key's deadline becomes at (Unix
-// milliseconds); at <= 0 clears the TTL. Replay re-derives the expiry
-// sidecar from these records, so a TTL set before a crash is still
-// ticking — or already dead — after recovery.
+// milliseconds); at <= 0 clears the TTL. Replay writes the deadline back
+// into the pair's block from these records, so a TTL set before a crash
+// is still ticking — or already dead — after recovery.
 func (l *Log) LogKVExpire(ns uint16, key []byte, at int64) (uint64, error) {
 	return l.append(func(dst []byte) []byte { return appendExpireKV(dst, ns, key, at) })
 }

@@ -212,10 +212,10 @@ func loadSnapshot(path string, h *core.Handle, cfg *core.Config, idx *expiry.Ind
 // insert, missing delete target) are tolerated; the final state of a key
 // is always its last logged state. KV records are applied by the state
 // machine that logged them (expiry.KV): an insert record is an
-// unconditional Set — an upsert that clears the key's TTL entry, which
+// unconditional Set — an upsert whose new block has no deadline, which
 // is why a replace logs no delete record and a plain SET no TTL record —
 // a delete record is a Delete, and expire records re-assert or clear the
-// deadline; writers that preserve a TTL across an overwrite (KEEPTTL,
+// deadline in the pair's block; writers that preserve a TTL across an overwrite (KEEPTTL,
 // INCR) log an expire record after the insert. Mode mismatches mean the
 // directory was written under a different Config and fail recovery.
 func applyRecord(h *core.Handle, cfg *core.Config, idx *expiry.Index, r *Record) error {
@@ -259,17 +259,12 @@ func applyRecord(h *core.Handle, cfg *core.Config, idx *expiry.Index, r *Record)
 		}
 		expiry.Bind(h, idx, nil).Delete(r.NS, r.K, h.Table().HashOfKV(r.NS, r.K))
 	case recExpireKV:
-		// The deadline is applied clock-free: whether it has passed is
+		// The deadline is stored clock-free: whether it has passed is
 		// decided once, by the purge after the last record.
 		if err := h.Table().CheckKV(r.NS, r.K, nil, false); err != nil {
 			return err
 		}
-		hash := h.Table().HashOfKV(r.NS, r.K)
-		if r.At > 0 {
-			idx.ExpireAt(r.NS, r.K, hash, r.At)
-		} else {
-			idx.Remove(r.NS, r.K, hash)
-		}
+		expiry.Bind(h, idx, nil).SetDeadline(r.NS, r.K, h.Table().HashOfKV(r.NS, r.K), r.At)
 	default:
 		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, r.Kind)
 	}

@@ -40,20 +40,18 @@ func (s *Store) Snapshot() error {
 		return true
 	}
 	if s.cfg.Mode == core.Allocator {
-		err = s.snapH.RangeKV(func(ns uint16, key, val []byte) bool {
-			return write(func(dst []byte) []byte { return appendInsertKV(dst, ns, key, val) })
+		// A pair's deadline follows it, mirroring segment order for
+		// SET-with-EX: replay applies the insert (no deadline), then
+		// re-asserts the deadline.
+		err = s.snapH.RangeKV(func(e *core.KVEntry) bool {
+			ok := write(func(dst []byte) []byte { return appendInsertKV(dst, e.NS, e.Key, e.Value) })
+			if ok && e.Meta != 0 {
+				ok = write(func(dst []byte) []byte { return appendExpireKV(dst, e.NS, e.Key, int64(e.Meta)) })
+			}
+			return ok
 		})
 		// Let blocks retired to this handle's epoch reclaim between scans.
 		s.snapH.AdvanceEpoch()
-		// TTL entries follow the pairs: a snapshot-loading replay applies
-		// the inserts (each clearing its key's TTL) before re-asserting
-		// the deadlines, mirroring segment order for SET-with-EX.
-		if err == nil && s.exp != nil {
-			s.exp.Range(func(ns uint16, key []byte, at int64) bool {
-				return write(func(dst []byte) []byte { return appendExpireKV(dst, ns, key, at) })
-			})
-			err = werr
-		}
 	} else {
 		s.snapH.Range(func(k, v uint64) bool {
 			return write(func(dst []byte) []byte { return appendFixed(dst, recInsert, k, v) })

@@ -23,8 +23,8 @@ type Options struct {
 	// Allocator-mode tables (default 100ms; negative disables the sweeper
 	// — expired keys are then reclaimed only by lazy reads and restarts).
 	SweepInterval time.Duration
-	// SweepSample bounds how many TTL entries one sweep round examines
-	// per expiry shard (default 20).
+	// SweepSample is one sweep round's budget: table bins visited plus
+	// pairs examined (default 1024).
 	SweepSample int
 	// nowMs overrides the expiry clock (Unix milliseconds). Test hook.
 	nowMs func() int64
@@ -55,10 +55,10 @@ type Store struct {
 	snapH *core.Handle // snapshotter's handle
 	stats RecoverStats
 
-	// Allocator-mode TTL sidecar: the expiry index recovered alongside the
-	// table, the KV state machine on the foreground handle, and the
-	// background sweeper with its own handle. Nil/zero outside Allocator
-	// mode.
+	// Allocator-mode TTLs (the deadlines themselves live in the table's
+	// blocks and recover with them): the expiry clock and stripe locks,
+	// the KV state machine on the foreground handle, and the background
+	// crawler with its own handle. Nil/zero outside Allocator mode.
 	exp     *expiry.Index
 	kv      expiry.KV
 	sweepH  *core.Handle
@@ -159,10 +159,11 @@ func Open(dir string, cfg core.Config, opts Options) (*Store, error) {
 // applied through foreign handles are NOT logged; pair them with Log.
 func (s *Store) Table() *core.Table { return s.tbl }
 
-// Expiry returns the store's TTL sidecar index (nil outside Allocator
-// mode). The store owns its background sweeper; callers serving the table
-// through their own handles (the RESP front-end) share this index so
-// lazy expiry, the sweeper, snapshots and replay all agree on deadlines.
+// Expiry returns the store's expiry clock and stripe locks (nil outside
+// Allocator mode). The store owns its background crawler; callers serving
+// the table through their own handles (the RESP front-end) bind their
+// expiry.KV to this Index so every check-and-delete on the table shares
+// one set of locks.
 func (s *Store) Expiry() *expiry.Index { return s.exp }
 
 // Log returns the store's redo log, for callers gating their own

@@ -103,10 +103,14 @@ func (s *Store) TTL(ns uint16, key []byte) (ttl time.Duration, hasTTL, exists bo
 // GetKV reads key with lazy expiry: an expired key is deleted and
 // answers as a miss. The value is a copy, valid indefinitely.
 func (s *Store) GetKV(ns uint16, key []byte) ([]byte, bool) {
-	if s.exp == nil || s.kv.Expired(ns, key, s.tbl.HashOfKV(ns, key)) {
+	if s.exp == nil {
 		return nil, false
 	}
-	return s.h.GetKVCopy(ns, key)
+	v, ok := s.kv.Get(ns, key, s.tbl.HashOfKV(ns, key), s.exp.Now())
+	if !ok {
+		return nil, false
+	}
+	return append([]byte(nil), v...), true
 }
 
 // DeleteKV removes key, durable on return; expired keys count as already
