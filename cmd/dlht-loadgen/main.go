@@ -77,7 +77,6 @@ func main() {
 		embedded = flag.Bool("embedded", false, "start an in-process server on a loopback port (ignores -addr)")
 		window   = flag.Int("window", 0, "embedded server's prefetch window (<=0 = default 16)")
 		bins     = flag.Uint64("bins", 1<<18, "embedded server's initial bin count")
-		execName = flag.String("exec", "shared", "embedded server's execution model: shared|conn")
 
 		replicas    = flag.Int("replicas", 0, "cluster mode: copies per key (0/1 = no replication)")
 		writeQuorum = flag.Int("write-quorum", 0, "cluster mode: acks required per write (0 = replicas)")
@@ -127,15 +126,11 @@ func main() {
 		cfg.shards = strings.Split(*addrs, ",")
 		cfg.spec = "cluster:" + *addrs
 	case *embedded:
-		execMode, ok := server.ParseExecMode(*execName)
-		if !ok {
-			log.Fatalf("unknown -exec %q (want shared|conn)", *execName)
-		}
 		tbl, err := dlht.New(dlht.Config{Bins: *bins, Resizable: true, MaxThreads: 4096, PrefetchWindow: *window})
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := server.New(tbl, server.Options{Exec: execMode})
+		srv := server.New(tbl, server.Options{})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
@@ -143,7 +138,7 @@ func main() {
 		go srv.Serve(ln)
 		defer srv.Close()
 		cfg.spec = "tcp://" + ln.Addr().String()
-		fmt.Printf("embedded server on %s (bins=%d window=%d exec=%s)\n", ln.Addr(), *bins, *window, execMode)
+		fmt.Printf("embedded server on %s (bins=%d window=%d)\n", ln.Addr(), *bins, *window)
 	default:
 		cfg.spec = "tcp://" + *addr
 	}

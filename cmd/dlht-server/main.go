@@ -16,17 +16,13 @@
 // from the directory on startup and withhold each response until a group
 // commit covers its mutation, so an acknowledged write survives kill -9.
 //
-// Requests execute on the shared sharded executor by default (-exec
-// shared): connection readers enqueue decoded frames into per-core
-// executor shards, each owning one table handle and a long-lived pipeline,
-// so the paper's batching win applies across a fleet of synchronous
-// clients, not just within one deeply-pipelined connection. -exec conn
-// restores the goroutine-per-connection model for A/B comparison.
+// Every connection owns one table handle (the paper's one handle per
+// thread), so -max-threads bounds each table's concurrent connections.
 //
 // Usage:
 //
 //	dlht-server -addr :4040 -bins 1048576 -window 16 \
-//	    -exec shared -pprof 127.0.0.1:6060 \
+//	    -pprof 127.0.0.1:6060 \
 //	    -tables users:kv:durable=/var/lib/dlht/users,sessions:inlined \
 //	    -idle-timeout 5m
 package main
@@ -59,21 +55,15 @@ func main() {
 		durableDir = flag.String("durable", "", "back the default table with a group-commit WAL in this directory (empty = RAM only)")
 		idle       = flag.Duration("idle-timeout", 0, "close connections idle (unreadable or unwritable) for this long; 0 disables")
 		trackVers  = flag.Bool("track-versions", false, "maintain a per-key write-version index (serves OpGetVer; cluster resharding and anti-entropy use it for exact last-write-wins ordering)")
-		execName   = flag.String("exec", "shared", "execution model: shared (sharded executor), conn (goroutine per connection)")
-		execShards = flag.Int("exec-shards", 0, "executor shards per table (0 = GOMAXPROCS; ignored with -exec=conn)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 		respAddr   = flag.String("resp", "", "serve RESP2 (the Redis protocol) on this address (e.g. :6379); empty disables")
 		respTable  = flag.String("resp-table", "", "kv-mode table the RESP listener serves (default: a RAM kv table named \"resp\", created if absent)")
 	)
 	flag.Parse()
-	execMode, ok := server.ParseExecMode(*execName)
-	if !ok {
-		log.Fatalf("unknown -exec %q (want shared|conn)", *execName)
-	}
 	if *pprofAddr != "" {
 		go func() {
-			// DefaultServeMux carries the net/http/pprof handlers; executor
-			// shard hotspots are inspectable on the live server via
+			// DefaultServeMux carries the net/http/pprof handlers; serving
+			// hotspots are inspectable on the live server via
 			// `go tool pprof http://<addr>/debug/pprof/profile?seconds=10`.
 			log.Printf("pprof listening on http://%s/debug/pprof/", *pprofAddr)
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -131,8 +121,6 @@ func main() {
 	}
 	s := server.New(tbl, server.Options{
 		IdleTimeout: *idle,
-		Exec:        execMode,
-		ExecShards:  *execShards,
 		RESPTable:   respTableName,
 	})
 	if defaultDS != nil {
@@ -210,7 +198,7 @@ func main() {
 	}
 
 	// Graceful shutdown: the first SIGINT/SIGTERM stops the listeners,
-	// drains every connection (and the executors), then the main goroutine
+	// drains every connection, then the main goroutine
 	// seals the durable stores. A second signal while that drain is stuck
 	// forces the process out.
 	sig := make(chan os.Signal, 2)
@@ -224,8 +212,8 @@ func main() {
 		os.Exit(1)
 	}()
 
-	log.Printf("dlht-server listening on %s (bins=%d resizable=%v exec=%s window=%d idle-timeout=%v tables=%s)",
-		*addr, *bins, *resizable, execMode, *window, *idle, strings.Join(names, ","))
+	log.Printf("dlht-server listening on %s (bins=%d resizable=%v window=%d idle-timeout=%v tables=%s)",
+		*addr, *bins, *resizable, *window, *idle, strings.Join(names, ","))
 	if err := s.ListenAndServe(*addr); err != nil && !errors.Is(err, server.ErrServerClosed) {
 		log.Fatal(err)
 	}

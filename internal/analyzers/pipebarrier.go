@@ -4,8 +4,8 @@ package analyzers
 // any direct KV operation on the handle (a synchronous read, an
 // upsert, a delete) that runs while lookups are still in flight can
 // observe or produce state the pending completions then contradict —
-// replies reorder across the mutation. The contract on the resp and
-// exec serving paths: methods of a struct that owns a *core.KVPipeline
+// replies reorder across the mutation. The contract on the resp
+// serving path: methods of a struct that owns a *core.KVPipeline
 // must drain it (barrier / Flush / drainTo) before touching the table
 // directly.
 //

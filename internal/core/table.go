@@ -358,7 +358,7 @@ type Handle struct {
 	// pinned tracks whether this handle currently pins an epoch. With
 	// EpochGC enabled a handle stays pinned between operations so that the
 	// byte views returned by GetKV remain valid until the handle's own next
-	// AdvanceEpoch call (§3.2.3's client contract).
+	// AdvanceEpoch or Unpin call (§3.2.3's client contract).
 	pinned bool
 
 	// xp and kvp are the handle's sliding-window pipeline engines, reused
@@ -499,13 +499,22 @@ func (h *Handle) Close() {
 	}
 	h.t = nil
 	t.announces[h.id].ptr.Store(nil)
+	h.Unpin()
+	t.freeMu.Lock()
+	t.freeIDs = append(t.freeIDs, h.id)
+	t.freeMu.Unlock()
+}
+
+// Unpin drops the handle's persistent epoch pin (one store; no-op when the
+// handle holds none), so a handle that is about to sit idle does not hold
+// the global epoch back for every other handle of the table. Byte views
+// previously returned by GetKV/UpdateKV become invalid. Call it with nothing
+// in flight on the handle's pipelines; the next operation re-pins.
+func (h *Handle) Unpin() {
 	if h.eh != nil && h.pinned {
 		h.eh.Leave()
 		h.pinned = false
 	}
-	t.freeMu.Lock()
-	t.freeIDs = append(t.freeIDs, h.id)
-	t.freeMu.Unlock()
 }
 
 // AdvanceEpoch is the periodic client call of §3.2.3: it refreshes this

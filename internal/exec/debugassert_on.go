@@ -3,7 +3,7 @@
 package exec
 
 // The dlhtdebug assertion layer for the executor: reorder-ring
-// invariants that would surface as silent response corruption (a reply
+// invariants that would surface as silent completion corruption (a result
 // delivered for the wrong request) if they ever broke. Compiled out of
 // release builds via the debugAsserts constant; CI runs the suite
 // under `go test -race -tags dlhtdebug ./...`.

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -83,11 +81,14 @@ func TestExecutorVsOracle(t *testing.T) {
 			wg.Add(2)
 			go func(si int, sess *Session) {
 				defer wg.Done()
-				for _, op := range scripts[si] {
-					if err := sess.Submit(op); err != nil {
+				// Bursts of 1..29 ops: single-op and multi-chunk submissions.
+				for lo, sc := 0, scripts[si]; lo < len(sc); {
+					n := min(1+lo%29, len(sc)-lo)
+					if err := sess.SubmitBatch(sc[lo : lo+n]); err != nil {
 						t.Error(err)
 						break
 					}
+					lo += n
 				}
 				sess.FinishSubmit()
 			}(si, sess)
@@ -123,121 +124,6 @@ func TestExecutorVsOracle(t *testing.T) {
 	})
 }
 
-// TestExecutorKVVsModel drives the variable-length surface: sessions mix
-// KVInsert/KVGet/KVDelete over per-session key prefixes and the in-order
-// completion stream must match a sequential map model.
-func TestExecutorKVVsModel(t *testing.T) {
-	t.Run("shared", func(t *testing.T) {
-		const (
-			sessions = 4
-			opsPer   = 3000
-			keys     = 60
-		)
-		tbl := core.MustNew(core.Config{
-			Mode: core.Allocator, Bins: 64, Resizable: true,
-			VariableKV: true, Namespaces: true, EpochGC: true, MaxThreads: 32,
-		})
-		ex, err := New(tbl, Options{Shards: 3, ring: 32, sessionWindow: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ex.Close()
-
-		type kvScript struct {
-			kinds []KVKind
-			keys  [][]byte
-			vals  [][]byte
-		}
-		scripts := make([]kvScript, sessions)
-		results := make([][]Done, sessions)
-		var wg sync.WaitGroup
-		for si := 0; si < sessions; si++ {
-			r := rand.New(rand.NewSource(int64(si)*104729 + 5))
-			sc := kvScript{}
-			for i := 0; i < opsPer; i++ {
-				k := fmt.Appendf(nil, "s%d-key-%d", si, r.Intn(keys))
-				if r.Intn(8) == 0 { // some big keys exercise out-of-line compares
-					k = append(k, bytes.Repeat([]byte("x"), 40)...)
-				}
-				switch r.Intn(4) {
-				case 0, 1:
-					sc.kinds = append(sc.kinds, KVGet)
-					sc.vals = append(sc.vals, nil)
-				case 2:
-					sc.kinds = append(sc.kinds, KVInsert)
-					sc.vals = append(sc.vals, fmt.Appendf(nil, "v-%d-%d", si, r.Int()))
-				case 3:
-					sc.kinds = append(sc.kinds, KVDelete)
-					sc.vals = append(sc.vals, nil)
-				}
-				sc.keys = append(sc.keys, k)
-			}
-			scripts[si] = sc
-			sess, err := ex.NewSession()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg.Add(2)
-			go func(sc kvScript, sess *Session) {
-				defer wg.Done()
-				for i := range sc.kinds {
-					kv := &KVOp{Kind: sc.kinds[i], NS: 0, Key: sc.keys[i], Value: sc.vals[i]}
-					if err := sess.SubmitKV(kv); err != nil {
-						t.Error(err)
-						break
-					}
-				}
-				sess.FinishSubmit()
-			}(sc, sess)
-			go func(si int, sess *Session) {
-				defer wg.Done()
-				results[si] = drain(sess)
-			}(si, sess)
-		}
-		wg.Wait()
-
-		for si := range scripts {
-			sc, res := scripts[si], results[si]
-			if len(res) != len(sc.kinds) {
-				t.Fatalf("session %d: %d completions, want %d", si, len(res), len(sc.kinds))
-			}
-			model := map[string][]byte{}
-			for i, d := range res {
-				kv := d.KV
-				if kv == nil {
-					t.Fatalf("session %d op %d: fixed-op completion for a KV submit", si, i)
-				}
-				key := string(sc.keys[i])
-				switch sc.kinds[i] {
-				case KVGet:
-					want, exists := model[key]
-					if kv.OK != exists || (exists && !bytes.Equal(kv.Out, want)) {
-						t.Fatalf("session %d op %d: GetKV(%q) = (%q,%v), model (%q,%v)",
-							si, i, key, kv.Out, kv.OK, want, exists)
-					}
-				case KVInsert:
-					if _, exists := model[key]; exists {
-						if !errors.Is(kv.Err, core.ErrExists) {
-							t.Fatalf("session %d op %d: dup InsertKV err = %v, want ErrExists", si, i, kv.Err)
-						}
-					} else {
-						if kv.Err != nil || !kv.OK {
-							t.Fatalf("session %d op %d: InsertKV = (%v,%v)", si, i, kv.OK, kv.Err)
-						}
-						model[key] = sc.vals[i]
-					}
-				case KVDelete:
-					_, exists := model[key]
-					if kv.OK != exists {
-						t.Fatalf("session %d op %d: DeleteKV(%q) ok=%v, model %v", si, i, key, kv.OK, exists)
-					}
-					delete(model, key)
-				}
-			}
-		}
-	})
-}
-
 // TestExecutorCloseDrains: Close under live producers must execute or
 // explicitly fail every accepted request, deliver all completions before
 // returning, release every shard handle, and reject new sessions.
@@ -262,7 +148,7 @@ func TestExecutorCloseDrains(t *testing.T) {
 			defer wg.Done()
 			k := uint64(si) << 32
 			for {
-				err := sess.Submit(core.Op{Kind: core.OpInsert, Key: k, Value: k})
+				err := sess.SubmitBatch([]core.Op{{Kind: core.OpInsert, Key: k, Value: k}})
 				submitted[si]++ // ErrClosed submissions still complete in order
 				k++
 				if err != nil {
@@ -294,105 +180,5 @@ func TestExecutorCloseDrains(t *testing.T) {
 		if submitted[si] == 0 || submitted[si] != delivered[si] {
 			t.Fatalf("session %d: %d submitted, %d delivered", si, submitted[si], delivered[si])
 		}
-	}
-}
-
-// TestSessionKVBounds: a session pipelining large KV payloads is gated by
-// the per-session op and byte bounds — progress continues (no deadlock at
-// either bound), results stay correct, and the budget drains back to zero
-// once everything is delivered.
-func TestSessionKVBounds(t *testing.T) {
-	tbl := core.MustNew(core.Config{
-		Mode: core.Allocator, Bins: 1 << 8, Resizable: true,
-		VariableKV: true, EpochGC: true, MaxThreads: 8,
-	})
-	ex, err := New(tbl, Options{Shards: 2, sessionKVInflight: 4, sessionKVBytes: 1 << 18})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	sess, err := ex.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40
-	val := bytes.Repeat([]byte("v"), 48<<10) // byte bound binds every ~5 ops
-	results := make(chan []Done, 1)
-	go func() {
-		var out []Done
-		buf := make([]Done, 0, 8)
-		for {
-			run, ok := sess.Await(buf[:0], nil)
-			out = append(out, run...)
-			if !ok {
-				results <- out
-				return
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		key := fmt.Appendf(nil, "big-%d", i)
-		if err := sess.SubmitKV(&KVOp{Kind: KVInsert, Key: key, Value: val}); err != nil {
-			t.Fatal(err)
-		}
-		if err := sess.SubmitKV(&KVOp{Kind: KVGet, Key: key}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sess.FinishSubmit()
-	out := <-results
-	if len(out) != 2*n {
-		t.Fatalf("%d completions, want %d", len(out), 2*n)
-	}
-	for i := 0; i < n; i++ {
-		ins, get := out[2*i].KV, out[2*i+1].KV
-		if ins.Err != nil || !ins.OK {
-			t.Fatalf("insert %d: (%v,%v)", i, ins.OK, ins.Err)
-		}
-		if !get.OK || !bytes.Equal(get.Out, val) {
-			t.Fatalf("get %d: ok=%v len=%d", i, get.OK, len(get.Out))
-		}
-	}
-	sess.mu.Lock()
-	inflight, bytesHeld := sess.kvInflight, sess.kvBytes
-	sess.mu.Unlock()
-	if inflight != 0 || bytesHeld != 0 {
-		t.Fatalf("KV budget not drained: %d ops, %d bytes", inflight, bytesHeld)
-	}
-}
-
-// TestSessionFailOrdering: Fail takes a sequence slot like any submission,
-// so its completion is delivered behind everything submitted before it.
-func TestSessionFailOrdering(t *testing.T) {
-	tbl := core.MustNew(core.Config{Bins: 1 << 8, Resizable: true})
-	ex, err := New(tbl, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-	sess, err := ex.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sentinel := errors.New("bad frame")
-	const n = 100
-	for i := uint64(0); i < n; i++ {
-		if err := sess.Submit(core.Op{Kind: core.OpInsert, Key: i, Value: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sess.Fail(sentinel)
-	sess.FinishSubmit()
-	out := drain(sess)
-	if len(out) != n+1 {
-		t.Fatalf("%d completions, want %d", len(out), n+1)
-	}
-	for i := 0; i < n; i++ {
-		if !out[i].Op.OK {
-			t.Fatalf("insert %d failed: %v", i, out[i].Op.Err)
-		}
-	}
-	if out[n].Op.Err != sentinel {
-		t.Fatalf("tail completion err = %v, want the Fail sentinel", out[n].Op.Err)
 	}
 }

@@ -16,8 +16,9 @@ type Sweeper struct {
 // must be dedicated to it. Like memcached's LRU crawler: every interval
 // (default 100ms) one Crawler.Round spends sample (default 1024) on the
 // next stretch of the table and deletes the expired pairs it finds
-// through Expired. A round ends by advancing the handle's epoch, so
-// blocks deleted by other handles can reclaim past it.
+// through Expired. A round ends by advancing the handle's epoch and
+// dropping its pin, so blocks deleted by other handles can reclaim past it
+// while it sleeps.
 func (kv KV) StartSweeper(interval time.Duration, sample int) *Sweeper {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
@@ -35,6 +36,7 @@ func (kv KV) StartSweeper(interval time.Duration, sample int) *Sweeper {
 			case <-t.C:
 				c.Round(sample)
 				kv.h.AdvanceEpoch()
+				kv.h.Unpin()
 			}
 		}
 	}()

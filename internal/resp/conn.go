@@ -115,10 +115,14 @@ func Serve(c net.Conn, o ServeOpts) {
 	defer cn.pl.Close()
 	// Drain-before-blocking: whenever the reader is about to wait on the
 	// peer, complete the in-flight lookups and push their replies (after
-	// the covering group commit) — the peer may be waiting for them. What
-	// it reads next is a new burst, with a new clock sample.
+	// the covering group commit) — the peer may be waiting for them. With
+	// every value copied into the reply buffer, the handle drops its epoch
+	// pin, so an idle connection does not hold back reclamation for the
+	// whole table. What it reads next is a new burst, with a new clock
+	// sample.
 	cn.r.OnFill = func() {
 		cn.barrier()
+		cn.h.Unpin()
 		cn.w.Flush()
 		cn.clk.Reset()
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -10,24 +9,9 @@ import (
 )
 
 // benchServer starts a prepopulated server for the pipeline benchmarks.
-// The execution model defaults to the server default (shared executor);
-// set DLHT_BENCH_EXEC=conn|shared to A/B the pipeline
-// benchmarks across models without editing code.
 func benchServer(b *testing.B, keys uint64) *Server {
-	opts := Options{}
-	if name := os.Getenv("DLHT_BENCH_EXEC"); name != "" {
-		mode, ok := ParseExecMode(name)
-		if !ok {
-			b.Fatalf("unknown DLHT_BENCH_EXEC %q", name)
-		}
-		opts.Exec = mode
-	}
-	return benchServerOpts(b, keys, opts)
-}
-
-func benchServerOpts(b *testing.B, keys uint64, opts Options) *Server {
 	b.Helper()
-	s := startServer(b, core.Config{Bins: keys*2/3 + 64, Resizable: true, MaxThreads: 256}, opts)
+	s := startServer(b, core.Config{Bins: keys*2/3 + 64, Resizable: true, MaxThreads: 256}, Options{})
 	cl := dialT(b, s)
 	reqs := make([]Request, 0, 1024)
 	resps := make([]Response, 1024)
@@ -92,60 +76,50 @@ func BenchmarkPipelinedMixed(b *testing.B) {
 }
 
 // BenchmarkServerSyncConns is the many-small-clients regime: conns
-// synchronous connections, each with exactly ONE request in flight,
-// against each execution model. This is the workload the shared executor
-// exists for — with exec=conn every op executes alone on its connection's
-// handle (zero prefetch overlap), while the executor aggregates the
-// connection fleet into per-shard pipelines, so batching depth comes from
-// connection count. The table is sized out of cache so the per-op DRAM
-// latency the executor amortizes is actually present.
+// synchronous connections, each with exactly ONE request in flight, so
+// every op executes alone on its connection's handle. The table is sized
+// out of cache so the per-op DRAM latency is actually present.
 func BenchmarkServerSyncConns(b *testing.B) {
 	const keys = 1 << 19
-	for _, mode := range []ExecMode{ExecConn, ExecShared} {
-		b.Run("exec="+mode.String(), func(b *testing.B) {
-			s := benchServerOpts(b, keys, Options{Exec: mode})
-			for _, conns := range []int{1, 8, 64} {
-				b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
-					// Closed explicitly below (not via dialT's cleanup):
-					// calibration reruns this function, and stale
-					// connections would skew shared-mode least-loaded
-					// session placement for later runs.
-					clients := make([]*Client, conns)
-					for i := range clients {
-						cl, err := DialV2(s.Addr().String(), ClientOpts{})
-						if err != nil {
-							b.Fatal(err)
-						}
-						clients[i] = cl
-					}
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					per := b.N / conns
-					for c := 0; c < conns; c++ {
-						quota := per
-						if c == 0 {
-							quota += b.N % conns
-						}
-						wg.Add(1)
-						go func(c, quota int, cl *Client) {
-							defer wg.Done()
-							for i := 0; i < quota; i++ {
-								k := (uint64(c)*2654435761 + uint64(i)*0x9e3779b9) % keys
-								if _, ok, err := cl.Get(k); err != nil || !ok {
-									b.Errorf("Get(%d) = ok=%v err=%v", k, ok, err)
-									return
-								}
-							}
-						}(c, quota, clients[c])
-					}
-					wg.Wait()
-					b.StopTimer()
-					for _, cl := range clients {
-						cl.Close()
-					}
-				})
+	s := benchServer(b, keys)
+	for _, conns := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
+			// Closed explicitly below (not via dialT's cleanup):
+			// calibration reruns this function, and stale connections
+			// would hold handles and goroutines into later runs.
+			clients := make([]*Client, conns)
+			for i := range clients {
+				cl, err := DialV2(s.Addr().String(), ClientOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				clients[i] = cl
 			}
-			s.Close()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			per := b.N / conns
+			for c := 0; c < conns; c++ {
+				quota := per
+				if c == 0 {
+					quota += b.N % conns
+				}
+				wg.Add(1)
+				go func(c, quota int, cl *Client) {
+					defer wg.Done()
+					for i := 0; i < quota; i++ {
+						k := (uint64(c)*2654435761 + uint64(i)*0x9e3779b9) % keys
+						if _, ok, err := cl.Get(k); err != nil || !ok {
+							b.Errorf("Get(%d) = ok=%v err=%v", k, ok, err)
+							return
+						}
+					}
+				}(c, quota, clients[c])
+			}
+			wg.Wait()
+			b.StopTimer()
+			for _, cl := range clients {
+				cl.Close()
+			}
 		})
 	}
 }

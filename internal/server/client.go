@@ -105,10 +105,8 @@ type ClientOpts struct {
 	Table string
 	// Features is the requested feature set; 0 requests the ordinary
 	// client set (currently FeatureKV). FeatureReshard is deliberately
-	// NOT in the default — granting it pins the connection to the
-	// server's conn-owned loop, opting out of executor-mode serving, so
-	// only the cluster coordinator and scrubber request it. The granted
-	// set is available via Features().
+	// NOT in the default: only the cluster coordinator and scrubber
+	// request it. The granted set is available via Features().
 	Features uint16
 	// ReadTimeout/WriteTimeout bound blocking reads and flushes. 0
 	// disables the respective deadline.

@@ -15,13 +15,13 @@ import (
 // startDurableServer serves ds as the named table "dur" next to a RAM
 // default table. The caller closes the server and the store explicitly
 // (reopen tests need an ordered shutdown, not t.Cleanup's LIFO).
-func startDurableServer(t *testing.T, ds *wal.Store, opts Options) *Server {
+func startDurableServer(t *testing.T, ds *wal.Store) *Server {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(core.MustNew(core.Config{Bins: 64}), opts)
+	s := New(core.MustNew(core.Config{Bins: 64}), Options{})
 	if err := s.AddDurable("dur", ds); err != nil {
 		t.Fatal(err)
 	}
@@ -30,144 +30,140 @@ func startDurableServer(t *testing.T, ds *wal.Store, opts Options) *Server {
 	return s
 }
 
-// TestDurableServerFixedOps drives fixed mutations against a durable table
-// in every exec mode, asserts acknowledgements implied a covering group
-// commit, and verifies the directory recovers the exact final state.
+// TestDurableServerFixedOps drives fixed mutations against a durable
+// table, asserts acknowledgements implied a covering group commit, and
+// verifies the directory recovers the exact final state.
 func TestDurableServerFixedOps(t *testing.T) {
-	for _, mode := range []ExecMode{ExecShared, ExecConn} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := core.Config{Bins: 1 << 10, Resizable: true}
-			ds, err := wal.Open(dir, cfg, wal.Options{SnapshotBytes: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := startDurableServer(t, ds, Options{Exec: mode})
-			cl := dialV2T(t, s, ClientOpts{Table: "dur"})
+	t.Run("conn", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := core.Config{Bins: 1 << 10, Resizable: true}
+		ds, err := wal.Open(dir, cfg, wal.Options{SnapshotBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := startDurableServer(t, ds)
+		cl := dialV2T(t, s, ClientOpts{Table: "dur"})
 
-			const n = 300
-			reqs := make([]Request, 0, n)
-			for i := uint64(0); i < n; i++ {
-				reqs = append(reqs, Request{Op: OpInsert, Key: i + 1, Value: i})
+		const n = 300
+		reqs := make([]Request, 0, n)
+		for i := uint64(0); i < n; i++ {
+			reqs = append(reqs, Request{Op: OpInsert, Key: i + 1, Value: i})
+		}
+		for i := uint64(0); i < n; i += 2 {
+			reqs = append(reqs, Request{Op: OpPut, Key: i + 1, Value: i + 1000})
+		}
+		for i := uint64(0); i < n; i += 3 {
+			reqs = append(reqs, Request{Op: OpDelete, Key: i + 1})
+		}
+		resps := make([]Response, len(reqs))
+		if err := cl.Do(reqs, resps); err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		effective := uint64(0)
+		for i, r := range resps {
+			if r.Status != StatusOK {
+				t.Fatalf("req %d (%v): status %v", i, reqs[i].Op, r.Status)
 			}
-			for i := uint64(0); i < n; i += 2 {
-				reqs = append(reqs, Request{Op: OpPut, Key: i + 1, Value: i + 1000})
-			}
-			for i := uint64(0); i < n; i += 3 {
-				reqs = append(reqs, Request{Op: OpDelete, Key: i + 1})
-			}
-			resps := make([]Response, len(reqs))
-			if err := cl.Do(reqs, resps); err != nil {
-				t.Fatalf("Do: %v", err)
-			}
-			effective := uint64(0)
-			for i, r := range resps {
-				if r.Status != StatusOK {
-					t.Fatalf("req %d (%v): status %v", i, reqs[i].Op, r.Status)
+			effective++
+		}
+		// Every response above was acknowledged, so the log's sync
+		// watermark must already cover every record — one per
+		// effective mutation.
+		if synced := ds.Log().Synced(); synced < effective {
+			t.Fatalf("acked %d mutations but synced watermark is %d", effective, synced)
+		}
+
+		cl.Close()
+		s.Close()
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := wal.Open(dir, cfg, wal.Options{})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer r.Close()
+		for i := uint64(0); i < n; i++ {
+			v, ok, _ := r.Get(i + 1)
+			switch {
+			case i%3 == 0:
+				if ok {
+					t.Fatalf("deleted key %d survived", i+1)
 				}
-				effective++
-			}
-			// Every response above was acknowledged, so the log's sync
-			// watermark must already cover every record — one per
-			// effective mutation.
-			if synced := ds.Log().Synced(); synced < effective {
-				t.Fatalf("acked %d mutations but synced watermark is %d", effective, synced)
-			}
-
-			cl.Close()
-			s.Close()
-			if err := ds.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			r, err := wal.Open(dir, cfg, wal.Options{})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer r.Close()
-			for i := uint64(0); i < n; i++ {
-				v, ok, _ := r.Get(i + 1)
-				switch {
-				case i%3 == 0:
-					if ok {
-						t.Fatalf("deleted key %d survived", i+1)
-					}
-				case i%2 == 0:
-					if !ok || v != i+1000 {
-						t.Fatalf("key %d = %d,%v; want %d", i+1, v, ok, i+1000)
-					}
-				default:
-					if !ok || v != i {
-						t.Fatalf("key %d = %d,%v; want %d", i+1, v, ok, i)
-					}
+			case i%2 == 0:
+				if !ok || v != i+1000 {
+					t.Fatalf("key %d = %d,%v; want %d", i+1, v, ok, i+1000)
+				}
+			default:
+				if !ok || v != i {
+					t.Fatalf("key %d = %d,%v; want %d", i+1, v, ok, i)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestDurableServerKV drives Allocator-mode KV mutations through the
-// durable path in executor and conn modes and verifies recovery.
+// durable path and verifies recovery.
 func TestDurableServerKV(t *testing.T) {
-	for _, mode := range []ExecMode{ExecShared, ExecConn} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := core.Config{
-				Bins: 1 << 10, Resizable: true, Mode: core.Allocator,
-				VariableKV: true, Namespaces: true, EpochGC: true,
-			}
-			ds, err := wal.Open(dir, cfg, wal.Options{SnapshotBytes: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := startDurableServer(t, ds, Options{Exec: mode})
-			cl := dialV2T(t, s, ClientOpts{Table: "dur"})
-			if cl.Features()&FeatureKV == 0 {
-				t.Fatal("server did not grant FeatureKV")
-			}
+	t.Run("conn", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := core.Config{
+			Bins: 1 << 10, Resizable: true, Mode: core.Allocator,
+			VariableKV: true, Namespaces: true, EpochGC: true,
+		}
+		ds, err := wal.Open(dir, cfg, wal.Options{SnapshotBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := startDurableServer(t, ds)
+		cl := dialV2T(t, s, ClientOpts{Table: "dur"})
+		if cl.Features()&FeatureKV == 0 {
+			t.Fatal("server did not grant FeatureKV")
+		}
 
-			const n = 64
-			for i := 0; i < n; i++ {
-				k := []byte(fmt.Sprintf("key-%03d-long-enough-to-spill", i))
-				if err := cl.InsertKV(3, k, []byte(fmt.Sprintf("val-%d", i))); err != nil {
-					t.Fatalf("InsertKV %d: %v", i, err)
-				}
+		const n = 64
+		for i := 0; i < n; i++ {
+			k := []byte(fmt.Sprintf("key-%03d-long-enough-to-spill", i))
+			if err := cl.InsertKV(3, k, []byte(fmt.Sprintf("val-%d", i))); err != nil {
+				t.Fatalf("InsertKV %d: %v", i, err)
 			}
-			for i := 0; i < n; i += 2 {
-				k := []byte(fmt.Sprintf("key-%03d-long-enough-to-spill", i))
-				if ok, err := cl.DeleteKV(3, k); err != nil || !ok {
-					t.Fatalf("DeleteKV %d: ok=%v err=%v", i, ok, err)
-				}
+		}
+		for i := 0; i < n; i += 2 {
+			k := []byte(fmt.Sprintf("key-%03d-long-enough-to-spill", i))
+			if ok, err := cl.DeleteKV(3, k); err != nil || !ok {
+				t.Fatalf("DeleteKV %d: ok=%v err=%v", i, ok, err)
 			}
-			if synced := ds.Log().Synced(); synced < n+n/2 {
-				t.Fatalf("acked %d KV mutations but synced watermark is %d", n+n/2, synced)
-			}
+		}
+		if synced := ds.Log().Synced(); synced < n+n/2 {
+			t.Fatalf("acked %d KV mutations but synced watermark is %d", n+n/2, synced)
+		}
 
-			cl.Close()
-			s.Close()
-			if err := ds.Close(); err != nil {
-				t.Fatal(err)
-			}
+		cl.Close()
+		s.Close()
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			r, err := wal.Open(dir, cfg, wal.Options{})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
+		r, err := wal.Open(dir, cfg, wal.Options{})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer r.Close()
+		h := r.Table().MustHandle()
+		defer h.Close()
+		for i := 0; i < n; i++ {
+			k := []byte(fmt.Sprintf("key-%03d-long-enough-to-spill", i))
+			v, ok := h.GetKV(3, k)
+			if want := i%2 == 1; ok != want {
+				t.Fatalf("key %d present=%v want %v", i, ok, want)
 			}
-			defer r.Close()
-			h := r.Table().MustHandle()
-			defer h.Close()
-			for i := 0; i < n; i++ {
-				k := []byte(fmt.Sprintf("key-%03d-long-enough-to-spill", i))
-				v, ok := h.GetKV(3, k)
-				if want := i%2 == 1; ok != want {
-					t.Fatalf("key %d present=%v want %v", i, ok, want)
-				}
-				if ok && string(v) != fmt.Sprintf("val-%d", i) {
-					t.Fatalf("key %d = %q", i, v)
-				}
+			if ok && string(v) != fmt.Sprintf("val-%d", i) {
+				t.Fatalf("key %d = %q", i, v)
 			}
-		})
-	}
+		}
+	})
 }
 
 // countingSyncer counts the group-commit waits a reply writer makes.
@@ -192,9 +188,8 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestOwnedConnSyncsPerFlush: a connection that owns its handle (-exec=conn,
-// and every reshard connection) waits for the group commit once per flush,
-// not once per reply. 1000 pipelined durable InsertKVs whose replies fit
+// TestOwnedConnSyncsPerFlush: a connection waits for the group commit once
+// per flush, not once per reply. 1000 pipelined durable InsertKVs whose replies fit
 // one buffer used to cost 1000 SyncWaits — each a round trip to the sync
 // goroutine with nothing to send yet.
 func TestOwnedConnSyncsPerFlush(t *testing.T) {
@@ -204,7 +199,7 @@ func TestOwnedConnSyncsPerFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	s := New(core.MustNew(core.Config{Bins: 64}), Options{Exec: ExecConn})
+	s := New(core.MustNew(core.Config{Bins: 64}), Options{})
 	defer s.Close()
 	if err := s.AddDurable("dur", ds); err != nil {
 		t.Fatal(err)

@@ -49,49 +49,41 @@ func TestV2RoundTripAllOps(t *testing.T) {
 // frame of the retired handshake-less protocol instead of a hello gets
 // exactly one handshake reply carrying StatusBadVersion, then EOF — the
 // same refusal a wrong-version hello gets — and costs the server no table
-// handle and no executor, in every exec mode.
+// handle.
 func TestHandshakelessClientRefused(t *testing.T) {
-	for _, mode := range []ExecMode{ExecShared, ExecConn} {
-		t.Run(mode.String(), func(t *testing.T) {
-			const maxThreads = 4
-			s := startServer(t, core.Config{Bins: 1 << 8, MaxThreads: maxThreads}, Options{Exec: mode})
-			c, err := net.Dial("tcp", s.Addr().String())
+	t.Run("conn", func(t *testing.T) {
+		const maxThreads = 4
+		s := startServer(t, core.Config{Bins: 1 << 8, MaxThreads: maxThreads}, Options{})
+		c, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(AppendRequest(nil, Request{Op: OpGet, Key: 1})); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got, err := io.ReadAll(c)
+		if err != nil {
+			t.Fatalf("read until EOF: %v", err)
+		}
+		if len(got) != HelloRespSize {
+			t.Fatalf("server sent %d bytes (%x), want one %d-byte handshake reply", len(got), got, HelloRespSize)
+		}
+		resp, err := DecodeHelloResp(got)
+		if err != nil || resp.Status != StatusBadVersion || resp.Version != ProtocolV2 {
+			t.Fatalf("reply = %+v, %v; want BAD_VERSION naming v2", resp, err)
+		}
+		// EOF means the connection goroutine is done: nothing it could
+		// have taken is still held.
+		for i := 0; i < maxThreads; i++ {
+			h, err := s.Table(DefaultTable).Handle()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("table handle %d of %d still held: %v", i+1, maxThreads, err)
 			}
-			defer c.Close()
-			if _, err := c.Write(AppendRequest(nil, Request{Op: OpGet, Key: 1})); err != nil {
-				t.Fatal(err)
-			}
-			c.SetReadDeadline(time.Now().Add(5 * time.Second))
-			got, err := io.ReadAll(c)
-			if err != nil {
-				t.Fatalf("read until EOF: %v", err)
-			}
-			if len(got) != HelloRespSize {
-				t.Fatalf("server sent %d bytes (%x), want one %d-byte handshake reply", len(got), got, HelloRespSize)
-			}
-			resp, err := DecodeHelloResp(got)
-			if err != nil || resp.Status != StatusBadVersion || resp.Version != ProtocolV2 {
-				t.Fatalf("reply = %+v, %v; want BAD_VERSION naming v2", resp, err)
-			}
-			// EOF means the connection goroutine is done: nothing it could
-			// have taken is still held.
-			s.mu.Lock()
-			execs := len(s.execs)
-			s.mu.Unlock()
-			if execs != 0 {
-				t.Fatalf("%d executors created for a refused connection", execs)
-			}
-			for i := 0; i < maxThreads; i++ {
-				h, err := s.Table(DefaultTable).Handle()
-				if err != nil {
-					t.Fatalf("table handle %d of %d still held: %v", i+1, maxThreads, err)
-				}
-				defer h.Close()
-			}
-		})
-	}
+			defer h.Close()
+		}
+	})
 }
 
 // TestTableSelector: two v2 connections on different named tables of one
@@ -512,7 +504,7 @@ func TestSentinelErrorsAcrossBackends(t *testing.T) {
 // first request is a KV frame receives a KV-shaped BUSY response, keeping
 // the response-matching rule intact.
 func TestBusyKVShaped(t *testing.T) {
-	s := startServer(t, core.Config{Mode: core.Allocator, Bins: 1 << 8, VariableKV: true, MaxThreads: 2}, Options{Exec: ExecConn})
+	s := startServer(t, core.Config{Mode: core.Allocator, Bins: 1 << 8, VariableKV: true, MaxThreads: 2}, Options{})
 	// Pin the only connection handle (a served kv table's TTL sweeper holds
 	// the other).
 	pin := dialV2T(t, s, ClientOpts{})

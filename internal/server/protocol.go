@@ -3,17 +3,12 @@
 // request pipeline.
 //
 // Clients pipeline request frames; one read loop per connection
-// (readRequests) decodes them and hands them, as they are decoded, to one
-// of two execution targets. By default that is a session on the shared
-// sharded executor (internal/exec, Options.Exec): requests from every
-// connection aggregate into per-core shard pipelines whose sliding-window
-// software prefetch overlaps the DRAM latency of the burst, so batching
-// depth comes from connection count as well as per-connection pipeline
-// depth. With Options.Exec = ExecConn, and for reshard connections, the
-// target is a table handle and pipeline the connection owns. Either way
-// completions append response frames to the connection's reply writer as
-// they fire, so a deep burst's first replies stream out while its tail is
-// still being decoded. Responses are written in request order — order
+// (readRequests) decodes them and feeds them, as they are decoded, into a
+// pipeline on a table handle the connection owns, whose sliding-window
+// software prefetch overlaps the DRAM latency of the burst. Completions
+// append response frames to the connection's reply writer as they fire,
+// so a deep burst's first replies stream out while its tail is still
+// being decoded. Responses are written in request order — order
 // preservation is DLHT's pipelining contract, and here it doubles as the
 // wire protocol's matching rule: the i-th response on a connection
 // answers the i-th request.

@@ -27,9 +27,7 @@ const (
 	FeatureKV uint16 = 1 << 0
 
 	// FeatureReshard enables the resharding/anti-entropy frames (OpGetVer,
-	// OpScan) on the connection. Granting it pins the connection to a
-	// handle of its own — executor sessions cannot hold a scan
-	// cursor — so ordinary clients should not request it (see
+	// OpScan) on the connection. Ordinary clients do not request it (see
 	// clientDefaultFeatures); the cluster coordinator and scrubber open
 	// dedicated connections that do.
 	FeatureReshard uint16 = 1 << 1

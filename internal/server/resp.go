@@ -13,11 +13,11 @@ import (
 // beside the binary listener, serving one Allocator-mode table so
 // redis-cli, redis-benchmark and Redis client libraries work unmodified.
 //
-// RESP connections always run connection-owned — each holds its own table
-// handle and a streaming KVPipeline for pipelined GETs — regardless of
-// Options.Exec, and coexist with binary connections in every exec mode:
-// both paths mutate the same table, and on durable tables both append to
-// the same redo log with the same no-ack-before-fsync discipline.
+// A RESP connection, like a binary one, holds its own table handle — here
+// with a streaming KVPipeline for pipelined GETs — and coexists with
+// binary connections on the same table: both mutate it, and on durable
+// tables both append to the same redo log with the same
+// no-ack-before-fsync discipline.
 //
 // A pair's deadline lives in its block (see package expiry); what a table
 // has one of is the expiry.Index — the clock and the stripe locks — shared
@@ -90,10 +90,9 @@ func respRefuse(c net.Conn, msg string) {
 // expiryFor returns tbl's shared expiry.Index, creating it (with a crawler
 // on a dedicated handle) on first use for RAM tables. Durable tables
 // register their store-owned one in AddDurable — the store's own KV and
-// crawler lock through it. Every path that can run a KV op on
-// the table — RESP connections, connection-owned binary handles, executor
-// shards — asks here before it starts, so the index exists before the
-// first of them does and none can mutate around it. Tables that are not
+// crawler lock through it. Every connection that can run a KV op on the
+// table — RESP and binary alike — asks here before it starts, so the index
+// exists before the first of them does and none can mutate around it. Tables that are not
 // in Allocator mode take no KV ops and have none (nil).
 func (s *Server) expiryFor(tbl *core.Table) (*expiry.Index, error) {
 	if tbl.Mode() != core.Allocator {

@@ -49,56 +49,54 @@ func respDo(t *testing.T, cl *resp.Client, args ...string) resp.Reply {
 }
 
 // TestRESPBesideBinaryAcrossModes: the RESP listener and the binary
-// listener serve the same table concurrently in every exec mode — writes
-// from one protocol are reads on the other.
+// listener serve the same table concurrently — writes from one protocol
+// are reads on the other.
 func TestRESPBesideBinaryAcrossModes(t *testing.T) {
-	for _, mode := range []ExecMode{ExecShared, ExecConn} {
-		t.Run(mode.String(), func(t *testing.T) {
-			tbl := core.MustNew(core.Config{
-				Mode: core.Allocator, Bins: 1 << 10, Resizable: true,
-				VariableKV: true, Namespaces: true, EpochGC: true,
-				MaxThreads: 64,
-			})
-			s := New(tbl, Options{Exec: mode})
-			addr := startRESPServer(t, s)
-			t.Cleanup(func() { s.Close() })
-
-			rc := dialRESP(t, addr)
-			bc := dialV2T(t, s, ClientOpts{})
-
-			// RESP write → binary read.
-			if r := respDo(t, rc, "SET", "shared", "from-resp"); r.Text() != "OK" {
-				t.Fatalf("SET = %+v", r)
-			}
-			if v, ok, err := bc.GetKV(0, []byte("shared")); err != nil || !ok || string(v) != "from-resp" {
-				t.Fatalf("binary GetKV = (%q,%v,%v)", v, ok, err)
-			}
-			// Binary write → RESP read.
-			if err := bc.InsertKV(0, []byte("binkey"), []byte("from-binary")); err != nil {
-				t.Fatal(err)
-			}
-			if r := respDo(t, rc, "GET", "binkey"); string(r.Bulk) != "from-binary" {
-				t.Fatalf("RESP GET = %+v", r)
-			}
-			// SELECT maps onto the binary protocol's namespaces.
-			if r := respDo(t, rc, "SELECT", "3"); r.Text() != "OK" {
-				t.Fatalf("SELECT = %+v", r)
-			}
-			if r := respDo(t, rc, "SET", "nsk", "ns3"); r.Text() != "OK" {
-				t.Fatalf("SET ns3 = %+v", r)
-			}
-			if v, ok, err := bc.GetKV(3, []byte("nsk")); err != nil || !ok || string(v) != "ns3" {
-				t.Fatalf("binary GetKV ns3 = (%q,%v,%v)", v, ok, err)
-			}
-			// Binary delete → RESP miss.
-			if ok, err := bc.DeleteKV(0, []byte("shared")); err != nil || !ok {
-				t.Fatalf("binary DeleteKV = (%v,%v)", ok, err)
-			}
-			if r := respDo(t, rc, "GET", "shared"); !r.Null {
-				t.Fatalf("GET after binary delete = %+v", r)
-			}
+	t.Run("conn", func(t *testing.T) {
+		tbl := core.MustNew(core.Config{
+			Mode: core.Allocator, Bins: 1 << 10, Resizable: true,
+			VariableKV: true, Namespaces: true, EpochGC: true,
+			MaxThreads: 64,
 		})
-	}
+		s := New(tbl, Options{})
+		addr := startRESPServer(t, s)
+		t.Cleanup(func() { s.Close() })
+
+		rc := dialRESP(t, addr)
+		bc := dialV2T(t, s, ClientOpts{})
+
+		// RESP write → binary read.
+		if r := respDo(t, rc, "SET", "shared", "from-resp"); r.Text() != "OK" {
+			t.Fatalf("SET = %+v", r)
+		}
+		if v, ok, err := bc.GetKV(0, []byte("shared")); err != nil || !ok || string(v) != "from-resp" {
+			t.Fatalf("binary GetKV = (%q,%v,%v)", v, ok, err)
+		}
+		// Binary write → RESP read.
+		if err := bc.InsertKV(0, []byte("binkey"), []byte("from-binary")); err != nil {
+			t.Fatal(err)
+		}
+		if r := respDo(t, rc, "GET", "binkey"); string(r.Bulk) != "from-binary" {
+			t.Fatalf("RESP GET = %+v", r)
+		}
+		// SELECT maps onto the binary protocol's namespaces.
+		if r := respDo(t, rc, "SELECT", "3"); r.Text() != "OK" {
+			t.Fatalf("SELECT = %+v", r)
+		}
+		if r := respDo(t, rc, "SET", "nsk", "ns3"); r.Text() != "OK" {
+			t.Fatalf("SET ns3 = %+v", r)
+		}
+		if v, ok, err := bc.GetKV(3, []byte("nsk")); err != nil || !ok || string(v) != "ns3" {
+			t.Fatalf("binary GetKV ns3 = (%q,%v,%v)", v, ok, err)
+		}
+		// Binary delete → RESP miss.
+		if ok, err := bc.DeleteKV(0, []byte("shared")); err != nil || !ok {
+			t.Fatalf("binary DeleteKV = (%v,%v)", ok, err)
+		}
+		if r := respDo(t, rc, "GET", "shared"); !r.Null {
+			t.Fatalf("GET after binary delete = %+v", r)
+		}
+	})
 }
 
 // TestRESPDurableTable: Options.RESPTable selects a durable store's table;

@@ -12,52 +12,9 @@ import (
 
 	"repro/internal/ackbuf"
 	core "repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/expiry"
 	"repro/internal/wal"
 )
-
-// ExecMode selects how a Server executes decoded requests.
-type ExecMode int
-
-const (
-	// ExecShared (the default) runs requests on the shared sharded
-	// executor: connection readers decode frames and enqueue them into
-	// per-core executor shards, each owning one table handle and a
-	// long-lived pipeline, so batching depth — and with it the prefetch
-	// overlap of §3.3 — comes from connection count rather than from how
-	// deeply any single connection pipelines. Each connection is bound to
-	// one shard, preserving per-connection execution order.
-	ExecShared ExecMode = iota
-	// ExecConn is the goroutine-per-connection escape hatch: each
-	// connection owns a table handle and executes its own requests, as
-	// before the executor existed. Batching then only comes from
-	// per-connection pipelining. Kept for A/B comparison.
-	ExecConn
-)
-
-// String returns the mode name.
-func (m ExecMode) String() string {
-	switch m {
-	case ExecShared:
-		return "shared"
-	case ExecConn:
-		return "conn"
-	}
-	return "unknown"
-}
-
-// ParseExecMode maps a mode name (the -exec flag vocabulary: "shared",
-// "conn") onto its ExecMode.
-func ParseExecMode(name string) (ExecMode, bool) {
-	switch name {
-	case "shared":
-		return ExecShared, true
-	case "conn":
-		return ExecConn, true
-	}
-	return 0, false
-}
 
 // Options tunes a Server. The zero value is usable.
 type Options struct {
@@ -75,12 +32,6 @@ type Options struct {
 	// the next frame and as a write deadline around response flushes.
 	// 0 (the default) disables it.
 	IdleTimeout time.Duration
-	// Exec selects the execution model: ExecShared (default) or the
-	// goroutine-per-connection ExecConn.
-	Exec ExecMode
-	// ExecShards is the number of executor shards per served table in the
-	// executor modes (0 = GOMAXPROCS).
-	ExecShards int
 	// RESPTable names the table the RESP2 listener serves (see ServeRESP);
 	// the default is DefaultTable. The table must be in Allocator (kv)
 	// mode.
@@ -106,9 +57,9 @@ const DefaultTable = ""
 
 // Server serves one or more named DLHT tables over TCP. Each connection
 // picks its table in the handshake and is read by one goroutine, which
-// hands decoded requests either to an executor session or — with ExecConn,
-// and for reshard connections — to a table handle the connection owns (the
-// paper's one-handle-per-thread contract), recycled when it closes.
+// executes the decoded requests on a table handle the connection owns (the
+// paper's one-handle-per-thread contract), recycled when it closes — so a
+// table's Config.MaxThreads bounds its concurrent connections.
 type Server struct {
 	opts Options
 
@@ -125,11 +76,6 @@ type Server struct {
 	// reconnect storms).
 	handleMu   sync.Mutex
 	handleFree chan struct{}
-
-	// execs holds the per-table shared executors (executor modes only),
-	// created lazily when the first connection selects a table and drained
-	// by Close after the connection goroutines exit. Guarded by mu.
-	execs map[*core.Table]*exec.Executor
 
 	// RESP front-end state (resp.go): extra listeners, the per-table
 	// expiry clock-and-locks shared by everything that runs KV ops, and the
@@ -160,7 +106,6 @@ func New(tbl *core.Table, opts Options) *Server {
 		walLogs:    make(map[*core.Table]*wal.Log),
 		conns:      make(map[net.Conn]struct{}),
 		handleFree: make(chan struct{}),
-		execs:      make(map[*core.Table]*exec.Executor),
 		expiries:   make(map[*core.Table]*expiry.Index),
 	}
 }
@@ -178,10 +123,10 @@ func (s *Server) AddTable(name string, tbl *core.Table) error {
 }
 
 // AddDurable registers ds's table under name (DefaultTable replaces the
-// table New installed) and pairs it with ds's redo log, so every serving
-// path — connection-owned handles and executor shards alike — appends
-// effective mutations and withholds response bytes from the socket until a
-// group commit covers them. The caller keeps ownership of ds: close it
+// table New installed) and pairs it with ds's redo log, so every
+// connection serving it — binary and RESP alike — appends effective
+// mutations and withholds response bytes from the socket until a group
+// commit covers them. The caller keeps ownership of ds: close it
 // after the server's Close returns.
 func (s *Server) AddDurable(name string, ds *wal.Store) error {
 	if err := s.AddTable(name, ds.Table()); err != nil {
@@ -283,9 +228,9 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Close stops the listener, closes every live connection, waits for the
-// connection goroutines (readers and response writers) to drain, then
-// flushes and joins the executor shards. No request completion fires and
-// no table handle stays acquired after Close returns.
+// connection goroutines to drain, then stops the server-owned TTL
+// sweepers. No request completion fires and no table handle stays acquired
+// after Close returns.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -309,14 +254,9 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	s.mu.Lock()
-	execs := s.execs
-	s.execs = nil
 	sweepers := s.sweepers
 	s.sweepers = nil
 	s.mu.Unlock()
-	for _, ex := range execs {
-		ex.Close()
-	}
 	// Stop server-owned TTL sweepers after every connection is gone, then
 	// release their dedicated handles.
 	for _, rs := range sweepers {
@@ -326,37 +266,14 @@ func (s *Server) Close() error {
 	return err
 }
 
-// executorFor returns (creating on first use) the shared executor serving
-// tbl. The table's expiry.Index comes first, so no shard ever runs KV ops
-// around its locks.
-func (s *Server) executorFor(tbl *core.Table) (*exec.Executor, error) {
-	ix, err := s.expiryFor(tbl)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.execs == nil {
-		return nil, ErrServerClosed
-	}
-	if ex := s.execs[tbl]; ex != nil {
-		return ex, nil
-	}
-	var w exec.WAL
-	if l := s.walLogs[tbl]; l != nil {
-		w = l // assign only when non-nil: a typed-nil WAL would pass != nil checks
-	}
-	ex, err := exec.New(tbl, exec.Options{Shards: s.opts.ExecShards, WAL: w, Expiry: ix})
-	if err != nil {
-		return nil, err
-	}
-	s.execs[tbl] = ex
-	return ex, nil
-}
-
 // handleWait bounds how long a new connection waits for a handle to be
 // released before refusing with StatusBusy.
 const handleWait = 200 * time.Millisecond
+
+// testHandleWait, when non-nil, is invoked by acquireHandle each time it
+// is about to wait for a release. Test-only: it tells a test the moment a
+// release will wake the waiter rather than find it not yet waiting.
+var testHandleWait func()
 
 // acquireHandle takes a handle on tbl. On exhaustion it blocks until a
 // closing connection releases one (releaseHandle broadcasts) instead of
@@ -378,6 +295,9 @@ func (s *Server) acquireHandle(tbl *core.Table) (*core.Handle, error) {
 		s.handleMu.Unlock()
 		if h, err = tbl.Handle(); err == nil {
 			return h, nil
+		}
+		if testHandleWait != nil {
+			testHandleWait()
 		}
 		select {
 		case <-ch:
@@ -438,8 +358,8 @@ func (s *Server) syncerFor(tbl *core.Table) ackbuf.Syncer {
 }
 
 // serveConn runs the handshake — version check, table selection, feature
-// grant — and hands the connection to the execution target its mode calls
-// for. A connection that does not open with HelloMagic (a client of the
+// grant — and then serves the connection from a handle of its own. A
+// connection that does not open with HelloMagic (a client of the
 // retired handshake-less protocol, or garbage) is refused the way an
 // unsupported version is: one StatusBadVersion handshake reply, then close.
 func (s *Server) serveConn(c net.Conn) {
@@ -469,14 +389,7 @@ func (s *Server) serveConn(c net.Conn) {
 	if w.Flush() != nil || resp.Status != StatusOK {
 		return
 	}
-	// Reshard-feature connections always own their handle: a scan cursor
-	// and the versioned reads around it are connection state an executor
-	// session has nowhere to keep.
-	if s.opts.Exec == ExecConn || resp.Features&FeatureReshard != 0 {
-		s.serveOwned(c, br, w, tbl, resp.Features)
-	} else {
-		s.serveSession(c, br, w, tbl, resp.Features)
-	}
+	s.serveOwned(c, br, w, tbl, resp.Features)
 }
 
 // refuseBusy waits for the connection's first request so the refusal obeys
@@ -512,28 +425,8 @@ func readHello(br *bufio.Reader) (Hello, error) {
 }
 
 // ---------------------------------------------------------------------------
-// The read loop and its two execution targets
+// The read loop and the connection's execution target
 // ---------------------------------------------------------------------------
-
-// target is where readRequests sends what it decodes. A non-nil error from
-// any method ends the connection.
-type target interface {
-	// fixed executes a run of fixed-frame ops. The slice is the reader's
-	// staging and is reused after the call.
-	fixed(ops []core.Op) error
-	// kv executes one KV request. Key and Value alias the reader's staging
-	// and are valid only during the call.
-	kv(req KVRequest) error
-	// reshard executes one reshard frame (OpGetVer or OpScan).
-	reshard(op OpCode, frame []byte) error
-	// bad answers, behind everything accepted so far, with one
-	// StatusBadRequest; the reader then gives up on the connection.
-	bad()
-	// idle is called when the reader is about to block for input: every
-	// finished reply must be on its way first, since the peer may be
-	// waiting for it before it sends more.
-	idle() error
-}
 
 // errMalformedKVHeader is readKVHeader's it-will-never-parse verdict, as
 // opposed to an I/O error; the reader answers StatusBadRequest and gives
@@ -566,8 +459,9 @@ func readKVHeader(br *bufio.Reader) (ns uint16, klen, vlen int, err error) {
 // malformed frame gets the decodable prefix answered, then one
 // StatusBadRequest, and the connection is given up: byte alignment is no
 // longer trusted. Before every read that may block the target gets its
-// idle call and the read deadline is re-armed.
-func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t target) {
+// idle call and the read deadline is re-armed. A non-nil error from any
+// target method ends the connection.
+func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t *ownedTarget) {
 	var ops []core.Op  // decoded fixed-frame run, reused
 	var scratch []byte // KV payload staging, reused up to kvScratchRetain
 	mayBlock := func(n int) error {
@@ -719,6 +613,8 @@ func (s *Server) serveOwned(c net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl 
 	s.readRequests(c, br, features, t)
 }
 
+// fixed executes a run of fixed-frame ops. The slice is the reader's
+// staging and is reused after the call.
 func (t *ownedTarget) fixed(ops []core.Op) error {
 	for i := range ops {
 		t.p.Enqueue(ops[i])
@@ -726,18 +622,28 @@ func (t *ownedTarget) fixed(ops []core.Op) error {
 	return t.w.Err()
 }
 
+// idle is called when the reader is about to block for input: every
+// finished reply must be on its way first, since the peer may be waiting
+// for it before it sends more. With nothing in flight and every value view
+// copied into the reply buffer, the handle drops its epoch pin too: an idle
+// connection must not hold back reclamation for the whole table.
 func (t *ownedTarget) idle() error {
 	t.p.Flush()
+	t.h.Unpin()
 	t.clk.Reset()
 	return t.w.Flush()
 }
 
+// bad answers, behind everything accepted so far, with one
+// StatusBadRequest; the reader then gives up on the connection.
 func (t *ownedTarget) bad() {
 	t.p.Flush()
 	t.w.Commit(AppendResponse(t.w.Buf(), Response{Status: StatusBadRequest}))
 	t.w.Flush()
 }
 
+// kv executes one KV request. Key and Value alias the reader's staging and
+// are valid only during the call.
 func (t *ownedTarget) kv(req KVRequest) error {
 	// Order barrier: all pipelined fixed-frame responses precede this one.
 	t.p.Flush()
@@ -863,127 +769,6 @@ func execKV(tbl *core.Table, kv expiry.KV, req KVRequest, clk *expiry.Clock) (KV
 		return KVResponse{Status: errToStatus(err)}, seq
 	}
 	return KVResponse{Status: StatusBadRequest}, 0
-}
-
-// sessionTarget submits a connection's requests to the shared sharded
-// executor. Execution overlaps across connections inside the shard
-// pipelines — which is where the many-small-clients batching win comes
-// from — and needs no barrier between fixed and KV requests: the
-// session's reorder ring restores response order for connWriter.
-type sessionTarget struct{ sess *exec.Session }
-
-// serveSession serves a connection through an executor session: this
-// goroutine reads and submits, a second one drains the session's in-order
-// completions into the socket.
-func (s *Server) serveSession(c net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl *core.Table, features uint16) {
-	ex, err := s.executorFor(tbl)
-	if err != nil {
-		refuseBusy(br, w)
-		return
-	}
-	sess, err := ex.NewSession()
-	if err != nil {
-		refuseBusy(br, w)
-		return
-	}
-	done := make(chan struct{})
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer close(done)
-		connWriter(c, sess, w)
-	}()
-	s.readRequests(c, br, features, sessionTarget{sess})
-	sess.FinishSubmit()
-	// Wait for the writer to deliver every submitted request's response
-	// (or its write error) before the connection is closed.
-	<-done
-}
-
-func (t sessionTarget) fixed(ops []core.Op) error { return t.sess.SubmitBatch(ops) }
-
-// kv copies the request out of the reader's staging: the executor holds
-// key and value until the op completes, so each in-flight KV op owns its
-// bytes.
-func (t sessionTarget) kv(req KVRequest) error {
-	payload := append(append(make([]byte, 0, len(req.Key)+len(req.Value)), req.Key...), req.Value...)
-	return t.sess.SubmitKV(&exec.KVOp{
-		Kind: kvKindOf(req.Op), NS: req.NS,
-		Key: payload[:len(req.Key)], Value: payload[len(req.Key):],
-	})
-}
-
-// reshard is never granted to a session connection (see serveConn), so the
-// reader cannot get here; refuse rather than trust that.
-func (t sessionTarget) reshard(OpCode, []byte) error {
-	t.bad()
-	return ErrBadRequest
-}
-
-func (t sessionTarget) bad() { t.sess.Fail(ErrBadRequest) }
-
-// idle has nothing to do: connWriter flushes on its own whenever the
-// session has no further completion ready.
-func (t sessionTarget) idle() error { return nil }
-
-// connWriter drains a session's in-order completions into the reply
-// writer, raising its sync bar to each completion's redo-log sequence, and
-// flushes when no further completion is immediately ready (the
-// drain-before-blocking rule of the owned target). The first failure
-// closes the connection — so the reader stops feeding a peer that will
-// never see another response — after which the writer keeps consuming
-// completions without writing (the reader may be blocked on the session's
-// in-flight bound) until the session drains.
-func connWriter(c net.Conn, sess *exec.Session, w *ackbuf.Writer) {
-	flush := func() {
-		if w.Flush() != nil {
-			c.Close() // unblocks and errors the reader
-		}
-	}
-	buf := make([]exec.Done, 0, 256)
-	for {
-		run, ok := sess.Await(buf[:0], flush)
-		if !ok {
-			break
-		}
-		buf = run[:0]
-		for i := range run {
-			d := &run[i]
-			w.NeedSync(d.WALSeq)
-			if d.KV != nil {
-				w.Commit(AppendKVResponse(w.Buf(), kvDoneToResp(d.KV)))
-			} else {
-				w.Commit(AppendResponse(w.Buf(), opToResp(&d.Op)))
-			}
-		}
-		if w.Err() != nil {
-			c.Close()
-		}
-	}
-	flush()
-}
-
-// kvKindOf maps a KV opcode onto the executor's op kind.
-func kvKindOf(op OpCode) exec.KVKind {
-	switch op {
-	case OpInsertKV:
-		return exec.KVInsert
-	case OpDeleteKV:
-		return exec.KVDelete
-	}
-	return exec.KVGet
-}
-
-// kvDoneToResp maps a completed executor KV op onto its wire response,
-// with the same status mapping as the connection-owned execKV path.
-func kvDoneToResp(kv *exec.KVOp) KVResponse {
-	if kv.Err != nil {
-		return KVResponse{Status: errToStatus(kv.Err)}
-	}
-	if !kv.OK {
-		return KVResponse{Status: StatusNotFound}
-	}
-	return KVResponse{Status: StatusOK, Value: kv.Out}
 }
 
 // reqToOp maps a wire request onto a batch op.

@@ -5,7 +5,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	core "repro/internal/core"
 )
@@ -263,11 +262,9 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 }
 
 // TestHandleRecycling cycles far more connections than MaxThreads; without
-// Handle.Close recycling the server would run out of handles. Handle churn
-// is a property of the goroutine-per-connection model (executor shards
-// hold their handles for the server's lifetime), so this pins ExecConn.
+// Handle.Close recycling the server would run out of handles.
 func TestHandleRecycling(t *testing.T) {
-	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true, MaxThreads: 4}, Options{Exec: ExecConn})
+	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true, MaxThreads: 4}, Options{})
 	for i := 0; i < 64; i++ {
 		cl, err := DialV2(s.Addr().String(), ClientOpts{})
 		if err != nil {
@@ -285,7 +282,7 @@ func TestHandleRecycling(t *testing.T) {
 // and the connection is closed — after consuming the request, so the
 // response-matching rule holds.
 func TestBusyWhenHandlesExhausted(t *testing.T) {
-	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true, MaxThreads: 2}, Options{Exec: ExecConn})
+	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true, MaxThreads: 2}, Options{})
 	// Pin both handles with live connections.
 	for i := 0; i < 2; i++ {
 		cl := dialT(t, s)
@@ -309,7 +306,17 @@ func TestBusyWhenHandlesExhausted(t *testing.T) {
 // connection closes — the release notification wakes the waiter instead of
 // it sleep-polling (or giving up with StatusBusy).
 func TestAcquireHandleWaitsForRelease(t *testing.T) {
-	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true, MaxThreads: 1}, Options{Exec: ExecConn})
+	waiting := make(chan struct{}, 1)
+	testHandleWait = func() {
+		select {
+		case waiting <- struct{}{}:
+		default:
+		}
+	}
+	// Registered before startServer's Close, so it runs after the server's
+	// goroutines are joined.
+	t.Cleanup(func() { testHandleWait = nil })
+	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true, MaxThreads: 1}, Options{})
 	cl1 := dialT(t, s)
 	if _, inserted, err := cl1.Insert(1, 42); err != nil || !inserted {
 		t.Fatalf("pin conn: inserted=%v err=%v", inserted, err)
@@ -321,7 +328,7 @@ func TestAcquireHandleWaitsForRelease(t *testing.T) {
 	if err := cl2.flush(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // let cl2's goroutine reach the wait
+	<-waiting // cl2's goroutine is about to wait for a release
 	cl1.Close()
 	if err := cl2.recvOne(); err != nil || out[0].Status != StatusOK || out[0].Result != 42 {
 		t.Fatalf("resp after release = %+v, %v; want OK 42", out[0].Response, err)

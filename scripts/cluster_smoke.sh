@@ -1,7 +1,7 @@
 #!/bin/sh
 # cluster_smoke.sh — 3-shard sharded-cluster smoke for CI and local runs.
 #
-# Launches three dlht-server processes (shared-executor default), drives
+# Launches three dlht-server processes, drives
 # them with `dlht-loadgen -addrs` (the consistent-hashed Cluster Store)
 # request-at-a-time (-pipeline 1) at two connection counts — 4, and the
 # many-small-clients regime at 64 — plus pipelined (-pipeline 64), and
@@ -62,8 +62,7 @@ addrs=127.0.0.1:14141,127.0.0.1:14142,127.0.0.1:14143
 }
 cat "$synclog"
 # The many-small-clients case: 64 connections with a pipe window of one
-# each — the regime the shared executor serves by aggregating the fleet
-# into per-shard pipelines.
+# each, 64 handles held at once on every shard.
 "$bindir/dlht-loadgen" -addrs "$addrs" -conns 64 -pipeline 1 \
 	-ops 200000 -keys 100000 -read-pct 50 -skip-load >"$sync64log" 2>&1 || {
 	status=$?
