@@ -39,11 +39,20 @@ type Writer struct {
 
 // New returns a Writer for c with a size-byte buffer that streams out once
 // half full. sync is nil for a table without a redo log; a positive
-// timeout is armed as the write deadline around every socket write.
+// timeout is the connection's idle bound, armed as the write deadline
+// around every socket write and, by ArmRead, as the read deadline.
 func New(c net.Conn, sync Syncer, size int, timeout time.Duration) *Writer {
 	return &Writer{
 		c: c, sync: sync, buf: make([]byte, 0, size),
 		size: size, timeout: timeout,
+	}
+}
+
+// ArmRead arms the connection's read deadline before a read that can
+// block, so a peer that stops sending cannot pin the connection.
+func (w *Writer) ArmRead() {
+	if w.timeout > 0 {
+		w.c.SetReadDeadline(time.Now().Add(w.timeout))
 	}
 }
 

@@ -4,12 +4,13 @@ package analyzers
 // any direct KV operation on the handle (a synchronous read, an
 // upsert, a delete) that runs while lookups are still in flight can
 // observe or produce state the pending completions then contradict —
-// replies reorder across the mutation. The contract on the resp
-// serving path: methods of a struct that owns a *core.KVPipeline
-// must drain it (barrier / Flush / drainTo) before touching the table
-// directly.
+// replies reorder across the mutation. The contract on the serving
+// path: methods of a struct that owns a *core.KVPipeline — directly, or
+// through a field that owns one, as a codec's connection owns its
+// engine's — must drain it (Barrier / Flush / drainTo) before
+// touching the table directly.
 //
-// The pass finds struct types with a KVPipeline-typed field, then
+// The pass finds the owning struct types, then
 // checks each of their methods: a direct KV call — a handle operation
 // (GetKV, GetKVMeta, SetKVMeta, InsertKV*, UpsertKV*,
 // UpdateKV, DeleteKV*) not on
@@ -32,7 +33,7 @@ var PipeBarrier = &Analyzer{
 }
 
 var pipeDrains = map[string]bool{
-	"barrier": true, "Flush": true, "drainTo": true,
+	"Barrier": true, "Flush": true, "drainTo": true,
 }
 
 var directKVOps = map[string]bool{
@@ -66,28 +67,39 @@ func runPipeBarrier(p *Pass) {
 	}
 }
 
-// pipelineOwners returns the names of struct types in this package
-// with a field whose type is (a pointer to) a type named KVPipeline.
+// pipelineOwners returns the names of struct types in this package that
+// own a KVPipeline.
 func pipelineOwners(p *Pass) map[string]bool {
 	owners := make(map[string]bool)
 	scope := p.Pkg.Scope()
 	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if fn := namedOf(st.Field(i).Type()); fn != nil && fn.Obj().Name() == "KVPipeline" {
-				owners[name] = true
-				break
-			}
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && ownsKVPipeline(tn.Type(), map[*types.Named]bool{}) {
+			owners[name] = true
 		}
 	}
 	return owners
+}
+
+// ownsKVPipeline reports whether t is a struct type with a field whose
+// type is (a pointer to) a type named KVPipeline, or to a struct type
+// that owns one: a codec's connection holding the engine that holds the
+// pipeline owns it too, from whichever package. seen breaks cycles.
+func ownsKVPipeline(t types.Type, seen map[*types.Named]bool) bool {
+	n := namedOf(t)
+	if n == nil || seen[n] {
+		return false
+	}
+	seen[n] = true
+	st, ok := n.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if fn := namedOf(st.Field(i).Type()); fn != nil && (fn.Obj().Name() == "KVPipeline" || ownsKVPipeline(fn, seen)) {
+			return true
+		}
+	}
+	return false
 }
 
 func checkPipeBarrier(p *Pass, fd *ast.FuncDecl) {

@@ -27,11 +27,11 @@ type conn struct {
 	kv KV
 }
 
-func (cn *conn) barrier() { cn.pl.Flush() }
+func (cn *conn) Barrier() { cn.pl.Flush() }
 
 // cmdGood drains in-flight lookups before the direct read.
 func (cn *conn) cmdGood(key []byte) {
-	cn.barrier()
+	cn.Barrier()
 	cn.h.GetKV(key)
 }
 
@@ -43,7 +43,7 @@ func (cn *conn) enqueueGood(key []byte, hash uint64) {
 // cmdBad reads the table while lookups may still be in flight.
 func (cn *conn) cmdBad(key []byte) {
 	cn.h.GetKV(key) // want `no barrier/Flush before it`
-	cn.barrier()
+	cn.Barrier()
 }
 
 // deleteBad mutates behind in-flight lookups.
@@ -53,7 +53,7 @@ func (cn *conn) deleteBad(key []byte, hash uint64) {
 
 // cmdSetGood drains, then makes its one call into the state machine.
 func (cn *conn) cmdSetGood(key, val []byte, hash uint64) {
-	cn.barrier()
+	cn.Barrier()
 	cn.kv.Set(key, val, hash)
 }
 
@@ -71,4 +71,31 @@ func (cn *conn) setLocked(key []byte) {
 // free functions without the owning receiver are out of scope.
 func free(h *handle, key []byte) {
 	h.GetKV(key)
+}
+
+// engine stands in for the per-connection engine: it owns the pipeline,
+// and Barrier is its drain.
+type engine struct {
+	kp *KVPipeline
+	KV KV
+}
+
+func (e *engine) Barrier() { e.kp.Flush() }
+
+// codec holds the engine, not the pipeline: it owns the pipeline through
+// it, and its methods are checked like the engine's own.
+type codec struct {
+	*engine
+}
+
+// cmdSetGood drains through the engine, then calls the state machine.
+func (cd *codec) cmdSetGood(key, val []byte, hash uint64) {
+	cd.Barrier()
+	cd.KV.Set(key, val, hash)
+}
+
+// cmdSetBad mutates before the engine's barrier.
+func (cd *codec) cmdSetBad(key, val []byte, hash uint64) {
+	cd.KV.Set(key, val, hash) // want `no barrier/Flush before it`
+	cd.Barrier()
 }

@@ -170,23 +170,9 @@ func (s *localStore) Delete(key uint64) (uint64, bool, error) {
 	return prev, ok, nil
 }
 
-// GetVer implements VersionReader. The Get is bracketed by two VersionOf
-// reads; equal brackets mean no mutation committed between them, so the
-// pair is consistent. A handful of retries rides out a write burst; the
-// final attempt is returned unbracketed (anti-entropy tolerates a stale
-// pair — the racing write re-journals or a later scrub pass converges it).
+// GetVer implements VersionReader with Handle.GetVer.
 func (s *localStore) GetVer(key uint64) (uint64, bool, uint64, error) {
-	var v uint64
-	var ok bool
-	ver := s.h.VersionOf(key)
-	for i := 0; i < 4; i++ {
-		v, ok = s.h.Get(key)
-		after := s.h.VersionOf(key)
-		if after == ver {
-			break
-		}
-		ver = after
-	}
+	v, ok, ver := s.h.GetVer(key)
 	return v, ok, ver, nil
 }
 

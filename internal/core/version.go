@@ -95,3 +95,23 @@ func (h *Handle) VersionOf(key uint64) uint64 {
 	}
 	return h.t.vers.get(key)
 }
+
+// GetVer is the versioned read behind VersionReader: key's value and the
+// applied-mutation count it belongs to. The Get is bracketed by two
+// VersionOf reads; equal brackets mean no mutation committed between them,
+// so the pair is consistent. A handful of retries rides out a write burst;
+// the final attempt is returned unbracketed (anti-entropy tolerates a
+// stale pair — the racing write re-journals or a later scrub pass
+// converges it).
+func (h *Handle) GetVer(key uint64) (val uint64, ok bool, ver uint64) {
+	ver = h.VersionOf(key)
+	for i := 0; i < 4; i++ {
+		val, ok = h.Get(key)
+		after := h.VersionOf(key)
+		if after == ver {
+			break
+		}
+		ver = after
+	}
+	return val, ok, ver
+}

@@ -1,0 +1,161 @@
+// Package engine is the per-connection serving engine both wire codecs —
+// binary frames (internal/server) and RESP2 (internal/resp) — run on: the
+// paper's one thread, one handle, one ordered batch (§3.3), written once.
+// It owns the handle with its fixed-op Pipeline and, on an Allocator-mode
+// table, a KVPipeline whose Gets visit their block once, after its
+// prefetch; the expiry.KV binding and the burst clock a Get's completion
+// checks the pair's deadline against; the key arena and dead-key queue;
+// the reply writer; the idle step; and the epoch cadence. Replies leave in
+// request order: each pipeline completes in order, an op entering one
+// pipeline first drains the other, and an inline reply runs behind Barrier.
+package engine
+
+//dlht:hotpath
+
+import (
+	"repro/internal/ackbuf"
+	core "repro/internal/core"
+	"repro/internal/expiry"
+)
+
+// WAL is what a durable table's redo log gives a connection (satisfied by
+// *wal.Log; a local interface keeps this package free of a wal
+// dependency): the records the KV state machine appends, and the sync the
+// reply writer waits on before a reply byte reaches the socket.
+type WAL interface {
+	expiry.RedoLog
+	ackbuf.Syncer
+}
+
+// Opts wires an engine to its connection.
+type Opts struct {
+	Handle *core.Handle // the connection's own; the caller acquires and releases it
+	// Expiry is the table's clock and stripe locks, shared with every
+	// connection and the crawler; nil on a table not in Allocator mode.
+	Expiry *expiry.Index
+	Log    WAL // nil for a RAM table
+	Writer *ackbuf.Writer
+	// OnFixed and OnGet encode a fixed op's and a Get's reply as it
+	// completes. OnGet's value view is valid only during the call.
+	OnFixed func(*core.Op)
+	OnGet   func(val []byte, ok bool)
+}
+
+// epochEvery is the epoch-refresh cadence in ops; arenaRetain bounds the
+// key arena kept between barriers.
+const (
+	epochEvery  = 1 << 10
+	arenaRetain = 1 << 20
+)
+
+// Engine is one connection's serving state, owned by its goroutine.
+type Engine struct {
+	H  *core.Handle
+	KV expiry.KV // every KV op but a pipelined Get; call Barrier first
+	W  *ackbuf.Writer
+
+	p     *core.Pipeline
+	kp    *core.KVPipeline // nil unless the table is in Allocator mode
+	clk   expiry.Clock     // sampled once per read burst
+	onGet func([]byte, bool)
+	arena []byte       // keys of in-flight Gets
+	dead  []core.KVGet // (ns, arena key) of each Get that found its pair dead
+	ops   int          // since the last epoch advance
+}
+
+// New builds a connection's engine.
+func New(o Opts) *Engine {
+	e := &Engine{
+		H: o.Handle, KV: expiry.Bind(o.Handle, o.Expiry, o.Log), W: o.Writer,
+		clk: o.Expiry.Clock(), onGet: o.OnGet,
+	}
+	e.p = e.H.Pipeline(core.PipelineOpts{OnComplete: o.OnFixed})
+	if e.H.Table().Mode() == core.Allocator {
+		e.kp = e.H.KVPipeline(core.KVPipelineOpts{OnComplete: e.complete})
+	}
+	return e
+}
+
+// Now is the burst clock's sample, what a relative TTL counts from.
+func (e *Engine) Now() int64 { return e.clk.Now() }
+
+// Enqueue admits a run of fixed ops.
+func (e *Engine) Enqueue(ops ...core.Op) {
+	if e.kp != nil && e.kp.InFlight() > 0 {
+		e.kp.Flush()
+	}
+	e.ops += len(ops)
+	for i := range ops {
+		e.p.Enqueue(ops[i])
+	}
+}
+
+// Get admits a lookup of a key Table.CheckKV accepts, with its
+// Table.HashOfKV hash. The key is copied: the caller may reuse its buffer.
+func (e *Engine) Get(ns uint16, key []byte, hash uint64) {
+	if e.p.InFlight() > 0 {
+		e.p.Flush()
+	}
+	e.ops++
+	off := len(e.arena)
+	e.arena = append(e.arena, key...)
+	e.kp.GetHashed(ns, e.arena[off:len(e.arena):len(e.arena)], hash)
+}
+
+// complete is a Get's completion. The deadline came with the value: a dead
+// pair answers as a miss, and its delete, which needs the stripe lock and
+// an empty pipeline, waits for the barrier.
+func (e *Engine) complete(g *core.KVGet) {
+	if g.OK && expiry.Dead(g.Meta, e.clk.Now()) {
+		e.dead = append(e.dead, core.KVGet{NS: g.NS, Key: g.Key})
+		e.onGet(nil, false)
+		return
+	}
+	e.onGet(g.Value, g.OK)
+}
+
+// Barrier completes everything in flight; has the pairs those Gets found
+// dead deleted (KV.Expired re-checks under the stripe lock), so the op
+// behind it sees a table without them; recycles the key arena; and, with
+// no value view in flight, refreshes the handle's epoch when it is due, so
+// blocks other connections deleted reclaim.
+func (e *Engine) Barrier() {
+	e.ops++
+	e.p.Flush()
+	if e.kp != nil {
+		e.kp.Flush()
+		for _, d := range e.dead {
+			e.KV.Expired(d.NS, d.Key, e.H.Table().HashOfKV(d.NS, d.Key))
+		}
+		e.dead = e.dead[:0]
+		if cap(e.arena) > arenaRetain {
+			e.arena = nil
+		} else {
+			e.arena = e.arena[:0]
+		}
+	}
+	if e.ops >= epochEvery {
+		e.ops = 0
+		e.H.AdvanceEpoch()
+	}
+}
+
+// Idle readies the connection to block on a read: the peer may be waiting
+// for the replies so far. With every value copied out, the handle drops
+// its epoch pin — an idle connection must not hold back reclamation for
+// the table — and the next read starts a burst with a new clock sample.
+func (e *Engine) Idle() error {
+	e.Barrier()
+	e.H.Unpin()
+	e.clk.Reset()
+	err := e.W.Flush()
+	e.W.ArmRead()
+	return err
+}
+
+// Close completes what is in flight and flushes the replies. The handle
+// stays the caller's.
+func (e *Engine) Close() {
+	e.Barrier()
+	e.W.Flush()
+}

@@ -8,11 +8,10 @@ import (
 	"repro/internal/expiry"
 )
 
-// Command dispatch. GET and MGET are the streamed path: their keys are
-// retained in the arena and enqueued on the connection's KVPipeline, and
-// their replies are written by OnComplete in enqueue order. Every other
-// command is a barrier — it drains the pipeline first, so its inline
-// reply cannot overtake a pipelined lookup's.
+// Command dispatch. GET and MGET are the streamed path: their keys go to
+// the engine's Get, and their replies are written by replyGet in enqueue
+// order. Every other command is a barrier — it drains the engine first, so
+// its inline reply cannot overtake a pipelined lookup's.
 
 func upperTo(dst, src []byte) []byte {
 	for _, c := range src {
@@ -27,7 +26,7 @@ func upperTo(dst, src []byte) []byte {
 func (cn *conn) dispatch(cmd *Command) {
 	args := cmd.Args
 	if len(args[0]) > 32 {
-		cn.barrier()
+		cn.Barrier()
 		cn.writeError("ERR unknown command")
 		return
 	}
@@ -67,14 +66,14 @@ func (cn *conn) dispatch(cmd *Command) {
 	case "PERSIST":
 		cn.cmdPersist(args)
 	case "PING":
-		cn.barrier()
+		cn.Barrier()
 		if len(args) > 1 {
 			cn.writeBulk(args[1])
 		} else {
 			cn.writeSimple("PONG")
 		}
 	case "ECHO":
-		cn.barrier()
+		cn.Barrier()
 		if len(args) != 2 {
 			cn.wrongArgs("echo")
 			return
@@ -83,23 +82,23 @@ func (cn *conn) dispatch(cmd *Command) {
 	case "SELECT":
 		cn.cmdSelect(args)
 	case "QUIT":
-		cn.barrier()
+		cn.Barrier()
 		cn.writeSimple("OK")
 		cn.closed = true
 	case "DBSIZE":
-		cn.barrier()
-		cn.writeInt(int64(cn.h.Len()))
+		cn.Barrier()
+		cn.writeInt(int64(cn.H.Len()))
 	case "COMMAND":
 		// Handshake stub: clients probe COMMAND / COMMAND DOCS at connect
 		// and tolerate an empty table.
-		cn.barrier()
+		cn.Barrier()
 		cn.writeArrayHeader(0)
 	case "CONFIG":
 		cn.cmdConfig(args)
 	case "INFO":
 		cn.cmdInfo(args)
 	default:
-		cn.barrier()
+		cn.Barrier()
 		cn.writeError("ERR unknown command '" + string(args[0]) + "'")
 	}
 }
@@ -136,43 +135,43 @@ var (
 
 func (cn *conn) cmdGet(args [][]byte) {
 	if len(args) != 2 {
-		cn.barrier()
+		cn.Barrier()
 		cn.wrongArgs("get")
 		return
 	}
 	key := args[1]
 	if err := cn.tbl.CheckKV(cn.ns, key, nil, false); err != nil {
-		cn.barrier()
+		cn.Barrier()
 		cn.writeKVErr(err)
 		return
 	}
-	cn.pl.GetHashed(cn.ns, cn.retain(key), cn.tbl.HashOfKV(cn.ns, key))
+	cn.Get(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
 }
 
 func (cn *conn) cmdMGet(args [][]byte) {
 	if len(args) < 2 {
-		cn.barrier()
+		cn.Barrier()
 		cn.wrongArgs("mget")
 		return
 	}
 	// The *N header must precede the first value, so the pipeline has to
 	// be empty when it goes out; the per-key replies then stream from
 	// OnComplete like plain GETs.
-	cn.barrier()
+	cn.Barrier()
 	cn.writeArrayHeader(len(args) - 1)
 	for _, key := range args[1:] {
 		if cn.tbl.CheckKV(cn.ns, key, nil, false) != nil {
 			// An unstorable key cannot exist: nil, ordered via barrier.
-			cn.barrier()
+			cn.Barrier()
 			cn.writeNull()
 			continue
 		}
-		cn.pl.GetHashed(cn.ns, cn.retain(key), cn.tbl.HashOfKV(cn.ns, key))
+		cn.Get(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
 	}
 }
 
 func (cn *conn) cmdExists(args [][]byte) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) < 2 {
 		cn.wrongArgs("exists")
 		return
@@ -182,7 +181,7 @@ func (cn *conn) cmdExists(args [][]byte) {
 		if cn.tbl.CheckKV(cn.ns, key, nil, false) != nil {
 			continue
 		}
-		if _, _, exists := cn.kv.TTL(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key)); exists {
+		if _, _, exists := cn.KV.TTL(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key)); exists {
 			n++
 		}
 	}
@@ -194,7 +193,7 @@ func (cn *conn) cmdExists(args [][]byte) {
 // ---------------------------------------------------------------------------
 
 func (cn *conn) cmdSet(args [][]byte) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) < 3 {
 		cn.wrongArgs("set")
 		return
@@ -228,13 +227,13 @@ func (cn *conn) cmdSet(args [][]byte) {
 					cn.writeError("ERR invalid expire time in 'set' command")
 					return
 				}
-				atMs = cn.clk.Now() + n*1000
+				atMs = cn.Now() + n*1000
 			case "PX":
 				if n <= 0 {
 					cn.writeError("ERR invalid expire time in 'set' command")
 					return
 				}
-				atMs = cn.clk.Now() + n
+				atMs = cn.Now() + n
 			case "EXAT":
 				atMs = n * 1000
 			case "PXAT":
@@ -254,8 +253,8 @@ func (cn *conn) cmdSet(args [][]byte) {
 		cn.writeKVErr(err)
 		return
 	}
-	set, seq, err := cn.kv.Set(cn.ns, key, val, cn.tbl.HashOfKV(cn.ns, key), atMs, flags)
-	cn.w.NeedSync(seq)
+	set, seq, err := cn.KV.Set(cn.ns, key, val, cn.tbl.HashOfKV(cn.ns, key), atMs, flags)
+	cn.W.NeedSync(seq)
 	if err != nil {
 		cn.writeKVErr(err)
 		return
@@ -268,7 +267,7 @@ func (cn *conn) cmdSet(args [][]byte) {
 }
 
 func (cn *conn) cmdSetNX(args [][]byte) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) != 3 {
 		cn.wrongArgs("setnx")
 		return
@@ -278,13 +277,13 @@ func (cn *conn) cmdSetNX(args [][]byte) {
 		cn.writeKVErr(err)
 		return
 	}
-	set, seq, err := cn.kv.Set(cn.ns, key, val, cn.tbl.HashOfKV(cn.ns, key), 0, expiry.NX)
-	cn.w.NeedSync(seq)
+	set, seq, err := cn.KV.Set(cn.ns, key, val, cn.tbl.HashOfKV(cn.ns, key), 0, expiry.NX)
+	cn.W.NeedSync(seq)
 	cn.writeFlag(set, err)
 }
 
 func (cn *conn) cmdMSet(args [][]byte) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) < 3 || (len(args)-1)%2 != 0 {
 		cn.wrongArgs("mset")
 		return
@@ -298,8 +297,8 @@ func (cn *conn) cmdMSet(args [][]byte) {
 		}
 	}
 	for i := 1; i < len(args); i += 2 {
-		_, seq, err := cn.kv.Set(cn.ns, args[i], args[i+1], cn.tbl.HashOfKV(cn.ns, args[i]), 0, 0)
-		cn.w.NeedSync(seq)
+		_, seq, err := cn.KV.Set(cn.ns, args[i], args[i+1], cn.tbl.HashOfKV(cn.ns, args[i]), 0, 0)
+		cn.W.NeedSync(seq)
 		if err != nil {
 			cn.writeKVErr(err)
 			return
@@ -309,7 +308,7 @@ func (cn *conn) cmdMSet(args [][]byte) {
 }
 
 func (cn *conn) cmdDel(args [][]byte) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) < 2 {
 		cn.wrongArgs("del")
 		return
@@ -319,8 +318,8 @@ func (cn *conn) cmdDel(args [][]byte) {
 		if cn.tbl.CheckKV(cn.ns, key, nil, false) != nil {
 			continue
 		}
-		deleted, seq, err := cn.kv.Delete(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
-		cn.w.NeedSync(seq)
+		deleted, seq, err := cn.KV.Delete(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
+		cn.W.NeedSync(seq)
 		if err != nil {
 			cn.writeKVErr(err)
 			return
@@ -333,7 +332,7 @@ func (cn *conn) cmdDel(args [][]byte) {
 }
 
 func (cn *conn) cmdIncr(args [][]byte, name string, sign int64, hasArg bool) {
-	cn.barrier()
+	cn.Barrier()
 	want := 2
 	if hasArg {
 		want = 3
@@ -358,7 +357,7 @@ func (cn *conn) cmdIncr(args [][]byte, name string, sign int64, hasArg bool) {
 	}
 	var n int64
 	var vbuf [24]byte
-	seq, err := cn.kv.Update(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key), func(cur []byte, ok bool) ([]byte, error) {
+	seq, err := cn.KV.Update(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key), func(cur []byte, ok bool) ([]byte, error) {
 		var c int64
 		if ok {
 			if c, ok = parseInt(cur); !ok {
@@ -371,7 +370,7 @@ func (cn *conn) cmdIncr(args [][]byte, name string, sign int64, hasArg bool) {
 		}
 		return strconv.AppendInt(vbuf[:0], n, 10), nil
 	})
-	cn.w.NeedSync(seq)
+	cn.W.NeedSync(seq)
 	if err != nil {
 		cn.writeKVErr(err)
 		return
@@ -384,7 +383,7 @@ func (cn *conn) cmdIncr(args [][]byte, name string, sign int64, hasArg bool) {
 // ---------------------------------------------------------------------------
 
 func (cn *conn) cmdExpire(args [][]byte, name string, unitMs int64) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) != 3 {
 		cn.wrongArgs(name)
 		return
@@ -399,13 +398,13 @@ func (cn *conn) cmdExpire(args [][]byte, name string, unitMs int64) {
 		cn.writeInt(0)
 		return
 	}
-	found, seq, err := cn.kv.ExpireAt(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key), cn.clk.Now()+n*unitMs)
-	cn.w.NeedSync(seq)
+	found, seq, err := cn.KV.ExpireAt(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key), cn.Now()+n*unitMs)
+	cn.W.NeedSync(seq)
 	cn.writeFlag(found, err)
 }
 
 func (cn *conn) cmdTTL(args [][]byte, name string, inMs bool) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) != 2 {
 		cn.wrongArgs(name)
 		return
@@ -415,7 +414,7 @@ func (cn *conn) cmdTTL(args [][]byte, name string, inMs bool) {
 		cn.writeInt(-2)
 		return
 	}
-	rem, hasTTL, exists := cn.kv.TTL(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
+	rem, hasTTL, exists := cn.KV.TTL(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
 	switch {
 	case !exists:
 		cn.writeInt(-2)
@@ -429,7 +428,7 @@ func (cn *conn) cmdTTL(args [][]byte, name string, inMs bool) {
 }
 
 func (cn *conn) cmdPersist(args [][]byte) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) != 2 {
 		cn.wrongArgs("persist")
 		return
@@ -439,8 +438,8 @@ func (cn *conn) cmdPersist(args [][]byte) {
 		cn.writeInt(0)
 		return
 	}
-	removed, seq, err := cn.kv.Persist(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
-	cn.w.NeedSync(seq)
+	removed, seq, err := cn.KV.Persist(cn.ns, key, cn.tbl.HashOfKV(cn.ns, key))
+	cn.W.NeedSync(seq)
 	cn.writeFlag(removed, err)
 }
 
@@ -451,7 +450,7 @@ func (cn *conn) cmdPersist(args [][]byte) {
 var selectProbe = []byte{'p'}
 
 func (cn *conn) cmdSelect(args [][]byte) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) != 2 {
 		cn.wrongArgs("select")
 		return
@@ -473,7 +472,7 @@ func (cn *conn) cmdSelect(args [][]byte) {
 }
 
 func (cn *conn) cmdConfig(args [][]byte) {
-	cn.barrier()
+	cn.Barrier()
 	if len(args) < 2 {
 		cn.wrongArgs("config")
 		return
@@ -491,9 +490,9 @@ func (cn *conn) cmdConfig(args [][]byte) {
 }
 
 func (cn *conn) cmdInfo(args [][]byte) {
-	cn.barrier()
+	cn.Barrier()
 	durable := "0"
-	if cn.o.Log != nil {
+	if cn.durable {
 		durable = "1"
 	}
 	info := "# Server\r\nredis_version:7.0.0\r\ndlht:1\r\n" +

@@ -1,7 +1,11 @@
 // Package resp is the RESP2 front-end: a bounded, allocation-averse
 // reader/writer for the Redis serialization protocol and a command layer
 // serving an Allocator-mode DLHT table, so redis-cli, redis-benchmark and
-// every Redis client library can drive the store unmodified.
+// every Redis client library can drive the store unmodified. It is a
+// codec: a connection decodes commands into operations of the
+// per-connection engine (internal/engine) the binary protocol runs on too,
+// and encodes their replies; the pipelines, the deadline check, the epoch
+// and the idle step are the engine's.
 //
 // The wire surface is RESP2: commands arrive as arrays of bulk strings
 // (*N, then N $len-framed arguments) or as inline space-separated lines;
@@ -48,8 +52,8 @@ func protoErrorf(detail string) error { return &protoError{detail: detail} }
 
 // Reader decodes RESP2 commands from a stream through its own buffer, so
 // it controls exactly when a read may block: OnFill, if set, runs before
-// every potentially-blocking fill — the serve loop's hook to drain its
-// pipeline and flush pending replies before waiting on the peer.
+// every potentially-blocking fill — the serve loop's hook for the engine's
+// idle step.
 type Reader struct {
 	src    io.Reader
 	buf    []byte
@@ -64,9 +68,6 @@ func NewReader(src io.Reader, size int) *Reader {
 	}
 	return &Reader{src: src, buf: make([]byte, size)}
 }
-
-// Buffered returns how many decoded-but-unconsumed bytes are buffered.
-func (r *Reader) Buffered() int { return r.w - r.r }
 
 // fill reads more bytes, compacting first. Calls OnFill before blocking.
 func (r *Reader) fill() error {

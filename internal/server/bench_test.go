@@ -75,6 +75,63 @@ func BenchmarkPipelinedMixed(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelinedGetKV is binary GetKV over loopback at depth 64 on a kv
+// table larger than the LLC: 2^20 pairs of an 11-byte key — past the 8
+// bytes a slot word holds, so the full compare needs the block — and a
+// 96-byte value, ~180 MB of bins and arena. What a lookup costs beside the
+// wire is the bin miss and the block miss, and whether the second is
+// hidden behind a prefetch. Allocations include the client's, which copies
+// each value out.
+func BenchmarkPipelinedGetKV(b *testing.B) {
+	const (
+		bits  = 20
+		keys  = 1 << bits
+		depth = 64
+	)
+	s := startServer(b, core.Config{
+		Mode: core.Allocator, Bins: keys / 2, Resizable: true,
+		VariableKV: true, EpochGC: true, MaxThreads: 8,
+	}, Options{})
+	// key formats "key-%07d" into dst without fmt's allocation.
+	key := func(dst []byte, i int) []byte {
+		dst = append(dst[:0], "key-0000000"...)
+		for j := len(dst) - 1; i > 0; j, i = j-1, i/10 {
+			dst[j] = byte('0' + i%10)
+		}
+		return dst
+	}
+	h := s.Table(DefaultTable).MustHandle()
+	var kbuf [16]byte
+	val := make([]byte, 96)
+	for i := 0; i < keys; i++ {
+		if err := h.InsertKV(0, key(kbuf[:0], i), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	h.Close()
+	b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+		cl := dialT(b, s)
+		var outs [depth]reply
+		r := uint64(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n += depth {
+			for i := range outs {
+				r = r*6364136223846793005 + 1442695040888963407 // uniform over every key
+				if err := enqueueKV(cl, KVRequest{Op: OpGetKV, Key: key(kbuf[:0], int(r>>(64-bits)))}, &outs[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := cl.recvThrough(cl.head - 1); err != nil {
+				b.Fatal(err)
+			}
+			if outs[0].Status != StatusOK {
+				b.Fatalf("GetKV: %v", outs[0].Status)
+			}
+		}
+	})
+}
+
 // BenchmarkServerSyncConns is the many-small-clients regime: conns
 // synchronous connections, each with exactly ONE request in flight, so
 // every op executes alone on its connection's handle. The table is sized

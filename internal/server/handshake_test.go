@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	core "repro/internal/core"
+	"repro/internal/expiry"
 )
 
 // dialV2T dials the server with the v2 handshake.
@@ -21,6 +23,15 @@ func dialV2T(t testing.TB, s *Server, opts ClientOpts) *Client {
 	}
 	t.Cleanup(func() { cl.Close() })
 	return cl
+}
+
+// enqueueKV queues one KV request behind the record its reply completes.
+func enqueueKV(cl *Client, req KVRequest, out *reply) error {
+	frame, err := AppendKVRequest(cl.frame[:0], req)
+	if err != nil {
+		return err
+	}
+	return cl.enqueue(pending{op: req.Op, out: out}, frame)
 }
 
 // TestV2RoundTripAllOps: the fixed-frame op set on a handshaken connection
@@ -289,7 +300,9 @@ func TestKVWrongMode(t *testing.T) {
 }
 
 // TestKVInterleavedWithFixedFrames: KV and fixed frames pipelined on one
-// connection answer strictly in request order.
+// connection answer strictly in request order — GetKVs streaming through
+// the KV pipeline, fixed frames through the fixed-op one, and mutations
+// inline behind a barrier — and each GetKV sees the mutations ahead of it.
 func TestKVInterleavedWithFixedFrames(t *testing.T) {
 	tbl := core.MustNew(core.Config{
 		Mode: core.Allocator, Bins: 1 << 10, Resizable: true, VariableKV: true,
@@ -304,44 +317,56 @@ func TestKVInterleavedWithFixedFrames(t *testing.T) {
 	t.Cleanup(func() { s.Close() })
 	cl := dialV2T(t, s, ClientOpts{})
 
-	// Pipeline: KV insert, fixed Get (refused with WrongMode on an
-	// allocator table — it must still answer in order), KV get.
-	ins, err := AppendKVRequest(nil, KVRequest{Op: OpInsertKV, Key: []byte("a"), Value: []byte("AAAAAAAA")})
-	if err != nil {
-		t.Fatal(err)
+	// One pipelined burst. Fixed frames are refused with WrongMode on an
+	// allocator table, and must still answer in order. The keys are longer
+	// than a slot word, so a GetKV compares its whole key at completion,
+	// after later frames have reused the reader's staging.
+	type step struct {
+		req    KVRequest // Op OpGet: a fixed-frame Get
+		status Status
+		value  string
 	}
-	kvget, err := AppendKVRequest(nil, KVRequest{Op: OpGetKV, Key: []byte("a")})
-	if err != nil {
-		t.Fatal(err)
+	a, b := []byte("key-a-0123456789"), []byte("key-b-0123456789")
+	script := []step{
+		{KVRequest{Op: OpInsertKV, Key: a, Value: []byte("AAAAAAAA")}, StatusOK, ""},
+		{KVRequest{Op: OpGet}, StatusWrongMode, ""},
+		{KVRequest{Op: OpGetKV, Key: a}, StatusOK, "AAAAAAAA"},
+		{KVRequest{Op: OpGetKV, Key: b}, StatusNotFound, ""},
+		{KVRequest{Op: OpInsertKV, Key: b, Value: []byte("BBBB")}, StatusOK, ""},
+		{KVRequest{Op: OpGet}, StatusWrongMode, ""},
+		{KVRequest{Op: OpGetKV, Key: b}, StatusOK, "BBBB"},
+		{KVRequest{Op: OpDeleteKV, Key: a}, StatusOK, ""},
+		{KVRequest{Op: OpGetKV, Key: a}, StatusNotFound, ""},
 	}
-	var outs [3]reply
-	for i, q := range []struct {
-		op    OpCode
-		frame []byte
-	}{
-		{OpInsertKV, ins},
-		{OpGet, AppendRequest(nil, Request{Op: OpGet, Key: 1})},
-		{OpGetKV, kvget},
-	} {
-		if err := cl.enqueue(pending{op: q.op, out: &outs[i]}, q.frame); err != nil {
+	outs := make([]reply, len(script))
+	for i, st := range script {
+		if st.req.Op == OpGet {
+			err = cl.enqueue(pending{op: OpGet, out: &outs[i]}, AppendRequest(nil, Request{Op: OpGet, Key: 1}))
+		} else {
+			err = enqueueKV(cl, st.req, &outs[i])
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := cl.recvThrough(cl.head - 1); err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].Status != StatusOK || outs[1].Status != StatusWrongMode ||
-		outs[2].Status != StatusOK || string(outs[2].value) != "AAAAAAAA" {
-		t.Fatalf("replies = %v / %v / %v %q, want OK / WRONG_MODE / OK AAAAAAAA",
-			outs[0].Status, outs[1].Status, outs[2].Status, outs[2].value)
+	for i, st := range script {
+		if outs[i].Status != st.status || string(outs[i].value) != st.value {
+			t.Errorf("reply %d (%v %q) = %v %q, want %v %q", i, st.req.Op, st.req.Key,
+				outs[i].Status, outs[i].value, st.status, st.value)
+		}
 	}
 }
 
-// TestKVConcurrentGetDelete: one connection streams GetKVs while another
-// churns the same keys with insert/delete. On an EpochGC table (the
-// dlht-server kv configuration) the reader's epoch pin keeps every value
-// view stable while it is copied into the response — under -race this
-// pins the absence of the get-vs-free race.
+// TestKVConcurrentGetDelete: one connection streams pipelined GetKVs while
+// another churns the same keys with insert/delete. On an EpochGC table
+// (the dlht-server kv configuration) the reader's epoch pin keeps every
+// block its in-flight lookups picked, and every value view, stable until
+// the view is copied into the response — under -race this pins the
+// absence of the get-vs-free race. Each value is tagged with its key, so a
+// lookup that read a block freed and reused for another key is caught.
 func TestKVConcurrentGetDelete(t *testing.T) {
 	tbl := core.MustNew(core.Config{
 		Mode: core.Allocator, Bins: 1 << 10, Resizable: true,
@@ -356,15 +381,21 @@ func TestKVConcurrentGetDelete(t *testing.T) {
 	go s.Serve(ln)
 	t.Cleanup(func() { s.Close() })
 
-	keys := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma"), []byte("delta")}
-	val := bytes.Repeat([]byte("V"), 256)
+	// Keys past the 8 bytes a slot word holds: a lookup's full compare
+	// reads the block, after its prefetch.
+	keys := [][]byte{[]byte("alpha-pair"), []byte("beta-pair"), []byte("gamma-pair"), []byte("delta-pair")}
+	vals := make([][]byte, len(keys))
+	for i, k := range keys {
+		vals[i] = bytes.Repeat(append(append([]byte{}, k...), '/'), 256/(len(k)+1)+1)[:256]
+	}
 	seed := dialV2T(t, s, ClientOpts{})
-	for _, k := range keys {
-		if err := seed.InsertKV(0, k, val); err != nil {
+	for i, k := range keys {
+		if err := seed.InsertKV(0, k, vals[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
+	const depth = 32 // GetKVs in flight per burst
 	done := make(chan error, 2)
 	go func() {
 		cl, err := DialV2(s.Addr().String(), ClientOpts{})
@@ -373,15 +404,28 @@ func TestKVConcurrentGetDelete(t *testing.T) {
 			return
 		}
 		defer cl.Close()
-		for i := 0; i < 2000; i++ {
-			v, ok, err := cl.GetKV(0, keys[i%len(keys)])
-			if err != nil {
+		var outs [depth]reply
+		for n := 0; n < 2000; n += depth {
+			for i := range outs {
+				if err := enqueueKV(cl, KVRequest{Op: OpGetKV, Key: keys[(n+i)%len(keys)]}, &outs[i]); err != nil {
+					done <- err
+					return
+				}
+			}
+			if err := cl.recvThrough(cl.head - 1); err != nil {
 				done <- err
 				return
 			}
-			if ok && len(v) != len(val) {
-				done <- fmt.Errorf("torn value: %d bytes", len(v))
-				return
+			for i, r := range outs {
+				want := vals[(n+i)%len(keys)]
+				if r.Status == StatusOK && !bytes.Equal(r.value, want) {
+					done <- fmt.Errorf("GetKV %q = %q, want %q", keys[(n+i)%len(keys)], r.value, want)
+					return
+				}
+				if r.Status != StatusOK && r.Status != StatusNotFound {
+					done <- fmt.Errorf("GetKV %q: %v", keys[(n+i)%len(keys)], r.Status)
+					return
+				}
 			}
 		}
 		done <- nil
@@ -399,7 +443,7 @@ func TestKVConcurrentGetDelete(t *testing.T) {
 				done <- err
 				return
 			}
-			if err := cl.InsertKV(0, k, val); err != nil && !errors.Is(err, core.ErrExists) {
+			if err := cl.InsertKV(0, k, vals[i%len(keys)]); err != nil && !errors.Is(err, core.ErrExists) {
 				done <- err
 				return
 			}
@@ -410,6 +454,69 @@ func TestKVConcurrentGetDelete(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestPipelinedGetKVOfExpiredKey is resp.TestPipelinedGetOfExpiredKey over
+// binary frames: the deadline travels with the value, so a pipelined GetKV
+// answers NotFound for a pair past it at completion — and the delete it
+// owes runs at the next barrier, which the DeleteKV in the same burst is:
+// by the time the burst's replies leave, the pair is gone from the table,
+// not just from view.
+func TestPipelinedGetKVOfExpiredKey(t *testing.T) {
+	s := startServer(t, core.Config{
+		Mode: core.Allocator, Bins: 1 << 10, Resizable: true,
+		VariableKV: true, EpochGC: true, MaxThreads: 8,
+	}, Options{})
+	tbl := s.Table(DefaultTable)
+	var now atomic.Int64
+	now.Store(1000)
+	ix := expiry.New(now.Load)
+	s.mu.Lock()
+	s.expiries[tbl] = ix // before the first connection: every KV op shares it
+	s.mu.Unlock()
+	h := tbl.MustHandle()
+	defer h.Close()
+	kv := expiry.Bind(h, ix, nil)
+	for _, p := range []struct {
+		key string
+		at  int64
+	}{{"dies", 1040}, {"stays", 0}, {"later", 5000}} {
+		if _, _, err := kv.Set(0, []byte(p.key), []byte("v-"+p.key), tbl.HashOfKV(0, []byte(p.key)), p.at, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now.Store(1040)
+
+	cl := dialV2T(t, s, ClientOpts{})
+	script := []struct {
+		op     OpCode
+		key    string
+		status Status
+		value  string
+	}{
+		{OpGetKV, "stays", StatusOK, "v-stays"},
+		{OpGetKV, "dies", StatusNotFound, ""},
+		{OpGetKV, "later", StatusOK, "v-later"},
+		{OpDeleteKV, "dies", StatusNotFound, ""},
+		{OpGetKV, "dies", StatusNotFound, ""},
+	}
+	outs := make([]reply, len(script))
+	for i, st := range script {
+		if err := enqueueKV(cl, KVRequest{Op: st.op, Key: []byte(st.key)}, &outs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.recvThrough(cl.head - 1); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range script {
+		if outs[i].Status != st.status || string(outs[i].value) != st.value {
+			t.Errorf("reply %d (%v %s) = %v %q, want %v %q", i, st.op, st.key, outs[i].Status, outs[i].value, st.status, st.value)
+		}
+	}
+	if n := h.Len(); n != 2 {
+		t.Fatalf("table holds %d pairs after the burst, want 2", n)
 	}
 }
 

@@ -3,12 +3,14 @@
 // request pipeline.
 //
 // Clients pipeline request frames; one read loop per connection
-// (readRequests) decodes them and feeds them, as they are decoded, into a
-// pipeline on a table handle the connection owns, whose sliding-window
-// software prefetch overlaps the DRAM latency of the burst. Completions
-// append response frames to the connection's reply writer as they fire,
-// so a deep burst's first replies stream out while its tail is still
-// being decoded. Responses are written in request order — order
+// (readRequests) decodes them and feeds them, as they are decoded, into
+// the connection's engine (internal/engine, which RESP connections run on
+// too): pipelines on a table handle the connection owns, whose
+// sliding-window software prefetch overlaps the DRAM latency of the burst
+// — for a GetKV, of its bin and of its value's block. Completions append
+// response frames to the connection's reply writer as they fire, so a
+// deep burst's first replies stream out while its tail is still being
+// decoded. Responses are written in request order — order
 // preservation is DLHT's pipelining contract, and here it doubles as the
 // wire protocol's matching rule: the i-th response on a connection
 // answers the i-th request.

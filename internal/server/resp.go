@@ -13,18 +13,15 @@ import (
 // beside the binary listener, serving one Allocator-mode table so
 // redis-cli, redis-benchmark and Redis client libraries work unmodified.
 //
-// A RESP connection, like a binary one, holds its own table handle — here
-// with a streaming KVPipeline for pipelined GETs — and coexists with
-// binary connections on the same table: both mutate it, and on durable
-// tables both append to the same redo log with the same
-// no-ack-before-fsync discipline.
+// A RESP connection is the other codec over the per-connection engine
+// (internal/engine) a binary one runs on: its own table handle, the same
+// pipelined GET with the deadline checked at completion, and on a durable
+// table the same redo log and no-ack-before-fsync discipline.
 //
-// A pair's deadline lives in its block (see package expiry); what a table
-// has one of is the expiry.Index — the clock and the stripe locks — shared
-// by every RESP connection, binary KV path and the background crawler,
-// each acting through its own expiry.KV binding. Durable tables bring
-// their own (wal.Store owns it); for RAM tables the server creates one
-// lazily, along with a crawler running on a dedicated handle.
+// What a table has one of is the expiry.Index — the clock and the stripe
+// locks — shared by every connection and the background crawler. Durable
+// tables bring their own (wal.Store owns it); for RAM tables the server
+// creates one lazily, along with a crawler running on a dedicated handle.
 
 // ServeRESP accepts RESP2 connections on ln until Close. Like Serve it
 // always returns a non-nil error; after Close the error is
@@ -48,11 +45,7 @@ func (s *Server) serveRESPConn(c net.Conn) {
 		respRefuse(c, "ERR no table registered under the RESP table name")
 		return
 	}
-	if tbl.Mode() != core.Allocator {
-		respRefuse(c, "ERR RESP table is not in kv (Allocator) mode")
-		return
-	}
-	ix, err := s.expiryFor(tbl)
+	ix, err := s.expiryFor(tbl) // nil unless tbl is in kv mode, which resp.Serve refuses
 	if err != nil {
 		respRefuse(c, "ERR busy: "+err.Error())
 		return
@@ -63,16 +56,11 @@ func (s *Server) serveRESPConn(c net.Conn) {
 		return
 	}
 	defer s.releaseHandle(h)
-
-	var w resp.WAL
-	if l := s.walFor(tbl); l != nil {
-		w = l // assign only when non-nil: a typed-nil WAL would pass != nil checks
-	}
 	resp.Serve(c, resp.ServeOpts{
 		Table:       tbl,
 		Handle:      h,
 		Expiry:      ix,
-		Log:         w,
+		Log:         s.walFor(tbl),
 		ReadBuffer:  s.opts.ReadBuffer,
 		WriteBuffer: s.opts.WriteBuffer,
 		IdleTimeout: s.opts.IdleTimeout,

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/ackbuf"
 	core "repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/expiry"
 	"repro/internal/wal"
 )
@@ -65,7 +66,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	tables  map[string]*core.Table
-	walLogs map[*core.Table]*wal.Log // durable tables' redo logs
+	walLogs map[*core.Table]redoLog // durable tables' redo logs
 	ln      net.Listener
 	conns   map[net.Conn]struct{}
 	closed  bool
@@ -103,7 +104,7 @@ func New(tbl *core.Table, opts Options) *Server {
 	return &Server{
 		opts:       opts,
 		tables:     map[string]*core.Table{DefaultTable: tbl},
-		walLogs:    make(map[*core.Table]*wal.Log),
+		walLogs:    make(map[*core.Table]redoLog),
 		conns:      make(map[net.Conn]struct{}),
 		handleFree: make(chan struct{}),
 		expiries:   make(map[*core.Table]*expiry.Index),
@@ -143,8 +144,17 @@ func (s *Server) AddDurable(name string, ds *wal.Store) error {
 	return nil
 }
 
+// redoLog is a durable table's redo log (*wal.Log) as its connections use
+// it: the engine's records and group commit, and the fixed ops' records.
+// Held as an interface, a RAM table's is a true nil, never a typed one
+// that would pass != nil checks.
+type redoLog interface {
+	engine.WAL
+	LogOp(op *core.Op) (uint64, error)
+}
+
 // walFor returns the redo log paired with tbl, or nil for RAM tables.
-func (s *Server) walFor(tbl *core.Table) *wal.Log {
+func (s *Server) walFor(tbl *core.Table) redoLog {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.walLogs[tbl]
@@ -324,38 +334,14 @@ func (s *Server) removeConn(c net.Conn) {
 }
 
 // kvScratchRetain bounds the KV staging buffer a connection's reader keeps
-// between requests; kvEpochEvery (a power of two) is how many KV requests
-// a connection-owned handle serves between epoch refreshes on EpochGC
-// tables.
-const (
-	kvScratchRetain = 1 << 20
-	kvEpochEvery    = 1 << 10
-)
+// between requests.
+const kvScratchRetain = 1 << 20
 
 // testFrameDecoded, when non-nil, is invoked by the reader for every fixed
-// op once its run has been handed to the execution target. Test-only: the
-// streaming test blocks a burst's last frame here to prove earlier
-// responses already reached the wire.
+// op once it has been handed to the engine. Test-only: the streaming
+// test blocks a burst's last frame here to prove earlier responses already
+// reached the wire.
 var testFrameDecoded func(core.Op)
-
-// armIdle arms the connection's read deadline so a peer that stops sending
-// mid-frame (or never sends) cannot pin the goroutine. No-op without
-// Options.IdleTimeout; the write-side mirror is the reply writer's
-// deadline.
-func (s *Server) armIdle(c net.Conn) {
-	if s.opts.IdleTimeout > 0 {
-		c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-	}
-}
-
-// syncerFor returns what replies on tbl must wait for before reaching the
-// socket: the table's redo log, or nil for a RAM table.
-func (s *Server) syncerFor(tbl *core.Table) ackbuf.Syncer {
-	if l := s.walFor(tbl); l != nil {
-		return l // only when non-nil: a typed-nil Syncer would pass != nil checks
-	}
-	return nil
-}
 
 // serveConn runs the handshake — version check, table selection, feature
 // grant — and then serves the connection from a handle of its own. A
@@ -364,7 +350,9 @@ func (s *Server) syncerFor(tbl *core.Table) ackbuf.Syncer {
 // unsupported version is: one StatusBadVersion handshake reply, then close.
 func (s *Server) serveConn(c net.Conn) {
 	br := bufio.NewReaderSize(c, s.opts.ReadBuffer)
-	s.armIdle(c)
+	if s.opts.IdleTimeout > 0 {
+		c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
+	}
 	first, err := br.Peek(1)
 	if err != nil {
 		return
@@ -384,7 +372,7 @@ func (s *Server) serveConn(c net.Conn) {
 			}
 		}
 	}
-	w := ackbuf.New(c, s.syncerFor(tbl), s.opts.WriteBuffer, s.opts.IdleTimeout)
+	w := ackbuf.New(c, s.walFor(tbl), s.opts.WriteBuffer, s.opts.IdleTimeout)
 	w.Commit(AppendHelloResp(w.Buf(), resp))
 	if w.Flush() != nil || resp.Status != StatusOK {
 		return
@@ -425,7 +413,7 @@ func readHello(br *bufio.Reader) (Hello, error) {
 }
 
 // ---------------------------------------------------------------------------
-// The read loop and the connection's execution target
+// The binary codec over the connection's engine
 // ---------------------------------------------------------------------------
 
 // errMalformedKVHeader is readKVHeader's it-will-never-parse verdict, as
@@ -452,25 +440,70 @@ func readKVHeader(br *bufio.Reader) (ns uint16, klen, vlen int, err error) {
 	return ns, klen, vlen, nil
 }
 
+// binConn is one binary connection: the frame decoder and reply encoders
+// over the connection's engine. Fixed ops and GetKVs stream through the
+// engine's pipelines; KV mutations and reshard requests answer inline
+// behind a barrier. On a durable table every effective mutation is logged
+// as it completes, and its reply waits for the record's group commit.
+type binConn struct {
+	*engine.Engine
+	tbl *core.Table
+}
+
+// serveOwned serves a handshaken connection, read through br and answered
+// through w, from its own table handle.
+func (s *Server) serveOwned(_ net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl *core.Table, features uint16) {
+	ix, err := s.expiryFor(tbl) // before the handle: the index may need one for its sweeper
+	if err != nil {
+		refuseBusy(br, w)
+		return
+	}
+	h, err := s.acquireHandle(tbl)
+	if err != nil {
+		refuseBusy(br, w)
+		return
+	}
+	defer s.releaseHandle(h)
+	log := s.walFor(tbl)
+	bc := &binConn{tbl: tbl}
+	bc.Engine = engine.New(engine.Opts{
+		Handle: h, Expiry: ix, Log: log, Writer: w,
+		OnFixed: func(op *core.Op) {
+			if w.Err() != nil {
+				return
+			}
+			if log != nil {
+				seq, err := log.LogOp(op)
+				if err != nil {
+					w.Fail(err)
+					return
+				}
+				w.NeedSync(seq)
+			}
+			w.Commit(AppendResponse(w.Buf(), opToResp(op)))
+		},
+		OnGet: bc.replyGet,
+	})
+	defer bc.Close()
+	bc.readRequests(br, features)
+}
+
 // readRequests is the server's one binary decode loop. Runs of fixed
 // 17-byte frames are decoded zero-copy out of one Peek window — as much of
-// the buffered burst as stays fixed-framed — and handed over as a batch;
-// KV and reshard frames are staged and handed over one at a time. A
-// malformed frame gets the decodable prefix answered, then one
+// the buffered burst as stays fixed-framed — and enqueued as they are
+// decoded; KV and reshard frames are staged and handed over one at a time.
+// A malformed frame gets the decodable prefix answered, then one
 // StatusBadRequest, and the connection is given up: byte alignment is no
-// longer trusted. Before every read that may block the target gets its
-// idle call and the read deadline is re-armed. A non-nil error from any
-// target method ends the connection.
-func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t *ownedTarget) {
+// longer trusted. Before every read that may block the engine runs its
+// idle step. A writer failure ends the connection.
+func (bc *binConn) readRequests(br *bufio.Reader, features uint16) {
 	var ops []core.Op  // decoded fixed-frame run, reused
 	var scratch []byte // KV payload staging, reused up to kvScratchRetain
 	mayBlock := func(n int) error {
 		if br.Buffered() >= n {
 			return nil
 		}
-		err := t.idle()
-		s.armIdle(c)
-		return err
+		return bc.Idle()
 	}
 	for {
 		if mayBlock(1) != nil {
@@ -497,13 +530,12 @@ func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t *
 				ops = append(ops, reqToOp(req))
 			}
 			br.Discard(len(ops) * ReqSize)
-			if t.fixed(ops) != nil {
-				return
+			bc.Enqueue(ops...)
+			for i := 0; testFrameDecoded != nil && i < len(ops); i++ {
+				testFrameDecoded(ops[i])
 			}
-			if testFrameDecoded != nil {
-				for _, op := range ops {
-					testFrameDecoded(op)
-				}
+			if bc.W.Err() != nil {
+				return
 			}
 		case isKVOp(op) && features&FeatureKV != 0:
 			if mayBlock(KVReqHdrSize) != nil {
@@ -511,7 +543,7 @@ func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t *
 			}
 			ns, klen, vlen, err := readKVHeader(br)
 			if errors.Is(err, errMalformedKVHeader) {
-				t.bad()
+				bc.bad()
 				return
 			}
 			if err != nil {
@@ -527,7 +559,7 @@ func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t *
 			if _, err := io.ReadFull(br, payload); err != nil {
 				return
 			}
-			if t.kv(KVRequest{Op: op, NS: ns, Key: payload[:klen], Value: payload[klen:]}) != nil {
+			if bc.kv(KVRequest{Op: op, NS: ns, Key: payload[:klen], Value: payload[klen:]}) != nil {
 				return
 			}
 			// Don't let one outsized payload pin a connection-lifetime
@@ -547,147 +579,89 @@ func (s *Server) readRequests(c net.Conn, br *bufio.Reader, features uint16, t *
 			if _, err := io.ReadFull(br, frame); err != nil {
 				return
 			}
-			if t.reshard(op, frame) != nil {
+			if bc.reshard(op, frame) != nil {
 				return
 			}
 		default:
-			t.bad()
+			bc.bad()
 			return
 		}
 	}
-}
-
-// ownedTarget executes a connection's requests on a table handle the
-// connection owns. Fixed ops flow through the handle's pipeline, whose
-// completion callback appends the matching response frame straight into
-// the reply writer, so replies for a deep burst go out while its tail is
-// still being decoded and the prefetch window stays primed across bursts;
-// KV and reshard requests execute synchronously behind a pipeline flush,
-// which keeps responses in request order; KV requests run on the handle's
-// expiry.KV, which owns what a pair's deadline means. On a durable
-// table every effective mutation is appended to the redo log as it
-// completes and the writer's sync bar is raised to its sequence.
-type ownedTarget struct {
-	tbl   *core.Table
-	h     *core.Handle
-	p     *core.Pipeline
-	kvs   expiry.KV
-	clk   expiry.Clock // kvs's clock, sampled once per read burst: idle resets it
-	log   *wal.Log     // durable table's redo log; nil for RAM tables
-	w     *ackbuf.Writer
-	kvOps int // served KV requests, for the epoch-advance cadence
-}
-
-// serveOwned serves a connection from its own table handle.
-func (s *Server) serveOwned(c net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl *core.Table, features uint16) {
-	ix, err := s.expiryFor(tbl) // before the handle: the index may need one for its sweeper
-	if err != nil {
-		refuseBusy(br, w)
-		return
-	}
-	h, err := s.acquireHandle(tbl)
-	if err != nil {
-		refuseBusy(br, w)
-		return
-	}
-	defer s.releaseHandle(h)
-	t := &ownedTarget{tbl: tbl, h: h, kvs: expiry.Bind(h, ix, nil), clk: ix.Clock(), log: s.walFor(tbl), w: w}
-	if t.log != nil {
-		t.kvs = expiry.Bind(h, ix, t.log) // only when non-nil: a typed-nil RedoLog would pass Bind's check
-	}
-	t.p = h.Pipeline(core.PipelineOpts{OnComplete: func(op *core.Op) {
-		if w.Err() != nil {
-			return
-		}
-		if t.log != nil {
-			seq, err := t.log.LogOp(op)
-			if err != nil {
-				w.Fail(err)
-				return
-			}
-			w.NeedSync(seq)
-		}
-		w.Commit(AppendResponse(w.Buf(), opToResp(op)))
-	}})
-	defer t.p.Close()
-	s.readRequests(c, br, features, t)
-}
-
-// fixed executes a run of fixed-frame ops. The slice is the reader's
-// staging and is reused after the call.
-func (t *ownedTarget) fixed(ops []core.Op) error {
-	for i := range ops {
-		t.p.Enqueue(ops[i])
-	}
-	return t.w.Err()
-}
-
-// idle is called when the reader is about to block for input: every
-// finished reply must be on its way first, since the peer may be waiting
-// for it before it sends more. With nothing in flight and every value view
-// copied into the reply buffer, the handle drops its epoch pin too: an idle
-// connection must not hold back reclamation for the whole table.
-func (t *ownedTarget) idle() error {
-	t.p.Flush()
-	t.h.Unpin()
-	t.clk.Reset()
-	return t.w.Flush()
 }
 
 // bad answers, behind everything accepted so far, with one
-// StatusBadRequest; the reader then gives up on the connection.
-func (t *ownedTarget) bad() {
-	t.p.Flush()
-	t.w.Commit(AppendResponse(t.w.Buf(), Response{Status: StatusBadRequest}))
-	t.w.Flush()
+// StatusBadRequest; the reader then gives up on the connection, and the
+// engine's Close flushes the answer.
+func (bc *binConn) bad() {
+	bc.Barrier()
+	bc.W.Commit(AppendResponse(bc.W.Buf(), Response{Status: StatusBadRequest}))
 }
 
-// kv executes one KV request. Key and Value alias the reader's staging and
-// are valid only during the call.
-func (t *ownedTarget) kv(req KVRequest) error {
-	// Order barrier: all pipelined fixed-frame responses precede this one.
-	t.p.Flush()
-	if err := t.w.Err(); err != nil {
-		return err
+// replyGet answers a GetKV as its lookup completes. The value view is
+// copied into the reply buffer inside the completion, while the handle's
+// epoch pin still keeps a concurrent DeleteKV from another connection from
+// freeing the block — which is why Allocator tables served over the
+// network enable Config.EpochGC (dlht-server kv tables do).
+func (bc *binConn) replyGet(val []byte, ok bool) {
+	r := KVResponse{Status: StatusNotFound}
+	if ok {
+		r = KVResponse{Status: StatusOK, Value: val}
 	}
-	resp, seq := execKV(t.tbl, t.kvs, req, &t.clk)
-	t.w.NeedSync(seq)
-	t.w.Commit(AppendKVResponse(t.w.Buf(), resp))
-	// Periodically refresh this handle's epoch (no-op without EpochGC) so
-	// blocks deleted by other connections reclaim. Safe here: the response
-	// bytes — including any GetKV value view — were copied into the reply
-	// buffer above, and advancing is what keeps a view returned *before*
-	// the copy from being freed mid-copy by a concurrent DeleteKV (served
-	// kv tables enable EpochGC for exactly this reason).
-	if t.kvOps++; t.kvOps&(kvEpochEvery-1) == 0 {
-		t.h.AdvanceEpoch()
+	bc.W.Commit(AppendKVResponse(bc.W.Buf(), r))
+}
+
+// kv answers one KV request. Key and Value alias the reader's staging and
+// are valid only during the call. CheckKV gates every request first: the
+// local KV surface panics on mode and namespace misuse (API-misuse
+// contract), but over the wire those are statuses, answered in order
+// behind a barrier. A GetKV streams through the engine, which checks the
+// pair's deadline at completion; a mutation runs behind a barrier.
+func (bc *binConn) kv(req KVRequest) error {
+	err := bc.tbl.CheckKV(req.NS, req.Key, req.Value, req.Op == OpInsertKV)
+	if err == nil && req.Op == OpGetKV {
+		bc.Get(req.NS, req.Key, bc.tbl.HashOfKV(req.NS, req.Key))
+		return bc.W.Err()
 	}
-	return t.w.Err()
+	bc.Barrier()
+	r, seq := KVResponse{Status: errToStatus(err)}, uint64(0)
+	if err == nil {
+		r, seq = execKV(bc.KV, req, bc.tbl.HashOfKV(req.NS, req.Key))
+	}
+	bc.W.NeedSync(seq)
+	bc.W.Commit(AppendKVResponse(bc.W.Buf(), r))
+	return bc.W.Err()
+}
+
+// execKV runs one KV mutation on the connection's expiry.KV — an insert as
+// SET NX, which keeps InsertKV's ErrExists contract — returning the reply
+// and the redo sequence it must wait for. A failed log append becomes the
+// op's status; the log's failure is sticky, so the writer's next flush
+// ends the connection.
+func execKV(kv expiry.KV, req KVRequest, hash uint64) (KVResponse, uint64) {
+	if req.Op == OpInsertKV {
+		set, seq, err := kv.Set(req.NS, req.Key, req.Value, hash, 0, expiry.NX)
+		if err == nil && !set {
+			err = core.ErrExists
+		}
+		return KVResponse{Status: errToStatus(err)}, seq
+	}
+	ok, seq, err := kv.Delete(req.NS, req.Key, hash)
+	if err == nil && !ok {
+		return KVResponse{Status: StatusNotFound}, 0
+	}
+	return KVResponse{Status: errToStatus(err)}, seq
 }
 
 // reshard answers one OpGetVer or OpScan. Both are read-only — nothing is
-// logged — and sit behind the same order barrier as KV requests.
-func (t *ownedTarget) reshard(op OpCode, frame []byte) error {
-	t.p.Flush()
-	if err := t.w.Err(); err != nil {
+// logged — and sit behind the same barrier as KV mutations.
+func (bc *binConn) reshard(op OpCode, frame []byte) error {
+	bc.Barrier()
+	if err := bc.W.Err(); err != nil {
 		return err
 	}
-	out := t.w.Buf()
+	out := bc.W.Buf()
 	if op == OpGetVer {
-		key := binary.LittleEndian.Uint64(frame[1:9])
-		// Version-bracketed read (the localStore.GetVer contract): equal
-		// brackets mean the value is the one the version counts.
-		ver := t.h.VersionOf(key)
-		var v uint64
-		var ok bool
-		for i := 0; i < 4; i++ {
-			v, ok = t.h.Get(key)
-			after := t.h.VersionOf(key)
-			if after == ver {
-				break
-			}
-			ver = after
-		}
+		v, ok, ver := bc.H.GetVer(binary.LittleEndian.Uint64(frame[1:9]))
 		st := StatusOK
 		if !ok {
 			st, v = StatusNotFound, 0
@@ -695,7 +669,7 @@ func (t *ownedTarget) reshard(op OpCode, frame []byte) error {
 		out = append(out, byte(st))
 		out = binary.LittleEndian.AppendUint64(out, v)
 		out = binary.LittleEndian.AppendUint64(out, ver)
-	} else if t.tbl.Mode() == core.Allocator {
+	} else if bc.tbl.Mode() == core.Allocator {
 		// Value words are block refs; not scannable over this frame.
 		var hdr [ScanRespHdrSize]byte
 		hdr[0] = byte(StatusWrongMode)
@@ -710,7 +684,7 @@ func (t *ownedTarget) reshard(op OpCode, frame []byte) error {
 		// The cap clamps the request; the reply may overshoot it by the
 		// last bin group (ScanStep consumes whole old bins — truncating
 		// here would lose the overflow, the cursor is already past it).
-		ents, newOrig, next, done := t.h.ScanStep(origBins, startBin, maxEnts)
+		ents, newOrig, next, done := bc.H.ScanStep(origBins, startBin, maxEnts)
 		out = append(out, byte(StatusOK))
 		out = binary.LittleEndian.AppendUint64(out, newOrig)
 		out = binary.LittleEndian.AppendUint64(out, next)
@@ -725,50 +699,8 @@ func (t *ownedTarget) reshard(op OpCode, frame []byte) error {
 			out = binary.LittleEndian.AppendUint64(out, e.Value)
 		}
 	}
-	t.w.Commit(out)
-	return t.w.Err()
-}
-
-// execKV runs one KV request on the connection's expiry.KV: a read with
-// lazy expiry against clk, mutations as they are (insert as SET NX, which
-// keeps InsertKV's ErrExists contract), returning
-// the reply and the redo sequence it must wait for. A failed log append
-// becomes the op's status; the log's failure is sticky, so the writer's
-// next flush ends the connection. Values returned by GetKV are views into
-// the table; they are appended into the reply buffer before the next
-// request can invalidate them, and the connection handle's epoch pin keeps
-// a concurrent DeleteKV from another connection from freeing the block
-// mid-copy — which is why Allocator tables served over the network should
-// enable Config.EpochGC (dlht-server kv tables do). Without it the core
-// contract applies: a view is only stable until the key is deleted.
-// CheckKV gates every request first: the local KV surface panics on mode
-// and namespace misuse (API-misuse contract), but over the wire those are
-// just statuses.
-func execKV(tbl *core.Table, kv expiry.KV, req KVRequest, clk *expiry.Clock) (KVResponse, uint64) {
-	if err := tbl.CheckKV(req.NS, req.Key, req.Value, req.Op == OpInsertKV); err != nil {
-		return KVResponse{Status: errToStatus(err)}, 0
-	}
-	hash := tbl.HashOfKV(req.NS, req.Key)
-	switch req.Op {
-	case OpGetKV:
-		if v, ok := kv.Get(req.NS, req.Key, hash, clk.Now()); ok {
-			return KVResponse{Status: StatusOK, Value: v}, 0
-		}
-		return KVResponse{Status: StatusNotFound}, 0
-	case OpInsertKV:
-		set, seq, err := kv.Set(req.NS, req.Key, req.Value, hash, 0, expiry.NX)
-		if err == nil && !set {
-			err = core.ErrExists
-		}
-		return KVResponse{Status: errToStatus(err)}, seq
-	case OpDeleteKV:
-		ok, seq, err := kv.Delete(req.NS, req.Key, hash)
-		if err == nil && !ok {
-			return KVResponse{Status: StatusNotFound}, 0
-		}
-		return KVResponse{Status: errToStatus(err)}, seq
-	}
-	return KVResponse{Status: StatusBadRequest}, 0
+	bc.W.Commit(out)
+	return bc.W.Err()
 }
 
 // reqToOp maps a wire request onto a batch op.
