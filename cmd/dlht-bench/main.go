@@ -23,20 +23,18 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		list     = flag.Bool("list", false, "list available experiments")
-		keys     = flag.Uint64("keys", 1<<20, "prepopulated key count (paper: 100M)")
-		popKeys  = flag.Uint64("pop", 0, "population-experiment keys (default 4x keys; paper: 800M)")
-		dur      = flag.Duration("dur", 400*time.Millisecond, "measurement window per data point")
-		threads  = flag.String("threads", "", "comma-separated thread sweep (default 1,2,4,..,NumCPU)")
-		batch    = flag.Int("batch", 16, "batch size for DLHT's prefetched path")
-		window   = flag.Int("window", 0, "prefetch window for DLHT batches (<=0 = default 16)")
-		pipeline = flag.Bool("pipeline", false, "drive DLHT batch paths through the streaming Pipeline API instead of Exec")
-		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		exp     = flag.String("exp", "", "experiment id (see -list), or 'all'")
+		list    = flag.Bool("list", false, "list available experiments")
+		keys    = flag.Uint64("keys", 1<<20, "prepopulated key count (paper: 100M)")
+		popKeys = flag.Uint64("pop", 0, "population-experiment keys (default 4x keys; paper: 800M)")
+		dur     = flag.Duration("dur", 400*time.Millisecond, "measurement window per data point")
+		threads = flag.String("threads", "", "comma-separated thread sweep (default 1,2,4,..,NumCPU)")
+		batch   = flag.Int("batch", 16, "batch size for DLHT's prefetched path")
+		window  = flag.Int("window", 0, "prefetch window for DLHT batches (<=0 = default 16)")
+		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	)
 	flag.Parse()
 	bench.SetPrefetchWindow(*window)
-	bench.SetUsePipeline(*pipeline)
 
 	if *list {
 		for _, e := range bench.Registry {

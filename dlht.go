@@ -60,8 +60,20 @@
 //
 // A long-lived pipeline that is not flushed between bursts keeps the
 // prefetch window primed across burst boundaries. Exec and GetKVBatch are
-// batch-at-once adapters over the same engine; Allocator-mode tables get
-// the matching Handle.KVPipeline for streamed lookups.
+// batch-at-once loops over the same engine; Allocator-mode tables get the
+// matching Handle.KVPipeline for streamed lookups.
+//
+// Every path — the synchronous ops, Exec, a Pipeline and a Store — runs a
+// fixed op through one gate and one body, so they refuse the same requests
+// with the same sentinels: ErrWrongMode for any fixed op on an
+// Allocator-mode table (its API is the KV surface) and for a Put outside
+// Inlined mode, ErrReservedKey for an insert of a transfer key. Calls
+// without an error result keep their contracts: a synchronous Get, Delete
+// or CommitShadow reads a refusal as a miss, and Put panics.
+//
+// Table walks run one way too: Range, Snapshot and Len are loops of
+// Handle.ScanStep steps, RangeKV of Handle.RangeKVStep steps, each resumed
+// from a Cursor that stays valid across resizes.
 //
 // # Batching over the network
 //
@@ -177,6 +189,9 @@ type (
 	KVGet = core.KVGet
 	// Entry is an iterator item.
 	Entry = core.Entry
+	// Cursor is the resumable position of a table walk (ScanStep,
+	// RangeKVStep); the zero value starts a pass.
+	Cursor = core.Cursor
 	// Stats is the table counter snapshot.
 	Stats = core.Stats
 

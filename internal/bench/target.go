@@ -53,20 +53,10 @@ type Target struct {
 // DLHT adapters
 // ---------------------------------------------------------------------------
 
-// dlhtWorker adapts a core.Handle, batching through Exec or — when the
-// harness-wide pipeline mode is on — streaming through a long-lived
-// core.Pipeline whose completions scatter results back to the caller.
+// dlhtWorker adapts a core.Handle, batching through Exec.
 type dlhtWorker struct {
 	h   *core.Handle
 	ops []core.Op
-
-	// Pipeline mode state: the worker-lifetime pipeline plus the scatter
-	// cursor its OnComplete writes through during a batch call.
-	pl      *core.Pipeline
-	outOps  []core.Op
-	outVals []uint64
-	outOKs  []bool
-	outI    int
 }
 
 func (w *dlhtWorker) Get(k uint64) (uint64, bool) { return w.h.Get(k) }
@@ -74,32 +64,7 @@ func (w *dlhtWorker) Insert(k, v uint64) bool     { _, err := w.h.Insert(k, v); 
 func (w *dlhtWorker) Put(k, v uint64) bool        { _, ok := w.h.Put(k, v); return ok }
 func (w *dlhtWorker) Delete(k uint64) bool        { _, ok := w.h.Delete(k); return ok }
 
-// pipeline lazily creates the worker's streaming pipeline.
-func (w *dlhtWorker) pipeline() *core.Pipeline {
-	if w.pl == nil {
-		w.pl = w.h.Pipeline(core.PipelineOpts{OnComplete: func(op *core.Op) {
-			i := w.outI
-			w.outI++
-			if w.outOps != nil {
-				w.outOps[i] = *op
-				return
-			}
-			w.outVals[i], w.outOKs[i] = op.Result, op.OK
-		}})
-	}
-	return w.pl
-}
-
 func (w *dlhtWorker) GetBatch(keys []uint64, vals []uint64, oks []bool) {
-	if usePipeline {
-		pl := w.pipeline()
-		w.outOps, w.outVals, w.outOKs, w.outI = nil, vals, oks, 0
-		for _, k := range keys {
-			pl.Get(k)
-		}
-		pl.Flush() // results must be scattered before the batch call returns
-		return
-	}
 	if cap(w.ops) < len(keys) {
 		w.ops = make([]core.Op, len(keys))
 	}
@@ -113,19 +78,7 @@ func (w *dlhtWorker) GetBatch(keys []uint64, vals []uint64, oks []bool) {
 	}
 }
 
-func (w *dlhtWorker) ExecOps(ops []core.Op) {
-	if usePipeline {
-		pl := w.pipeline()
-		w.outOps, w.outI = ops, 0
-		for i := range ops {
-			pl.Enqueue(ops[i])
-		}
-		pl.Flush()
-		w.outOps = nil
-		return
-	}
-	w.h.Exec(ops, false)
-}
+func (w *dlhtWorker) ExecOps(ops []core.Op) { w.h.Exec(ops, false) }
 
 // DLHTTarget wraps an existing table. batched selects the §3.3 batch engine
 // (DLHT) or the per-request path (DLHT-NoBatch).
@@ -145,17 +98,6 @@ var prefetchWindow int
 // SetPrefetchWindow fixes the prefetch window of all subsequently
 // constructed DLHT targets. Call before running experiments, not during.
 func SetPrefetchWindow(w int) { prefetchWindow = w }
-
-// usePipeline routes every DLHT worker's batch path through the streaming
-// Pipeline API instead of the Exec adapter; the cmd tools set it once at
-// startup from their -pipeline flag. Both paths share the same windowed
-// engine, so this is an API-overhead A/B, not a different algorithm.
-var usePipeline bool
-
-// SetUsePipeline selects the streaming Pipeline API for all subsequently
-// constructed DLHT workers' batch paths. Call before running experiments,
-// not during.
-func SetUsePipeline(on bool) { usePipeline = on }
 
 // benchConfig applies the harness-wide prefetch window to a table config
 // that does not set one of its own.

@@ -266,14 +266,14 @@ func (t *Topology) scanAndCopy(tab *ringTab, src int, avail []bool) (fatal bool,
 		return true, fmt.Errorf("cluster: shard %q store cannot scan (no core.Scanner); migration needs it", tab.names[src])
 	}
 	var oldBuf, newBuf [maxReplicaStack]int
-	var origBins, cur uint64
+	var cur core.Cursor
 	for {
-		ents, ob, next, done, err := sc.ScanStep(origBins, cur, server.MaxScanBatch)
+		ents, next, done, err := sc.ScanStep(cur, server.MaxScanBatch)
 		if err != nil {
 			t.dropAdmin(src)
 			return false, err
 		}
-		origBins, cur = ob, next
+		cur = next
 		for _, e := range ents {
 			h := t.keyh(e.Key)
 			owners := replicasOn(tab.ring, h, t.replicas, oldBuf[:0])

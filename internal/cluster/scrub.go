@@ -193,14 +193,14 @@ func (sb *scrubber) pass(target int) {
 		if !ok {
 			continue
 		}
-		var origBins, cur uint64
+		var cur core.Cursor
 		for {
-			ents, ob, next, done, err := sc.ScanStep(origBins, cur, sb.opts.Batch)
+			ents, next, done, err := sc.ScanStep(cur, sb.opts.Batch)
 			if err != nil {
 				sb.drop(slot)
 				break
 			}
-			origBins, cur = ob, next
+			cur = next
 			for _, e := range ents {
 				owners := replicasOn(tab.ring, sb.t.keyh(e.Key), sb.t.replicas, buf[:0])
 				mine, wanted := false, target < 0

@@ -21,7 +21,9 @@ import (
 // cache-resident when request i executes. While a bin is prefetched its
 // index is memoized in the engine ring, so execution never recomputes the
 // hash; a resize redirect invalidates the memoized bin and the op
-// recomputes it against the successor index.
+// recomputes it against the successor index. Each op executes through
+// execOneAt — the op gate, then the op's *At body — the dispatch a
+// Pipeline completion runs too.
 
 // OpKind identifies a batched request type.
 type OpKind uint8
@@ -75,27 +77,19 @@ func (h *Handle) Exec(ops []Op, stopOnFail bool) int {
 	if n == 0 {
 		return 0
 	}
-	st := t.cfg.SingleThread
 	mutates := false
-	if !st {
-		for i := range ops {
-			if ops[i].Kind != OpGet {
-				mutates = true
-				break
-			}
+	for i := range ops {
+		if ops[i].Kind != OpGet {
+			mutates = true
+			break
 		}
-		if mutates {
-			t.beginUpdate()
-		}
+	}
+	if mutates {
+		t.beginUpdate()
 	}
 	w := t.prefetchWindow(n)
 	p := h.execPipe(w)
-	var ix *index
-	if st {
-		ix = t.current.Load()
-	} else {
-		ix = h.enter()
-	}
+	ix := h.enter()
 	done := 0
 	for i := 0; i < n; i++ {
 		p.issue(t, ix, &ops[i])
@@ -114,93 +108,79 @@ func (h *Handle) Exec(ops []Op, stopOnFail bool) int {
 	}
 out:
 	p.head, p.tail = 0, 0 // abandon any unexecuted in-flight entries
-	if !st {
-		h.leave()
-		if mutates {
-			t.endUpdate()
-		}
+	h.leave()
+	if mutates {
+		t.endUpdate()
 	}
 	return done
 }
 
 // execOneAt executes one batched op whose bin within ix was memoized by the
-// prefetch stage. The *At op variants fall back to recomputing the bin when
-// a resize has redirected it.
+// prefetch stage: the op gate, then the op's *At body — the
+// synchronization-free one on a single-thread table (§3.4.5), which strips
+// CASes, resize checks and enter/leave notifications but keeps the
+// window's prefetch. The gate inlines into each case, where the kind is
+// known, and folds to the checks that kind needs: for a Get, one mode
+// compare. The *At bodies recompute the bin when a resize redirected it.
 func (h *Handle) execOneAt(ix *index, op *Op, b uint64) {
 	t := h.t
-	op.Err = nil
-	// All inlined ops are rejected on Allocator-mode tables (the KV surface
-	// is that mode's API): slot words there encode block references, so an
-	// inlined write would plant a bogus reference for a later delete to
-	// free, and an inlined read would leak the encoded reference word.
-	if t.cfg.Mode == Allocator {
-		op.OK, op.Err = false, ErrWrongMode
-		return
-	}
+	st := t.cfg.SingleThread
 	switch op.Kind {
 	case OpGet:
-		op.Result, op.OK = t.getInAt(ix, op.Key, b)
-	case OpPut:
-		if t.cfg.Mode != Inlined {
-			op.OK, op.Err = false, ErrWrongMode
+		if op.Err = t.opErr(OpGet, op.Key); op.Err == nil {
+			if st {
+				op.Result, op.OK = h.stGetAt(ix, op.Key, b)
+			} else {
+				op.Result, op.OK = t.getInAt(ix, op.Key, b)
+			}
 			return
 		}
-		op.Result, op.OK = t.putInAt(ix, op.Key, op.Value, b)
+	case OpPut:
+		if op.Err = t.opErr(OpPut, op.Key); op.Err == nil {
+			if st {
+				op.Result, op.OK = h.stPutAt(ix, op.Key, op.Value, b)
+			} else {
+				op.Result, op.OK = t.putInAt(ix, op.Key, op.Value, b)
+			}
+			return
+		}
 	case OpInsert, OpInsertShadow:
-		if isReserved(op.Key) {
-			op.OK, op.Err = false, ErrReservedKey
+		if op.Err = t.opErr(op.Kind, op.Key); op.Err == nil {
+			final := slotValid
+			if op.Kind == OpInsertShadow {
+				final = slotShadow
+			}
+			if st {
+				op.Result, op.Err = h.stInsertAt(ix, op.Key, op.Value, final, b)
+			} else {
+				op.Result, op.Err = t.insertInAt(h, ix, op.Key, op.Value, final, b)
+			}
+			op.OK = op.Err == nil
 			return
 		}
-		final := slotValid
-		if op.Kind == OpInsertShadow {
-			final = slotShadow
+	case OpDelete:
+		if op.Err = t.opErr(OpDelete, op.Key); op.Err == nil {
+			if st {
+				op.Result, op.OK = h.stDeleteAt(ix, op.Key, b)
+			} else {
+				op.Result, op.OK = t.deleteInAt(h, ix, op.Key, b)
+			}
+			return
 		}
-		op.Result, op.Err = t.insertInAt(h, ix, op.Key, op.Value, final, b)
-		op.OK = op.Err == nil
-	case OpDelete:
-		op.Result, op.OK = t.deleteInAt(h, ix, op.Key, b)
 	case OpCommitShadow:
-		op.OK = h.commitShadowInAt(ix, op.Key, op.Value != 0, b)
+		if op.Err = t.opErr(OpCommitShadow, op.Key); op.Err == nil {
+			if st {
+				op.OK = h.stCommitShadowAt(ix, op.Key, op.Value != 0, b)
+			} else {
+				op.OK = h.commitShadowInAt(ix, op.Key, op.Value != 0, b)
+			}
+			return
+		}
 	}
+	op.OK = false // the gate refused
 }
 
-// stExecOneAt is execOneAt for single-thread mode (§3.4.5): the same
-// dispatch with synchronization-free op bodies. Memory-awareness is not
-// stripped — the pipe engine's sliding-window prefetch still overlaps the
-// batch's DRAM latency; §3.4.5 only removes CASes, resize checks and
-// enter/leave notifications.
-func (h *Handle) stExecOneAt(ix *index, op *Op, b uint64) {
-	op.Err = nil
-	// Inlined ops are rejected on Allocator-mode tables for the same
-	// reasons as in execOneAt: slot words there are block references.
-	if h.t.cfg.Mode == Allocator {
-		op.OK, op.Err = false, ErrWrongMode
-		return
-	}
-	switch op.Kind {
-	case OpGet:
-		op.Result, op.OK = h.stGetAt(ix, op.Key, b)
-	case OpPut:
-		op.Result, op.OK = h.stPutAt(ix, op.Key, op.Value, b)
-	case OpInsert:
-		op.Result, op.Err = h.stInsertAt(ix, op.Key, op.Value, slotValid, b)
-		op.OK = op.Err == nil
-	case OpInsertShadow:
-		op.Result, op.Err = h.stInsertAt(ix, op.Key, op.Value, slotShadow, b)
-		op.OK = op.Err == nil
-	case OpDelete:
-		op.Result, op.OK = h.stDeleteAt(ix, op.Key, b)
-	case OpCommitShadow:
-		op.OK = h.stCommitShadowAt(ix, op.Key, op.Value != 0, b)
-	}
-}
-
-// commitShadowIn is CommitShadow against a specific entered index.
-func (h *Handle) commitShadowIn(ix *index, key uint64, commit bool) bool {
-	return h.commitShadowInAt(ix, key, commit, h.t.binFor(ix, key))
-}
-
-// commitShadowInAt is commitShadowIn with the key's bin precomputed.
+// commitShadowInAt is the concurrent CommitShadow body.
 func (h *Handle) commitShadowInAt(ix *index, key uint64, commit bool, b uint64) bool {
 	t := h.t
 	for {

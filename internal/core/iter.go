@@ -12,6 +12,13 @@ import (
 // stalling updates for the duration — the paper implements this with a
 // same-size migration; stalling achieves the same "updates stop, Gets
 // proceed" contract without copying the index.
+//
+// Every walk is resumable and runs one way: a Cursor, resolved against the
+// index each step enters, names the bins still to visit. ScanStep (fixed
+// tables) and RangeKVStep (Allocator-mode tables) are the two step bodies;
+// Range, RangeKV, Snapshot and Len are loops of steps, each step entering
+// and leaving the index, so a long walk never holds a drained index
+// reachable.
 
 // Entry is one key-value pair produced by an iterator.
 type Entry struct {
@@ -19,18 +26,47 @@ type Entry struct {
 	Value uint64
 }
 
+// Cursor is the position of a resumable table walk (ScanStep,
+// RangeKVStep). The zero value starts a pass. Bins is the bin count of the
+// index the pass started on and Next the first of those bins not yet
+// visited. Resize growth is multiplicative, so Bins divides every later bin
+// count and old bin b is exactly current bins {b + j·Bins}: a cursor stays
+// valid across any number of resizes, and a pass visits every key present
+// throughout it exactly once.
+type Cursor struct{ Bins, Next uint64 }
+
+// walkStep is the per-step budget of the full-pass loops (Range, RangeKV).
+const walkStep = 1 << 12
+
+// resolve maps c onto ix, the index a step entered, and returns it with the
+// fan-out factor: how many of ix's bins each cursor bin covers. A zero
+// cursor adopts ix's geometry. A cursor whose geometry does not fit ix —
+// one fabricated over the wire, or from a table that restarted smaller —
+// comes back exhausted, so the step reports done and touches no bin; any
+// other bin b + j·Bins it yields is below ix.numBins.
+func (c Cursor) resolve(ix *index) (Cursor, uint64) {
+	if c.Bins == 0 {
+		return Cursor{Bins: ix.numBins}, 1
+	}
+	factor := ix.numBins / c.Bins
+	if factor == 0 {
+		c.Next = c.Bins
+	}
+	return c, factor
+}
+
 // Range iterates over all live entries, calling fn until it returns false.
 // Weakly consistent: entries inserted or deleted concurrently may or may
 // not be observed, but every returned pair was present at some point during
 // the traversal, and each bin is read atomically (version-validated).
-// Shadow entries are hidden, as everywhere.
+// Shadow entries are hidden, as everywhere. Range is a loop of ScanStep
+// steps, and fn runs between them, outside any table operation.
 func (h *Handle) Range(fn func(key, val uint64) bool) {
-	ix := h.enter()
-	defer h.leave()
-	var buf [slotsPerBin]Entry
-	for b := uint64(0); b < ix.numBins; b++ {
-		n := h.t.collectBin(ix, b, buf[:0], 0)
-		for _, e := range n {
+	var ents []Entry
+	var cur Cursor
+	for done := false; !done; {
+		ents, cur, done = h.ScanStep(cur, walkStep, ents[:0])
+		for _, e := range ents {
 			if !fn(e.Key, e.Value) {
 				return
 			}
@@ -95,11 +131,6 @@ type KVEntry struct {
 	Meta  uint64
 }
 
-// KVCursor is the position of a RangeKVStep traversal. The zero value
-// starts a pass. Like ScanStep's cursor it is expressed in the geometry of
-// the step that started the pass, so it stays valid across resizes.
-type KVCursor struct{ bins, next uint64 }
-
 // RangeKV is Range for Allocator-mode tables: one full RangeKVStep pass
 // over all live out-of-line pairs, calling fn for each until it returns
 // false. Returns ErrWrongMode outside Allocator mode.
@@ -108,9 +139,9 @@ func (h *Handle) RangeKV(fn func(e *KVEntry) bool) error {
 		return ErrWrongMode
 	}
 	more := true
-	var cur KVCursor
+	var cur Cursor
 	for done := false; more && !done; {
-		cur, done = h.RangeKVStep(cur, 1<<12, true, func(e *KVEntry) {
+		cur, done = h.RangeKVStep(cur, walkStep, true, func(e *KVEntry) {
 			more = more && fn(e)
 		})
 	}
@@ -130,32 +161,30 @@ func (h *Handle) RangeKV(fn func(e *KVEntry) bool) error {
 // reclaimed) mid-read is discarded and retried rather than observed torn.
 // fn runs between bins with the handle inside a table operation: it must
 // not call back into the handle. The table must be in Allocator mode.
-func (h *Handle) RangeKVStep(cur KVCursor, budget int, vals bool, fn func(e *KVEntry)) (next KVCursor, done bool) {
+func (h *Handle) RangeKVStep(cur Cursor, budget int, vals bool, fn func(e *KVEntry)) (next Cursor, done bool) {
 	t := h.t
 	if t.cfg.Mode != Allocator {
 		panic(ErrWrongMode)
 	}
 	ix := h.enter()
 	defer h.leave()
-	if cur.bins == 0 {
-		cur = KVCursor{bins: ix.numBins}
-	}
-	// Growth is multiplicative, so the cursor's geometry divides the
-	// current one and old bin b is current bins {b + j·cur.bins}.
-	factor := ix.numBins / cur.bins
+	cur, factor := cur.resolve(ix)
 	sc := &h.kvScan
-	for spent := 0; cur.next < cur.bins && spent < budget; cur.next++ {
+	for spent := 0; cur.Next < cur.Bins; {
 		sc.ents, sc.buf = sc.ents[:0], sc.buf[:0]
 		for j := uint64(0); j < factor; j++ {
-			t.collectBinKV(ix, cur.next+j*cur.bins, sc, vals, 0)
+			t.collectBinKV(ix, cur.Next+j*cur.Bins, sc, vals, 0)
 		}
 		spent += int(factor) + len(sc.ents)
 		for i := range sc.ents {
 			fn(&sc.ents[i])
 		}
+		if cur.Next++; spent >= budget {
+			break
+		}
 	}
-	if cur.next >= cur.bins {
-		return KVCursor{}, true
+	if cur.Next >= cur.Bins {
+		return Cursor{}, true
 	}
 	return cur, false
 }
@@ -258,52 +287,34 @@ func (t *Table) collectBinKV(ix *index, b uint64, sc *kvScan, vals bool, depth i
 	}
 }
 
-// ScanStep is the resumable cursor under the cluster migration stream: it
-// collects the live entries of old-geometry bins [startBin, …) and reports
-// where to resume. The cursor is expressed in the geometry of the first
-// call — origBins==0 means "adopt the current root index size" and the
-// adopted size is returned for the caller to thread through subsequent
-// calls. Because resize growth is multiplicative, origBins always divides
-// the current index size, so old bin b maps exactly onto current bins
-// {b + j·origBins}: the traversal never misses a key across an arbitrary
-// number of concurrent resizes, and collectBin's recursion covers resizes
-// that land mid-step. Weakly consistent like Range — concurrent mutations
-// may or may not be observed — which is exactly what the migration
-// pipeline wants (racing foreground writes are journaled and re-copied by
-// the coordinator). At least one old bin is consumed per call even when it
-// overflows maxEnts, so progress is guaranteed; done reports cursor
-// exhaustion. Allocator-mode tables are not scannable this way (their
-// value words are block refs); use RangeKV.
-func (h *Handle) ScanStep(origBins, startBin uint64, maxEnts int) (ents []Entry, newOrigBins, nextBin uint64, done bool) {
+// ScanStep is the resumable walk of fixed (Inlined/HashSet) tables, and
+// the cursor under the cluster migration stream and scrubber: from cur it
+// appends the live entries of whole cursor bins to ents until at least
+// maxEnts were appended — at least one bin per call, so a pass always ends
+// — and returns them with the cursor to resume from; done reports that the
+// pass is complete, and the cursor returned with it starts the next one.
+// collectBin's recursion covers resizes that land mid-step. Weakly
+// consistent like Range — concurrent mutations may or may not be observed —
+// which is exactly what the migration pipeline wants (racing foreground
+// writes are journaled and re-copied by the coordinator). Allocator-mode
+// tables are not scannable this way (their value words are block refs); use
+// RangeKVStep.
+func (h *Handle) ScanStep(cur Cursor, maxEnts int, ents []Entry) ([]Entry, Cursor, bool) {
 	ix := h.enter()
 	defer h.leave()
-	if origBins == 0 {
-		origBins = ix.numBins
-	}
-	factor := ix.numBins / origBins
-	for factor == 0 {
-		// The cursor's geometry is newer than this handle's view of the
-		// root. With origBins taken from a prior ScanStep this cannot
-		// happen (the root only grows); tolerate a fabricated cursor by
-		// walking forward while a successor exists.
-		nx := ix.next.Load()
-		if nx == nil {
-			return nil, origBins, origBins, true
-		}
-		ix = nx
-		factor = ix.numBins / origBins
-	}
-	b := startBin
-	for ; b < origBins; b++ {
+	cur, factor := cur.resolve(ix)
+	for start := len(ents); cur.Next < cur.Bins; {
 		for j := uint64(0); j < factor; j++ {
-			ents = h.t.collectBin(ix, b+j*origBins, ents, 0)
+			ents = h.t.collectBin(ix, cur.Next+j*cur.Bins, ents, 0)
 		}
-		if len(ents) >= maxEnts {
-			b++
+		if cur.Next++; len(ents)-start >= maxEnts {
 			break
 		}
 	}
-	return ents, origBins, b, b >= origBins
+	if cur.Next >= cur.Bins {
+		return ents, Cursor{}, true
+	}
+	return ents, cur, false
 }
 
 // Snapshot returns a strongly consistent copy of all entries. It requires
@@ -314,9 +325,6 @@ func (h *Handle) Snapshot() ([]Entry, error) {
 	t := h.t
 	if !t.cfg.StrongSnapshots {
 		return nil, ErrWrongMode
-	}
-	if t.cfg.SingleThread {
-		return h.snapshotST(), nil
 	}
 	// Close the gate, then wait for in-flight updates to drain.
 	for !t.snapshotGate.CompareAndSwap(0, 1) {
@@ -332,25 +340,6 @@ func (h *Handle) Snapshot() ([]Entry, error) {
 	})
 	t.snapshotGate.Store(0)
 	return out, nil
-}
-
-func (h *Handle) snapshotST() []Entry {
-	var out []Entry
-	ix := h.t.current.Load()
-	for b := uint64(0); b < ix.numBins; b++ {
-		hdr := *ix.headerAddr(b)
-		meta := *ix.linkMetaAddr(b)
-		limit := slotLimit(meta)
-		for i := 0; i < limit; i++ {
-			if slotState(hdr, i) != slotValid {
-				continue
-			}
-			kw := ix.slotKeyWord(b, meta, i)
-			p := slotPair(kw)
-			out = append(out, Entry{p[0], p[1]})
-		}
-	}
-	return out
 }
 
 // Len counts live entries with a weak traversal. O(bins); intended for

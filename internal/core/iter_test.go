@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -99,8 +101,10 @@ func TestRangeDuringConcurrentResize(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		// Bounded: Range leaves the index between steps, so nothing throttles
+		// the writer's resizes, and the table must stay small.
 		w := tb.MustHandle()
-		for i := uint64(stable); !stop.Load(); i++ {
+		for i := uint64(stable); !stop.Load() && i < 1<<16; i++ {
 			w.Insert(1_000_000+i, i)
 		}
 	}()
@@ -215,4 +219,210 @@ func TestLen(t *testing.T) {
 	if n := h.Len(); n != 37 {
 		t.Fatalf("Len = %d, want 37", n)
 	}
+}
+
+// TestFabricatedCursorsTerminate: a cursor that arrives over the wire can
+// hold anything. Every one of these ends its pass with done, visits only
+// real bins (an out-of-range bin would panic on the bin array, an in-range
+// wrong one would yield keys the table does not hold), and the cursor
+// returned with done starts a fresh pass.
+func TestFabricatedCursorsTerminate(t *testing.T) {
+	fixed := MustNew(Config{Bins: 64, Resizable: true})
+	fh := fixed.MustHandle()
+	kv := MustNew(Config{Mode: Allocator, Bins: 64, Resizable: true})
+	kh := kv.MustHandle()
+	const n = 150
+	for i := uint64(0); i < n; i++ {
+		fh.Insert(i, i)
+		kh.InsertKV(0, []byte{byte(i)}, []byte{1})
+	}
+	bins := fixed.NumBins()
+	if kv.NumBins() != bins {
+		t.Fatalf("tables grew apart: %d vs %d bins", bins, kv.NumBins())
+	}
+	cursors := []Cursor{
+		{},                               // start a pass
+		{Bins: 3},                        // does not divide the bin count
+		{Bins: 3, Next: 2},               // ... resumed
+		{Bins: bins * 2},                 // more bins than the table has
+		{Bins: bins, Next: bins},         // Next at Bins
+		{Bins: 5, Next: 1 << 40},         // Next far past Bins
+		{Bins: 1 << 63},                  // 2^63
+		{Bins: 1 << 63, Next: 1<<63 - 1}, // 2^63, last bin
+		{Bins: 1, Next: 1 << 63},         // Next 2^63
+		{Bins: ^uint64(0), Next: ^uint64(0)},
+	}
+	for _, c := range cursors {
+		for step := 0; ; step++ {
+			if step > int(bins) {
+				t.Fatalf("ScanStep from %+v: no done after %d steps", c, step)
+			}
+			ents, next, done := fh.ScanStep(c, 1, nil)
+			for _, e := range ents {
+				if e.Key >= n || e.Value != e.Key {
+					t.Fatalf("ScanStep from %+v yielded %+v", c, e)
+				}
+			}
+			if done {
+				if next != (Cursor{}) {
+					t.Fatalf("ScanStep from %+v: done with cursor %+v", c, next)
+				}
+				break
+			}
+			c = next
+		}
+	}
+	for _, c := range cursors {
+		for step := 0; ; step++ {
+			if step > int(bins) {
+				t.Fatalf("RangeKVStep from %+v: no done after %d steps", c, step)
+			}
+			next, done := kh.RangeKVStep(c, 1, true, func(e *KVEntry) {
+				if len(e.Key) != 1 || e.Key[0] >= n || string(e.Value) != "\x01" {
+					t.Fatalf("RangeKVStep from %+v yielded %q=%q", c, e.Key, e.Value)
+				}
+			})
+			if done {
+				if next != (Cursor{}) {
+					t.Fatalf("RangeKVStep from %+v: done with cursor %+v", c, next)
+				}
+				break
+			}
+			c = next
+		}
+	}
+}
+
+// resizesUnderWalk starts a writer that grows tb through three resizes
+// with churn, beginning at the walker's first pause. pause blocks the
+// walker until the writer has completed one more resize (up to three), so
+// a pass that calls it between steps spans all three while the writer runs
+// concurrently with its later steps. wait joins the writer and fails the
+// test unless all three resizes ran.
+func resizesUnderWalk(t *testing.T, tb *Table, churn func(h *Handle, i uint64)) (pause, wait func()) {
+	r0 := tb.resizes.Load()
+	start, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		<-start
+		h := tb.MustHandle()
+		defer h.Close()
+		for i := uint64(0); i < 1<<20 && tb.resizes.Load() < r0+3; i++ {
+			churn(h, i)
+		}
+	}()
+	var paused uint64
+	pause = func() {
+		if paused == 0 {
+			close(start)
+		}
+		for paused < 3 && tb.resizes.Load() < r0+paused+1 {
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+		paused++
+	}
+	wait = func() {
+		if paused == 0 {
+			close(start)
+		}
+		<-done
+		if r := tb.resizes.Load() - r0; r < 3 {
+			t.Fatalf("%d resizes under the walk, want 3", r)
+		}
+	}
+	return pause, wait
+}
+
+// TestWalksExactlyOnceAcrossResizes: one pass of each walk — Range,
+// ScanStep, RangeKVStep — visits every key present throughout it exactly
+// once while another goroutine grows the table through three resizes. The
+// fixed table's churn keys are multiples of its first bin count, so with
+// modulo hashing they pile into a few bins and each resize needs only tens
+// of them; the pass holds more than one Range step of stable keys.
+func TestWalksExactlyOnceAcrossResizes(t *testing.T) {
+	const fixedBins, stable = 2048, walkStep + 1000
+	fixedTable := func(t *testing.T) *Table {
+		tb := MustNew(Config{Bins: fixedBins, Resizable: true, ChunkBins: 64, MaxThreads: 4})
+		h := tb.MustHandle()
+		for i := uint64(0); i < stable; i++ {
+			if _, err := h.Insert(i, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tb
+	}
+	fixedChurn := func(h *Handle, i uint64) { h.Insert((i+8)*fixedBins, i) }
+	check := func(t *testing.T, seen map[uint64]int) {
+		t.Helper()
+		for k := uint64(0); k < stable; k++ {
+			if seen[k] != 1 {
+				t.Fatalf("key %d visited %d times", k, seen[k])
+			}
+		}
+	}
+
+	t.Run("Range", func(t *testing.T) {
+		tb := fixedTable(t)
+		pause, wait := resizesUnderWalk(t, tb, fixedChurn)
+		seen := map[uint64]int{}
+		// fn runs between steps, outside the index, so it may wait on the
+		// writer's resizes.
+		tb.MustHandle().Range(func(k, v uint64) bool {
+			if k < stable {
+				seen[k]++
+				pause()
+			}
+			return true
+		})
+		wait()
+		check(t, seen)
+	})
+	t.Run("ScanStep", func(t *testing.T) {
+		tb := fixedTable(t)
+		pause, wait := resizesUnderWalk(t, tb, fixedChurn)
+		seen := map[uint64]int{}
+		h := tb.MustHandle()
+		var ents []Entry
+		for cur, done := (Cursor{}), false; !done; pause() {
+			ents, cur, done = h.ScanStep(cur, 512, ents[:0])
+			for _, e := range ents {
+				if e.Key < stable {
+					seen[e.Key]++
+				}
+			}
+		}
+		wait()
+		check(t, seen)
+	})
+	t.Run("RangeKVStep", func(t *testing.T) {
+		tb := MustNew(Config{Mode: Allocator, Bins: 64, Resizable: true, ChunkBins: 8, MaxThreads: 4})
+		h := tb.MustHandle()
+		key := func(i uint64) []byte { return binary.LittleEndian.AppendUint64(nil, i) }
+		for i := uint64(0); i < stable; i++ {
+			if err := h.InsertKV(0, key(i), key(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pause, wait := resizesUnderWalk(t, tb, func(h *Handle, i uint64) {
+			h.InsertKV(0, key(1<<40+i), key(i))
+		})
+		seen := map[uint64]int{}
+		for cur, done := (Cursor{}), false; !done; pause() {
+			cur, done = h.RangeKVStep(cur, 512, true, func(e *KVEntry) {
+				if k := binary.LittleEndian.Uint64(e.Key); k < stable {
+					if binary.LittleEndian.Uint64(e.Value) != k {
+						t.Errorf("key %d = %x", k, e.Value)
+					}
+					seen[k]++
+				}
+			})
+		}
+		wait()
+		check(t, seen)
+	})
 }

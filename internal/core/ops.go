@@ -93,18 +93,54 @@ func (ix *index) redirect(b uint64, hdr uint64) *index {
 }
 
 // ---------------------------------------------------------------------------
+// The op gate
+// ---------------------------------------------------------------------------
+
+// opErr is the one gate every fixed op (Get, Put, Insert, InsertShadow,
+// Delete, CommitShadow) passes before its body runs, on every path: the
+// sync Handle ops, Exec, Pipeline and the local Store. It returns the
+// refusal the op earns on this table, or nil:
+//   - ErrWrongMode for any fixed op on an Allocator-mode table — the KV
+//     surface is that mode's API, and its slot words are block references:
+//     an inlined write would plant a bogus reference for a later delete to
+//     free, and an inlined read would leak the encoded word;
+//   - ErrWrongMode for a Put outside Inlined mode;
+//   - ErrReservedKey for an Insert or InsertShadow of a transfer key.
+//
+// Callers without an error result map the refusal onto their contract: a
+// sync Get, Delete or CommitShadow reads it as a miss, a sync Put panics.
+// Callers pass a kind they know, so the inlined gate folds to the checks
+// that kind needs: on a Get, one mode compare.
+func (t *Table) opErr(kind OpKind, key uint64) error {
+	switch {
+	case t.cfg.Mode == Allocator:
+		return ErrWrongMode
+	case kind == OpPut && t.cfg.Mode != Inlined:
+		return ErrWrongMode
+	case (kind == OpInsert || kind == OpInsertShadow) && isReserved(key):
+		return ErrReservedKey
+	}
+	return nil
+}
+
+// ---------------------------------------------------------------------------
 // Get (§3.2.1)
 // ---------------------------------------------------------------------------
 
 // Get returns the value stored under key in Inlined mode, or reports
 // whether the key exists in HashSet mode (the value is then 0). It is
-// lock-free and in the common case costs a single memory access.
+// lock-free and in the common case costs a single memory access. A Get the
+// op gate refuses (any fixed op on an Allocator-mode table) reads as a miss.
 func (h *Handle) Get(key uint64) (uint64, bool) {
-	if h.t.cfg.SingleThread {
-		return h.stGet(key)
+	t := h.t
+	if t.opErr(OpGet, key) != nil {
+		return 0, false
 	}
 	ix := h.enter()
-	v, ok := h.t.getIn(ix, key)
+	if t.cfg.SingleThread {
+		return h.stGetAt(ix, key, t.binFor(ix, key))
+	}
+	v, ok := t.getInAt(ix, key, t.binFor(ix, key))
 	h.leave()
 	return v, ok
 }
@@ -115,13 +151,10 @@ func (h *Handle) Contains(key uint64) bool {
 	return ok
 }
 
-func (t *Table) getIn(ix *index, key uint64) (uint64, bool) {
-	return t.getInAt(ix, key, t.binFor(ix, key))
-}
-
-// getInAt is getIn with the key's bin within ix precomputed (the batch
-// engine memoizes it during the prefetch stage). A resize redirect
-// invalidates b: the op recomputes it against the successor index.
+// getInAt is the concurrent Get body against bin b of ix: the sync op
+// computes b itself, the batch engine memoizes it during the prefetch
+// stage. A resize redirect invalidates b: the op recomputes it against the
+// successor index. Every *At body follows the same rule.
 func (t *Table) getInAt(ix *index, key uint64, b uint64) (uint64, bool) {
 	for {
 		hdr := atomic.LoadUint64(ix.headerAddr(b))
@@ -149,59 +182,70 @@ func (t *Table) getInAt(ix *index, key uint64, b uint64) (uint64, bool) {
 // Insert adds key→val. It returns (0, nil) on success; (existing, ErrExists)
 // when the key is already present; (0, ErrShadow) when the key is locked by
 // an uncommitted shadow insert; (0, ErrFull) when the index is full and the
-// table is not resizable; and (0, ErrReservedKey) for transfer-key values.
+// table is not resizable; and the op gate's refusal — ErrReservedKey for a
+// transfer key, ErrWrongMode on an Allocator-mode table — otherwise.
 // In HashSet mode val is ignored.
 func (h *Handle) Insert(key, val uint64) (uint64, error) {
-	return h.insertState(key, val, slotValid)
+	t := h.t
+	if err := t.opErr(OpInsert, key); err != nil {
+		return 0, err
+	}
+	if t.cfg.SingleThread {
+		ix := t.current.Load()
+		return h.stInsertAt(ix, key, val, slotValid, t.binFor(ix, key))
+	}
+	t.beginUpdate()
+	ix := h.enter()
+	v, err := t.insertInAt(h, ix, key, val, slotValid, t.binFor(ix, key))
+	h.leave()
+	t.endUpdate()
+	return v, err
 }
 
 // InsertShadow performs the transactional shadow Insert of §3.2.2: the key
 // is inserted but remains hidden from Gets, Puts and Deletes until
 // CommitShadow is called. A shadow insert acts as an exclusive lock on the
-// key: concurrent Inserts of the same key fail with ErrShadow.
+// key: concurrent Inserts of the same key fail with ErrShadow. Results and
+// refusals are Insert's.
 func (h *Handle) InsertShadow(key, val uint64) (uint64, error) {
-	return h.insertState(key, val, slotShadow)
+	t := h.t
+	if err := t.opErr(OpInsertShadow, key); err != nil {
+		return 0, err
+	}
+	if t.cfg.SingleThread {
+		ix := t.current.Load()
+		return h.stInsertAt(ix, key, val, slotShadow, t.binFor(ix, key))
+	}
+	t.beginUpdate()
+	ix := h.enter()
+	v, err := t.insertInAt(h, ix, key, val, slotShadow, t.binFor(ix, key))
+	h.leave()
+	t.endUpdate()
+	return v, err
 }
 
 // CommitShadow finishes a shadow insert: commit=true publishes the key
 // (state→Valid), commit=false aborts it (state→Invalid, slot reclaimed).
-// Returns false if no shadow entry for key exists.
+// Returns false if no shadow entry for key exists, or the op gate refuses.
 func (h *Handle) CommitShadow(key uint64, commit bool) bool {
-	if h.t.cfg.SingleThread {
-		return h.stCommitShadow(key, commit)
+	t := h.t
+	if t.opErr(OpCommitShadow, key) != nil {
+		return false
 	}
+	if t.cfg.SingleThread {
+		ix := t.current.Load()
+		return h.stCommitShadowAt(ix, key, commit, t.binFor(ix, key))
+	}
+	t.beginUpdate()
 	ix := h.enter()
-	defer h.leave()
-	h.t.beginUpdate()
-	defer h.t.endUpdate()
-	return h.commitShadowIn(ix, key, commit)
-}
-
-func (h *Handle) insertState(key, val uint64, finalState uint64) (uint64, error) {
-	if isReserved(key) {
-		return 0, ErrReservedKey
-	}
-	if h.t.cfg.SingleThread {
-		return h.stInsert(key, val, finalState)
-	}
-	h.t.beginUpdate()
-	ix := h.enter()
-	v, err := h.t.insertIn(h, ix, key, val, finalState)
+	ok := h.commitShadowInAt(ix, key, commit, t.binFor(ix, key))
 	h.leave()
-	h.t.endUpdate()
-	return v, err
+	t.endUpdate()
+	return ok
 }
 
-// insertIn is the concurrent Insert body. It does not bracket itself with
-// beginUpdate/endUpdate — the public entry points do — because the resize
-// transfer re-enters it while an update is already in flight, and a strong
-// snapshot draining the updater count must not deadlock against it.
-func (t *Table) insertIn(h *Handle, ix *index, key, val uint64, finalState uint64) (uint64, error) {
-	return t.insertInAt(h, ix, key, val, finalState, t.binFor(ix, key))
-}
-
-// insertInAt is insertIn with the key's bin within ix precomputed; whenever
-// the op moves to a successor index the memoized bin is recomputed.
+// insertInAt is the concurrent Insert body; like every mutating *At body
+// its callers bracket it with beginUpdate/endUpdate.
 func (t *Table) insertInAt(h *Handle, ix *index, key, val uint64, finalState uint64, b uint64) (uint64, error) {
 	for {
 		hdrAddr := ix.headerAddr(b)
@@ -360,24 +404,25 @@ func (t *Table) chainBucket(ix *index, b uint64, field int) (uint64, bool) {
 
 // Delete removes key, returning its value and true if it was present. The
 // slot is reclaimed instantly — the headline advantage over open-addressing
-// tombstones.
+// tombstones. A Delete the op gate refuses reads as a miss.
 func (h *Handle) Delete(key uint64) (uint64, bool) {
-	if h.t.cfg.SingleThread {
-		return h.stDelete(key)
+	t := h.t
+	if t.opErr(OpDelete, key) != nil {
+		return 0, false
 	}
-	h.t.beginUpdate()
+	if t.cfg.SingleThread {
+		ix := t.current.Load()
+		return h.stDeleteAt(ix, key, t.binFor(ix, key))
+	}
+	t.beginUpdate()
 	ix := h.enter()
-	v, ok := h.t.deleteIn(h, ix, key)
+	v, ok := t.deleteInAt(h, ix, key, t.binFor(ix, key))
 	h.leave()
-	h.t.endUpdate()
+	t.endUpdate()
 	return v, ok
 }
 
-func (t *Table) deleteIn(h *Handle, ix *index, key uint64) (uint64, bool) {
-	return t.deleteInAt(h, ix, key, t.binFor(ix, key))
-}
-
-// deleteInAt is deleteIn with the key's bin within ix precomputed.
+// deleteInAt is the concurrent Delete body.
 func (t *Table) deleteInAt(h *Handle, ix *index, key uint64, b uint64) (uint64, bool) {
 	for {
 		hdrAddr := ix.headerAddr(b)
@@ -428,27 +473,26 @@ func (t *Table) afterDelete(h *Handle, val uint64) {
 
 // Put overwrites the value of an existing key with a double-word CAS on the
 // slot, returning the previous value and true. It returns (0, false) when
-// the key does not exist. Inlined mode only.
+// the key does not exist. Inlined mode only: elsewhere Put panics with the
+// op gate's ErrWrongMode (API misuse).
 func (h *Handle) Put(key, val uint64) (uint64, bool) {
-	if h.t.cfg.Mode != Inlined {
-		panic(ErrWrongMode)
+	t := h.t
+	if err := t.opErr(OpPut, key); err != nil {
+		panic(err)
 	}
-	if h.t.cfg.SingleThread {
-		return h.stPut(key, val)
+	if t.cfg.SingleThread {
+		ix := t.current.Load()
+		return h.stPutAt(ix, key, val, t.binFor(ix, key))
 	}
-	h.t.beginUpdate()
+	t.beginUpdate()
 	ix := h.enter()
-	old, ok := h.t.putIn(ix, key, val)
+	old, ok := t.putInAt(ix, key, val, t.binFor(ix, key))
 	h.leave()
-	h.t.endUpdate()
+	t.endUpdate()
 	return old, ok
 }
 
-func (t *Table) putIn(ix *index, key, val uint64) (uint64, bool) {
-	return t.putInAt(ix, key, val, t.binFor(ix, key))
-}
-
-// putInAt is putIn with the key's bin within ix precomputed.
+// putInAt is the concurrent Put body.
 func (t *Table) putInAt(ix *index, key, val uint64, b uint64) (uint64, bool) {
 	for {
 		hdr := atomic.LoadUint64(ix.headerAddr(b))

@@ -14,9 +14,10 @@ import (
 // be batch boundaries — the next burst's prefetches overlap the previous
 // burst's tail instead of starting from a cold window.
 //
-// The sliding-window machinery lives in the pipe engine below; Exec (and
-// the single-thread execST path) are adapters over the same engine, so the
-// windowed loop exists exactly once.
+// The sliding-window machinery lives in the pipe engine below, and every
+// op it completes runs through execOneAt: the op gate, then the op's *At
+// body. Exec drives the same ring and the same dispatch with its own
+// batch-at-once loop.
 
 // pipeEntry is one in-flight request of the engine: the op pointer plus the
 // bin memoized while its prefetch was issued and the index the bin belongs
@@ -86,11 +87,7 @@ func (p *pipe) issue(t *Table, ix *index, op *Op) {
 func (h *Handle) step(p *pipe) *Op {
 	e := p.ring[p.tail&p.mask]
 	p.tail++
-	if h.t.cfg.SingleThread {
-		h.stExecOneAt(e.ix, e.op, e.bin)
-	} else {
-		h.execOneAt(e.ix, e.op, e.bin)
-	}
+	h.execOneAt(e.ix, e.op, e.bin)
 	return e.op
 }
 
@@ -145,12 +142,10 @@ type Pipeline struct {
 	onComplete func(*Op)
 	draining   bool
 	closed     bool
-	// announce and st cache immutable table config so the per-request path
+	// announce caches immutable table config so the per-request path
 	// re-derives nothing: whether completions must run under an announced
-	// index (resizable concurrent tables) and whether the single-thread op
-	// bodies apply.
+	// index (resizable concurrent tables).
 	announce bool
-	st       bool
 }
 
 // Pipeline creates a streaming pipeline over h. See PipelineOpts.
@@ -165,7 +160,6 @@ func (h *Handle) Pipeline(opts PipelineOpts) *Pipeline {
 	pl := &Pipeline{
 		h: h, w: w, onComplete: opts.OnComplete,
 		announce: h.t.cfg.Resizable && !h.t.cfg.SingleThread,
-		st:       h.t.cfg.SingleThread,
 	}
 	pl.p.sizePipe(w)
 	pl.buf = make([]Op, len(pl.p.ring))
@@ -248,18 +242,10 @@ func (pl *Pipeline) drainTo(limit int) {
 		e := p.ring[p.tail&p.mask]
 		p.tail++
 		if e.op.Kind == OpGet {
-			if pl.st {
-				h.stExecOneAt(e.ix, e.op, e.bin)
-			} else {
-				h.execOneAt(e.ix, e.op, e.bin)
-			}
+			h.execOneAt(e.ix, e.op, e.bin)
 		} else {
 			t.beginUpdate()
-			if pl.st {
-				h.stExecOneAt(e.ix, e.op, e.bin)
-			} else {
-				h.execOneAt(e.ix, e.op, e.bin)
-			}
+			h.execOneAt(e.ix, e.op, e.bin)
 			t.endUpdate()
 		}
 		if pl.onComplete != nil {

@@ -8,15 +8,11 @@ package core
 //
 // The structure and algorithms are deliberately identical to the concurrent
 // path (the paper found specialized single-threaded algorithms gained
-// nothing); only the memory operations are downgraded. Each operation has
-// an *At variant taking the key's precomputed bin, so the windowed batch
-// engine can reuse the hash computed during its prefetch stage; a bin that
-// has been migrated (DoneTransfer) is recomputed against the next index.
-
-func (h *Handle) stGet(key uint64) (uint64, bool) {
-	ix := h.t.current.Load()
-	return h.stGetAt(ix, key, h.t.binFor(ix, key))
-}
+// nothing); only the memory operations are downgraded. These are the op
+// bodies only, each taking the key's bin b within ix: the sync Handle ops
+// and execOneAt pass the op gate, compute or memoize b, and call them; a
+// bin that has been migrated (DoneTransfer) is recomputed against the next
+// index.
 
 func (h *Handle) stGetAt(ix *index, key uint64, b uint64) (uint64, bool) {
 	t := h.t
@@ -41,11 +37,6 @@ func (h *Handle) stGetAt(ix *index, key uint64, b uint64) (uint64, bool) {
 		}
 		return 0, false
 	}
-}
-
-func (h *Handle) stInsert(key, val uint64, finalState uint64) (uint64, error) {
-	ix := h.t.current.Load()
-	return h.stInsertAt(ix, key, val, finalState, h.t.binFor(ix, key))
 }
 
 func (h *Handle) stInsertAt(ix *index, key, val uint64, finalState uint64, b uint64) (uint64, error) {
@@ -130,11 +121,6 @@ func (t *Table) stChain(ix *index, b uint64, field int) (uint64, bool) {
 	return meta, true
 }
 
-func (h *Handle) stDelete(key uint64) (uint64, bool) {
-	ix := h.t.current.Load()
-	return h.stDeleteAt(ix, key, h.t.binFor(ix, key))
-}
-
 func (h *Handle) stDeleteAt(ix *index, key uint64, b uint64) (uint64, bool) {
 	t := h.t
 	for {
@@ -164,11 +150,6 @@ func (h *Handle) stDeleteAt(ix *index, key uint64, b uint64) (uint64, bool) {
 	}
 }
 
-func (h *Handle) stPut(key, val uint64) (uint64, bool) {
-	ix := h.t.current.Load()
-	return h.stPutAt(ix, key, val, h.t.binFor(ix, key))
-}
-
 func (h *Handle) stPutAt(ix *index, key, val uint64, b uint64) (uint64, bool) {
 	t := h.t
 	for {
@@ -195,11 +176,6 @@ func (h *Handle) stPutAt(ix *index, key, val uint64, b uint64) (uint64, bool) {
 		}
 		return 0, false
 	}
-}
-
-func (h *Handle) stCommitShadow(key uint64, commit bool) bool {
-	ix := h.t.current.Load()
-	return h.stCommitShadowAt(ix, key, commit, h.t.binFor(ix, key))
 }
 
 func (h *Handle) stCommitShadowAt(ix *index, key uint64, commit bool, b uint64) bool {

@@ -104,12 +104,12 @@ type VersionReader interface {
 	GetVer(key uint64) (val uint64, ok bool, ver uint64, err error)
 }
 
-// Scanner is the optional Store extension behind cluster resharding: the
-// resumable weak-snapshot cursor of Handle.ScanStep. origBins==0 starts a
-// cursor (the adopted geometry comes back in newOrigBins); subsequent
-// calls thread newOrigBins/nextBin through. done reports exhaustion.
+// Scanner is the optional Store extension behind cluster resharding and
+// scrubbing: the resumable weak-snapshot walk of Handle.ScanStep. The zero
+// Cursor starts a pass; thread each returned cursor into the next step
+// until done.
 type Scanner interface {
-	ScanStep(origBins, startBin uint64, maxEnts int) (ents []Entry, newOrigBins, nextBin uint64, done bool, err error)
+	ScanStep(cur Cursor, maxEnts int) (ents []Entry, next Cursor, done bool, err error)
 }
 
 // ---------------------------------------------------------------------------
@@ -136,20 +136,26 @@ func (t *Table) MustStore() Store {
 	return s
 }
 
-// localStore adapts a Handle to the Store surface. The err result of the
-// sync methods is always nil locally — in-process tables have no transport
-// to fail — except for Insert's table-level refusals, which surface the
-// same sentinels remote backends map back onto.
+// localStore adapts a Handle to the Store surface. Locally there is no
+// transport to fail: err carries the table's refusals only — the op gate's
+// sentinels, and Insert's ErrFull/ErrShadow — the same ones its own Pipe
+// completes with and a remote backend maps back onto.
 type localStore struct {
 	h *Handle
 }
 
 func (s *localStore) Get(key uint64) (uint64, bool, error) {
+	if err := s.h.t.opErr(OpGet, key); err != nil {
+		return 0, false, err
+	}
 	v, ok := s.h.Get(key)
 	return v, ok, nil
 }
 
 func (s *localStore) Put(key, val uint64) (uint64, bool, error) {
+	if err := s.h.t.opErr(OpPut, key); err != nil {
+		return 0, false, err
+	}
 	prev, ok := s.h.Put(key, val)
 	return prev, ok, nil
 }
@@ -166,24 +172,30 @@ func (s *localStore) Insert(key, val uint64) (uint64, bool, error) {
 }
 
 func (s *localStore) Delete(key uint64) (uint64, bool, error) {
+	if err := s.h.t.opErr(OpDelete, key); err != nil {
+		return 0, false, err
+	}
 	prev, ok := s.h.Delete(key)
 	return prev, ok, nil
 }
 
-// GetVer implements VersionReader with Handle.GetVer.
+// GetVer implements VersionReader with Handle.GetVer, behind the Get gate.
 func (s *localStore) GetVer(key uint64) (uint64, bool, uint64, error) {
+	if err := s.h.t.opErr(OpGet, key); err != nil {
+		return 0, false, 0, err
+	}
 	v, ok, ver := s.h.GetVer(key)
 	return v, ok, ver, nil
 }
 
 // ScanStep implements Scanner. Allocator-mode tables refuse: their value
 // words are block refs that are meaningless outside the owning process.
-func (s *localStore) ScanStep(origBins, startBin uint64, maxEnts int) ([]Entry, uint64, uint64, bool, error) {
+func (s *localStore) ScanStep(cur Cursor, maxEnts int) ([]Entry, Cursor, bool, error) {
 	if s.h.t.cfg.Mode == Allocator {
-		return nil, 0, 0, false, ErrWrongMode
+		return nil, Cursor{}, false, ErrWrongMode
 	}
-	ents, newOrig, next, done := s.h.ScanStep(origBins, startBin, maxEnts)
-	return ents, newOrig, next, done, nil
+	ents, next, done := s.h.ScanStep(cur, maxEnts, nil)
+	return ents, next, done, nil
 }
 
 func (s *localStore) Pipe(opts PipeOpts) (Pipe, error) {

@@ -14,12 +14,12 @@ type Sweeper struct {
 
 // StartSweeper launches the background expiry crawl on kv's handle, which
 // must be dedicated to it. Like memcached's LRU crawler: every interval
-// (default 100ms) one Crawler.Round spends sample (default 1024) on the
-// next stretch of the table and deletes the expired pairs it finds
-// through Expired. A round ends by advancing the handle's epoch and
-// dropping its pin, so blocks deleted by other handles can reclaim past it
-// while it sleeps.
-func (kv KV) StartSweeper(interval time.Duration, sample int) *Sweeper {
+// (default 100ms) one Crawler.Round spends the default sample on the next
+// stretch of the table and deletes the expired pairs it finds through
+// Expired. A round ends by advancing the handle's epoch and dropping its
+// pin, so blocks deleted by other handles can reclaim past it while it
+// sleeps.
+func (kv KV) StartSweeper(interval time.Duration) *Sweeper {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
@@ -34,7 +34,7 @@ func (kv KV) StartSweeper(interval time.Duration, sample int) *Sweeper {
 			case <-sw.stop:
 				return
 			case <-t.C:
-				c.Round(sample)
+				c.Round(0)
 				kv.h.AdvanceEpoch()
 				kv.h.Unpin()
 			}
@@ -61,7 +61,7 @@ const (
 // from.
 type Crawler struct {
 	kv   KV
-	cur  core.KVCursor
+	cur  core.Cursor
 	dead []deadKey // the step's expired pairs: key bytes live in keys
 	keys []byte
 }

@@ -333,7 +333,7 @@ func TestSweeperReclaims(t *testing.T) {
 	tbl := core.MustNew(kvConfig())
 	ix := expiry.New(nil)
 	h := tbl.MustHandle()
-	sw := expiry.Bind(h, ix, nil).StartSweeper(10*time.Millisecond, 0)
+	sw := expiry.Bind(h, ix, nil).StartSweeper(10 * time.Millisecond)
 	defer func() {
 		sw.Stop()
 		h.Close()

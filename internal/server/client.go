@@ -93,9 +93,9 @@ type reply struct {
 	err      error
 
 	// Scan frames: the batch and the cursor to thread into the next step.
-	ents       []core.Entry
-	orig, next uint64
-	done       bool
+	ents []core.Entry
+	cur  core.Cursor
+	done bool
 }
 
 // ClientOpts configures DialV2/NewClientV2.
@@ -458,8 +458,8 @@ func (cl *Client) readReply(op OpCode, r *reply) error {
 			return err
 		}
 		r.Status = Status(hdr[0])
-		r.orig = binary.LittleEndian.Uint64(hdr[1:9])
-		r.next = binary.LittleEndian.Uint64(hdr[9:17])
+		r.cur.Bins = binary.LittleEndian.Uint64(hdr[1:9])
+		r.cur.Next = binary.LittleEndian.Uint64(hdr[9:17])
 		r.done = hdr[17] != 0
 		count := int(binary.LittleEndian.Uint32(hdr[18:22]))
 		if count > maxScanRespEnts {
@@ -621,20 +621,20 @@ func (cl *Client) GetVer(key uint64) (val uint64, ok bool, ver uint64, err error
 // requirements as GetVer. Not retried: the cursor's consumer (the reshard
 // coordinator) handles failover by restarting the pass, so a transport
 // error surfaces immediately.
-func (cl *Client) ScanStep(origBins, startBin uint64, maxEnts int) ([]core.Entry, uint64, uint64, bool, error) {
+func (cl *Client) ScanStep(cur core.Cursor, maxEnts int) ([]core.Entry, core.Cursor, bool, error) {
 	if maxEnts <= 0 || maxEnts > MaxScanBatch {
 		maxEnts = MaxScanBatch
 	}
 	frame := append(cl.frame[:0], byte(OpScan))
-	frame = binary.LittleEndian.AppendUint64(frame, origBins)
-	frame = binary.LittleEndian.AppendUint64(frame, startBin)
+	frame = binary.LittleEndian.AppendUint64(frame, cur.Bins)
+	frame = binary.LittleEndian.AppendUint64(frame, cur.Next)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(maxEnts))
 	var out reply
 	if err := cl.roundTrip(pending{op: OpScan, out: &out}, frame); err != nil {
-		return nil, 0, 0, false, err
+		return nil, core.Cursor{}, false, err
 	}
 	if out.Status != StatusOK {
-		return nil, 0, 0, false, out.Status.Err()
+		return nil, core.Cursor{}, false, out.Status.Err()
 	}
-	return out.ents, out.orig, out.next, out.done, nil
+	return out.ents, out.cur, out.done, nil
 }

@@ -87,18 +87,37 @@ func TestWindowFlushesOncePerWindow(t *testing.T) {
 
 // TestReshardFramesRequireFeature: GetVer and ScanStep are refused
 // locally, before any byte is sent, on a connection the handshake did not
-// grant FeatureReshard.
+// grant FeatureReshard. Granted, both answer WrongMode on a kv table: its
+// slot words are block refs, neither a value nor a version's key.
 func TestReshardFramesRequireFeature(t *testing.T) {
 	s := startServer(t, core.Config{Bins: 1 << 10, Resizable: true}, Options{})
 	cl := dialT(t, s)
 	if _, _, _, err := cl.GetVer(1); !errors.Is(err, ErrFeature) {
 		t.Fatalf("GetVer without FeatureReshard: %v, want ErrFeature", err)
 	}
-	if _, _, _, _, err := cl.ScanStep(0, 0, 16); !errors.Is(err, ErrFeature) {
+	if _, _, _, err := cl.ScanStep(core.Cursor{}, 16); !errors.Is(err, ErrFeature) {
 		t.Fatalf("ScanStep without FeatureReshard: %v, want ErrFeature", err)
 	}
 	if _, inserted, err := cl.Insert(1, 10); err != nil || !inserted {
 		t.Fatalf("connection unusable after the refusals: %v", err)
+	}
+
+	kv := core.MustNew(core.Config{Mode: core.Allocator, Bins: 1 << 10, VariableKV: true})
+	if err := s.AddTable("kv", kv); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.MustHandle().InsertKV(0, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	rcl := dialV2T(t, s, ClientOpts{Table: "kv", Features: FeatureKV | FeatureReshard})
+	if _, ok, _, err := rcl.GetVer(0); ok || !errors.Is(err, core.ErrWrongMode) {
+		t.Fatalf("GetVer on a kv table: ok=%v err=%v, want ErrWrongMode", ok, err)
+	}
+	if _, _, _, err := rcl.ScanStep(core.Cursor{}, 16); !errors.Is(err, core.ErrWrongMode) {
+		t.Fatalf("ScanStep on a kv table: %v, want ErrWrongMode", err)
+	}
+	if v, ok, err := rcl.GetKV(0, []byte("k")); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("connection unusable after the refusals: %q %v %v", v, ok, err)
 	}
 }
 

@@ -196,28 +196,29 @@ const (
 	//	offset 0   1 byte   OpGetVer
 	//	offset 1   8 bytes  key
 	GetVerReqSize = 9
-	// GetVerRespSize is the reply.
+	// GetVerRespSize is the reply; an Allocator-mode table answers both
+	// reshard frames StatusWrongMode with a zero body of the frame's size.
 	//
 	//	offset 0   1 byte   status (StatusOK / StatusNotFound; the version
 	//	                    is meaningful either way — a tombstone has one)
 	//	offset 1   8 bytes  value (0 on miss)
 	//	offset 9   8 bytes  version
 	GetVerRespSize = 17
-	// ScanReqSize is a cursor step request (core.Scanner semantics:
-	// origBins 0 starts the cursor; thread the returned origBins/nextBin
-	// through subsequent steps).
+	// ScanReqSize is a cursor step request (core.Scanner semantics: the
+	// zero core.Cursor starts a pass; thread the returned cursor through
+	// subsequent steps).
 	//
 	//	offset 0   1 byte   OpScan
-	//	offset 1   8 bytes  origBins
-	//	offset 9   8 bytes  startBin
+	//	offset 1   8 bytes  cursor Bins
+	//	offset 9   8 bytes  cursor Next
 	//	offset 17  4 bytes  maxEnts
 	ScanReqSize = 21
 	// ScanRespHdrSize is the fixed prefix of a cursor step reply;
 	// count × 16 bytes of (key, value) pairs follow.
 	//
 	//	offset 0   1 byte   status
-	//	offset 1   8 bytes  origBins (cursor geometry, echo into next step)
-	//	offset 9   8 bytes  nextBin
+	//	offset 1   8 bytes  cursor Bins (echo into the next step)
+	//	offset 9   8 bytes  cursor Next
 	//	offset 17  1 byte   done (1 = cursor exhausted)
 	//	offset 18  4 bytes  count
 	ScanRespHdrSize = 22

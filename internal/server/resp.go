@@ -99,7 +99,7 @@ func (s *Server) expiryFor(tbl *core.Table) (*expiry.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := expiry.Bind(h, ix, nil).StartSweeper(0, 0)
+	sw := expiry.Bind(h, ix, nil).StartSweeper(0)
 	s.expiries[tbl] = ix
 	s.sweepers = append(s.sweepers, respSweeper{sw: sw, h: h})
 	return ix, nil

@@ -660,7 +660,18 @@ func (bc *binConn) reshard(op OpCode, frame []byte) error {
 		return err
 	}
 	out := bc.W.Buf()
-	if op == OpGetVer {
+	switch {
+	case bc.tbl.Mode() == core.Allocator:
+		// Value words are block refs: neither frame reads them, and the
+		// reply is the frame's size with a zero body.
+		size := GetVerRespSize
+		if op == OpScan {
+			size = ScanRespHdrSize
+		}
+		var reply [ScanRespHdrSize]byte
+		reply[0] = byte(StatusWrongMode)
+		out = append(out, reply[:size]...)
+	case op == OpGetVer:
 		v, ok, ver := bc.H.GetVer(binary.LittleEndian.Uint64(frame[1:9]))
 		st := StatusOK
 		if !ok {
@@ -669,25 +680,22 @@ func (bc *binConn) reshard(op OpCode, frame []byte) error {
 		out = append(out, byte(st))
 		out = binary.LittleEndian.AppendUint64(out, v)
 		out = binary.LittleEndian.AppendUint64(out, ver)
-	} else if bc.tbl.Mode() == core.Allocator {
-		// Value words are block refs; not scannable over this frame.
-		var hdr [ScanRespHdrSize]byte
-		hdr[0] = byte(StatusWrongMode)
-		out = append(out, hdr[:]...)
-	} else {
-		origBins := binary.LittleEndian.Uint64(frame[1:9])
-		startBin := binary.LittleEndian.Uint64(frame[9:17])
+	default:
+		cur := core.Cursor{
+			Bins: binary.LittleEndian.Uint64(frame[1:9]),
+			Next: binary.LittleEndian.Uint64(frame[9:17]),
+		}
 		maxEnts := int(binary.LittleEndian.Uint32(frame[17:21]))
 		if maxEnts <= 0 || maxEnts > MaxScanBatch {
 			maxEnts = MaxScanBatch
 		}
 		// The cap clamps the request; the reply may overshoot it by the
-		// last bin group (ScanStep consumes whole old bins — truncating
+		// last bin group (ScanStep consumes whole cursor bins — truncating
 		// here would lose the overflow, the cursor is already past it).
-		ents, newOrig, next, done := bc.H.ScanStep(origBins, startBin, maxEnts)
+		ents, next, done := bc.H.ScanStep(cur, maxEnts, nil)
 		out = append(out, byte(StatusOK))
-		out = binary.LittleEndian.AppendUint64(out, newOrig)
-		out = binary.LittleEndian.AppendUint64(out, next)
+		out = binary.LittleEndian.AppendUint64(out, next.Bins)
+		out = binary.LittleEndian.AppendUint64(out, next.Next)
 		d := byte(0)
 		if done {
 			d = 1

@@ -19,15 +19,11 @@ type Options struct {
 	// snapshot + compaction (default 256 MiB; negative disables the
 	// background snapshotter — Snapshot can still be called manually).
 	SnapshotBytes int64
-	// SweepInterval is the background expiry sweep cadence for
-	// Allocator-mode tables (default 100ms; negative disables the sweeper
-	// — expired keys are then reclaimed only by lazy reads and restarts).
-	SweepInterval time.Duration
-	// SweepSample is one sweep round's budget: table bins visited plus
-	// pairs examined (default 1024).
-	SweepSample int
-	// nowMs overrides the expiry clock (Unix milliseconds). Test hook.
-	nowMs func() int64
+	// nowMs overrides the expiry clock (Unix milliseconds), and noSweep
+	// turns the background expiry crawler off, so expiry runs only when a
+	// test makes it. Test hooks.
+	nowMs   func() int64
+	noSweep bool
 }
 
 // defaultSnapshotBytes is the automatic snapshot threshold when
@@ -142,14 +138,14 @@ func Open(dir string, cfg core.Config, opts Options) (*Store, error) {
 		s.wg.Add(1)
 		go s.snapshotLoop()
 	}
-	if exp != nil && opts.SweepInterval >= 0 {
+	if exp != nil && !opts.noSweep {
 		sweepH, err := tbl.Handle()
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
 		s.sweepH = sweepH
-		s.sweeper = expiry.Bind(sweepH, exp, nil).StartSweeper(opts.SweepInterval, opts.SweepSample)
+		s.sweeper = expiry.Bind(sweepH, exp, nil).StartSweeper(0)
 	}
 	return s, nil
 }

@@ -26,7 +26,7 @@ func openKV(t *testing.T, dir string, now *atomic.Int64) *Store {
 	t.Helper()
 	s, err := Open(dir, kvTestConfig(), Options{
 		nowMs:         now.Load,
-		SweepInterval: -1,
+		noSweep:       true,
 		SnapshotBytes: -1,
 	})
 	if err != nil {
