@@ -327,6 +327,53 @@ func BenchmarkOpPut(b *testing.B) {
 	}
 }
 
+// BenchmarkKVSet prices an Allocator-mode write of a present key on an
+// EpochGC arena table of 2^14 resident 10-byte keys: replace is one
+// UpsertKVHashed (the Put body: a fresh block published by one
+// double-word CAS, the old one retired), insdel the delete-then-insert
+// pair. The handle advances its epoch every 64 writes, as a serving
+// connection does once per burst, so retired blocks are recycled.
+func BenchmarkKVSet(b *testing.B) {
+	const keys = 1 << 14
+	t := MustNew(Config{Mode: Allocator, Bins: 1 << 14, ValueSize: 8, EpochGC: true, MaxThreads: 8})
+	h := t.MustHandle()
+	ks := make([][]byte, keys)
+	hs := make([]uint64, keys)
+	val := make([]byte, 8)
+	for i := range ks {
+		ks[i] = []byte(fmt.Sprintf("key-%06d", i))
+		hs[i] = t.HashOfKV(0, ks[i])
+		if err := h.InsertKVHashed(0, ks[i], val, hs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("replace", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			k := i % keys
+			binary.LittleEndian.PutUint64(val, uint64(i))
+			if err := h.UpsertKVHashed(0, ks[k], val, hs[k], 0); err != nil {
+				b.Fatal(err)
+			}
+			if i%64 == 63 {
+				h.AdvanceEpoch()
+			}
+		}
+	})
+	b.Run("insdel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			k := i % keys
+			binary.LittleEndian.PutUint64(val, uint64(i))
+			h.DeleteKVHashed(0, ks[k], hs[k])
+			if err := h.InsertKVHashed(0, ks[k], val, hs[k]); err != nil {
+				b.Fatal(err)
+			}
+			if i%64 == 63 {
+				h.AdvanceEpoch()
+			}
+		}
+	})
+}
+
 func BenchmarkOpGetParallel(b *testing.B) {
 	t := MustNew(Config{Bins: 1 << 18, MaxThreads: 4096})
 	h := t.MustHandle()

@@ -319,16 +319,6 @@ func (c *Cluster) replicasFor(key uint64, buf []int) []int {
 	return replicasOn(tab.ring, c.topo.keyh(key), c.topo.replicas, buf)
 }
 
-// Shard returns this instance's store for slot i (as returned by
-// ShardFor), opening it lazily; nil if the slot cannot be opened.
-func (c *Cluster) Shard(i int) core.Store {
-	s, err := c.store(i)
-	if err != nil {
-		return nil
-	}
-	return s
-}
-
 func (c *Cluster) Get(key uint64) (uint64, bool, error) { return c.sync(core.OpGet, key, 0) }
 
 func (c *Cluster) Put(key, val uint64) (uint64, bool, error) { return c.sync(core.OpPut, key, val) }

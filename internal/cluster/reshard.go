@@ -324,9 +324,11 @@ func (t *Topology) scanAndCopy(tab *ringTab, src int, avail []bool) (fatal bool,
 }
 
 // copyJournal re-copies each journaled key from scratch: read every
-// reachable current owner, pick the freshest copy (highest write version;
-// ties — and version-less stores — resolve to the primary-most replica),
-// and apply it to the new owners, as a write or as a delete. Runs both
+// reachable current owner, pick the freshest copy by the rule the
+// scrubber applies too (fresher: highest write version; a tie to the
+// primary-most replica, except that with no versions a present copy beats
+// an absent one), and apply it to the new owners, as a write or as a
+// delete. Runs both
 // during handoff (shrink rounds, results may be immediately stale — the
 // next round catches that) and under seal (authoritative: moving-range
 // writers are blocked and quiesced).
@@ -338,26 +340,20 @@ func (t *Topology) copyJournal(tab *ringTab, keys map[uint64]struct{}) error {
 	for key := range keys {
 		h := t.keyh(key)
 		owners := replicasOn(tab.ring, h, t.replicas, oldBuf[:0])
-		var bestVal, bestVer uint64
-		var bestHas, responded bool
-		for _, o := range owners { // rank order: strict > keeps ties primary-most
+		var best replicaCopy
+		responded := false
+		for _, o := range owners { // rank order, as fresher expects
 			s, err := t.adminStore(o)
 			if err != nil {
 				continue
 			}
-			var val, ver uint64
-			var has bool
-			if vr, ok := s.(core.VersionReader); ok {
-				val, has, ver, err = vr.GetVer(key)
-			} else {
-				val, has, err = s.Get(key)
-			}
+			c, err := readCopy(s, o, key)
 			if err != nil {
 				t.dropAdmin(o)
 				continue
 			}
-			if !responded || ver > bestVer {
-				bestVal, bestHas, bestVer = val, has, ver
+			if !responded || fresher(&c, &best) {
+				best = c
 			}
 			responded = true
 		}
@@ -381,8 +377,8 @@ func (t *Topology) copyJournal(tab *ringTab, keys map[uint64]struct{}) error {
 			if err != nil {
 				return fmt.Errorf("cluster: destination %q: %w", tab.names[d], err)
 			}
-			if bestHas {
-				err = upsert(ds, key, bestVal)
+			if best.has {
+				err = upsert(ds, key, best.val)
 			} else {
 				_, _, err = ds.Delete(key) // a miss is fine: nothing to erase
 			}

@@ -425,3 +425,76 @@ func TestReshardRemoveShard(t *testing.T) {
 		t.Fatal("Names() still lists the removed shard")
 	}
 }
+
+// TestVersionlessCopyKeepsSecondaryWrite: on version-less shards (no
+// core.Config.TrackVersions) every copy ties at version 0, and the two
+// copy paths must break the tie the same way. With R=2, the primary lacks
+// a key the secondary holds — an acked W=1 write the primary missed. The
+// reshard catch-up must write the key to its new owner, not delete it
+// there, and the scrubber must restore it on the primary, not delete it
+// on the secondary.
+func TestVersionlessCopyKeepsSecondaryWrite(t *testing.T) {
+	names := []string{"s0", "s1", "s2"}
+	tables := make(map[string]*core.Table)
+	handles := make(map[string]*core.Handle)
+	for _, n := range names {
+		tables[n] = core.MustNew(core.Config{Bins: 1 << 8, Resizable: true, MaxThreads: 8})
+		handles[n] = tables[n].MustHandle()
+	}
+	open := func(name string) (core.Store, error) { return tables[name].Store() }
+	stores := []core.Store{tables["s0"].MustStore(), tables["s1"].MustStore()}
+	c, err := New(names[:2], stores, Opts{Replicas: 2, OpenShard: open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	topo := c.topo
+	tab := topo.tab.Load()
+	p, err := topo.plan(tab, names[2:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ht := &ringTab{gen: tab.gen + 1, phase: phaseHandoff, names: p.names, dead: p.deadServing, ring: tab.ring, next: p.nextRing}
+
+	// A key the new shard will own.
+	var key uint64
+	var owners []int
+	for k := uint64(1); ; k++ {
+		h := topo.keyh(k)
+		next := replicasOn(p.nextRing, h, 2, nil)
+		if next[0] == 2 || next[1] == 2 {
+			key, owners = k, replicasOn(tab.ring, h, 2, nil)
+			break
+		}
+	}
+	const val = 77
+	if _, err := handles[names[owners[1]]].Insert(key, val); err != nil {
+		t.Fatal(err)
+	}
+	has := func(name string) bool {
+		v, ok := handles[name].Get(key)
+		return ok && v == val
+	}
+
+	topo.tab.Store(ht) // the handoff view, whose slot table names s2
+	if err := topo.copyJournal(ht, map[uint64]struct{}{key: {}}); err != nil {
+		t.Fatal(err)
+	}
+	topo.tab.Store(tab)
+	if !has("s2") {
+		t.Fatalf("journal copy did not write key %d, held only by the secondary, to its new owner", key)
+	}
+
+	sb := &scrubber{t: topo, stores: make(map[int]core.Store)}
+	defer func() {
+		for _, s := range sb.stores {
+			s.Close()
+		}
+	}()
+	sb.repairKey(key)
+	for _, o := range owners {
+		if !has(names[o]) {
+			t.Fatalf("repair left key %d missing on %s", key, names[o])
+		}
+	}
+}

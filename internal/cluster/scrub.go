@@ -244,6 +244,38 @@ func (sb *scrubber) pass(target int) {
 	}
 }
 
+// replicaCopy is one replica's copy of a key, as the two copy paths —
+// the reshard catch-up (copyJournal) and the scrubber (repairKey) — read
+// it: its value and presence, and its write version (0 on a store without
+// core.Config.TrackVersions).
+type replicaCopy struct {
+	slot int
+	val  uint64
+	ver  uint64
+	has  bool
+}
+
+// readCopy reads key's copy on the store of slot.
+func readCopy(s core.Store, slot int, key uint64) (c replicaCopy, err error) {
+	c.slot = slot
+	if vr, ok := s.(core.VersionReader); ok {
+		c.val, c.has, c.ver, err = vr.GetVer(key)
+	} else {
+		c.val, c.has, err = s.Get(key)
+	}
+	return c, err
+}
+
+// fresher is the cluster's one last-write-wins rule: whether copy c beats
+// best, the winner so far among copies read in replica rank order. The
+// higher write version wins; a tie keeps the primary-most copy, except
+// with no version information at all (both 0), where a copy that has the
+// key beats one that lacks it: a resurrected delete can be deleted again,
+// a lost acked write cannot.
+func fresher(c, best *replicaCopy) bool {
+	return c.ver > best.ver || (c.ver == best.ver && best.ver == 0 && c.has && !best.has)
+}
+
 // repairKey re-reads key from every reachable owner and rewrites the
 // stale copies with the winning version. No-op unless the ring is in its
 // normal phase (reshard owns movement otherwise) and the copies actually
@@ -256,31 +288,17 @@ func (sb *scrubber) repairKey(key uint64) {
 	var buf [maxReplicaStack]int
 	owners := replicasOn(tab.ring, sb.t.keyh(key), sb.t.replicas, buf[:0])
 
-	type copyState struct {
-		slot int
-		val  uint64
-		has  bool
-		ver  uint64
-	}
-	var copies [maxReplicaStack]copyState
+	var copies [maxReplicaStack]replicaCopy
 	n := 0
 	for _, o := range owners {
 		s, err := sb.store(o)
 		if err != nil {
 			continue
 		}
-		var val, ver uint64
-		var has bool
-		if vr, ok := s.(core.VersionReader); ok {
-			val, has, ver, err = vr.GetVer(key)
-		} else {
-			val, has, err = s.Get(key)
-		}
-		if err != nil {
+		if copies[n], err = readCopy(s, o, key); err != nil {
 			sb.drop(o)
 			continue
 		}
-		copies[n] = copyState{slot: o, val: val, has: has, ver: ver}
 		n++
 	}
 	if n < 2 {
@@ -296,18 +314,9 @@ func (sb *scrubber) repairKey(key uint64) {
 	if converged {
 		return
 	}
-	// Winner: highest write version, ties to the primary-most replica.
-	// With no version info at all, prefer a copy that HAS the key —
-	// without ordering, resurrecting a delete is recoverable (delete
-	// again), deleting a live key is not.
-	best := -1
-	for i := 0; i < n; i++ {
-		if best < 0 {
-			best = i
-			continue
-		}
-		b, c := &copies[best], &copies[i]
-		if c.ver > b.ver || (c.ver == b.ver && b.ver == 0 && c.has && !b.has) {
+	best := 0
+	for i := 1; i < n; i++ {
+		if fresher(&copies[i], &copies[best]) {
 			best = i
 		}
 	}

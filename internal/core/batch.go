@@ -140,7 +140,7 @@ func (h *Handle) execOneAt(ix *index, op *Op, b uint64) {
 			if st {
 				op.Result, op.OK = h.stPutAt(ix, op.Key, op.Value, b)
 			} else {
-				op.Result, op.OK = t.putInAt(ix, op.Key, op.Value, b)
+				op.Result, op.OK = t.putInAt(h, ix, op.Key, op.Value, b, nil)
 			}
 			return
 		}
@@ -153,7 +153,7 @@ func (h *Handle) execOneAt(ix *index, op *Op, b uint64) {
 			if st {
 				op.Result, op.Err = h.stInsertAt(ix, op.Key, op.Value, final, b)
 			} else {
-				op.Result, op.Err = t.insertInAt(h, ix, op.Key, op.Value, final, b)
+				op.Result, op.Err = t.insertInAt(h, ix, op.Key, op.Value, final, b, nil)
 			}
 			op.OK = op.Err == nil
 			return
@@ -163,7 +163,7 @@ func (h *Handle) execOneAt(ix *index, op *Op, b uint64) {
 			if st {
 				op.Result, op.OK = h.stDeleteAt(ix, op.Key, b)
 			} else {
-				op.Result, op.OK = t.deleteInAt(h, ix, op.Key, b)
+				op.Result, op.OK = t.deleteInAt(h, ix, op.Key, b, nil)
 			}
 			return
 		}

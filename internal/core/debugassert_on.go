@@ -13,11 +13,10 @@ const debugAsserts = true
 
 // assertViewPinned panics when a KV value view is materialized without
 // the epoch pin that keeps its block from being reclaimed under the
-// reader. Only the configurations where enter() actually pins are
-// checked (EpochGC + Resizable + !SingleThread); elsewhere views are
+// reader. Only EpochGC tables are checked; without EpochGC views are
 // protected by the table's no-reclaim contract instead.
 func (h *Handle) assertViewPinned() {
-	if h.eh != nil && h.t.cfg.Resizable && !h.t.cfg.SingleThread && !h.pinned {
+	if h.eh != nil && !h.pinned {
 		panic("dlhtdebug: KV value view materialized without an epoch pin")
 	}
 }

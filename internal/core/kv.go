@@ -331,127 +331,70 @@ func (h *Handle) InsertKV(ns uint16, key, val []byte) error {
 // hashed the key to pick a shard pass the hash down instead of paying it
 // again; the hash stays valid across resizes (only the modulus changes).
 func (h *Handle) InsertKVHashed(ns uint16, key, val []byte, hash uint64) error {
-	return h.insertKV(ns, key, val, hash, 0)
+	return h.writeKV(ns, key, val, hash, 0, false)
 }
 
-// insertKV is InsertKVHashed storing meta as the pair's metadata word.
-func (h *Handle) insertKV(ns uint16, key, val []byte, hash, meta uint64) error {
+// kvOp is an Allocator-mode op as the shared §3.2 bodies take it beside
+// the key word: the byte key and its hash for the slot match and the bin
+// mapping, and for an Insert or Put the pair the new block holds. ref is
+// that block: nil until a body allocates it, then reused by every retry
+// and by both steps of an upsert.
+type kvOp struct {
+	key  []byte
+	val  []byte
+	hash uint64
+	meta uint64
+	ref  alloc.Ref
+	code int
+	ns   uint16
+}
+
+// kvSlotVal returns the value word publishing kv's pair, allocating and
+// filling its block on first use.
+func (t *Table) kvSlotVal(kv *kvOp) uint64 {
+	if kv.ref.IsNil() {
+		size, _ := t.blockGeometry(len(kv.key), len(kv.val))
+		var blk []byte
+		kv.ref, blk = t.cfg.Alloc.Alloc(size)
+		t.writeBlock(blk, kv.key, kv.val, kv.meta)
+	}
+	return encodeSlotVal(kv.ref, kv.code, kv.ns)
+}
+
+// writeKV stores key→val with meta as the pair's metadata word: the Insert
+// body, or with replace first the Put body. A non-zero meta needs a block
+// header (ErrNoMeta). The pair's block is freed if no body published it.
+func (h *Handle) writeKV(ns uint16, key, val []byte, hash, meta uint64, replace bool) (err error) {
 	t := h.t
-	if err := t.checkKV(ns, key, val, true); err != nil {
+	if err = t.checkKV(ns, key, val, true); err != nil {
 		return err
 	}
-	if meta != 0 && !t.hasBlockHeader(keyCodeFor(key)) {
+	kv := kvOp{key: key, val: val, hash: hash, meta: meta, code: keyCodeFor(key), ns: ns}
+	if meta != 0 && !t.hasBlockHeader(kv.code) {
 		return ErrNoMeta
 	}
+	kw := inlineKeyWord(key)
 	t.beginUpdate()
 	ix := h.enter()
-	err := t.insertKVIn(h, ix, ns, key, val, hash, meta)
+	for {
+		if replace {
+			if _, ok := t.putInAt(h, ix, kw, 0, hash%ix.numBins, &kv); ok {
+				err = nil
+				break
+			}
+		}
+		// An upsert whose insert lost to a concurrent inserter replaces
+		// the winner's pair.
+		if _, err = t.insertInAt(h, ix, kw, 0, slotValid, hash%ix.numBins, &kv); !replace || !errors.Is(err, ErrExists) {
+			break
+		}
+	}
 	h.leave()
 	t.endUpdate()
+	if err != nil && !kv.ref.IsNil() {
+		t.cfg.Alloc.Free(kv.ref)
+	}
 	return err
-}
-
-func (t *Table) insertKVIn(h *Handle, ix *index, ns uint16, key, val []byte, hash, kvMeta uint64) error {
-	wantKW := inlineKeyWord(key)
-	wantCode := keyCodeFor(key)
-	// The block is allocated once and reused across retries; freed on any
-	// failure path (paper §3.2.2 Allocator note).
-	var ref alloc.Ref
-	fail := func(err error) error {
-		if !ref.IsNil() {
-			t.cfg.Alloc.Free(ref)
-		}
-		return err
-	}
-indexLoop:
-	for {
-		b := hash % ix.numBins
-		for {
-			hdrAddr := ix.headerAddr(b)
-			hdr := atomic.LoadUint64(hdrAddr)
-			if nx := ix.redirect(b, hdr); nx != nil {
-				ix = nx
-				continue indexLoop
-			}
-			slot, _ := t.scanBinKV(ix, b, hdr, wantKW, wantCode, ns, key)
-			if slot == scanRetry {
-				continue
-			}
-			if slot >= 0 {
-				return fail(ErrExists)
-			}
-			i := firstInvalidSlot(hdr, slotsPerBin)
-			if i < 0 {
-				nx, err := t.resizeOrFail(h, ix)
-				if err != nil {
-					return fail(err)
-				}
-				ix = nx
-				continue indexLoop
-			}
-			if !atomic.CompareAndSwapUint64(hdrAddr, hdr, bumpVersion(withSlotState(hdr, i, slotTryInsert))) {
-				continue
-			}
-			meta := atomic.LoadUint64(ix.linkMetaAddr(b))
-			if need, field := slotNeedsChain(meta, i); need {
-				newMeta, ok := t.chainBucket(ix, b, field)
-				if !ok {
-					t.releaseSlot(ix, b, i)
-					nx, err := t.resizeOrFail(h, ix)
-					if err != nil {
-						return fail(err)
-					}
-					ix = nx
-					continue indexLoop
-				}
-				meta = newMeta
-			}
-			// Allocate and fill the out-of-line block now that the slot is
-			// claimed (§3.2.2: "the Insert algorithm allocates memory in
-			// step 4.1").
-			if ref.IsNil() {
-				size, _ := t.blockGeometry(len(key), len(val))
-				var blk []byte
-				ref, blk = t.cfg.Alloc.Alloc(size)
-				t.writeBlock(blk, key, val, kvMeta)
-			}
-			ix.storeSlot(b, meta, i, wantKW, encodeSlotVal(ref, wantCode, ns))
-			err, done := t.finalizeInsertKV(ix, b, i, wantKW, wantCode, ns, key)
-			if done {
-				if err != nil {
-					return fail(err)
-				}
-				return nil
-			}
-			ix = ix.nextIndex()
-			continue indexLoop
-		}
-	}
-}
-
-// finalizeInsertKV is step 5 for the KV path.
-func (t *Table) finalizeInsertKV(ix *index, b uint64, i int, wantKW uint64, wantCode int, ns uint16, key []byte) (error, bool) {
-	hdrAddr := ix.headerAddr(b)
-	for {
-		hdr := atomic.LoadUint64(hdrAddr)
-		if binState(hdr) != binNoTransfer {
-			if binState(hdr) == binInTransfer {
-				ix.waitBinTransferred(b)
-			}
-			return nil, false
-		}
-		slot, _ := t.scanBinKV(ix, b, hdr, wantKW, wantCode, ns, key)
-		if slot == scanRetry {
-			continue
-		}
-		if slot >= 0 && slot != i {
-			t.releaseSlot(ix, b, i)
-			return ErrExists, true
-		}
-		if atomic.CompareAndSwapUint64(hdrAddr, hdr, bumpVersion(withSlotState(hdr, i, slotValid))) {
-			return nil, true
-		}
-	}
 }
 
 // DeleteKV removes key under namespace ns, reclaiming the slot instantly
@@ -467,59 +410,28 @@ func (h *Handle) DeleteKVHashed(ns uint16, key []byte, hash uint64) bool {
 	if err := t.checkKV(ns, key, nil, false); err != nil {
 		panic(err)
 	}
+	kv := kvOp{key: key, hash: hash, code: keyCodeFor(key), ns: ns}
 	t.beginUpdate()
 	ix := h.enter()
-	ok := t.deleteKVIn(h, ix, ns, key, hash)
+	_, ok := t.deleteInAt(h, ix, inlineKeyWord(key), hash%ix.numBins, &kv)
 	h.leave()
 	t.endUpdate()
 	return ok
 }
 
-func (t *Table) deleteKVIn(h *Handle, ix *index, ns uint16, key []byte, hash uint64) bool {
-	wantKW := inlineKeyWord(key)
-	wantCode := keyCodeFor(key)
-	for {
-		b := hash % ix.numBins
-		for {
-			hdrAddr := ix.headerAddr(b)
-			hdr := atomic.LoadUint64(hdrAddr)
-			if nx := ix.redirect(b, hdr); nx != nil {
-				ix = nx
-				break
-			}
-			slot, vw := t.scanBinKV(ix, b, hdr, wantKW, wantCode, ns, key)
-			if slot == scanRetry {
-				continue
-			}
-			if slot == scanMiss {
-				return false
-			}
-			if atomic.CompareAndSwapUint64(hdrAddr, hdr, bumpVersion(withSlotState(hdr, slot, slotInvalid))) {
-				t.afterDelete(h, vw)
-				return true
-			}
-		}
-	}
-}
-
 // UpsertKVHashed sets key→val, with meta as the pair's metadata word,
 // whether or not key is present; hash is the key's Table.HashOfKV. A
-// non-zero meta needs a block header (ErrNoMeta without one). Allocator
-// mode has Insert and Delete only, so a
-// replace is delete-then-insert, retried if a concurrent inserter wins the
-// race: the final state is this call's value or a later writer's, never a
-// lost update that leaves the key absent. A concurrent reader can observe
-// the key absent between the two steps. Every replace in the tree — the
-// pipeline's Put, the TTL'd-KV state machine's SET, WAL replay — is this
-// function.
+// non-zero meta needs a block header (ErrNoMeta without one). A present
+// pair is replaced by the Put body — one double-word CAS swaps the slot's
+// block reference — so a concurrent reader sees the old pair or the new
+// one, never the key absent; an absent key is inserted, and an insert that
+// loses the race to a concurrent inserter replaces that pair instead.
+// Without EpochGC the caller serializes deletes of key against its
+// replacers, as it must for GetKV's views. Every replace in the tree —
+// the pipeline's Put, the TTL'd-KV state machine's SET, WAL replay — is
+// this function.
 func (h *Handle) UpsertKVHashed(ns uint16, key, val []byte, hash, meta uint64) error {
-	for {
-		err := h.insertKV(ns, key, val, hash, meta)
-		if err == nil || !errors.Is(err, ErrExists) {
-			return err
-		}
-		h.DeleteKVHashed(ns, key, hash)
-	}
+	return h.writeKV(ns, key, val, hash, meta, true)
 }
 
 func putU32(b []byte, v uint32) {

@@ -45,7 +45,7 @@ func TestKVDeferredCompareMatchesGetKV(t *testing.T) {
 	_, h := newKV(t, Config{Bins: 1, LinkRatio: 1, VariableKV: true, Namespaces: true})
 	n := 0
 	for ; ; n++ {
-		if err := h.insertKV(0, deferKey(n), []byte(fmt.Sprintf("val-%03d", n)), h.t.HashOfKV(0, deferKey(n)), uint64(1000+n)); err != nil {
+		if err := h.writeKV(0, deferKey(n), []byte(fmt.Sprintf("val-%03d", n)), h.t.HashOfKV(0, deferKey(n)), uint64(1000+n), false); err != nil {
 			break // the one bin and its links are full
 		}
 	}

@@ -270,7 +270,7 @@ func (pl *KVPipeline) drainTo(limit int) {
 	pl.draining = true
 	announced := false
 	for pl.p.head-pl.p.tail > limit || pl.p.head-pl.p.s2 > pl.w-pl.lead {
-		if !announced && t.cfg.Resizable && !t.cfg.SingleThread {
+		if !announced {
 			h.enter()
 			announced = true
 		}

@@ -19,9 +19,10 @@ const (
 //
 // Consistency: the final header reload validates every key/value read made
 // under hdr — any concurrent Insert/Delete/transfer bumps the version and
-// forces scanRetry. Puts do not bump the version, but they replace only the
-// value word of a slot whose key word is unchanged, so a value read that
-// races a Put returns either the old or the new value, both linearizable.
+// forces scanRetry. Fixed Puts do not bump the version, but they replace
+// only the value word of a slot whose key word is unchanged, so a value
+// read that races a Put returns either the old or the new value, both
+// linearizable. (A KV Put bumps it before retiring the block it replaced.)
 func (ix *index) scanBin(b uint64, hdr uint64, key uint64, skipSlot int, includeShadow bool) (slot int, val uint64, state uint64) {
 	meta := atomic.LoadUint64(ix.linkMetaAddr(b))
 	limit := slotLimit(meta)
@@ -90,6 +91,32 @@ func (ix *index) redirect(b uint64, hdr uint64) *index {
 	default: // binDoneTransfer
 		return ix.nextIndex()
 	}
+}
+
+// The mutating bodies below — Insert, Delete, Put — are one algorithm for
+// both modes. A fixed op passes kv == nil; an Allocator-mode op passes its
+// kvOp and the key word (inlineKeyWord) as key. The kvOp selects the slot
+// match (scanAt), the bin a redirect recomputes (binAt) and the block the
+// new pair lives in (kvSlotVal).
+
+// scanAt is the bodies' slot match: scanBin for a fixed op, scanBinKV for
+// a KV op, whose Valid-only scan never sees a Shadow slot or the op's own
+// TryInsert slot.
+func (t *Table) scanAt(ix *index, b, hdr, key uint64, kv *kvOp, skipSlot int, includeShadow bool) (int, uint64, uint64) {
+	if kv == nil {
+		return ix.scanBin(b, hdr, key, skipSlot, includeShadow)
+	}
+	slot, v := t.scanBinKV(ix, b, hdr, key, kv.code, kv.ns, kv.key)
+	return slot, v, slotValid
+}
+
+// binAt is key's bin in ix: binFor for a fixed op, the KV op's hash
+// otherwise.
+func (t *Table) binAt(ix *index, key uint64, kv *kvOp) uint64 {
+	if kv == nil {
+		return t.binFor(ix, key)
+	}
+	return kv.hash % ix.numBins
 }
 
 // ---------------------------------------------------------------------------
@@ -196,7 +223,7 @@ func (h *Handle) Insert(key, val uint64) (uint64, error) {
 	}
 	t.beginUpdate()
 	ix := h.enter()
-	v, err := t.insertInAt(h, ix, key, val, slotValid, t.binFor(ix, key))
+	v, err := t.insertInAt(h, ix, key, val, slotValid, t.binFor(ix, key), nil)
 	h.leave()
 	t.endUpdate()
 	return v, err
@@ -218,7 +245,7 @@ func (h *Handle) InsertShadow(key, val uint64) (uint64, error) {
 	}
 	t.beginUpdate()
 	ix := h.enter()
-	v, err := t.insertInAt(h, ix, key, val, slotShadow, t.binFor(ix, key))
+	v, err := t.insertInAt(h, ix, key, val, slotShadow, t.binFor(ix, key), nil)
 	h.leave()
 	t.endUpdate()
 	return v, err
@@ -245,18 +272,20 @@ func (h *Handle) CommitShadow(key uint64, commit bool) bool {
 }
 
 // insertInAt is the concurrent Insert body; like every mutating *At body
-// its callers bracket it with beginUpdate/endUpdate.
-func (t *Table) insertInAt(h *Handle, ix *index, key, val uint64, finalState uint64, b uint64) (uint64, error) {
+// its callers bracket it with beginUpdate/endUpdate. A KV insert's val is
+// ignored: the slot is filled with a reference to kv's block, which the
+// caller frees if the insert fails.
+func (t *Table) insertInAt(h *Handle, ix *index, key, val uint64, finalState uint64, b uint64, kv *kvOp) (uint64, error) {
 	for {
 		hdrAddr := ix.headerAddr(b)
 		hdr := atomic.LoadUint64(hdrAddr)
 		if nx := ix.redirect(b, hdr); nx != nil {
 			ix = nx
-			b = t.binFor(ix, key)
+			b = t.binAt(ix, key, kv)
 			continue
 		}
 		// Step 2: Get phase — the key must not already exist.
-		slot, v, st := ix.scanBin(b, hdr, key, -1, true)
+		slot, v, st := t.scanAt(ix, b, hdr, key, kv, -1, true)
 		if slot == scanRetry {
 			continue
 		}
@@ -274,7 +303,7 @@ func (t *Table) insertInAt(h *Handle, ix *index, key, val uint64, finalState uin
 				return 0, err
 			}
 			ix = nx
-			b = t.binFor(ix, key)
+			b = t.binAt(ix, key, kv)
 			continue
 		}
 		// Step 4: claim the slot via header CAS.
@@ -293,22 +322,28 @@ func (t *Table) insertInAt(h *Handle, ix *index, key, val uint64, finalState uin
 					return 0, err
 				}
 				ix = nx
-				b = t.binFor(ix, key)
+				b = t.binAt(ix, key, kv)
 				continue
 			}
 			meta = newMeta
 		}
-		// Step 4.1: fill the slot while it is invisible.
+		// Step 4.1: fill the slot while it is invisible. A KV insert
+		// allocates its block here, now that the slot is claimed
+		// ("the Insert algorithm allocates memory in step 4.1"), once:
+		// a retry reuses it.
+		if kv != nil {
+			val = t.kvSlotVal(kv)
+		}
 		ix.storeSlot(b, meta, i, key, val)
 		// Step 5: publish via a second header CAS.
-		v, err, done := t.finalizeInsert(ix, b, i, key, finalState)
+		v, err, done := t.finalizeInsert(ix, b, i, key, finalState, kv)
 		if done {
 			return v, err
 		}
 		// Bin was caught by a transfer mid-insert: retry in the next
 		// index; the abandoned TryInsert slot dies with the old index.
 		ix = ix.nextIndex()
-		b = t.binFor(ix, key)
+		b = t.binAt(ix, key, kv)
 	}
 }
 
@@ -317,7 +352,7 @@ func (t *Table) insertInAt(h *Handle, ix *index, key, val uint64, finalState uin
 // same key it releases the claimed slot and reports ErrExists/ErrShadow.
 // done=false means the bin entered a transfer and the caller must redo the
 // insert in the next index.
-func (t *Table) finalizeInsert(ix *index, b uint64, i int, key uint64, finalState uint64) (uint64, error, bool) {
+func (t *Table) finalizeInsert(ix *index, b uint64, i int, key uint64, finalState uint64, kv *kvOp) (uint64, error, bool) {
 	hdrAddr := ix.headerAddr(b)
 	for {
 		hdr := atomic.LoadUint64(hdrAddr)
@@ -329,7 +364,7 @@ func (t *Table) finalizeInsert(ix *index, b uint64, i int, key uint64, finalStat
 		}
 		// Re-run the Get phase excluding our own slot: a concurrent insert
 		// of the same key may have published first.
-		slot, v, st := ix.scanBin(b, hdr, key, i, true)
+		slot, v, st := t.scanAt(ix, b, hdr, key, kv, i, true)
 		if slot == scanRetry {
 			continue
 		}
@@ -416,23 +451,24 @@ func (h *Handle) Delete(key uint64) (uint64, bool) {
 	}
 	t.beginUpdate()
 	ix := h.enter()
-	v, ok := t.deleteInAt(h, ix, key, t.binFor(ix, key))
+	v, ok := t.deleteInAt(h, ix, key, t.binFor(ix, key), nil)
 	h.leave()
 	t.endUpdate()
 	return v, ok
 }
 
-// deleteInAt is the concurrent Delete body.
-func (t *Table) deleteInAt(h *Handle, ix *index, key uint64, b uint64) (uint64, bool) {
+// deleteInAt is the concurrent Delete body; a KV delete retires the
+// pair's block through afterDelete.
+func (t *Table) deleteInAt(h *Handle, ix *index, key uint64, b uint64, kv *kvOp) (uint64, bool) {
 	for {
 		hdrAddr := ix.headerAddr(b)
 		hdr := atomic.LoadUint64(hdrAddr)
 		if nx := ix.redirect(b, hdr); nx != nil {
 			ix = nx
-			b = t.binFor(ix, key)
+			b = t.binAt(ix, key, kv)
 			continue
 		}
-		slot, v, _ := ix.scanBin(b, hdr, key, -1, false)
+		slot, v, _ := t.scanAt(ix, b, hdr, key, kv, -1, false)
 		if slot == scanRetry {
 			continue
 		}
@@ -486,37 +522,68 @@ func (h *Handle) Put(key, val uint64) (uint64, bool) {
 	}
 	t.beginUpdate()
 	ix := h.enter()
-	old, ok := t.putInAt(ix, key, val, t.binFor(ix, key))
+	old, ok := t.putInAt(h, ix, key, val, t.binFor(ix, key), nil)
 	h.leave()
 	t.endUpdate()
 	return old, ok
 }
 
-// putInAt is the concurrent Put body.
-func (t *Table) putInAt(ix *index, key, val uint64, b uint64) (uint64, bool) {
+// putInAt is the concurrent Put body. A KV put — the replace of an
+// Allocator-mode pair — ignores val: it publishes a reference to kv's
+// block, allocated before the first CAS and reused by a retry (the caller
+// frees it on a miss), and retires the old block.
+func (t *Table) putInAt(h *Handle, ix *index, key, val uint64, b uint64, kv *kvOp) (uint64, bool) {
 	for {
-		hdr := atomic.LoadUint64(ix.headerAddr(b))
+		hdrAddr := ix.headerAddr(b)
+		hdr := atomic.LoadUint64(hdrAddr)
 		if nx := ix.redirect(b, hdr); nx != nil {
 			ix = nx
-			b = t.binFor(ix, key)
+			b = t.binAt(ix, key, kv)
 			continue
 		}
-		slot, v, _ := ix.scanBin(b, hdr, key, -1, false)
+		slot, v, _ := t.scanAt(ix, b, hdr, key, kv, -1, false)
 		if slot == scanRetry {
 			continue
 		}
 		if slot == scanMiss {
 			return 0, false
 		}
+		if kv != nil {
+			val = t.kvSlotVal(kv)
+		}
 		// §3.2.4: Puts do not re-read or CAS the header — only the
 		// double-word CAS on the slot. A slot recycled to another key,
 		// or claimed by the resize transfer (its key word becomes a
-		// transfer key), makes this CAS fail and the Put retries.
+		// transfer key), makes this CAS fail and the Put retries. A KV
+		// slot's value word holds its block reference, which cannot
+		// recur in the slot for another key while this op runs: the
+		// block is freed only once unlinked, and then reused only after
+		// this handle's next AdvanceEpoch — or, without EpochGC, after
+		// a delete of this key, which the caller serializes against its
+		// replacers (UpsertKVHashed).
 		meta := atomic.LoadUint64(ix.linkMetaAddr(b))
 		kw := ix.slotKeyWord(b, meta, slot)
 		if dwcas(kw, key, v, key, val) {
 			t.bumpVer(key)
+			if kv != nil {
+				// A scan may have read the old reference under the
+				// current header; bump it so the scan fails validation
+				// before the block can be reused, then retire it.
+				ix.bumpBin(b)
+				t.afterDelete(h, v)
+			}
 			return v, true
+		}
+	}
+}
+
+// bumpBin advances bin b's header version, keeping its state.
+func (ix *index) bumpBin(b uint64) {
+	hdrAddr := ix.headerAddr(b)
+	for {
+		hdr := atomic.LoadUint64(hdrAddr)
+		if atomic.CompareAndSwapUint64(hdrAddr, hdr, bumpVersion(hdr)) {
+			return
 		}
 	}
 }

@@ -29,7 +29,8 @@ const (
 	Inlined Mode = iota
 	// Allocator stores values (and keys larger than 8 bytes) out of line;
 	// slots carry 48-bit references with overloaded metadata bits. Gets
-	// return pointers (byte views) rather than copies, and there is no Put.
+	// return pointers (byte views) rather than copies, and a Put (the
+	// replace half of UpsertKVHashed) swaps the pair's block reference.
 	Allocator
 	// HashSet stores only keys (at most 8 bytes); values are absent.
 	HashSet
@@ -132,7 +133,9 @@ type Config struct {
 	// TrackVersions maintains a per-key applied-mutation counter
 	// (Handle.VersionOf), the last-write-wins arbiter the cluster layer
 	// uses for online resharding and anti-entropy repair. Costs one
-	// striped-lock map update per mutation; off by default.
+	// striped-lock map update per mutation; off by default. The counter
+	// is keyed by fixed-op keys, so an Allocator-mode table, which runs
+	// none, keeps no counter.
 	TrackVersions bool
 }
 
@@ -249,7 +252,7 @@ func New(cfg Config) (*Table, error) {
 		a := cfg.Alloc
 		t.gc = epoch.NewCollector(cfg.MaxThreads, func(ref uint64) { a.Free(alloc.Ref(ref)) })
 	}
-	if cfg.TrackVersions {
+	if cfg.TrackVersions && cfg.Mode != Allocator {
 		t.vers = newVerIndex()
 	}
 	t.current.Store(newIndex(cfg.Bins, cfg.LinkRatio, cfg.ChunkBins))
@@ -433,10 +436,12 @@ func (t *Table) MustHandle() *Handle {
 // it. The load/announce/validate loop is the hazard-pointer discipline that
 // makes the resizer's quiescence wait sound. When resizing is disabled (or
 // in single-thread mode) this collapses to a single pointer load — the
-// exact cost difference measured by Fig 14's "Resizing" bar.
+// exact cost difference measured by Fig 14's "Resizing" bar. Either way
+// an EpochGC handle leaves pinned, so the views it returns outlive frees.
 func (h *Handle) enter() *index {
 	t := h.t
 	if !t.cfg.Resizable || t.cfg.SingleThread {
+		h.pin()
 		return t.current.Load()
 	}
 	slot := &t.announces[h.id].ptr

@@ -29,6 +29,7 @@ func HasNativeCAS128() bool { return hasAsm }
 // word.
 func CompareAndSwap128(p *[2]uint64, old0, old1, new0, new1 uint64) bool {
 	if hasAsm {
+		raceRelease(p)
 		return cas128(p, old0, old1, new0, new1)
 	}
 	return casFallback(p, old0, old1, new0, new1)

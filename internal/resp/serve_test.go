@@ -1,6 +1,7 @@
 package resp_test
 
 import (
+	"fmt"
 	"net"
 	"strconv"
 	"strings"
@@ -514,5 +515,92 @@ func TestDurableTTLAcrossRestart(t *testing.T) {
 	}
 	if v, _ := r.GetKV(0, []byte("cleared")); string(v) != "v2" {
 		t.Fatalf("cleared = %q, want v2 (upsert replay)", v)
+	}
+}
+
+// TestSetNeverHidesKeyFromGet: a SET of a present key replaces the pair in
+// one step, so a GET on another connection, racing it, returns the old
+// value or the new one — never nil. One connection pipelines SETs of two
+// keys (one of at most 8 bytes, one longer) with changing values while
+// another pipelines GETs of them.
+func TestSetNeverHidesKeyFromGet(t *testing.T) {
+	s := startRESP(t, core.MustNew(kvConfig()), expiry.New(nil), nil)
+	keys := []string{"k", "a-key-longer-than-8-bytes"}
+	setter, getter := s.dial(t), s.dial(t)
+	for _, k := range keys {
+		wantText(t, setter, "OK", "SET", k, "v-0")
+	}
+	const rounds, depth = 200, 32
+	var written atomic.Int64 // highest value index whose SET was sent
+	var done atomic.Bool
+	errs := make(chan error, 2)
+	go func() {
+		defer done.Store(true)
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < depth; i++ {
+				n := int64(r*depth + i + 1)
+				written.Store(n)
+				for _, k := range keys {
+					if err := setter.SendStr("SET", k, "v-"+strconv.FormatInt(n, 10)); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+			if err := setter.Flush(); err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < depth*len(keys); i++ {
+				if r, err := setter.Recv(); err != nil || r.Str != "OK" {
+					errs <- fmt.Errorf("SET = %+v, %v", r, err)
+					return
+				}
+			}
+		}
+		errs <- nil
+	}()
+	go func() {
+		gets, nils := 0, 0
+		for !done.Load() {
+			for i := 0; i < depth; i++ {
+				if err := getter.SendStr("GET", keys[i%len(keys)]); err != nil {
+					errs <- err
+					return
+				}
+			}
+			if err := getter.Flush(); err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < depth; i++ {
+				r, err := getter.Recv()
+				if err != nil {
+					errs <- err
+					return
+				}
+				gets++
+				if r.Null {
+					nils++
+					continue
+				}
+				hi := written.Load()
+				n, perr := strconv.ParseInt(strings.TrimPrefix(string(r.Bulk), "v-"), 10, 64)
+				if !strings.HasPrefix(string(r.Bulk), "v-") || perr != nil || n < 0 || n > hi {
+					errs <- fmt.Errorf("GET %s = %q, not a value any SET wrote", keys[i%len(keys)], r.Bulk)
+					return
+				}
+			}
+		}
+		if nils != 0 {
+			errs <- fmt.Errorf("%d of %d GETs racing a SET of a present key returned nil", nils, gets)
+			return
+		}
+		errs <- nil
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
