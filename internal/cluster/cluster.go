@@ -1,9 +1,11 @@
 // Package cluster shards one logical DLHT keyspace across N Stores with
 // consistent hashing, presenting the union as a single Store. Each shard
-// is any dlht Store backend — usually one pipelined protocol-v2 connection
-// per dlht-server process (Dial), but in-process tables and nested
-// clusters compose the same way, since routing only needs the Store
-// surface.
+// is any dlht Store backend — usually a dlht-server address
+// (DialTopology, or Dial for a single owner), but in-process tables and
+// nested clusters compose the same way (New), since routing only needs
+// the Store surface. Shard connections open lazily, one set per owner
+// (shardStores): a down member fails the ops routed to it, retryably,
+// and never the constructor.
 //
 // Routing is a consistent-hash ring built from the shard *names* (not
 // connection state), so a key's shard is stable across reconnects and
@@ -15,7 +17,8 @@
 // ranges double-write and journal during the handoff window, the journal
 // is copied authoritatively under a brief per-range seal, and the ring
 // flips atomically. See reshard.go for the coordinator and scrub.go for
-// the anti-entropy that keeps replicas convergent.
+// the anti-entropy that keeps replicas convergent; both move data through
+// one copy body, converge (converge.go).
 //
 // The pipelined surface fans each enqueue out to its shard's Pipe and
 // merges completions back in per-shard enqueue order. Because a key always
@@ -48,8 +51,9 @@ import (
 
 // Opts configures a Cluster.
 type Opts struct {
-	// Table is the named server table Dial selects on every shard
-	// connection ("" = each server's default table).
+	// Table is the named server table a dialed cluster (DialTopology or
+	// Dial) selects on every shard connection ("" = each server's default
+	// table).
 	Table string
 	// VNodes is the number of virtual ring points per shard (default 64).
 	// More points smooth the key distribution at the cost of a larger
@@ -58,8 +62,8 @@ type Opts struct {
 	// Window is the per-shard Pipe window when the cluster's own Pipe is
 	// opened with Window 0.
 	Window int
-	// ReadTimeout/WriteTimeout are passed through to each shard
-	// connection's deadlines (Dial only).
+	// ReadTimeout/WriteTimeout are each shard connection's deadlines on
+	// a dialed cluster, whose connections open lazily on first use.
 	ReadTimeout, WriteTimeout time.Duration
 
 	// Replicas is the number of copies of each key: the key's arc owner
@@ -82,22 +86,24 @@ type Opts struct {
 	// ProbeInterval is the cadence at which down shards are probed for
 	// re-admission (default 250ms).
 	ProbeInterval time.Duration
-	// Probe overrides the re-admission probe, keyed by shard name. For
-	// Dial clusters the default dials the shard address and closes; for
+	// Probe overrides the re-admission probe, keyed by shard name. On a
+	// dialed cluster the default dials the shard address and closes — a
+	// member that was down from the start is probed the same way; for
 	// New clusters the default is half-open — a down shard is
 	// optimistically re-admitted after one interval and the next real
 	// operation is its probe.
 	Probe func(name string) error
 	// Retry is each shard connection's transparent redial policy and the
-	// sync ops' per-op retry budget (Dial only; see Cluster.sync). The
-	// zero value selects server.DefaultRetry — replication is pointless
-	// over connections that stay broken after a blip — set Max < 0 to
-	// disable retries entirely.
+	// sync ops' per-op retry budget on a dialed cluster (see
+	// Cluster.sync); a member that cannot be opened fails an op within
+	// this budget. The zero value selects server.DefaultRetry —
+	// replication is pointless over connections that stay broken after a
+	// blip — set Max < 0 to disable retries entirely.
 	Retry server.RetryPolicy
 
 	// OpenShard opens a Store for a shard name, enabling online
-	// membership changes on New-mode clusters (Dial clusters dial
-	// addresses and don't need it). The returned Store should implement
+	// membership changes on New-mode clusters (a dialed cluster dials
+	// addresses and ignores it). The returned Store should implement
 	// core.Scanner and core.VersionReader — the in-process
 	// (*Table).Store does — or migration falls back to plain reads.
 	// Without it, a New cluster's membership is frozen at construction.
@@ -122,8 +128,8 @@ const (
 // every instance on its next operation.
 type Cluster struct {
 	topo   *Topology
-	owned  bool         // Close tears down the Topology too (New/Dial)
-	stores []core.Store // slot-indexed; nil entries open lazily
+	owned  bool // Close tears down the Topology too (New/Dial)
+	stores shardStores
 	window int
 
 	// inflight/seenGen implement the reshard quiesce fence (see
@@ -158,95 +164,31 @@ func New(names []string, stores []core.Store, opts Opts) (*Cluster, error) {
 	if len(names) != len(stores) {
 		return nil, fmt.Errorf("cluster: %d names for %d stores", len(names), len(stores))
 	}
-	t, err := newTopology(names, opts)
+	t, err := newTopology(names, opts, opts.OpenShard, opts.OpenShard)
 	if err != nil {
 		return nil, err
 	}
-	if opts.OpenShard != nil {
-		t.openShard = opts.OpenShard
-		t.openAdmin = opts.OpenShard
+	c, _ := t.NewClient()
+	c.owned = true
+	c.stores.m = make(map[int]core.Store, len(stores))
+	for slot, s := range stores {
+		c.stores.m[slot] = s
 	}
-	c := &Cluster{
-		topo:   t,
-		owned:  true,
-		stores: append([]core.Store(nil), stores...),
-		window: opts.Window,
-	}
-	t.register(c)
 	return c, nil
 }
 
-// withDialDefaults resolves the Dial-mode option defaults shared by Dial
-// and DialTopology.
-func withDialDefaults(opts Opts) Opts {
-	if opts.Retry.Max == 0 {
-		opts.Retry = server.DefaultRetry
-	} else if opts.Retry.Max < 0 {
-		opts.Retry = server.RetryPolicy{}
-	}
-	if opts.Probe == nil {
-		// Default probe: the shard is back when its listener accepts.
-		// server.DialTCP, not net.Dial: a raw dial to a dead local port
-		// can self-connect and re-admit a shard that is still down.
-		opts.Probe = func(addr string) error {
-			conn, err := server.DialTCP(addr, time.Second)
-			if err != nil {
-				return err
-			}
-			return conn.Close()
-		}
-	}
-	return opts
-}
-
-// wireDial installs the Dial-mode retry budget and open callbacks:
-// ordinary data connections for instances, reshard-featured connections
-// (OpGetVer/OpScan granted) for the coordinator and scrubber.
-func (t *Topology) wireDial(opts Opts) {
-	t.retry = opts.Retry
-	t.openShard = func(addr string) (core.Store, error) {
-		return server.DialV2(addr, server.ClientOpts{
-			Table:        opts.Table,
-			ReadTimeout:  opts.ReadTimeout,
-			WriteTimeout: opts.WriteTimeout,
-			Retry:        opts.Retry,
-		})
-	}
-	t.openAdmin = func(addr string) (core.Store, error) {
-		return server.DialV2(addr, server.ClientOpts{
-			Table:        opts.Table,
-			Features:     server.FeatureKV | server.FeatureReshard,
-			ReadTimeout:  opts.ReadTimeout,
-			WriteTimeout: opts.WriteTimeout,
-			Retry:        opts.Retry,
-		})
-	}
-}
-
-// Dial opens one pipelined protocol-v2 connection per address and builds a
-// Cluster with the addresses as shard names. Connections carry a retry
-// policy (default server.DefaultRetry; Opts.Retry overrides, Max < 0
-// disables): a shard that dies and comes back — same address, state
-// recovered from its WAL — is transparently redialed, so no client
-// restart is needed for a shard restart.
+// Dial builds a Cluster over addrs with the addresses as shard names: a
+// DialTopology plus one NewClient instance that owns it, so Close tears
+// the Topology down too. It opens nothing: every shard connection opens
+// lazily on first use (see DialTopology), so a member that is down at
+// Dial is a retryable failure of the ops routed to it, not a Dial error.
 func Dial(addrs []string, opts Opts) (*Cluster, error) {
-	opts = withDialDefaults(opts)
-	t, err := newTopology(addrs, opts)
+	t, err := DialTopology(addrs, opts)
 	if err != nil {
 		return nil, err
 	}
-	t.wireDial(opts)
-	c := &Cluster{topo: t, owned: true, window: opts.Window}
-	// Open every member eagerly so a bad address fails at Dial, like it
-	// always has (later instances and later shards open lazily).
-	for slot := range addrs {
-		if _, err := c.store(slot); err != nil {
-			c.closeStores()
-			t.Close()
-			return nil, fmt.Errorf("cluster: dial %s: %w", addrs[slot], err)
-		}
-	}
-	t.register(c)
+	c, _ := t.NewClient()
+	c.owned = true
 	return c, nil
 }
 
@@ -265,25 +207,6 @@ func (c *Cluster) RemoveShard(name string) error { return c.topo.RemoveShard(nam
 // Topology.ReplaceShard.
 func (c *Cluster) ReplaceShard(oldName, newName string) error {
 	return c.topo.ReplaceShard(oldName, newName)
-}
-
-// store returns the instance's connection for slot, opening it lazily.
-func (c *Cluster) store(slot int) (core.Store, error) {
-	for len(c.stores) <= slot {
-		c.stores = append(c.stores, nil)
-	}
-	if s := c.stores[slot]; s != nil {
-		return s, nil
-	}
-	if c.topo.openShard == nil {
-		return nil, errors.New("cluster: no store for shard (membership frozen; set Opts.OpenShard)")
-	}
-	s, err := c.topo.openShard(c.topo.tab.Load().names[slot])
-	if err != nil {
-		return nil, err
-	}
-	c.stores[slot] = s
-	return s, nil
 }
 
 // NumShards returns the number of live member shards.
@@ -374,19 +297,6 @@ func (c *Cluster) Pipe(opts core.PipeOpts) (core.Pipe, error) {
 	return c.newRepPipe(w, opts.OnComplete), nil
 }
 
-func (c *Cluster) closeStores() error {
-	var first error
-	for _, s := range c.stores {
-		if s == nil {
-			continue
-		}
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Close closes this instance's shard connections; for a Cluster built by
 // New or Dial it also tears down the owned Topology (detector, scrubber,
 // coordinator connections).
@@ -395,7 +305,7 @@ func (c *Cluster) Close() error {
 	if c.one != nil {
 		c.one.Close()
 	}
-	first := c.closeStores()
+	first := c.stores.close()
 	if c.owned {
 		if err := c.topo.Close(); err != nil && first == nil {
 			first = err

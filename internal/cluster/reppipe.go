@@ -147,7 +147,7 @@ func (p *repPipe) pipe(s int) (core.Pipe, error) {
 	if sp := p.pipes[s]; sp != nil {
 		return sp, nil
 	}
-	st, err := p.c.store(s)
+	st, err := p.c.stores.get(s)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", server.ErrRetryable, err)
 	}

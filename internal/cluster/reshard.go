@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/server"
 
@@ -194,17 +195,6 @@ func (t *Topology) reshard(adds, removes []string) error {
 	return nil
 }
 
-// servingSlots returns the distinct slots on tab's serving ring.
-func servingSlots(tab *ringTab) []int {
-	var out []int
-	for s := range tab.names {
-		if !tab.dead[s] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // bulkCopy streams every moving key from its current owner to its new
 // owners. Each key is processed by exactly one source — the first
 // AVAILABLE replica in rank order — so a source crashing mid-copy (even
@@ -213,7 +203,7 @@ func servingSlots(tab *ringTab) []int {
 // journaled by concurrent writes are skipped here; the journal passes
 // re-copy them authoritatively.
 func (t *Topology) bulkCopy(tab *ringTab) error {
-	serving := servingSlots(tab)
+	serving := tab.live()
 	avail := make([]bool, len(tab.names))
 	for _, s := range serving {
 		avail[s] = true
@@ -257,7 +247,7 @@ func (t *Topology) bulkCopy(tab *ringTab) error {
 // reports a destination failure — the reshard cannot proceed without its
 // destinations — while a plain error marks the source unavailable.
 func (t *Topology) scanAndCopy(tab *ringTab, src int, avail []bool) (fatal bool, err error) {
-	s, err := t.adminStore(src)
+	s, err := t.admin.get(src)
 	if err != nil {
 		return false, err
 	}
@@ -270,7 +260,7 @@ func (t *Topology) scanAndCopy(tab *ringTab, src int, avail []bool) (fatal bool,
 	for {
 		ents, next, done, err := sc.ScanStep(cur, server.MaxScanBatch)
 		if err != nil {
-			t.dropAdmin(src)
+			t.admin.drop(src)
 			return false, err
 		}
 		cur = next
@@ -290,30 +280,13 @@ func (t *Topology) scanAndCopy(tab *ringTab, src int, avail []bool) (fatal bool,
 			if t.journaled(e.Key) {
 				continue // racing with live writes; journal pass re-copies
 			}
-			dsts := replicasOn(tab.next, h, t.replicas, newBuf[:0])
-			copied := false
-			for _, d := range dsts {
-				skip := false
-				for _, o := range owners {
-					if o == d {
-						skip = true // already holds the key
-						break
-					}
-				}
-				if skip {
-					continue
-				}
-				ds, err := t.adminStore(d)
-				if err != nil {
-					return true, fmt.Errorf("cluster: destination %q: %w", tab.names[d], err)
-				}
-				if err := upsert(ds, e.Key, e.Value); err != nil {
-					t.dropAdmin(d)
-					return true, fmt.Errorf("cluster: destination %q: %w", tab.names[d], err)
-				}
-				copied = true
+			// The scanned value is the winner; bulk copy does not re-read.
+			w := replicaCopy{val: e.Value, has: true}
+			wrote, err := t.admin.write(e.Key, &w, t.incoming(tab, h, owners, newBuf[:0]), nil)
+			if err != nil {
+				return true, err
 			}
-			if copied {
+			if wrote {
 				t.moved.Add(1)
 			}
 		}
@@ -323,72 +296,39 @@ func (t *Topology) scanAndCopy(tab *ringTab, src int, avail []bool) (fatal bool,
 	}
 }
 
-// copyJournal re-copies each journaled key from scratch: read every
-// reachable current owner, pick the freshest copy by the rule the
-// scrubber applies too (fresher: highest write version; a tie to the
-// primary-most replica, except that with no versions a present copy beats
-// an absent one), and apply it to the new owners, as a write or as a
-// delete. Runs both
-// during handoff (shrink rounds, results may be immediately stale — the
-// next round catches that) and under seal (authoritative: moving-range
-// writers are blocked and quiesced).
-func (t *Topology) copyJournal(tab *ringTab, keys map[uint64]struct{}) error {
-	if len(keys) == 0 {
-		return nil
+// incoming appends to buf[:0] the slots of h's replica set on tab's
+// target ring that are not among owners, its serving-ring owners: the
+// destinations a moving key is copied to. A current owner already has the
+// live write path's copy.
+func (t *Topology) incoming(tab *ringTab, h uint64, owners, buf []int) []int {
+	out := buf[:0]
+	for _, d := range replicasOn(tab.next, h, t.replicas, buf[:0]) {
+		if !slices.Contains(owners, d) {
+			out = append(out, d) // in place: out never passes the read index
+		}
 	}
+	return out
+}
+
+// copyJournal re-copies each journaled key from scratch: converge reads
+// every reachable current owner, picks the freshest copy by the rule the
+// scrubber applies too (fresher), and writes it to the new owners, as a
+// write or as a delete. Runs both during handoff (shrink rounds, results
+// may be immediately stale — the next round catches that) and under seal
+// (authoritative: moving-range writers are blocked and quiesced).
+func (t *Topology) copyJournal(tab *ringTab, keys map[uint64]struct{}) error {
 	var oldBuf, newBuf [maxReplicaStack]int
 	for key := range keys {
 		h := t.keyh(key)
 		owners := replicasOn(tab.ring, h, t.replicas, oldBuf[:0])
-		var best replicaCopy
-		responded := false
-		for _, o := range owners { // rank order, as fresher expects
-			s, err := t.adminStore(o)
-			if err != nil {
-				continue
-			}
-			c, err := readCopy(s, o, key)
-			if err != nil {
-				t.dropAdmin(o)
-				continue
-			}
-			if !responded || fresher(&c, &best) {
-				best = c
-			}
-			responded = true
+		found, wrote, err := t.admin.converge(key, owners, t.incoming(tab, h, owners, newBuf[:0]))
+		if err != nil {
+			return err
 		}
-		if !responded {
+		if !found {
 			return fmt.Errorf("cluster: no replica of journaled key %#x reachable", key)
 		}
-		moved := false
-		dsts := replicasOn(tab.next, h, t.replicas, newBuf[:0])
-		for _, d := range dsts {
-			already := false
-			for _, o := range owners {
-				if o == d {
-					already = true // current owner: has the live write path's copy
-					break
-				}
-			}
-			if already {
-				continue
-			}
-			ds, err := t.adminStore(d)
-			if err != nil {
-				return fmt.Errorf("cluster: destination %q: %w", tab.names[d], err)
-			}
-			if best.has {
-				err = upsert(ds, key, best.val)
-			} else {
-				_, _, err = ds.Delete(key) // a miss is fine: nothing to erase
-			}
-			if err != nil {
-				t.dropAdmin(d)
-				return fmt.Errorf("cluster: destination %q: %w", tab.names[d], err)
-			}
-			moved = true
-		}
-		if moved {
+		if wrote {
 			t.moved.Add(1)
 		}
 	}

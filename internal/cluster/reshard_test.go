@@ -426,75 +426,119 @@ func TestReshardRemoveShard(t *testing.T) {
 	}
 }
 
-// TestVersionlessCopyKeepsSecondaryWrite: on version-less shards (no
-// core.Config.TrackVersions) every copy ties at version 0, and the two
-// copy paths must break the tie the same way. With R=2, the primary lacks
-// a key the secondary holds — an acked W=1 write the primary missed. The
-// reshard catch-up must write the key to its new owner, not delete it
-// there, and the scrubber must restore it on the primary, not delete it
-// on the secondary.
-func TestVersionlessCopyKeepsSecondaryWrite(t *testing.T) {
-	names := []string{"s0", "s1", "s2"}
-	tables := make(map[string]*core.Table)
-	handles := make(map[string]*core.Handle)
-	for _, n := range names {
-		tables[n] = core.MustNew(core.Config{Bins: 1 << 8, Resizable: true, MaxThreads: 8})
-		handles[n] = tables[n].MustHandle()
+// TestCopyPathsPickOneWinner: the reshard journal copy and scrub repair
+// are two callers of one converge body, and each case runs through both
+// — the journal copy of a key moving to a third shard, then repair across
+// its two current owners. With R=2:
+//
+//   - versionless: on shards without core.Config.TrackVersions every copy
+//     ties at version 0. The primary lacks a key the secondary holds — an
+//     acked W=1 write the primary missed. The journal copy must write the
+//     key to its new owner, not delete it there, and repair must restore
+//     it on the primary, not delete it on the secondary.
+//   - primary-delete: on TrackVersions shards the primary deleted the key,
+//     so its count is higher, while the secondary and the incoming owner
+//     hold a stale copy. The journal copy must delete the key on the
+//     incoming owner, and repair must delete it on the secondary.
+//   - secondary-newer: the secondary holds the higher-count value. It must
+//     win on the incoming owner and on the primary.
+func TestCopyPathsPickOneWinner(t *testing.T) {
+	const stale, fresh = 77, 78
+	cases := []struct {
+		name     string
+		versions bool
+		// seed writes the case's copies through each shard's handle;
+		// primary, secondary and incoming name the key's shards.
+		seed func(t *testing.T, key uint64, primary, secondary, incoming *core.Handle)
+		// want is the value every checked shard must hold; 0 = absent.
+		want uint64
+	}{
+		{"versionless", false, func(t *testing.T, key uint64, p, s, in *core.Handle) {
+			mustInsert(t, s, key, stale)
+		}, stale},
+		{"primary-delete", true, func(t *testing.T, key uint64, p, s, in *core.Handle) {
+			mustInsert(t, p, key, stale)
+			p.Delete(key)
+			mustInsert(t, s, key, stale)
+			mustInsert(t, in, key, stale)
+		}, 0},
+		{"secondary-newer", true, func(t *testing.T, key uint64, p, s, in *core.Handle) {
+			mustInsert(t, p, key, stale)
+			mustInsert(t, s, key, stale)
+			s.Put(key, fresh)
+		}, fresh},
 	}
-	open := func(name string) (core.Store, error) { return tables[name].Store() }
-	stores := []core.Store{tables["s0"].MustStore(), tables["s1"].MustStore()}
-	c, err := New(names[:2], stores, Opts{Replicas: 2, OpenShard: open})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	topo := c.topo
-	tab := topo.tab.Load()
-	p, err := topo.plan(tab, names[2:], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ht := &ringTab{gen: tab.gen + 1, phase: phaseHandoff, names: p.names, dead: p.deadServing, ring: tab.ring, next: p.nextRing}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			names := []string{"s0", "s1", "s2"}
+			tables := make(map[string]*core.Table)
+			handles := make(map[string]*core.Handle)
+			for _, n := range names {
+				tables[n] = core.MustNew(core.Config{Bins: 1 << 8, Resizable: true, MaxThreads: 8, TrackVersions: tc.versions})
+				handles[n] = tables[n].MustHandle()
+			}
+			open := func(name string) (core.Store, error) { return tables[name].Store() }
+			stores := []core.Store{tables["s0"].MustStore(), tables["s1"].MustStore()}
+			c, err := New(names[:2], stores, Opts{Replicas: 2, OpenShard: open})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			topo := c.topo
+			tab := topo.tab.Load()
+			p, err := topo.plan(tab, names[2:], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ht := &ringTab{gen: tab.gen + 1, phase: phaseHandoff, names: p.names, dead: p.deadServing, ring: tab.ring, next: p.nextRing}
 
-	// A key the new shard will own.
-	var key uint64
-	var owners []int
-	for k := uint64(1); ; k++ {
-		h := topo.keyh(k)
-		next := replicasOn(p.nextRing, h, 2, nil)
-		if next[0] == 2 || next[1] == 2 {
-			key, owners = k, replicasOn(tab.ring, h, 2, nil)
-			break
-		}
-	}
-	const val = 77
-	if _, err := handles[names[owners[1]]].Insert(key, val); err != nil {
-		t.Fatal(err)
-	}
-	has := func(name string) bool {
-		v, ok := handles[name].Get(key)
-		return ok && v == val
-	}
+			// A key the new shard will own.
+			var key uint64
+			var owners []int
+			for k := uint64(1); ; k++ {
+				h := topo.keyh(k)
+				next := replicasOn(p.nextRing, h, 2, nil)
+				if next[0] == 2 || next[1] == 2 {
+					key, owners = k, replicasOn(tab.ring, h, 2, nil)
+					break
+				}
+			}
+			tc.seed(t, key, handles[names[owners[0]]], handles[names[owners[1]]], handles["s2"])
+			holdsWant := func(name string) bool {
+				v, ok := handles[name].Get(key)
+				if tc.want == 0 {
+					return !ok
+				}
+				return ok && v == tc.want
+			}
 
-	topo.tab.Store(ht) // the handoff view, whose slot table names s2
-	if err := topo.copyJournal(ht, map[uint64]struct{}{key: {}}); err != nil {
-		t.Fatal(err)
-	}
-	topo.tab.Store(tab)
-	if !has("s2") {
-		t.Fatalf("journal copy did not write key %d, held only by the secondary, to its new owner", key)
-	}
+			topo.tab.Store(ht) // the handoff view, whose slot table names s2
+			if err := topo.copyJournal(ht, map[uint64]struct{}{key: {}}); err != nil {
+				t.Fatal(err)
+			}
+			topo.tab.Store(tab)
+			if !holdsWant("s2") {
+				t.Fatalf("journal copy left key %d on its new owner s2 not holding %d (0 = absent)", key, tc.want)
+			}
+			if got := topo.MovedKeys(); got != 1 {
+				t.Fatalf("MovedKeys = %d after one journaled key, want 1", got)
+			}
 
-	sb := &scrubber{t: topo, stores: make(map[int]core.Store)}
-	defer func() {
-		for _, s := range sb.stores {
-			s.Close()
-		}
-	}()
-	sb.repairKey(key)
-	for _, o := range owners {
-		if !has(names[o]) {
-			t.Fatalf("repair left key %d missing on %s", key, names[o])
-		}
+			sb := &scrubber{t: topo, stores: shardStores{t: topo, open: topo.openAdmin}}
+			defer sb.stores.close()
+			sb.repairKey(key)
+			for _, o := range owners {
+				if !holdsWant(names[o]) {
+					t.Fatalf("repair left key %d on %s not holding %d (0 = absent)", key, names[o], tc.want)
+				}
+			}
+		})
+	}
+}
+
+func mustInsert(t *testing.T, h *core.Handle, key, val uint64) {
+	t.Helper()
+	if _, err := h.Insert(key, val); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -60,7 +60,7 @@ func (o ScrubOpts) norm() ScrubOpts {
 type scrubber struct {
 	t       *Topology
 	opts    ScrubOpts
-	stores  map[int]core.Store
+	stores  shardStores
 	repairs chan uint64
 	stop    chan struct{}
 	done    chan struct{}
@@ -68,7 +68,7 @@ type scrubber struct {
 
 // StartScrub launches the background scrubber (idempotent). It requires
 // shard connections of its own, so the Topology must be able to open
-// stores (Dial-mode, or New with Opts.OpenShard).
+// stores (a dialed cluster, or New with Opts.OpenShard).
 func (t *Topology) StartScrub(opts ScrubOpts) error {
 	if t.openAdmin == nil {
 		return errors.New("cluster: scrubber needs openable shards (Dial, or Opts.OpenShard)")
@@ -81,7 +81,7 @@ func (t *Topology) StartScrub(opts ScrubOpts) error {
 	sb := &scrubber{
 		t:       t,
 		opts:    opts.norm(),
-		stores:  make(map[int]core.Store),
+		stores:  shardStores{t: t, open: t.openAdmin},
 		repairs: make(chan uint64, 256),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -102,9 +102,7 @@ func (t *Topology) stopScrub() {
 	}
 	close(sb.stop)
 	<-sb.done
-	for _, s := range sb.stores {
-		s.Close()
-	}
+	sb.stores.close()
 }
 
 // noteDivergence hands a possibly-divergent key to the scrubber for
@@ -144,27 +142,6 @@ func (sb *scrubber) run() {
 	}
 }
 
-// store returns the scrubber's own connection for slot, opening lazily.
-func (sb *scrubber) store(slot int) (core.Store, error) {
-	if s := sb.stores[slot]; s != nil {
-		return s, nil
-	}
-	s, err := sb.t.openAdmin(sb.t.tab.Load().names[slot])
-	if err != nil {
-		return nil, err
-	}
-	sb.stores[slot] = s
-	return s, nil
-}
-
-// drop closes and forgets slot's connection after a failure.
-func (sb *scrubber) drop(slot int) {
-	if s := sb.stores[slot]; s != nil {
-		s.Close()
-		delete(sb.stores, slot)
-	}
-}
-
 // pass walks every live shard's table and repairs each owned key across
 // its replica set. target >= 0 restricts the pass to keys replicated on
 // that slot (the detector's re-admission kick). The pass yields between
@@ -185,7 +162,7 @@ func (sb *scrubber) pass(target int) {
 		if tab.dead[slot] {
 			continue
 		}
-		s, err := sb.store(slot)
+		s, err := sb.stores.get(slot)
 		if err != nil {
 			continue // down shard: its ranges are covered from the other owners
 		}
@@ -197,7 +174,7 @@ func (sb *scrubber) pass(target int) {
 		for {
 			ents, next, done, err := sc.ScanStep(cur, sb.opts.Batch)
 			if err != nil {
-				sb.drop(slot)
+				sb.stores.drop(slot)
 				break
 			}
 			cur = next
@@ -244,42 +221,11 @@ func (sb *scrubber) pass(target int) {
 	}
 }
 
-// replicaCopy is one replica's copy of a key, as the two copy paths —
-// the reshard catch-up (copyJournal) and the scrubber (repairKey) — read
-// it: its value and presence, and its write version (0 on a store without
-// core.Config.TrackVersions).
-type replicaCopy struct {
-	slot int
-	val  uint64
-	ver  uint64
-	has  bool
-}
-
-// readCopy reads key's copy on the store of slot.
-func readCopy(s core.Store, slot int, key uint64) (c replicaCopy, err error) {
-	c.slot = slot
-	if vr, ok := s.(core.VersionReader); ok {
-		c.val, c.has, c.ver, err = vr.GetVer(key)
-	} else {
-		c.val, c.has, err = s.Get(key)
-	}
-	return c, err
-}
-
-// fresher is the cluster's one last-write-wins rule: whether copy c beats
-// best, the winner so far among copies read in replica rank order. The
-// higher write version wins; a tie keeps the primary-most copy, except
-// with no version information at all (both 0), where a copy that has the
-// key beats one that lacks it: a resurrected delete can be deleted again,
-// a lost acked write cannot.
-func fresher(c, best *replicaCopy) bool {
-	return c.ver > best.ver || (c.ver == best.ver && best.ver == 0 && c.has && !best.has)
-}
-
 // repairKey re-reads key from every reachable owner and rewrites the
-// stale copies with the winning version. No-op unless the ring is in its
-// normal phase (reshard owns movement otherwise) and the copies actually
-// differ.
+// stale copies with the winning version (converge, with the owners as
+// both sources and destinations). No-op unless the ring is in its normal
+// phase: reshard owns movement otherwise. Errors have dropped their
+// connection; the next pass retries.
 func (sb *scrubber) repairKey(key uint64) {
 	tab := sb.t.tab.Load()
 	if tab.phase != phaseNormal {
@@ -287,57 +233,5 @@ func (sb *scrubber) repairKey(key uint64) {
 	}
 	var buf [maxReplicaStack]int
 	owners := replicasOn(tab.ring, sb.t.keyh(key), sb.t.replicas, buf[:0])
-
-	var copies [maxReplicaStack]replicaCopy
-	n := 0
-	for _, o := range owners {
-		s, err := sb.store(o)
-		if err != nil {
-			continue
-		}
-		if copies[n], err = readCopy(s, o, key); err != nil {
-			sb.drop(o)
-			continue
-		}
-		n++
-	}
-	if n < 2 {
-		return // nothing to compare against
-	}
-	converged := true
-	for i := 1; i < n; i++ {
-		if copies[i].has != copies[0].has || (copies[i].has && copies[i].val != copies[0].val) {
-			converged = false
-			break
-		}
-	}
-	if converged {
-		return
-	}
-	best := 0
-	for i := 1; i < n; i++ {
-		if fresher(&copies[i], &copies[best]) {
-			best = i
-		}
-	}
-	w := &copies[best]
-	for i := 0; i < n; i++ {
-		c := &copies[i]
-		if i == best || (c.has == w.has && (!w.has || c.val == w.val)) {
-			continue
-		}
-		s, err := sb.store(c.slot)
-		if err != nil {
-			continue
-		}
-		if w.has {
-			if err := upsert(s, key, w.val); err != nil {
-				sb.drop(c.slot)
-			}
-		} else {
-			if _, _, err := s.Delete(key); err != nil {
-				sb.drop(c.slot)
-			}
-		}
-	}
+	sb.stores.converge(key, owners, owners)
 }

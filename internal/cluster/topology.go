@@ -22,10 +22,12 @@ import (
 // observed by all of them; the ring itself is immutable and swapped
 // through an atomic pointer, never edited in place.
 //
-// A Cluster built by New or Dial owns a private Topology; DialTopology
-// builds a shared one so many worker goroutines (each with its own
-// NewClient instance) ride the same membership view, detector, and
-// reshard coordinator.
+// DialTopology builds a Topology to share, so many worker goroutines
+// (each with its own NewClient instance) ride the same membership view,
+// detector, and reshard coordinator; a Cluster built by New or Dial is
+// one such instance that owns its Topology. Each owner of shard connections — an
+// instance, the coordinator, the scrubber — opens its own lazily
+// (shardStores).
 type Topology struct {
 	keyh   hashfn.Func64
 	hb     func([]byte) uint64
@@ -37,12 +39,12 @@ type Topology struct {
 
 	quiesceTimeout time.Duration
 
-	retry server.RetryPolicy // Cluster.sync's budget: Opts.Retry (Dial), zero (New)
+	retry server.RetryPolicy // Cluster.sync's budget: Opts.Retry (DialTopology), zero (New)
 
 	// openShard opens an ordinary per-instance Store for a shard name;
 	// openAdmin opens a coordinator/scrubber connection (reshard-featured
 	// on the wire). Nil in New-mode clusters without Opts.OpenShard, in
-	// which case membership is frozen at construction, as before.
+	// which case membership is frozen at construction.
 	openShard func(name string) (core.Store, error)
 	openAdmin func(name string) (core.Store, error)
 
@@ -50,9 +52,9 @@ type Topology struct {
 	tab atomic.Pointer[ringTab]
 
 	// mu serializes membership changes; it also guards admin, the
-	// coordinator's lazily-opened per-slot stores.
+	// coordinator's per-slot stores.
 	mu    sync.Mutex
-	admin map[int]core.Store
+	admin shardStores
 
 	// regMu guards the set of live Cluster instances, walked by quiesce.
 	regMu   sync.Mutex
@@ -171,8 +173,10 @@ func buildRing(hb func([]byte) uint64, vnodes int, names []string, dead []bool) 
 const defaultQuiesceTimeout = 30 * time.Second
 
 // newTopology validates opts and builds the initial normal-phase tab over
-// names. The open callbacks are wired by the caller (New vs Dial).
-func newTopology(names []string, opts Opts) (*Topology, error) {
+// names. openShard opens an instance's Store for a shard name, openAdmin
+// the coordinator's and scrubber's; both are nil when membership is
+// frozen.
+func newTopology(names []string, opts Opts, openShard, openAdmin func(string) (core.Store, error)) (*Topology, error) {
 	if len(names) == 0 {
 		return nil, errors.New("cluster: no shards")
 	}
@@ -213,7 +217,8 @@ func newTopology(names []string, opts Opts) (*Topology, error) {
 		replicas:       replicas,
 		wq:             wq,
 		quiesceTimeout: qt,
-		admin:          make(map[int]core.Store),
+		openShard:      openShard,
+		openAdmin:      openAdmin,
 		clients:        make(map[*Cluster]struct{}),
 		upCh:           make(chan int, 16),
 	}
@@ -228,6 +233,7 @@ func newTopology(names []string, opts Opts) (*Topology, error) {
 		ring:  buildRing(t.hb, vnodes, tnames, dead),
 	}
 	t.tab.Store(tab)
+	t.admin = shardStores{t: t, open: openAdmin}
 	var probe func(i int) error
 	if opts.Probe != nil {
 		byName := opts.Probe
@@ -245,22 +251,58 @@ func newTopology(names []string, opts Opts) (*Topology, error) {
 
 // DialTopology builds a shared Topology over addrs without opening any
 // data connections: call NewClient per worker goroutine for Store
-// instances, and Close when done. Membership changes (AddShard, ...) and
-// the scrubber operate on the shared view, observed by every instance.
+// instances, and Close when done. Every shard connection — an instance's,
+// the reshard coordinator's, the scrubber's — opens lazily on first use,
+// so an unreachable address is a retryable failure of the ops routed to
+// it (the detector then marks the shard down and reads fail over), never
+// a DialTopology error. Connections carry a retry policy (default
+// server.DefaultRetry; Opts.Retry overrides, Max < 0 disables): a shard
+// that dies and comes back — same address, state recovered from its WAL —
+// is transparently redialed. Membership changes (AddShard, ...) and the
+// scrubber operate on the shared view, observed by every instance.
 func DialTopology(addrs []string, opts Opts) (*Topology, error) {
-	opts = withDialDefaults(opts)
-	t, err := newTopology(addrs, opts)
+	if opts.Retry.Max == 0 {
+		opts.Retry = server.DefaultRetry
+	} else if opts.Retry.Max < 0 {
+		opts.Retry = server.RetryPolicy{}
+	}
+	if opts.Probe == nil {
+		// Default probe: the shard is back when its listener accepts.
+		// server.DialTCP, not net.Dial: a raw dial to a dead local port
+		// can self-connect and re-admit a shard that is still down.
+		opts.Probe = func(addr string) error {
+			conn, err := server.DialTCP(addr, time.Second)
+			if err != nil {
+				return err
+			}
+			return conn.Close()
+		}
+	}
+	// Instances open ordinary data connections; the coordinator and
+	// scrubber open reshard-featured ones (OpGetVer/OpScan granted).
+	dial := func(features uint16) func(string) (core.Store, error) {
+		return func(addr string) (core.Store, error) {
+			return server.DialV2(addr, server.ClientOpts{
+				Table:        opts.Table,
+				Features:     features,
+				ReadTimeout:  opts.ReadTimeout,
+				WriteTimeout: opts.WriteTimeout,
+				Retry:        opts.Retry,
+			})
+		}
+	}
+	t, err := newTopology(addrs, opts, dial(0), dial(server.FeatureKV|server.FeatureReshard))
 	if err != nil {
 		return nil, err
 	}
-	t.wireDial(opts)
+	t.retry = opts.Retry
 	return t, nil
 }
 
 // NewClient registers a new per-goroutine Cluster instance over this
 // Topology. Shard connections open lazily on first use.
 func (t *Topology) NewClient() (*Cluster, error) {
-	c := &Cluster{topo: t, window: t.window}
+	c := &Cluster{topo: t, stores: shardStores{t: t, open: t.openShard}, window: t.window}
 	t.register(c)
 	return c, nil
 }
@@ -293,15 +335,8 @@ func (t *Topology) Close() error {
 	t.stopScrub()
 	t.det.close()
 	t.mu.Lock()
-	var first error
-	for _, s := range t.admin {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	t.admin = make(map[int]core.Store)
-	t.mu.Unlock()
-	return first
+	defer t.mu.Unlock()
+	return t.admin.close()
 }
 
 func (t *Topology) register(c *Cluster) {
@@ -403,58 +438,4 @@ func (t *Topology) swapJournal(next map[uint64]struct{}) map[uint64]struct{} {
 	t.journal = next
 	t.jmu.Unlock()
 	return prev
-}
-
-// adminStore returns the coordinator's cached admin connection for slot,
-// opening it on first use. Caller holds t.mu.
-func (t *Topology) adminStore(slot int) (core.Store, error) {
-	if s := t.admin[slot]; s != nil {
-		return s, nil
-	}
-	if t.openAdmin == nil {
-		return nil, errors.New("cluster: membership is frozen (no OpenShard configured)")
-	}
-	s, err := t.openAdmin(t.tab.Load().names[slot])
-	if err != nil {
-		return nil, err
-	}
-	t.admin[slot] = s
-	return s, nil
-}
-
-// dropAdmin closes and forgets slot's cached admin connection (after a
-// transport failure; the next use redials). Caller holds t.mu.
-func (t *Topology) dropAdmin(slot int) {
-	if s := t.admin[slot]; s != nil {
-		s.Close()
-		delete(t.admin, slot)
-	}
-}
-
-// upsert writes (key, val) unconditionally: DLHT's Put is update-only and
-// Insert is the only create, so an upsert is a bounded Put/Insert race.
-func upsert(s core.Store, key, val uint64) error {
-	var lastErr error
-	for i := 0; i < 4; i++ {
-		_, ok, err := s.Put(key, val)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		_, inserted, err := s.Insert(key, val)
-		if err != nil {
-			lastErr = err
-			return err
-		}
-		if inserted {
-			return nil
-		}
-		// Lost the create race to a concurrent insert; Put again.
-	}
-	if lastErr == nil {
-		lastErr = errors.New("cluster: upsert did not converge")
-	}
-	return lastErr
 }

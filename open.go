@@ -150,7 +150,12 @@ func WithWALOptions(o WALOptions) Option {
 // backend that fails to open (dial refused, unknown table, unrecoverable
 // directory) returns that backend's error wrapped with the spec, so
 // errors.Is sees through to the underlying sentinel (ErrUnknownTable,
-// net.Error, ...). Like every Store, the result is a per-goroutine object.
+// net.Error, ...). A cluster: backend opens its members lazily, on each
+// shard's first op: a member that is down is not an Open error but a
+// retryable failure (IsRetryable) of the ops routed to it, after the
+// retry budget; the failure detector then marks it down, reads fail over
+// to another replica, and a member that comes up later is dialed then.
+// Like every Store, the result is a per-goroutine object.
 //
 // Open is the only constructor: a caller that needs a backend's concrete
 // type asserts it (tcp:// yields a *Client, cluster: a *Cluster, wal: a

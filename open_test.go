@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	dlht "repro"
 	core "repro/internal/core"
@@ -103,6 +104,48 @@ func TestOpenCluster(t *testing.T) {
 		if v, ok, err := s.Get(k); err != nil || !ok || v != k*10 {
 			t.Fatalf("Get %d = (%d,%v,%v)", k, v, ok, err)
 		}
+	}
+}
+
+// TestOpenClusterOpensLazily: a cluster: backend opens its members on
+// first use, so a down member is a per-op retryable failure, never an
+// Open error. With one of three members dead at R=2 W=1 every key keeps a
+// live replica and every op succeeds; with every member dead at R=1 Open
+// still succeeds and the first Get fails retryably within the retry
+// budget.
+func TestOpenClusterOpensLazily(t *testing.T) {
+	const dead = "127.0.0.1:1"
+	a, b := serveTable(t), serveTable(t)
+	s, err := dlht.Open("cluster:"+a+","+b+","+dead, dlht.WithReplicas(2, 1))
+	if err != nil {
+		t.Fatalf("Open with one dead member: %v", err)
+	}
+	defer s.Close()
+	const n = 2000
+	for k := uint64(1); k <= n; k++ {
+		if _, inserted, err := s.Insert(k, k*10); err != nil || !inserted {
+			t.Fatalf("Insert %d: inserted=%v err=%v", k, inserted, err)
+		}
+	}
+	for k := uint64(1); k <= n; k++ {
+		if v, ok, err := s.Get(k); err != nil || !ok || v != k*10 {
+			t.Fatalf("Get %d = (%d,%v,%v)", k, v, ok, err)
+		}
+	}
+
+	s, err = dlht.Open("cluster:" + dead)
+	if err != nil {
+		t.Fatalf("Open with every member dead: %v", err)
+	}
+	defer s.Close()
+	start := time.Now()
+	_, _, err = s.Get(1)
+	if !server.IsRetryable(err) {
+		t.Fatalf("Get on a dead cluster = %v, want a retryable error", err)
+	}
+	// DefaultRetry: three backoffs capped at 250ms each, plus the dials.
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("Get on a dead cluster took %v, beyond the retry budget", el)
 	}
 }
 
