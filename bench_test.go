@@ -14,6 +14,7 @@ package dlht
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -260,6 +261,55 @@ func BenchmarkPipeline(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPopulate loads 2^22 keys into a resizable table that starts at
+// 2^16 bins, through Store.Pipe at window 16 from one loader, so the
+// resize count and the keys moved repeat exactly. minflt/key is the
+// populate's minor page faults per key: on 4 KiB pages every page each new
+// index touches faults once, on 2 MiB pages one fault maps 512 of them.
+func BenchmarkPopulate(b *testing.B) {
+	const keys = 1 << 22
+	var faults, resizes, moved uint64
+	failed := 0
+	_, countsFaults := minorFaults()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		f0, _ := minorFaults()
+		b.StartTimer()
+		t := MustNew(Config{Bins: 1 << 16, Resizable: true})
+		s := t.MustStore()
+		p, err := s.Pipe(PipeOpts{Window: 16, OnComplete: func(c Completion) {
+			if !c.OK {
+				failed++
+			}
+		}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := uint64(1); k <= keys; k++ {
+			p.Insert(k, k)
+		}
+		p.Close()
+		b.StopTimer()
+		f1, _ := minorFaults()
+		faults += f1 - f0
+		st := t.Stats()
+		resizes += st.Resizes
+		moved += st.KeysMoved
+		s.Close()
+		b.StartTimer()
+	}
+	if failed != 0 {
+		b.Fatalf("%d inserts failed", failed)
+	}
+	n := float64(b.N)
+	if countsFaults {
+		b.ReportMetric(float64(faults)/n/keys, "minflt/key")
+	}
+	b.ReportMetric(float64(resizes)/n, "resizes")
+	b.ReportMetric(float64(moved)/n, "keys_moved")
 }
 
 // Micro-benchmarks of the public API hot paths, complementing the

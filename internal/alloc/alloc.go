@@ -3,7 +3,8 @@
 // pages; Go cannot link a C allocator, and storing raw pointers inside the
 // index's uint64 slots would hide them from the garbage collector. This
 // package substitutes a size-class slab allocator that carves blocks out of
-// large flat byte arenas and hands out 48-bit *references* (region id +
+// large flat byte arenas on 2 MiB transparent huge pages (Linux; see
+// cpuops.AdviseHugePages) and hands out 48-bit *references* (region id +
 // offset) instead of pointers. References have the same shape as the
 // paper's 48-bit virtual addresses, so the index can overload their 16 most
 // significant bits for key-size tags and namespaces (§3.4.1–3.4.2) while
@@ -16,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/cpuops"
 )
 
 // Ref is a 48-bit reference to an allocated block: the high 16 of the low
@@ -150,7 +153,7 @@ func classFor(n int) int {
 // ---------------------------------------------------------------------------
 
 const (
-	defaultRegionSize = 4 << 20 // 4 MiB, the "huge page backed" analogue
+	defaultRegionSize = 4 << 20 // 4 MiB: at least one whole 2 MiB huge page
 	maxRegions        = 1 << 16
 )
 
@@ -203,11 +206,18 @@ func NewArena(opts ...Option) *Arena {
 		o(a)
 	}
 	// Region 0 starts with a burned block so that Ref 0 is never returned.
-	regions := [][]byte{make([]byte, a.regionSize)}
+	regions := [][]byte{a.newRegion()}
 	a.regions.Store(&regions)
 	a.curBump = blockHeader + 8
 	a.curIdx = 0
 	return a
+}
+
+// newRegion allocates one zeroed backing region on huge pages.
+func (a *Arena) newRegion() []byte {
+	r := make([]byte, a.regionSize)
+	cpuops.AdviseHugePages(unsafe.Pointer(&r[0]), uintptr(len(r)))
+	return r
 }
 
 func packHead(tag uint16, r Ref) uint64 { return uint64(tag)<<48 | uint64(r) }
@@ -254,7 +264,7 @@ func (a *Arena) bumpAlloc(cls, n int) (Ref, []byte) {
 		}
 		grown := make([][]byte, len(old)+1)
 		copy(grown, old)
-		grown[len(old)] = make([]byte, a.regionSize)
+		grown[len(old)] = a.newRegion()
 		a.regions.Store(&grown)
 		a.curIdx = uint16(len(grown) - 1)
 		a.curBump = 0

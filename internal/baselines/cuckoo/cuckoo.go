@@ -18,6 +18,10 @@ const (
 	slotsPerBucket = 4
 	maxBFSDepth    = 5
 	lockStripes    = 1 << 12
+	// insertAttempts bounds how often Insert retries after an eviction:
+	// a concurrent insert may take the slot an eviction freed before this
+	// one re-locks its home buckets.
+	insertAttempts = 8
 )
 
 type bucket struct {
@@ -114,7 +118,7 @@ func (t *Table) Get(key uint64) (uint64, bool) {
 
 // Insert implements baselines.Map with BFS path eviction.
 func (t *Table) Insert(key, val uint64) bool {
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; attempt < insertAttempts; attempt++ {
 		b1 := t.h1(key) & t.mask
 		b2 := t.h2(key) & t.mask
 		l1, l2 := t.lockPair(b1, b2)

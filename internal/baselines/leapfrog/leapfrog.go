@@ -50,6 +50,7 @@ func New(cells uint64, hash hashfn.Kind) *Table {
 	}
 	for i := uint64(0); i < n; i++ {
 		t.cells[i*wordsPerCell] = emptyKey
+		t.cells[i*wordsPerCell+1] = erasedVal
 	}
 	return t
 }
@@ -120,10 +121,12 @@ func (t *Table) Insert(key, val uint64) bool {
 	mu := t.mu(home)
 	mu.Lock()
 	defer mu.Unlock()
-	// Claim the home cell directly when it is free.
-	if atomic.LoadUint64(t.keyAddr(home)) == emptyKey {
+	// Claim the home cell directly when it is free. Inserts splicing into
+	// other chains claim cells with a CAS under their own stripe lock, so
+	// this claim is a CAS too. A free cell's value is erasedVal, so a Get
+	// that finds the key before the value lands reads a miss.
+	if atomic.CompareAndSwapUint64(t.keyAddr(home), emptyKey, key) {
 		atomic.StoreUint64(t.valAddr(home), val)
-		atomic.StoreUint64(t.keyAddr(home), key)
 		return true
 	}
 	tail, found := t.find(home, key)

@@ -31,7 +31,7 @@ type Table struct {
 	mask    uint64
 	locks   [stripes]sync.RWMutex
 
-	sizeMu sync.Mutex // guards size
+	sizeMu sync.Mutex // guards size; a rehash also holds it to write mask
 	size   int
 }
 
@@ -150,9 +150,9 @@ func (t *Table) Delete(key uint64) bool {
 // stop-the-world style rehash.
 func (t *Table) maybeGrow() {
 	t.sizeMu.Lock()
-	sz := t.size
+	sz, mask := t.size, t.mask
 	t.sizeMu.Unlock()
-	if uint64(sz) <= t.mask {
+	if uint64(sz) <= mask {
 		return
 	}
 	t.global.Lock()
@@ -175,7 +175,9 @@ func (t *Table) maybeGrow() {
 		}
 	}
 	t.buckets = nb
+	t.sizeMu.Lock()
 	t.mask = newMask
+	t.sizeMu.Unlock()
 }
 
 var _ baselines.Map = (*Table)(nil)

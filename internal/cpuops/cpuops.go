@@ -1,13 +1,16 @@
-// Package cpuops provides the two hardware primitives the DLHT paper relies
-// on that portable Go lacks: a 128-bit (double-word) compare-and-swap used
-// by Puts and by the resize transfer-key handoff (§3.2.4–3.2.5), and a
-// software-prefetch hint used by the batch engine (§3.3).
+// Package cpuops provides the three hardware primitives the DLHT paper
+// relies on that portable Go lacks: a 128-bit (double-word) compare-and-swap
+// used by Puts and by the resize transfer-key handoff (§3.2.4–3.2.5), a
+// software-prefetch hint used by the batch engine (§3.3), and 2 MiB pages
+// under the large arrays those prefetches land in (the paper runs on huge
+// pages), so a prefetched miss does not first wait for a 4 KiB page walk.
 //
-// On amd64 both are implemented in assembly (LOCK CMPXCHG16B, PREFETCHT0).
-// On other platforms, or with the `purego` build tag, CompareAndSwap128
-// falls back to a striped-spinlock emulation that is correct but slower,
-// and Prefetch becomes a no-op — equivalent to the paper's DLHT-NoBatch
-// configuration.
+// On amd64 the first two are implemented in assembly (LOCK CMPXCHG16B,
+// PREFETCHT0). On other platforms, or with the `purego` build tag,
+// CompareAndSwap128 falls back to a striped-spinlock emulation that is
+// correct but slower, and Prefetch becomes a no-op — equivalent to the
+// paper's DLHT-NoBatch configuration. Huge pages are transparent-huge-page
+// advice on Linux (AdviseHugePages) and a no-op elsewhere.
 package cpuops
 
 import (
@@ -91,7 +94,8 @@ func casFallback(p *[2]uint64, old0, old1, new0, new1 uint64) bool {
 // AlignedUint64s returns a word slice of length n whose backing array is
 // aligned to the given power-of-two byte boundary. CMPXCHG16B requires its
 // operand to be 16-byte aligned; bucket arrays are allocated through this
-// helper so that every 16-byte slot starts on an aligned boundary.
+// helper so that every 16-byte slot starts on an aligned boundary. Arrays
+// spanning a whole 2 MiB page get huge pages (AdviseHugePages).
 func AlignedUint64s(n int, align uintptr) []uint64 {
 	if align == 0 || align&(align-1) != 0 {
 		panic("cpuops: alignment must be a power of two")
@@ -101,6 +105,7 @@ func AlignedUint64s(n int, align uintptr) []uint64 {
 		pad = 1
 	}
 	raw := make([]uint64, n+pad)
+	AdviseHugePages(unsafe.Pointer(&raw[0]), uintptr(len(raw))*8)
 	base := uintptr(unsafe.Pointer(&raw[0]))
 	off := 0
 	if rem := base & (align - 1); rem != 0 {
