@@ -5,14 +5,19 @@
 // table, a KVPipeline whose Gets visit their block once, after its
 // prefetch; the expiry.KV binding and the burst clock a Get's completion
 // checks the pair's deadline against; the key arena and dead-key queue;
-// the reply writer; the idle step; and the epoch cadence. Replies leave in
-// request order: each pipeline completes in order, an op entering one
-// pipeline first drains the other, and an inline reply runs behind Barrier.
+// the reply writer; the idle step; the epoch cadence; and the connection's
+// inbound bytes, read by Serve, the one read loop, into one buffer a
+// codec's non-blocking Parser decodes in place. Replies leave in request
+// order: each pipeline completes in order, an op entering one pipeline
+// first drains the other, and an inline reply runs behind Barrier.
 package engine
 
 //dlht:hotpath
 
 import (
+	"io"
+	"slices"
+
 	"repro/internal/ackbuf"
 	core "repro/internal/core"
 	"repro/internal/expiry"
@@ -41,12 +46,14 @@ type Opts struct {
 	OnGet   func(val []byte, ok bool)
 }
 
-// epochEvery is the epoch-refresh cadence in ops; arenaRetain bounds the
-// key arena kept between barriers.
-const (
-	epochEvery  = 1 << 10
-	arenaRetain = 1 << 20
-)
+// BufferSize is the default size of a connection's read buffer and reply
+// buffer.
+const BufferSize = 64 << 10
+
+// epochEvery is the epoch-refresh cadence in ops. The key arena kept
+// between barriers and the read buffer kept between frames are bounded
+// like the reply buffer, by ackbuf.Retain.
+const epochEvery = 1 << 10
 
 // Engine is one connection's serving state, owned by its goroutine.
 type Engine struct {
@@ -79,15 +86,13 @@ func New(o Opts) *Engine {
 // Now is the burst clock's sample, what a relative TTL counts from.
 func (e *Engine) Now() int64 { return e.clk.Now() }
 
-// Enqueue admits a run of fixed ops.
-func (e *Engine) Enqueue(ops ...core.Op) {
+// Enqueue admits a fixed op.
+func (e *Engine) Enqueue(op core.Op) {
 	if e.kp != nil && e.kp.InFlight() > 0 {
 		e.kp.Flush()
 	}
-	e.ops += len(ops)
-	for i := range ops {
-		e.p.Enqueue(ops[i])
-	}
+	e.ops++
+	e.p.Enqueue(op)
 }
 
 // Get admits a lookup of a key Table.CheckKV accepts, with its
@@ -128,7 +133,7 @@ func (e *Engine) Barrier() {
 			e.KV.Expired(d.NS, d.Key, e.H.Table().HashOfKV(d.NS, d.Key))
 		}
 		e.dead = e.dead[:0]
-		if cap(e.arena) > arenaRetain {
+		if cap(e.arena) > ackbuf.Retain {
 			e.arena = nil
 		} else {
 			e.arena = e.arena[:0]
@@ -158,4 +163,64 @@ func (e *Engine) Idle() error {
 func (e *Engine) Close() {
 	e.Barrier()
 	e.W.Flush()
+}
+
+// Parser is a codec's non-blocking decoder. It hands the engine every
+// whole request buf begins with — keys, values and arguments slice buf and
+// are valid only during the call — and returns the bytes it consumed and
+// how many bytes, counted from buf[used:], the request it stopped at needs
+// before it can go on. A parser that consumed nothing asks for more than
+// it was given. A non-nil error ends the connection.
+type Parser func(buf []byte) (used, need int, err error)
+
+// Serve is a connection's one read loop. It reads src into one buffer of
+// size bytes (BufferSize if size <= 0) and hands the unconsumed bytes to
+// parse. Only when parse needs more bytes than are buffered does it call
+// idle — the peer may be waiting for the replies so far — and read; the
+// buffer is then compacted, grown to the frame parse asked for, or, once
+// a frame that grew it past ackbuf.Retain is consumed, set back to size.
+// Serve returns parse's error, idle's, or the read's.
+func Serve(src io.Reader, size int, idle func() error, parse Parser) error {
+	if size <= 0 {
+		size = BufferSize
+	}
+	buf := make([]byte, size)
+	r, w := 0, 0 // buf[r:w] is read and not yet consumed
+	for {
+		used, need, err := parse(buf[r:w])
+		if err != nil {
+			return err
+		}
+		r += used
+		if w-r >= need {
+			continue
+		}
+		n := w - r
+		switch {
+		case need > len(buf):
+			// Append's growth policy: a frame far larger than the
+			// buffer gets its size, and a command that asks for more a
+			// bulk at a time is copied in amortised linear work.
+			buf = slices.Grow(buf[r:w:w], need-n)
+			buf = buf[:cap(buf)]
+		case len(buf) > max(size, ackbuf.Retain) && need <= size:
+			buf = append(make([]byte, 0, size), buf[r:w]...)[:size]
+		case r > 0:
+			copy(buf, buf[r:w])
+		}
+		r, w = 0, n
+		for w < need {
+			if err := idle(); err != nil {
+				return err
+			}
+			m, err := src.Read(buf[w:])
+			w += m
+			if m == 0 {
+				if err == nil {
+					err = io.ErrNoProgress
+				}
+				return err
+			}
+		}
+	}
 }

@@ -23,8 +23,7 @@ func upperTo(dst, src []byte) []byte {
 	return dst
 }
 
-func (cn *conn) dispatch(cmd *Command) {
-	args := cmd.Args
+func (cn *conn) dispatch(args [][]byte) {
 	if len(args[0]) > 32 {
 		cn.Barrier()
 		cn.writeError("ERR unknown command")

@@ -29,39 +29,40 @@ type ServeOpts struct {
 	Expiry *expiry.Index
 	// Log is the durable table's redo log; nil for RAM tables.
 	Log WAL
-	// ReadBuffer/WriteBuffer size the connection buffers (default 64 KiB).
+	// ReadBuffer/WriteBuffer size the connection buffers (default
+	// engine.BufferSize); a command larger than the read buffer grows it.
 	ReadBuffer, WriteBuffer int
 	// IdleTimeout mirrors server.Options.IdleTimeout.
 	IdleTimeout time.Duration
 }
 
-// conn is one RESP connection: the command reader and the codec over the
+// conn is one RESP connection: the command parser and the codec over the
 // connection's engine. GET and MGET stream through the engine's lookup
 // pipeline, whose completions write their replies in enqueue order; every
 // other command answers inline behind a barrier.
 type conn struct {
 	*engine.Engine
-	r       *Reader
+	p       parser
 	tbl     *core.Table
 	ns      uint16 // SELECTed namespace
 	closed  bool   // QUIT
 	durable bool
 }
 
+// errQuit ends a connection after QUIT's reply.
+var errQuit = errors.New("resp: quit")
+
 // Serve runs the RESP2 command loop on c until the peer disconnects, a
 // protocol error desyncs the stream, or QUIT. The handle stays owned by
 // the caller.
 func Serve(c net.Conn, o ServeOpts) {
-	if o.ReadBuffer <= 0 {
-		o.ReadBuffer = 64 << 10
-	}
 	if o.WriteBuffer <= 0 {
-		o.WriteBuffer = 64 << 10
+		o.WriteBuffer = engine.BufferSize
 	}
 	if o.Expiry == nil {
 		o.Expiry = expiry.New(nil)
 	}
-	cn := &conn{r: NewReader(c, o.ReadBuffer), tbl: o.Table, durable: o.Log != nil}
+	cn := &conn{tbl: o.Table, durable: o.Log != nil}
 	cn.Engine = engine.New(engine.Opts{
 		Handle: o.Handle, Expiry: o.Expiry, Log: o.Log,
 		Writer: ackbuf.New(c, o.Log, o.WriteBuffer, o.IdleTimeout),
@@ -72,26 +73,33 @@ func Serve(c net.Conn, o ServeOpts) {
 		cn.writeError("ERR table is not in kv (Allocator) mode; RESP requires a kv table")
 		return
 	}
-	// Whenever the reader is about to wait on the peer, the engine's idle
-	// step pushes every reply so far out first: the peer may be waiting
-	// for them.
-	cn.r.OnFill = func() { cn.Idle() }
+	engine.Serve(c, o.ReadBuffer, cn.Idle, cn.parse)
+}
 
-	var cmd Command
-	for !cn.closed && cn.W.Err() == nil {
-		if err := cn.r.ReadCommand(&cmd); err != nil {
-			if errors.Is(err, ErrProtocol) {
-				// Pending pipelined GET replies precede the error: the
-				// stream up to the bad byte was valid and was dispatched.
-				cn.Barrier()
-				cn.writeError("ERR Protocol error: " + err.Error())
-			}
-			return
+// parse is the RESP codec's engine.Parser: it dispatches every whole
+// command buf begins with.
+func (cn *conn) parse(buf []byte) (used, need int, err error) {
+	for !cn.closed {
+		if err := cn.W.Err(); err != nil {
+			return used, 0, err
 		}
-		if len(cmd.Args) > 0 {
-			cn.dispatch(&cmd)
+		n, need, err := cn.p.next(buf[used:])
+		if err != nil {
+			// Pending pipelined GET replies precede the error: the
+			// stream up to the bad byte was valid and was dispatched.
+			cn.Barrier()
+			cn.writeError("ERR Protocol error: " + err.Error())
+			return used, 0, err
+		}
+		if n == 0 {
+			return used, need, nil
+		}
+		used += n
+		if len(cn.p.args) > 0 {
+			cn.dispatch(cn.p.args)
 		}
 	}
+	return used, 0, errQuit
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-// Package resp is the RESP2 front-end: a bounded, allocation-averse
-// reader/writer for the Redis serialization protocol and a command layer
-// serving an Allocator-mode DLHT table, so redis-cli, redis-benchmark and
-// every Redis client library can drive the store unmodified. It is a
-// codec: a connection decodes commands into operations of the
-// per-connection engine (internal/engine) the binary protocol runs on too,
-// and encodes their replies; the pipelines, the deadline check, the epoch
-// and the idle step are the engine's.
+// Package resp is the RESP2 front-end: a bounded, non-blocking command
+// parser and reply writers for the Redis serialization protocol, and a
+// command layer serving an Allocator-mode DLHT table, so redis-cli,
+// redis-benchmark and every Redis client library can drive the store
+// unmodified. It is a codec: a connection's parser decodes commands in
+// place, out of the read buffer of the per-connection engine
+// (internal/engine) the binary protocol runs on too, into operations of
+// that engine, and encodes their replies; the read loop, the pipelines,
+// the deadline check, the epoch and the idle step are the engine's.
 //
 // The wire surface is RESP2: commands arrive as arrays of bulk strings
 // (*N, then N $len-framed arguments) or as inline space-separated lines;
@@ -17,8 +18,8 @@
 package resp
 
 import (
+	"bytes"
 	"errors"
-	"io"
 	"strconv"
 )
 
@@ -50,116 +51,116 @@ func (e *protoError) Unwrap() error { return ErrProtocol }
 
 func protoErrorf(detail string) error { return &protoError{detail: detail} }
 
-// Reader decodes RESP2 commands from a stream through its own buffer, so
-// it controls exactly when a read may block: OnFill, if set, runs before
-// every potentially-blocking fill — the serve loop's hook for the engine's
-// idle step.
-type Reader struct {
-	src    io.Reader
-	buf    []byte
-	r, w   int
-	OnFill func()
+// parser decodes RESP2 commands out of a connection's read buffer without
+// blocking. A command split across reads is resumed where the last call
+// stopped, so each byte is scanned once however the command arrives:
+// rescanning from the command's start on every read would cost a
+// many-argument command fed a byte at a time quadratic work.
+type parser struct {
+	args [][]byte // the command next last decoded; slices its buf
+	offs []int    // start and end of each bulk decoded so far, from the command's start
+	argc int      // bulks the pending multibulk announced
+	at   int      // bytes of the pending command decoded; 0 until its first line is in
+	scan int      // bytes of the pending command searched for the next LF
 }
 
-// NewReader wraps src with a read buffer of the given size (minimum 4 KiB).
-func NewReader(src io.Reader, size int) *Reader {
-	if size < 4<<10 {
-		size = 4 << 10
+// line returns the line starting at buf[p.at:] without its CRLF (or bare
+// LF) and the offset just past it; end is 0 while its LF is not buffered.
+// A line longer than max can never parse.
+func (p *parser) line(buf []byte, max int) (line []byte, end int, err error) {
+	i := bytes.IndexByte(buf[p.scan:], '\n')
+	if i < 0 {
+		p.scan = len(buf)
+		if len(buf)-p.at > max+1 {
+			return nil, 0, protoErrorf("unterminated line exceeds " + strconv.Itoa(max) + " bytes")
+		}
+		return nil, 0, nil
 	}
-	return &Reader{src: src, buf: make([]byte, size)}
+	end = p.scan + i + 1
+	line = buf[p.at : end-1]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	if len(line) > max {
+		return nil, 0, protoErrorf("line of " + strconv.Itoa(len(line)) + " bytes exceeds " + strconv.Itoa(max))
+	}
+	return line, end, nil
 }
 
-// fill reads more bytes, compacting first. Calls OnFill before blocking.
-func (r *Reader) fill() error {
-	if r.r > 0 {
-		copy(r.buf, r.buf[r.r:r.w])
-		r.w -= r.r
-		r.r = 0
+// next decodes the command buf begins with — a *N array of bulk strings,
+// or an inline space-separated line — into p.args, which slice buf. With
+// only part of a command buffered it consumes nothing and asks for more
+// than len(buf); the next call must pass the same bytes and more. Anything
+// unparseable is ErrProtocol. A command with zero arguments (an empty
+// inline line) leaves p.args empty; callers skip it, like Redis.
+func (p *parser) next(buf []byte) (used, need int, err error) {
+	p.args = p.args[:0]
+	if p.at == 0 {
+		line, end, err := p.line(buf, MaxInline)
+		if end == 0 {
+			return 0, len(buf) + 1, err
+		}
+		if len(line) == 0 || line[0] != '*' {
+			p.inline(line)
+			p.scan = 0
+			return end, 0, nil
+		}
+		n, ok := parseInt(line[1:])
+		if !ok || n < 0 || n > MaxArgs {
+			return 0, 0, protoErrorf("invalid multibulk length")
+		}
+		p.argc, p.at, p.scan, p.offs = int(n), end, end, p.offs[:0]
 	}
-	if r.w == len(r.buf) {
-		// A line longer than the whole buffer (huge inline command or
-		// absurd length digits) can never parse.
-		return protoErrorf("line exceeds " + strconv.Itoa(len(r.buf)) + " bytes")
+	for len(p.offs) < 2*p.argc {
+		hdr, end, err := p.line(buf, 64)
+		if end == 0 {
+			return 0, len(buf) + 1, err
+		}
+		if len(hdr) == 0 || hdr[0] != '$' {
+			return 0, 0, protoErrorf("expected bulk string")
+		}
+		n, ok := parseInt(hdr[1:])
+		if !ok || n < 0 || n > MaxBulk {
+			return 0, 0, protoErrorf("invalid bulk length")
+		}
+		// The body, then a strict CRLF or, for sloppy peers, an LF. Until
+		// it is all here the header is rescanned, once per bulk.
+		stop := end + int(n)
+		if len(buf) > stop && buf[stop] == '\r' {
+			stop++
+		}
+		if len(buf) <= stop {
+			p.scan = p.at
+			return 0, stop + 1, nil
+		}
+		if buf[stop] != '\n' {
+			return 0, 0, protoErrorf("bulk string not CRLF-terminated")
+		}
+		p.offs = append(p.offs, end, end+int(n))
+		p.at, p.scan = stop+1, stop+1
 	}
-	if r.OnFill != nil {
-		r.OnFill()
+	for i := 0; i < len(p.offs); i += 2 {
+		p.args = append(p.args, buf[p.offs[i]:p.offs[i+1]])
 	}
-	n, err := r.src.Read(r.buf[r.w:])
-	r.w += n
-	if n > 0 {
-		return nil
-	}
-	if err == nil {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
+	used, p.at, p.scan = p.at, 0, 0
+	return used, 0, nil
 }
 
-// readLine returns the next CRLF- (or bare LF-) terminated line without
-// its terminator. The slice aliases the read buffer and is valid until
-// the next Reader call.
-func (r *Reader) readLine(max int) ([]byte, error) {
-	for {
-		for i := r.r; i < r.w; i++ {
-			if r.buf[i] == '\n' {
-				line := r.buf[r.r:i]
-				r.r = i + 1
-				if n := len(line); n > 0 && line[n-1] == '\r' {
-					line = line[:n-1]
-				}
-				if len(line) > max {
-					return nil, protoErrorf("line of " + strconv.Itoa(len(line)) + " bytes exceeds " + strconv.Itoa(max))
-				}
-				return line, nil
+// inline splits an inline command line on spaces and tabs into p.args.
+func (p *parser) inline(line []byte) {
+	start := -1
+	for i := 0; i <= len(line); i++ {
+		if i < len(line) && line[i] != ' ' && line[i] != '\t' {
+			if start < 0 {
+				start = i
 			}
+			continue
 		}
-		if r.w-r.r > max {
-			return nil, protoErrorf("unterminated line exceeds " + strconv.Itoa(max) + " bytes")
-		}
-		if err := r.fill(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// readFull copies n payload bytes into dst, then consumes the trailing
-// CRLF.
-func (r *Reader) readFull(dst []byte) error {
-	n := copy(dst, r.buf[r.r:r.w])
-	r.r += n
-	for n < len(dst) {
-		if err := r.fill(); err != nil {
-			return err
-		}
-		c := copy(dst[n:], r.buf[r.r:r.w])
-		r.r += c
-		n += c
-	}
-	// Trailing terminator: strict CRLF, or LF for sloppy peers.
-	b, err := r.readByte()
-	if err != nil {
-		return err
-	}
-	if b == '\r' {
-		if b, err = r.readByte(); err != nil {
-			return err
+		if start >= 0 {
+			p.args = append(p.args, line[start:i])
+			start = -1
 		}
 	}
-	if b != '\n' {
-		return protoErrorf("bulk string not CRLF-terminated")
-	}
-	return nil
-}
-
-func (r *Reader) readByte() (byte, error) {
-	for r.r == r.w {
-		if err := r.fill(); err != nil {
-			return 0, err
-		}
-	}
-	b := r.buf[r.r]
-	r.r++
-	return b, nil
 }
 
 // parseInt parses a decimal integer (with optional sign) strictly; RESP
@@ -195,81 +196,4 @@ func parseInt(b []byte) (int64, bool) {
 		n = -n
 	}
 	return n, true
-}
-
-// Command is one decoded client command. Args alias Raw, which is reused
-// across ReadCommand calls — a caller keeping an argument beyond the next
-// read must copy it.
-type Command struct {
-	Args [][]byte
-	Raw  []byte
-}
-
-// ReadCommand decodes the next command — a *N array of bulk strings, or
-// an inline space-separated line — into c. It never panics on hostile
-// input: anything unparseable is ErrProtocol (close the connection),
-// anything else an I/O error. A command with zero arguments (empty inline
-// line) returns with c.Args empty; callers skip it, like Redis.
-func (r *Reader) ReadCommand(c *Command) error {
-	c.Args = c.Args[:0]
-	c.Raw = c.Raw[:0]
-	line, err := r.readLine(MaxInline)
-	if err != nil {
-		return err
-	}
-	if len(line) == 0 {
-		return nil
-	}
-	if line[0] != '*' {
-		// Inline command: split on spaces and tabs.
-		c.Raw = append(c.Raw, line...)
-		start := -1
-		for i := 0; i <= len(c.Raw); i++ {
-			if i < len(c.Raw) && c.Raw[i] != ' ' && c.Raw[i] != '\t' {
-				if start < 0 {
-					start = i
-				}
-				continue
-			}
-			if start >= 0 {
-				c.Args = append(c.Args, c.Raw[start:i])
-				start = -1
-			}
-		}
-		return nil
-	}
-	n, ok := parseInt(line[1:])
-	if !ok || n < 0 || n > MaxArgs {
-		return protoErrorf("invalid multibulk length")
-	}
-	offs := make([]int, 0, 8)
-	for i := int64(0); i < n; i++ {
-		hdr, err := r.readLine(64)
-		if err != nil {
-			return err
-		}
-		if len(hdr) == 0 || hdr[0] != '$' {
-			return protoErrorf("expected bulk string")
-		}
-		blen, ok := parseInt(hdr[1:])
-		if !ok || blen < 0 || blen > MaxBulk {
-			return protoErrorf("invalid bulk length")
-		}
-		off := len(c.Raw)
-		c.Raw = append(c.Raw, make([]byte, blen)...)
-		if err := r.readFull(c.Raw[off:]); err != nil {
-			return err
-		}
-		offs = append(offs, off)
-	}
-	// Args are sliced only after Raw stops growing: append may have
-	// reallocated the backing array between bulks.
-	for i, off := range offs {
-		end := len(c.Raw)
-		if i+1 < len(offs) {
-			end = offs[i+1]
-		}
-		c.Args = append(c.Args, c.Raw[off:end])
-	}
-	return nil
 }

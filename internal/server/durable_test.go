@@ -1,13 +1,11 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net"
 	"testing"
 
-	"repro/internal/ackbuf"
 	core "repro/internal/core"
 	"repro/internal/wal"
 )
@@ -168,13 +166,13 @@ func TestDurableServerKV(t *testing.T) {
 
 // countingSyncer counts the group-commit waits a reply writer makes.
 type countingSyncer struct {
-	ackbuf.Syncer
+	redoLog
 	calls int
 }
 
 func (c *countingSyncer) SyncWait(seq uint64) error {
 	c.calls++
-	return c.Syncer.SyncWait(seq)
+	return c.redoLog.SyncWait(seq)
 }
 
 // countingConn counts socket writes.
@@ -205,8 +203,16 @@ func TestOwnedConnSyncsPerFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	sy := &countingSyncer{redoLog: ds.Log()}
+	s.mu.Lock()
+	s.walLogs[ds.Table()] = sy
+	s.mu.Unlock()
+
 	const n = 1000
-	var burst []byte
+	burst, err := AppendHello(nil, Hello{Version: ProtocolV2, Features: FeatureKV, Table: "dur"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < n; i++ {
 		burst, err = AppendKVRequest(burst, KVRequest{Op: OpInsertKV, Key: []byte(fmt.Sprintf("key-%04d", i)), Value: []byte("v")})
 		if err != nil {
@@ -216,19 +222,21 @@ func TestOwnedConnSyncsPerFlush(t *testing.T) {
 	cli, srvEnd := net.Pipe()
 	defer cli.Close()
 	srv := &countingConn{Conn: srvEnd}
-	sy := &countingSyncer{Syncer: ds.Log()}
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
 		defer srv.Close()
-		w := ackbuf.New(srv, sy, s.opts.WriteBuffer, 0)
-		s.serveOwned(srv, bufio.NewReaderSize(srv, s.opts.ReadBuffer), w, ds.Table(), FeatureKV)
+		s.serveConn(srv)
 	}()
 	go cli.Write(burst)
-	replies := make([]byte, n*KVRespHdrSize)
+	replies := make([]byte, HelloRespSize+n*KVRespHdrSize)
 	if _, err := io.ReadFull(cli, replies); err != nil {
 		t.Fatal(err)
 	}
+	if hr, err := DecodeHelloResp(replies); err != nil || hr.Status != StatusOK {
+		t.Fatalf("handshake reply %+v, %v", hr, err)
+	}
+	replies = replies[HelloRespSize:]
 	for i := 0; i < n; i++ {
 		if st := Status(replies[i*KVRespHdrSize]); st != StatusOK {
 			t.Fatalf("InsertKV %d: %v", i, st)

@@ -145,3 +145,50 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseRequests throws arbitrary bytes, after a handshake granting the
+// KV and reshard frames, at the binary parser on the connection's read
+// loop. It must never panic, must keep the engine.Parser contract (play
+// checks every call: never consume past the buffer, ask for more than is
+// buffered whenever nothing was consumed), and must answer the same bytes
+// whether the stream arrives in one write or one byte per write.
+func FuzzParseRequests(f *testing.F) {
+	// FuzzDecodeRequest's and FuzzDecodeKVRequest's seeds, and a run of
+	// them.
+	var run []byte
+	for _, r := range []Request{{Op: OpGet, Key: 1}, {Op: OpPut, Key: 2, Value: 3}, {Op: OpInsert, Key: ^uint64(0), Value: 4}, {Op: OpDelete, Key: 5}} {
+		f.Add(AppendRequest(nil, r))
+		run = AppendRequest(run, r)
+	}
+	bad := AppendRequest(nil, Request{Op: OpGet, Key: 6})
+	bad[0] = 0x7f
+	f.Add(bad)
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x01})
+	f.Add(bytes.Repeat([]byte{0xff}, ReqSize*3))
+	for _, r := range []KVRequest{
+		{Op: OpGetKV, NS: 1, Key: []byte("k")},
+		{Op: OpInsertKV, NS: 0, Key: []byte("key"), Value: []byte("value")},
+		{Op: OpDeleteKV, NS: 4095, Key: bytes.Repeat([]byte("K"), 300)},
+	} {
+		b, err := AppendKVRequest(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		run = append(run, b...)
+	}
+	f.Add([]byte{byte(OpGetKV), 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{byte(OpGetKV), 0, 0, 1, 0, 5, 0, 0, 0, 'k'})
+	f.Add([]byte{byte(OpInsertKV), 0, 0, 1, 0, 0xff, 0xff, 0xff, 0xff, 'k'})
+	f.Add(append(run, byte(OpScan)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stream := append(helloFrame(t, DefaultTable), data...)
+		whole := play(t, splitServer(t), stream, len(stream))
+		split := play(t, splitServer(t), stream, 1)
+		if !bytes.Equal(whole, split) {
+			t.Fatalf("%d reply bytes from one write, %d from byte writes, and they differ", len(whole), len(split))
+		}
+	})
+}

@@ -2,10 +2,12 @@
 // protocol, turning the paper's batching design (§3.3) into a network
 // request pipeline.
 //
-// Clients pipeline request frames; one read loop per connection
-// (readRequests) decodes them and feeds them, as they are decoded, into
-// the connection's engine (internal/engine, which RESP connections run on
-// too): pipelines on a table handle the connection owns, whose
+// Clients pipeline request frames. The connection's engine
+// (internal/engine, which RESP connections run on too) reads them into
+// one buffer, and the binary parser decodes them there without blocking —
+// the handshake, then runs of fixed frames, KV and reshard frames — and
+// feeds them, as they are decoded, into the engine's pipelines on a table
+// handle the connection owns, whose
 // sliding-window software prefetch overlaps the DRAM latency of the burst
 // — for a GetKV, of its bin and of its value's block. Completions append
 // response frames to the connection's reply writer as they fire, so a

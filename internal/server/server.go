@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -20,11 +18,12 @@ import (
 // Options tunes a Server. The zero value is usable.
 type Options struct {
 	// ReadBuffer and WriteBuffer size the per-connection buffers (default
-	// 64 KiB each). The read buffer bounds how much of a pipeline burst a
-	// single syscall can pick up; the write buffer sets the streaming-flush
-	// threshold — accumulated responses are pushed to the wire once they
-	// exceed half of it, so a deep burst's first responses reach the client
-	// while its tail is still being decoded.
+	// engine.BufferSize each). The read buffer bounds how much of a
+	// pipeline burst a single syscall can pick up; it is the initial size,
+	// grown for a frame larger than it. The write buffer sets the
+	// streaming-flush threshold — accumulated responses are pushed to the
+	// wire once they exceed half of it, so a deep burst's first responses
+	// reach the client while its tail is still being decoded.
 	ReadBuffer, WriteBuffer int
 	// IdleTimeout bounds how long a connection may sit without completing
 	// a read or write before the server closes it, so a stalled or
@@ -40,15 +39,8 @@ type Options struct {
 }
 
 func (o *Options) setDefaults() {
-	if o.ReadBuffer <= 0 {
-		o.ReadBuffer = 64 << 10
-	}
-	if o.ReadBuffer < ReqSize {
-		// Peek(ReqSize) must fit the buffer.
-		o.ReadBuffer = ReqSize
-	}
 	if o.WriteBuffer <= 0 {
-		o.WriteBuffer = 64 << 10
+		o.WriteBuffer = engine.BufferSize
 	}
 }
 
@@ -333,139 +325,118 @@ func (s *Server) removeConn(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// kvScratchRetain bounds the KV staging buffer a connection's reader keeps
-// between requests.
-const kvScratchRetain = 1 << 20
-
-// testFrameDecoded, when non-nil, is invoked by the reader for every fixed
+// testFrameDecoded, when non-nil, is invoked by the parser for every fixed
 // op once it has been handed to the engine. Test-only: the streaming
 // test blocks a burst's last frame here to prove earlier responses already
 // reached the wire.
 var testFrameDecoded func(core.Op)
 
-// serveConn runs the handshake — version check, table selection, feature
-// grant — and then serves the connection from a handle of its own. A
-// connection that does not open with HelloMagic (a client of the
-// retired handshake-less protocol, or garbage) is refused the way an
-// unsupported version is: one StatusBadVersion handshake reply, then close.
+// errRefused ends a connection the handshake turned away.
+var errRefused = errors.New("server: connection refused")
+
+// serveConn serves one binary connection: engine.Serve reads it, and the
+// binary parser answers the handshake, then decodes requests onto the
+// engine of a table handle the connection owns.
 func (s *Server) serveConn(c net.Conn) {
-	br := bufio.NewReaderSize(c, s.opts.ReadBuffer)
 	if s.opts.IdleTimeout > 0 {
+		// Bounds the handshake and a busy refusal; once the connection is
+		// admitted, the engine's idle step re-arms it before every read.
 		c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
-	first, err := br.Peek(1)
-	if err != nil {
-		return
+	bc := &binConn{s: s, c: c}
+	defer bc.close()
+	engine.Serve(c, s.opts.ReadBuffer, bc.idle, bc.parse)
+}
+
+// binConn is one binary connection: the parser and reply encoders over the
+// connection's engine. Fixed ops and GetKVs stream through the engine's
+// pipelines; KV mutations and reshard requests answer inline behind a
+// barrier. On a durable table every effective mutation is logged as it
+// completes, and its reply waits for the record's group commit.
+type binConn struct {
+	*engine.Engine // nil until the handshake admits the connection
+	s              *Server
+	c              net.Conn
+	w              *ackbuf.Writer // nil until the handshake is answered
+	tbl            *core.Table
+	features       uint16
+}
+
+// close completes what is in flight, flushes the replies and gives the
+// handle back.
+func (bc *binConn) close() {
+	if bc.Engine != nil {
+		bc.Close()
+		bc.s.releaseHandle(bc.H)
+	}
+}
+
+// idle is the engine's idle step once the connection is admitted.
+func (bc *binConn) idle() error {
+	if bc.Engine == nil {
+		return nil
+	}
+	return bc.Idle()
+}
+
+// parse is the binary codec's engine.Parser: the handshake, then the
+// busy refusal or the requests.
+func (bc *binConn) parse(buf []byte) (used, need int, err error) {
+	switch {
+	case bc.Engine != nil:
+		return bc.requests(buf)
+	case bc.w == nil:
+		return bc.hello(buf)
+	}
+	return bc.refuseBusy(buf)
+}
+
+// hello answers the handshake — version check, table selection, feature
+// grant — and admits the connection to a handle of its own. A connection
+// that does not open with HelloMagic (a client of the retired
+// handshake-less protocol, or garbage) is refused the way an unsupported
+// version is: one StatusBadVersion handshake reply, then close. A
+// truncated handshake gets no answer.
+func (bc *binConn) hello(buf []byte) (used, need int, err error) {
+	if len(buf) == 0 {
+		return 0, 1, nil
 	}
 	resp := HelloResp{Version: ProtocolV2, Status: StatusBadVersion}
-	var tbl *core.Table
-	if first[0] == HelloMagic {
-		hello, err := readHello(br)
-		if err != nil {
-			return // truncated or unreadable handshake: nothing sane to answer
+	if buf[0] == HelloMagic {
+		hello, n, err := DecodeHello(buf)
+		if err != nil { // short: the magic matched
+			need = HelloFixedSize
+			if len(buf) >= HelloFixedSize {
+				need += int(buf[4])
+			}
+			return 0, need, nil
 		}
+		used = n
 		if hello.Version == ProtocolV2 {
-			if tbl = s.Table(hello.Table); tbl == nil {
+			if bc.tbl = bc.s.Table(hello.Table); bc.tbl == nil {
 				resp.Status = StatusUnknownTable
 			} else {
 				resp.Status, resp.Features = StatusOK, hello.Features&supportedFeatures
 			}
 		}
 	}
-	w := ackbuf.New(c, s.walFor(tbl), s.opts.WriteBuffer, s.opts.IdleTimeout)
-	w.Commit(AppendHelloResp(w.Buf(), resp))
-	if w.Flush() != nil || resp.Status != StatusOK {
-		return
+	s := bc.s
+	bc.w = ackbuf.New(bc.c, s.walFor(bc.tbl), s.opts.WriteBuffer, s.opts.IdleTimeout)
+	bc.w.Commit(AppendHelloResp(bc.w.Buf(), resp))
+	if bc.w.Flush() != nil || resp.Status != StatusOK {
+		return used, 0, errRefused
 	}
-	s.serveOwned(c, br, w, tbl, resp.Features)
-}
-
-// refuseBusy waits for the connection's first request so the refusal obeys
-// the i-th-response-answers-i-th-request rule, then answers it with
-// StatusBusy — in the shape the request asked for — and gives up on the
-// connection.
-func refuseBusy(br *bufio.Reader, w *ackbuf.Writer) {
-	op, err := br.Peek(1)
+	bc.features = resp.Features
+	ix, err := s.expiryFor(bc.tbl) // before the handle: the index may need one for its sweeper
 	if err != nil {
-		return
+		return used, 1, nil
 	}
-	if isKVOp(OpCode(op[0])) {
-		w.Commit(AppendKVResponse(w.Buf(), KVResponse{Status: StatusBusy}))
-	} else {
-		w.Commit(AppendResponse(w.Buf(), Response{Status: StatusBusy}))
-	}
-	w.Flush()
-}
-
-// readHello reads the variable-length client handshake off the buffered
-// reader.
-func readHello(br *bufio.Reader) (Hello, error) {
-	var fixed [HelloFixedSize]byte
-	if _, err := io.ReadFull(br, fixed[:]); err != nil {
-		return Hello{}, err
-	}
-	name := make([]byte, int(fixed[4]))
-	if _, err := io.ReadFull(br, name); err != nil {
-		return Hello{}, err
-	}
-	h, _, err := DecodeHello(append(fixed[:], name...))
-	return h, err
-}
-
-// ---------------------------------------------------------------------------
-// The binary codec over the connection's engine
-// ---------------------------------------------------------------------------
-
-// errMalformedKVHeader is readKVHeader's it-will-never-parse verdict, as
-// opposed to an I/O error; the reader answers StatusBadRequest and gives
-// up on the connection's byte alignment.
-var errMalformedKVHeader = errors.New("server: malformed KV request header")
-
-// readKVHeader reads and validates one KV request header off the buffered
-// reader, returning its fields with the header bytes consumed.
-func readKVHeader(br *bufio.Reader) (ns uint16, klen, vlen int, err error) {
-	hdr, err := br.Peek(KVReqHdrSize)
+	h, err := s.acquireHandle(bc.tbl)
 	if err != nil {
-		return 0, 0, 0, err
+		return used, 1, nil
 	}
-	// Header-level validation via the codec: with only the header in
-	// hand the sole acceptable outcome is "frame incomplete".
-	if _, _, err := DecodeKVRequest(hdr); err != nil && !errors.Is(err, ErrShortFrame) {
-		return 0, 0, 0, errMalformedKVHeader
-	}
-	ns = binary.LittleEndian.Uint16(hdr[1:3])
-	klen = int(binary.LittleEndian.Uint16(hdr[3:5]))
-	vlen = int(binary.LittleEndian.Uint32(hdr[5:9]))
-	br.Discard(KVReqHdrSize)
-	return ns, klen, vlen, nil
-}
-
-// binConn is one binary connection: the frame decoder and reply encoders
-// over the connection's engine. Fixed ops and GetKVs stream through the
-// engine's pipelines; KV mutations and reshard requests answer inline
-// behind a barrier. On a durable table every effective mutation is logged
-// as it completes, and its reply waits for the record's group commit.
-type binConn struct {
-	*engine.Engine
-	tbl *core.Table
-}
-
-// serveOwned serves a handshaken connection, read through br and answered
-// through w, from its own table handle.
-func (s *Server) serveOwned(_ net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl *core.Table, features uint16) {
-	ix, err := s.expiryFor(tbl) // before the handle: the index may need one for its sweeper
-	if err != nil {
-		refuseBusy(br, w)
-		return
-	}
-	h, err := s.acquireHandle(tbl)
-	if err != nil {
-		refuseBusy(br, w)
-		return
-	}
-	defer s.releaseHandle(h)
-	log := s.walFor(tbl)
-	bc := &binConn{tbl: tbl}
+	log := s.walFor(bc.tbl)
+	w := bc.w
 	bc.Engine = engine.New(engine.Opts{
 		Handle: h, Expiry: ix, Log: log, Writer: w,
 		OnFixed: func(op *core.Op) {
@@ -484,117 +455,92 @@ func (s *Server) serveOwned(_ net.Conn, br *bufio.Reader, w *ackbuf.Writer, tbl 
 		},
 		OnGet: bc.replyGet,
 	})
-	defer bc.Close()
-	bc.readRequests(br, features)
+	return used, 0, nil
 }
 
-// readRequests is the server's one binary decode loop. Runs of fixed
-// 17-byte frames are decoded zero-copy out of one Peek window — as much of
-// the buffered burst as stays fixed-framed — and enqueued as they are
-// decoded; KV and reshard frames are staged and handed over one at a time.
-// A malformed frame gets the decodable prefix answered, then one
-// StatusBadRequest, and the connection is given up: byte alignment is no
-// longer trusted. Before every read that may block the engine runs its
-// idle step. A writer failure ends the connection.
-func (bc *binConn) readRequests(br *bufio.Reader, features uint16) {
-	var ops []core.Op  // decoded fixed-frame run, reused
-	var scratch []byte // KV payload staging, reused up to kvScratchRetain
-	mayBlock := func(n int) error {
-		if br.Buffered() >= n {
-			return nil
-		}
-		return bc.Idle()
+// refuseBusy waits for the connection's first request so the refusal obeys
+// the i-th-response-answers-i-th-request rule, then answers it with
+// StatusBusy — in the shape the request asked for — and gives up on the
+// connection.
+func (bc *binConn) refuseBusy(buf []byte) (used, need int, err error) {
+	if len(buf) == 0 {
+		return 0, 1, nil
 	}
-	for {
-		if mayBlock(1) != nil {
-			return
+	if isKVOp(OpCode(buf[0])) {
+		bc.w.Commit(AppendKVResponse(bc.w.Buf(), KVResponse{Status: StatusBusy}))
+	} else {
+		bc.w.Commit(AppendResponse(bc.w.Buf(), Response{Status: StatusBusy}))
+	}
+	bc.w.Flush()
+	return 0, 0, errRefused
+}
+
+// requests is the binary request decoder. Fixed 17-byte frames are
+// decoded in place and enqueued as they are decoded; KV and reshard frames
+// are handed over one at a time, their keys and values slicing buf. It
+// stops at the first frame not wholly buffered and asks for its size. A
+// malformed frame gets the decodable prefix answered, then one
+// StatusBadRequest, and the connection is given up: byte alignment is no
+// longer trusted. A writer failure ends the connection.
+func (bc *binConn) requests(buf []byte) (used, need int, err error) {
+	for bc.W.Err() == nil {
+		rest := buf[used:]
+		if len(rest) == 0 {
+			return used, 1, nil
 		}
-		head, err := br.Peek(1)
-		if err != nil {
-			return
-		}
-		switch op := OpCode(head[0]); {
+		n := 0
+		switch op := OpCode(rest[0]); {
 		case op < opCodeEnd:
-			if mayBlock(ReqSize) != nil {
-				return
+			if len(rest) < ReqSize {
+				return used, ReqSize, nil
 			}
-			if _, err := br.Peek(ReqSize); err != nil {
-				return
+			req, _ := DecodeRequest(rest) // cannot fail: whole frame, opcode checked
+			op := reqToOp(req)
+			bc.Enqueue(op)
+			if testFrameDecoded != nil {
+				testFrameDecoded(op)
 			}
-			burst, _ := br.Peek(br.Buffered() / ReqSize * ReqSize) // cannot fail: fully buffered
-			ops = ops[:0]
-			// A KV, reshard or garbage opcode ends the run; the outer loop
-			// re-dispatches it.
-			for off := 0; off < len(burst) && OpCode(burst[off]) < opCodeEnd; off += ReqSize {
-				req, _ := DecodeRequest(burst[off : off+ReqSize]) // cannot fail: whole frame, opcode checked
-				ops = append(ops, reqToOp(req))
-			}
-			br.Discard(len(ops) * ReqSize)
-			bc.Enqueue(ops...)
-			for i := 0; testFrameDecoded != nil && i < len(ops); i++ {
-				testFrameDecoded(ops[i])
-			}
-			if bc.W.Err() != nil {
-				return
-			}
-		case isKVOp(op) && features&FeatureKV != 0:
-			if mayBlock(KVReqHdrSize) != nil {
-				return
-			}
-			ns, klen, vlen, err := readKVHeader(br)
-			if errors.Is(err, errMalformedKVHeader) {
-				bc.bad()
-				return
+			n = ReqSize
+		case isKVOp(op) && bc.features&FeatureKV != 0:
+			req, size, err := DecodeKVRequest(rest)
+			if errors.Is(err, ErrShortFrame) {
+				if len(rest) < KVReqHdrSize {
+					return used, KVReqHdrSize, nil
+				}
+				// The header is valid: the frame is the header, the key
+				// and the value it announces.
+				klen := int(binary.LittleEndian.Uint16(rest[3:5]))
+				return used, KVReqHdrSize + klen + int(binary.LittleEndian.Uint32(rest[5:9])), nil
 			}
 			if err != nil {
-				return
+				return used, 0, bc.bad()
 			}
-			if cap(scratch) < klen+vlen {
-				scratch = make([]byte, klen+vlen)
-			}
-			payload := scratch[:klen+vlen]
-			if mayBlock(len(payload)) != nil {
-				return
-			}
-			if _, err := io.ReadFull(br, payload); err != nil {
-				return
-			}
-			if bc.kv(KVRequest{Op: op, NS: ns, Key: payload[:klen], Value: payload[klen:]}) != nil {
-				return
-			}
-			// Don't let one outsized payload pin a connection-lifetime
-			// buffer; anything above the retain bound is per-request.
-			if cap(scratch) > kvScratchRetain {
-				scratch = nil
-			}
-		case isReshardOp(op) && features&FeatureReshard != 0:
-			var buf [ScanReqSize]byte
-			frame := buf[:GetVerReqSize]
+			bc.kv(req)
+			n = size
+		case isReshardOp(op) && bc.features&FeatureReshard != 0:
+			n = GetVerReqSize
 			if op == OpScan {
-				frame = buf[:ScanReqSize]
+				n = ScanReqSize
 			}
-			if mayBlock(len(frame)) != nil {
-				return
+			if len(rest) < n {
+				return used, n, nil
 			}
-			if _, err := io.ReadFull(br, frame); err != nil {
-				return
-			}
-			if bc.reshard(op, frame) != nil {
-				return
-			}
+			bc.reshard(op, rest[:n])
 		default:
-			bc.bad()
-			return
+			return used, 0, bc.bad()
 		}
+		used += n
 	}
+	return used, 0, bc.W.Err()
 }
 
 // bad answers, behind everything accepted so far, with one
-// StatusBadRequest; the reader then gives up on the connection, and the
-// engine's Close flushes the answer.
-func (bc *binConn) bad() {
+// StatusBadRequest, and gives up on the connection; the engine's Close
+// flushes the answer.
+func (bc *binConn) bad() error {
 	bc.Barrier()
 	bc.W.Commit(AppendResponse(bc.W.Buf(), Response{Status: StatusBadRequest}))
+	return ErrBadFrame
 }
 
 // replyGet answers a GetKV as its lookup completes. The value view is
@@ -610,17 +556,17 @@ func (bc *binConn) replyGet(val []byte, ok bool) {
 	bc.W.Commit(AppendKVResponse(bc.W.Buf(), r))
 }
 
-// kv answers one KV request. Key and Value alias the reader's staging and
-// are valid only during the call. CheckKV gates every request first: the
+// kv answers one KV request. Key and Value slice the read buffer and are
+// valid only during the call. CheckKV gates every request first: the
 // local KV surface panics on mode and namespace misuse (API-misuse
 // contract), but over the wire those are statuses, answered in order
 // behind a barrier. A GetKV streams through the engine, which checks the
 // pair's deadline at completion; a mutation runs behind a barrier.
-func (bc *binConn) kv(req KVRequest) error {
+func (bc *binConn) kv(req KVRequest) {
 	err := bc.tbl.CheckKV(req.NS, req.Key, req.Value, req.Op == OpInsertKV)
 	if err == nil && req.Op == OpGetKV {
 		bc.Get(req.NS, req.Key, bc.tbl.HashOfKV(req.NS, req.Key))
-		return bc.W.Err()
+		return
 	}
 	bc.Barrier()
 	r, seq := KVResponse{Status: errToStatus(err)}, uint64(0)
@@ -629,7 +575,6 @@ func (bc *binConn) kv(req KVRequest) error {
 	}
 	bc.W.NeedSync(seq)
 	bc.W.Commit(AppendKVResponse(bc.W.Buf(), r))
-	return bc.W.Err()
 }
 
 // execKV runs one KV mutation on the connection's expiry.KV — an insert as
@@ -654,10 +599,10 @@ func execKV(kv expiry.KV, req KVRequest, hash uint64) (KVResponse, uint64) {
 
 // reshard answers one OpGetVer or OpScan. Both are read-only — nothing is
 // logged — and sit behind the same barrier as KV mutations.
-func (bc *binConn) reshard(op OpCode, frame []byte) error {
+func (bc *binConn) reshard(op OpCode, frame []byte) {
 	bc.Barrier()
-	if err := bc.W.Err(); err != nil {
-		return err
+	if bc.W.Err() != nil {
+		return
 	}
 	out := bc.W.Buf()
 	switch {
@@ -708,7 +653,6 @@ func (bc *binConn) reshard(op OpCode, frame []byte) error {
 		}
 	}
 	bc.W.Commit(out)
-	return bc.W.Err()
 }
 
 // reqToOp maps a wire request onto a batch op.
