@@ -184,18 +184,27 @@ func BenchmarkExec(b *testing.B) {
 // across burst boundaries. ns/op is per request; staying within 5% of
 // BenchmarkExec's inlined ns/op at the same window is the API-overhead
 // target, for both the Inlined engine and the Allocator-mode two-level
-// pipeline.
+// pipeline. inlined-resizable runs the Inlined case on a Resizable table
+// grown from 2^16 bins to the same keys, the shape every server table and
+// every table the populate benchmarks grow has.
 func BenchmarkPipeline(b *testing.B) {
 	const keys = 1 << 20
 	const burst = 4096
-	// One table pair serves every window: unlike Config.PrefetchWindow,
+	// One table per kind serves every window: unlike Config.PrefetchWindow,
 	// the pipeline window is per-pipeline state.
-	t := MustNew(Config{Bins: keys, MaxThreads: 8})
-	h := t.MustHandle()
-	for k := uint64(0); k < keys; k++ {
-		if _, err := h.Insert(k, k+1); err != nil {
-			b.Fatal(err)
+	populate := func(cfg Config) *Handle {
+		h := MustNew(cfg).MustHandle()
+		for k := uint64(0); k < keys; k++ {
+			if _, err := h.Insert(k, k+1); err != nil {
+				b.Fatal(err)
+			}
 		}
+		return h
+	}
+	h := populate(Config{Bins: keys, MaxThreads: 8})
+	rh := populate(Config{Bins: 1 << 16, Resizable: true, MaxThreads: 8})
+	if rh.Table().NumBins() != keys {
+		b.Fatalf("resizable table grew to %d bins, want %d", rh.Table().NumBins(), keys)
 	}
 	kt := MustNew(Config{Mode: Allocator, Bins: keys, MaxThreads: 8, ValueSize: 8})
 	kh := kt.MustHandle()
@@ -207,30 +216,33 @@ func BenchmarkPipeline(b *testing.B) {
 		}
 	}
 
+	inlined := func(b *testing.B, h *Handle, w int) {
+		misses := 0
+		pl := h.Pipeline(PipelineOpts{Window: w, OnComplete: func(op *Op) {
+			if !op.OK {
+				misses++
+			}
+		}})
+		x := uint64(1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i += burst {
+			for j := 0; j < burst; j++ {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				pl.Get(x % keys)
+			}
+		}
+		pl.Flush()
+		b.StopTimer()
+		if misses != 0 {
+			b.Fatalf("%d misses on a fully populated table", misses)
+		}
+	}
+
 	for _, w := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("w=%d/inlined/b=%d", w, burst), func(b *testing.B) {
-			misses := 0
-			pl := h.Pipeline(PipelineOpts{Window: w, OnComplete: func(op *Op) {
-				if !op.OK {
-					misses++
-				}
-			}})
-			x := uint64(1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i += burst {
-				for j := 0; j < burst; j++ {
-					x ^= x << 13
-					x ^= x >> 7
-					x ^= x << 17
-					pl.Get(x % keys)
-				}
-			}
-			pl.Flush()
-			b.StopTimer()
-			if misses != 0 {
-				b.Fatalf("%d misses on a fully populated table", misses)
-			}
-		})
+		b.Run(fmt.Sprintf("w=%d/inlined/b=%d", w, burst), func(b *testing.B) { inlined(b, h, w) })
+		b.Run(fmt.Sprintf("w=%d/inlined-resizable/b=%d", w, burst), func(b *testing.B) { inlined(b, rh, w) })
 
 		b.Run(fmt.Sprintf("w=%d/kv/b=%d", w, burst), func(b *testing.B) {
 			misses := 0

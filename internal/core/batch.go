@@ -108,7 +108,6 @@ func (h *Handle) Exec(ops []Op, stopOnFail bool) int {
 	}
 out:
 	p.head, p.tail = 0, 0 // abandon any unexecuted in-flight entries
-	h.leave()
 	if mutates {
 		t.endUpdate()
 	}

@@ -41,23 +41,15 @@ type index struct {
 	freeSingles atomic.Uint64
 	freePairs   atomic.Uint64
 
-	// Resize coordination (§3.2.5).
-	state       atomic.Uint32         // one of idx* below
+	// Resize coordination (§3.2.5). next is nil until a migration starts;
+	// chunksDone reaching numChunks marks the index drained.
+	allocating  atomic.Bool           // won by the one thread that allocates next
 	next        atomic.Pointer[index] // the index being migrated into
 	chunkCursor atomic.Uint64         // FAA ticket for transfer chunks
 	chunksDone  atomic.Uint64         // completed chunk count
 	numChunks   uint64
 	chunkBins   uint64
 }
-
-// index lifecycle states.
-const (
-	idxNormal     uint32 = 0 // serving requests
-	idxAllocating uint32 = 1 // a resizer is allocating the next index
-	idxMigrating  uint32 = 2 // chunks are being transferred
-	idxDrained    uint32 = 3 // fully transferred; table pointer moved on
-	idxRetired    uint32 = 4 // quiescence reached; memory reclaimable
-)
 
 // newIndex allocates an index with the given geometry. linkRatio is the
 // bins-to-link-buckets ratio (8 by default per §3.1); chunkBins is the

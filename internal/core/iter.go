@@ -167,7 +167,6 @@ func (h *Handle) RangeKVStep(cur Cursor, budget int, vals bool, fn func(e *KVEnt
 		panic(ErrWrongMode)
 	}
 	ix := h.enter()
-	defer h.leave()
 	cur, factor := cur.resolve(ix)
 	sc := &h.kvScan
 	for spent := 0; cur.Next < cur.Bins; {
@@ -301,7 +300,6 @@ func (t *Table) collectBinKV(ix *index, b uint64, sc *kvScan, vals bool, depth i
 // RangeKVStep.
 func (h *Handle) ScanStep(cur Cursor, maxEnts int, ents []Entry) ([]Entry, Cursor, bool) {
 	ix := h.enter()
-	defer h.leave()
 	cur, factor := cur.resolve(ix)
 	for start := len(ents); cur.Next < cur.Bins; {
 		for j := uint64(0); j < factor; j++ {

@@ -268,8 +268,8 @@ func (h *Handle) GetKVMeta(ns uint16, key []byte, hash uint64) (val []byte, meta
 }
 
 // findKV is the synchronous lookup: the value word of key's slot. The block
-// behind it outlives the index announcement (an epoch, or the no-reclaim
-// contract, pins it), so callers resolve it after return.
+// behind it outlives the lookup (an epoch, or the no-reclaim contract, pins
+// it), so callers resolve it after return.
 func (h *Handle) findKV(ns uint16, key []byte, hash uint64) (uint64, bool) {
 	t := h.t
 	if err := t.checkKV(ns, key, nil, false); err != nil {
@@ -277,7 +277,6 @@ func (h *Handle) findKV(ns uint16, key []byte, hash uint64) (uint64, bool) {
 	}
 	ix := h.enter()
 	vw, _, _, ok := t.lookupKVSlotAt(ix, ns, key, inlineKeyWord(key), keyCodeFor(key), hash%ix.numBins, true)
-	h.leave()
 	return vw, ok
 }
 
@@ -389,7 +388,6 @@ func (h *Handle) writeKV(ns uint16, key, val []byte, hash, meta uint64, replace 
 			break
 		}
 	}
-	h.leave()
 	t.endUpdate()
 	if err != nil && !kv.ref.IsNil() {
 		t.cfg.Alloc.Free(kv.ref)
@@ -414,7 +412,6 @@ func (h *Handle) DeleteKVHashed(ns uint16, key []byte, hash uint64) bool {
 	t.beginUpdate()
 	ix := h.enter()
 	_, ok := t.deleteInAt(h, ix, inlineKeyWord(key), hash%ix.numBins, &kv)
-	h.leave()
 	t.endUpdate()
 	return ok
 }

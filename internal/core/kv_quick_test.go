@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 // Model-based property test for Allocator mode: random op sequences over
@@ -93,9 +92,7 @@ func TestQuickKVModelEquivalence(t *testing.T) {
 			}
 			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Errorf("config %d: %v", ci, err)
-		}
+		quickCheck(t, fmt.Sprintf("config %d", ci), f, 50)
 	}
 }
 

@@ -38,7 +38,6 @@ func (h *Handle) GetKVBatch(reqs []KVGet) {
 		panic(ErrWrongMode)
 	}
 	ix := h.enter()
-	defer h.leave()
 
 	n := len(reqs)
 	w := t.prefetchWindow(n)

@@ -268,12 +268,8 @@ func (pl *KVPipeline) drainTo(limit int) {
 	h := pl.h
 	t := h.t
 	pl.draining = true
-	announced := false
 	for pl.p.head-pl.p.tail > limit || pl.p.head-pl.p.s2 > pl.w-pl.lead {
-		if !announced {
-			h.enter()
-			announced = true
-		}
+		h.pin() // EpochGC: the run's block views outlive frees; a no-op once pinned
 		pl.p.advance(t, pl.w, pl.lead)
 		if pl.p.head-pl.p.tail <= limit {
 			break
@@ -282,9 +278,6 @@ func (pl *KVPipeline) drainTo(limit int) {
 		if pl.onComplete != nil {
 			pl.onComplete(req)
 		}
-	}
-	if announced {
-		h.leave()
 	}
 	pl.draining = false
 }

@@ -167,9 +167,7 @@ func (h *Handle) Get(key uint64) (uint64, bool) {
 	if t.cfg.SingleThread {
 		return h.stGetAt(ix, key, t.binFor(ix, key))
 	}
-	v, ok := t.getInAt(ix, key, t.binFor(ix, key))
-	h.leave()
-	return v, ok
+	return t.getInAt(ix, key, t.binFor(ix, key))
 }
 
 // Contains reports whether key is present (HashSet-friendly spelling).
@@ -224,7 +222,6 @@ func (h *Handle) Insert(key, val uint64) (uint64, error) {
 	t.beginUpdate()
 	ix := h.enter()
 	v, err := t.insertInAt(h, ix, key, val, slotValid, t.binFor(ix, key), nil)
-	h.leave()
 	t.endUpdate()
 	return v, err
 }
@@ -246,7 +243,6 @@ func (h *Handle) InsertShadow(key, val uint64) (uint64, error) {
 	t.beginUpdate()
 	ix := h.enter()
 	v, err := t.insertInAt(h, ix, key, val, slotShadow, t.binFor(ix, key), nil)
-	h.leave()
 	t.endUpdate()
 	return v, err
 }
@@ -266,7 +262,6 @@ func (h *Handle) CommitShadow(key uint64, commit bool) bool {
 	t.beginUpdate()
 	ix := h.enter()
 	ok := h.commitShadowInAt(ix, key, commit, t.binFor(ix, key))
-	h.leave()
 	t.endUpdate()
 	return ok
 }
@@ -452,7 +447,6 @@ func (h *Handle) Delete(key uint64) (uint64, bool) {
 	t.beginUpdate()
 	ix := h.enter()
 	v, ok := t.deleteInAt(h, ix, key, t.binFor(ix, key), nil)
-	h.leave()
 	t.endUpdate()
 	return v, ok
 }
@@ -523,7 +517,6 @@ func (h *Handle) Put(key, val uint64) (uint64, bool) {
 	t.beginUpdate()
 	ix := h.enter()
 	old, ok := t.putInAt(h, ix, key, val, t.binFor(ix, key), nil)
-	h.leave()
 	t.endUpdate()
 	return old, ok
 }

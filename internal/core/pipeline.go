@@ -142,10 +142,6 @@ type Pipeline struct {
 	onComplete func(*Op)
 	draining   bool
 	closed     bool
-	// announce caches immutable table config so the per-request path
-	// re-derives nothing: whether completions must run under an announced
-	// index (resizable concurrent tables).
-	announce bool
 }
 
 // Pipeline creates a streaming pipeline over h. See PipelineOpts.
@@ -157,10 +153,7 @@ func (h *Handle) Pipeline(opts PipelineOpts) *Pipeline {
 	if w < 1 {
 		w = 1
 	}
-	pl := &Pipeline{
-		h: h, w: w, onComplete: opts.OnComplete,
-		announce: h.t.cfg.Resizable && !h.t.cfg.SingleThread,
-	}
+	pl := &Pipeline{h: h, w: w, onComplete: opts.OnComplete}
 	pl.p.sizePipe(w)
 	pl.buf = make([]Op, len(pl.p.ring))
 	return pl
@@ -224,9 +217,10 @@ func (pl *Pipeline) growBuf() {
 
 // drainTo completes in-flight requests, oldest first, until at most limit
 // remain. Completion callbacks may enqueue; the loop re-checks the bound so
-// re-entrant traffic drains too. The announce slot is held for the drain
-// run, never between public calls, so an idle pipeline cannot stall the
-// resizer's index GC.
+// re-entrant traffic drains too. An entry executes against the index it
+// was issued on, however many resizes ago that was: its ix reference keeps
+// a drained index alive for the GC, and the op follows the bin's redirect
+// to the successor.
 func (pl *Pipeline) drainTo(limit int) {
 	if pl.draining || pl.p.head-pl.p.tail <= limit {
 		return
@@ -235,9 +229,6 @@ func (pl *Pipeline) drainTo(limit int) {
 	t := h.t
 	p := &pl.p
 	pl.draining = true
-	if pl.announce {
-		h.enter()
-	}
 	for p.head-p.tail > limit {
 		e := p.ring[p.tail&p.mask]
 		p.tail++
@@ -251,9 +242,6 @@ func (pl *Pipeline) drainTo(limit int) {
 		if pl.onComplete != nil {
 			pl.onComplete(e.op)
 		}
-	}
-	if pl.announce {
-		h.leave()
 	}
 	pl.draining = false
 }

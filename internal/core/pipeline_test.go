@@ -396,3 +396,79 @@ func TestKVPipelineReentrantEnqueue(t *testing.T) {
 		t.Fatalf("completed %d lookups, want %d", completions, 2*n)
 	}
 }
+
+// TestLocalPipeZeroAllocs: on a resizable table in steady state (grown, and
+// not resizing during the measured burst) a burst of pipelined ops
+// allocates nothing, through Store.Pipe (Get, Put) and through Pipeline
+// (Get, Put, Insert, Delete).
+func TestLocalPipeZeroAllocs(t *testing.T) {
+	const keys, burstLen = 4096, 256
+	tb := MustNew(Config{Bins: 1 << 6, Resizable: true})
+	h := tb.MustHandle()
+	for k := uint64(0); k < keys; k++ {
+		if _, err := h.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resizes := tb.Stats().Resizes
+	if resizes == 0 {
+		t.Fatal("table never grew")
+	}
+	failed := 0
+	sp, err := tb.MustStore().Pipe(PipeOpts{Window: 16, OnComplete: func(c Completion) {
+		if !c.OK || c.Err != nil {
+			failed++
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := h.Pipeline(PipelineOpts{Window: 16, OnComplete: func(op *Op) {
+		if !op.OK || op.Err != nil {
+			failed++
+		}
+	}})
+	k := uint64(0)
+	bursts := []struct {
+		name  string
+		burst func()
+	}{
+		{"Store.Pipe", func() {
+			for i := 0; i < burstLen; i++ {
+				key := k % keys
+				k++
+				if sp.Get(key) != nil || sp.Put(key, key) != nil {
+					failed++
+				}
+			}
+			if sp.Flush() != nil {
+				failed++
+			}
+		}},
+		{"Pipeline", func() {
+			for i := 0; i < burstLen; i++ {
+				key := k % keys
+				k++
+				pl.Get(key)
+				pl.Put(key, key)
+				pl.Insert(key+keys, key) // a key outside the resident set,
+				pl.Delete(key + keys)    // gone again in the same burst
+			}
+			pl.Flush()
+		}},
+	}
+	for _, bc := range bursts {
+		t.Run(bc.name, func(t *testing.T) {
+			bc.burst() // warm
+			if allocs := testing.AllocsPerRun(20, bc.burst); allocs != 0 {
+				t.Fatalf("%.3f allocations per burst of %d, want 0", allocs, burstLen)
+			}
+		})
+	}
+	if failed != 0 {
+		t.Fatalf("%d pipelined ops failed on resident keys", failed)
+	}
+	if got := tb.Stats().Resizes; got != resizes {
+		t.Fatalf("resizes %d -> %d during the bursts; the measurement wants a steady table", resizes, got)
+	}
+}

@@ -44,17 +44,14 @@ func (t *Table) resizeOrFail(h *Handle, ix *index) (*index, error) {
 //  3. All participants wait for the transfer to complete, then retry their
 //     Insert in the new index (the caller does the retry).
 //
-// The thread that swings the table's index pointer also performs the old
-// index's GC: it waits until no per-thread announcement points at the old
-// index, then marks it retired. Unlike the paper's resizer, the wait runs
-// on a background goroutine so that no request thread ever blocks on
-// quiescence — in Go the memory itself is reclaimed by the runtime GC, so
-// the wait only exists to reproduce (and count) the protocol.
+// The paper's resizer then frees the old index once no thread's
+// announcement points at it. This port has no such step, and threads
+// publish nothing: the index is GC-owned memory, and the Go runtime
+// reclaims it once the table's pointer has moved on and no op or
+// in-flight pipeline entry still holds it (see Handle.enter).
 func (t *Table) resize(h *Handle, ix *index) *index {
-	if ix.state.CompareAndSwap(idxNormal, idxAllocating) {
-		nx := newIndex(ix.numBins*growthFactor(ix.numBins), t.cfg.LinkRatio, t.cfg.ChunkBins)
-		ix.next.Store(nx)
-		ix.state.Store(idxMigrating)
+	if ix.allocating.CompareAndSwap(false, true) {
+		ix.next.Store(newIndex(ix.numBins*growthFactor(ix.numBins), t.cfg.LinkRatio, t.cfg.ChunkBins))
 	} else {
 		t.resizeHelpers.Add(1)
 	}
@@ -64,13 +61,7 @@ func (t *Table) resize(h *Handle, ix *index) *index {
 		runtime.Gosched()
 	}
 	if t.current.CompareAndSwap(ix, nx) {
-		ix.state.Store(idxDrained)
 		t.resizes.Add(1)
-		if t.cfg.SingleThread {
-			ix.state.Store(idxRetired)
-		} else {
-			go t.retireIndex(ix)
-		}
 	}
 	return nx
 }
@@ -240,25 +231,4 @@ func (t *Table) binForMigratedKV(ix *index, keyWord, valWord uint64) uint64 {
 	klen := int(getU32(t.cfg.Alloc.Bytes(ref, kvBlockHeader)))
 	key := t.cfg.Alloc.Bytes(ref, kvBlockHeader+klen)[kvBlockHeader:]
 	return t.binForKV(ix, key, ns)
-}
-
-// retireIndex waits until no thread announcement references ix, then marks
-// it retired (§3.2.5 "GC old index"). Runs asynchronously; the Go runtime
-// reclaims the memory once the last reference drops.
-func (t *Table) retireIndex(ix *index) {
-	for i := range t.announces {
-		slot := &t.announces[i].ptr
-		for slot.Load() == ix {
-			runtime.Gosched()
-		}
-	}
-	ix.state.Store(idxRetired)
-}
-
-// waitRetired blocks until ix reaches the retired state; used by tests to
-// assert the GC protocol completes.
-func (ix *index) waitRetired() {
-	for ix.state.Load() != idxRetired {
-		runtime.Gosched()
-	}
 }

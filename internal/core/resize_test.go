@@ -5,7 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
+	"weak"
 )
 
 func TestResizeGrowsAndPreservesAllKeys(t *testing.T) {
@@ -228,26 +228,39 @@ func TestPutsRacingResize(t *testing.T) {
 	}
 }
 
-func TestOldIndexRetirement(t *testing.T) {
+// TestDrainedIndexReclaimed: no thread publishes the index it works on, so
+// the only thing that frees a drained index is the Go GC, once neither the
+// table's current pointer nor an in-flight pipeline entry references it.
+// A pipeline whose inserts resize the table, flushed, must leave the first
+// index collectable and itself usable.
+func TestDrainedIndexReclaimed(t *testing.T) {
 	tb := MustNew(Config{Bins: 4, Resizable: true, ChunkBins: 2})
 	h := tb.MustHandle()
-	first := tb.current.Load()
-	for i := uint64(0); i < 200; i++ {
-		h.Insert(i, i)
+	first := weak.Make(tb.current.Load())
+	var failed int
+	pl := h.Pipeline(PipelineOpts{Window: 8, OnComplete: func(op *Op) {
+		if op.Kind == OpGet && (!op.OK || op.Result != op.Key*3) || op.Kind == OpInsert && op.Err != nil {
+			failed++
+		}
+	}})
+	const n = 2000
+	for k := uint64(0); k < n; k++ {
+		pl.Insert(k, k*3)
 	}
-	if tb.current.Load() == first {
-		t.Fatal("index pointer did not move")
+	pl.Flush()
+	if tb.Stats().Resizes < 2 {
+		t.Fatalf("resizes = %d, want >= 2 (the first index must be drained and left behind)", tb.Stats().Resizes)
 	}
-	// The retirement goroutine must observe quiescence promptly.
-	done := make(chan struct{})
-	go func() {
-		first.waitRetired()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("old index never retired")
+	runtime.GC()
+	if first.Value() != nil {
+		t.Fatal("drained first index still reachable after Flush + GC")
+	}
+	for k := uint64(0); k < n; k++ {
+		pl.Get(k)
+	}
+	pl.Close()
+	if failed != 0 {
+		t.Fatalf("%d of %d ops failed around the reclaimed index", failed, 2*n)
 	}
 }
 

@@ -93,8 +93,9 @@ type Config struct {
 	// Hash selects the bin-mapping hash (default Modulo, §3.4.3).
 	Hash hashfn.Kind
 	// Resizable enables the non-blocking parallel resize. When false, an
-	// Insert that cannot find room returns ErrFull and the per-request
-	// enter/leave notifications are compiled out of the hot path (§5.2.5).
+	// Insert that cannot find room returns ErrFull. Either way an op
+	// reaches the current index with one pointer load: the Go GC frees a
+	// drained index, so ops make none of §3.2.5's index announcements.
 	Resizable bool
 	// SingleThread strips all synchronization (§3.4.5). The table must
 	// then be used from exactly one goroutine.
@@ -190,12 +191,7 @@ type Table struct {
 	hash64 hashfn.Func64
 	hashB  hashfn.FuncBytes
 
-	// Per-handle announcement slots implement the index-GC protocol of
-	// §3.2.5: a handle stores the index pointer it is operating on when it
-	// enters and clears it when it leaves; the resizer waits until no slot
-	// points at the drained index before retiring it.
-	announces []announceSlot
-	nHandles  atomic.Int32
+	nHandles atomic.Int32
 
 	gc *epoch.Collector
 
@@ -223,13 +219,6 @@ type Table struct {
 	epochFrees    atomic.Uint64
 }
 
-type announceSlot struct {
-	ptr atomic.Pointer[index]
-	// dlht:ok:fieldalignment — deliberate padding: each handle's announce
-	// slot gets its own cache line so epoch announcements don't bounce.
-	_ [56]byte
-}
-
 // New creates a Table from cfg.
 func New(cfg Config) (*Table, error) {
 	cfg.setDefaults()
@@ -243,10 +232,9 @@ func New(cfg Config) (*Table, error) {
 	// and a runner); the contract is that all of them are used from one
 	// goroutine only.
 	t := &Table{
-		cfg:       cfg,
-		hash64:    hashfn.For64(cfg.Hash),
-		hashB:     hashfn.ForBytes(cfg.Hash),
-		announces: make([]announceSlot, cfg.MaxThreads),
+		cfg:    cfg,
+		hash64: hashfn.For64(cfg.Hash),
+		hashB:  hashfn.ForBytes(cfg.Hash),
 	}
 	if cfg.Mode == Allocator && cfg.EpochGC {
 		a := cfg.Alloc
@@ -432,27 +420,18 @@ func (t *Table) MustHandle() *Handle {
 	return h
 }
 
-// enter announces the handle's presence in the current index and returns
-// it. The load/announce/validate loop is the hazard-pointer discipline that
-// makes the resizer's quiescence wait sound. When resizing is disabled (or
-// in single-thread mode) this collapses to a single pointer load — the
-// exact cost difference measured by Fig 14's "Resizing" bar. Either way
-// an EpochGC handle leaves pinned, so the views it returns outlive frees.
+// enter returns the current index, with an EpochGC handle pinned so the
+// views it returns outlive frees. It is one pointer load on every table
+// kind. The paper's threads announce the index they operate on so the
+// resizer can free a drained index once no announcement points at it
+// (§3.2.5); here the index is ordinary Go memory, and the runtime GC
+// reclaims a drained one once no reference to it (the table's current
+// pointer, a caller's ix, an in-flight pipeEntry.ix) is left. An op that
+// still holds a drained index follows its bins' redirects to the
+// successor, so reaching an old index is slow, never wrong.
 func (h *Handle) enter() *index {
-	t := h.t
-	if !t.cfg.Resizable || t.cfg.SingleThread {
-		h.pin()
-		return t.current.Load()
-	}
-	slot := &t.announces[h.id].ptr
-	for {
-		ix := t.current.Load()
-		slot.Store(ix)
-		if t.current.Load() == ix {
-			h.pin()
-			return ix
-		}
-	}
+	h.pin()
+	return h.t.current.Load()
 }
 
 // pin establishes the persistent epoch pin for EpochGC tables.
@@ -461,16 +440,6 @@ func (h *Handle) pin() {
 		h.eh.Enter()
 		h.pinned = true
 	}
-}
-
-// leave clears the announcement. The epoch pin is deliberately retained —
-// see Handle.pinned.
-func (h *Handle) leave() {
-	t := h.t
-	if !t.cfg.Resizable || t.cfg.SingleThread {
-		return
-	}
-	t.announces[h.id].ptr.Store(nil)
 }
 
 // beginUpdate/endUpdate bracket mutating operations when strong snapshots
@@ -496,14 +465,13 @@ func (t *Table) endUpdate() {
 // call. The handle must not be used again; byte views it returned become
 // invalid once the id is reissued. Close exists for connection-scoped
 // handles (one per network connection): without it a long-lived server
-// would leak announce slots until ErrTooManyHandles.
+// would leak handle ids until ErrTooManyHandles.
 func (h *Handle) Close() {
 	t := h.t
 	if t == nil {
 		return // already closed
 	}
 	h.t = nil
-	t.announces[h.id].ptr.Store(nil)
 	h.Unpin()
 	t.freeMu.Lock()
 	t.freeIDs = append(t.freeIDs, h.id)

@@ -463,7 +463,7 @@ func (cl *Client) readReply(op OpCode, r *reply) error {
 		r.done = hdr[17] != 0
 		count := int(binary.LittleEndian.Uint32(hdr[18:22]))
 		if count > maxScanRespEnts {
-			return fmt.Errorf("%w: scan reply announces %d entries", ErrBadFrame, count)
+			return fmt.Errorf("%w: scan reply declares %d entries", ErrBadFrame, count)
 		}
 		cl.br.Discard(ScanRespHdrSize)
 		if count > 0 {

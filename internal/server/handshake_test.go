@@ -169,7 +169,7 @@ func TestBadVersion(t *testing.T) {
 	}
 }
 
-// TestTruncatedHandshake: a handshake that announces a table name and then
+// TestTruncatedHandshake: a handshake that declares a table name and then
 // stops sending is cleanly dropped once the server gives up — no response,
 // no panic, and the server keeps serving other connections.
 func TestTruncatedHandshake(t *testing.T) {

@@ -508,7 +508,7 @@ func (bc *binConn) requests(buf []byte) (used, need int, err error) {
 					return used, KVReqHdrSize, nil
 				}
 				// The header is valid: the frame is the header, the key
-				// and the value it announces.
+				// and the value whose lengths it carries.
 				klen := int(binary.LittleEndian.Uint16(rest[3:5]))
 				return used, KVReqHdrSize + klen + int(binary.LittleEndian.Uint32(rest[5:9])), nil
 			}

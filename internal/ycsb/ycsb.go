@@ -35,8 +35,9 @@ type Driver struct {
 func New(records uint64, maxThreads int) (*Driver, error) {
 	if maxThreads < 8192 {
 		// Worker stores release their handles after each Run, but budget
-		// generously anyway (64 B per announce slot): thread sweeps may
-		// hold a wide high-water mark of concurrent workers.
+		// generously anyway (a handle id costs this table nothing until it
+		// is used): thread sweeps may hold a wide high-water mark of
+		// concurrent workers.
 		maxThreads = 8192
 	}
 	t, err := core.New(core.Config{
