@@ -17,7 +17,7 @@ var quickSeeds = []int64{1, 362}
 
 // quickCheck runs quick.Check on f under each of quickSeeds and then under
 // one fresh seed, naming the seed of every failure so it can be added to
-// quickSeeds and replayed. maxCount 0 is quick's default.
+// quickSeeds and replayed.
 func quickCheck(t *testing.T, name string, f any, maxCount int) {
 	t.Helper()
 	seeds := append(quickSeeds[:len(quickSeeds):len(quickSeeds)], time.Now().UnixNano())
