@@ -224,7 +224,7 @@ func Fig11IndexSize(s Scale) Result {
 // Fig12BatchSize reproduces Figure 12: batch degree 1..128 for Get, InsDel
 // and Get-Resizing (resize capability compiled in but never triggered). The
 // paper's resizing tax is the per-batch index announcement of §3.2.5; the
-// Go port announces nothing (the runtime GC frees a drained index), so its
+// Go port makes none (the runtime GC frees a drained index), so its
 // Get-Resizing column measures only the redirect check, which Get pays too.
 func Fig12BatchSize(s Scale) Result {
 	res := Result{
