@@ -107,7 +107,11 @@ func (h *Handle) Exec(ops []Op, stopOnFail bool) int {
 		}
 	}
 out:
-	p.head, p.tail = 0, 0 // abandon any unexecuted in-flight entries
+	// Abandon any unexecuted in-flight entries, and clear every slot the
+	// batch used: an idle handle must pin neither a drained index nor the
+	// caller's ops.
+	clear(p.ring[:min(p.head, len(p.ring))])
+	p.head, p.tail = 0, 0
 	if mutates {
 		t.endUpdate()
 	}

@@ -54,6 +54,7 @@ func (h *Handle) GetKVBatch(reqs []KVGet) {
 		p.advance(t, w, lead)
 		h.kvStep(p)
 	}
+	clear(p.ring[:min(p.head, len(p.ring))]) // see Exec
 	p.head, p.s2, p.tail = 0, 0, 0
 }
 

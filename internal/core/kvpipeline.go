@@ -275,6 +275,7 @@ func (pl *KVPipeline) drainTo(limit int) {
 			break
 		}
 		req := h.kvStep(&pl.p)
+		pl.p.ring[(pl.p.tail-1)&pl.p.mask] = kvPipeEntry{} // see Pipeline.drainTo
 		if pl.onComplete != nil {
 			pl.onComplete(req)
 		}

@@ -219,8 +219,8 @@ func (pl *Pipeline) growBuf() {
 // remain. Completion callbacks may enqueue; the loop re-checks the bound so
 // re-entrant traffic drains too. An entry executes against the index it
 // was issued on, however many resizes ago that was: its ix reference keeps
-// a drained index alive for the GC, and the op follows the bin's redirect
-// to the successor.
+// a drained index alive for the GC until the entry completes, and the op
+// follows the bin's redirect to the successor.
 func (pl *Pipeline) drainTo(limit int) {
 	if pl.draining || pl.p.head-pl.p.tail <= limit {
 		return
@@ -230,7 +230,9 @@ func (pl *Pipeline) drainTo(limit int) {
 	p := &pl.p
 	pl.draining = true
 	for p.head-p.tail > limit {
-		e := p.ring[p.tail&p.mask]
+		slot := &p.ring[p.tail&p.mask]
+		e := *slot
+		*slot = pipeEntry{} // an idle pipeline must not pin a drained index
 		p.tail++
 		if e.op.Kind == OpGet {
 			h.execOneAt(e.ix, e.op, e.bin)

@@ -262,6 +262,58 @@ func TestDrainedIndexReclaimed(t *testing.T) {
 	if failed != 0 {
 		t.Fatalf("%d of %d ops failed around the reclaimed index", failed, 2*n)
 	}
+
+	// An idle handle — a few ops, then nothing — must not pin the index
+	// they ran on once a second handle has resized the table away. ops
+	// returns the pipeline it ran on, kept open like a connection's.
+	idle := func(t *testing.T, cfg Config, ops func(h *Handle) any) {
+		tb := MustNew(cfg)
+		h := tb.MustHandle()
+		first := weak.Make(tb.current.Load())
+		pl := ops(h)
+		other := tb.MustHandle()
+		for k := uint64(1); tb.Stats().Resizes < 2; k++ {
+			if cfg.Mode == Allocator {
+				if err := other.InsertKV(0, []byte{byte(k), byte(k >> 8), byte(k >> 16)}, []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := other.Insert(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		if first.Value() != nil {
+			t.Fatal("an idle handle's completed ops keep the drained first index reachable")
+		}
+		runtime.KeepAlive(h)
+		runtime.KeepAlive(pl)
+	}
+	fixed := Config{Bins: 4, Resizable: true, ChunkBins: 2}
+	t.Run("idle-exec", func(t *testing.T) {
+		idle(t, fixed, func(h *Handle) any {
+			h.Exec([]Op{{Kind: OpGet, Key: 1}, {Kind: OpGet, Key: 2}}, false)
+			return nil
+		})
+	})
+	t.Run("idle-pipeline", func(t *testing.T) {
+		idle(t, fixed, func(h *Handle) any {
+			pl := h.Pipeline(PipelineOpts{})
+			pl.Get(1)
+			pl.Get(2)
+			pl.Flush()
+			return pl
+		})
+	})
+	t.Run("idle-kvpipeline", func(t *testing.T) {
+		cfg := Config{Bins: 4, Resizable: true, ChunkBins: 2, Mode: Allocator, VariableKV: true}
+		idle(t, cfg, func(h *Handle) any {
+			pl := h.KVPipeline(KVPipelineOpts{})
+			pl.Get(0, []byte("a"))
+			pl.Get(0, []byte("b"))
+			pl.Flush()
+			return pl
+		})
+	})
 }
 
 func TestResizeDisabledNeverResizes(t *testing.T) {

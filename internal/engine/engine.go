@@ -25,11 +25,13 @@ import (
 
 // WAL is what a durable table's redo log gives a connection (satisfied by
 // *wal.Log; a local interface keeps this package free of a wal
-// dependency): the records the KV state machine appends, and the sync the
+// dependency): the records the KV state machine appends, the record of a
+// fixed op that completed on the connection's handle, and the sync the
 // reply writer waits on before a reply byte reaches the socket.
 type WAL interface {
 	expiry.RedoLog
 	ackbuf.Syncer
+	LogFixed(h *core.Handle, op *core.Op) (uint64, error)
 }
 
 // Opts wires an engine to its connection.
@@ -41,7 +43,9 @@ type Opts struct {
 	Log    WAL // nil for a RAM table
 	Writer *ackbuf.Writer
 	// OnFixed and OnGet encode a fixed op's and a Get's reply as it
-	// completes. OnGet's value view is valid only during the call.
+	// completes; on a durable table a fixed op is logged first, and its
+	// reply waits for the record's sync. Neither runs once the writer has
+	// failed. OnGet's value view is valid only during the call.
 	OnFixed func(*core.Op)
 	OnGet   func(val []byte, ok bool)
 }
@@ -61,22 +65,24 @@ type Engine struct {
 	KV expiry.KV // every KV op but a pipelined Get; call Barrier first
 	W  *ackbuf.Writer
 
-	p     *core.Pipeline
-	kp    *core.KVPipeline // nil unless the table is in Allocator mode
-	clk   expiry.Clock     // sampled once per read burst
-	onGet func([]byte, bool)
-	arena []byte       // keys of in-flight Gets
-	dead  []core.KVGet // (ns, arena key) of each Get that found its pair dead
-	ops   int          // since the last epoch advance
+	p       *core.Pipeline
+	kp      *core.KVPipeline // nil unless the table is in Allocator mode
+	clk     expiry.Clock     // sampled once per read burst
+	log     WAL              // nil for a RAM table
+	onFixed func(*core.Op)
+	onGet   func([]byte, bool)
+	arena   []byte       // keys of in-flight Gets
+	dead    []core.KVGet // (ns, arena key) of each Get that found its pair dead
+	ops     int          // since the last epoch advance
 }
 
 // New builds a connection's engine.
 func New(o Opts) *Engine {
 	e := &Engine{
 		H: o.Handle, KV: expiry.Bind(o.Handle, o.Expiry, o.Log), W: o.Writer,
-		clk: o.Expiry.Clock(), onGet: o.OnGet,
+		clk: o.Expiry.Clock(), log: o.Log, onFixed: o.OnFixed, onGet: o.OnGet,
 	}
-	e.p = e.H.Pipeline(core.PipelineOpts{OnComplete: o.OnFixed})
+	e.p = e.H.Pipeline(core.PipelineOpts{OnComplete: e.fixed})
 	if e.H.Table().Mode() == core.Allocator {
 		e.kp = e.H.KVPipeline(core.KVPipelineOpts{OnComplete: e.complete})
 	}
@@ -105,6 +111,23 @@ func (e *Engine) Get(ns uint16, key []byte, hash uint64) {
 	off := len(e.arena)
 	e.arena = append(e.arena, key...)
 	e.kp.GetHashed(ns, e.arena[off:len(e.arena):len(e.arena)], hash)
+}
+
+// fixed is a fixed op's completion: on a durable table, log it and make
+// its reply wait for the record's sync; then encode the reply.
+func (e *Engine) fixed(op *core.Op) {
+	if e.W.Err() != nil {
+		return
+	}
+	if e.log != nil {
+		seq, err := e.log.LogFixed(e.H, op)
+		if err != nil {
+			e.W.Fail(err)
+			return
+		}
+		e.W.NeedSync(seq)
+	}
+	e.onFixed(op)
 }
 
 // complete is a Get's completion. The deadline came with the value: a dead

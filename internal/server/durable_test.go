@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	core "repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/wal"
 )
 
@@ -166,13 +167,13 @@ func TestDurableServerKV(t *testing.T) {
 
 // countingSyncer counts the group-commit waits a reply writer makes.
 type countingSyncer struct {
-	redoLog
+	engine.WAL
 	calls int
 }
 
 func (c *countingSyncer) SyncWait(seq uint64) error {
 	c.calls++
-	return c.redoLog.SyncWait(seq)
+	return c.WAL.SyncWait(seq)
 }
 
 // countingConn counts socket writes.
@@ -203,7 +204,7 @@ func TestOwnedConnSyncsPerFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sy := &countingSyncer{redoLog: ds.Log()}
+	sy := &countingSyncer{WAL: ds.Log()}
 	s.mu.Lock()
 	s.walLogs[ds.Table()] = sy
 	s.mu.Unlock()

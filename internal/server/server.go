@@ -58,7 +58,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	tables  map[string]*core.Table
-	walLogs map[*core.Table]redoLog // durable tables' redo logs
+	walLogs map[*core.Table]engine.WAL // durable tables' redo logs
 	ln      net.Listener
 	conns   map[net.Conn]struct{}
 	closed  bool
@@ -96,7 +96,7 @@ func New(tbl *core.Table, opts Options) *Server {
 	return &Server{
 		opts:       opts,
 		tables:     map[string]*core.Table{DefaultTable: tbl},
-		walLogs:    make(map[*core.Table]redoLog),
+		walLogs:    make(map[*core.Table]engine.WAL),
 		conns:      make(map[net.Conn]struct{}),
 		handleFree: make(chan struct{}),
 		expiries:   make(map[*core.Table]*expiry.Index),
@@ -136,17 +136,10 @@ func (s *Server) AddDurable(name string, ds *wal.Store) error {
 	return nil
 }
 
-// redoLog is a durable table's redo log (*wal.Log) as its connections use
-// it: the engine's records and group commit, and the fixed ops' records.
+// walFor returns the redo log paired with tbl, or nil for RAM tables.
 // Held as an interface, a RAM table's is a true nil, never a typed one
 // that would pass != nil checks.
-type redoLog interface {
-	engine.WAL
-	LogOp(op *core.Op) (uint64, error)
-}
-
-// walFor returns the redo log paired with tbl, or nil for RAM tables.
-func (s *Server) walFor(tbl *core.Table) redoLog {
+func (s *Server) walFor(tbl *core.Table) engine.WAL {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.walLogs[tbl]
@@ -435,25 +428,11 @@ func (bc *binConn) hello(buf []byte) (used, need int, err error) {
 	if err != nil {
 		return used, 1, nil
 	}
-	log := s.walFor(bc.tbl)
 	w := bc.w
 	bc.Engine = engine.New(engine.Opts{
-		Handle: h, Expiry: ix, Log: log, Writer: w,
-		OnFixed: func(op *core.Op) {
-			if w.Err() != nil {
-				return
-			}
-			if log != nil {
-				seq, err := log.LogOp(op)
-				if err != nil {
-					w.Fail(err)
-					return
-				}
-				w.NeedSync(seq)
-			}
-			w.Commit(AppendResponse(w.Buf(), opToResp(op)))
-		},
-		OnGet: bc.replyGet,
+		Handle: h, Expiry: ix, Log: s.walFor(bc.tbl), Writer: w,
+		OnFixed: func(op *core.Op) { w.Commit(AppendResponse(w.Buf(), opToResp(op))) },
+		OnGet:   bc.replyGet,
 	})
 	return used, 0, nil
 }

@@ -328,10 +328,48 @@ func (l *Log) crash() {
 // Typed append helpers
 // ---------------------------------------------------------------------------
 
-// LogOp appends the redo record for a completed fixed op and returns its
-// sequence, or 0 when the op needs no record: reads, misses, failed
-// inserts (Op.OK is the effective-mutation bit — a Put/Delete miss or a
-// duplicate Insert changed nothing).
+// LogFixed is the one durable step of a fixed mutation: it appends the
+// redo record of op, which has completed on h, and returns its sequence,
+// or 0 when the op needs none: reads, misses, failed inserts (Op.OK is
+// the effective-mutation bit). Store's sync ops and Pipe and every server
+// connection log through it.
+//
+// A Put, Insert or Delete is logged as the state its key holds, read
+// through h under the log's lock: a put record (replay upserts) if the
+// key is present, a delete record if not. Appends are serialized and each
+// read follows its own op's apply, so a key's last record reflects every
+// logged apply, however two writers' applies and appends interleave.
+// InsertShadow and CommitShadow keep their op records (LogOp), so a
+// shadowed key's writers must still append in apply order.
+func (l *Log) LogFixed(h *core.Handle, op *core.Op) (uint64, error) {
+	if !op.OK || op.Kind == core.OpGet {
+		return 0, nil
+	}
+	if testRecordGap != nil {
+		testRecordGap()
+	}
+	switch op.Kind {
+	case core.OpPut, core.OpInsert, core.OpDelete:
+		key := op.Key
+		return l.append(func(dst []byte) []byte {
+			if v, ok := h.Get(key); ok {
+				return appendFixed(dst, recPut, key, v)
+			}
+			return appendDelete(dst, key)
+		})
+	}
+	return l.LogOp(op)
+}
+
+// testRecordGap, when non-nil, runs in LogFixed between an op's apply and
+// its append. Test-only: the two-writer tests yield there.
+var testRecordGap func()
+
+// LogOp appends the op's own redo record — the kind and value it was
+// issued with — for a completed fixed op and returns its sequence, or 0
+// when the op needs no record. The durable mutation path logs through
+// LogFixed instead; LogOp's records recover what was served only while
+// each key's writers append in apply order.
 func (l *Log) LogOp(op *core.Op) (uint64, error) {
 	if !op.OK {
 		return 0, nil

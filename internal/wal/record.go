@@ -22,10 +22,11 @@
 // returns), its record is fsynced. Recovery restores every acknowledged
 // effective mutation; unacknowledged tail writes may or may not survive,
 // and are never double-applied (replay is convergent: the final state of a
-// key is the last logged state). Records are appended in per-handle
-// execution order, so per-key log order is exact whenever a key's writers
-// serialize through one pipe — the partitioned executor's contract, and
-// any single-writer-per-key workload. Uncommitted shadow entries do not
+// key is the last logged state). Any number of handles may write one key:
+// a fixed op's record is the state its key holds when the record is
+// appended, read after the op applied (Log.LogFixed), and a KV op applies
+// and appends under its key's stripe lock, so a key's last record always
+// reflects its last logged apply. Uncommitted shadow entries do not
 // survive snapshot compaction (iterators hide them); they are a transient
 // two-phase primitive, not durable state.
 package wal
@@ -82,92 +83,69 @@ type Record struct {
 	At int64
 }
 
-// appendFrame frames payload into dst: CRC, length, payload.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// openFrame reserves a frame header at the end of dst and returns where
+// the frame starts. Each encoder then appends its payload to dst and
+// sealFrame patches the header over it: nothing is staged outside dst, so
+// encoding allocates nothing once the log buffer has grown.
+func openFrame(dst []byte) ([]byte, int) {
+	return append(dst, 0, 0, 0, 0, 0, 0, 0, 0), len(dst)
+}
+
+// sealFrame writes the CRC and length of the frame that starts at start
+// and runs to the end of dst.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHdrSize:]
+	binary.LittleEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(dst[start+4:], uint32(len(payload)))
+	return dst
 }
 
 // appendFixed encodes a fixed-op payload (put/insert/insertShadow).
 func appendFixed(dst []byte, kind byte, key, val uint64) []byte {
-	var p [17]byte
-	p[0] = kind
-	binary.LittleEndian.PutUint64(p[1:], key)
-	binary.LittleEndian.PutUint64(p[9:], val)
-	return appendFrame(dst, p[:])
+	dst, start := openFrame(dst)
+	dst = binary.LittleEndian.AppendUint64(append(dst, kind), key)
+	return sealFrame(binary.LittleEndian.AppendUint64(dst, val), start)
 }
 
 // appendDelete encodes a delete payload.
 func appendDelete(dst []byte, key uint64) []byte {
-	var p [9]byte
-	p[0] = recDelete
-	binary.LittleEndian.PutUint64(p[1:], key)
-	return appendFrame(dst, p[:])
+	dst, start := openFrame(dst)
+	return sealFrame(binary.LittleEndian.AppendUint64(append(dst, recDelete), key), start)
 }
 
 // appendCommitShadow encodes a commit/abort payload.
 func appendCommitShadow(dst []byte, key uint64, commit bool) []byte {
-	var p [10]byte
-	p[0] = recCommitShadow
-	binary.LittleEndian.PutUint64(p[1:], key)
+	dst, start := openFrame(dst)
+	dst = binary.LittleEndian.AppendUint64(append(dst, recCommitShadow), key)
+	var c byte
 	if commit {
-		p[9] = 1
+		c = 1
 	}
-	return appendFrame(dst, p[:])
+	return sealFrame(append(dst, c), start)
 }
 
 // appendInsertKV encodes a KV insert payload: ns, klen, key, value.
 func appendInsertKV(dst []byte, ns uint16, key, val []byte) []byte {
-	var h [7]byte
-	h[0] = recInsertKV
-	binary.LittleEndian.PutUint16(h[1:], ns)
-	binary.LittleEndian.PutUint32(h[3:], uint32(len(key)))
-	var hdr [frameHdrSize]byte
-	n := len(h) + len(key) + len(val)
-	crc := crc32.ChecksumIEEE(h[:])
-	crc = crc32.Update(crc, crc32.IEEETable, key)
-	crc = crc32.Update(crc, crc32.IEEETable, val)
-	binary.LittleEndian.PutUint32(hdr[0:], crc)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, h[:]...)
-	dst = append(dst, key...)
-	return append(dst, val...)
+	dst, start := openFrame(dst)
+	dst = binary.LittleEndian.AppendUint16(append(dst, recInsertKV), ns)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	return sealFrame(append(append(dst, key...), val...), start)
 }
 
 // appendDeleteKV encodes a KV delete payload: ns, key.
 func appendDeleteKV(dst []byte, ns uint16, key []byte) []byte {
-	var h [3]byte
-	h[0] = recDeleteKV
-	binary.LittleEndian.PutUint16(h[1:], ns)
-	var hdr [frameHdrSize]byte
-	crc := crc32.ChecksumIEEE(h[:])
-	crc = crc32.Update(crc, crc32.IEEETable, key)
-	binary.LittleEndian.PutUint32(hdr[0:], crc)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(h)+len(key)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, h[:]...)
-	return append(dst, key...)
+	dst, start := openFrame(dst)
+	dst = binary.LittleEndian.AppendUint16(append(dst, recDeleteKV), ns)
+	return sealFrame(append(dst, key...), start)
 }
 
 // appendExpireKV encodes a TTL payload: ns, deadline, key. A deadline at
 // or below zero clears the key's TTL on replay.
 func appendExpireKV(dst []byte, ns uint16, key []byte, at int64) []byte {
-	var h [11]byte
-	h[0] = recExpireKV
-	binary.LittleEndian.PutUint16(h[1:], ns)
-	binary.LittleEndian.PutUint64(h[3:], uint64(at))
-	var hdr [frameHdrSize]byte
-	crc := crc32.ChecksumIEEE(h[:])
-	crc = crc32.Update(crc, crc32.IEEETable, key)
-	binary.LittleEndian.PutUint32(hdr[0:], crc)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(h)+len(key)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, h[:]...)
-	return append(dst, key...)
+	dst, start := openFrame(dst)
+	dst = binary.LittleEndian.AppendUint16(append(dst, recExpireKV), ns)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(at))
+	return sealFrame(append(dst, key...), start)
 }
 
 // DecodeRecord decodes the first frame of b, returning the record and the

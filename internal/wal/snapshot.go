@@ -13,10 +13,14 @@ import (
 // the log: segments the snapshot covers (and older snapshots) are
 // deleted. It runs on the caller's goroutine against the Store's
 // dedicated snapshot handle, using the weakly consistent iterators — the
-// foreground pipeline is never stalled. Sound because effects always
-// precede their log records: the scan starts after a rotation, so any
-// effect racing into the snapshot has its record in a segment at or after
-// the boundary, and replay converges over the duplicate.
+// foreground pipeline is never stalled. Sound because every record reads
+// or follows its key's apply, and the scan starts after the rotation. A
+// fixed op's record is the state its key holds when the record is
+// appended (Log.LogFixed); a KV op's is appended under the key's stripe
+// lock, right after its apply. So the scan sees every apply whose record
+// precedes the boundary, and a key the scan read before a later apply has
+// a record after the boundary that replay ends on. An apply that no
+// record reflects yet was not acknowledged.
 func (s *Store) Snapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()

@@ -152,7 +152,10 @@ func Open(dir string, cfg core.Config, opts Options) (*Store, error) {
 
 // Table returns the in-memory table behind the store, for callers that
 // serve it through their own handles (the network server). Mutations
-// applied through foreign handles are NOT logged; pair them with Log.
+// applied through foreign handles are NOT logged: log each effective one
+// with Log().LogFixed on the handle that applied it, which is what keeps
+// recovery equal to what the table served when several handles write a
+// key.
 func (s *Store) Table() *core.Table { return s.tbl }
 
 // Expiry returns the store's expiry clock and stripe locks (nil outside
@@ -254,11 +257,7 @@ func (s *Store) Put(key, val uint64) (uint64, bool, error) {
 	if !ok {
 		return 0, false, nil
 	}
-	seq, err := s.log.append(func(dst []byte) []byte { return appendFixed(dst, recPut, key, val) })
-	if err == nil {
-		err = s.log.SyncWait(seq)
-	}
-	return prev, true, err
+	return prev, true, s.logSync(core.OpPut, key)
 }
 
 // Insert adds a new key, durable on return. A duplicate reports the
@@ -271,11 +270,7 @@ func (s *Store) Insert(key, val uint64) (uint64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	seq, err := s.log.append(func(dst []byte) []byte { return appendFixed(dst, recInsert, key, val) })
-	if err == nil {
-		err = s.log.SyncWait(seq)
-	}
-	return 0, true, err
+	return 0, true, s.logSync(core.OpInsert, key)
 }
 
 // Delete removes key, durable on return; a miss is log-free.
@@ -284,11 +279,17 @@ func (s *Store) Delete(key uint64) (uint64, bool, error) {
 	if !ok {
 		return 0, false, nil
 	}
-	seq, err := s.log.append(func(dst []byte) []byte { return appendDelete(dst, key) })
+	return prev, true, s.logSync(core.OpDelete, key)
+}
+
+// logSync logs an effective sync mutation of key and waits for its
+// group commit.
+func (s *Store) logSync(kind core.OpKind, key uint64) error {
+	seq, err := s.log.LogFixed(s.h, &core.Op{Kind: kind, Key: key, OK: true})
 	if err == nil {
 		err = s.log.SyncWait(seq)
 	}
-	return prev, true, err
+	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -336,30 +337,22 @@ type durablePipe struct {
 	closed bool
 }
 
-// stage is the inner pipeline's completion callback: append the redo
-// record for an effective mutation (execution order = append order per
-// pipe), then park the completion behind its sync.
+// stage is the inner pipeline's completion callback: log an effective
+// mutation, then park the completion behind its sync.
 func (p *durablePipe) stage(op *core.Op) {
-	var seq uint64
-	if op.OK && op.Kind != core.OpGet {
-		var err error
-		if seq, err = p.s.log.LogOp(op); err != nil {
-			// The op is applied in memory but will not be durable; its
-			// completion reports the failure, and the sticky log error
-			// fails the pipe's Flush.
-			if p.err == nil {
-				p.err = err
-			}
-			c := completionOf(op)
-			c.Err = err
-			p.queue = append(p.queue, gated{c: c})
-			return
+	c := completionOf(op)
+	seq, err := p.s.log.LogFixed(p.s.h, op)
+	if err != nil {
+		// The op is applied in memory but will not be durable; its
+		// completion reports the failure, and the sticky log error
+		// fails the pipe's Flush.
+		if p.err == nil {
+			p.err = err
 		}
-		if seq > p.maxSeq {
-			p.maxSeq = seq
-		}
+		c.Err = err
 	}
-	p.queue = append(p.queue, gated{c: completionOf(op), seq: seq})
+	p.maxSeq = max(p.maxSeq, seq)
+	p.queue = append(p.queue, gated{c: c, seq: seq})
 }
 
 func completionOf(op *core.Op) core.Completion {

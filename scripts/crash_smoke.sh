@@ -1,4 +1,4 @@
-#!/bin/sh
+#!/usr/bin/env bash
 # crash_smoke.sh — kill -9 crash-recovery smoke for the durable backend.
 #
 # Launches a dlht-server whose default table is backed by a group-commit
@@ -31,10 +31,26 @@ go build -o "$bindir/dlht-crash" ./cmd/dlht-crash
 SRV=$!
 cleanup() {
 	kill -9 "$SRV" 2>/dev/null || true
+	wait "$SRV" 2>/dev/null || true
 	rm -rf "$bindir"
 }
 trap cleanup EXIT
-sleep 1
+
+# ready waits, at most 10 s, until the server accepts a connection — after
+# its recovery, which runs before it listens. A probe that connects and
+# hangs up without a handshake is a connection the server just drops.
+ready() {
+	for _ in $(seq 100); do
+		if (exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}") 2>/dev/null; then
+			return 0
+		fi
+		sleep 0.1
+	done
+	echo "server at $addr not accepting after 10 s" >&2
+	cat "$1" >&2
+	exit 1
+}
+ready "$bindir/s1.log"
 
 # Writer in the background; its oracle dump happens when the transport
 # dies under it. -seconds bounds the run so a missed kill cannot hang CI.
@@ -45,6 +61,7 @@ WRITER=$!
 # Let the burst build real in-flight state, then pull the plug.
 sleep 2
 kill -9 "$SRV"
+wait "$SRV" 2>/dev/null || true
 wait "$WRITER" || {
 	status=$?
 	cat "$writelog"
@@ -61,11 +78,11 @@ fi
 # Restart on the same directory; recovery replays the log.
 "$bindir/dlht-server" -addr "$addr" -bins 4096 -durable "$waldir" >"$bindir/s2.log" 2>&1 &
 SRV=$!
-sleep 1
+ready "$bindir/s2.log"
 grep 'recovered' "$bindir/s2.log" || true
 
 # Output to a file then cat — a pipe into tee would replace the verifier's
-# exit status with tee's under POSIX sh, and that status is the gate.
+# exit status with tee's (no pipefail here), and that status is the gate.
 "$bindir/dlht-crash" -mode verify -addr "tcp://$addr" -oracle "$oracle" >"$verifylog" 2>&1 || {
 	status=$?
 	cat "$verifylog"
