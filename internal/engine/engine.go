@@ -43,9 +43,9 @@ type Opts struct {
 	Log    WAL // nil for a RAM table
 	Writer *ackbuf.Writer
 	// OnFixed and OnGet encode a fixed op's and a Get's reply as it
-	// completes; on a durable table a fixed op is logged first, and its
-	// reply waits for the record's sync. Neither runs once the writer has
-	// failed. OnGet's value view is valid only during the call.
+	// completes. On a durable table a fixed op is logged first, and its
+	// reply waits for the record's sync. OnGet's value view is valid only
+	// during the call.
 	OnFixed func(*core.Op)
 	OnGet   func(val []byte, ok bool)
 }
@@ -82,7 +82,11 @@ func New(o Opts) *Engine {
 		H: o.Handle, KV: expiry.Bind(o.Handle, o.Expiry, o.Log), W: o.Writer,
 		clk: o.Expiry.Clock(), log: o.Log, onFixed: o.OnFixed, onGet: o.OnGet,
 	}
-	e.p = e.H.Pipeline(core.PipelineOpts{OnComplete: e.fixed})
+	onFixed := o.OnFixed
+	if o.Log != nil {
+		onFixed = e.logFixed
+	}
+	e.p = e.H.Pipeline(core.PipelineOpts{OnComplete: onFixed})
 	if e.H.Table().Mode() == core.Allocator {
 		e.kp = e.H.KVPipeline(core.KVPipelineOpts{OnComplete: e.complete})
 	}
@@ -113,20 +117,16 @@ func (e *Engine) Get(ns uint16, key []byte, hash uint64) {
 	e.kp.GetHashed(ns, e.arena[off:len(e.arena):len(e.arena)], hash)
 }
 
-// fixed is a fixed op's completion: on a durable table, log it and make
-// its reply wait for the record's sync; then encode the reply.
-func (e *Engine) fixed(op *core.Op) {
-	if e.W.Err() != nil {
+// logFixed is a fixed op's completion on a durable table: log the op,
+// make its reply wait for the record's sync, and encode the reply. A log
+// failure fails the writer, so nothing after it is acknowledged.
+func (e *Engine) logFixed(op *core.Op) {
+	seq, err := e.log.LogFixed(e.H, op)
+	if err != nil {
+		e.W.Fail(err)
 		return
 	}
-	if e.log != nil {
-		seq, err := e.log.LogFixed(e.H, op)
-		if err != nil {
-			e.W.Fail(err)
-			return
-		}
-		e.W.NeedSync(seq)
-	}
+	e.W.NeedSync(seq)
 	e.onFixed(op)
 }
 
