@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 
@@ -10,13 +9,30 @@ import (
 	"repro/internal/wal"
 )
 
-// yieldingLog is a durable table's redo log that yields between a fixed
-// op's apply and its append, widening the window in which another
-// connection's apply and append can overtake.
-type yieldingLog struct{ engine.WAL }
+// pairedLog is a durable table's redo log shared by two connections. It
+// holds each fixed op between its apply and its append until the other
+// connection's next op has applied too, so both ops of a pair apply
+// before either is logged: the widest window two writers of a key open.
+// Every fixed op a connection completes is logged, so the two
+// connections' calls pair up one to one.
+type pairedLog struct {
+	engine.WAL
+	mu   sync.Mutex
+	wait chan struct{} // the first of a pair waits here; nil between pairs
+}
 
-func (l yieldingLog) LogFixed(h *core.Handle, op *core.Op) (uint64, error) {
-	runtime.Gosched()
+func (l *pairedLog) LogFixed(h *core.Handle, op *core.Op) (uint64, error) {
+	l.mu.Lock()
+	if ch := l.wait; ch != nil {
+		l.wait = nil
+		l.mu.Unlock()
+		close(ch)
+	} else {
+		ch = make(chan struct{})
+		l.wait = ch
+		l.mu.Unlock()
+		<-ch
+	}
 	return l.WAL.LogFixed(h, op)
 }
 
@@ -40,8 +56,9 @@ func (c *lockstepConn) Read(b []byte) (int, error) {
 
 // TestDurableTwoConnsRecoverServed: two binary connections on one durable
 // table write the same key in lockstep rounds — an insert, puts, and a
-// delete and re-insert halfway, 16 frames each per round — and a restart
-// recovers exactly what the table served after every round.
+// delete and re-insert halfway, 16 frames each per round — with each pair
+// of their ops applied before either is logged, and a restart recovers
+// exactly what the table served after every round.
 func TestDurableTwoConnsRecoverServed(t *testing.T) {
 	const keys, perRound = 3000, 16
 	dir := t.TempDir()
@@ -55,7 +72,7 @@ func TestDurableTwoConnsRecoverServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.walLogs[ds.Table()] = yieldingLog{s.walLogs[ds.Table()]}
+	s.walLogs[ds.Table()] = &pairedLog{WAL: s.walLogs[ds.Table()]}
 	s.mu.Unlock()
 
 	conns := make([]*lockstepConn, 2)
