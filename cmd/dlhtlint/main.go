@@ -1,5 +1,5 @@
 // dlhtlint runs the repo's concurrency-contract analyzers (ackgate,
-// stripelock, pipebarrier, sentinelcmp, hotpath — see
+// pipebarrier, sentinelcmp, hotpath — see
 // internal/analyzers) over go-list package patterns and exits nonzero
 // on any finding.
 //

@@ -5,8 +5,6 @@
 //   - ackgate:     durable-serving reply writers must gate socket-bound
 //     bytes behind a covering sync (the bufio auto-flush
 //     hazard re-fixed by hand in PR 6 and PR 8)
-//   - stripelock:  expiry deadline checks and the deletes they justify
-//     must share one stripe-lock span
 //   - pipebarrier: KV reads outside the streaming pipeline must drain
 //     it first, or completions reorder across them
 //   - sentinelcmp: error sentinels compare with errors.Is, never ==/!=
@@ -64,7 +62,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns every pass, in the order the driver runs them.
 func All() []*Analyzer {
-	return []*Analyzer{AckGate, StripeLock, PipeBarrier, SentinelCmp, HotPath}
+	return []*Analyzer{AckGate, PipeBarrier, SentinelCmp, HotPath}
 }
 
 // ByName returns the named pass, or nil.
@@ -231,46 +229,4 @@ func fileHasMarker(f *ast.File, marker string) bool {
 		}
 	}
 	return false
-}
-
-// funcScope is one function body analyzed independently: a FuncDecl or
-// a FuncLit. Nested literals are their own scopes and are excluded
-// from the parent's walk by walkScope.
-type funcScope struct {
-	name string // "" for function literals
-	body *ast.BlockStmt
-	node ast.Node // the FuncDecl or FuncLit
-}
-
-// scopes collects every function body in the file as an independent
-// scope.
-func scopes(f *ast.File) []funcScope {
-	var out []funcScope
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		out = append(out, funcScope{name: fd.Name.Name, body: fd.Body, node: fd})
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				out = append(out, funcScope{body: fl.Body, node: fl})
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// walkScope visits the scope's own statements, descending into
-// everything except nested function literals.
-func walkScope(s funcScope, visit func(ast.Node) bool) {
-	for _, st := range s.body.List {
-		ast.Inspect(st, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			return visit(n)
-		})
-	}
 }

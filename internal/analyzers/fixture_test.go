@@ -106,7 +106,6 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 }
 
 func TestAckGateFixture(t *testing.T)     { runFixture(t, AckGate, "ackgate") }
-func TestStripeLockFixture(t *testing.T)  { runFixture(t, StripeLock, "stripelock") }
 func TestPipeBarrierFixture(t *testing.T) { runFixture(t, PipeBarrier, "pipebarrier") }
 func TestSentinelCmpFixture(t *testing.T) { runFixture(t, SentinelCmp, "sentinelcmp") }
 func TestHotPathFixture(t *testing.T)     { runFixture(t, HotPath, "hotpath") }

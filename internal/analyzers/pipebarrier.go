@@ -12,18 +12,16 @@ package analyzers
 //
 // The pass finds the owning struct types, then
 // checks each of their methods: a direct KV call — a handle operation
-// (GetKV, GetKVMeta, SetKVMeta, InsertKV*, UpsertKV*,
+// (GetKV, GetKVMeta, InsertKV*, UpsertKV*, ReplaceKVIf,
 // UpdateKV, DeleteKV*) not on
 // the pipeline itself, or any method of the TTL'd-KV state machine
 // (expiry.KV), which runs handle operations on the owner's handle —
-// must be positionally preceded by a drain call. *Locked helpers are
-// exempt (their callers hold the barrier).
+// must be positionally preceded by a drain call.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 var PipeBarrier = &Analyzer{
@@ -37,9 +35,9 @@ var pipeDrains = map[string]bool{
 }
 
 var directKVOps = map[string]bool{
-	"GetKV": true, "GetKVMeta": true, "SetKVMeta": true, "UpdateKV": true,
+	"GetKV": true, "GetKVMeta": true, "UpdateKV": true, "ReplaceKVIf": true,
 	"InsertKV": true, "InsertKVHashed": true, "UpsertKVHashed": true,
-	"DeleteKV": true, "DeleteKVHashed": true,
+	"DeleteKV": true, "DeleteKVHashed": true, "DeleteKVIf": true,
 }
 
 func runPipeBarrier(p *Pass) {
@@ -51,9 +49,6 @@ func runPipeBarrier(p *Pass) {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || fd.Recv == nil {
-				continue
-			}
-			if strings.HasSuffix(fd.Name.Name, "Locked") {
 				continue
 			}
 			recv := fd.Recv.List[0].Type

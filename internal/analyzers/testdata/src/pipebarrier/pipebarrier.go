@@ -63,9 +63,9 @@ func (cn *conn) cmdTTLBad(key []byte, hash uint64) {
 	cn.kv.TTL(key, hash) // want `no barrier/Flush before it`
 }
 
-// setLocked: *Locked helpers run behind the caller's barrier.
+// setLocked: a helper's name exempts nothing.
 func (cn *conn) setLocked(key []byte) {
-	cn.h.GetKV(key)
+	cn.h.GetKV(key) // want `no barrier/Flush before it`
 }
 
 // free functions without the owning receiver are out of scope.

@@ -33,18 +33,5 @@ func TestLintCleanOnTree(t *testing.T) {
 				t.Errorf("%s: %s [%s]", pkg.Fset.Position(d.Pos), d.Message, a.Name)
 			}
 		}
-		// Every deadline-check-and-delete lives in expiry.KV, under its
-		// stripe lock: nothing is left for a stripelock suppression to
-		// excuse, and a new one means a second owner has appeared.
-		if strings.HasSuffix(pkg.ImportPath, "internal/analyzers") {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				if strings.Contains(cg.Text(), "dlht:ok:stripelock") {
-					t.Errorf("%s: stripelock suppression outside the analyzers' own fixtures", pkg.Fset.Position(cg.Pos()))
-				}
-			}
-		}
 	}
 }

@@ -237,6 +237,9 @@ func (t *Table) collectBinKV(ix *index, b uint64, sc *kvScan, vals bool, depth i
 				continue
 			}
 			kw, vw := ix.loadSlot(b, meta, i)
+			if vw == 0 {
+				continue // claimed by a delete
+			}
 			code := keyCodeOf(vw)
 			ref := refOf(vw)
 			e := KVEntry{NS: nsOf(vw)}

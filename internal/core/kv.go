@@ -33,10 +33,10 @@ const MaxNamespace = nsMask
 
 // kvBlockHeader is the [klen u32][vlen u32][meta u64] prefix stored when
 // either VariableKV is enabled or the key does not fit the slot. meta is
-// one aligned word the caller owns: the table stores it with the pair,
-// hands it back beside the value (KVGet.Meta, GetKVMeta, RangeKV) and
-// replaces it in place (SetKVMeta), always with 64-bit atomics, and never
-// interprets it. It shares the block's first cache line with the lengths
+// one aligned word the caller owns: the table writes it with the block,
+// hands it back beside the value (KVGet.Meta, GetKVMeta, RangeKV), and
+// never interprets or changes it — a new word comes with a new block
+// (ReplaceKVIf). It shares the block's first cache line with the lengths
 // and the head of a big key, so whatever a reader keeps there — the RESP
 // layer keeps the pair's expiry deadline — costs no memory access beyond
 // the one that fetches the value.
@@ -202,7 +202,9 @@ func (t *Table) bigKeyIs(ref alloc.Ref, key []byte) bool {
 
 // matchKV reports whether a slot's (keyWord, valWord) matches the lookup
 // key: the slot-word filters (key word, size code, namespace) and, for a
-// big key, the out-of-line comparison. A nil key stops at the filters —
+// big key, the out-of-line comparison. A slot a delete has claimed holds
+// value word 0, whose size code matches no key: it reads as absent, and
+// its (nil) block is never read. A nil key stops at the filters —
 // the pipelined lookup's candidate pick, which leaves the block untouched
 // until its prefetch has landed.
 func (t *Table) matchKV(kw, vw uint64, wantKW uint64, wantCode int, ns uint16, key []byte) bool {
@@ -245,26 +247,32 @@ func (t *Table) scanBinKV(ix *index, b uint64, hdr uint64, wantKW uint64, wantCo
 
 // GetKV looks up key under namespace ns and returns a view of its value —
 // the paper's pointer API (§3.2.1): no copy is made, and the caller may
-// mutate the view in place to update the value. With EpochGC enabled the
-// view stays valid until this handle's next AdvanceEpoch call; without it,
-// until the key is deleted.
+// mutate the view in place to update the value. The view is of this pair:
+// once a replace or a delete swaps the pair out of its slot, writes to it
+// reach no reader. With EpochGC enabled the view stays valid until this
+// handle's next AdvanceEpoch call; without it, until the pair is swapped
+// out.
 func (h *Handle) GetKV(ns uint16, key []byte) ([]byte, bool) {
-	v, _, ok := h.GetKVMeta(ns, key, h.t.HashOfKV(ns, key))
-	return v, ok
+	v, _, ref := h.GetKVMeta(ns, key, h.t.HashOfKV(ns, key))
+	return v, !ref.IsNil()
 }
 
 // GetKVMeta is GetKV with the key's hash — Table.HashOfKV — precomputed,
-// returning the pair's metadata word beside the value view.
-func (h *Handle) GetKVMeta(ns uint16, key []byte, hash uint64) (val []byte, meta uint64, ok bool) {
+// returning beside the value view the pair's metadata word and its
+// block's ref, which names this pair (nil: the key is absent). DeleteKVIf
+// and ReplaceKVIf take the ref back and act only while the pair is still
+// the one read; with EpochGC the ref cannot name another pair before this
+// handle's next AdvanceEpoch.
+func (h *Handle) GetKVMeta(ns uint16, key []byte, hash uint64) (val []byte, meta uint64, ref alloc.Ref) {
 	vw, ok := h.findKV(ns, key, hash)
 	if !ok {
-		return nil, 0, false
+		return nil, 0, 0
 	}
 	if debugAsserts {
 		h.assertViewPinned()
 	}
 	val, meta = h.t.valueView(vw)
-	return val, meta, true
+	return val, meta, refOf(vw)
 }
 
 // findKV is the synchronous lookup: the value word of key's slot. The block
@@ -278,20 +286,6 @@ func (h *Handle) findKV(ns uint16, key []byte, hash uint64) (uint64, bool) {
 	ix := h.enter()
 	vw, _, _, ok := t.lookupKVSlotAt(ix, ns, key, inlineKeyWord(key), keyCodeFor(key), hash%ix.numBins, true)
 	return vw, ok
-}
-
-// SetKVMeta replaces the metadata word of key's pair in place — no block
-// is allocated or freed — and reports whether the pair was there to take
-// it (false too for a pair whose block has no header). Like UpdateKV it is
-// a write through the pointer API: the caller serializes it against
-// deleters and replacers of the same key.
-func (h *Handle) SetKVMeta(ns uint16, key []byte, hash uint64, meta uint64) bool {
-	vw, ok := h.findKV(ns, key, hash)
-	if !ok || !h.t.hasBlockHeader(keyCodeOf(vw)) {
-		return false
-	}
-	atomic.StoreUint64(metaWord(h.t.cfg.Alloc.Bytes(refOf(vw), kvBlockHeader)), meta)
-	return true
 }
 
 // CheckKV validates a KV request against the table's mode and
@@ -330,20 +324,22 @@ func (h *Handle) InsertKV(ns uint16, key, val []byte) error {
 // hashed the key to pick a shard pass the hash down instead of paying it
 // again; the hash stays valid across resizes (only the modulus changes).
 func (h *Handle) InsertKVHashed(ns uint16, key, val []byte, hash uint64) error {
-	return h.writeKV(ns, key, val, hash, 0, false)
+	return h.writeKV(ns, key, val, hash, 0, 0, false)
 }
 
 // kvOp is an Allocator-mode op as the shared §3.2 bodies take it beside
 // the key word: the byte key and its hash for the slot match and the bin
 // mapping, and for an Insert or Put the pair the new block holds. ref is
 // that block: nil until a body allocates it, then reused by every retry
-// and by both steps of an upsert.
+// and by both steps of an upsert. old, when set, is the block of the one
+// pair a Put or Delete may swap out (scanAt).
 type kvOp struct {
 	key  []byte
 	val  []byte
 	hash uint64
 	meta uint64
 	ref  alloc.Ref
+	old  alloc.Ref
 	code int
 	ns   uint16
 }
@@ -360,15 +356,17 @@ func (t *Table) kvSlotVal(kv *kvOp) uint64 {
 	return encodeSlotVal(kv.ref, kv.code, kv.ns)
 }
 
-// writeKV stores key→val with meta as the pair's metadata word: the Insert
-// body, or with replace first the Put body. A non-zero meta needs a block
-// header (ErrNoMeta). The pair's block is freed if no body published it.
-func (h *Handle) writeKV(ns uint16, key, val []byte, hash, meta uint64, replace bool) (err error) {
+// writeKV stores key→val with meta as the pair's metadata word: with old
+// set the Put body over that pair only (ErrExists when the key no longer
+// holds it), with upsert the Put body then the Insert body on a miss, and
+// otherwise the Insert body. A non-zero meta needs a block header
+// (ErrNoMeta). The pair's block is freed if no body published it.
+func (h *Handle) writeKV(ns uint16, key, val []byte, hash, meta uint64, old alloc.Ref, upsert bool) (err error) {
 	t := h.t
 	if err = t.checkKV(ns, key, val, true); err != nil {
 		return err
 	}
-	kv := kvOp{key: key, val: val, hash: hash, meta: meta, code: keyCodeFor(key), ns: ns}
+	kv := kvOp{key: key, val: val, hash: hash, meta: meta, old: old, code: keyCodeFor(key), ns: ns}
 	if meta != 0 && !t.hasBlockHeader(kv.code) {
 		return ErrNoMeta
 	}
@@ -376,15 +374,19 @@ func (h *Handle) writeKV(ns uint16, key, val []byte, hash, meta uint64, replace 
 	t.beginUpdate()
 	ix := h.enter()
 	for {
-		if replace {
+		if upsert || !old.IsNil() {
 			if _, ok := t.putInAt(h, ix, kw, 0, hash%ix.numBins, &kv); ok {
 				err = nil
+				break
+			}
+			if !old.IsNil() {
+				err = ErrExists
 				break
 			}
 		}
 		// An upsert whose insert lost to a concurrent inserter replaces
 		// the winner's pair.
-		if _, err = t.insertInAt(h, ix, kw, 0, slotValid, hash%ix.numBins, &kv); !replace || !errors.Is(err, ErrExists) {
+		if _, err = t.insertInAt(h, ix, kw, 0, slotValid, hash%ix.numBins, &kv); !upsert || !errors.Is(err, ErrExists) {
 			break
 		}
 	}
@@ -404,11 +406,20 @@ func (h *Handle) DeleteKV(ns uint16, key []byte) bool {
 // DeleteKVHashed is DeleteKV with the key's hash — as returned by
 // Table.HashOfKV — precomputed by the caller; see InsertKVHashed.
 func (h *Handle) DeleteKVHashed(ns uint16, key []byte, hash uint64) bool {
+	return h.DeleteKVIf(ns, key, hash, 0)
+}
+
+// DeleteKVIf is DeleteKVHashed conditioned on the pair: with old — a ref
+// GetKVMeta returned — it deletes only the pair whose block that is, and
+// reports false once a replace or a delete has swapped it out; a nil old
+// deletes any pair of the key. The block is retired by the one op that
+// swaps it out of its slot.
+func (h *Handle) DeleteKVIf(ns uint16, key []byte, hash uint64, old alloc.Ref) bool {
 	t := h.t
 	if err := t.checkKV(ns, key, nil, false); err != nil {
 		panic(err)
 	}
-	kv := kvOp{key: key, hash: hash, code: keyCodeFor(key), ns: ns}
+	kv := kvOp{key: key, hash: hash, old: old, code: keyCodeFor(key), ns: ns}
 	t.beginUpdate()
 	ix := h.enter()
 	_, ok := t.deleteInAt(h, ix, inlineKeyWord(key), hash%ix.numBins, &kv)
@@ -423,12 +434,26 @@ func (h *Handle) DeleteKVHashed(ns uint16, key []byte, hash uint64) bool {
 // block reference — so a concurrent reader sees the old pair or the new
 // one, never the key absent; an absent key is inserted, and an insert that
 // loses the race to a concurrent inserter replaces that pair instead.
-// Without EpochGC the caller serializes deletes of key against its
-// replacers, as it must for GetKV's views. Every replace in the tree —
-// the pipeline's Put, the TTL'd-KV state machine's SET, WAL replay — is
-// this function.
+// Without EpochGC a swapped-out block is freed at once, and the caller
+// serializes deletes of key against its replacers, as it must for GetKV's
+// views. Every unconditional replace in the tree — the pipeline's Put, a
+// plain SET, WAL replay — is this function.
 func (h *Handle) UpsertKVHashed(ns uint16, key, val []byte, hash, meta uint64) error {
-	return h.writeKV(ns, key, val, hash, meta, true)
+	return h.writeKV(ns, key, val, hash, meta, 0, true)
+}
+
+// ReplaceKVIf is the check-and-act write: it publishes key→val, with meta
+// as the pair's metadata word, only while key's pair is the one whose
+// block is old — a ref GetKVMeta returned — or, with old nil, only while
+// key is absent. One double-word CAS on the slot (one header CAS for an
+// absent key) decides; false means another writer changed the pair
+// first, and the caller reads it again. Errors are UpsertKVHashed's.
+func (h *Handle) ReplaceKVIf(ns uint16, key, val []byte, hash, meta uint64, old alloc.Ref) (bool, error) {
+	err := h.writeKV(ns, key, val, hash, meta, old, false)
+	if errors.Is(err, ErrExists) {
+		return false, nil
+	}
+	return err == nil, err
 }
 
 func putU32(b []byte, v uint32) {

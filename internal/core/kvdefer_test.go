@@ -45,7 +45,7 @@ func TestKVDeferredCompareMatchesGetKV(t *testing.T) {
 	_, h := newKV(t, Config{Bins: 1, LinkRatio: 1, VariableKV: true, Namespaces: true})
 	n := 0
 	for ; ; n++ {
-		if err := h.writeKV(0, deferKey(n), []byte(fmt.Sprintf("val-%03d", n)), h.t.HashOfKV(0, deferKey(n)), uint64(1000+n), false); err != nil {
+		if err := h.writeKV(0, deferKey(n), []byte(fmt.Sprintf("val-%03d", n)), h.t.HashOfKV(0, deferKey(n)), uint64(1000+n), 0, false); err != nil {
 			break // the one bin and its links are full
 		}
 	}
@@ -63,8 +63,8 @@ func TestKVDeferredCompareMatchesGetKV(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 3, 16, 64} {
 		lookupsBothWays(h, w, keys, func(via string, g *KVGet) {
-			want, wantMeta, ok := h.GetKVMeta(0, g.Key, h.t.HashOfKV(0, g.Key))
-			if g.OK != ok || !bytes.Equal(g.Value, want) || g.Meta != wantMeta {
+			want, wantMeta, ref := h.GetKVMeta(0, g.Key, h.t.HashOfKV(0, g.Key))
+			if ok := !ref.IsNil(); g.OK != ok || !bytes.Equal(g.Value, want) || g.Meta != wantMeta {
 				t.Fatalf("w=%d %s(%q) = (%q, meta %d, %v); GetKV says (%q, meta %d, %v)",
 					w, via, g.Key, g.Value, g.Meta, g.OK, want, wantMeta, ok)
 			}

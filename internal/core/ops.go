@@ -101,12 +101,16 @@ func (ix *index) redirect(b uint64, hdr uint64) *index {
 
 // scanAt is the bodies' slot match: scanBin for a fixed op, scanBinKV for
 // a KV op, whose Valid-only scan never sees a Shadow slot or the op's own
-// TryInsert slot.
+// TryInsert slot. A KV op with kv.old set matches only the pair whose
+// block that is: another pair of the key reads as a miss.
 func (t *Table) scanAt(ix *index, b, hdr, key uint64, kv *kvOp, skipSlot int, includeShadow bool) (int, uint64, uint64) {
 	if kv == nil {
 		return ix.scanBin(b, hdr, key, skipSlot, includeShadow)
 	}
 	slot, v := t.scanBinKV(ix, b, hdr, key, kv.code, kv.ns, kv.key)
+	if slot >= 0 && !kv.old.IsNil() && refOf(v) != kv.old {
+		return scanMiss, 0, 0
+	}
 	return slot, v, slotValid
 }
 
@@ -451,8 +455,9 @@ func (h *Handle) Delete(key uint64) (uint64, bool) {
 	return v, ok
 }
 
-// deleteInAt is the concurrent Delete body; a KV delete retires the
-// pair's block through afterDelete.
+// deleteInAt is the concurrent Delete body. A KV delete commits by
+// claiming the slot (claimKV) and retires the pair's block through
+// afterDelete.
 func (t *Table) deleteInAt(h *Handle, ix *index, key uint64, b uint64, kv *kvOp) (uint64, bool) {
 	for {
 		hdrAddr := ix.headerAddr(b)
@@ -469,6 +474,13 @@ func (t *Table) deleteInAt(h *Handle, ix *index, key uint64, b uint64, kv *kvOp)
 		if slot == scanMiss {
 			return 0, false
 		}
+		if kv != nil {
+			if !ix.claimKV(b, slot, key, v) {
+				continue
+			}
+			t.afterDelete(h, v)
+			return v, true
+		}
 		// CAS against the header we scanned under: any concurrent
 		// change to the bin (including the slot being deleted and
 		// reused) bumps the version and fails this CAS.
@@ -476,6 +488,29 @@ func (t *Table) deleteInAt(h *Handle, ix *index, key uint64, b uint64, kv *kvOp)
 			t.bumpVer(key)
 			t.afterDelete(h, v)
 			return v, true
+		}
+	}
+}
+
+// claimKV is a KV delete's commit point. One double-word CAS takes the
+// pair out of slot i of bin b, from (key word, vw) to (key word, 0) — a
+// value word whose size code matches no key, so every lookup reads the
+// slot as empty — and only then is the slot invalidated in the header.
+// A pair changes hands only through its slot's words, and whoever swaps
+// a block reference out retires it: a delete and a replace of the same
+// pair cannot both win, where a header CAS alone left the words in place
+// for a replace that scanned first. The header CAS retries on a version
+// change; a transfer that got to the bin first drops the claimed slot
+// itself. It reports false when the slot no longer held the pair.
+func (ix *index) claimKV(b uint64, i int, kw, vw uint64) bool {
+	if !dwcas(ix.slotKeyWord(b, atomic.LoadUint64(ix.linkMetaAddr(b)), i), kw, vw, kw, 0) {
+		return false
+	}
+	hdrAddr := ix.headerAddr(b)
+	for {
+		hdr := atomic.LoadUint64(hdrAddr)
+		if binState(hdr) != binNoTransfer || atomic.CompareAndSwapUint64(hdrAddr, hdr, bumpVersion(withSlotState(hdr, i, slotInvalid))) {
+			return true
 		}
 	}
 }
@@ -547,13 +582,14 @@ func (t *Table) putInAt(h *Handle, ix *index, key, val uint64, b uint64, kv *kvO
 		// §3.2.4: Puts do not re-read or CAS the header — only the
 		// double-word CAS on the slot. A slot recycled to another key,
 		// or claimed by the resize transfer (its key word becomes a
-		// transfer key), makes this CAS fail and the Put retries. A KV
+		// transfer key), or a KV slot claimed by a delete (its value
+		// word becomes 0), makes this CAS fail and the Put retries. A KV
 		// slot's value word holds its block reference, which cannot
-		// recur in the slot for another key while this op runs: the
-		// block is freed only once unlinked, and then reused only after
-		// this handle's next AdvanceEpoch — or, without EpochGC, after
-		// a delete of this key, which the caller serializes against its
-		// replacers (UpsertKVHashed).
+		// recur in the slot for another pair while this op runs: the
+		// block is freed only once swapped out, and then reused only
+		// after this handle's next AdvanceEpoch. Without EpochGC it is
+		// freed at once, and the caller serializes deletes of the key
+		// against its replacers (UpsertKVHashed).
 		meta := atomic.LoadUint64(ix.linkMetaAddr(b))
 		kw := ix.slotKeyWord(b, meta, slot)
 		if dwcas(kw, key, v, key, val) {

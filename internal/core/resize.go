@@ -117,12 +117,17 @@ func (t *Table) transferBin(h *Handle, ix, nx *index, b uint64) {
 			k := atomic.LoadUint64(&pair[0])
 			v := atomic.LoadUint64(&pair[1])
 			// Inserts and Deletes are excluded by InTransfer, so only a
-			// racing Put can change the slot, and only its value word; the
+			// racing Put or KV delete claim can change the slot, and only
+			// its value word; the
 			// dw-CAS retry loop captures a stable (key, value) pair while
-			// planting the transfer key that will defeat later Puts.
+			// planting the transfer key that will defeat later Puts. A KV
+			// slot a delete has claimed (nil block reference) is dropped:
+			// the delete is done with it.
 			if dwcas(kw, k, v, tk, v) {
-				t.insertMigrated(h, nx, k, v, st)
-				moved++
+				if t.cfg.Mode != Allocator || !refOf(v).IsNil() {
+					t.insertMigrated(h, nx, k, v, st)
+					moved++
+				}
 				break
 			}
 		}

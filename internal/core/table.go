@@ -263,6 +263,10 @@ func (t *Table) Mode() Mode { return t.cfg.Mode }
 // Resizable reports whether resizing is compiled in.
 func (t *Table) Resizable() bool { return t.cfg.Resizable }
 
+// EpochGC reports whether deleted blocks are retired through epochs
+// (Config.EpochGC).
+func (t *Table) EpochGC() bool { return t.cfg.EpochGC }
+
 // NumBins returns the current number of bins (changes across resizes).
 func (t *Table) NumBins() uint64 { return t.current.Load().numBins }
 

@@ -25,9 +25,9 @@ import (
 
 // WAL is what a durable table's redo log gives a connection (satisfied by
 // *wal.Log; a local interface keeps this package free of a wal
-// dependency): the records the KV state machine appends, the record of a
-// fixed op that completed on the connection's handle, and the sync the
-// reply writer waits on before a reply byte reaches the socket.
+// dependency): the state step the KV state machine logs through, the
+// record of a fixed op that completed on the connection's handle, and the
+// sync the reply writer waits on before a reply byte reaches the socket.
 type WAL interface {
 	expiry.RedoLog
 	ackbuf.Syncer
@@ -37,8 +37,8 @@ type WAL interface {
 // Opts wires an engine to its connection.
 type Opts struct {
 	Handle *core.Handle // the connection's own; the caller acquires and releases it
-	// Expiry is the table's clock and stripe locks, shared with every
-	// connection and the crawler; nil on a table not in Allocator mode.
+	// Expiry is the table's clock, shared with every connection and the
+	// crawler; nil on a table not in Allocator mode.
 	Expiry *expiry.Index
 	Log    WAL // nil for a RAM table
 	Writer *ackbuf.Writer
@@ -131,8 +131,8 @@ func (e *Engine) logFixed(op *core.Op) {
 }
 
 // complete is a Get's completion. The deadline came with the value: a dead
-// pair answers as a miss, and its delete, which needs the stripe lock and
-// an empty pipeline, waits for the barrier.
+// pair answers as a miss, and its delete, a direct table op that needs an
+// empty pipeline, waits for the barrier.
 func (e *Engine) complete(g *core.KVGet) {
 	if g.OK && expiry.Dead(g.Meta, e.clk.Now()) {
 		e.dead = append(e.dead, core.KVGet{NS: g.NS, Key: g.Key})
@@ -143,7 +143,8 @@ func (e *Engine) complete(g *core.KVGet) {
 }
 
 // Barrier completes everything in flight; has the pairs those Gets found
-// dead deleted (KV.Expired re-checks under the stripe lock), so the op
+// dead deleted (KV.Expired re-checks each pair before its conditional
+// delete), so the op
 // behind it sees a table without them; recycles the key arena; and, with
 // no value view in flight, refreshes the handle's epoch when it is due, so
 // blocks other connections deleted reclaim.

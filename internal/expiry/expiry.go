@@ -9,15 +9,14 @@
 //
 // The KV state machine in this package (kv.go) is the one owner of what a
 // deadline means — SET, DEL, EXPIRE, PERSIST, lazy expiry, the crawler's
-// deletions — and holds the per-key stripe lock the Index hands out so a
-// compound operation — read the deadline, decide, delete or replace the
-// pair — is atomic against a concurrent SET or PERSIST on the same key.
+// deletions. It takes no lock: a pair's deadline is written with its
+// block and never changed in place, so a compound operation — read the
+// pair, decide, delete or replace it — commits with one CAS on the
+// pair's slot that fails if any other writer changed the pair since the
+// read (core.Handle.DeleteKVIf, ReplaceKVIf), and then reads again.
 package expiry
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // NowMs is the production clock: Unix milliseconds.
 func NowMs() int64 { return time.Now().UnixMilli() }
@@ -25,8 +24,7 @@ func NowMs() int64 { return time.Now().UnixMilli() }
 // Dead reports whether a pair whose metadata word is meta has expired at
 // now: the read path's cheap pre-check, made on the completion a lookup
 // already produced, against a clock the caller samples once per burst. A
-// dead pair answers as a miss; deleting it is KV.Expired's job, under the
-// stripe lock.
+// dead pair answers as a miss; deleting it is KV.Expired's job.
 func Dead(meta uint64, now int64) bool { return meta != 0 && int64(meta) <= now }
 
 // Clock is a reader's once-per-burst sample of an Index's clock: Now reads
@@ -54,16 +52,11 @@ func (c *Clock) Now() int64 {
 // Reset ends the burst: the next Now reads the clock again.
 func (c *Clock) Reset() { c.fresh = false }
 
-// stripeCount is the compound-operation lock pool (see Lock), a power of
-// two.
-const stripeCount = 128
-
-// Index is what every KV on one table shares: the clock and the per-key
-// stripe locks. All methods are safe for concurrent use. The zero Index is
-// not usable — construct with New.
+// Index is what every KV on one table shares: the clock. All methods are
+// safe for concurrent use. The zero Index is not usable — construct with
+// New.
 type Index struct {
-	now   func() int64
-	locks [stripeCount]sync.Mutex
+	now func() int64
 }
 
 // New creates an Index reading time from now (Unix milliseconds); nil
@@ -78,11 +71,3 @@ func New(now func() int64) *Index {
 
 // Now returns the index's current time in Unix milliseconds.
 func (ix *Index) Now() int64 { return ix.now() }
-
-// Lock returns the stripe lock for a key hash (Table.HashOfKV). KV holds
-// it across compound check-then-mutate sequences, so a lazy-expire delete
-// cannot race a concurrent SET into deleting the new value, and a crawler
-// deletion cannot race a PERSIST.
-func (ix *Index) Lock(hash uint64) *sync.Mutex {
-	return &ix.locks[hash&(stripeCount-1)]
-}

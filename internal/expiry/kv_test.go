@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	core "repro/internal/core"
 )
 
 // TestKVHammer runs two handles and a crawler against eight keys under a
@@ -21,7 +23,7 @@ func TestKVHammer(t *testing.T) {
 	const keys = 8
 	var now atomic.Int64
 	now.Store(1)
-	tbl := kvTable(64, true)
+	tbl := kvTable(64)
 	ix := New(now.Load)
 	key := func(i int) []byte { return []byte("key-" + strconv.Itoa(i)) }
 
@@ -110,4 +112,166 @@ func TestKVHammer(t *testing.T) {
 	workers.Wait()
 	close(stop)
 	sweeper.Wait()
+}
+
+// TestKVTwoWritersPerKey runs two handles on every key — where
+// TestKVHammer gives each key one writer — beside a crawler that keeps
+// advancing the clock and lazy reads from both, so every check-and-act
+// races another writer's on the same pair:
+//   - SET NX from both handles: exactly one winner per key per round, and
+//     its pair, written without a TTL, stays until the round's DELs;
+//   - INCR from both handles, raced by EXPIREs with a far deadline and
+//     PERSISTs that replace the counter's block: the final count is
+//     exact, so no update was lost and no counter — written without a
+//     TTL — was expired, while short-TTL pairs expire around them;
+//   - DEL from both handles: exactly one reports the pair;
+//   - after everything is deleted and the epochs drain, the allocator is
+//     back to empty: every swapped-out block was retired exactly once.
+func TestKVTwoWritersPerKey(t *testing.T) {
+	const keys, counters, rounds, incrs = 8, 2, 40, 500
+	var now atomic.Int64
+	now.Store(1)
+	tbl := kvTable(64)
+	ix := New(now.Load)
+	hs := []*core.Handle{tbl.MustHandle(), tbl.MustHandle(), tbl.MustHandle()}
+	defer func() {
+		for _, h := range hs {
+			h.Close()
+		}
+	}()
+	kvs := []KV{Bind(hs[0], ix, nil), Bind(hs[1], ix, nil)}
+	name := func(kind string, k int) []byte { return []byte(kind + "-" + strconv.Itoa(k)) }
+
+	stop := make(chan struct{})
+	var crawler sync.WaitGroup
+	crawler.Add(1)
+	go func() {
+		defer crawler.Done()
+		c := Bind(hs[2], ix, nil).Crawler()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.Round(16)
+			hs[2].AdvanceEpoch()
+			now.Add(1)
+		}
+	}()
+	// both runs fn on the two writer handles at once.
+	both := func(fn func(w int, kv KV)) {
+		var ready, wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := range kvs {
+			ready.Add(1)
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				ready.Done()
+				<-start
+				fn(w, kvs[w])
+				hs[w].AdvanceEpoch()
+			}(w)
+		}
+		ready.Wait()
+		close(start)
+		wg.Wait()
+	}
+
+	for r := 0; r < rounds; r++ {
+		var wins [keys]atomic.Int32
+		both(func(w int, kv KV) {
+			for k := 0; k < keys; k++ {
+				key := name("nx", k)
+				set, _, err := kv.Set(0, key, []byte{byte('a' + w)}, tbl.HashOfKV(0, key), 0, NX)
+				if err != nil {
+					t.Error(err)
+				}
+				if set {
+					wins[k].Add(1)
+				}
+			}
+		})
+		for k := 0; k < keys; k++ {
+			key := name("nx", k)
+			v, ok := kvs[0].Get(0, key, tbl.HashOfKV(0, key), now.Load())
+			if n := wins[k].Load(); n != 1 || !ok || len(v) != 1 {
+				t.Fatalf("round %d key %d: %d NX winners, pair %q,%v", r, k, n, v, ok)
+			}
+		}
+
+		both(func(w int, kv KV) {
+			rng := rand.New(rand.NewSource(int64(r*2 + w)))
+			for i := 0; i < incrs; i++ {
+				k := rng.Intn(keys)
+				ctr, ttl := name("ctr", k%counters), name("ttl", k)
+				ch, th := tbl.HashOfKV(0, ctr), tbl.HashOfKV(0, ttl)
+				if _, err := kv.Update(0, ctr, ch, func(cur []byte, ok bool) ([]byte, error) {
+					n := 0
+					if ok {
+						n, _ = strconv.Atoi(string(cur))
+					}
+					return []byte(strconv.Itoa(n + 1)), nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				switch rng.Intn(4) {
+				case 0:
+					kv.ExpireAt(0, ctr, ch, now.Load()+1<<40)
+				case 1:
+					kv.Persist(0, ctr, ch)
+				case 2:
+					kv.Set(0, ttl, []byte("t"), th, now.Load()+int64(rng.Intn(3)), 0)
+				case 3:
+					kv.Get(0, ttl, th, now.Load())
+				}
+			}
+		})
+
+		var dels [keys]atomic.Int32
+		both(func(w int, kv KV) {
+			for k := 0; k < keys; k++ {
+				key := name("nx", k)
+				if ok, _, _ := kv.Delete(0, key, tbl.HashOfKV(0, key)); ok {
+					dels[k].Add(1)
+				}
+			}
+		})
+		for k := 0; k < keys; k++ {
+			if n := dels[k].Load(); n != 1 {
+				t.Fatalf("round %d key %d: %d DELs reported the pair", r, k, n)
+			}
+		}
+	}
+	close(stop)
+	crawler.Wait()
+
+	total := 0
+	for k := 0; k < counters; k++ {
+		ctr := name("ctr", k)
+		if v, ok := kvs[0].Get(0, ctr, tbl.HashOfKV(0, ctr), now.Load()); ok {
+			n, _ := strconv.Atoi(string(v))
+			total += n
+		}
+	}
+	if want := rounds * 2 * incrs; total != want {
+		t.Fatalf("counters sum to %d after %d INCRs", total, want)
+	}
+
+	for _, kind := range []string{"ctr", "ttl"} {
+		for k := 0; k < keys; k++ {
+			key := name(kind, k)
+			kvs[0].Delete(0, key, tbl.HashOfKV(0, key))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		for _, h := range hs {
+			h.AdvanceEpoch()
+		}
+	}
+	if st := tbl.Stats().AllocatorStats; st.HeapUsed != 0 || st.Allocs != st.Frees {
+		t.Fatalf("allocator after delete-all and an epoch drain: %+v", st)
+	}
 }

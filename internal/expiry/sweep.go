@@ -76,8 +76,9 @@ func (kv KV) Crawler() *Crawler { return &Crawler{kv: kv} }
 
 // step crawls on from the cursor until the bins visited plus the pairs
 // examined reach budget, then sends the pairs it found past their deadline
-// through Expired — which re-checks each under its stripe lock: a SET or
-// PERSIST may have replaced the deadline since the crawler read it. It
+// through Expired — which re-checks each and deletes it only if it is
+// still the dead pair: a SET or PERSIST may have replaced it since the
+// crawler read it. It
 // reports the pairs examined, the pairs deleted, and whether the crawl
 // reached the end of the table (the next step starts over).
 func (c *Crawler) step(budget int) (seen, deleted int, wrapped bool) {

@@ -23,9 +23,9 @@ type ServeOpts struct {
 	// acquires and releases it).
 	Table  *core.Table
 	Handle *core.Handle
-	// Expiry is the table's expiry clock and stripe locks, shared with
-	// every other connection and the background crawler. Nil gives the
-	// connection a private one: single-connection embedding only.
+	// Expiry is the table's expiry clock, shared with every other
+	// connection and the background crawler. Nil gives the connection a
+	// private one: single-connection embedding only.
 	Expiry *expiry.Index
 	// Log is the durable table's redo log; nil for RAM tables.
 	Log WAL

@@ -102,7 +102,7 @@ func TestReshardFramesRequireFeature(t *testing.T) {
 		t.Fatalf("connection unusable after the refusals: %v", err)
 	}
 
-	kv := core.MustNew(core.Config{Mode: core.Allocator, Bins: 1 << 10, VariableKV: true})
+	kv := core.MustNew(core.Config{Mode: core.Allocator, Bins: 1 << 10, VariableKV: true, EpochGC: true})
 	if err := s.AddTable("kv", kv); err != nil {
 		t.Fatal(err)
 	}

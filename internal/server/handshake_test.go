@@ -202,7 +202,7 @@ func TestTruncatedHandshake(t *testing.T) {
 func TestKVRoundTrip(t *testing.T) {
 	tbl := core.MustNew(core.Config{
 		Mode: core.Allocator, Bins: 1 << 10, Resizable: true,
-		VariableKV: true, Namespaces: true,
+		VariableKV: true, Namespaces: true, EpochGC: true,
 	})
 	s := New(tbl, Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -305,7 +305,7 @@ func TestKVWrongMode(t *testing.T) {
 // inline behind a barrier — and each GetKV sees the mutations ahead of it.
 func TestKVInterleavedWithFixedFrames(t *testing.T) {
 	tbl := core.MustNew(core.Config{
-		Mode: core.Allocator, Bins: 1 << 10, Resizable: true, VariableKV: true,
+		Mode: core.Allocator, Bins: 1 << 10, Resizable: true, VariableKV: true, EpochGC: true,
 	})
 	s := New(tbl, Options{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -611,7 +611,7 @@ func TestSentinelErrorsAcrossBackends(t *testing.T) {
 // first request is a KV frame receives a KV-shaped BUSY response, keeping
 // the response-matching rule intact.
 func TestBusyKVShaped(t *testing.T) {
-	s := startServer(t, core.Config{Mode: core.Allocator, Bins: 1 << 8, VariableKV: true, MaxThreads: 2}, Options{})
+	s := startServer(t, core.Config{Mode: core.Allocator, Bins: 1 << 8, VariableKV: true, EpochGC: true, MaxThreads: 2}, Options{})
 	// Pin the only connection handle (a served kv table's TTL sweeper holds
 	// the other).
 	pin := dialV2T(t, s, ClientOpts{})

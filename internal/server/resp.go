@@ -18,8 +18,8 @@ import (
 // pipelined GET with the deadline checked at completion, and on a durable
 // table the same redo log and no-ack-before-fsync discipline.
 //
-// What a table has one of is the expiry.Index — the clock and the stripe
-// locks — shared by every connection and the background crawler. Durable
+// What a table has one of is the expiry.Index — the clock — shared by
+// every connection and the background crawler. Durable
 // tables bring their own (wal.Store owns it); for RAM tables the server
 // creates one lazily, along with a crawler running on a dedicated handle.
 
@@ -78,10 +78,10 @@ func respRefuse(c net.Conn, msg string) {
 // expiryFor returns tbl's shared expiry.Index, creating it (with a crawler
 // on a dedicated handle) on first use for RAM tables. Durable tables
 // register their store-owned one in AddDurable — the store's own KV and
-// crawler lock through it. Every connection that can run a KV op on the
-// table — RESP and binary alike — asks here before it starts, so the index
-// exists before the first of them does and none can mutate around it. Tables that are not
-// in Allocator mode take no KV ops and have none (nil).
+// crawler read it. Every connection that can run a KV op on the table —
+// RESP and binary alike — asks here before it starts, so the crawler
+// runs before the first of them does. Tables that are not in Allocator
+// mode take no KV ops and have none (nil).
 func (s *Server) expiryFor(tbl *core.Table) (*expiry.Index, error) {
 	if tbl.Mode() != core.Allocator {
 		return nil, nil

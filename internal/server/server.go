@@ -525,8 +525,8 @@ func (bc *binConn) bad() error {
 // replyGet answers a GetKV as its lookup completes. The value view is
 // copied into the reply buffer inside the completion, while the handle's
 // epoch pin still keeps a concurrent DeleteKV from another connection from
-// freeing the block — which is why Allocator tables served over the
-// network enable Config.EpochGC (dlht-server kv tables do).
+// freeing the block — one reason Allocator tables served over the network
+// need Config.EpochGC (expiry.Bind refuses them without it).
 func (bc *binConn) replyGet(val []byte, ok bool) {
 	r := KVResponse{Status: StatusNotFound}
 	if ok {

@@ -361,8 +361,8 @@ func (l *Log) LogFixed(h *core.Handle, op *core.Op) (uint64, error) {
 	return l.LogOp(op)
 }
 
-// testRecordGap, when non-nil, runs in LogFixed between an op's apply and
-// its append. Test-only: the two-writer tests yield there.
+// testRecordGap, when non-nil, runs in LogFixed and LogKV between an op's
+// apply and its append. Test-only: the two-writer tests yield there.
 var testRecordGap func()
 
 // LogOp appends the op's own redo record — the kind and value it was
@@ -390,21 +390,33 @@ func (l *Log) LogOp(op *core.Op) (uint64, error) {
 	return 0, nil
 }
 
-// LogKVInsert appends a KV insert record. The key/value bytes are copied
-// into the log buffer before it returns.
-func (l *Log) LogKVInsert(ns uint16, key, val []byte) (uint64, error) {
-	return l.append(func(dst []byte) []byte { return appendInsertKV(dst, ns, key, val) })
-}
-
-// LogKVDelete appends a KV delete record.
-func (l *Log) LogKVDelete(ns uint16, key []byte) (uint64, error) {
-	return l.append(func(dst []byte) []byte { return appendDeleteKV(dst, ns, key) })
-}
-
-// LogKVExpire appends a KV TTL record: key's deadline becomes at (Unix
-// milliseconds); at <= 0 clears the TTL. Replay writes the deadline back
-// into the pair's block from these records, so a TTL set before a crash
-// is still ticking — or already dead — after recovery.
-func (l *Log) LogKVExpire(ns uint16, key []byte, at int64) (uint64, error) {
-	return l.append(func(dst []byte) []byte { return appendExpireKV(dst, ns, key, at) })
+// LogKV is the one durable step of a KV mutation (expiry.RedoLog): it
+// appends the state key's pair holds, read through h — the handle the
+// mutation applied on — under the log's lock, and returns its sequence.
+// A present pair is logged after a value write (deadline false) as its
+// insert record, followed by an expire record when the pair has a
+// deadline, and after a deadline write as its expire record alone; an
+// absent pair as a delete record. As with LogFixed, appends are
+// serialized and each read follows its own op's apply, so a key's last
+// record reflects every logged apply however two handles' applies and
+// appends interleave. The key and value bytes are copied into the log
+// buffer before it returns.
+func (l *Log) LogKV(h *core.Handle, ns uint16, key []byte, hash uint64, deadline bool) (uint64, error) {
+	if testRecordGap != nil {
+		testRecordGap()
+	}
+	return l.append(func(dst []byte) []byte {
+		val, meta, ref := h.GetKVMeta(ns, key, hash)
+		switch {
+		case ref.IsNil():
+			return appendDeleteKV(dst, ns, key)
+		case deadline:
+			return appendExpireKV(dst, ns, key, int64(meta))
+		}
+		dst = appendInsertKV(dst, ns, key, val)
+		if meta != 0 {
+			dst = appendExpireKV(dst, ns, key, int64(meta))
+		}
+		return dst
+	})
 }

@@ -23,10 +23,9 @@
 // effective mutation; unacknowledged tail writes may or may not survive,
 // and are never double-applied (replay is convergent: the final state of a
 // key is the last logged state). Any number of handles may write one key:
-// a fixed op's record is the state its key holds when the record is
-// appended, read after the op applied (Log.LogFixed), and a KV op applies
-// and appends under its key's stripe lock, so a key's last record always
-// reflects its last logged apply. Uncommitted shadow entries do not
+// an op's record is the state its key holds when the record is appended,
+// read after the op applied (Log.LogFixed, Log.LogKV), so a key's last
+// record always reflects its last logged apply. Uncommitted shadow entries do not
 // survive snapshot compaction (iterators hide them); they are a transient
 // two-phase primitive, not durable state.
 package wal

@@ -214,9 +214,9 @@ func loadSnapshot(path string, h *core.Handle, cfg *core.Config, idx *expiry.Ind
 // machine that logged them (expiry.KV): an insert record is an
 // unconditional Set — an upsert whose new block has no deadline, which
 // is why a replace logs no delete record and a plain SET no TTL record —
-// a delete record is a Delete, and expire records re-assert or clear the
-// deadline in the pair's block; writers that preserve a TTL across an overwrite (KEEPTTL,
-// INCR) log an expire record after the insert. Mode mismatches mean the
+// a delete record is a Delete, and an expire record replaces the pair's
+// block with one carrying the deadline (or none); a pair logged with a
+// deadline has an expire record after its insert record. Mode mismatches mean the
 // directory was written under a different Config and fail recovery.
 func applyRecord(h *core.Handle, cfg *core.Config, idx *expiry.Index, r *Record) error {
 	kvKind := r.Kind == recInsertKV || r.Kind == recDeleteKV || r.Kind == recExpireKV

@@ -14,10 +14,9 @@ import (
 // deleted. It runs on the caller's goroutine against the Store's
 // dedicated snapshot handle, using the weakly consistent iterators — the
 // foreground pipeline is never stalled. Sound because every record reads
-// or follows its key's apply, and the scan starts after the rotation. A
-// fixed op's record is the state its key holds when the record is
-// appended (Log.LogFixed); a KV op's is appended under the key's stripe
-// lock, right after its apply. So the scan sees every apply whose record
+// or follows its key's apply, and the scan starts after the rotation: an
+// op's record is the state its key holds when the record is appended
+// (Log.LogFixed, Log.LogKV). So the scan sees every apply whose record
 // precedes the boundary, and a key the scan read before a later apply has
 // a record after the boundary that replay ends on. An apply that no
 // record reflects yet was not acknowledged.

@@ -52,9 +52,9 @@ type Store struct {
 	stats RecoverStats
 
 	// Allocator-mode TTLs (the deadlines themselves live in the table's
-	// blocks and recover with them): the expiry clock and stripe locks,
-	// the KV state machine on the foreground handle, and the background
-	// crawler with its own handle. Nil/zero outside Allocator mode.
+	// blocks and recover with them): the expiry clock, the KV state
+	// machine on the foreground handle, and the background crawler with
+	// its own handle. Nil/zero outside Allocator mode.
 	exp     *expiry.Index
 	kv      expiry.KV
 	sweepH  *core.Handle
@@ -74,8 +74,13 @@ type Store struct {
 // configuration the directory was written under (mode mismatches fail
 // recovery). Recovery loads the newest snapshot, replays the segments
 // after it — truncating a torn tail in the last one — and opens a fresh
-// segment.
+// segment. An Allocator-mode cfg must set EpochGC: its TTL'd pairs are
+// written from the store's handles, its crawler's and any a caller binds
+// (see expiry.Bind).
 func Open(dir string, cfg core.Config, opts Options) (*Store, error) {
+	if cfg.Mode == core.Allocator && !cfg.EpochGC {
+		return nil, errors.New("wal: an Allocator-mode table needs EpochGC")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -153,16 +158,16 @@ func Open(dir string, cfg core.Config, opts Options) (*Store, error) {
 // Table returns the in-memory table behind the store, for callers that
 // serve it through their own handles (the network server). Mutations
 // applied through foreign handles are NOT logged: log each effective one
-// with Log().LogFixed on the handle that applied it, which is what keeps
-// recovery equal to what the table served when several handles write a
-// key.
+// with Log().LogFixed (or, for KV pairs, an expiry.KV bound to Log()) on
+// the handle that applied it, which is what keeps recovery equal to what
+// the table served when several handles write a key.
 func (s *Store) Table() *core.Table { return s.tbl }
 
-// Expiry returns the store's expiry clock and stripe locks (nil outside
-// Allocator mode). The store owns its background crawler; callers serving
-// the table through their own handles (the RESP front-end) bind their
-// expiry.KV to this Index so every check-and-delete on the table shares
-// one set of locks.
+// Expiry returns the store's expiry clock (nil outside Allocator mode).
+// The store owns its background crawler; callers serving the table
+// through their own handles (the RESP front-end) bind their expiry.KV to
+// this Index and to Log, so every handle expires on one clock and logs
+// through one state step.
 func (s *Store) Expiry() *expiry.Index { return s.exp }
 
 // Log returns the store's redo log, for callers gating their own

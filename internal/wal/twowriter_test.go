@@ -2,11 +2,13 @@ package wal
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	core "repro/internal/core"
+	"repro/internal/expiry"
 )
 
 // twoWriterKeys is the two-writer tests' round budget: one round per key.
@@ -175,6 +177,125 @@ func TestTwoWritersRecoverServed(t *testing.T) {
 func TestTwoWritersSnapshotMidRace(t *testing.T) {
 	if n := runTwoWriters(t, true); n != 0 {
 		t.Fatalf("%d of %d keys recovered a value other than the one served", n, twoWriterKeys)
+	}
+}
+
+// kvTwoWriterKeys is the KV two-writer test's round budget: one round
+// per key.
+const kvTwoWriterKeys = 3000
+
+// kvTwoWriterStep runs writer w's i-th op of its round on key: SETs with
+// and without a TTL, EXPIREs, PERSISTs, INCRs and a DEL, each with a
+// value or deadline unique to (key, w, i), so the pair the key ends with
+// depends on how the two writers' ops interleave.
+func kvTwoWriterStep(kv expiry.KV, key []byte, hash uint64, k, w, i int) error {
+	tag := int64(k*1000 + w*100 + i)
+	val := []byte(strconv.FormatInt(tag, 10))
+	var err error
+	switch i % 8 {
+	case 0:
+		_, _, err = kv.Set(0, key, val, hash, 0, 0)
+	case 1, 5:
+		_, _, err = kv.Set(0, key, val, hash, 1_000_000+tag, 0)
+	case 2:
+		_, err = kv.Update(0, key, hash, func(cur []byte, ok bool) ([]byte, error) {
+			n, _ := strconv.ParseInt(string(cur), 10, 64)
+			return strconv.AppendInt(nil, n+1, 10), nil
+		})
+	case 3:
+		_, _, err = kv.ExpireAt(0, key, hash, 2_000_000+tag)
+	case 4:
+		_, _, err = kv.Persist(0, key, hash)
+	case 6:
+		_, _, err = kv.Delete(0, key, hash)
+	case 7:
+		_, _, err = kv.Set(0, key, val, hash, 0, expiry.KeepTTL)
+	}
+	return err
+}
+
+// servedKV is a pair's state as the table answered it.
+type servedKV struct {
+	val string
+	at  uint64
+	ok  bool
+}
+
+// runKVTwoWriters is runTwoWriters for the TTL'd KV surface: per key, the
+// store's own expiry.KV and a foreign handle bound to the store's
+// Expiry() and Log(), as a RESP connection is, each run a round of
+// kvTwoWriterStep ops, yielding a few times between every op's apply and
+// its append — a KV op's apply is longer than a fixed op's.
+// After each round it records the value and deadline the table serves
+// for the key; then it reopens the directory and returns how many keys
+// recovered another value or deadline.
+func runKVTwoWriters(t *testing.T) int {
+	testRecordGap = func() {
+		for i := 0; i < 4; i++ {
+			runtime.Gosched()
+		}
+	}
+	defer func() { testRecordGap = nil }()
+	var now atomic.Int64
+	now.Store(1000) // before every deadline: nothing expires
+	dir := t.TempDir()
+	s := openKV(t, dir, &now)
+	hb := s.Table().MustHandle()
+	kvs := []expiry.KV{s.kv, expiry.Bind(hb, s.Expiry(), s.Log())}
+	key := func(k int) []byte { return []byte("two-writer-key-" + strconv.Itoa(k)) }
+
+	hr := s.Table().MustHandle()
+	want := make([]servedKV, kvTwoWriterKeys)
+	for k := range want {
+		name := key(k)
+		hash := s.Table().HashOfKV(0, name)
+		var wg sync.WaitGroup
+		for w, kv := range kvs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 16; i++ {
+					if err := kvTwoWriterStep(kv, name, hash, k, w, i); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		v, at, ref := hr.GetKVMeta(0, name, hash)
+		want[k] = servedKV{string(v), at, !ref.IsNil()}
+	}
+	hb.Close()
+	hr.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openKV(t, dir, &now)
+	defer r.Close()
+	rh := r.Table().MustHandle()
+	defer rh.Close()
+	diverged := 0
+	for k, w := range want {
+		name := key(k)
+		v, at, ref := rh.GetKVMeta(0, name, r.Table().HashOfKV(0, name))
+		if got := (servedKV{string(v), at, !ref.IsNil()}); got != w {
+			if diverged < 3 {
+				t.Logf("key %d: served %+v; recovered %+v", k, w, got)
+			}
+			diverged++
+		}
+	}
+	return diverged
+}
+
+// TestKVTwoWritersRecoverServed: two handles running SET, SET EX, EXPIRE,
+// PERSIST, INCR and DEL on one key, each yielding between apply and
+// append so the other's apply and append can overtake, recover exactly
+// the value and deadline the table served after each round.
+func TestKVTwoWritersRecoverServed(t *testing.T) {
+	if n := runKVTwoWriters(t); n != 0 {
+		t.Fatalf("%d of %d keys recovered a pair other than the one served", n, kvTwoWriterKeys)
 	}
 }
 

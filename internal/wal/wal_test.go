@@ -291,9 +291,9 @@ func TestKVStoreReopen(t *testing.T) {
 		if err := h.InsertKV(ns, []byte(key), []byte(val)); err != nil {
 			t.Fatalf("InsertKV %q: %v", key, err)
 		}
-		seq, err := log.LogKVInsert(ns, []byte(key), []byte(val))
+		seq, err := log.LogKV(h, ns, []byte(key), s.Table().HashOfKV(ns, []byte(key)), false)
 		if err != nil {
-			t.Fatalf("LogKVInsert: %v", err)
+			t.Fatalf("LogKV: %v", err)
 		}
 		lastSeq = seq
 	}
@@ -302,7 +302,7 @@ func TestKVStoreReopen(t *testing.T) {
 	putKV(5, "alpha", "ns five")
 	putKV(0, "beta", "two")
 	h.DeleteKV(0, []byte("beta"))
-	if seq, err := log.LogKVDelete(0, []byte("beta")); err != nil {
+	if seq, err := log.LogKV(h, 0, []byte("beta"), s.Table().HashOfKV(0, []byte("beta")), false); err != nil {
 		t.Fatal(err)
 	} else {
 		lastSeq = seq

@@ -1,4 +1,4 @@
-#!/bin/sh
+#!/usr/bin/env bash
 # resp_smoke.sh — end-to-end smoke for the RESP2 front-end.
 #
 # Launches a dlht-server with -resp, proves drop-in Redis compatibility,
@@ -32,7 +32,21 @@ cleanup() {
 	rm -rf "$bindir"
 }
 trap cleanup EXIT
-sleep 1
+
+# ready waits, at most 10 s, until the RESP listener accepts a connection.
+# A probe that connects and hangs up sends no command.
+ready() {
+	for _ in $(seq 100); do
+		if (exec 3<>"/dev/tcp/$host/$port") 2>/dev/null; then
+			return 0
+		fi
+		sleep 0.1
+	done
+	echo "server at $addr not accepting after 10 s" >&2
+	cat "$bindir/server.log" >&2
+	exit 1
+}
+ready
 
 if command -v redis-benchmark >/dev/null 2>&1 && command -v redis-cli >/dev/null 2>&1; then
 	tool=redis-benchmark
@@ -47,7 +61,7 @@ if command -v redis-benchmark >/dev/null 2>&1 && command -v redis-cli >/dev/null
 	echo "redis-cli sanity: ok (SET/GET, TTL expiry)"
 
 	# Output to a file then cat — a pipe into tee would replace the
-	# benchmark's exit status with tee's under POSIX sh.
+	# benchmark's exit status with tee's.
 	redis-benchmark -h "$host" -p "$port" -t set,get -n 200000 -P 16 --csv >"$benchlog" 2>&1 || {
 		status=$?
 		cat "$benchlog"
