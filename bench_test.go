@@ -277,9 +277,12 @@ func BenchmarkPipeline(b *testing.B) {
 
 // BenchmarkPopulate loads 2^22 keys into a resizable table that starts at
 // 2^16 bins, through Store.Pipe at window 16 from one loader, so the
-// resize count and the keys moved repeat exactly. minflt/key is the
-// populate's minor page faults per key: on 4 KiB pages every page each new
-// index touches faults once, on 2 MiB pages one fault maps 512 of them.
+// resize count and the keys moved repeat exactly. The keys are mix64 of
+// 1..2^22, like mem_get's: consecutive integers under the modulo hash fill
+// every bin evenly and move ~1.7× the keys a resize of random bins does.
+// minflt/key is the populate's minor page faults per key: on 4 KiB pages
+// every page each new index touches faults once, on 2 MiB pages one fault
+// maps 512 of them.
 func BenchmarkPopulate(b *testing.B) {
 	const keys = 1 << 22
 	var faults, resizes, moved uint64
@@ -300,7 +303,8 @@ func BenchmarkPopulate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for k := uint64(1); k <= keys; k++ {
+		for i := uint64(1); i <= keys; i++ {
+			k := mix64(i)
 			p.Insert(k, k)
 		}
 		p.Close()
@@ -322,6 +326,15 @@ func BenchmarkPopulate(b *testing.B) {
 	}
 	b.ReportMetric(float64(resizes)/n, "resizes")
 	b.ReportMetric(float64(moved)/n, "keys_moved")
+}
+
+// mix64 is SplitMix64's finalizer, the bijection the benchmark suite's
+// mem_get draws its resident keys through.
+func mix64(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Micro-benchmarks of the public API hot paths, complementing the

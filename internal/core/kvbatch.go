@@ -8,10 +8,11 @@ import (
 // over the kvPipe engine in kvpipeline.go — the same machinery that backs
 // the streaming KVPipeline, with the same three touches per lookup: the
 // bin prefetch a full window ahead of completion, the candidate pick from
-// the slot words (which prefetches the candidate's out-of-line block) half
-// a window ahead, and at completion the one visit to the block — verify
-// the key, read the metadata word, form the value view — once it is
-// cached. Request order is preserved in the results.
+// the slot words (which prefetches every line of the candidate's
+// out-of-line block that completion reads) half a window ahead, and at
+// completion the one visit to the block — verify the key, read the
+// metadata word, form the value view — once it is cached. Request order is
+// preserved in the results.
 
 // KVGet is one request of a GetKVBatch (or a streaming KVPipeline).
 type KVGet struct {

@@ -20,15 +20,19 @@ import (
 //     from the slot words alone — key word, size code, namespace. For a key
 //     of at most 8 bytes that is the answer. For a bigger key it is a
 //     candidate: its first 8 bytes match; the rest lives in the block,
-//     which this stage does not read but prefetches, recording the bin
-//     header the pick was validated against.
-//  3. complete: the one visit to the (cached) block — compare the full key,
-//     read the metadata word, form the value view — then re-validate the
-//     recorded bin header. A mismatch (another key sharing the 8-byte
-//     prefix) or a header that moved on (the slot may have been deleted and
-//     its block reused since stage 2) falls back to the synchronous lookup.
-//     It is scanBinKV's optimistic protocol with the window stretched from
-//     one scan to half a pipeline window.
+//     which this stage does not read. It records the bin header the pick
+//     was validated against and prefetches every line of the block the
+//     next stage reads: header, big key and the value's first 64 bytes
+//     (lookupSpan). A block with a 16-byte key and a 64-byte value spans
+//     two or three lines.
+//  3. complete: the one visit to the block, every line of it cached —
+//     compare the full key, read the metadata word, form the value view,
+//     which the caller then copies out — then re-validate the recorded bin
+//     header. A mismatch (another key sharing the 8-byte prefix) or a
+//     header that moved on (the slot may have been deleted and its block
+//     reused since stage 2) falls back to the synchronous lookup. It is
+//     scanBinKV's optimistic protocol with the window stretched from one
+//     scan to half a pipeline window.
 //
 // Request order is preserved.
 
@@ -110,13 +114,41 @@ func (p *kvPipe) issueHashed(t *Table, ix *index, req *KVGet, hash uint64) {
 }
 
 // locate is stage 2: pick the slot from the (now cached) bin's slot words
-// and prefetch its out-of-line block.
+// and prefetch every line of its out-of-line block that completion reads.
 func (t *Table) locate(e *kvPipeEntry) {
 	e.vw, e.at, e.hdr, e.ok = t.lookupKVSlotAt(e.ix, e.req.NS, e.req.Key, e.kw, e.code, e.bin, false)
 	if e.ok {
 		blk := t.cfg.Alloc.Bytes(refOf(e.vw), 1)
-		cpuops.Prefetch(unsafe.Pointer(&blk[0]))
+		cpuops.PrefetchRange(unsafe.Pointer(&blk[0]), t.lookupSpan(e.code, len(e.req.Key)))
 	}
+}
+
+// valuePrefetch is how many of a value's bytes a lookup prefetches: one
+// cache line's worth, what a reader copying the value out starts with.
+const valuePrefetch = 64
+
+// lookupSpan returns how many bytes from its block's first byte a lookup
+// reads of a pair whose key has size code code and klen bytes: the header,
+// when the block has one; a big key; and the value's first valuePrefetch
+// bytes, or all of a shorter fixed-size value. It comes from the table's
+// config and the lookup key alone, not from the block, whose header is not
+// cached yet: a variable-size value is taken to be valuePrefetch bytes or
+// longer, and a candidate whose stored key is shorter than the lookup key
+// as the lookup key's length. Either way the span may run past the block,
+// which cpuops.PrefetchRange tolerates: it forms no Go pointer there.
+func (t *Table) lookupSpan(code, klen int) uintptr {
+	n := 0
+	if t.hasBlockHeader(code) {
+		n = kvBlockHeader
+		if code == bigKeyCode {
+			n += klen
+		}
+	}
+	v := valuePrefetch
+	if !t.cfg.VariableKV {
+		v = min(v, t.cfg.ValueSize)
+	}
+	return uintptr(n + v)
 }
 
 // advance runs the lookup stage toward its steady-state position: trailing

@@ -66,7 +66,9 @@ func (t *Table) resize(h *Handle, ix *index) *index {
 	return nx
 }
 
-// helpTransfer claims and transfers chunks until the cursor runs out.
+// helpTransfer claims and transfers chunks until the cursor runs out. The
+// table-wide counters take one add per chunk, not per bin, so helpers
+// moving neighbouring chunks do not take turns writing their shared line.
 func (t *Table) helpTransfer(h *Handle, ix, nx *index) {
 	for {
 		c := ix.chunkCursor.Add(1) - 1
@@ -78,8 +80,12 @@ func (t *Table) helpTransfer(h *Handle, ix, nx *index) {
 		if end > ix.numBins {
 			end = ix.numBins
 		}
+		moved := uint64(0)
 		for b := start; b < end; b++ {
-			t.transferBin(h, ix, nx, b)
+			moved += t.transferBin(h, ix, nx, b)
+		}
+		if moved != 0 {
+			t.keysMoved.Add(moved)
 		}
 		ix.chunksDone.Add(1)
 		t.chunksMoved.Add(1)
@@ -88,8 +94,9 @@ func (t *Table) helpTransfer(h *Handle, ix, nx *index) {
 
 // transferBin migrates one bin: block it (InTransfer), hand each live slot
 // off with a double-word CAS that plants the transfer key, re-insert the
-// pair in the new index, then mark the bin DoneTransfer.
-func (t *Table) transferBin(h *Handle, ix, nx *index, b uint64) {
+// pair in the new index, then mark the bin DoneTransfer. It returns how
+// many pairs it moved.
+func (t *Table) transferBin(h *Handle, ix, nx *index, b uint64) uint64 {
 	hdrAddr := ix.headerAddr(b)
 	var hdr uint64
 	for {
@@ -138,12 +145,10 @@ func (t *Table) transferBin(h *Handle, ix, nx *index, b uint64) {
 			break
 		}
 	}
-	if moved != 0 {
-		t.keysMoved.Add(moved)
-	}
 	if debugAsserts {
 		t.assertBinChain(ix, b)
 	}
+	return moved
 }
 
 // insertMigrated re-inserts a migrated slot (raw key and value words, with

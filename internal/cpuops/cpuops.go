@@ -1,14 +1,15 @@
 // Package cpuops provides the three hardware primitives the DLHT paper
 // relies on that portable Go lacks: a 128-bit (double-word) compare-and-swap
 // used by Puts and by the resize transfer-key handoff (§3.2.4–3.2.5), a
-// software-prefetch hint used by the batch engine (§3.3), and 2 MiB pages
-// under the large arrays those prefetches land in (the paper runs on huge
-// pages), so a prefetched miss does not first wait for a 4 KiB page walk.
+// software-prefetch hint used by the batch engine (§3.3), of one line or of
+// every line of a byte span, and 2 MiB pages under the large arrays those
+// prefetches land in (the paper runs on huge pages), so a prefetched miss
+// does not first wait for a 4 KiB page walk.
 //
 // On amd64 the first two are implemented in assembly (LOCK CMPXCHG16B,
 // PREFETCHT0). On other platforms, or with the `purego` build tag,
 // CompareAndSwap128 falls back to a striped-spinlock emulation that is
-// correct but slower, and Prefetch becomes a no-op — equivalent to the
+// correct but slower, and the prefetches become no-ops — equivalent to the
 // paper's DLHT-NoBatch configuration. Huge pages are transparent-huge-page
 // advice on Linux (AdviseHugePages) and a no-op elsewhere.
 package cpuops
@@ -38,16 +39,25 @@ func CompareAndSwap128(p *[2]uint64, old0, old1, new0, new1 uint64) bool {
 	return casFallback(p, old0, old1, new0, new1)
 }
 
-// Prefetch issues a best-effort prefetch of the cache line containing p
-// into all cache levels (PREFETCHT0). A no-op on non-amd64 builds.
-func Prefetch(p unsafe.Pointer) {
+// PrefetchUint64 issues a best-effort prefetch of the cache line
+// containing the given word into all cache levels (PREFETCHT0). A no-op on
+// non-amd64 builds.
+func PrefetchUint64(p *uint64) {
 	if hasAsm {
-		prefetch(p)
+		prefetch(unsafe.Pointer(p))
 	}
 }
 
-// PrefetchUint64 prefetches the cache line containing the given word.
-func PrefetchUint64(p *uint64) { Prefetch(unsafe.Pointer(p)) }
+// PrefetchRange prefetches every cache line holding a byte of the n bytes
+// from p. The span may run past the object p points into — a prefetch
+// never faults — so a caller can cover what it will read of an object
+// whose length it has not read yet without forming a Go pointer past it.
+// A no-op on non-amd64 builds.
+func PrefetchRange(p unsafe.Pointer, n uintptr) {
+	if hasAsm {
+		prefetchRange(p, n)
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Striped-spinlock fallback. Always compiled (and unit-tested) so the

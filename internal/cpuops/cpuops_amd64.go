@@ -15,3 +15,9 @@ func cas128(p *[2]uint64, old0, old1, new0, new1 uint64) bool
 //
 //go:noescape
 func prefetch(p unsafe.Pointer)
+
+// prefetchRange is implemented in cpuops_amd64.s as one PREFETCHT0 per
+// cache line of [p, p+n). It returns how many lines it prefetched.
+//
+//go:noescape
+func prefetchRange(p unsafe.Pointer, n uintptr) int

@@ -23,3 +23,25 @@ TEXT ·prefetch(SB), NOSPLIT, $0-8
 	MOVQ	p+0(FP), AX
 	PREFETCHT0	(AX)
 	RET
+
+// func prefetchRange(p unsafe.Pointer, n uintptr) int
+//
+// One PREFETCHT0 per 64-byte line from the line holding p through the line
+// holding p+n-1; nothing for n == 0. Returns the number of lines.
+TEXT ·prefetchRange(SB), NOSPLIT, $0-24
+	MOVQ	p+0(FP), AX
+	MOVQ	n+8(FP), CX
+	XORQ	DX, DX
+	TESTQ	CX, CX
+	JZ	done
+	LEAQ	-1(AX)(CX*1), CX	// last byte
+	ANDQ	$~63, AX	// its first line
+loop:
+	PREFETCHT0	(AX)
+	INCQ	DX
+	ADDQ	$64, AX
+	CMPQ	AX, CX
+	JLS	loop
+done:
+	MOVQ	DX, ret+16(FP)
+	RET

@@ -14,3 +14,6 @@ func cas128(p *[2]uint64, old0, old1, new0, new1 uint64) bool {
 
 // prefetch is a no-op on this build.
 func prefetch(p unsafe.Pointer) {}
+
+// prefetchRange is a no-op on this build.
+func prefetchRange(p unsafe.Pointer, n uintptr) int { return 0 }

@@ -236,7 +236,6 @@ func TestPrefetchDoesNotCrash(t *testing.T) {
 	for i := range x {
 		PrefetchUint64(&x[i])
 	}
-	Prefetch(unsafe.Pointer(&x[0]))
 }
 
 func TestHasNativeCAS128MatchesBuild(t *testing.T) {
@@ -258,5 +257,46 @@ func BenchmarkCAS128Fallback(b *testing.B) {
 	p := (*[2]uint64)(unsafe.Pointer(&w[0]))
 	for i := 0; i < b.N; i++ {
 		casFallback(p, p[0], p[1], p[0]+1, p[1]+1)
+	}
+}
+
+// TestPrefetchRangeLines: the range routine prefetches exactly the lines
+// holding a byte of [p, p+n) — the first through the last, none past it —
+// for every start in a line and every length up to three lines and more.
+// Builds without the assembly prefetch nothing.
+func TestPrefetchRangeLines(t *testing.T) {
+	w := AlignedUint64s(64, 64) // 512 bytes, line-aligned
+	base := unsafe.Pointer(&w[0])
+	for off := uintptr(0); off < 64; off++ {
+		for n := uintptr(0); n <= 300; n++ {
+			want := 0
+			if n > 0 && hasAsm {
+				want = int((off+n-1)/64 - off/64 + 1)
+			}
+			if got := prefetchRange(unsafe.Add(base, off), n); got != want {
+				t.Fatalf("prefetchRange(line+%d, %d) = %d lines, want %d", off, n, got, want)
+			}
+		}
+	}
+}
+
+// TestPrefetchRangeEdges: a zero length prefetches nothing, and a span
+// that ends past its slice — what a reader covers before it knows the
+// object's length — is accepted: a prefetch never faults.
+func TestPrefetchRangeEdges(t *testing.T) {
+	b := make([]byte, 16)
+	PrefetchRange(unsafe.Pointer(&b[0]), 0)
+	if got := prefetchRange(unsafe.Pointer(&b[0]), 0); got != 0 {
+		t.Fatalf("zero length prefetched %d lines", got)
+	}
+	const n = 1 << 16
+	PrefetchRange(unsafe.Pointer(&b[0]), n)
+	off := uintptr(unsafe.Pointer(&b[0])) % 64
+	want := 0
+	if hasAsm {
+		want = int((off+n-1)/64 - off/64 + 1)
+	}
+	if got := prefetchRange(unsafe.Pointer(&b[0]), n); got != want {
+		t.Fatalf("a 64 KiB span from a 16-byte slice prefetched %d lines, want %d", got, want)
 	}
 }
