@@ -328,6 +328,70 @@ func BenchmarkPopulate(b *testing.B) {
 	b.ReportMetric(float64(moved)/n, "keys_moved")
 }
 
+// BenchmarkStorePipeGet prices one Get on mem_get's path: a resizable
+// table that starts at 2^16 bins, loaded with mix64 keys through Store.Pipe,
+// then read through a window-16 Store.Pipe whose completion sums the
+// values. The keys come from a precomputed 2^20-entry array, so ns/op is
+// the table's and the pipe's, not a generator's. dram holds 2^22 keys
+// (mem_get's table, far beyond the LLC: the prefetch window hides the
+// miss); cached holds 2^12, so what is left is the instructions.
+func BenchmarkStorePipeGet(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		keys uint64
+	}{{"dram", 1 << 22}, {"cached", 1 << 12}} {
+		t := MustNew(Config{Bins: 1 << 16, Resizable: true})
+		s := t.MustStore()
+		failed := 0
+		p, err := s.Pipe(PipeOpts{Window: 16, OnComplete: func(c Completion) {
+			if !c.OK {
+				failed++
+			}
+		}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := uint64(1); i <= c.keys; i++ {
+			p.Insert(mix64(i), i)
+		}
+		p.Close()
+		if failed != 0 {
+			b.Fatalf("%d inserts failed", failed)
+		}
+		keys := make([]uint64, 1<<20)
+		x := uint64(1)
+		for i := range keys {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			keys[i] = mix64(1 + x%c.keys)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var sum uint64
+			misses := 0
+			p, err := s.Pipe(PipeOpts{Window: 16, OnComplete: func(c Completion) {
+				if !c.OK {
+					misses++
+				}
+				sum += c.Value
+			}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Get(keys[i&(len(keys)-1)])
+			}
+			p.Close()
+			b.StopTimer()
+			if misses != 0 || sum == 0 {
+				b.Fatalf("%d misses, value sum %d", misses, sum)
+			}
+		})
+		s.Close()
+	}
+}
+
 // mix64 is SplitMix64's finalizer, the bijection the benchmark suite's
 // mem_get draws its resident keys through.
 func mix64(z uint64) uint64 {

@@ -31,6 +31,10 @@ type index struct {
 	links    []uint64
 	numBins  uint64
 	numLinks uint64
+	// binMask is numBins-1. When numBins is a power of two (pow2), binOf
+	// maps a hash with one AND instead of a 64-bit division.
+	binMask uint64
+	pow2    bool
 
 	// nextLink is the bump allocator for link buckets; starts at 1.
 	nextLink atomic.Uint64
@@ -74,11 +78,25 @@ func newIndex(numBins uint64, linkRatio int, chunkBins uint64) *index {
 		links:     cpuops.AlignedUint64s(int(numLinks+2)*wordsPerBucket, 64),
 		numBins:   numBins,
 		numLinks:  numLinks,
+		binMask:   numBins - 1,
+		pow2:      numBins&(numBins-1) == 0,
 		chunkBins: chunkBins,
 		numChunks: (numBins + chunkBins - 1) / chunkBins,
 	}
 	ix.nextLink.Store(1)
 	return ix
+}
+
+// binOf maps a key hash to its bin of ix — the one bin mapping every op,
+// pipeline and transfer uses. A power-of-two bin count maps with a mask
+// (growth by ×8, ×4 or ×2 keeps a power of two one); any other count pays
+// a 64-bit division. Both give hash % numBins, so bin numbers, a transfer's
+// b + j·n children and a Cursor's resume arithmetic do not depend on which.
+func (ix *index) binOf(hash uint64) uint64 {
+	if ix.pow2 {
+		return hash & ix.binMask
+	}
+	return hash % ix.numBins
 }
 
 // headerAddr returns the header word of bin b.

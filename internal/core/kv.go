@@ -94,7 +94,7 @@ func keyCodeFor(key []byte) int {
 
 // binForKV maps a byte key (plus namespace salt) to a bin.
 func (t *Table) binForKV(ix *index, key []byte, ns uint16) uint64 {
-	return t.HashOfKV(ns, key) % ix.numBins
+	return ix.binOf(t.HashOfKV(ns, key))
 }
 
 // checkKV validates mode, namespace and value size for the KV API.
@@ -284,7 +284,7 @@ func (h *Handle) findKV(ns uint16, key []byte, hash uint64) (uint64, bool) {
 		panic(err)
 	}
 	ix := h.enter()
-	vw, _, _, ok := t.lookupKVSlotAt(ix, ns, key, inlineKeyWord(key), keyCodeFor(key), hash%ix.numBins, true)
+	vw, _, _, ok := t.lookupKVSlotAt(ix, ns, key, inlineKeyWord(key), keyCodeFor(key), ix.binOf(hash), true)
 	return vw, ok
 }
 
@@ -375,7 +375,7 @@ func (h *Handle) writeKV(ns uint16, key, val []byte, hash, meta uint64, old allo
 	ix := h.enter()
 	for {
 		if upsert || !old.IsNil() {
-			if _, ok := t.putInAt(h, ix, kw, 0, hash%ix.numBins, &kv); ok {
+			if _, ok := t.putInAt(h, ix, kw, 0, ix.binOf(hash), &kv); ok {
 				err = nil
 				break
 			}
@@ -386,7 +386,7 @@ func (h *Handle) writeKV(ns uint16, key, val []byte, hash, meta uint64, old allo
 		}
 		// An upsert whose insert lost to a concurrent inserter replaces
 		// the winner's pair.
-		if _, err = t.insertInAt(h, ix, kw, 0, slotValid, hash%ix.numBins, &kv); !upsert || !errors.Is(err, ErrExists) {
+		if _, err = t.insertInAt(h, ix, kw, 0, slotValid, ix.binOf(hash), &kv); !upsert || !errors.Is(err, ErrExists) {
 			break
 		}
 	}
@@ -422,7 +422,7 @@ func (h *Handle) DeleteKVIf(ns uint16, key []byte, hash uint64, old alloc.Ref) b
 	kv := kvOp{key: key, hash: hash, old: old, code: keyCodeFor(key), ns: ns}
 	t.beginUpdate()
 	ix := h.enter()
-	_, ok := t.deleteInAt(h, ix, inlineKeyWord(key), hash%ix.numBins, &kv)
+	_, ok := t.deleteInAt(h, ix, inlineKeyWord(key), ix.binOf(hash), &kv)
 	t.endUpdate()
 	return ok
 }

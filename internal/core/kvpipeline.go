@@ -108,7 +108,7 @@ func (p *kvPipe) issueHashed(t *Table, ix *index, req *KVGet, hash uint64) {
 	e.ix = ix
 	e.kw = inlineKeyWord(req.Key)
 	e.code = keyCodeFor(req.Key)
-	e.bin = hash % ix.numBins
+	e.bin = ix.binOf(hash)
 	p.head++
 	cpuops.PrefetchUint64(ix.headerAddr(e.bin))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Scan results for scanBin.
@@ -120,7 +121,7 @@ func (t *Table) binAt(ix *index, key uint64, kv *kvOp) uint64 {
 	if kv == nil {
 		return t.binFor(ix, key)
 	}
-	return kv.hash % ix.numBins
+	return ix.binOf(kv.hash)
 }
 
 // ---------------------------------------------------------------------------
@@ -184,7 +185,27 @@ func (h *Handle) Contains(key uint64) bool {
 // computes b itself, the batch engine memoizes it during the prefetch
 // stage. A resize redirect invalidates b: the op recomputes it against the
 // successor index. Every *At body follows the same rule.
+//
+// The common case reads straight from the bin's line, which the pipeline's
+// prefetch already brought in: a NoTransfer bin whose primary bucket holds
+// the key in a Valid slot returns that slot's value once the header reads
+// unchanged — scanBin's own protocol and seqlock re-check, without its
+// calls. Anything else (a key in a link bucket, a transfer, a header that
+// moved, a miss) runs the loop below.
 func (t *Table) getInAt(ix *index, key uint64, b uint64) (uint64, bool) {
+	hdrAddr := ix.headerAddr(b)
+	if hdr := atomic.LoadUint64(hdrAddr); binState(hdr) == binNoTransfer {
+		bkt := (*[wordsPerBucket]uint64)(unsafe.Pointer(hdrAddr))
+		for i := 0; i < primarySlots; i++ {
+			if slotState(hdr, i) == slotValid && atomic.LoadUint64(&bkt[2+2*i]) == key {
+				v := atomic.LoadUint64(&bkt[3+2*i])
+				if atomic.LoadUint64(hdrAddr) == hdr {
+					return v, true
+				}
+				break
+			}
+		}
+	}
 	for {
 		hdr := atomic.LoadUint64(ix.headerAddr(b))
 		if nx := ix.redirect(b, hdr); nx != nil {

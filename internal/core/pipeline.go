@@ -198,7 +198,7 @@ func (pl *Pipeline) enqHashed(kind OpKind, key, val, hash uint64) {
 	slot.Result, slot.OK, slot.Err = 0, false, nil
 	t := pl.h.t
 	ix := t.current.Load()
-	b := hash % ix.numBins
+	b := ix.binOf(hash)
 	p.ring[p.head&p.mask] = pipeEntry{op: slot, ix: ix, bin: b}
 	p.head++
 	cpuops.PrefetchUint64(ix.headerAddr(b))

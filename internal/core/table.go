@@ -86,7 +86,9 @@ type Config struct {
 	// Mode selects Inlined (default), Allocator, or HashSet.
 	Mode Mode
 	// Bins is the initial number of bins. Defaults to 64K. Each bin is one
-	// 64-byte primary bucket holding 3 slots.
+	// 64-byte primary bucket holding 3 slots. A power of two maps keys to
+	// bins with a mask, and resizing (×8, ×4 or ×2) keeps it one; any other
+	// count pays a 64-bit division per op.
 	Bins uint64
 	// LinkRatio is bins per link bucket (default 8, §3.1).
 	LinkRatio int
@@ -303,11 +305,11 @@ func (t *Table) Stats() Stats {
 
 // binFor maps a key hash to a bin of index ix.
 func (t *Table) binFor(ix *index, key uint64) uint64 {
-	return t.hash64(key) % ix.numBins
+	return ix.binOf(t.hash64(key))
 }
 
-// HashOf returns the table's bin hash for key — the value bin mapping
-// derives from (bin = hash % numBins per index), stable across resizes.
+// HashOf returns the table's bin hash for key — the value every index
+// maps to a bin (index.binOf), stable across resizes.
 // Callers that route requests by key (the sharded executor) compute it
 // once and hand it to Pipeline.EnqueueHashed, so routing and execution
 // share one hash.

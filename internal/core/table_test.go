@@ -125,32 +125,53 @@ func TestHashSetMode(t *testing.T) {
 }
 
 func TestBinChainingBeyondPrimaryBucket(t *testing.T) {
-	// A single bin forces all keys into one chain: 15 inserts must succeed,
-	// the 16th must fail with ErrFull (resizing disabled).
-	_, h := newInlined(t, Config{Bins: 1, LinkRatio: 1})
-	for i := uint64(0); i < slotsPerBin; i++ {
-		if _, err := h.Insert(i, i*10); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
+	// Under the Modulo hash keys b, b+n, b+2n, ... all land in bin b, so one
+	// bin's chain takes them: 15 inserts must succeed, the 16th must fail
+	// with ErrFull (resizing disabled). The bin counts cover a mask (1, 4)
+	// and a division (3) as the bin mapping.
+	for _, n := range []uint64{1, 3, 4} {
+		_, h := newInlined(t, Config{Bins: n, LinkRatio: 1})
+		b := n - 1
+		key := func(j uint64) uint64 { return b + j*n }
+		for j := uint64(0); j < slotsPerBin; j++ {
+			if _, err := h.Insert(key(j), j*10); err != nil {
+				t.Fatalf("%d bins: insert %d: %v", n, j, err)
+			}
 		}
-	}
-	if _, err := h.Insert(99, 1); !errors.Is(err, ErrFull) {
-		t.Fatalf("16th insert err = %v, want ErrFull", err)
-	}
-	// All 15 are retrievable (exercises all three chained buckets).
-	for i := uint64(0); i < slotsPerBin; i++ {
-		if v, ok := h.Get(i); !ok || v != i*10 {
-			t.Fatalf("Get(%d) = (%d,%v), want (%d,true)", i, v, ok, i*10)
+		if _, err := h.Insert(key(99), 1); !errors.Is(err, ErrFull) {
+			t.Fatalf("%d bins: 16th insert err = %v, want ErrFull", n, err)
 		}
-	}
-	// Deleting frees slots for reuse instantly.
-	if _, ok := h.Delete(4); !ok {
-		t.Fatal("delete failed")
-	}
-	if _, err := h.Insert(99, 990); err != nil {
-		t.Fatalf("insert after delete: %v", err)
-	}
-	if v, _ := h.Get(99); v != 990 {
-		t.Fatal("reused slot lost value")
+		// All 15 are retrievable (exercises all three chained buckets),
+		// by the sync Get and through a Pipeline, whose completion runs
+		// the same body on the bin it mapped at issue.
+		for j := uint64(0); j < slotsPerBin; j++ {
+			if v, ok := h.Get(key(j)); !ok || v != j*10 {
+				t.Fatalf("%d bins: Get(%d) = (%d,%v), want (%d,true)", n, key(j), v, ok, j*10)
+			}
+		}
+		hits := 0
+		pl := h.Pipeline(PipelineOpts{Window: 4, OnComplete: func(op *Op) {
+			if op.OK && op.Result == (op.Key-b)/n*10 {
+				hits++
+			}
+		}})
+		for j := uint64(0); j < slotsPerBin; j++ {
+			pl.Get(key(j))
+		}
+		pl.Close()
+		if hits != slotsPerBin {
+			t.Fatalf("%d bins: the pipeline found %d of %d keys", n, hits, slotsPerBin)
+		}
+		// Deleting frees slots for reuse instantly.
+		if _, ok := h.Delete(key(4)); !ok {
+			t.Fatalf("%d bins: delete failed", n)
+		}
+		if _, err := h.Insert(key(99), 990); err != nil {
+			t.Fatalf("%d bins: insert after delete: %v", n, err)
+		}
+		if v, _ := h.Get(key(99)); v != 990 {
+			t.Fatalf("%d bins: reused slot lost value", n)
+		}
 	}
 }
 

@@ -16,7 +16,14 @@ import "sync/atomic"
 // retires block references): retiring one allocates nothing, so a
 // delete-heavy workload leaves no garbage behind for the Go collector.
 type Collector struct {
-	global  atomic.Uint64
+	global atomic.Uint64
+	// issued is one past the highest id Handle has handed out. Advance and
+	// Drain scan only records[:issued]: a record no Handle was ever issued
+	// for has never entered a region (active stays 0) and holds no retired
+	// items, so skipping it cannot free early or leak. Hosts hand ids out
+	// densely and recycle them, so the scan stays at peak concurrency, not
+	// at maxThreads.
+	issued  atomic.Int64
 	free    func(item uint64)
 	records []record
 }
@@ -57,9 +64,20 @@ type Handle struct {
 }
 
 // Handle returns the participant handle for thread id (0 ≤ id < maxThreads).
+// It raises the issued mark past id before it returns, so every Advance
+// that could free what this handle reads scans its record: the handle's
+// Enter loads the global epoch after the raise, and an Advance whose own
+// epoch load comes later loads the mark later still (the atomics are
+// sequentially consistent).
 func (c *Collector) Handle(id int) *Handle {
 	if id < 0 || id >= len(c.records) {
 		panic("epoch: handle id out of range")
+	}
+	for {
+		n := c.issued.Load()
+		if int64(id) < n || c.issued.CompareAndSwap(n, int64(id)+1) {
+			break
+		}
 	}
 	return &Handle{c: c, id: id}
 }
@@ -100,7 +118,7 @@ func (h *Handle) Advance() int {
 	c := h.c
 	e := c.global.Load()
 	canAdvance := true
-	for i := range c.records {
+	for i := range c.records[:c.issued.Load()] {
 		r := &c.records[i]
 		if r.active.Load() == 1 && r.epoch.Load() != e {
 			canAdvance = false
@@ -138,7 +156,7 @@ func (h *Handle) Advance() int {
 // guarantees quiescence (e.g. table teardown). Returns items freed.
 func (c *Collector) Drain() int {
 	n := 0
-	for i := range c.records {
+	for i := range c.records[:c.issued.Load()] {
 		r := &c.records[i]
 		for b := range r.buckets {
 			for _, it := range r.buckets[b] {

@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,5 +132,74 @@ func TestEpochSafetyUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("%d epoch safety violations", v)
+	}
+}
+
+// Advance and Drain scan only the records a Handle was issued for. With
+// ids 0–2 issued out of 4096, the never-issued records must not hold the
+// epoch back, and a handle issued later at a high id must be seen.
+func TestAdvanceScansIssuedHandles(t *testing.T) {
+	freed := 0
+	c := NewCollector(4096, func(uint64) { freed++ })
+	h0, h1, h2 := c.Handle(0), c.Handle(1), c.Handle(2)
+	h1.Enter()
+	h2.Enter()
+	h0.Retire(7)
+	h0.Advance()
+	h1.Enter()
+	h2.Enter()
+	h0.Advance()
+	if freed != 1 {
+		t.Fatalf("freed %d items after two advances, want 1", freed)
+	}
+	h1.Leave()
+	h2.Leave()
+
+	late := c.Handle(4000)
+	late.Enter() // observes the current epoch, then lags behind it
+	e := c.Epoch()
+	h0.Retire(8)
+	h0.Advance() // every active participant has seen e: the epoch moves
+	if c.Epoch() != e+1 {
+		t.Fatalf("epoch = %d, want %d", c.Epoch(), e+1)
+	}
+	for i := 0; i < 4; i++ {
+		h0.Advance()
+	}
+	if c.Epoch() != e+1 {
+		t.Fatalf("epoch advanced past the lagging handle at id 4000: %d", c.Epoch())
+	}
+	if freed != 1 {
+		t.Fatalf("freed %d items while the handle at id 4000 lags, want 1", freed)
+	}
+	late.Leave()
+	h0.Advance()
+	h0.Advance()
+	if freed != 2 {
+		t.Fatalf("freed %d items once the lagging handle left, want 2", freed)
+	}
+	late.Retire(9)
+	if n := c.Drain(); n != 1 {
+		t.Fatalf("Drain freed %d, want the late handle's 1", n)
+	}
+}
+
+// BenchmarkAdvance prices one Advance on a collector of n records with
+// four handles issued, a small server's connections: 4 is a collector
+// sized to them, 4096 dlht-server's default MaxThreads.
+func BenchmarkAdvance(b *testing.B) {
+	for _, n := range []int{4, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			c := NewCollector(n, func(uint64) {})
+			h := c.Handle(0)
+			for i := 1; i < 4; i++ {
+				c.Handle(i)
+			}
+			for i := 0; i < b.N; i++ {
+				h.Enter()
+				h.Leave()
+				h.Advance()
+			}
+		})
 	}
 }
