@@ -14,15 +14,15 @@ import (
 // protocols (§5.3.3). The per-request index-GC notifications (enter/leave)
 // are paid once per batch instead of once per request.
 //
-// Exec is an adapter over the sliding-window pipe engine in pipeline.go —
-// the same machinery that backs the streaming Pipeline API. It feeds the
-// slice through the engine with at most Config.PrefetchWindow bins in
-// flight ahead of execution, so the lines fetched for request i are still
-// cache-resident when request i executes. While a bin is prefetched its
-// index is memoized in the engine ring, so execution never recomputes the
-// hash; a resize redirect invalidates the memoized bin and the op
-// recomputes it against the successor index. Each op executes through
-// execOneAt — the op gate, then the op's *At body — the dispatch a
+// Exec runs its own window loop over the ring type in pipeline.go: it
+// walks the slice with at most Config.PrefetchWindow bins in flight ahead
+// of execution, so the lines fetched for request i are still cache-resident
+// when request i executes. Every op of a batch is issued against the one
+// index Exec entered, and the ring holds only the bins memoized while they
+// were prefetched, so execution never recomputes the hash; the ops stay in
+// the caller's slice. A resize redirect invalidates the memoized bin and
+// the op recomputes it against the successor index. Each op executes
+// through execOneAt — the op gate, then the op's *At body — the dispatch a
 // Pipeline completion runs too.
 
 // OpKind identifies a batched request type.
@@ -68,8 +68,7 @@ type Op struct {
 // operation whose OK is false — e.g. a lock manager aborting a lock
 // acquisition sequence (§3.3); subsequent ops are left untouched.
 //
-// Exec is the batch-at-once adapter over the streaming pipeline core; for
-// issuing requests incrementally with per-request completions, see
+// For issuing requests incrementally with per-request completions, see
 // Handle.Pipeline.
 func (h *Handle) Exec(ops []Op, stopOnFail bool) int {
 	t := h.t
@@ -88,34 +87,38 @@ func (h *Handle) Exec(ops []Op, stopOnFail bool) int {
 		t.beginUpdate()
 	}
 	w := t.prefetchWindow(n)
-	p := h.execPipe(w)
+	bins := &h.bins
+	bins.reset(w) // more than w entries: the window never fills the ring
 	ix := h.enter()
+	// ops[:done] are executed and ops[done:i] in flight, op j's bin at
+	// bins.ents[j&bins.mask].
 	done := 0
-	for i := 0; i < n; i++ {
-		p.issue(t, ix, &ops[i])
-		if p.head-p.tail > w {
+	for i := range ops {
+		b := t.binFor(ix, ops[i].Key)
+		bins.ents[i&bins.mask] = b
+		cpuops.PrefetchUint64(ix.headerAddr(b))
+		if i-done >= w {
+			op := &ops[done]
+			h.execOneAt(ix, op, bins.ents[done&bins.mask])
 			done++
-			if op := h.step(p); stopOnFail && !op.OK {
+			if stopOnFail && !op.OK {
 				goto out
 			}
 		}
 	}
-	for p.head > p.tail {
+	for done < n {
+		op := &ops[done]
+		h.execOneAt(ix, op, bins.ents[done&bins.mask])
 		done++
-		if op := h.step(p); stopOnFail && !op.OK {
+		if stopOnFail && !op.OK {
 			break
 		}
 	}
 out:
-	// Abandon any unexecuted in-flight entries, and clear every slot the
-	// batch used: an idle handle must pin neither a drained index nor the
-	// caller's ops.
-	clear(p.ring[:min(p.head, len(p.ring))])
-	p.head, p.tail = 0, 0
 	if mutates {
 		t.endUpdate()
 	}
-	return done
+	return done // ops still in flight are abandoned
 }
 
 // execOneAt executes one batched op whose bin within ix was memoized by the

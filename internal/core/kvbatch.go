@@ -4,15 +4,16 @@ import (
 	"sync/atomic"
 )
 
-// Allocator-mode batching (§3.3): GetKVBatch is the batch-at-once adapter
-// over the kvPipe engine in kvpipeline.go — the same machinery that backs
-// the streaming KVPipeline, with the same three touches per lookup: the
+// Allocator-mode batching (§3.3): GetKVBatch runs its own window loop on
+// the handle's kvPipe engine (kvpipeline.go), the one that backs the
+// streaming KVPipeline, with the same three touches per lookup: the
 // bin prefetch a full window ahead of completion, the candidate pick from
 // the slot words (which prefetches every line of the candidate's
 // out-of-line block that completion reads) half a window ahead, and at
 // completion the one visit to the block — verify the key, read the
-// metadata word, form the value view — once it is cached. Request order is
-// preserved in the results.
+// metadata word, form the value view — once it is cached. Each request is
+// copied into its ring entry at issue and back into the caller's slice at
+// completion. Request order is preserved in the results.
 
 // KVGet is one request of a GetKVBatch (or a streaming KVPipeline).
 type KVGet struct {
@@ -30,9 +31,8 @@ type KVGet struct {
 // GetKVBatch performs a batch of Allocator-mode lookups with two-level
 // sliding-window software prefetching (index bins, then value blocks).
 //
-// GetKVBatch is the batch-at-once adapter over the streaming pipeline
-// core; for issuing lookups incrementally with per-request completions,
-// see Handle.KVPipeline.
+// For issuing lookups incrementally with per-request completions, see
+// Handle.KVPipeline.
 func (h *Handle) GetKVBatch(reqs []KVGet) {
 	t := h.t
 	if t.cfg.Mode != Allocator {
@@ -40,23 +40,24 @@ func (h *Handle) GetKVBatch(reqs []KVGet) {
 	}
 	ix := h.enter()
 
-	n := len(reqs)
-	w := t.prefetchWindow(n)
+	w := t.prefetchWindow(len(reqs))
 	lead := kvLead(w)
-	p := h.kvExecPipe(w)
+	p := &h.kvp
+	p.reset(w)
 	for i := range reqs {
-		p.issue(t, ix, &reqs[i])
+		p.issue(ix, reqs[i].NS, reqs[i].Key, t.HashOfKV(reqs[i].NS, reqs[i].Key))
 		p.advance(t, w, lead)
 		if p.head-p.tail > w {
-			h.kvStep(p)
+			reqs[p.tail] = *h.kvStep(p)
+			p.tail++
 		}
 	}
 	for p.head > p.tail {
 		p.advance(t, w, lead)
-		h.kvStep(p)
+		reqs[p.tail] = *h.kvStep(p)
+		p.tail++
 	}
-	clear(p.ring[:min(p.head, len(p.ring))]) // see Exec
-	p.head, p.s2, p.tail = 0, 0, 0
+	clear(p.ents[:min(p.head, len(p.ents))]) // an idle handle must not pin the caller's keys or values
 }
 
 // lookupKVSlotAt runs the Get algorithm from bin b of ix with the key word

@@ -9,10 +9,12 @@ import (
 
 //dlht:hotpath
 // Allocator-mode pipelining: the two-level prefetch engine behind
-// GetKVBatch and the streaming KVPipeline. "Unlike MICA, our pointer-based
-// API also allows us to prefetch the externally stored values in Allocator
-// mode" (§3.3). A lookup touches memory three times, each after the
-// prefetch that covers it has had half a window or more to land:
+// GetKVBatch and the streaming KVPipeline, a ring (pipeline.go) whose
+// entries hold each lookup's KVGet and its lookup state. "Unlike MICA, our
+// pointer-based API also allows us to prefetch the externally stored
+// values in Allocator mode" (§3.3). A lookup touches memory three times,
+// each after the prefetch that covers it has had half a window or more to
+// land:
 //
 //  1. issue, a full window ahead of completion: hash the key, prefetch its
 //     bin.
@@ -36,13 +38,13 @@ import (
 //
 // Request order is preserved.
 
-// kvPipeEntry is one in-flight request of the KV engine: the hash
-// coordinates memoized at issue time (kw, code, bin, and the index they
-// were computed against) plus what the locate stage found: the picked
+// kvPipeEntry is one in-flight request of the KV engine: the request, the
+// hash coordinates memoized at issue time (kw, code, bin, and the index
+// they were computed against) plus what the locate stage found: the picked
 // slot's value word and the bin header (address, validated value) it was
 // picked under.
 type kvPipeEntry struct {
-	req  *KVGet
+	req  KVGet
 	ix   *index
 	at   *uint64
 	hdr  uint64
@@ -54,62 +56,34 @@ type kvPipeEntry struct {
 }
 
 // kvPipe is the sliding-window engine shared by GetKVBatch and
-// KVPipeline. Three absolute cursors chase each other through a
-// power-of-two ring: head (issue = hash + bin prefetch), s2 (locate = slot
-// pick + block prefetch) and tail (completion = verify + value view).
+// KVPipeline. Three absolute cursors chase each other through the ring:
+// head (issue = hash + bin prefetch), s2 (locate = slot pick + block
+// prefetch) and tail (completion = verify + value view).
 type kvPipe struct {
-	ring []kvPipeEntry
-	mask int
-	head int
-	s2   int
-	tail int
+	ring[kvPipeEntry]
+	s2 int
 }
 
-// sizePipe (re)initializes the ring for a window of w in-flight entries.
-func (p *kvPipe) sizePipe(w int) {
-	p.head, p.s2, p.tail = 0, 0, 0
-	if len(p.ring) > w {
-		return
-	}
-	c := 8
-	for c <= w {
-		c <<= 1
-	}
-	p.ring = make([]kvPipeEntry, c)
-	p.mask = c - 1
+// reset empties the engine and sizes it for a window of w lookups.
+func (p *kvPipe) reset(w int) {
+	p.ring.reset(w)
+	p.s2 = 0
 }
 
-// grow doubles the ring, preserving in-flight entries.
-func (p *kvPipe) grow() {
-	old := p.ring
-	oldMask := p.mask
-	next := make([]kvPipeEntry, len(old)*2)
-	p.mask = len(next) - 1
-	for i := p.tail; i < p.head; i++ {
-		next[i&p.mask] = old[i&oldMask]
-	}
-	p.ring = next
-}
-
-// issue is stage 1: hash the key, memoize its coordinates against ix, and
-// prefetch the bin header.
-func (p *kvPipe) issue(t *Table, ix *index, req *KVGet) {
-	p.issueHashed(t, ix, req, t.HashOfKV(req.NS, req.Key))
-}
-
-// issueHashed is issue with the key's hash — Table.HashOfKV — precomputed
-// by the caller.
-func (p *kvPipe) issueHashed(t *Table, ix *index, req *KVGet, hash uint64) {
-	if p.head-p.tail == len(p.ring) {
+// issue is stage 1: admit a lookup of key in namespace ns, whose hash —
+// Table.HashOfKV — the caller computed, memoize its coordinates against ix,
+// and prefetch the bin header.
+func (p *kvPipe) issue(ix *index, ns uint16, key []byte, hash uint64) {
+	if p.head-p.tail == len(p.ents) {
 		p.grow()
 	}
-	e := &p.ring[p.head&p.mask]
-	e.req = req
-	e.ix = ix
-	e.kw = inlineKeyWord(req.Key)
-	e.code = keyCodeFor(req.Key)
-	e.bin = ix.binOf(hash)
+	e := &p.ents[p.head&p.mask]
 	p.head++
+	e.req.NS, e.req.Key = ns, key // kvStep writes the outputs
+	e.ix = ix
+	e.kw = inlineKeyWord(key)
+	e.code = keyCodeFor(key)
+	e.bin = ix.binOf(hash)
 	cpuops.PrefetchUint64(ix.headerAddr(e.bin))
 }
 
@@ -156,24 +130,24 @@ func (t *Table) lookupSpan(code, klen int) uintptr {
 // half, splitting the in-flight budget between the two prefetch levels.
 func (p *kvPipe) advance(t *Table, w, lead int) {
 	for p.s2 < p.head && (p.head-p.s2 > w-lead || p.s2 < p.tail+lead) {
-		t.locate(&p.ring[p.s2&p.mask])
+		t.locate(&p.ents[p.s2&p.mask])
 		p.s2++
 	}
 }
 
-// kvStep completes the oldest in-flight request, stage 3: verify a big
-// key's candidate against its (now cached) block and the bin header it was
-// picked under, then materialize the value view and metadata word into the
-// caller's KVGet and return it.
+// kvStep completes the oldest in-flight request in place, stage 3: verify
+// a big key's candidate against its (now cached) block and the bin header
+// it was picked under, then materialize the value view and metadata word
+// into the entry's KVGet and return it. The request stays in flight: the
+// caller advances tail once it is done with it.
 func (h *Handle) kvStep(p *kvPipe) *KVGet {
 	t := h.t
 	if p.s2 == p.tail {
-		t.locate(&p.ring[p.tail&p.mask])
+		t.locate(&p.ents[p.tail&p.mask])
 		p.s2++
 	}
-	e := p.ring[p.tail&p.mask]
-	p.tail++
-	req := e.req
+	e := &p.ents[p.tail&p.mask]
+	req := &e.req
 	if e.ok && e.code == bigKeyCode && !(t.bigKeyIs(refOf(e.vw), req.Key) && atomic.LoadUint64(e.at) == e.hdr) {
 		e.vw, _, _, e.ok = t.lookupKVSlotAt(e.ix, req.NS, req.Key, e.kw, e.code, e.bin, true)
 	}
@@ -186,16 +160,8 @@ func (h *Handle) kvStep(p *kvPipe) *KVGet {
 	} else {
 		req.Value, req.Meta = nil, 0
 	}
+	e.ix, e.at = nil, nil // a completed lookup must not pin a drained index
 	return req
-}
-
-// kvExecPipe returns the handle's GetKVBatch engine state sized for w.
-func (h *Handle) kvExecPipe(w int) *kvPipe {
-	if h.kvp == nil {
-		h.kvp = new(kvPipe)
-	}
-	h.kvp.sizePipe(w)
-	return h.kvp
 }
 
 // kvLead splits window w between the two prefetch stages.
@@ -212,10 +178,11 @@ type KVPipelineOpts struct {
 	// values are clamped to at least 1.
 	Window int
 	// OnComplete is invoked for every lookup, in enqueue order, as it
-	// completes. The *KVGet (and its Value view) follows the same lifetime
-	// rules as GetKV; the pointer itself is valid only for the duration of
-	// the call. OnComplete may enqueue further lookups into the same
-	// pipeline; calling Flush or Close from inside it is a no-op.
+	// completes. The *KVGet's Value view follows the same lifetime rules as
+	// GetKV; the pointer itself stays valid for the whole call, whatever
+	// the call enqueues, and not after it. OnComplete may enqueue any
+	// number of further lookups into the same pipeline; calling Flush or
+	// Close from inside it is a no-op.
 	OnComplete func(*KVGet)
 }
 
@@ -230,7 +197,6 @@ type KVPipelineOpts struct {
 type KVPipeline struct {
 	h          *Handle
 	p          kvPipe
-	buf        []KVGet // value slots backing in-flight lookups, ring-aligned
 	w          int
 	lead       int
 	onComplete func(*KVGet)
@@ -244,23 +210,17 @@ func (h *Handle) KVPipeline(opts KVPipelineOpts) *KVPipeline {
 	if h.t.cfg.Mode != Allocator {
 		panic(ErrWrongMode)
 	}
-	w := opts.Window
-	if w == 0 {
-		w = h.t.cfg.PrefetchWindow
-	}
-	if w < 1 {
-		w = 1
-	}
+	w := h.t.window(opts.Window)
 	pl := &KVPipeline{h: h, w: w, lead: kvLead(w), onComplete: opts.OnComplete}
-	pl.p.sizePipe(w)
-	pl.buf = make([]KVGet, len(pl.p.ring))
+	pl.p.reset(w)
 	return pl
 }
 
 // Window returns the pipeline's resolved completion window.
 func (pl *KVPipeline) Window() int { return pl.w }
 
-// InFlight returns the number of enqueued lookups not yet completed.
+// InFlight returns the number of enqueued lookups not yet completed. A
+// lookup counts as in flight until its OnComplete call returns.
 func (pl *KVPipeline) InFlight() int { return pl.p.head - pl.p.tail }
 
 // Get enqueues a lookup of key in namespace ns. The key bytes must stay
@@ -277,22 +237,15 @@ func (pl *KVPipeline) GetHashed(ns uint16, key []byte, hash uint64) {
 	if pl.closed {
 		panic("dlht: KVPipeline used after Close")
 	}
-	p := &pl.p
-	if p.head-p.tail == len(p.ring) {
-		pl.p.grow()
-		pl.buf = make([]KVGet, len(pl.p.ring))
-	}
-	slot := &pl.buf[p.head&p.mask]
-	*slot = KVGet{NS: ns, Key: key}
-	t := pl.h.t
-	p.issueHashed(t, t.current.Load(), slot, hash)
+	pl.p.issue(pl.h.t.current.Load(), ns, key, hash)
 	if !pl.draining {
 		pl.drainTo(pl.w)
 	}
 }
 
 // drainTo completes in-flight lookups, oldest first, until at most limit
-// remain, keeping the lookup stage at its lead in between.
+// remain, keeping the lookup stage at its lead in between. As in
+// Pipeline.drainTo, a lookup stays in flight until its callback returns.
 func (pl *KVPipeline) drainTo(limit int) {
 	if pl.draining {
 		return
@@ -300,17 +253,18 @@ func (pl *KVPipeline) drainTo(limit int) {
 	h := pl.h
 	t := h.t
 	pl.draining = true
-	for pl.p.head-pl.p.tail > limit || pl.p.head-pl.p.s2 > pl.w-pl.lead {
+	p := &pl.p
+	for p.head-p.tail > limit || p.head-p.s2 > pl.w-pl.lead {
 		h.pin() // EpochGC: the run's block views outlive frees; a no-op once pinned
-		pl.p.advance(t, pl.w, pl.lead)
-		if pl.p.head-pl.p.tail <= limit {
+		p.advance(t, pl.w, pl.lead)
+		if p.head-p.tail <= limit {
 			break
 		}
-		req := h.kvStep(&pl.p)
-		pl.p.ring[(pl.p.tail-1)&pl.p.mask] = kvPipeEntry{} // see Pipeline.drainTo
+		req := h.kvStep(p)
 		if pl.onComplete != nil {
 			pl.onComplete(req)
 		}
+		p.tail++
 	}
 	pl.draining = false
 }

@@ -14,90 +14,61 @@ import (
 // be batch boundaries — the next burst's prefetches overlap the previous
 // burst's tail instead of starting from a cold window.
 //
-// The sliding-window machinery lives in the pipe engine below, and every
-// op it completes runs through execOneAt: the op gate, then the op's *At
-// body. Exec drives the same ring and the same dispatch with its own
-// batch-at-once loop.
+// Every window engine in core runs on one ring type, ring[E], and holds
+// each in-flight request in its ring entry: a Pipeline entry is the Op
+// itself with its memoized bin and index, a KVPipeline entry the KVGet with
+// its lookup state (kvpipeline.go). Exec keeps only the memoized bins; its
+// ops stay in the caller's slice. Every op a Pipeline or Exec completes runs
+// through execOneAt: the op gate, then the op's *At body.
 
-// pipeEntry is one in-flight request of the engine: the op pointer plus the
-// bin memoized while its prefetch was issued and the index the bin belongs
-// to. A resize redirect invalidates the memoized bin at execution time and
-// the op recomputes it against the successor index (the *At op variants).
-type pipeEntry struct {
-	op  *Op
-	ix  *index
-	bin uint64
-}
-
-// pipe is the sliding-window engine shared by Handle.Exec and Pipeline. It
-// is a power-of-two ring of in-flight entries addressed by absolute
-// head/tail counters; in-flight = head-tail. The ring grows on demand (a
-// completion callback may enqueue), so the window bound is enforced by the
-// callers' drain policy, not by ring capacity.
-type pipe struct {
-	ring []pipeEntry
+// ring is the power-of-two ring behind every window engine: in-flight
+// entries addressed by absolute head/tail counters, in-flight = head-tail.
+// A streaming enqueue grows a full ring (a completion callback may
+// enqueue), so the window bound is enforced by the callers' drain policy,
+// not by ring capacity. Each enqueue writes its admit out (grow if full,
+// then the entry at head): a generic push method does not inline, and a
+// call per request shows on a cached Get.
+type ring[E any] struct {
+	ents []E
 	mask int
 	head int // next issue position (absolute)
 	tail int // next completion position (absolute)
 }
 
-// sizePipe (re)initializes the ring for a window of w in-flight entries.
-func (p *pipe) sizePipe(w int) {
-	p.head, p.tail = 0, 0
-	if len(p.ring) > w {
+// reset empties the ring and sizes it for a window of w in-flight entries.
+func (r *ring[E]) reset(w int) {
+	r.head, r.tail = 0, 0
+	if len(r.ents) > w {
 		return
 	}
 	c := 8
-	for c <= w { // capacity strictly above w: the issue for op i+w precedes op i's execution
+	for c <= w { // capacity strictly above w: the issue for op i+w precedes op i's completion
 		c <<= 1
 	}
-	p.ring = make([]pipeEntry, c)
-	p.mask = c - 1
+	r.ents = make([]E, c)
+	r.mask = c - 1
 }
 
-// grow doubles the ring, preserving in-flight entries at their absolute
-// positions.
-func (p *pipe) grow() {
-	old := p.ring
-	oldMask := p.mask
-	next := make([]pipeEntry, len(old)*2)
-	p.mask = len(next) - 1
-	for i := p.tail; i < p.head; i++ {
-		next[i&p.mask] = old[i&oldMask]
+// grow doubles the ring, keeping in-flight entries at their absolute
+// positions. An entry pointer taken before the grow still reads the entry
+// as it was: the old array stays alive through it.
+func (r *ring[E]) grow() {
+	old, oldMask := r.ents, r.mask
+	r.ents = make([]E, len(old)*2)
+	r.mask = len(r.ents) - 1
+	for i := r.tail; i < r.head; i++ {
+		r.ents[i&r.mask] = old[i&oldMask]
 	}
-	p.ring = next
 }
 
-// issue admits op into the pipeline: memoize its bin against ix and start
-// the bin's cache line toward the core. The op executes later, when it
-// reaches the tail of the window.
-func (p *pipe) issue(t *Table, ix *index, op *Op) {
-	if p.head-p.tail == len(p.ring) {
-		p.grow()
-	}
-	b := t.binFor(ix, op.Key)
-	p.ring[p.head&p.mask] = pipeEntry{op: op, ix: ix, bin: b}
-	p.head++
-	cpuops.PrefetchUint64(ix.headerAddr(b))
-}
-
-// step executes the oldest in-flight op against its memoized bin and
-// returns it. The entry is copied out before execution so a completion
-// callback may grow the ring underneath us.
-func (h *Handle) step(p *pipe) *Op {
-	e := p.ring[p.tail&p.mask]
-	p.tail++
-	h.execOneAt(e.ix, e.op, e.bin)
-	return e.op
-}
-
-// execPipe returns the handle's Exec engine state sized for window w.
-func (h *Handle) execPipe(w int) *pipe {
-	if h.xp == nil {
-		h.xp = new(pipe)
-	}
-	h.xp.sizePipe(w)
-	return h.xp
+// pipeEntry is one in-flight request of a Pipeline: the op, the bin
+// memoized while its prefetch was issued, and the index the bin belongs to.
+// A resize redirect invalidates the memoized bin at execution time and the
+// op recomputes it against the successor index (the *At op variants).
+type pipeEntry struct {
+	op  Op
+	ix  *index
+	bin uint64
 }
 
 // ---------------------------------------------------------------------------
@@ -112,10 +83,11 @@ type PipelineOpts struct {
 	// to at least 1.
 	Window int
 	// OnComplete is invoked for every request, in enqueue order, as it
-	// completes. The *Op is valid only for the duration of the call; copy
-	// what you need. OnComplete may enqueue further requests into the same
-	// pipeline (the drain loop picks them up); calling Flush or Close from
-	// inside it is a no-op.
+	// completes. The *Op stays valid for the whole call, whatever the call
+	// enqueues, and not after it; copy what you need. OnComplete may
+	// enqueue any number of further requests into the same pipeline (the
+	// drain loop picks them up); calling Flush or Close from inside it is a
+	// no-op.
 	OnComplete func(*Op)
 }
 
@@ -136,8 +108,7 @@ type PipelineOpts struct {
 // flight (between an enqueue and the Flush/Close that completes it).
 type Pipeline struct {
 	h          *Handle
-	p          pipe
-	buf        []Op // value slots backing in-flight ops, ring-aligned
+	p          ring[pipeEntry]
 	w          int
 	onComplete func(*Op)
 	draining   bool
@@ -146,23 +117,16 @@ type Pipeline struct {
 
 // Pipeline creates a streaming pipeline over h. See PipelineOpts.
 func (h *Handle) Pipeline(opts PipelineOpts) *Pipeline {
-	w := opts.Window
-	if w == 0 {
-		w = h.t.cfg.PrefetchWindow
-	}
-	if w < 1 {
-		w = 1
-	}
-	pl := &Pipeline{h: h, w: w, onComplete: opts.OnComplete}
-	pl.p.sizePipe(w)
-	pl.buf = make([]Op, len(pl.p.ring))
+	pl := &Pipeline{h: h, w: h.t.window(opts.Window), onComplete: opts.OnComplete}
+	pl.p.reset(pl.w)
 	return pl
 }
 
 // Window returns the pipeline's resolved completion window.
 func (pl *Pipeline) Window() int { return pl.w }
 
-// InFlight returns the number of enqueued requests not yet completed.
+// InFlight returns the number of enqueued requests not yet completed. A
+// request counts as in flight until its OnComplete call returns.
 func (pl *Pipeline) InFlight() int { return pl.p.head - pl.p.tail }
 
 // Enqueue admits a pre-built Op (Kind, Key, Value; result fields are
@@ -190,37 +154,29 @@ func (pl *Pipeline) enqHashed(kind OpKind, key, val, hash uint64) {
 		panic("dlht: Pipeline used after Close")
 	}
 	p := &pl.p
-	if p.head-p.tail == len(p.ring) {
-		pl.growBuf()
-	}
-	slot := &pl.buf[p.head&p.mask]
-	slot.Kind, slot.Key, slot.Value = kind, key, val
-	slot.Result, slot.OK, slot.Err = 0, false, nil
-	t := pl.h.t
-	ix := t.current.Load()
+	ix := pl.h.t.current.Load()
 	b := ix.binOf(hash)
-	p.ring[p.head&p.mask] = pipeEntry{op: slot, ix: ix, bin: b}
+	if p.head-p.tail == len(p.ents) {
+		p.grow()
+	}
+	e := &p.ents[p.head&p.mask]
 	p.head++
+	e.op.Kind, e.op.Key, e.op.Value = kind, key, val
+	e.op.Result, e.op.OK, e.op.Err = 0, false, nil
+	e.ix, e.bin = ix, b
 	cpuops.PrefetchUint64(ix.headerAddr(b))
 	if p.head-p.tail > pl.w && !pl.draining {
 		pl.drainTo(pl.w)
 	}
 }
 
-// growBuf doubles the engine ring together with its value slots. In-flight
-// entries keep pointing into the old slot array (which stays alive through
-// those pointers); only new enqueues land in the new one.
-func (pl *Pipeline) growBuf() {
-	pl.p.grow()
-	pl.buf = make([]Op, len(pl.p.ring))
-}
-
 // drainTo completes in-flight requests, oldest first, until at most limit
-// remain. Completion callbacks may enqueue; the loop re-checks the bound so
-// re-entrant traffic drains too. An entry executes against the index it
-// was issued on, however many resizes ago that was: its ix reference keeps
-// a drained index alive for the GC until the entry completes, and the op
-// follows the bin's redirect to the successor.
+// remain. An entry executes in place, against the index it was issued on,
+// however many resizes ago that was: its ix reference keeps a drained index
+// alive for the GC until the entry executes, and the op follows the bin's
+// redirect to the successor. The entry stays in flight until its callback
+// returns, so whatever the callback enqueues lands behind it, never on the
+// Op it was handed; the loop re-checks the bound so that traffic drains too.
 func (pl *Pipeline) drainTo(limit int) {
 	if pl.draining || pl.p.head-pl.p.tail <= limit {
 		return
@@ -230,20 +186,19 @@ func (pl *Pipeline) drainTo(limit int) {
 	p := &pl.p
 	pl.draining = true
 	for p.head-p.tail > limit {
-		slot := &p.ring[p.tail&p.mask]
-		e := *slot
-		*slot = pipeEntry{} // an idle pipeline must not pin a drained index
-		p.tail++
+		e := &p.ents[p.tail&p.mask]
 		if e.op.Kind == OpGet {
-			h.execOneAt(e.ix, e.op, e.bin)
+			h.execOneAt(e.ix, &e.op, e.bin)
 		} else {
 			t.beginUpdate()
-			h.execOneAt(e.ix, e.op, e.bin)
+			h.execOneAt(e.ix, &e.op, e.bin)
 			t.endUpdate()
 		}
+		e.ix = nil // an idle pipeline must not pin a drained index
 		if pl.onComplete != nil {
-			pl.onComplete(e.op)
+			pl.onComplete(&e.op)
 		}
+		p.tail++
 	}
 	pl.draining = false
 }

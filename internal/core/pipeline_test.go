@@ -202,7 +202,8 @@ func TestPipelineReentrantEnqueue(t *testing.T) {
 }
 
 // TestPipelineReentrantStorm grows the ring far past the window from a
-// single completion, exercising the grow path while entries are in flight.
+// single completion, exercising the grow path while entries are in flight,
+// and checks that the completing op still reads back unchanged after it.
 func TestPipelineReentrantStorm(t *testing.T) {
 	tb := MustNew(Config{Bins: 1 << 8})
 	h := tb.MustHandle()
@@ -219,6 +220,9 @@ func TestPipelineReentrantStorm(t *testing.T) {
 		if op.Key == 0 {
 			for k := uint64(100); k < 300; k++ {
 				pl.Get(k) // burst of 200 from one callback, window 2
+			}
+			if op.Key != 0 || op.Result != 7 {
+				t.Errorf("after the burst the callback's own op reads %+v, want Get(0) = 7", op)
 			}
 		}
 	}})
@@ -364,11 +368,13 @@ func TestKVPipelineWrongModePanics(t *testing.T) {
 }
 
 // TestKVPipelineReentrantEnqueue chains a second lookup from inside
-// OnComplete, covering the KV engine's grow path under in-flight entries.
+// OnComplete, covering the KV engine's grow path under in-flight entries,
+// and has one completion enqueue more lookups than the ring holds, then
+// read its own request back unchanged.
 func TestKVPipelineReentrantEnqueue(t *testing.T) {
 	tb := MustNew(Config{Mode: Allocator, Bins: 256, VariableKV: true})
 	h := tb.MustHandle()
-	const n = 100
+	const n, burst = 100, 20 // burst: more than the window-3 ring's 8 entries
 	for i := 0; i < 2*n; i++ {
 		if err := h.InsertKV(0, []byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -382,6 +388,14 @@ func TestKVPipelineReentrantEnqueue(t *testing.T) {
 			t.Errorf("lookup %q missed", r.Key)
 		}
 		completions++
+		if completions == 1 {
+			for i := 0; i < burst; i++ {
+				pl.Get(0, []byte(fmt.Sprintf("k%04d", 2*n-1-i)))
+			}
+			if string(r.Key) != "k0000" || string(r.Value) != "v0" {
+				t.Errorf("after the burst the callback's own lookup reads %q = %q, want k0000 = v0", r.Key, r.Value)
+			}
+		}
 		if completions <= n {
 			key := []byte(fmt.Sprintf("k%04d", n+completions-1))
 			chained = append(chained, key)
@@ -392,8 +406,8 @@ func TestKVPipelineReentrantEnqueue(t *testing.T) {
 		pl.Get(0, []byte(fmt.Sprintf("k%04d", i)))
 	}
 	pl.Flush()
-	if completions != 2*n {
-		t.Fatalf("completed %d lookups, want %d", completions, 2*n)
+	if completions != 2*n+burst {
+		t.Fatalf("completed %d lookups, want %d", completions, 2*n+burst)
 	}
 }
 

@@ -61,6 +61,11 @@ type Completion struct {
 	Err error
 }
 
+// Completion returns op's outcome as the backend-independent Completion.
+func (op *Op) Completion() Completion {
+	return Completion{Kind: op.Kind, Key: op.Key, Value: op.Result, OK: op.OK, Err: op.Err}
+}
+
 // PipeOpts configures Store.Pipe.
 type PipeOpts struct {
 	// Window bounds how many requests are in flight between enqueue and
@@ -203,7 +208,7 @@ func (s *localStore) Pipe(opts PipeOpts) (Pipe, error) {
 	onc := opts.OnComplete
 	pl := s.h.Pipeline(PipelineOpts{Window: opts.Window, OnComplete: func(op *Op) {
 		if onc != nil {
-			onc(Completion{Kind: op.Kind, Key: op.Key, Value: op.Result, OK: op.OK, Err: op.Err})
+			onc(op.Completion())
 		}
 	}})
 	lp.pl = pl

@@ -358,14 +358,14 @@ type Handle struct {
 	// AdvanceEpoch or Unpin call (§3.2.3's client contract).
 	pinned bool
 
-	// xp and kvp are the handle's sliding-window pipeline engines, reused
-	// across Exec and GetKVBatch calls: while a bin is being prefetched its
-	// hash-derived coordinates are memoized in the engine ring so execution
-	// never re-hashes the key. Handles are single-goroutine, so plain state
+	// bins and kvp are the window engines of Exec and GetKVBatch, reused
+	// across calls: while a bin is being prefetched its hash-derived
+	// coordinates are memoized in the engine ring so execution never
+	// re-hashes the key. Handles are single-goroutine, so plain state
 	// suffices; the rings are sized to the prefetch window on first use.
 	// (Streaming Pipelines/KVPipelines carry their own engine state.)
-	xp  *pipe
-	kvp *kvPipe
+	bins ring[uint64]
+	kvp  kvPipe
 
 	// kvScan is RangeKVStep's scratch, kept so a crawler stepping on a
 	// ticker allocates nothing per step.
@@ -385,6 +385,15 @@ func (t *Table) prefetchWindow(n int) int {
 		return w
 	}
 	return n
+}
+
+// window resolves a pipeline's requested window: 0 selects
+// Config.PrefetchWindow, and other values are clamped to at least 1.
+func (t *Table) window(w int) int {
+	if w == 0 {
+		w = t.cfg.PrefetchWindow
+	}
+	return max(w, 1)
 }
 
 // Handle allocates the next free per-thread handle, preferring ids

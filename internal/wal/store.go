@@ -345,7 +345,7 @@ type durablePipe struct {
 // stage is the inner pipeline's completion callback: log an effective
 // mutation, then park the completion behind its sync.
 func (p *durablePipe) stage(op *core.Op) {
-	c := completionOf(op)
+	c := op.Completion()
 	seq, err := p.s.log.LogFixed(p.s.h, op)
 	if err != nil {
 		// The op is applied in memory but will not be durable; its
@@ -358,10 +358,6 @@ func (p *durablePipe) stage(op *core.Op) {
 	}
 	p.maxSeq = max(p.maxSeq, seq)
 	p.queue = append(p.queue, gated{c: c, seq: seq})
-}
-
-func completionOf(op *core.Op) core.Completion {
-	return core.Completion{Kind: op.Kind, Key: op.Key, Value: op.Result, OK: op.OK, Err: op.Err}
 }
 
 // release fires every staged completion whose record the sync watermark
