@@ -84,15 +84,12 @@ type Opts struct {
 	// background probe re-admits them.
 	DownAfter int
 	// ProbeInterval is the cadence at which down shards are probed for
-	// re-admission (default 250ms).
+	// re-admission (default 250ms). On a dialed cluster the probe dials
+	// the shard address and closes — a member that was down from the
+	// start is probed the same way; on a New cluster it is half-open — a
+	// down shard is optimistically re-admitted after one interval and the
+	// next real operation is its probe.
 	ProbeInterval time.Duration
-	// Probe overrides the re-admission probe, keyed by shard name. On a
-	// dialed cluster the default dials the shard address and closes — a
-	// member that was down from the start is probed the same way; for
-	// New clusters the default is half-open — a down shard is
-	// optimistically re-admitted after one interval and the next real
-	// operation is its probe.
-	Probe func(name string) error
 	// Retry is each shard connection's transparent redial policy and the
 	// sync ops' per-op retry budget on a dialed cluster (see
 	// Cluster.sync); a member that cannot be opened fails an op within
@@ -108,11 +105,6 @@ type Opts struct {
 	// (*Table).Store does — or migration falls back to plain reads.
 	// Without it, a New cluster's membership is frozen at construction.
 	OpenShard func(name string) (core.Store, error)
-	// QuiesceTimeout bounds how long a membership change waits for every
-	// client instance to observe a published ring generation before the
-	// reshard aborts (default 30s). Instances holding unflushed
-	// pipelined ops are the usual reason to hit it.
-	QuiesceTimeout time.Duration
 }
 
 const (
@@ -164,7 +156,7 @@ func New(names []string, stores []core.Store, opts Opts) (*Cluster, error) {
 	if len(names) != len(stores) {
 		return nil, fmt.Errorf("cluster: %d names for %d stores", len(names), len(stores))
 	}
-	t, err := newTopology(names, opts, opts.OpenShard, opts.OpenShard)
+	t, err := newTopology(names, opts, nil, opts.OpenShard, opts.OpenShard)
 	if err != nil {
 		return nil, err
 	}

@@ -29,12 +29,13 @@ import (
 // version-less stores fall back to presence-first, primary-most — a
 // deliberate bias against deleting data it cannot order.
 
+// scrubBatch is the number of entries the scrubber scans per step.
+const scrubBatch = 512
+
 // ScrubOpts tunes the background scrubber.
 type ScrubOpts struct {
 	// Interval between full anti-entropy passes (default 5s).
 	Interval time.Duration
-	// Batch is the number of entries scanned per step (default 512).
-	Batch int
 	// Pace is the sleep between scan steps, bounding scrub pressure on
 	// the data path (default 1ms).
 	Pace time.Duration
@@ -43,9 +44,6 @@ type ScrubOpts struct {
 func (o ScrubOpts) norm() ScrubOpts {
 	if o.Interval <= 0 {
 		o.Interval = 5 * time.Second
-	}
-	if o.Batch <= 0 {
-		o.Batch = 512
 	}
 	if o.Pace <= 0 {
 		o.Pace = time.Millisecond
@@ -172,7 +170,7 @@ func (sb *scrubber) pass(target int) {
 		}
 		var cur core.Cursor
 		for {
-			ents, next, done, err := sc.ScanStep(cur, sb.opts.Batch)
+			ents, next, done, err := sc.ScanStep(cur, scrubBatch)
 			if err != nil {
 				sb.stores.drop(slot)
 				break

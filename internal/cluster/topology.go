@@ -37,8 +37,6 @@ type Topology struct {
 	replicas int
 	wq       int
 
-	quiesceTimeout time.Duration
-
 	retry server.RetryPolicy // Cluster.sync's budget: Opts.Retry (DialTopology), zero (New)
 
 	// openShard opens an ordinary per-instance Store for a shard name;
@@ -170,13 +168,20 @@ func buildRing(hb func([]byte) uint64, vnodes int, names []string, dead []bool) 
 	return ring
 }
 
-const defaultQuiesceTimeout = 30 * time.Second
+// quiesceTimeout bounds how long a membership change waits for every
+// client instance to observe a published ring generation before the
+// reshard aborts. Instances holding unflushed pipelined ops are the usual
+// reason to hit it.
+const quiesceTimeout = 30 * time.Second
 
 // newTopology validates opts and builds the initial normal-phase tab over
-// names. openShard opens an instance's Store for a shard name, openAdmin
+// names. probe is the failure detector's re-admission probe, keyed by
+// shard name; nil makes it half-open — a down shard is optimistically
+// re-admitted after one interval and the next real operation is its
+// probe. openShard opens an instance's Store for a shard name, openAdmin
 // the coordinator's and scrubber's; both are nil when membership is
 // frozen.
-func newTopology(names []string, opts Opts, openShard, openAdmin func(string) (core.Store, error)) (*Topology, error) {
+func newTopology(names []string, opts Opts, probe func(name string) error, openShard, openAdmin func(string) (core.Store, error)) (*Topology, error) {
 	if len(names) == 0 {
 		return nil, errors.New("cluster: no shards")
 	}
@@ -205,22 +210,17 @@ func newTopology(names []string, opts Opts, openShard, openAdmin func(string) (c
 	if wq > replicas {
 		return nil, fmt.Errorf("cluster: WriteQuorum %d > Replicas %d", wq, replicas)
 	}
-	qt := opts.QuiesceTimeout
-	if qt <= 0 {
-		qt = defaultQuiesceTimeout
-	}
 	t := &Topology{
-		keyh:           hashfn.For64(hashfn.WyHash),
-		hb:             hashfn.ForBytes(hashfn.WyHash),
-		vnodes:         vnodes,
-		window:         opts.Window,
-		replicas:       replicas,
-		wq:             wq,
-		quiesceTimeout: qt,
-		openShard:      openShard,
-		openAdmin:      openAdmin,
-		clients:        make(map[*Cluster]struct{}),
-		upCh:           make(chan int, 16),
+		keyh:      hashfn.For64(hashfn.WyHash),
+		hb:        hashfn.ForBytes(hashfn.WyHash),
+		vnodes:    vnodes,
+		window:    opts.Window,
+		replicas:  replicas,
+		wq:        wq,
+		openShard: openShard,
+		openAdmin: openAdmin,
+		clients:   make(map[*Cluster]struct{}),
+		upCh:      make(chan int, 16),
 	}
 	tnames := append([]string(nil), names...)
 	dead := make([]bool, len(tnames))
@@ -234,12 +234,11 @@ func newTopology(names []string, opts Opts, openShard, openAdmin func(string) (c
 	}
 	t.tab.Store(tab)
 	t.admin = shardStores{t: t, open: openAdmin}
-	var probe func(i int) error
-	if opts.Probe != nil {
-		byName := opts.Probe
-		probe = func(i int) error { return byName(t.tab.Load().names[i]) }
+	var probeSlot func(i int) error
+	if probe != nil {
+		probeSlot = func(i int) error { return probe(t.tab.Load().names[i]) }
 	}
-	t.det = newDetector(len(tnames), opts.DownAfter, opts.ProbeInterval, probe)
+	t.det = newDetector(len(tnames), opts.DownAfter, opts.ProbeInterval, probeSlot)
 	t.det.onUp = func(i int) {
 		select {
 		case t.upCh <- i:
@@ -266,17 +265,15 @@ func DialTopology(addrs []string, opts Opts) (*Topology, error) {
 	} else if opts.Retry.Max < 0 {
 		opts.Retry = server.RetryPolicy{}
 	}
-	if opts.Probe == nil {
-		// Default probe: the shard is back when its listener accepts.
-		// server.DialTCP, not net.Dial: a raw dial to a dead local port
-		// can self-connect and re-admit a shard that is still down.
-		opts.Probe = func(addr string) error {
-			conn, err := server.DialTCP(addr, time.Second)
-			if err != nil {
-				return err
-			}
-			return conn.Close()
+	// The re-admission probe: the shard is back when its listener accepts.
+	// server.DialTCP, not net.Dial: a raw dial to a dead local port can
+	// self-connect and re-admit a shard that is still down.
+	probe := func(addr string) error {
+		conn, err := server.DialTCP(addr, time.Second)
+		if err != nil {
+			return err
 		}
+		return conn.Close()
 	}
 	// Instances open ordinary data connections; the coordinator and
 	// scrubber open reshard-featured ones (OpGetVer/OpScan granted).
@@ -291,7 +288,7 @@ func DialTopology(addrs []string, opts Opts) (*Topology, error) {
 			})
 		}
 	}
-	t, err := newTopology(addrs, opts, dial(0), dial(server.FeatureKV|server.FeatureReshard))
+	t, err := newTopology(addrs, opts, probe, dial(0), dial(server.FeatureKV|server.FeatureReshard))
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +361,7 @@ func (t *Topology) unregister(c *Cluster) {
 // did its increment after quiesce's read, hence loads the tab after the
 // publish and sees the new generation.
 func (t *Topology) quiesce(gen uint64) error {
-	deadline := time.Now().Add(t.quiesceTimeout)
+	deadline := time.Now().Add(quiesceTimeout)
 	for {
 		all := true
 		t.regMu.Lock()
@@ -379,7 +376,7 @@ func (t *Topology) quiesce(gen uint64) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: quiesce of generation %d timed out after %v (an instance is holding unflushed pipelined ops?)", gen, t.quiesceTimeout)
+			return fmt.Errorf("cluster: quiesce of generation %d timed out after %v (an instance is holding unflushed pipelined ops?)", gen, quiesceTimeout)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 )
@@ -15,10 +16,13 @@ import (
 //
 // Every walk is resumable and runs one way: a Cursor, resolved against the
 // index each step enters, names the bins still to visit. ScanStep (fixed
-// tables) and RangeKVStep (Allocator-mode tables) are the two step bodies;
-// Range, RangeKV, Snapshot and Len are loops of steps, each step entering
-// and leaving the index, so a long walk never holds a drained index
-// reachable.
+// tables) and RangeKVStep (Allocator-mode tables) are the two step bodies,
+// and both read each bin through one walker, walkBin, which waits out a
+// transfer, follows a migrated bin into its successors and retries a read
+// until the bin's header validates; only the slot loops (readBin,
+// readBinKV) differ. Range, RangeKV, Snapshot and Len are loops of steps,
+// each step entering and leaving the index, so a long walk never holds a
+// drained index reachable.
 
 // Entry is one key-value pair produced by an iterator.
 type Entry struct {
@@ -74,12 +78,25 @@ func (h *Handle) Range(fn func(key, val uint64) bool) {
 	}
 }
 
-// collectBin gathers the live entries of bin b with seqlock validation.
-// When the bin has been migrated it recurses into the successor index: with
+// binScan is a walk's scratch: the pairs of the bins read so far — fixed
+// entries, or KV entries and the bytes they point into — and how to read
+// them.
+type binScan struct {
+	ents []Entry
+	kvs  []KVEntry
+	buf  []byte
+	kv   bool // read KV pairs (readBinKV) instead of fixed entries
+	vals bool // KV pairs carry their values
+}
+
+// walkBin appends the live pairs of bin b to sc, read in one consistent
+// pass: a read is kept only if the bin's header still holds the word it
+// was read under, and otherwise dropped and retried. A bin in transfer is
+// waited out. A migrated bin is read in the successor index: with
 // hash-mod addressing and multiplicative growth, old bin b's keys land
-// exactly in new bins {b + j·oldBins}, so the traversal stays duplicate
-// free. depth bounds pathological recursion through nested resizes.
-func (t *Table) collectBin(ix *index, b uint64, out []Entry, depth int) []Entry {
+// exactly in new bins {b + j·oldBins}, so the walk stays duplicate free.
+// depth bounds pathological recursion through nested resizes.
+func (t *Table) walkBin(ix *index, b uint64, sc *binScan, depth int) {
 	hdrAddr := ix.headerAddr(b)
 	for attempt := 0; ; attempt++ {
 		hdr := atomic.LoadUint64(hdrAddr)
@@ -89,34 +106,39 @@ func (t *Table) collectBin(ix *index, b uint64, out []Entry, depth int) []Entry 
 			continue
 		case binDoneTransfer:
 			if depth > 8 {
-				return out // give up on a resize storm; weak snapshot
+				return // give up on a resize storm; weak snapshot
 			}
 			nx := ix.nextIndex()
-			factor := nx.numBins / ix.numBins
-			if factor == 0 {
-				factor = 1
+			for j := range max(nx.numBins/ix.numBins, 1) {
+				t.walkBin(nx, b+j*ix.numBins, sc, depth+1)
 			}
-			for j := uint64(0); j < factor; j++ {
-				out = t.collectBin(nx, b+j*ix.numBins, out, depth+1)
-			}
-			return out
+			return
 		}
-		meta := atomic.LoadUint64(ix.linkMetaAddr(b))
-		limit := slotLimit(meta)
-		start := len(out)
-		for i := 0; i < limit; i++ {
-			if slotState(hdr, i) != slotValid {
-				continue
-			}
-			k, v := ix.loadSlot(b, meta, i)
-			out = append(out, Entry{k, v})
+		ents, kvs, buf := len(sc.ents), len(sc.kvs), len(sc.buf)
+		sane := true
+		if sc.kv {
+			sane = t.readBinKV(ix, b, hdr, sc)
+		} else {
+			readBin(ix, b, hdr, sc)
 		}
-		if atomic.LoadUint64(hdrAddr) == hdr {
-			return out
+		if sane && atomic.LoadUint64(hdrAddr) == hdr {
+			return
 		}
-		out = out[:start]
+		sc.ents, sc.kvs, sc.buf = sc.ents[:ents], sc.kvs[:kvs], sc.buf[:buf]
 		if attempt > 32 {
 			runtime.Gosched()
+		}
+	}
+}
+
+// readBin appends the entries of bin b's valid slots, read under header
+// word hdr, to sc.ents.
+func readBin(ix *index, b, hdr uint64, sc *binScan) {
+	meta := atomic.LoadUint64(ix.linkMetaAddr(b))
+	for i := range slotLimit(meta) {
+		if slotState(hdr, i) == slotValid {
+			k, v := ix.loadSlot(b, meta, i)
+			sc.ents = append(sc.ents, Entry{k, v})
 		}
 	}
 }
@@ -168,125 +190,69 @@ func (h *Handle) RangeKVStep(cur Cursor, budget int, vals bool, fn func(e *KVEnt
 	}
 	ix := h.enter()
 	cur, factor := cur.resolve(ix)
-	sc := &h.kvScan
+	sc := binScan{kvs: h.kvs, buf: h.kvBuf, kv: true, vals: vals}
 	for spent := 0; cur.Next < cur.Bins; {
-		sc.ents, sc.buf = sc.ents[:0], sc.buf[:0]
+		sc.kvs, sc.buf = sc.kvs[:0], sc.buf[:0]
 		for j := uint64(0); j < factor; j++ {
-			t.collectBinKV(ix, cur.Next+j*cur.Bins, sc, vals, 0)
+			t.walkBin(ix, cur.Next+j*cur.Bins, &sc, 0)
 		}
-		spent += int(factor) + len(sc.ents)
-		for i := range sc.ents {
-			fn(&sc.ents[i])
+		spent += int(factor) + len(sc.kvs)
+		for i := range sc.kvs {
+			fn(&sc.kvs[i])
 		}
 		if cur.Next++; spent >= budget {
 			break
 		}
 	}
+	h.kvs, h.kvBuf = sc.kvs, sc.buf
 	if cur.Next >= cur.Bins {
 		return Cursor{}, true
 	}
 	return cur, false
 }
 
-// kvScan is RangeKVStep's reusable scratch: one bin group's entries and
-// the bytes they point into.
-type kvScan struct {
-	ents []KVEntry
-	buf  []byte
-}
-
-// collectBinKV gathers bin b's live KV pairs into sc with seqlock
-// validation, copying key and value bytes before the final header check so
-// a concurrent delete-and-reuse of a block forces a retry instead of a torn
-// copy. Block reads racing a free are safe — the arena keeps the memory
-// mapped (see scanBinKV) — but their contents are untrusted until the
-// header validates, so block-derived lengths are bounds-checked before
-// use.
-func (t *Table) collectBinKV(ix *index, b uint64, sc *kvScan, vals bool, depth int) {
-	maxBlock := t.cfg.Alloc.MaxAlloc()
-	if maxBlock <= 0 {
-		maxBlock = 64 << 20
-	}
-	hdrAddr := ix.headerAddr(b)
-	for attempt := 0; ; attempt++ {
-		hdr := atomic.LoadUint64(hdrAddr)
-		switch binState(hdr) {
-		case binInTransfer:
-			ix.waitBinTransferred(b)
+// readBinKV appends the pairs of bin b's valid slots, read under header
+// word hdr, to sc.kvs, copying key and value bytes into sc.buf before
+// walkBin's header check, so a concurrent delete-and-reuse of a block
+// forces a retry instead of a torn copy. It reports false on a read that
+// cannot be a pair — a torn slot, or block lengths pairBlock rejects — and
+// walkBin retries.
+func (t *Table) readBinKV(ix *index, b, hdr uint64, sc *binScan) bool {
+	meta := atomic.LoadUint64(ix.linkMetaAddr(b))
+	for i := range slotLimit(meta) {
+		if slotState(hdr, i) != slotValid {
 			continue
-		case binDoneTransfer:
-			if depth > 8 {
-				return
-			}
-			nx := ix.nextIndex()
-			factor := nx.numBins / ix.numBins
-			if factor == 0 {
-				factor = 1
-			}
-			for j := uint64(0); j < factor; j++ {
-				t.collectBinKV(nx, b+j*ix.numBins, sc, vals, depth+1)
-			}
-			return
 		}
-		meta := atomic.LoadUint64(ix.linkMetaAddr(b))
-		limit := slotLimit(meta)
-		startEnts, startBuf := len(sc.ents), len(sc.buf)
-		sane := true
-		for i := 0; i < limit && sane; i++ {
-			if slotState(hdr, i) != slotValid {
-				continue
-			}
-			kw, vw := ix.loadSlot(b, meta, i)
-			if vw == 0 {
-				continue // claimed by a delete
-			}
-			code := keyCodeOf(vw)
-			ref := refOf(vw)
-			e := KVEntry{NS: nsOf(vw)}
-			keyOff := len(sc.buf)
-			if code != bigKeyCode {
-				if code == 0 {
-					sane = false // torn slot pair; header check will retry
-					break
-				}
-				for j := 0; j < code; j++ {
-					sc.buf = append(sc.buf, byte(kw>>(8*uint(j))))
-				}
-			}
-			valOff, vlen := 0, t.cfg.ValueSize
-			if t.hasBlockHeader(code) {
-				bh := t.cfg.Alloc.Bytes(ref, kvBlockHeader)
-				klen := int(getU32(bh[0:]))
-				vlen = int(getU32(bh[4:]))
-				if klen <= 0 || vlen < 0 || klen+vlen+kvBlockHeader > maxBlock {
-					sane = false
-					break
-				}
-				e.Meta = atomic.LoadUint64(metaWord(bh))
-				valOff = kvBlockHeader
-				if code == bigKeyCode {
-					sc.buf = append(sc.buf, t.cfg.Alloc.Bytes(ref, valOff+klen)[valOff:]...)
-					valOff += klen
-				}
-			}
-			// Slice after the appends: they may have moved the buffer. An
-			// entry sliced before a later growth keeps the old array, whose
-			// bytes were already final.
-			e.Key = sc.buf[keyOff:len(sc.buf):len(sc.buf)]
-			if vals {
-				sc.buf = append(sc.buf, t.cfg.Alloc.Bytes(ref, valOff+vlen)[valOff:]...)
-				e.Value = sc.buf[keyOff+len(e.Key) : len(sc.buf) : len(sc.buf)]
-			}
-			sc.ents = append(sc.ents, e)
+		kw, vw := ix.loadSlot(b, meta, i)
+		if vw == 0 {
+			continue // claimed by a delete
 		}
-		if sane && atomic.LoadUint64(hdrAddr) == hdr {
-			return
+		code := keyCodeOf(vw)
+		if code == 0 {
+			return false // torn slot pair
 		}
-		sc.ents, sc.buf = sc.ents[:startEnts], sc.buf[:startBuf]
-		if attempt > 32 {
-			runtime.Gosched()
+		key, val, m, ok := t.pairBlock(vw)
+		if !ok {
+			return false
 		}
+		keyOff := len(sc.buf)
+		if code == bigKeyCode {
+			sc.buf = append(sc.buf, key...)
+		} else {
+			// The slot's key word holds the key's bytes little-endian.
+			sc.buf = binary.LittleEndian.AppendUint64(sc.buf, kw)[:keyOff+code]
+		}
+		// Slice after the appends: they may have moved the buffer. An
+		// entry sliced before a later growth keeps the old array, whose
+		// bytes were already final.
+		e := KVEntry{NS: nsOf(vw), Key: sc.buf[keyOff:len(sc.buf):len(sc.buf)], Meta: m}
+		if sc.vals {
+			sc.buf = append(sc.buf, val...)
+			e.Value = sc.buf[keyOff+len(e.Key) : len(sc.buf) : len(sc.buf)]
+		}
+		sc.kvs = append(sc.kvs, e)
 	}
+	return true
 }
 
 // ScanStep is the resumable walk of fixed (Inlined/HashSet) tables, and
@@ -295,7 +261,7 @@ func (t *Table) collectBinKV(ix *index, b uint64, sc *kvScan, vals bool, depth i
 // maxEnts were appended — at least one bin per call, so a pass always ends
 // — and returns them with the cursor to resume from; done reports that the
 // pass is complete, and the cursor returned with it starts the next one.
-// collectBin's recursion covers resizes that land mid-step. Weakly
+// walkBin's recursion covers resizes that land mid-step. Weakly
 // consistent like Range — concurrent mutations may or may not be observed —
 // which is exactly what the migration pipeline wants (racing foreground
 // writes are journaled and re-copied by the coordinator). Allocator-mode
@@ -304,18 +270,19 @@ func (t *Table) collectBinKV(ix *index, b uint64, sc *kvScan, vals bool, depth i
 func (h *Handle) ScanStep(cur Cursor, maxEnts int, ents []Entry) ([]Entry, Cursor, bool) {
 	ix := h.enter()
 	cur, factor := cur.resolve(ix)
+	sc := binScan{ents: ents}
 	for start := len(ents); cur.Next < cur.Bins; {
 		for j := uint64(0); j < factor; j++ {
-			ents = h.t.collectBin(ix, cur.Next+j*cur.Bins, ents, 0)
+			h.t.walkBin(ix, cur.Next+j*cur.Bins, &sc, 0)
 		}
-		if cur.Next++; len(ents)-start >= maxEnts {
+		if cur.Next++; len(sc.ents)-start >= maxEnts {
 			break
 		}
 	}
 	if cur.Next >= cur.Bins {
-		return ents, Cursor{}, true
+		return sc.ents, Cursor{}, true
 	}
-	return ents, cur, false
+	return sc.ents, cur, false
 }
 
 // Snapshot returns a strongly consistent copy of all entries. It requires

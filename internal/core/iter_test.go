@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -425,4 +426,64 @@ func TestWalksExactlyOnceAcrossResizes(t *testing.T) {
 		wait()
 		check(t, seen)
 	})
+}
+
+// BenchmarkScanStep prices one full pass of ScanStep steps — the walk
+// under Range and Len, and the cluster's migration stream and scrubber —
+// over a table of 2^19 inlined keys. ns/op is a pass; ns/key divides it by
+// the keys visited.
+func BenchmarkScanStep(b *testing.B) {
+	const keys = 1 << 19
+	h := MustNew(Config{Bins: keys / 2, Resizable: true}).MustHandle()
+	defer h.Close()
+	for i := uint64(0); i < keys; i++ {
+		if _, err := h.Insert(benchMix64(i), i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var ents []Entry
+	b.ResetTimer()
+	for range b.N {
+		n := 0
+		var cur Cursor
+		for done := false; !done; {
+			ents, cur, done = h.ScanStep(cur, walkStep, ents[:0])
+			n += len(ents)
+		}
+		if n != keys {
+			b.Fatalf("a pass visited %d keys, want %d", n, keys)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keys, "ns/key")
+}
+
+// BenchmarkRangeKV prices one full RangeKV pass — a WAL snapshot's walk —
+// over a kv-mode table (Allocator, VariableKV, Namespaces, EpochGC) of
+// 2^17 pairs under 16-byte keys with 64-byte values, each key and value
+// copied out of its block. ns/op is a pass; ns/key divides it by the
+// pairs visited.
+func BenchmarkRangeKV(b *testing.B) {
+	const keys = 1 << 17
+	h := MustNew(Config{
+		Mode: Allocator, Bins: keys / 2, Resizable: true,
+		VariableKV: true, Namespaces: true, EpochGC: true,
+	}).MustHandle()
+	defer h.Close()
+	val := make([]byte, 64)
+	for i := uint64(0); i < keys; i++ {
+		if err := h.InsertKV(0, fmt.Appendf(nil, "%016x", benchMix64(i)), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for range b.N {
+		n := 0
+		if err := h.RangeKV(func(*KVEntry) bool { n++; return true }); err != nil {
+			b.Fatal(err)
+		}
+		if n != keys {
+			b.Fatalf("a pass visited %d pairs, want %d", n, keys)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/keys, "ns/key")
 }

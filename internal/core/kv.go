@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -32,14 +33,16 @@ const (
 const MaxNamespace = nsMask
 
 // kvBlockHeader is the [klen u32][vlen u32][meta u64] prefix stored when
-// either VariableKV is enabled or the key does not fit the slot. meta is
-// one aligned word the caller owns: the table writes it with the block,
-// hands it back beside the value (KVGet.Meta, GetKVMeta, RangeKV), and
-// never interprets or changes it — a new word comes with a new block
-// (ReplaceKVIf). It shares the block's first cache line with the lengths
-// and the head of a big key, so whatever a reader keeps there — the RESP
-// layer keeps the pair's expiry deadline — costs no memory access beyond
-// the one that fetches the value.
+// either VariableKV is enabled or the key does not fit the slot; a big key
+// follows it, then the value. meta is one aligned word the caller owns:
+// the table writes it with the block, hands it back beside the value
+// (KVGet.Meta, GetKVMeta, RangeKV), and never interprets or changes it — a
+// new word comes with a new block (ReplaceKVIf). It shares the block's
+// first cache line with the lengths and the head of a big key, so whatever
+// a reader keeps there — the RESP layer keeps the pair's expiry deadline —
+// costs no memory access beyond the one that fetches the value. Three
+// functions know this layout: blockGeometry sizes a block, writeBlock fills
+// it, and pairBlock reads it back.
 const (
 	kvBlockHeader = 16
 	kvMetaOff     = 8
@@ -115,19 +118,11 @@ func (t *Table) checkKV(ns uint16, key []byte, val []byte, isInsert bool) error 
 		// The pair must fit one allocator block; without this gate an
 		// oversized wire insert would surface as an allocator panic
 		// instead of a status.
-		if max := t.cfg.Alloc.MaxAlloc(); max > 0 {
-			if size, _ := t.blockGeometry(len(key), len(val)); size > max {
-				return fmt.Errorf("%w: key+value block of %d bytes exceeds the allocator's %d-byte max", ErrValueSize, size, max)
-			}
+		if size, _ := t.blockGeometry(len(key), len(val)); size > t.maxBlock {
+			return fmt.Errorf("%w: key+value block of %d bytes exceeds the allocator's %d-byte max", ErrValueSize, size, t.maxBlock)
 		}
 	}
 	return nil
-}
-
-// hasBlockHeader reports whether pairs with this key-size code carry the
-// length-and-metadata header.
-func (t *Table) hasBlockHeader(code int) bool {
-	return t.cfg.VariableKV || code == bigKeyCode
 }
 
 // metaWord returns the address of the metadata word in a header-carrying
@@ -139,8 +134,7 @@ func metaWord(blk []byte) *uint64 {
 
 // blockGeometry computes the block size and the value offset for a pair.
 func (t *Table) blockGeometry(klen, vlen int) (size, valOff int) {
-	hasHdr := t.cfg.VariableKV || klen > 8
-	if hasHdr {
+	if t.cfg.VariableKV || klen > 8 {
 		valOff = kvBlockHeader
 		if klen > 8 {
 			valOff += klen
@@ -149,55 +143,43 @@ func (t *Table) blockGeometry(klen, vlen int) (size, valOff int) {
 	return valOff + vlen, valOff
 }
 
-// writeBlock fills a freshly allocated block.
+// writeBlock fills a freshly allocated block as blockGeometry lays it out.
 func (t *Table) writeBlock(b []byte, key, val []byte, meta uint64) {
-	hasHdr := t.cfg.VariableKV || len(key) > 8
-	off := 0
-	if hasHdr {
-		putU32(b[0:], uint32(len(key)))
-		putU32(b[4:], uint32(len(val)))
+	_, valOff := t.blockGeometry(len(key), len(val))
+	if valOff > 0 {
+		binary.LittleEndian.PutUint32(b, uint32(len(key)))
+		binary.LittleEndian.PutUint32(b[4:], uint32(len(val)))
 		atomic.StoreUint64(metaWord(b), meta)
-		off = kvBlockHeader
-		if len(key) > 8 {
-			copy(b[off:], key)
-			off += len(key)
-		}
+		copy(b[kvBlockHeader:valOff], key) // nothing when the slot holds the key
 	}
-	copy(b[off:], val)
+	copy(b[valOff:], val)
 }
 
-// valueView resolves a slot's value word into the value bytes and the
-// pair's metadata word (0 when the block has no header: fixed-size values
-// under an inlined key).
-func (t *Table) valueView(val uint64) ([]byte, uint64) {
-	ref := refOf(val)
-	if !t.hasBlockHeader(keyCodeOf(val)) {
-		return t.cfg.Alloc.Bytes(ref, t.cfg.ValueSize), 0
+// pairBlock reads the block behind a slot's value word vw: the stored big
+// key (empty when the slot holds the key), the value and the metadata word
+// (0 when the block has no header). It is the one place a block is read.
+// A block read before its bin header validates may have been freed and
+// reused since — the arena keeps the memory mapped, so the read is safe,
+// but its lengths are untrusted: ok is false, and the views nil, when they
+// do not fit one allocator block (Table.maxBlock).
+func (t *Table) pairBlock(vw uint64) (key, val []byte, meta uint64, ok bool) {
+	ref, code := refOf(vw), keyCodeOf(vw)
+	if !t.cfg.VariableKV && code != bigKeyCode {
+		return nil, t.cfg.Alloc.Bytes(ref, t.cfg.ValueSize), 0, true
 	}
 	hdr := t.cfg.Alloc.Bytes(ref, kvBlockHeader)
-	klen := int(getU32(hdr[0:]))
-	vlen := int(getU32(hdr[4:]))
-	meta := atomic.LoadUint64(metaWord(hdr))
+	klen := int(binary.LittleEndian.Uint32(hdr))
+	vlen := int(binary.LittleEndian.Uint32(hdr[4:]))
+	if klen == 0 || kvBlockHeader+klen+vlen > t.maxBlock {
+		return nil, nil, 0, false
+	}
+	meta = atomic.LoadUint64(metaWord(hdr))
 	valOff := kvBlockHeader
-	if klen > 8 {
+	if code == bigKeyCode {
 		valOff += klen
 	}
-	return t.cfg.Alloc.Bytes(ref, valOff+vlen)[valOff:], meta
-}
-
-// bigKeyIs reports whether the block behind ref stores key: the one place
-// a stored big key is compared with a lookup key. The answer stands only
-// if the bin header the slot was read under validates afterwards — the
-// caller's job: inside scanBinKV's window on the synchronous path, one
-// window later (kvStep) for a pipelined lookup, whose block prefetch has
-// landed by then. Until it validates the block may have been freed and
-// reused, so the stored length is compared before it is trusted as one.
-func (t *Table) bigKeyIs(ref alloc.Ref, key []byte) bool {
-	hdr := t.cfg.Alloc.Bytes(ref, kvBlockHeader)
-	if int(getU32(hdr[0:])) != len(key) {
-		return false
-	}
-	return bytes.Equal(t.cfg.Alloc.Bytes(ref, kvBlockHeader+len(key))[kvBlockHeader:], key)
+	blk := t.cfg.Alloc.Bytes(ref, valOff+vlen)
+	return blk[kvBlockHeader:valOff:valOff], blk[valOff:], meta, true
 }
 
 // matchKV reports whether a slot's (keyWord, valWord) matches the lookup
@@ -206,12 +188,19 @@ func (t *Table) bigKeyIs(ref alloc.Ref, key []byte) bool {
 // value word 0, whose size code matches no key: it reads as absent, and
 // its (nil) block is never read. A nil key stops at the filters —
 // the pipelined lookup's candidate pick, which leaves the block untouched
-// until its prefetch has landed.
+// until its prefetch has landed. The big-key answer stands only if the
+// bin header the slot was read under validates afterwards: inside
+// scanBinKV's window here, one window later (kvStep) for a pipelined
+// lookup.
 func (t *Table) matchKV(kw, vw uint64, wantKW uint64, wantCode int, ns uint16, key []byte) bool {
 	if kw != wantKW || keyCodeOf(vw) != wantCode || nsOf(vw) != ns {
 		return false
 	}
-	return wantCode != bigKeyCode || key == nil || t.bigKeyIs(refOf(vw), key)
+	if wantCode != bigKeyCode || key == nil {
+		return true
+	}
+	stored, _, _, _ := t.pairBlock(vw)
+	return bytes.Equal(stored, key)
 }
 
 // scanBinKV is scanBin with the Allocator-mode match predicate. Big-key
@@ -271,7 +260,7 @@ func (h *Handle) GetKVMeta(ns uint16, key []byte, hash uint64) (val []byte, meta
 	if debugAsserts {
 		h.assertViewPinned()
 	}
-	val, meta = h.t.valueView(vw)
+	_, val, meta, _ = h.t.pairBlock(vw)
 	return val, meta, refOf(vw)
 }
 
@@ -366,10 +355,10 @@ func (h *Handle) writeKV(ns uint16, key, val []byte, hash, meta uint64, old allo
 	if err = t.checkKV(ns, key, val, true); err != nil {
 		return err
 	}
-	kv := kvOp{key: key, val: val, hash: hash, meta: meta, old: old, code: keyCodeFor(key), ns: ns}
-	if meta != 0 && !t.hasBlockHeader(kv.code) {
+	if _, valOff := t.blockGeometry(len(key), len(val)); meta != 0 && valOff == 0 {
 		return ErrNoMeta
 	}
+	kv := kvOp{key: key, val: val, hash: hash, meta: meta, old: old, code: keyCodeFor(key), ns: ns}
 	kw := inlineKeyWord(key)
 	t.beginUpdate()
 	ix := h.enter()
@@ -454,17 +443,4 @@ func (h *Handle) ReplaceKVIf(ns uint16, key, val []byte, hash, meta uint64, old 
 		return false, nil
 	}
 	return err == nil, err
-}
-
-func putU32(b []byte, v uint32) {
-	_ = b[3]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	_ = b[3]
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

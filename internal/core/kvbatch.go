@@ -22,7 +22,7 @@ type KVGet struct {
 
 	// Value is the pointer-API view of the value (nil when not found).
 	// The same lifetime rules as GetKV apply. Meta is the pair's metadata
-	// word (see kvBlockHeader), read with the view.
+	// word (see Handle.GetKVMeta), read with the view.
 	Value []byte
 	Meta  uint64
 	OK    bool

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync/atomic"
 	"unsafe"
 
@@ -28,13 +29,14 @@ import (
 //     (lookupSpan). A block with a 16-byte key and a 64-byte value spans
 //     two or three lines.
 //  3. complete: the one visit to the block, every line of it cached —
-//     compare the full key, read the metadata word, form the value view,
-//     which the caller then copies out — then re-validate the recorded bin
-//     header. A mismatch (another key sharing the 8-byte prefix) or a
-//     header that moved on (the slot may have been deleted and its block
-//     reused since stage 2) falls back to the synchronous lookup. It is
-//     scanBinKV's optimistic protocol with the window stretched from one
-//     scan to half a pipeline window.
+//     one pairBlock read yields the stored key, the value view, which the
+//     caller then copies out, and the metadata word — then compare the full
+//     key and re-validate the recorded bin header. A mismatch (another key
+//     sharing the 8-byte prefix), a header that moved on (the slot may have
+//     been deleted and its block reused since stage 2) or block lengths
+//     that fail pairBlock's bounds check fall back to the synchronous
+//     lookup. It is scanBinKV's optimistic protocol with the window
+//     stretched from one scan to half a pipeline window.
 //
 // Request order is preserved.
 
@@ -93,7 +95,7 @@ func (t *Table) locate(e *kvPipeEntry) {
 	e.vw, e.at, e.hdr, e.ok = t.lookupKVSlotAt(e.ix, e.req.NS, e.req.Key, e.kw, e.code, e.bin, false)
 	if e.ok {
 		blk := t.cfg.Alloc.Bytes(refOf(e.vw), 1)
-		cpuops.PrefetchRange(unsafe.Pointer(&blk[0]), t.lookupSpan(e.code, len(e.req.Key)))
+		cpuops.PrefetchRange(unsafe.Pointer(&blk[0]), t.lookupSpan(len(e.req.Key)))
 	}
 }
 
@@ -102,27 +104,22 @@ func (t *Table) locate(e *kvPipeEntry) {
 const valuePrefetch = 64
 
 // lookupSpan returns how many bytes from its block's first byte a lookup
-// reads of a pair whose key has size code code and klen bytes: the header,
-// when the block has one; a big key; and the value's first valuePrefetch
-// bytes, or all of a shorter fixed-size value. It comes from the table's
-// config and the lookup key alone, not from the block, whose header is not
-// cached yet: a variable-size value is taken to be valuePrefetch bytes or
-// longer, and a candidate whose stored key is shorter than the lookup key
-// as the lookup key's length. Either way the span may run past the block,
-// which cpuops.PrefetchRange tolerates: it forms no Go pointer there.
-func (t *Table) lookupSpan(code, klen int) uintptr {
-	n := 0
-	if t.hasBlockHeader(code) {
-		n = kvBlockHeader
-		if code == bigKeyCode {
-			n += klen
-		}
-	}
+// reads of a pair whose key has klen bytes: the header, when the block has
+// one; a big key; and the value's first valuePrefetch bytes, or all of a
+// shorter fixed-size value — blockGeometry's size for that value. It comes
+// from the table's config and the lookup key alone, not from the block,
+// whose header is not cached yet: a variable-size value is taken to be
+// valuePrefetch bytes or longer, and a candidate whose stored key is
+// shorter than the lookup key as the lookup key's length. Either way the
+// span may run past the block, which cpuops.PrefetchRange tolerates: it
+// forms no Go pointer there.
+func (t *Table) lookupSpan(klen int) uintptr {
 	v := valuePrefetch
 	if !t.cfg.VariableKV {
 		v = min(v, t.cfg.ValueSize)
 	}
-	return uintptr(n + v)
+	span, _ := t.blockGeometry(klen, v)
+	return uintptr(span)
 }
 
 // advance runs the lookup stage toward its steady-state position: trailing
@@ -135,11 +132,11 @@ func (p *kvPipe) advance(t *Table, w, lead int) {
 	}
 }
 
-// kvStep completes the oldest in-flight request in place, stage 3: verify
-// a big key's candidate against its (now cached) block and the bin header
-// it was picked under, then materialize the value view and metadata word
-// into the entry's KVGet and return it. The request stays in flight: the
-// caller advances tail once it is done with it.
+// kvStep completes the oldest in-flight request in place, stage 3: read
+// the candidate's (now cached) block, verify a big key against it and the
+// bin header it was picked under, then write the value view and metadata
+// word into the entry's KVGet and return it. The request stays in flight:
+// the caller advances tail once it is done with it.
 func (h *Handle) kvStep(p *kvPipe) *KVGet {
 	t := h.t
 	if p.s2 == p.tail {
@@ -148,18 +145,23 @@ func (h *Handle) kvStep(p *kvPipe) *KVGet {
 	}
 	e := &p.ents[p.tail&p.mask]
 	req := &e.req
-	if e.ok && e.code == bigKeyCode && !(t.bigKeyIs(refOf(e.vw), req.Key) && atomic.LoadUint64(e.at) == e.hdr) {
-		e.vw, _, _, e.ok = t.lookupKVSlotAt(e.ix, req.NS, req.Key, e.kw, e.code, e.bin, true)
-	}
-	req.OK = e.ok
+	var val []byte
+	var meta uint64
 	if e.ok {
-		if debugAsserts {
-			h.assertViewPinned()
+		key, v, m, sane := t.pairBlock(e.vw)
+		if !sane || e.code == bigKeyCode && !(bytes.Equal(key, req.Key) && atomic.LoadUint64(e.at) == e.hdr) {
+			if e.vw, _, _, e.ok = t.lookupKVSlotAt(e.ix, req.NS, req.Key, e.kw, e.code, e.bin, true); e.ok {
+				_, v, m, _ = t.pairBlock(e.vw)
+			}
 		}
-		req.Value, req.Meta = t.valueView(e.vw)
-	} else {
-		req.Value, req.Meta = nil, 0
+		if e.ok {
+			if debugAsserts {
+				h.assertViewPinned()
+			}
+			val, meta = v, m
+		}
 	}
+	req.Value, req.Meta, req.OK = val, meta, e.ok
 	e.ix, e.at = nil, nil // a completed lookup must not pin a drained index
 	return req
 }

@@ -1,10 +1,95 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/alloc"
 )
+
+// countingAlloc counts the Bytes calls made on the allocator it wraps.
+type countingAlloc struct {
+	alloc.Allocator
+	bytes int
+}
+
+func (c *countingAlloc) Bytes(r alloc.Ref, n int) []byte {
+	c.bytes++
+	return c.Allocator.Bytes(r, n)
+}
+
+// TestKVLookupBlockReads pins how often a lookup asks the allocator for a
+// view of a 16-byte key's block: a pipelined hit three times (the block
+// prefetch in locate, then pairBlock's header and whole-block views at
+// completion), a synchronous GetKV four (pairBlock in the key compare, and
+// again for the value). The keys' first 8 bytes differ, except for one
+// pair planted in the same bin as another key with the same 8-byte prefix:
+// a pipelined lookup of it picks the other key's slot first, fails the key
+// compare and falls back to the synchronous lookup, which still finds it.
+func TestKVLookupBlockReads(t *testing.T) {
+	const n = 64
+	ca := &countingAlloc{Allocator: alloc.NewArena()}
+	tb := MustNew(Config{Mode: Allocator, Bins: 256, VariableKV: true, Alloc: ca})
+	h := tb.MustHandle()
+	defer h.Close()
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "p%07d-k%06d", i, i)
+		if err := h.InsertKV(0, keys[i], []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A key sharing keys[0]'s 8-byte prefix and bin, inserted after it.
+	ix := tb.current.Load()
+	bin := ix.binOf(tb.HashOfKV(0, keys[0]))
+	var twin []byte
+	for j := 0; twin == nil; j++ {
+		if k := fmt.Appendf(nil, "p0000000-z%06d", j); ix.binOf(tb.HashOfKV(0, k)) == bin {
+			twin = k
+		}
+	}
+	if err := h.InsertKV(0, twin, []byte{'z'}); err != nil {
+		t.Fatal(err)
+	}
+
+	var got [][]byte
+	pl := h.KVPipeline(KVPipelineOpts{Window: 4, OnComplete: func(r *KVGet) {
+		if !r.OK {
+			t.Fatalf("pipelined lookup of %q missed", r.Key)
+		}
+		got = append(got, append([]byte(nil), r.Value...))
+	}})
+	ca.bytes = 0
+	for _, k := range keys {
+		pl.Get(0, k)
+	}
+	pl.Flush()
+	if ca.bytes != 3*n {
+		t.Errorf("%d pipelined hits made %d Bytes calls, want %d (3 each)", n, ca.bytes, 3*n)
+	}
+	ca.bytes = 0
+	for i, k := range keys {
+		if v, ok := h.GetKV(0, k); !ok || !bytes.Equal(v, got[i]) || v[0] != byte(i) {
+			t.Fatalf("GetKV(%q) = %q, %v; pipelined %q", k, v, ok, got[i])
+		}
+	}
+	if ca.bytes != 4*n {
+		t.Errorf("%d GetKV hits made %d Bytes calls, want %d (4 each)", n, ca.bytes, 4*n)
+	}
+
+	ca.bytes = 0
+	pl.Get(0, twin)
+	pl.Flush()
+	if last := got[len(got)-1]; len(got) != n+1 || !bytes.Equal(last, []byte{'z'}) {
+		t.Fatalf("pipelined lookup of %q read %q", twin, last)
+	}
+	if ca.bytes <= 3 {
+		t.Errorf("lookup of %q made %d Bytes calls: no fallback past the prefix twin", twin, ca.bytes)
+	}
+	pl.Close()
+}
 
 // TestLookupSpanCoversReads: the lines a pipelined lookup prefetches for
 // its candidate block cover everything completion reads there — the
@@ -23,11 +108,7 @@ func TestLookupSpanCoversReads(t *testing.T) {
 		for vlen := 0; vlen <= 200; vlen++ {
 			tb := &Table{cfg: Config{Mode: Allocator, VariableKV: variable, ValueSize: vlen}}
 			for klen := 0; klen <= 64; klen++ {
-				code := klen
-				if klen > 8 {
-					code = bigKeyCode
-				}
-				span := int(tb.lookupSpan(code, klen))
+				span := int(tb.lookupSpan(klen))
 				// The block's layout as writeBlock lays it out.
 				valOff := 0
 				if variable || klen > 8 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 
@@ -226,19 +227,15 @@ indexLoop:
 
 // binForMigratedKV recomputes the destination bin of an Allocator-mode slot
 // from its stored words: namespace from the value word, key bytes either
-// from the key word (inlined) or from the block (big keys).
+// from the key word (inlined) or from the block (big keys), which the
+// bin's transfer keeps live.
 func (t *Table) binForMigratedKV(ix *index, keyWord, valWord uint64) uint64 {
-	ns := nsOf(valWord)
 	code := keyCodeOf(valWord)
-	if code != bigKeyCode {
-		var buf [8]byte
-		for i := 0; i < code; i++ {
-			buf[i] = byte(keyWord >> (8 * uint(i)))
-		}
-		return t.binForKV(ix, buf[:code], ns)
+	if code == bigKeyCode {
+		key, _, _, _ := t.pairBlock(valWord)
+		return t.binForKV(ix, key, nsOf(valWord))
 	}
-	ref := refOf(valWord)
-	klen := int(getU32(t.cfg.Alloc.Bytes(ref, kvBlockHeader)))
-	key := t.cfg.Alloc.Bytes(ref, kvBlockHeader+klen)[kvBlockHeader:]
-	return t.binForKV(ix, key, ns)
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], keyWord)
+	return t.binForKV(ix, buf[:code], nsOf(valWord))
 }

@@ -193,6 +193,10 @@ type Table struct {
 	hash64 hashfn.Func64
 	hashB  hashfn.FuncBytes
 
+	// maxBlock is the largest pair block an Allocator-mode table stores
+	// (checkKV) and reads (pairBlock): the allocator's MaxAlloc, or 64 MiB.
+	maxBlock int
+
 	nHandles atomic.Int32
 
 	gc *epoch.Collector
@@ -237,6 +241,11 @@ func New(cfg Config) (*Table, error) {
 		cfg:    cfg,
 		hash64: hashfn.For64(cfg.Hash),
 		hashB:  hashfn.ForBytes(cfg.Hash),
+	}
+	if cfg.Mode == Allocator {
+		if t.maxBlock = cfg.Alloc.MaxAlloc(); t.maxBlock <= 0 {
+			t.maxBlock = 64 << 20
+		}
 	}
 	if cfg.Mode == Allocator && cfg.EpochGC {
 		a := cfg.Alloc
@@ -367,9 +376,10 @@ type Handle struct {
 	bins ring[uint64]
 	kvp  kvPipe
 
-	// kvScan is RangeKVStep's scratch, kept so a crawler stepping on a
-	// ticker allocates nothing per step.
-	kvScan kvScan
+	// kvs and kvBuf are RangeKVStep's scratch, kept so a crawler stepping
+	// on a ticker allocates nothing per step.
+	kvs   []KVEntry
+	kvBuf []byte
 }
 
 // defaultPrefetchWindow is the distance Config.PrefetchWindow defaults to.
